@@ -46,17 +46,13 @@ from .exactmat import (
     mat_vec,
     transpose,
 )
-from .scalars import KScalar, QuadExtScalar, iota
+from .scalars import KScalar, as_scalar, iota
 
 ADIM = 27
 
 _F0, _F1 = Fraction(0), Fraction(1)
 
 ZERO_OCT = Octonion([_F0] * ODIM)
-
-
-def _as_scalar(v):
-    return v if isinstance(v, QuadExtScalar) else Fraction(v)
 
 
 class AlbertElement:
@@ -67,7 +63,7 @@ class AlbertElement:
     def __init__(self, eps: Sequence[KScalar], c: Sequence[Octonion]):
         if len(eps) != 3 or len(c) != 3:
             raise ValueError("need three diagonal scalars and three octonions")
-        object.__setattr__(self, "eps", tuple(_as_scalar(e) for e in eps))
+        object.__setattr__(self, "eps", tuple(as_scalar(e) for e in eps))
         object.__setattr__(self, "c", tuple(c))
 
     def __setattr__(self, *a):
@@ -239,7 +235,7 @@ def trilinear_N(x: AlbertElement, y: AlbertElement, z: AlbertElement):
         + norm_N(y)
         + norm_N(z)
     )
-    return n / 6 if isinstance(n, Fraction) else n * Fraction(1, 6)
+    return n * Fraction(1, 6)
 
 
 def sharp(x: AlbertElement) -> AlbertElement:
@@ -383,9 +379,7 @@ def g_map(T: SimilitudeTriple, check_related: bool = True) -> AlbertMap:
         raise ValueError("triple is not related; g-action undefined")
     rows = [[_F0] * ADIM for _ in range(ADIM)]
     for i in range(3):
-        mu = T[i].mu
-        mu_inv = mu.inverse() if isinstance(mu, QuadExtScalar) else _F1 / mu
-        rows[i][i] = mu_inv
+        rows[i][i] = _F1 / T[i].mu
         block = T[i].matrix
         for r in range(ODIM):
             for s in range(ODIM):

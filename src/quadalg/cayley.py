@@ -39,7 +39,7 @@ from .exactmat import (
     mat_vec,
     transpose,
 )
-from .scalars import KScalar, QuadExtScalar, iota
+from .scalars import KScalar, QuadExtScalar, as_scalar, iota
 
 DIM = 8
 
@@ -243,7 +243,7 @@ class Octonion:
         object.__setattr__(
             self,
             "coords",
-            tuple(c if isinstance(c, QuadExtScalar) else Fraction(c) for c in coords),
+            tuple(as_scalar(c) for c in coords),
         )
 
     def __setattr__(self, *a):
@@ -279,8 +279,7 @@ class Octonion:
 
     def conj(self) -> "Octonion":
         """Canonical involution: u4 <-> u5, the rest negated."""
-        c = self.coords
-        return Octonion([-c[0], -c[1], -c[2], c[4], c[3], -c[5], -c[6], -c[7]])
+        return Octonion(_conj_coords(self.coords))
 
     def iota(self) -> "Octonion":
         """Entrywise Galois conjugation of the coordinates."""
@@ -382,7 +381,7 @@ def _similitude_multiplier(matrix: Matrix):
     for i in range(DIM):
         for j in range(DIM):
             if g[i][j]:
-                r = lhs[i][j] / g[i][j] if isinstance(lhs[i][j], Fraction) else lhs[i][j] / g[i][j]
+                r = lhs[i][j] / g[i][j]
                 if mu is None:
                     mu = r
                 elif r != mu:
@@ -427,7 +426,7 @@ def is_related_triple(T: SimilitudeTriple) -> bool:
     basis pairs, for all i mod 3."""
     for i in range(3):
         ti, ti1, ti2 = T[i], T[i + 1], T[i + 2]
-        mu_inv = _scalar_inv(ti.mu)
+        mu_inv = _F1 / ti.mu
         for x in BASIS:
             tx = ti2(x)
             for y in BASIS:
@@ -436,12 +435,6 @@ def is_related_triple(T: SimilitudeTriple) -> bool:
                 if lhs != rhs:
                     return False
     return True
-
-
-def _scalar_inv(s):
-    if isinstance(s, QuadExtScalar):
-        return s.inverse()
-    return Fraction(1) / s
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +460,7 @@ def diag_d() -> Matrix:
 def m_matrix(j: int, a: Sequence[KScalar]) -> Matrix:
     """diag(1, a_j, a_j, a_{j+2}^{-1}, a_{j+1}^{-1}, 1, 1, a_j)."""
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
-    entries = [_F1, aj, aj, _scalar_inv(aj2), _scalar_inv(aj1), _F1, _F1, aj]
+    entries = [_F1, aj, aj, _F1 / aj2, _F1 / aj1, _F1, _F1, aj]
     return freeze(
         [[entries[i] if i == c else _F0 for c in range(DIM)] for i in range(DIM)]
     )
@@ -491,7 +484,7 @@ def special_cocycle_iota_closed_form(j: int, a: Sequence[KScalar]) -> Matrix:
     """diag(a_j^{-1},1,1,a_{j+1},a_{j+2},a_j^{-1},a_j^{-1},1) d P, the
     stated closed form of the iota-twist of z_j."""
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
-    inv = _scalar_inv(aj)
+    inv = _F1 / aj
     entries = [inv, 1, 1, aj1, aj2, inv, inv, 1]
     diag = freeze(
         [[entries[i] if i == c else _F0 for c in range(DIM)] for i in range(DIM)]
@@ -632,7 +625,7 @@ def _related_for_table(table: CayleyTable, a) -> bool:
     ]
     for i in range(3):
         mi, m1, m2 = mats[i % 3], mats[(i + 1) % 3], mats[(i + 2) % 3]
-        mu_inv = _scalar_inv(mus[i % 3])
+        mu_inv = _F1 / mus[i % 3]
         for k, l in order:
             ek, el = basis_vecs[k], basis_vecs[l]
             sxy = _star_coords(table, ek, el)

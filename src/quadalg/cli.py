@@ -104,14 +104,16 @@ def _cmd_rootsys(args) -> int:
             }
         )
     elif args.embedding:
-        with open(args.embedding) as fh:
-            rows = json.load(fh)
         try:
+            if args.source is None:
+                raise ValueError("--embedding needs --source")
+            with open(args.embedding) as fh:
+                rows = json.load(fh)
             emb = rootsys.LatticeEmbedding(tuple(tuple(r) for r in rows))
             src = rootsys.build_root_datum(args.source)
             payload["multiplier"] = rootsys.rost_multiplier(emb, src, rd)
             payload["source"] = src.label
-        except ValueError as exc:
+        except (ValueError, TypeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if args.json is not None:
@@ -136,9 +138,9 @@ def _parse_triple(values, k=None):
 def _cmd_cayley(args) -> int:
     table = cayley.build_cayley_table()
     if args.triple:
-        with open(args.triple) as fh:
-            mats = json.load(fh)
         try:
+            with open(args.triple) as fh:
+                mats = json.load(fh)
             trip = cayley.SimilitudeTriple(
                 tuple(
                     cayley.Similitude(
@@ -147,7 +149,7 @@ def _cmd_cayley(args) -> int:
                     for m in mats
                 )
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         payload = {

@@ -2,8 +2,9 @@
 F-form of a K-space twisted by an explicit semilinear cocycle.
 
 The twisted action is a -> Z(iota a); fixed vectors are produced by the
-averaging trick (w + Z iota w and sqrt(k)(w - Z iota w)) with greedy rank
-selection.  The two flagship pipelines, the e0-stabilizer descent
+averaging trick (w + Z iota w and sqrt(k)(w - Z iota w)), and the basis
+kept is the candidates outside the span of the ones before them, found by
+one elimination.  The two flagship pipelines, the e0-stabilizer descent
 (4H + <-2,2k>) and the special-cocycle computation
 (2H + <2,-2k,-2a,2ak,-2a,2ak> with Arason class <2><<a,k,-1>>), are
 packaged as report objects.
@@ -15,8 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import albert, cayley, forms
-from .exactmat import Matrix, freeze, identity, mat_eq, mat_mul, mat_vec, transpose
-from .scalars import QuadExtScalar, RatLike, iota, is_square, sqrt_k
+from .exactmat import (
+    Matrix,
+    freeze,
+    identity,
+    independent,
+    mat_eq,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
+from .scalars import QuadExtScalar, RatLike, as_rational, iota, is_square, sqrt_k
 
 _F0, _F1 = Fraction(0), Fraction(1)
 
@@ -59,33 +69,20 @@ def fixed_subspace(z: SemilinearCocycle) -> list[tuple]:
     over K that are fixed and K-linearly independent (an F-form basis)."""
     n = z.dim
     rt = sqrt_k(z.k)
-    found: list[tuple] = []
+    cands = []
     for i in range(n):
         w = tuple(
             QuadExtScalar(_F1 if j == i else _F0, 0, z.k) for j in range(n)
         )
         tw = z.twisted(w)
-        for cand in (
-            tuple(a + b for a, b in zip(w, tw)),
-            tuple(rt * (a - b) for a, b in zip(w, tw)),
-        ):
-            if not any(bool(x) for x in cand):
-                continue
-            if _k_rank(found + [cand], z.k) > len(found):
-                found.append(cand)
-        if len(found) == n:
-            break
+        cands.append(tuple(a + b for a, b in zip(w, tw)))
+        cands.append(tuple(rt * (a - b) for a, b in zip(w, tw)))
+    found = independent(cands)
     if len(found) != n:
         raise RuntimeError("fixed subspace has deficient rank")
-    for v in found:
-        assert z.is_fixed(v), "averaging produced a non-fixed vector"
+    if not all(z.is_fixed(v) for v in found):
+        raise RuntimeError("averaging produced a non-fixed vector")
     return found
-
-
-def _k_rank(vecs, k) -> int:
-    from .exactmat import rank
-
-    return rank(freeze(vecs))
 
 
 def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
@@ -104,10 +101,8 @@ def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
         gv = mat_vec(gram, v)
         row = []
         for w in basis:
-            val = sum(a * b for a, b in zip(w, gv))
-            if isinstance(val, QuadExtScalar):
-                val = val.rational()  # raises if not F-rational
-            row.append(val)
+            # raises if not F-rational
+            row.append(as_rational(sum(a * b for a, b in zip(w, gv))))
         rows.append(row)
     entries = forms._diagonalize_gram(rows)
     if any(e == 0 for e in entries):
@@ -218,22 +213,17 @@ def rostcalc_table_rows(k: RatLike, a: RatLike) -> list[dict]:
     z = special_cocycle_on_A(k, a)
     rt = sqrt_k(k)
 
-    def avec(*pairs):
-        v = [QuadExtScalar(0, 0, k)] * 10
-        for pos, val in pairs:
-            v[pos] = val if isinstance(val, QuadExtScalar) else QuadExtScalar(val, 0, k)
-        return tuple(v)
-
+    zero = QuadExtScalar(0, 0, k)
     one = QuadExtScalar(1, 0, k)
 
+    def avec(*pairs):
+        v = [zero] * 10
+        for pos, val in pairs:
+            v[pos] = zero + val  # a rational val becomes an element of K
+        return tuple(v)
+
     def a_value(v):
-        val = sum(
-            albert.A_GRAM[r][c] * (v[r] * v[c])
-            for r in range(10)
-            for c in range(10)
-            if albert.A_GRAM[r][c]
-        )
-        return val.rational() if isinstance(val, QuadExtScalar) else val
+        return as_rational(albert.a_form_value(v))
 
     # A-coordinate order: u1,u2,u3,u4,e1,e2,u5..u8 -> indices 0..9
     iso_vectors = [

@@ -1,8 +1,9 @@
 """Small exact linear algebra over Q or Q(sqrt k).
 
 Matrices are tuples of tuples of field elements (Fraction or
-QuadExtScalar); everything is plain Gaussian elimination, which is fast
-enough for the 8x8, 10x10 and 27x27 matrices this package handles.
+QuadExtScalar).  `det`, `mat_inv`, `rank` and `independent` share one
+Gauss-Jordan elimination, which is fast enough for the 8x8, 10x10 and
+27x27 matrices this package handles.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from typing import Sequence
 
 Matrix = tuple[tuple, ...]
 Vector = tuple
+
+_F1 = Fraction(1)
 
 
 def freeze(rows: Sequence[Sequence]) -> Matrix:
@@ -45,72 +48,54 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for r, s in zip(a, b) for x, y in zip(r, s))
 
 
-def det(a: Matrix):
-    """Determinant by fraction-free-ish Gaussian elimination over a field."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+def _reduce(rows: list[list], ncols: int) -> tuple[list[int], object]:
+    """Gauss-Jordan elimination of `rows`, in place, over the first `ncols`
+    columns: each pivot row is scaled to 1 and its column cleared in every
+    other row.  Returns the pivot columns and the determinant of the
+    leading square block (0 as soon as a column has no pivot)."""
+    pivots = []
+    d = _F1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
-            return Fraction(0) * out
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        out = out * p
-        inv = _inv_elem(p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out * sign
+            d = d * 0
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            d = -d
+        p = rows[r][col]
+        d = d * p
+        inv = _F1 / p
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots, d
 
 
-def _inv_elem(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1, 1) / x
-    return x.inverse()
+def det(a: Matrix):
+    return _reduce([list(row) for row in a], len(a))[1]
 
 
 def mat_inv(a: Matrix) -> Matrix:
     n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = _inv_elem(m[col][col])
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    m = [list(row) + list(e) for row, e in zip(a, identity(n))]
+    if len(_reduce(m, n)[0]) < n:
+        raise ZeroDivisionError("singular matrix")
     return freeze([row[n:] for row in m])
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    m = [list(row) for row in a]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = _inv_elem(m[r][col])
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_reduce([list(row) for row in a], len(a[0]) if a else 0)[0])
 
 
+def independent(vecs: Sequence[Vector]) -> list[Vector]:
+    """The vectors not in the span of the ones before them: the pivot
+    columns of the matrix whose columns are `vecs`."""
+    pivots, _ = _reduce([list(row) for row in zip(*vecs)], len(vecs))
+    return [vecs[c] for c in pivots]

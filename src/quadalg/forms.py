@@ -318,7 +318,8 @@ def _isotropic_vector_squarefree(ds):
                 v[i], v[j] = x1 * z2, x2 * z2
                 for m, y in zip(rest, w2[:-1]):
                     v[m] = y * z1
-            assert sum(d * x * x for d, x in zip(ds, v)) == 0
+            if sum(d * x * x for d, x in zip(ds, v)) != 0:
+                raise RuntimeError("split witness is not isotropic")
             return v
     # last resort: bounded enumeration (should be unreachable)
     for box in (2, 4, 8, 16):
@@ -373,7 +374,8 @@ def _ternary_witness(a, b, c):
     for f in back:
         den = den * Fraction(f).denominator // _gcd(den, Fraction(f).denominator)
     out = tuple(int(f * den) for f in back)
-    assert a * out[0] ** 2 + b * out[1] ** 2 + c * out[2] ** 2 == 0
+    if a * out[0] ** 2 + b * out[1] ** 2 + c * out[2] ** 2 != 0:
+        raise RuntimeError("ternary witness is not isotropic")
     return out
 
 
@@ -484,41 +486,33 @@ def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
 
 
 def _split_hyperbolic(q: DiagonalForm, v) -> DiagonalForm:
-    """Orthogonal complement of the hyperbolic plane through isotropic v."""
-    assert q.value(v) == 0
-    n = q.dim
-    j = next(i for i, x in enumerate(v) if x != 0)
-    w = tuple(Fraction(int(i == j)) for i in range(n))  # B(v, w) = a_j v_j != 0
-    b = q.bilinear(v, w)
-    c = q.value(w)
-    # project basis vectors into the B-orthogonal complement of span(v, w)
+    """Orthogonal complement of the hyperbolic plane through isotropic v.
+
+    With j the first and k the last index where v is nonzero (k != j, as
+    q(v) = 0), the plane is span(v, e_j).  The projection P onto its
+    B-orthogonal complement kills e_j, and the only other relation among
+    the P(e_m) is sum v_m P(e_m) = 0, so the P(e_m) with m not in {j, k}
+    are a basis of the complement.
+    """
+    if q.value(v) != 0:
+        raise RuntimeError("split vector is not isotropic")
+    a = q.entries
+    support = [i for i, x in enumerate(v) if x != 0]
+    j, k = support[0], support[-1]
+    b = a[j] * v[j]  # B(v, e_j)
     basis = []
-    for m in range(n):
-        e = [Fraction(int(i == m)) for i in range(n)]
-        bv, bw = q.bilinear(v, e), q.bilinear(w, e)
-        # x -> x - alpha v - beta w with B(v,.) = B(w,.) = 0 afterwards
-        beta = bv / b
-        alpha = (bw - beta * c) / b
-        vec = [e[i] - alpha * v[i] - beta * w[i] for i in range(n)]
-        if any(vec):
-            basis.append(vec)
-    basis = _independent(basis, n - 2)
+    for m in range(q.dim):
+        if m in (j, k):
+            continue
+        # e_m - alpha v - beta e_j, with B(v, .) = B(e_j, .) = 0 afterwards
+        beta = a[m] * v[m] / b
+        alpha = -beta * a[j] / b
+        vec = [-alpha * x for x in v]
+        vec[m] += 1
+        vec[j] -= beta
+        basis.append(vec)
     gram = [[q.bilinear(x, y) for y in basis] for x in basis]
     return DiagonalForm(q.field, tuple(_diagonalize_gram(gram)))
-
-
-def _independent(vecs, want):
-    from .exactmat import rank, freeze
-
-    out = []
-    for vec in vecs:
-        if len(out) == want:
-            break
-        if rank(freeze(out + [vec])) > len(out):
-            out.append(vec)
-    if len(out) != want:
-        raise RuntimeError("failed to span the complement")
-    return out
 
 
 def _diagonalize_gram(gram):
@@ -652,8 +646,8 @@ def low_rank_kernel_check(q: DiagonalForm, q_cand: DiagonalForm) -> bool:
         )
     if not arason_trivial(diff):
         return False
-    verdict = isometric(q_cand, q)
-    assert verdict, "Hauptsatz violated: trivial e3 but q_cand != q"
+    if not isometric(q_cand, q):
+        raise RuntimeError("Hauptsatz violated: trivial e3 but q_cand != q")
     return True
 
 

@@ -281,7 +281,8 @@ class QuadExtScalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.x, self.y, self.k))
+        # a rational element equals, so must hash like, its Fraction
+        return hash(self.x) if self.y == 0 else hash((self.x, self.y, self.k))
 
     def __bool__(self) -> bool:
         return self.x != 0 or self.y != 0
@@ -302,6 +303,11 @@ def iota(v: KScalar) -> KScalar:
 
 def sqrt_k(k: RatLike) -> QuadExtScalar:
     return QuadExtScalar(0, 1, k)
+
+
+def as_scalar(v) -> KScalar:
+    """An element of K as is, any other number as a Fraction."""
+    return v if isinstance(v, QuadExtScalar) else Fraction(v)
 
 
 def as_rational(v: KScalar) -> Fraction:

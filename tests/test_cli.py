@@ -75,6 +75,30 @@ def test_rootsys_embedding(tmp_path, capsys):
     assert code == 0 and "multiplier: 2" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cayley", "--triple", "{missing}"),
+        ("cayley", "--triple", "{bad}"),
+        ("rootsys", "--type", "A3", "--embedding", "{missing}", "--source", "A1"),
+        ("rootsys", "--type", "A3", "--embedding", "{bad}", "--source", "A1"),
+        ("rootsys", "--type", "A3", "--embedding", "{emb}"),
+    ],
+    ids=["triple_missing", "triple_bad_json", "embedding_missing", "embedding_bad_json", "no_source"],
+)
+def test_file_input_errors(tmp_path, capsys, argv):
+    files = {
+        "missing": tmp_path / "missing.json",
+        "bad": tmp_path / "bad.json",
+        "emb": tmp_path / "emb.json",
+    }
+    files["bad"].write_text("[[1], [0")
+    files["emb"].write_text(json.dumps([[1], [0], [1]]))
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cayley_info(capsys):
     code, out, _ = run(capsys, "cayley")
     assert code == 0

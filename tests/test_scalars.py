@@ -193,3 +193,8 @@ def test_relevant_places_cover():
     places = relevant_places(Q(5, 6), 7)
     ps = {v.p for v in places}
     assert ps == {0, 2, 3, 5, 7}
+
+
+def test_rational_element_hashes_like_its_fraction():
+    assert QuadExtScalar(3, 0, 2) == Q(3)
+    assert len({QuadExtScalar(3, 0, 2), Q(3)}) == 1
