@@ -270,7 +270,7 @@ def _cmd_descend(args) -> int:
                 "expected": forms.form_literal(descent.twist_a_expected(k)),
                 "isometric": forms.isometric(q, descent.twist_a_expected(k)),
             }
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.report is not None:

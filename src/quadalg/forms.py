@@ -3,8 +3,11 @@
 A form is a diagonal <a1,...,an> with nonzero exact entries.  Over Q the
 complete invariant fingerprint is (dimension, signed discriminant, Hasse
 symbols, real signature); over R only the signature matters.  Isotropy is
-decided by the local-global dimension casing, and Witt decomposition
-splits hyperbolic planes off using explicit isotropy witnesses.
+decided place by place (Hasse-Minkowski), and the yes/no Witt questions
+(Witt triviality, I^n, the kernel of restriction to Q(sqrt k)) are read off
+the invariants.  Witt decomposition splits hyperbolic planes off using
+explicit isotropy witnesses, built by the common-value split of Serre's
+proof of Hasse-Minkowski.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, symbols as _sym_symbols
+from sympy import nextprime, symbols as _sym_symbols
 from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
 
 from .scalars import (
@@ -22,6 +25,8 @@ from .scalars import (
     Place,
     REAL,
     RatLike,
+    _legendre,
+    _val_unit,
     hilbert_symbol,
     is_square,
     relevant_places,
@@ -147,63 +152,63 @@ def invariants(q: DiagonalForm) -> WittInvariants:
     sig = signature(q) if n else 0
     if q.field == "R":
         # only signs are semantically relevant; symbols live at the real place
-        eps = _hasse_at(q, REAL)
+        eps = _hasse(q.entries, REAL)
         hasse = {REAL: eps} if eps == -1 else {}
         return WittInvariants(n, signed_disc(q), hasse, sig)
     hasse = {}
     for v in relevant_places(*q.entries) if n else []:
-        eps = _hasse_at(q, v)
+        eps = _hasse(q.entries, v)
         if eps == -1:
             hasse[v] = eps
     return WittInvariants(n, signed_disc(q), hasse, sig)
 
 
-def _hasse_at(q: DiagonalForm, v: Place) -> int:
+def _hasse(entries, v: Place) -> int:
     eps = 1
-    for i in range(q.dim):
-        for j in range(i + 1, q.dim):
-            eps *= hilbert_symbol(q.entries[i], q.entries[j], v)
+    for a, b in itertools.combinations(entries, 2):
+        eps *= hilbert_symbol(a, b, v)
     return eps
+
+
+def _hasse_defects(inv: WittInvariants) -> set[Place]:
+    """The places where the Hasse symbol differs from that of the
+    hyperbolic form of the same (even) dimension."""
+    return set(inv.hasse) ^ set(invariants(hyperbolic(inv.dim // 2)).hasse)
 
 
 # --------------------------------------------------------------------------
 # isotropy and Witt decomposition
 
 
-def is_isotropic(q: DiagonalForm) -> bool:
-    """Hasse-Minkowski: over R a sign test, over Q the dimension-cased
-    local-global criterion (Serre, Cours d'arithmetique IV.3.2)."""
-    n = q.dim
+def _isotropic_at(entries, v: Place) -> bool:
+    """Whether the diagonal form with these entries is isotropic over Q_v
+    (Serre, Cours d'arithmetique IV.2.2 Thm. 6)."""
+    n = len(entries)
     if n <= 1:
         return False
-    pos = any(a > 0 for a in q.entries)
-    neg = any(a < 0 for a in q.entries)
-    if q.field == "R":
-        return pos and neg
-    if not (pos and neg):
-        return False
+    if v.is_real:
+        return any(a > 0 for a in entries) and any(a < 0 for a in entries)
+    if n >= 5:
+        return True
+    d = Fraction(1)
+    for a in entries:
+        d *= a
     if n == 2:
-        return square_class(-q.entries[0] * q.entries[1]) == 1
+        return is_local_square(-d, v)
     if n == 3:
-        d = Fraction(1)
-        for a in q.entries:
-            d *= a
-        places = relevant_places(-1, *q.entries)
-        return all(
-            hilbert_symbol(-1, -d, v) == _hasse_at(q, v) for v in places
-        )
-    if n == 4:
-        # anisotropic at v iff the disc is a square there and the Hasse
-        # symbol differs from (-1,-1)_v
-        d = Fraction(1)
-        for a in q.entries:
-            d *= a
-        return all(
-            _hasse_at(q, v) == hilbert_symbol(-1, -1, v)
-            for v in relevant_places(-1, *q.entries)
-            if is_local_square(d, v)
-        )
-    return True  # dim >= 5 indefinite is isotropic everywhere
+        return hilbert_symbol(-1, -d, v) == _hasse(entries, v)
+    return not is_local_square(d, v) or _hasse(entries, v) == hilbert_symbol(-1, -1, v)
+
+
+def is_isotropic(q: DiagonalForm) -> bool:
+    """Hasse-Minkowski: over R a sign test, over Q isotropy at every place
+    (Serre, Cours d'arithmetique IV.3.2).  The places outside
+    `relevant_places` need no test: every entry is a unit there, so a form
+    of dimension >= 3 is isotropic, and a binary form passes the relevant
+    places only when -d is a rational square."""
+    if q.field == "R":
+        return _isotropic_at(q.entries, REAL)
+    return all(_isotropic_at(q.entries, v) for v in relevant_places(-1, *q.entries))
 
 
 def _reduce_to_squarefree(entries):
@@ -231,9 +236,8 @@ def isotropic_vector(q: DiagonalForm) -> tuple[Fraction, ...]:
     """An exact nonzero vector with q(v) = 0.
 
     The existence certificate comes first (local-global test); the witness
-    is then produced by a ternary-subform solver with a meet-in-the-middle
-    enumeration fallback whose box grows until the certified witness is
-    found.
+    is then built by `_isotropic_vector_squarefree` from verified ternary
+    witnesses, split through common values as in Serre's proof.
     """
     if not is_isotropic(q):
         raise ValueError("form is anisotropic")
@@ -253,10 +257,10 @@ def _isotropic_vector_squarefree(ds):
     """A nonzero integer zero of sum d_i x_i^2 for squarefree d_i; the
     form is assumed isotropic (certified by the caller).
 
-    Strategy: hyperbolic pairs, then verified ternary witnesses, then the
-    classical splitting q = <d1,d2> + rest through a common represented
-    value t (three strictly smaller witness problems), with a bounded
-    meet-in-the-middle enumeration as the last resort.
+    Strategy: a hyperbolic pair, then a verified ternary witness, then the
+    split q = <d0,d1> + rest through a common value t of both parts
+    (`_common_value`): a ternary witness of <d0,d1,-t> and, by recursion,
+    a witness of the smaller rest + <t> combine into one of q.
     """
     n = len(ds)
     # opposite squarefree entries span a hyperbolic pair
@@ -283,50 +287,83 @@ def _isotropic_vector_squarefree(ds):
                 for i, s in zip(idx, w):
                     v[i] = s
                 return v
-    # split off a binary head through a common represented value t; a few
-    # different splits guard against an unlucky head
-    splits = [(0, 1), (0, n - 1), (1, 2 % n)]
-    for i, j in dict.fromkeys(splits):
-        if i == j:
-            continue
-        rest = [m for m in range(n) if m not in (i, j)]
-        head = (ds[i], ds[j])
-        tail = [ds[m] for m in rest]
-        for t in _value_candidates(ds):
-            head_t = DiagonalForm(
-                "Q", (Fraction(head[0]), Fraction(head[1]), Fraction(-t))
-            )
-            tail_t = DiagonalForm(
-                "Q", tuple(Fraction(d) for d in tail) + (Fraction(t),)
-            )
-            if not (is_isotropic(head_t) and is_isotropic(tail_t)):
-                continue
-            w1 = _ternary_witness(head[0], head[1], -t)
-            if w1 is None:
-                continue
-            # tail entries and t are squarefree, so the recursion applies
-            w2 = _isotropic_vector_squarefree(tail + [t])
-            x1, x2, z1 = w1
-            z2 = w2[-1]
-            v = [0] * n
-            if z1 == 0:
-                v[i], v[j] = x1, x2
-            elif z2 == 0:
-                for m, y in zip(rest, w2[:-1]):
-                    v[m] = y
-            else:
-                v[i], v[j] = x1 * z2, x2 * z2
-                for m, y in zip(rest, w2[:-1]):
-                    v[m] = y * z1
-            if sum(d * x * x for d, x in zip(ds, v)) != 0:
-                raise RuntimeError("split witness is not isotropic")
-            return v
-    # last resort: bounded enumeration (should be unreachable)
-    for box in (2, 4, 8, 16):
-        v = _mitm_search(ds, box)
-        if v is not None:
-            return v
-    raise RuntimeError("isotropy witness search exhausted")
+    head, rest = list(ds[:2]), list(ds[2:])
+    t = _common_value(head, rest)
+    w1 = _ternary_witness(*head, -t)
+    if w1 is None:
+        raise RuntimeError("common value is not represented by the head")
+    # rest entries and t are squarefree, so the recursion applies
+    w2 = _isotropic_vector_squarefree(rest + [t])
+    x1, x2, z1 = w1
+    z2 = w2[-1]
+    if z1 == 0:
+        v = [x1, x2] + [0] * (n - 2)
+    elif z2 == 0:
+        v = [0, 0] + list(w2[:-1])
+    else:
+        v = [x1 * z2, x2 * z2] + [y * z1 for y in w2[:-1]]
+    if sum(d * x * x for d, x in zip(ds, v)) != 0:
+        raise RuntimeError("split witness is not isotropic")
+    return v
+
+
+def _common_value(head, rest) -> int:
+    """A squarefree integer t represented by both the binary head and rest,
+    so that head + <-t> and rest + <t> are isotropic, for an isotropic
+    q = head + rest (Serre, Cours d'arithmetique IV.3.2, proof of Thm. 8).
+
+    t = head[0] serves whenever rest + <head[0]> is isotropic.  Otherwise
+    each place v in S = relevant_places(q) gets the local classes c for
+    which both forms are isotropic over Q_v; the first of them fixes the
+    sign (at the real place) or the valuation parity (at a prime) of s.
+    Then t = s*r, for r = 1 or a prime outside S, serves at every v in S
+    once it lies in one of those classes, and at every prime outside S but
+    r, where all entries and t are units.  The product formula, applied to
+    the ternary head + <-t> (and to rest + <t> when rest is binary), covers
+    r.  Dirichlet's theorem on primes in progressions ends the search.
+    """
+    if is_isotropic(form(rest + head[:1])):
+        return head[0]
+    places = relevant_places(*head, *rest)
+    s, works = 1, []
+    for v in places:
+        classes = [
+            c
+            for c in _class_reps(v)
+            if _isotropic_at(head + [-c], v) and _isotropic_at(rest + [c], v)
+        ]
+        if not classes:
+            raise RuntimeError(f"form is anisotropic at {v}")
+        if v.is_real:
+            s *= classes[0]
+        elif classes[0] % v.p == 0:
+            s *= v.p
+        works.append((v, {_class_key(c, v) for c in classes}))
+    skip = {v.p for v in places}
+    r = 1
+    while not all(_class_key(s * r, v) in keys for v, keys in works):
+        r = nextprime(r)
+        while r in skip:
+            r = nextprime(r)
+    return s * r
+
+
+def _class_reps(v: Place) -> tuple[int, ...]:
+    """Squarefree representatives of Q_v*/Q_v*^2, the class of 1 first."""
+    if v.is_real:
+        return (1, -1)
+    if v.p == 2:
+        return (1, -1, 5, -5, 2, -2, 10, -10)
+    u = next(u for u in range(2, v.p) if _legendre(u, v.p) == -1)
+    return (1, u, v.p, u * v.p)
+
+
+def _class_key(t: int, v: Place):
+    """The class of the nonzero integer t in Q_v*/Q_v*^2."""
+    if v.is_real:
+        return t > 0
+    e, u = _val_unit(t, v.p)
+    return e % 2, u % 8 if v.p == 2 else _legendre(u, v.p)
 
 
 def _ternary_witness(a, b, c):
@@ -416,55 +453,6 @@ def _legendre_equation_zero(a, b, c):
                 w = [0, 0, 0]
                 w[order[0]], w[order[1]], w[order[2]] = s_small, s_mid, s_big
                 return tuple(w)
-    return None
-
-
-def _value_candidates(ds):
-    """Candidate common values: the entries themselves (an isotropic tail
-    is universal, so these always suffice in that case) followed by
-    squarefree integers built from small primes and the entries' primes,
-    ordered by height."""
-    primes = {2, 3, 5, 7, 11, 13}
-    for d in ds:
-        primes.update(factorint(abs(d)))
-    primes = sorted(primes)
-    seen = set()
-    values = []
-    for d in ds:
-        for s in (d, -d):
-            if s not in seen:
-                seen.add(s)
-                values.append(s)
-    combos = []
-    for r in range(4):
-        for combo in itertools.combinations(primes, r):
-            m = 1
-            for p in combo:
-                m *= p
-            if m not in seen:
-                seen.add(m)
-                seen.add(-m)
-                combos.append(m)
-    combos.sort()
-    for m in combos:
-        values.append(m)
-        values.append(-m)
-    return values
-
-
-def _mitm_search(ds, box):
-    n = len(ds)
-    half = n // 2
-    left, right = ds[:half], ds[half:]
-    table = {}
-    for xs in itertools.product(range(-box, box + 1), repeat=len(left)):
-        val = sum(d * x * x for d, x in zip(left, xs))
-        table.setdefault(val, xs)
-    for ys in itertools.product(range(-box, box + 1), repeat=len(right)):
-        val = sum(d * y * y for d, y in zip(right, ys))
-        xs = table.get(-val)
-        if xs is not None and (any(xs) or any(ys)):
-            return list(xs) + list(ys)
     return None
 
 
@@ -565,11 +553,7 @@ def witt_trivial(q: DiagonalForm) -> bool:
     if q.field == "R":
         return signature(q) == 0
     inv = invariants(q)
-    if inv.disc != 1 or inv.signature != 0:
-        return False
-    hyp = invariants(hyperbolic(q.dim // 2))
-    places = set(inv.hasse) | set(hyp.hasse)
-    return all(inv.hasse_at(v) == hyp.hasse_at(v) for v in places)
+    return inv.disc == 1 and inv.signature == 0 and not _hasse_defects(inv)
 
 
 def witt_equivalent(q1: DiagonalForm, q2: DiagonalForm) -> bool:
@@ -605,9 +589,7 @@ def in_power_I(q: DiagonalForm, n: int) -> bool:
         return False
     if n == 2:
         return True
-    hyp = invariants(hyperbolic(q.dim // 2))
-    places = (set(inv.hasse) | set(hyp.hasse)) - {REAL}
-    if any(inv.hasse_at(v) != hyp.hasse_at(v) for v in places):
+    if _hasse_defects(inv) - {REAL}:
         return False
     return inv.signature % 8 == 0 if n == 3 else inv.signature % 16 == 0
 
@@ -700,24 +682,29 @@ def trace_form(h: HermitianDiagonal) -> DiagonalForm:
 
 def in_k_witt_ideal(q: DiagonalForm, k: RatLike) -> bool:
     """Whether the Witt class of q lies in <1,-k> W(Q), i.e. q becomes
-    hyperbolic over Q(sqrt k) (the kernel of restriction is exactly that
-    ideal).  Constructive peeling: every anisotropic class in the ideal
-    is <1,-k>-divisible, so stripping a<1,-k> for a represented value a
-    must drop the anisotropic dimension by 2 each round."""
+    hyperbolic over K = Q(sqrt k) (the kernel of restriction is exactly that
+    ideal).
+
+    By Hasse-Minkowski over K that asks for even dimension, a discriminant
+    that is a square in K (1 or k over Q), signature 0 at the real places of
+    K (there are none for k < 0) and hyperbolic Hasse symbols at every place
+    w of K.  Where k is a local square at v, K_w = Q_v; elsewhere K_w/Q_v is
+    quadratic (or K_w = C) and restriction kills Br_2 of Q_v, so a Hasse
+    defect of q only counts at a place where k is a local square.
+    """
     k = Fraction(k)
     if q.field != "Q":
         raise ValueError("K-ideal test is for forms over Q")
     if is_square(k):
         raise ValueError("k must not be a square")
-    phi = witt_decompose(q)[1]
-    while phi.dim:
-        a = phi.entries[0]
-        peeled = direct_sum(phi, form([-a, a * k]))
-        phi2 = witt_decompose(peeled)[1]
-        if phi2.dim > phi.dim - 2:
-            return False
-        phi = phi2
-    return True
+    if q.dim % 2:
+        return False
+    inv = invariants(q)
+    return (
+        inv.disc in (1, square_class(k))
+        and (k < 0 or inv.signature == 0)
+        and not any(is_local_square(k, v) for v in _hasse_defects(inv))
+    )
 
 
 def isometric_over_K(q1: DiagonalForm, q2: DiagonalForm, k: RatLike) -> bool:

@@ -49,8 +49,9 @@ def square_class(a: RatLike) -> SquareClass:
 
 
 def is_square(a: RatLike) -> bool:
+    """Whether a = b^2 for a rational b (0 = 0^2 included)."""
     a = Fraction(a)
-    return a > 0 and square_class(a) == 1
+    return a == 0 or (a > 0 and square_class(a) == 1)
 
 
 def is_local_square(a: RatLike, place: "Place") -> bool:

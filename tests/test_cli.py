@@ -49,6 +49,12 @@ def test_hermitian_command(capsys):
     assert json.loads(out)["trace_form"] == "<1,-2>"
 
 
+def test_hermitian_rejects_k_zero(capsys):
+    code, out, err = run(capsys, "hermitian", "<1>", "--k", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+
+
 def test_rootsys_fold(capsys):
     code, out, _ = run(capsys, "rootsys", "--type", "E6", "--fold")
     assert code == 0
@@ -83,17 +89,35 @@ def test_rootsys_embedding(tmp_path, capsys):
         ("rootsys", "--type", "A3", "--embedding", "{missing}", "--source", "A1"),
         ("rootsys", "--type", "A3", "--embedding", "{bad}", "--source", "A1"),
         ("rootsys", "--type", "A3", "--embedding", "{emb}"),
+        ("descend", "--k", "2", "--cocycle", "{number}"),
+        ("descend", "--k", "2", "--cocycle", "{flat}"),
+        ("descend", "--k", "2", "--cocycle", "{unit}", "--gram", "{number}"),
     ],
-    ids=["triple_missing", "triple_bad_json", "embedding_missing", "embedding_bad_json", "no_source"],
+    ids=[
+        "triple_missing",
+        "triple_bad_json",
+        "embedding_missing",
+        "embedding_bad_json",
+        "no_source",
+        "cocycle_number",
+        "cocycle_flat_matrix",
+        "gram_number",
+    ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):
     files = {
         "missing": tmp_path / "missing.json",
         "bad": tmp_path / "bad.json",
         "emb": tmp_path / "emb.json",
+        "number": tmp_path / "number.json",
+        "flat": tmp_path / "flat.json",
+        "unit": tmp_path / "unit.json",
     }
     files["bad"].write_text("[[1], [0")
     files["emb"].write_text(json.dumps([[1], [0], [1]]))
+    files["number"].write_text("3")
+    files["flat"].write_text(json.dumps([[1, 2], [3, 4]]))
+    files["unit"].write_text(json.dumps([[[1, 0]]]))  # the 1x1 identity cocycle
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

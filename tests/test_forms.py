@@ -131,6 +131,46 @@ def test_witt_round_trip():
         assert isometric(direct_sum(hyperbolic(idx), an), q)
 
 
+# isotropic forms with no isotropic ternary subform, whose witness needs a
+# common value other than their first entry
+FAULT_FORMS = ("<-17/9,12650/4,-425/9,7/4>", "<9,267/4,1,-188/4>")
+HARD_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def hard_form(rng):
+    """An indefinite form of dimension 4..6 whose entries carry up to three
+    primes below 54 times a rational square."""
+    while True:
+        entries = []
+        for _ in range(rng.randint(4, 6)):
+            core = 1
+            for p in rng.sample(HARD_PRIMES, rng.randint(0, 3)):
+                core *= p
+            square = Q(rng.randint(1, 3), rng.randint(1, 3)) ** 2
+            entries.append(rng.choice((1, -1)) * core * square)
+        if min(entries) < 0 < max(entries):
+            return form(entries)
+
+
+def assert_witt_split(q):
+    idx, an = witt_decompose(q)
+    assert not is_isotropic(an)
+    assert isometric(direct_sum(hyperbolic(idx), an), q)
+    return idx, an
+
+
+@pytest.mark.parametrize("literal", FAULT_FORMS)
+def test_witt_decompose_fault_forms(literal):
+    idx, an = assert_witt_split(parse_form(literal))
+    assert (idx, an.dim) == (1, 2)
+
+
+def test_witt_decompose_hard_indefinite_forms():
+    rng = random.Random(3)
+    for _ in range(40):
+        assert_witt_split(hard_form(rng))
+
+
 def test_witt_equivalence_examples():
     assert witt_equivalent(form([1, -1]), form([2, -2]))
     assert isometric(form([1, -1]), form([2, -2]))
@@ -274,6 +314,36 @@ def test_k_ideal_membership():
     assert not in_k_witt_ideal(form([1, 1]), 2)
     assert in_k_witt_ideal(form([1, 1]), -1)
     assert in_k_witt_ideal(hyperbolic(3), 7)
+
+
+def peel_in_k_witt_ideal(q, k):
+    """Reference K-ideal test by peeling: an anisotropic class in
+    <1,-k> W(Q) is <1,-k>-divisible, so removing a<1,-k> for a value a
+    drops the anisotropic dimension by 2 until nothing is left."""
+    phi = witt_decompose(q)[1]
+    while phi.dim:
+        a = phi.entries[0]
+        shorter = witt_decompose(direct_sum(phi, form([-a, a * k])))[1]
+        if shorter.dim > phi.dim - 2:
+            return False
+        phi = shorter
+    return True
+
+
+def test_k_ideal_membership_matches_peeling():
+    rng = random.Random(8)
+    pairs = [(parse_form(literal), k) for literal in FAULT_FORMS for k in (-7, 3)]
+    for _ in range(30):
+        k = rng.choice([2, 3, 5, 6, 7, -1, -2, -3, -5, -7])
+        psi = rnd_form(rng, rng.randint(1, 3))
+        member = direct_sum(tensor(form([1, -k]), psi), hyperbolic(rng.randint(0, 1)))
+        pairs.append((member, k))
+        assert in_k_witt_ideal(member, k)
+        pairs.append((direct_sum(member, form([rng.choice(SMALL), rng.choice(SMALL)])), k))
+        pairs.append((hard_form(rng), k))
+    answers = [in_k_witt_ideal(q, k) for q, k in pairs]
+    assert answers == [peel_in_k_witt_ideal(q, k) for q, k in pairs]
+    assert True in answers and False in answers
 
 
 def test_isometric_over_K():

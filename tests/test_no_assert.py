@@ -1,6 +1,9 @@
 """Library invariants must hold under `python -O`, which strips `assert`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quadalg
@@ -16,3 +19,18 @@ def test_library_raises_instead_of_asserting():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_optimized_run_prints_the_same():
+    """`python -O` must not change what the CLI prints."""
+    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["-m", "quadalg.cli", "form", "<-17/9,12650/4,-425/9,7/4>", "--json"]
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, *argv], capture_output=True, text=True, env=env
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout

@@ -35,6 +35,14 @@ def test_square_class_is_square_invariant():
     assert is_square(Q(49, 4)) and not is_square(Q(-49, 4)) and not is_square(8)
 
 
+def test_zero_is_a_square_and_no_field():
+    assert is_square(0)
+    with pytest.raises(ValueError):
+        QuadExtScalar(1, 1, 0)
+    with pytest.raises(ValueError):
+        is_norm_from_K(3, 0)
+
+
 def test_parse_scalar():
     assert parse_scalar("3/4") == Q(3, 4)
     assert parse_scalar("-7") == -7
