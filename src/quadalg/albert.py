@@ -324,12 +324,11 @@ class AlbertMap:
     def dagger(self) -> "AlbertMap":
         """The unique map with T(f(j), dagger(f)(j')) = T(j, j');
         singular maps are rejected."""
-        g = _t_gram()
         try:
             inv_t = mat_inv(transpose(self.matrix))
         except ZeroDivisionError:
             raise ValueError("dagger needs an invertible map") from None
-        return AlbertMap(mat_mul(mat_inv(g), mat_mul(inv_t, g)))
+        return AlbertMap(mat_mul(_t_gram_inv(), mat_mul(inv_t, _t_gram())))
 
     def preserves_trace_pairing_with(self, other: "AlbertMap") -> bool:
         g = _t_gram()

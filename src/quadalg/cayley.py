@@ -169,6 +169,11 @@ def build_cayley_table() -> CayleyTable:
     return table
 
 
+@lru_cache(maxsize=1)
+def _gram_inv() -> Matrix:
+    return mat_inv(build_cayley_table().gram)
+
+
 def _involution_table_holds(table: CayleyTable) -> bool:
     """conj(x) = trace(x) 1 - x must act as u4 <-> u5, u_i -> -u_i else."""
     one = _find_unit(table)
@@ -359,13 +364,15 @@ class Similitude:
     def sigma_n(self) -> "Similitude":
         """The norm adjoint G^-1 t^T G; sigma_n(t) t = mu(t)."""
         g = build_cayley_table().gram
-        return Similitude(mat_mul(mat_inv(g), mat_mul(transpose(self.matrix), g)))
+        return Similitude(mat_mul(_gram_inv(), mat_mul(transpose(self.matrix), g)))
 
     def iota_twisted(self) -> "Similitude":
         """The twisted Galois action on the group G: entrywise conjugation
-        of sigma_n(t)^{-1}."""
-        inv = mat_inv(self.sigma_n().matrix)
-        return Similitude(freeze([[iota(x) for x in row] for row in inv]))
+        of sigma_n(t)^{-1}, which is t / mu(t)."""
+        inv_mu = _F1 / self.mu
+        return Similitude(
+            freeze([[iota(x * inv_mu) for x in row] for row in self.matrix])
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Similitude) and mat_eq(self.matrix, other.matrix)

@@ -31,20 +31,24 @@ def _cmd_form(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    inv = forms.invariants_json(q)
-    index, anis = forms.witt_decompose(q)
-    payload = {
-        "literal": forms.form_literal(q),
-        "invariants": inv,
-        "witt_index": index,
-        "anisotropic": forms.form_literal(anis),
-        "isotropic": forms.is_isotropic(q),
-        "in_I^n": {
-            str(n): forms.in_power_I(q, n)
-            for n in range(1, 5)
-            if q.field == "R" or n <= 4
-        },
-    }
+    try:  # an entry past the factoring bounds raises here
+        inv = forms.invariants_json(q)
+        index, anis = forms.witt_decompose(q)
+        payload = {
+            "literal": forms.form_literal(q),
+            "invariants": inv,
+            "witt_index": index,
+            "anisotropic": forms.form_literal(anis),
+            "isotropic": forms.is_isotropic(q),
+            "in_I^n": {
+                str(n): forms.in_power_I(q, n)
+                for n in range(1, 5)
+                if q.field == "R" or n <= 4
+            },
+        }
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json is not None:
         _write_json(payload, args.json or None)
     else:
@@ -62,16 +66,16 @@ def _cmd_hermitian(args) -> int:
     try:
         entries = forms.parse_form(args.entries, field=args.field).entries
         h = forms.HermitianDiagonal(args.field, parse_scalar(args.k), entries)
+        q = forms.trace_form(h)
+        payload = {
+            "hermitian": forms.form_literal(forms.DiagonalForm(args.field, entries)),
+            "k": str(h.k),
+            "trace_form": forms.form_literal(q),
+            "invariants": forms.invariants_json(q),
+        }
     except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    q = forms.trace_form(h)
-    payload = {
-        "hermitian": forms.form_literal(forms.DiagonalForm(args.field, entries)),
-        "k": str(h.k),
-        "trace_form": forms.form_literal(q),
-        "invariants": forms.invariants_json(q),
-    }
     if args.json is not None:
         _write_json(payload, args.json or None)
     else:
@@ -281,10 +285,14 @@ def _cmd_descend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    if args.k is not None and args.a is not None:
-        overrides = {"k": parse_scalar(args.k), "a": parse_scalar(args.a)}
-    results = verify.run_checks(only=args.only, overrides=overrides or None)
+    try:  # only the P30 overrides can raise: a bad literal, or k a square
+        overrides = {}
+        if args.k is not None and args.a is not None:
+            overrides = {"k": parse_scalar(args.k), "a": parse_scalar(args.a)}
+        results = verify.run_checks(only=args.only, overrides=overrides or None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not results:
         print(f"no check matches {args.only!r}", file=sys.stderr)
         return 2

@@ -16,9 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import nextprime, symbols as _sym_symbols
-from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
+from math import gcd, isqrt
 
 from .scalars import (
     is_local_square,
@@ -29,7 +27,9 @@ from .scalars import (
     _val_unit,
     hilbert_symbol,
     is_square,
+    next_prime,
     relevant_places,
+    sqrt_mod,
     square_class,
 )
 
@@ -223,8 +223,6 @@ def _reduce_to_squarefree(entries):
 
 
 def _fraction_sqrt(a: Fraction) -> Fraction:
-    from math import isqrt
-
     num, den = a.numerator, a.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -342,9 +340,9 @@ def _common_value(head, rest) -> int:
     skip = {v.p for v in places}
     r = 1
     while not all(_class_key(s * r, v) in keys for v, keys in works):
-        r = nextprime(r)
+        r = next_prime(r)
         while r in skip:
-            r = nextprime(r)
+            r = next_prime(r)
     return s * r
 
 
@@ -371,11 +369,7 @@ def _ternary_witness(a, b, c):
     the form is anisotropic).
 
     The coefficients are brought to Legendre normal form (squarefree and
-    pairwise coprime) first; on that shape the diophantine solver is the
-    fast path (its output is still verified, as it can return spurious
-    tuples), and a Holzer-bounded enumeration is the guaranteed fallback:
-    a solvable normalized equation has a zero with |x_i| <= sqrt of the
-    product of the other two coefficients.
+    pairwise coprime) first, where `_legendre_equation_zero` applies.
     """
     if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
         return None
@@ -395,7 +389,7 @@ def _ternary_witness(a, b, c):
             for j in range(3):
                 if i == j:
                     continue
-                g = _gcd(coeffs[i], coeffs[j])
+                g = gcd(int(coeffs[i]), int(coeffs[j]))
                 if g > 1:
                     k = 3 - i - j
                     coeffs[i] //= g
@@ -409,51 +403,100 @@ def _ternary_witness(a, b, c):
     back = [m * s for m, s in zip(mults, w)]
     den = 1
     for f in back:
-        den = den * Fraction(f).denominator // _gcd(den, Fraction(f).denominator)
+        den = den * Fraction(f).denominator // gcd(den, Fraction(f).denominator)
     out = tuple(int(f * den) for f in back)
     if a * out[0] ** 2 + b * out[1] ** 2 + c * out[2] ** 2 != 0:
         raise RuntimeError("ternary witness is not isotropic")
     return out
 
 
-def _gcd(x, y):
-    from math import gcd
-
-    return gcd(int(x), int(y))
-
-
 def _legendre_equation_zero(a, b, c):
     """A nonzero integer zero of a normalized (squarefree, pairwise
-    coprime, mixed-sign) ternary ax^2 + by^2 + cz^2, or None."""
-    from math import isqrt
+    coprime, mixed-sign) ternary ax^2 + by^2 + cz^2, or None.
 
-    x, y, z = _sym_symbols("x y z", integer=True)
-    sol = diop_ternary_quadratic(a * x**2 + b * y**2 + c * z**2)
-    if sol is not None and None not in sol and any(sol):
-        sx, sy, sz = (int(s) for s in sol)
-        if a * sx * sx + b * sy * sy + c * sz * sz == 0:
-            return (sx, sy, sz)
-    # Holzer bounds: iterate the two coordinates with the smallest bounds
-    # (those paired with the largest coefficient) and solve for the third
-    order = sorted(range(3), key=lambda i: abs((a, b, c)[i]))
-    co = [(a, b, c)[i] for i in order]  # |co[0]| <= |co[1]| <= |co[2]|
-    bound_mid = isqrt(abs(co[0] * co[2]))
-    bound_big = isqrt(abs(co[0] * co[1]))
-    for s_big in range(bound_big + 1):
-        t2 = co[2] * s_big * s_big
-        for s_mid in range(bound_mid + 1):
-            rem = -(co[1] * s_mid * s_mid + t2)
-            if rem == 0 and s_mid == 0 and s_big == 0:
-                continue
-            num, r = divmod(rem, co[0])
-            if r or num < 0:
-                continue
-            s_small = isqrt(num)
-            if s_small * s_small == num:
-                w = [0, 0, 0]
-                w[order[0]], w[order[1]], w[order[2]] = s_small, s_mid, s_big
-                return tuple(w)
-    return None
+    Up to sign and order, a, b > 0 > c.  Lagrange's descent solves
+    w^2 = -ac x^2 - bc y^2, which gives the zero (cx, cy, w); Mordell's
+    reduction then brings it within 2/sqrt(3) of Holzer's bound
+    |x| <= sqrt(|bc|), |y| <= sqrt(|ac|), |z| <= sqrt(ab) (Cremona & Rusin,
+    Math. Comp. 72 (2003), section 2).
+    """
+    coeffs = (a, b, c)
+    sign = 1 if sum(x > 0 for x in coeffs) == 2 else -1
+    odd = next(i for i in range(3) if sign * coeffs[i] < 0)
+    order = [i for i in range(3) if i != odd] + [odd]
+    a, b, c = (sign * coeffs[i] for i in order)
+    w = _lagrange_descent(-a * c, -b * c)
+    if w is None:
+        return None
+    x, y, z = _holzer_reduce(a, b, c * w[1], c * w[2], w[0])
+    out = [0, 0, 0]
+    out[order[0]], out[order[1]], out[order[2]] = x, y, z
+    return tuple(out)
+
+
+def _lagrange_descent(a, b):
+    """A nonzero integer zero (x, y, z) of x^2 = a y^2 + b z^2 for
+    squarefree a, b, or None if there is none.
+
+    With |a| <= |b| and t^2 = a mod b, |t| <= |b|/2, the identity
+    (x^2 - a y^2)(t^2 - a) = (xt + ay)^2 - a(x + ty)^2 trades b for the
+    squarefree part of (t^2 - a)/b, which is smaller in absolute value.
+    """
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    if a < 0 and b < 0:
+        return None
+    if abs(a) > abs(b):
+        w = _lagrange_descent(b, a)
+        return None if w is None else (w[0], w[2], w[1])
+    t = sqrt_mod(a, abs(b))
+    if t is None:
+        return None
+    if 2 * t > abs(b):
+        t -= abs(b)
+    rest = (t * t - a) // b
+    core = square_class(rest)
+    w = _lagrange_descent(a, core)
+    if w is None:
+        return None
+    x, y, z = w
+    return x * t + a * y, x + t * y, core * isqrt(rest // core) * z
+
+
+def _holzer_reduce(a, b, x, y, z):
+    """Mordell's reduction of a zero of ax^2 + by^2 + cz^2, a, b > 0 > c.
+
+    For R = (u, v, 0) in the lattice L = Z(x, y) + zZ^2 the second point
+    of the conic on the line through P = (x, y, z) and R is
+    (q(R) P - 2B(P, R) R) / z^2, with third coordinate q(R)/z.  For
+    primitive P, L has determinant |z|, so a shortest R (Lagrange-Gauss)
+    has a u^2 + b v^2 <= 2/sqrt(3) sqrt(ab) |z|.
+    """
+    g = gcd(x, y, z)
+    x, y, z = x // g, y // g, z // g
+    if z * z <= a * b:
+        return x, y, z
+    h = gcd(y, z)
+    s = pow(y // h, -1, abs(z) // h) if abs(z) > h else 0  # s*y = h mod z
+    b1, b2 = (gcd(x * z // h, z), 0), (s * x, h)
+
+    def f(p, q):
+        return a * p[0] * q[0] + b * p[1] * q[1]
+
+    while True:
+        if f(b1, b1) > f(b2, b2):
+            b1, b2 = b2, b1
+        mu = (2 * f(b1, b2) + f(b1, b1)) // (2 * f(b1, b1))
+        if mu == 0:
+            break
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+    (u, v), qr, bpr = b1, f(b1, b1), f((x, y), b1)
+    zz = z * z
+    x, y, z = (qr * x - 2 * bpr * u) // zz, (qr * y - 2 * bpr * v) // zz, qr // z
+    g = gcd(x, y, z)
+    return x // g, y // g, z // g
 
 
 def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:

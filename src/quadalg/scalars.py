@@ -1,5 +1,6 @@
-"""Exact base-field arithmetic: rationals, square classes, quadratic
-extensions K = Q(sqrt k), and Hilbert symbols at the places of Q.
+"""Exact base-field arithmetic: integer factorization and primality under
+fixed bounds, rationals, square classes, quadratic extensions
+K = Q(sqrt k), and Hilbert symbols at the places of Q.
 
 Scalars are plain ``fractions.Fraction`` values.  A square class is the
 signed squarefree integer representing a*Q*^2; two scalars share it iff
@@ -11,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 from typing import Iterable, Union
-
-from sympy import factorint
 
 Scalar = Fraction
 SquareClass = int
@@ -29,12 +29,176 @@ def parse_scalar(text: str) -> Fraction:
         raise ValueError(f"bad scalar literal {text!r}") from exc
 
 
+# --------------------------------------------------------------------------
+# integer number theory, under fixed bounds: every answer is a proof, and a
+# number past the bounds raises ValueError instead of running on
+
+
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1))]
+# Strong probable primes to the first 13 prime bases are prime below
+# psi_13 (Sorenson & Webster, Math. Comp. 86 (2017)); nothing larger is
+# accepted as prime.
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_LIMIT = 3317044064679887385961981
+_RHO_STEPS = 1 << 20  # Pollard-rho iterations allowed for one split
+_RHO_BATCH = 128  # differences multiplied together per gcd
+
+
+def is_prime(n: int) -> bool:
+    """Whether the integer n is prime: trial division, then Miller-Rabin
+    with the bases `_MR_BASES`.  Raises ValueError for a strong probable
+    prime at or above `_MR_LIMIT`, which those bases do not prove prime."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot prove a {len(str(n))}-digit number prime")
+    return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime above n."""
+    n = max(n, 1) + 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def factor(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of an integer n >= 1.
+
+    Trial division by the primes below 1000, then for the cofactor a
+    perfect-power step, a primality proof (`is_prime`) or a split by
+    Pollard's rho.  Raises ValueError, naming the digit count, for a
+    cofactor that is neither proved prime nor split within the bounds.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out[p] = e
+    stack = [(n, 1)] if n > 1 else []
+    while stack:
+        m, e = stack.pop()
+        # m has no prime factor below 1000, so m = r^k needs k <= log_1000 m
+        for k in range(2, m.bit_length() // 9 + 1):
+            r = _root(m, k)
+            if r**k == m:
+                stack.append((r, k * e))
+                break
+        else:
+            if is_prime(m):
+                out[m] = out.get(m, 0) + e
+            else:
+                d = _rho_split(m)
+                stack += [(d, e), (m // d, e)]
+    return dict(sorted(out.items()))
+
+
+def _root(m: int, k: int) -> int:
+    """The integer part of the k-th root of m >= 1 (Newton's method)."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _rho_split(n: int) -> int:
+    """A proper divisor of the odd composite n, no perfect power, by Pollard's
+    rho with Brent's cycle search, within `_RHO_STEPS` iterations."""
+    steps, c = 0, 0
+    while steps < _RHO_STEPS:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < _RHO_STEPS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    raise ValueError(f"cannot split a {len(str(n))}-digit number in {_RHO_STEPS} steps")
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A root of t^2 = a mod the prime p (Tonelli-Shanks), or None."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if _legendre(a, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if _legendre(z, p) == -1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def sqrt_mod(a: int, n: int) -> int | None:
+    """A root of t^2 = a mod the squarefree n >= 1, or None: a root per
+    prime of n, joined by the Chinese remainder theorem."""
+    t, m = 0, 1
+    for p in factor(n):
+        r = _sqrt_mod_prime(a, p)
+        if r is None:
+            return None
+        t += m * ((r - t) * pow(m, -1, p) % p)
+        m *= p
+    return t
+
+
 @lru_cache(maxsize=None)
 def _squarefree_part(n: int) -> int:
     """Signed squarefree part of a nonzero integer."""
     sign = -1 if n < 0 else 1
     out = sign
-    for p, e in factorint(abs(n)).items():
+    for p, e in factor(abs(n)).items():
         if e % 2:
             out *= p
     return out
@@ -78,7 +242,7 @@ class Place:
     p: int  # 0 encodes the real place
 
     def __post_init__(self) -> None:
-        if self.p != 0 and (self.p < 2 or not _is_prime(self.p)):
+        if self.p != 0 and not is_prime(self.p):
             raise ValueError(f"not a place: {self.p}")
 
     @property
@@ -92,13 +256,6 @@ class Place:
 REAL = Place(0)
 
 
-@lru_cache(maxsize=None)
-def _is_prime(n: int) -> bool:
-    from sympy import isprime
-
-    return bool(isprime(n))
-
-
 def relevant_places(*scalars: RatLike) -> list[Place]:
     """The real place, 2, and every odd prime dividing a square-class
     representative of one of the inputs.  Hilbert symbols built from the
@@ -107,7 +264,7 @@ def relevant_places(*scalars: RatLike) -> list[Place]:
     for a in scalars:
         if Fraction(a) == 0:
             continue
-        primes.update(p for p in factorint(abs(square_class(a))) if p > 1)
+        primes.update(factor(abs(square_class(a))))
     return [REAL] + [Place(p) for p in sorted(primes)]
 
 

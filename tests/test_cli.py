@@ -81,6 +81,14 @@ def test_rootsys_embedding(tmp_path, capsys):
     assert code == 0 and "multiplier: 2" in out
 
 
+# nextprime(10^63) * nextprime(3 * 10^63): a 127-digit semiprime, past the
+# factoring bounds of quadalg.scalars
+BIG = int(
+    "3000000000000000000000000000000000000000000000000000000000000550"
+    "000000000000000000000000000000000000000000000000000000000022627"
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -92,6 +100,11 @@ def test_rootsys_embedding(tmp_path, capsys):
         ("descend", "--k", "2", "--cocycle", "{number}"),
         ("descend", "--k", "2", "--cocycle", "{flat}"),
         ("descend", "--k", "2", "--cocycle", "{unit}", "--gram", "{number}"),
+        ("form", f"<{BIG},-3,5>"),
+        ("hermitian", "<1>", "--k", str(BIG)),
+        ("verify-paper", "--only", "P30", "--k", "4", "--a", "3"),
+        ("verify-paper", "--only", "P30", "--k", "0", "--a", "3"),
+        ("verify-paper", "--only", "P30", "--k", "x", "--a", "3"),
     ],
     ids=[
         "triple_missing",
@@ -102,6 +115,11 @@ def test_rootsys_embedding(tmp_path, capsys):
         "cocycle_number",
         "cocycle_flat_matrix",
         "gram_number",
+        "form_oversized_entry",
+        "hermitian_oversized_k",
+        "verify_square_k",
+        "verify_zero_k",
+        "verify_bad_k",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):

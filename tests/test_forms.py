@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from math import isqrt
 
 import pytest
 
@@ -111,6 +112,65 @@ def test_isotropic_vector_is_a_witness():
         assert any(bool(x) for x in v)
         assert q.value(v) == 0
         found += 1
+
+
+def holzer_zero(a, b, c):
+    """Reference zero of a normalized ternary ax^2 + by^2 + cz^2 by
+    enumeration: a solvable one has a zero with each |x_i| at most the
+    square root of the product of the other two coefficients (Holzer).
+    The two coordinates with the smallest bounds are iterated and the third
+    solved for; None when there is no zero."""
+    order = sorted(range(3), key=lambda i: abs((a, b, c)[i]))
+    co = [(a, b, c)[i] for i in order]  # |co[0]| <= |co[1]| <= |co[2]|
+    bound_mid = isqrt(abs(co[0] * co[2]))
+    bound_big = isqrt(abs(co[0] * co[1]))
+    for s_big in range(bound_big + 1):
+        for s_mid in range(bound_mid + 1):
+            if s_mid == s_big == 0:
+                continue
+            num, r = divmod(-(co[1] * s_mid * s_mid + co[2] * s_big * s_big), co[0])
+            if r == 0 and num >= 0 and isqrt(num) ** 2 == num:
+                w = [0, 0, 0]
+                w[order[0]], w[order[1]], w[order[2]] = isqrt(num), s_mid, s_big
+                return tuple(w)
+    return None
+
+
+MIXED_SIGNS = [s for s in itertools.product((1, -1), repeat=3) if len(set(s)) == 2]
+
+
+def normalized_ternaries(rng, count):
+    """Distinct squarefree, pairwise coprime, mixed-sign coefficient
+    triples built from the primes below 100."""
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    out = set()
+    while len(out) < count:
+        cs = [1, 1, 1]
+        for p in rng.sample(primes, rng.randint(0, 4)):
+            cs[rng.randrange(3)] *= p
+        signs = rng.choice(MIXED_SIGNS)
+        out.add(tuple(s * x for s, x in zip(signs, cs)))
+    return sorted(out)
+
+
+def test_legendre_solver_matches_holzer_enumeration():
+    """The same verdict as the enumeration, an exact zero, and a zero near
+    Holzer's bound: within 2 sqrt of the product of the other two
+    coefficients (Mordell's reduction gives 2/sqrt(3))."""
+    rng = random.Random(5)
+    solvable = 0
+    for a, b, c in normalized_ternaries(rng, 2000):
+        w = forms._legendre_equation_zero(a, b, c)
+        assert (w is None) == (holzer_zero(a, b, c) is None), (a, b, c)
+        if w is None:
+            continue
+        solvable += 1
+        assert any(w) and a * w[0] ** 2 + b * w[1] ** 2 + c * w[2] ** 2 == 0
+        co = (a, b, c)
+        for i in range(3):
+            j, k = (m for m in range(3) if m != i)
+            assert w[i] ** 2 <= 4 * abs(co[j] * co[k]), (a, b, c, w)
+    assert 500 < solvable < 1500
 
 
 def test_witt_decompose_examples():

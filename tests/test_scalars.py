@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -7,11 +8,15 @@ from quadalg.scalars import (
     Place,
     QuadExtScalar,
     REAL,
+    factor,
     hilbert_symbol,
     is_norm_from_K,
+    is_prime,
     is_square,
+    next_prime,
     parse_scalar,
     relevant_places,
+    sqrt_mod,
     square_class,
     sqrt_k,
 )
@@ -206,3 +211,83 @@ def test_relevant_places_cover():
 def test_rational_element_hashes_like_its_fraction():
     assert QuadExtScalar(3, 0, 2) == Q(3)
     assert len({QuadExtScalar(3, 0, 2), Q(3)}) == 1
+
+
+# ---------------------------------------------------------------- number theory
+
+
+def sieve(n):
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, int(n**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return flags
+
+
+def test_is_prime_matches_a_sieve():
+    flags = sieve(10**5)
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if flags[n]
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and not is_prime((2**61 - 1) * (2**31 - 1))
+
+
+def test_is_prime_proves_or_raises():
+    big = 2**89 - 1  # prime, past the bound of the Miller-Rabin bases
+    with pytest.raises(ValueError, match="27-digit"):
+        is_prime(big)
+    assert not is_prime(big * (2**61 - 1))  # a composite is still refuted
+    with pytest.raises(ValueError, match="27-digit"):
+        factor(big)
+
+
+def test_next_prime():
+    assert [next_prime(n) for n in (-5, 0, 1, 2, 13, 24)] == [2, 2, 2, 3, 17, 29]
+    assert next_prime(10**12) == 10**12 + 39
+
+
+def test_factor_matches_trial_division():
+    """Seeded products of primes below 10^12, some squared or cubed, against
+    the primes they were built from; each of those is proved prime by trial
+    division up to its square root."""
+    flags = sieve(10**6)
+    small = [p for p in range(10**6) if flags[p]]
+
+    def trial_prime(n):
+        divisors = itertools.takewhile(lambda p: p * p <= n, small)
+        return n > 1 and all(n % p for p in divisors)
+
+    rng = random.Random(12)
+    assert factor(1) == {}
+    for _ in range(80):
+        n, want = 1, {}
+        for _ in range(rng.randint(1, 4)):
+            p = rng.randint(2, 10 ** rng.randint(1, 12))
+            while not trial_prime(p):
+                p += 1
+            e = rng.choice((1, 1, 1, 2, 3))
+            n *= p**e
+            want[p] = want.get(p, 0) + e
+        assert factor(n) == want
+
+
+def test_sqrt_mod_squarefree():
+    """A root exactly when a is a square modulo every prime of n."""
+    rng = random.Random(4)
+    for _ in range(200):
+        primes = rng.sample([2, 3, 5, 7, 11, 13, 101, 1009, 10007], rng.randint(1, 4))
+        n = 1
+        for p in primes:
+            n *= p
+        a = rng.randrange(-n, n)
+        t = sqrt_mod(a, n)
+        squares = all(any((x * x - a) % p == 0 for x in range(p)) for p in primes)
+        assert (t is not None) == squares
+        assert t is None or (t * t - a) % n == 0
