@@ -32,6 +32,7 @@ from .cayley import (
     ONE,
     Similitude,
     SimilitudeTriple,
+    build_cayley_table,
     is_related_triple,
     u,
 )
@@ -278,12 +279,24 @@ def cross_by_duality(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     return AlbertElement.from_coords(coords)
 
 
+def _block_diagonal(eps: Sequence[KScalar], blocks: Sequence[Matrix]) -> Matrix:
+    """The 27x27 matrix diag(eps0, eps1, eps2) + block0 + block1 + block2,
+    each 8x8 block on the coordinates of its octonion slot."""
+    rows = [[_F0] * ADIM for _ in range(ADIM)]
+    for i in range(3):
+        rows[i][i] = eps[i]
+        for r, row in enumerate(blocks[i]):
+            rows[3 + 8 * i + r][3 + 8 * i : 11 + 8 * i] = row
+    return freeze(rows)
+
+
 @lru_cache(maxsize=1)
 def _t_gram() -> Matrix:
-    rows = []
-    for a in ALBERT_BASIS:
-        rows.append([trace_form_T(a, b) for b in ALBERT_BASIS])
-    return freeze(rows)
+    """T on the basis in closed form, diag(1, 1, 1) + 2G + 2G + 2G with G
+    the octonion norm Gram: trace_form_T pairs the diagonal slots by
+    products and each octonion slot by twice the norm pairing."""
+    g2 = freeze([[2 * x for x in row] for row in build_cayley_table().gram])
+    return _block_diagonal((_F1, _F1, _F1), (g2, g2, g2))
 
 
 @lru_cache(maxsize=1)
@@ -330,10 +343,6 @@ class AlbertMap:
             raise ValueError("dagger needs an invertible map") from None
         return AlbertMap(mat_mul(_t_gram_inv(), mat_mul(inv_t, _t_gram())))
 
-    def preserves_trace_pairing_with(self, other: "AlbertMap") -> bool:
-        g = _t_gram()
-        return mat_eq(mat_mul(transpose(self.matrix), mat_mul(g, other.matrix)), g)
-
     def preserves_norm(self, samples: int = 20, seed: int = 11) -> bool:
         """Spot-check N(f(x)) = N(x) on pseudorandom exact elements."""
         import random
@@ -376,14 +385,9 @@ def g_map(T: SimilitudeTriple, check_related: bool = True) -> AlbertMap:
     Unrelated triples are rejected."""
     if check_related and not is_related_triple(T):
         raise ValueError("triple is not related; g-action undefined")
-    rows = [[_F0] * ADIM for _ in range(ADIM)]
-    for i in range(3):
-        rows[i][i] = _F1 / T[i].mu
-        block = T[i].matrix
-        for r in range(ODIM):
-            for s in range(ODIM):
-                rows[3 + 8 * i + r][3 + 8 * i + s] = block[r][s]
-    return AlbertMap(freeze(rows))
+    return AlbertMap(
+        _block_diagonal([_F1 / t.mu for t in T.t], [t.matrix for t in T.t])
+    )
 
 
 def g_action(T: SimilitudeTriple, x: AlbertElement) -> AlbertElement:

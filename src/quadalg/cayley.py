@@ -419,13 +419,14 @@ class SimilitudeTriple:
     def multipliers(self):
         return tuple(s.mu for s in self.t)
 
-    def componentwise(self, other: "SimilitudeTriple") -> "SimilitudeTriple":
-        return SimilitudeTriple(
-            tuple(a.compose(b) for a, b in zip(self.t, other.t))
-        )
-
     def iota_twisted(self) -> "SimilitudeTriple":
         return SimilitudeTriple(tuple(s.iota_twisted() for s in self.t))
+
+
+@lru_cache(maxsize=1)
+def _basis_stars() -> tuple:
+    """u_a star u_b for all 64 basis pairs, computed on first use."""
+    return tuple(tuple(star(x, y) for y in BASIS) for x in BASIS)
 
 
 def is_related_triple(T: SimilitudeTriple) -> bool:
@@ -434,12 +435,11 @@ def is_related_triple(T: SimilitudeTriple) -> bool:
     for i in range(3):
         ti, ti1, ti2 = T[i], T[i + 1], T[i + 2]
         mu_inv = _F1 / ti.mu
-        for x in BASIS:
+        images = [ti1(y) for y in BASIS]
+        for x, stars in zip(BASIS, _basis_stars()):
             tx = ti2(x)
-            for y in BASIS:
-                lhs = mu_inv * ti(star(x, y))
-                rhs = star(tx, ti1(y))
-                if lhs != rhs:
+            for ty, sxy in zip(images, stars):
+                if mu_inv * ti(sxy) != star(tx, ty):
                     return False
     return True
 

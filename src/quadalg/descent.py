@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import albert, cayley, forms
 from .exactmat import (
     Matrix,
+    dot,
     freeze,
     identity,
     independent,
@@ -99,11 +100,8 @@ def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
     rows = []
     for v in basis:
         gv = mat_vec(gram, v)
-        row = []
-        for w in basis:
-            # raises if not F-rational
-            row.append(as_rational(sum(a * b for a, b in zip(w, gv))))
-        rows.append(row)
+        # raises if not F-rational
+        rows.append([as_rational(dot(w, gv)) for w in basis])
     entries = forms._diagonalize_gram(rows)
     if any(e == 0 for e in entries):
         raise ValueError("degenerate restriction: cocycle is not an isometry")

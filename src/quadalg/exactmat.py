@@ -2,8 +2,15 @@
 
 Matrices are tuples of tuples of field elements (Fraction or
 QuadExtScalar).  `det`, `mat_inv`, `rank` and `independent` share one
-Gauss-Jordan elimination, which is fast enough for the 8x8, 10x10 and
-27x27 matrices this package handles.
+Gauss-Jordan elimination.
+
+Every kernel skips zeros: products and inner sums multiply only pairs of
+nonzero entries, and the elimination scales and clears only nonzero
+entries.  Most 8x8 and 27x27 maps this package builds are monomial, so a
+product of two of them costs n multiplications instead of n^3, with no
+second matrix type: a matrix is the same dense tuple whatever its shape.
+A zero entry of a result may come back as Fraction(0) where the dense sum
+gave QuadExtScalar(0, 0, k); the two are equal and hash alike.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Sequence
 Matrix = tuple[tuple, ...]
 Vector = tuple
 
-_F1 = Fraction(1)
+_F0, _F1 = Fraction(0), Fraction(1)
 
 
 def freeze(rows: Sequence[Sequence]) -> Matrix:
@@ -29,15 +36,33 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
+def _nonzeros(v: Sequence) -> list:
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def _dot(row: Sequence, nonzeros: list):
+    """The sum of row[j] * x over the (j, x) in `nonzeros` with row[j]
+    nonzero; Fraction(0) when there is no such term."""
+    out = None
+    for j, x in nonzeros:
+        y = row[j]
+        if y:
+            out = y * x if out is None else out + y * x
+    return _F0 if out is None else out
+
+
+def dot(v: Sequence, w: Sequence):
+    return _dot(v, _nonzeros(w))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return freeze(
-        [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-    )
+    bt = tuple(zip(*b))
+    return tuple(tuple(_dot(col, nz) for col in bt) for nz in map(_nonzeros, a))
 
 
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    nz = _nonzeros(v)
+    return tuple(_dot(row, nz) for row in a)
 
 
 def scal_mul(c, a: Matrix) -> Matrix:
@@ -69,11 +94,11 @@ def _reduce(rows: list[list], ncols: int) -> tuple[list[int], object]:
         p = rows[r][col]
         d = d * p
         inv = _F1 / p
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for i, row in enumerate(rows):
             if i != r and row[col]:
                 f = row[col]
-                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(row, rows[r])]
         pivots.append(col)
     return pivots, d
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import Matrix, freeze, mat_mul, mat_vec, rank as mat_rank, transpose
+from .exactmat import Matrix, dot, freeze, mat_mul, mat_vec, rank as mat_rank, transpose
 
 
 class FoldingError(ValueError):
@@ -142,18 +142,10 @@ class CanonicalForm:
     gram: Matrix
 
     def value(self, v) -> Fraction:
-        return sum(
-            Fraction(v[i]) * self.gram[i][j] * Fraction(v[j])
-            for i in range(len(v))
-            for j in range(len(v))
-        )
+        return self.bilinear(v, v)
 
     def bilinear(self, v, w) -> Fraction:
-        return sum(
-            Fraction(v[i]) * self.gram[i][j] * Fraction(w[j])
-            for i in range(len(v))
-            for j in range(len(w))
-        )
+        return dot(v, mat_vec(self.gram, w))
 
 
 def canonical_form(rd: RootDatum) -> CanonicalForm:

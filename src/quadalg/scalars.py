@@ -314,11 +314,6 @@ def hilbert_symbol(a: RatLike, b: RatLike, place: Place) -> int:
     return sign
 
 
-def hilbert_symbols_everywhere(a: RatLike, b: RatLike) -> dict[Place, int]:
-    """Symbols (a,b)_v at every relevant place (all others are +1)."""
-    return {v: hilbert_symbol(a, b, v) for v in relevant_places(a, b)}
-
-
 def is_norm_from_K(a: RatLike, k: RatLike) -> bool:
     """Whether a = x^2 - k y^2 for rational x, y; equivalently the form
     <1,-k,-a> is isotropic, i.e. the quaternion algebra (k,a) splits."""
@@ -330,18 +325,27 @@ def is_norm_from_K(a: RatLike, k: RatLike) -> bool:
     return all(hilbert_symbol(k, a, v) == 1 for v in relevant_places(a, k))
 
 
+def _fraction(v: RatLike) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
+@lru_cache(maxsize=None)
+def _field_parameter(k: Fraction) -> Fraction:
+    """k itself, once it is known not to be a rational square."""
+    if is_square(k):
+        raise ValueError("k must not be a rational square")
+    return k
+
+
 class QuadExtScalar:
     """An element x + y*sqrt(k) of K = Q(sqrt k), k a fixed nonsquare."""
 
     __slots__ = ("x", "y", "k")
 
     def __init__(self, x: RatLike, y: RatLike, k: RatLike):
-        k = Fraction(k)
-        if is_square(k):
-            raise ValueError("k must not be a rational square")
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "x", _fraction(x))
+        object.__setattr__(self, "y", _fraction(y))
+        object.__setattr__(self, "k", _field_parameter(_fraction(k)))
 
     def __setattr__(self, *args):  # immutable
         raise AttributeError("QuadExtScalar is immutable")
@@ -465,7 +469,7 @@ def sqrt_k(k: RatLike) -> QuadExtScalar:
 
 def as_scalar(v) -> KScalar:
     """An element of K as is, any other number as a Fraction."""
-    return v if isinstance(v, QuadExtScalar) else Fraction(v)
+    return v if type(v) is Fraction or isinstance(v, QuadExtScalar) else Fraction(v)
 
 
 def as_rational(v: KScalar) -> Fraction:

@@ -76,6 +76,16 @@ def test_trace_form_is_nondegenerate():
     assert rank(_t_gram()) == 27
 
 
+def test_closed_form_t_gram_is_the_trace_form():
+    from quadalg.albert import _t_gram
+
+    g = _t_gram()
+    for m, a in enumerate(ALBERT_BASIS):
+        for n, b in enumerate(ALBERT_BASIS):
+            t = trace_form_T(a, b)
+            assert g[m][n] == t and type(g[m][n]) is type(t)
+
+
 def test_c_slot_trace_pairing():
     rng = random.Random(1)
     for i in range(3):

@@ -5,8 +5,19 @@ from fractions import Fraction as Q
 import pytest
 
 from quadalg import forms
-from quadalg.exactmat import det, freeze, identity, independent, mat_eq, mat_inv, mat_mul, rank
-from quadalg.scalars import QuadExtScalar
+from quadalg.exactmat import (
+    det,
+    freeze,
+    identity,
+    independent,
+    mat_eq,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    rank,
+    transpose,
+)
+from quadalg.scalars import QuadExtScalar, as_rational, iota
 
 
 def K(x, y=0):
@@ -128,3 +139,169 @@ def test_split_hyperbolic_complement(entries, v, complement):
 def test_split_hyperbolic_rejects_anisotropic_vector():
     with pytest.raises(RuntimeError):
         forms._split_hyperbolic(forms.form([1, -1, 3]), (Q(1), Q(0), Q(0)))
+
+
+# --------------------------------------------------------------------------
+# the zero-skipping kernels against dense references that touch every entry
+
+
+def dense_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def dense_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def dense_reduce(rows, ncols):
+    """Gauss-Jordan on every entry: (reduced rows, pivot columns, det)."""
+    rows = [list(r) for r in rows]
+    pivots, d = [], Q(1)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            d = Q(0)
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        d = d * rows[r][col] * (1 if piv == r else -1)
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots, d
+
+
+def sparse_matrix(rng, n, m, density, quad):
+    """Seeded n x m matrix with the given share of nonzero entries; row 0
+    and the last column are all zero."""
+
+    def entry(i, j):
+        if i == 0 or j == m - 1 or rng.random() > density:
+            return K(0) if quad else Q(0)
+        x = Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        return K(x, rng.randint(-2, 2)) if quad else x
+
+    return freeze([[entry(i, j) for j in range(m)] for i in range(n)])
+
+
+def square_cases():
+    rng = random.Random(61)
+    for quad in (False, True):
+        for density in (0.15, 0.4, 1.0):
+            for n in (1, 3, 6, 8):
+                a = sparse_matrix(rng, n, n, density, quad)
+                # the all-zero row and column moved inside, and a copy that
+                # is invertible: a unit diagonal added
+                perm = rng.sample(range(n), n)
+                a = freeze([[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+                yield a
+                yield freeze([[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(a)])
+
+
+def same_entries(got, want):
+    """Equal, equally hashed and equally printed, entry by entry."""
+    return len(got) == len(want) and all(
+        x == y and hash(x) == hash(y) and str(x) == str(y) for x, y in zip(got, want)
+    )
+
+
+def test_products_agree_with_the_dense_reference():
+    rng = random.Random(17)
+    for a in square_cases():
+        n = len(a)
+        b = sparse_matrix(rng, n, n + 1, rng.choice([0.2, 0.6, 1.0]), rng.random() < 0.5)
+        got, want = mat_mul(a, b), dense_mul(a, b)
+        assert all(same_entries(r, s) for r, s in zip(got, want))
+        for v in itertools.chain(transpose(b), identity(n)):
+            assert same_entries(mat_vec(a, v), dense_vec(a, v))
+
+
+def test_elimination_agrees_with_the_dense_reference():
+    invertible = 0
+    for a in square_cases():
+        n = len(a)
+        _, pivots, d = dense_reduce(a, n)
+        assert det(a) == d
+        assert rank(a) == len(pivots)
+        vecs = list(transpose(a))  # the columns of a
+        assert independent(vecs) == [vecs[c] for c in pivots]
+        if d != 0:
+            invertible += 1
+            reduced, _, _ = dense_reduce([list(r) + list(e) for r, e in zip(a, identity(n))], n)
+            assert mat_eq(mat_inv(a), [row[n:] for row in reduced])
+        else:
+            with pytest.raises(ZeroDivisionError):
+                mat_inv(a)
+    assert invertible >= 12
+
+
+def test_a_skipped_zero_of_a_k_product_behaves_like_the_zero_of_k():
+    zero = K(0)
+    a = freeze([[K(1, 1), K(0)], [K(0), K(0)]])
+    b = freeze([[K(0), K(2, -1)], [K(3), K(0)]])
+    entries = [x for row in mat_mul(a, b) for x in row] + list(mat_vec(a, (K(0), K(1))))
+    skipped = [x for x in entries if type(x) is Q]  # no product was summed
+    assert len(skipped) == 5
+    for x in skipped:
+        assert x == zero and zero == x and not x
+        assert hash(x) == hash(zero)
+        assert iota(x) == iota(zero)
+        assert as_rational(x) == as_rational(zero)
+        assert str(x) == str(zero)
+        assert x + K(1, 1) == K(1, 1) and x * K(1, 1) == zero
+
+
+class Counting:
+    """A rational that counts the multiplications made with it."""
+
+    products = 0
+
+    def __init__(self, v):
+        self.v = Q(v)
+
+    def __mul__(self, other):
+        Counting.products += 1
+        return Counting(self.v * value(other))
+
+    def __add__(self, other):
+        return Counting(self.v + value(other))
+
+    __radd__ = __add__
+
+    def __bool__(self):
+        return bool(self.v)
+
+
+def value(x):
+    return x.v if isinstance(x, Counting) else x
+
+
+def monomial(rng, n):
+    perm = rng.sample(range(n), n)
+    return freeze(
+        [[Counting(rng.randint(1, 9) if j == perm[i] else 0) for j in range(n)] for i in range(n)]
+    )
+
+
+def test_monomial_product_makes_one_multiplication_per_row():
+    rng = random.Random(3)
+    a, b = monomial(rng, 27), monomial(rng, 27)
+    Counting.products = 0
+    ab = mat_mul(a, b)
+    assert Counting.products == 27
+    assert [list(map(value, row)) for row in ab] == [
+        list(map(value, row)) for row in dense_mul(a, b)
+    ]
+
+
+def test_monomial_map_on_a_basis_vector_makes_one_multiplication():
+    rng = random.Random(5)
+    t = monomial(rng, 8)
+    e3 = tuple(Counting(int(j == 3)) for j in range(8))
+    Counting.products = 0
+    image = mat_vec(t, e3)
+    assert Counting.products == 1
+    assert list(map(value, image)) == [t[i][3].v for i in range(8)]

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quadalg
 
 
@@ -21,16 +23,32 @@ def test_library_raises_instead_of_asserting():
     assert asserts == []
 
 
-def test_optimized_run_prints_the_same():
-    """`python -O` must not change what the CLI prints."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["form", "<-17/9,12650/4,-425/9,7/4>", "--json"],
+        ["verify-paper", "--json", "{out}"],
+    ],
+    ids=["form", "verify-paper"],
+)
+def test_optimized_run_prints_the_same(tmp_path, argv):
+    """`python -O` must not change what the CLI prints or writes."""
     paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    argv = ["-m", "quadalg.cli", "form", "<-17/9,12650/4,-425/9,7/4>", "--json"]
-    plain, optimized = (
-        subprocess.run(
-            [sys.executable, *flags, *argv], capture_output=True, text=True, env=env
+    runs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(runs)}.json"
+        args = [a.format(out=out) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "quadalg.cli", *args],
+            capture_output=True,
+            text=True,
+            env=env,
         )
-        for flags in ([], ["-O"])
-    )
+        runs.append((proc, out.read_text() if out.exists() else None))
+    (plain, plain_file), (optimized, optimized_file) = runs
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
+    assert plain_file == optimized_file
+    if "{out}" in argv:
+        assert '"open-question": 2' in plain_file
