@@ -40,11 +40,7 @@ def _cmd_form(args) -> int:
             "witt_index": index,
             "anisotropic": forms.form_literal(anis),
             "isotropic": forms.is_isotropic(q),
-            "in_I^n": {
-                str(n): forms.in_power_I(q, n)
-                for n in range(1, 5)
-                if q.field == "R" or n <= 4
-            },
+            "in_I^n": {str(n): forms.in_power_I(q, n) for n in range(1, 5)},
         }
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,15 +8,23 @@ decided place by place (Hasse-Minkowski), and the yes/no Witt questions
 the invariants.  Witt decomposition splits hyperbolic planes off using
 explicit isotropy witnesses, built by the common-value split of Serre's
 proof of Hasse-Minkowski.
+
+The layer is linear in the dimension: a Hasse symbol is n - 1 Hilbert
+symbols per place (prefix products of square classes), the complement of
+a hyperbolic plane is eliminated as "diagonal plus rank one" without
+building its basis, and `invariants` is computed once per form and kept on
+it.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from types import MappingProxyType
 
 from .scalars import (
     is_local_square,
@@ -122,7 +130,7 @@ def pfister(*slots: RatLike, field: str = "Q") -> DiagonalForm:
 class WittInvariants:
     dim: int
     disc: int  # signed squarefree discriminant class
-    hasse: dict[Place, int]  # places with symbol -1 only
+    hasse: Mapping[Place, int]  # places with symbol -1 only; read-only
     signature: int
 
     def hasse_at(self, v: Place) -> int:
@@ -131,49 +139,73 @@ class WittInvariants:
     def __post_init__(self):
         if (self.signature - self.dim) % 2 or abs(self.signature) > self.dim:
             raise ValueError("signature incompatible with dimension")
+        object.__setattr__(self, "hasse", MappingProxyType(dict(self.hasse)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle or copy
+        return WittInvariants, (self.dim, self.disc, dict(self.hasse), self.signature)
 
 
 def signature(q: DiagonalForm) -> int:
     return sum(1 if a > 0 else -1 for a in q.entries)
 
 
-def signed_disc(q: DiagonalForm) -> int:
-    """(-1)^(n(n-1)/2) det(q) as a square class (B7.eg convention)."""
-    n = q.dim
-    d = Fraction(1)
-    for a in q.entries:
-        d *= a
-    d *= (-1) ** (n * (n - 1) // 2)
-    return square_class(d) if n else 1
-
-
 def invariants(q: DiagonalForm) -> WittInvariants:
+    """The invariants of q, computed once and kept on the (frozen) form.
+
+    Over R the discriminant is a sign (R*/R*^2 = {+1, -1}); over Q it is
+    the signed squarefree class (-1)^(n(n-1)/2) det(q) (B7.eg convention).
+    The entries' square classes are taken once and serve every place.
+    """
+    if "_invariants" in q.__dict__:
+        return q.__dict__["_invariants"]
     n = q.dim
-    sig = signature(q) if n else 0
     if q.field == "R":
         # only signs are semantically relevant; symbols live at the real place
-        eps = _hasse(q.entries, REAL)
-        hasse = {REAL: eps} if eps == -1 else {}
-        return WittInvariants(n, signed_disc(q), hasse, sig)
-    hasse = {}
-    for v in relevant_places(*q.entries) if n else []:
-        eps = _hasse(q.entries, v)
-        if eps == -1:
-            hasse[v] = eps
-    return WittInvariants(n, signed_disc(q), hasse, sig)
+        ds = [1 if a > 0 else -1 for a in q.entries]
+        places = [REAL]
+    else:
+        ds = [square_class(a) for a in q.entries]
+        places = relevant_places(*ds)
+    det = 1
+    for d in ds:
+        det = _class_product(det, d)
+    disc = (-1) ** (n * (n - 1) // 2) * det
+    hasse = {v: -1 for v in places if _hasse(ds, v) == -1}
+    inv = WittInvariants(n, disc, hasse, signature(q))
+    object.__setattr__(q, "_invariants", inv)
+    return inv
 
 
-def _hasse(entries, v: Place) -> int:
-    eps = 1
-    for a, b in itertools.combinations(entries, 2):
-        eps *= hilbert_symbol(a, b, v)
+def _class_product(x: int, y: int) -> int:
+    """x*y over the square of gcd(x, y): the same square class, and
+    squarefree when x and y are."""
+    g = gcd(x, y)
+    return x * y // (g * g)
+
+
+def _hasse(ds, v: Place) -> int:
+    """The Hasse symbol prod_{i<j} (d_i, d_j)_v of <d_1,...,d_n> for
+    nonzero integers d_i, as prod_j (d_1...d_{j-1}, d_j)_v
+    (bimultiplicativity): n - 1 symbols, with the prefix reduced by
+    `_class_product` (squarefree for squarefree d_i)."""
+    eps, prefix = 1, 1
+    for d in ds:
+        if prefix != 1:
+            eps *= hilbert_symbol(prefix, d, v)
+        prefix = _class_product(prefix, d)
     return eps
+
+
+def _hyperbolic_hasse(m: int) -> set[Place]:
+    """The places where mH has Hasse symbol -1: the pairs of its m entries
+    -1 give (-1,-1)_v^(m(m-1)/2), which is -1 at the real place and at 2."""
+    return {REAL, Place(2)} if m * (m - 1) // 2 % 2 else set()
 
 
 def _hasse_defects(inv: WittInvariants) -> set[Place]:
     """The places where the Hasse symbol differs from that of the
     hyperbolic form of the same (even) dimension."""
-    return set(inv.hasse) ^ set(invariants(hyperbolic(inv.dim // 2)).hasse)
+    return set(inv.hasse) ^ _hyperbolic_hasse(inv.dim // 2)
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +213,9 @@ def _hasse_defects(inv: WittInvariants) -> set[Place]:
 
 
 def _isotropic_at(entries, v: Place) -> bool:
-    """Whether the diagonal form with these entries is isotropic over Q_v
-    (Serre, Cours d'arithmetique IV.2.2 Thm. 6)."""
+    """Whether the diagonal form with these nonzero entries (integers when
+    v is finite) is isotropic over Q_v (Serre, Cours d'arithmetique IV.2.2
+    Thm. 6)."""
     n = len(entries)
     if n <= 1:
         return False
@@ -208,7 +241,8 @@ def is_isotropic(q: DiagonalForm) -> bool:
     places only when -d is a rational square."""
     if q.field == "R":
         return _isotropic_at(q.entries, REAL)
-    return all(_isotropic_at(q.entries, v) for v in relevant_places(-1, *q.entries))
+    ds = [square_class(a) for a in q.entries]
+    return all(_isotropic_at(ds, v) for v in relevant_places(-1, *ds))
 
 
 def _reduce_to_squarefree(entries):
@@ -523,27 +557,39 @@ def _split_hyperbolic(q: DiagonalForm, v) -> DiagonalForm:
     q(v) = 0), the plane is span(v, e_j).  The projection P onto its
     B-orthogonal complement kills e_j, and the only other relation among
     the P(e_m) is sum v_m P(e_m) = 0, so the P(e_m) with m not in {j, k}
-    are a basis of the complement.
+    are a basis of the complement.  Their Gram matrix is
+    diag(a_m) + s u u^T with u_m = a_m v_m and s = 1/(a_j v_j^2), and
+    symmetric elimination keeps that shape: the pivot at d_t is
+    p = d_t + s u_t^2, after which s becomes s d_t / p.  Pivots are chosen
+    as `_diagonalize_gram` chooses them, so the diagonal is the one it
+    gives; a block whose pivots are all zero goes to it as a dense matrix.
     """
     if q.value(v) != 0:
         raise RuntimeError("split vector is not isotropic")
     a = q.entries
     support = [i for i, x in enumerate(v) if x != 0]
     j, k = support[0], support[-1]
-    b = a[j] * v[j]  # B(v, e_j)
-    basis = []
-    for m in range(q.dim):
-        if m in (j, k):
-            continue
-        # e_m - alpha v - beta e_j, with B(v, .) = B(e_j, .) = 0 afterwards
-        beta = a[m] * v[m] / b
-        alpha = -beta * a[j] / b
-        vec = [-alpha * x for x in v]
-        vec[m] += 1
-        vec[j] -= beta
-        basis.append(vec)
-    gram = [[q.bilinear(x, y) for y in basis] for x in basis]
-    return DiagonalForm(q.field, tuple(_diagonalize_gram(gram)))
+    rest = [m for m in range(q.dim) if m not in (j, k)]
+    d = [a[m] for m in rest]
+    u = [a[m] * v[m] for m in rest]
+    s = 1 / (a[j] * v[j] * v[j])
+    out = []
+    for t in range(len(d)):
+        for i in range(t, len(d)):
+            p = d[i] + s * u[i] * u[i]
+            if p:
+                break
+        else:
+            block = [[s * x * y for y in u[t:]] for x in u[t:]]
+            for r, row in enumerate(block):
+                row[r] += d[t + r]
+            out += _diagonalize_gram(block)
+            break
+        d[t], d[i] = d[i], d[t]
+        u[t], u[i] = u[i], u[t]
+        out.append(Fraction(square_class(p)))
+        s = s * d[t] / p
+    return DiagonalForm(q.field, tuple(out))
 
 
 def _diagonalize_gram(gram):
@@ -610,19 +656,18 @@ def isometric(q1: DiagonalForm, q2: DiagonalForm) -> bool:
 
 
 def in_power_I(q: DiagonalForm, n: int) -> bool:
-    """Membership in I^n, n = 1..4 over Q (any n >= 1 over R).
+    """Membership in I^n, for every n >= 1.
 
-    Over Q: I is even dimension; I^2 adds trivial signed discriminant;
-    I^3 adds finite Hasse symbols matching the equal-dimensional
-    hyperbolic form and signature = 0 mod 8; I^4 strengthens the
-    signature condition to 0 mod 16 (the real place detects H^3 of Q).
+    Over R: even dimension and signature = 0 mod 2^n.  Over Q: I is even
+    dimension; I^2 adds trivial signed discriminant; I^3 adds finite Hasse
+    symbols matching the equal-dimensional hyperbolic form; and from n = 3
+    on, I^n is the part of I^3 with signature = 0 mod 2^n, since the
+    signature embeds I^3 Q into I^3 R (Arason-Elman-Jacob).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if q.field == "R":
         return q.dim % 2 == 0 and signature(q) % (1 << n) == 0
-    if n > 4:
-        raise ValueError("I^n over Q implemented only for n <= 4")
     if q.dim % 2:
         return False
     if n == 1:
@@ -634,7 +679,7 @@ def in_power_I(q: DiagonalForm, n: int) -> bool:
         return True
     if _hasse_defects(inv) - {REAL}:
         return False
-    return inv.signature % 8 == 0 if n == 3 else inv.signature % 16 == 0
+    return inv.signature % (1 << n) == 0
 
 
 def arason_trivial(q: DiagonalForm) -> bool:

@@ -31,6 +31,13 @@ def test_form_hyperbolic(capsys):
     assert "witt      1H + <>" in out
 
 
+def test_form_over_R_reads_only_signs(capsys):
+    # a 27-digit entry (two 14-digit primes) needs no factoring over R
+    code, out, err = run(capsys, "form", "<200000000000950000000000777,-1>", "--field", "R")
+    assert code == 0 and err == ""
+    assert "disc      1" in out and "witt      1H + <>" in out
+
+
 def test_form_parse_error(capsys):
     code, _, err = run(capsys, "form", "<1,>")
     assert code == 2 and "parse error" in err

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction as Q
 from math import isqrt
@@ -33,7 +35,7 @@ from quadalg.forms import (
     witt_decompose,
     witt_equivalent,
 )
-from quadalg.scalars import Place, REAL
+from quadalg.scalars import Place, REAL, hilbert_symbol, relevant_places, square_class
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
 
@@ -76,6 +78,22 @@ def test_invariants_examples():
     phi = pfister(-1, -1, -1, -1, field="R")
     q_alpha = scale(-1, DiagonalForm("R", phi.entries[1:]))
     assert invariants(q_alpha).disc == 1
+
+
+def test_real_invariants_see_only_signs():
+    """Over R the discriminant lives in R*/R*^2 = {+1, -1}: isometric forms
+    get equal invariants, and no entry is factored."""
+    assert invariants(form([2], "R")) == invariants(form([1], "R"))
+    assert invariants(form([-3, 5], "R")) == invariants(form([-1, 1], "R"))
+    assert invariants(form([-3, 5], "R")).disc == 1
+    huge = 200000000000950000000000777  # two 14-digit primes
+    assert invariants(form([huge, -1], "R")).disc == 1
+    rng = random.Random(11)
+    for _ in range(30):
+        q = rnd_form(rng, rng.randint(0, 8), "R")
+        signs = form([1 if a > 0 else -1 for a in q.entries], "R")
+        assert isometric(q, signs)
+        assert invariants(q) == invariants(signs)
 
 
 def test_invariants_are_isometry_invariants():
@@ -250,8 +268,12 @@ def test_in_power_I_examples():
     assert in_power_I(scale(-1, phi), 4)
     assert not in_power_I(pfister(-1, -1, -1), 4)  # signature 8
     assert in_power_I(pfister(-1, -1, -1), 3)
-    with pytest.raises(ValueError):
-        in_power_I(form([1, -1]), 5)
+    # past I^3 the signature decides over Q as over R: I^n = I^3 and 2^n | sig
+    assert all(in_power_I(form([1, -1]), n) for n in range(5, 9))
+    assert in_power_I(pfister(-1, -1, -1, -1, -1), 5)
+    assert not in_power_I(pfister(-1, -1, -1, -1, -1), 6)
+    assert in_power_I(pfister(-1, -1, -1, -1), 4)
+    assert not in_power_I(pfister(-1, -1, -1, -1), 5)
     assert in_power_I(hyperbolic(4, "R"), 5)  # any n over R
 
 
@@ -454,3 +476,152 @@ def test_hasse_symbols_product_formula():
         for v in inv.hasse.values():
             prod *= v
         assert prod == 1
+
+
+# ------------------------------------------- the O(n) Witt layer, checked
+# against the quadratic-time routes it replaced, kept here as references
+
+
+def pairwise_hasse(entries, v):
+    """prod_{i<j} (a_i, a_j)_v over all n(n-1)/2 pairs."""
+    eps = 1
+    for a, b in itertools.combinations(entries, 2):
+        eps *= hilbert_symbol(a, b, v)
+    return eps
+
+
+def shared_prime_entry(rng, rational):
+    """A signed product of powers of 2, 3, 5 and 7 (so entries share primes
+    and need not be squarefree), over another such product if `rational`."""
+
+    def part():
+        out = 1
+        for p in (2, 3, 5, 7):
+            out *= p ** rng.choice((0, 0, 1, 2, 3))
+        return out
+
+    return rng.choice((1, -1)) * Q(part(), part() if rational else 1)
+
+
+def test_hasse_prefix_products_match_pairwise():
+    rng = random.Random(17)
+    for trial in range(120):
+        q = form([shared_prime_entry(rng, trial % 2) for _ in range(rng.randint(0, 16))])
+        classes = [square_class(a) for a in q.entries]
+        inv = invariants(q)
+        for v in relevant_places(*q.entries) + [Place(11)]:
+            expected = pairwise_hasse(q.entries, v)
+            assert forms._hasse(classes, v) == expected
+            assert inv.hasse_at(v) == expected
+            if trial % 2 == 0:  # integers that are not squarefree
+                assert forms._hasse([int(a) for a in q.entries], v) == expected
+
+
+def test_hyperbolic_hasse_defects_closed_form():
+    for m in range(13):
+        assert forms._hyperbolic_hasse(m) == set(invariants(hyperbolic(m)).hasse)
+        assert forms._hasse_defects(invariants(hyperbolic(m))) == set()
+
+
+def dense_split(q, v):
+    """The complement of span(v, e_j) from an explicit basis, its Gram
+    matrix through `bilinear`, and `_diagonalize_gram`."""
+    a = q.entries
+    support = [i for i, x in enumerate(v) if x != 0]
+    j, k = support[0], support[-1]
+    b = a[j] * v[j]
+    basis = []
+    for m in range(q.dim):
+        if m in (j, k):
+            continue
+        beta = a[m] * v[m] / b
+        alpha = -beta * a[j] / b
+        vec = [-alpha * x for x in v]
+        vec[m] += 1
+        vec[j] -= beta
+        basis.append(vec)
+    gram = [[q.bilinear(x, y) for y in basis] for x in basis]
+    return tuple(forms._diagonalize_gram(gram))
+
+
+def isotropic_pairs(rng, count):
+    """Seeded isotropic (q, v): witnesses of random isotropic forms, and
+    random v with the last entry of q solved for q(v) = 0."""
+    pairs = []
+    while len(pairs) < count:
+        q = rnd_form(rng, rng.randint(2, 9))
+        if is_isotropic(q):
+            pairs.append((q, isotropic_vector(q)))
+        v = [Q(rng.randint(-3, 3)) for _ in range(rng.randint(2, 9))]
+        v[-1] = Q(rng.choice((1, 2, 3)))
+        head = [Q(rng.choice(SMALL)) for _ in v[:-1]]
+        last = -sum(a * x * x for a, x in zip(head, v)) / v[-1] ** 2
+        if last:
+            pairs.append((form(head + [last]), tuple(v)))
+    return pairs
+
+
+# <1,-1,2,-2>: the first pivot is zero, so the second index is swapped in;
+# <1,-1,-1,1>: every pivot is zero from the start;
+# <1,1,-2,-2,2>: one pivot, then a 2x2 block whose pivots are all zero
+SPLIT_CASES = [
+    ([1, -1, 2, -2], (1, 1, 1, 1), False),
+    ([1, -1, -1, 1], (1, 1, 1, 1), True),
+    ([1, 1, -2, -2, 2], (1, 1, 1, 1, 1), True),
+]
+
+
+@pytest.mark.parametrize("entries, v, repaired", SPLIT_CASES)
+def test_split_hyperbolic_pivot_cases_match_dense(monkeypatch, entries, v, repaired):
+    q, v = form(entries), tuple(Q(x) for x in v)
+    expected = dense_split(q, v)
+    blocks = []
+    dense = forms._diagonalize_gram
+    monkeypatch.setattr(forms, "_diagonalize_gram", lambda g: blocks.append(g) or dense(g))
+    assert forms._split_hyperbolic(q, v).entries == expected
+    assert bool(blocks) == repaired
+
+
+def test_split_hyperbolic_matches_dense_route():
+    rng = random.Random(23)
+    for q, v in isotropic_pairs(rng, 150):
+        assert forms._split_hyperbolic(q, v).entries == dense_split(q, v)
+
+
+# ------------------------------------------------ operation-count gates
+
+
+def test_invariants_make_n_minus_1_symbols_per_place(monkeypatch):
+    calls = []
+
+    def counting(a, b, v):
+        calls.append(v)
+        return hilbert_symbol(a, b, v)
+
+    monkeypatch.setattr(forms, "hilbert_symbol", counting)
+    q = form([2, -3, 5, 7, -6, 10, 14, -15, 21, 35, -2, 3])
+    r = len(relevant_places(*q.entries))
+    invariants(q)
+    assert 0 < len(calls) <= (q.dim - 1) * r  # pairwise: 66 per place
+
+
+def test_split_hyperbolic_makes_no_bilinear_call(monkeypatch):
+    pairs = isotropic_pairs(random.Random(29), 20)
+
+    def refuse(*_):
+        raise AssertionError("bilinear called")
+
+    monkeypatch.setattr(DiagonalForm, "bilinear", refuse)
+    for q, v in pairs:
+        forms._split_hyperbolic(q, v)
+
+
+def test_invariants_are_computed_once_and_read_only():
+    q = form([2, 3, -5])
+    inv = invariants(q)
+    assert invariants(q) is inv
+    with pytest.raises(TypeError):
+        inv.hasse[REAL] = -1
+    assert invariants(form([2, 3, -5])) == inv  # an equal form, its own copy
+    for clone in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert clone == q and invariants(clone) == inv
