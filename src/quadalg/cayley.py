@@ -31,6 +31,7 @@ from typing import Sequence
 from .exactmat import (
     Matrix,
     det,
+    dot,
     freeze,
     identity,
     mat_eq,
@@ -39,7 +40,7 @@ from .exactmat import (
     mat_vec,
     transpose,
 )
-from .scalars import KScalar, QuadExtScalar, as_scalar, iota
+from .scalars import KScalar, QuadExtScalar, as_scalar, iota, variable
 
 DIM = 8
 
@@ -175,22 +176,14 @@ def _gram_inv() -> Matrix:
 
 
 def _involution_table_holds(table: CayleyTable) -> bool:
-    """conj(x) = trace(x) 1 - x must act as u4 <-> u5, u_i -> -u_i else."""
+    """conj(x) = trace(x) 1 - x must act as u4 <-> u5, u_i -> -u_i else,
+    on the generic octonion x."""
     one = _find_unit(table)
     if one is None:
         return False
-    for i in range(DIM):
-        t = 2 * sum(table.gram[i][j] * one[j] for j in range(DIM))
-        got = tuple(t * one[j] - (_F1 if j == i else _F0) for j in range(DIM))
-        if i == 3:
-            want = tuple(_F1 if j == 4 else _F0 for j in range(DIM))
-        elif i == 4:
-            want = tuple(_F1 if j == 3 else _F0 for j in range(DIM))
-        else:
-            want = tuple(-_F1 if j == i else _F0 for j in range(DIM))
-        if got != want:
-            return False
-    return True
+    x = generic_octonion("x").coords
+    t = 2 * dot(mat_vec(table.gram, one), x)
+    return tuple(t * e - c for e, c in zip(one, x)) == _conj_coords(x)
 
 
 def _validate_table(table: CayleyTable) -> None:
@@ -205,15 +198,11 @@ def _validate_table(table: CayleyTable) -> None:
 
 
 def _find_unit(table: CayleyTable):
-    # solve x u_j = u_j for all j; try the h-pair combination first
-    cand = [_F0] * DIM
-    cand[3] = cand[4] = _F1
-    for j in range(DIM):
-        ej = [_F1 if m == j else _F0 for m in range(DIM)]
-        got = _mul_coords(table, tuple(cand), tuple(ej))
-        if list(got) != ej:
-            return None
-    return tuple(cand)
+    """The h-pair combination u4 + u5, if it is a left unit: one x = x on
+    the generic octonion x."""
+    one = (_F0, _F0, _F0, _F1, _F1, _F0, _F0, _F0)
+    x = generic_octonion("x").coords
+    return one if _mul_coords(table, one, x) == x else None
 
 
 def _mul_coords(table: CayleyTable, x, y):
@@ -291,9 +280,7 @@ class Octonion:
         return Octonion([iota(c) for c in self.coords])
 
     def norm(self):
-        g = build_cayley_table().gram
-        c = self.coords
-        return sum(g[i][j] * (c[i] * c[j]) for i in range(DIM) for j in range(DIM) if g[i][j])
+        return self.norm_pairing(self)
 
     def norm_pairing(self, other: "Octonion"):
         """The bilinearization with n(x,x) = n(x)."""
@@ -423,25 +410,40 @@ class SimilitudeTriple:
         return SimilitudeTriple(tuple(s.iota_twisted() for s in self.t))
 
 
-@lru_cache(maxsize=1)
-def _basis_stars() -> tuple:
-    """u_a star u_b for all 64 basis pairs, computed on first use."""
-    return tuple(tuple(star(x, y) for y in BASIS) for x in BASIS)
+def generic_octonion(prefix: str) -> Octonion:
+    """The octonion with independent coordinates prefix0..prefix7."""
+    return Octonion([variable(f"{prefix}{i}") for i in range(DIM)])
+
+
+def generic_a() -> tuple:
+    """The product-one triple (A, B, 1/(AB)) in independent variables: an
+    identity that holds for it holds for every a with a0 a1 a2 = 1."""
+    a, b = variable("A"), variable("B")
+    return (a, b, 1 / (a * b))
+
+
+def _relates(table: CayleyTable, T: SimilitudeTriple) -> bool:
+    """t_i(X star Y) = mu(t_i) t_{i+2}(X) star t_{i+1}(Y) for all i mod 3,
+    with the star product of `table` and X, Y generic octonions: the
+    identity is bilinear, so this one evaluation proves it for all pairs."""
+
+    def star_of(x, y):
+        return _mul_coords(table, _conj_coords(x), _conj_coords(y))
+
+    x, y = generic_octonion("x").coords, generic_octonion("y").coords
+    xy = star_of(x, y)
+    for i in range(3):
+        lhs = mat_vec(T[i].matrix, xy)
+        rhs = star_of(mat_vec(T[i + 2].matrix, x), mat_vec(T[i + 1].matrix, y))
+        if any(l != T[i].mu * r for l, r in zip(lhs, rhs)):
+            return False
+    return True
 
 
 def is_related_triple(T: SimilitudeTriple) -> bool:
-    """mu(t_i)^{-1} t_i(x star y) = t_{i+2}(x) star t_{i+1}(y) on all 64
-    basis pairs, for all i mod 3."""
-    for i in range(3):
-        ti, ti1, ti2 = T[i], T[i + 1], T[i + 2]
-        mu_inv = _F1 / ti.mu
-        images = [ti1(y) for y in BASIS]
-        for x, stars in zip(BASIS, _basis_stars()):
-            tx = ti2(x)
-            for ty, sxy in zip(images, stars):
-                if mu_inv * ti(sxy) != star(tx, ty):
-                    return False
-    return True
+    """Whether mu(t_i)^{-1} t_i(x star y) = t_{i+2}(x) star t_{i+1}(y) for
+    all octonions x, y and all i mod 3."""
+    return _relates(build_cayley_table(), T)
 
 
 # --------------------------------------------------------------------------
@@ -550,7 +552,7 @@ def freedom_identity_holds(
 # calibration search
 
 
-def calibration_search(quick: bool = True) -> dict:
+def calibration_search() -> dict:
     """Search signed scaled bases of the Zorn model for one satisfying all
     of: Gram S8, involution table, relatedness of the z-triples.
 
@@ -561,8 +563,8 @@ def calibration_search(quick: bool = True) -> dict:
     candidate attains the exact S8 Gram together with the involution
     table or with relatedness (a rationality obstruction: both force
     trace(u4)^2 = 2), and returns the calibrated optimum, which gives up
-    only the (3,6) and (4,5) Gram entries.
-    """
+    only the (3,6) and (4,5) Gram entries.  Relatedness is decided on
+    the generic z-triple, for every product-one a at once."""
     import itertools
 
     full_pairs = [  # scale product +-2: S8 Gram value +-1 on the pair
@@ -582,34 +584,32 @@ def calibration_search(quick: bool = True) -> dict:
     # relabeling the three e-indices conjugates every candidate by a basis
     # permutation that fixes the constraint set, so scanning one labeling
     # loses nothing
-    perms = [(0, 1, 2)] if quick else list(itertools.permutations(range(3)))
-    a_test = (Fraction(1), Fraction(5), Fraction(1, 5))
+    z = special_cocycle(generic_a())
     exact_s8_involution = 0
     exact_s8_related = 0
     calibrated = None
-    for perm in perms:
-        for (c1, c8), (c2, c7), (c3, c6) in itertools.product(
-            full_pairs, full_pairs, full_pairs + half_pairs
-        ):
-            prod, gram = _build_tables((c1, c8, c2, c7, c3, c6), perm)
-            table = CayleyTable(prod, gram)
-            involution_ok = _involution_table_holds(table)
-            if mat_eq(gram, S8):
-                exact_s8_involution += involution_ok
-                exact_s8_related += _related_for_table(table, a_test)
-                continue
-            if calibrated is not None or not involution_ok:
-                continue
-            deviations_ok = all(
-                {i, j} in ({3, 6}, {4, 5}) and got == Fraction(1, 2)
-                for i, j, got, _ in table.gram_deviations()
-            )
-            if deviations_ok and _related_for_table(table, a_test):
-                calibrated = {
-                    "scales": (c1, c8, c2, c7, c3, c6),
-                    "perm": perm,
-                    "gram_deviations": table.gram_deviations(),
-                }
+    for (c1, c8), (c2, c7), (c3, c6) in itertools.product(
+        full_pairs, full_pairs, full_pairs + half_pairs
+    ):
+        prod, gram = _build_tables((c1, c8, c2, c7, c3, c6), _CAL_PERM)
+        table = CayleyTable(prod, gram)
+        involution_ok = _involution_table_holds(table)
+        if mat_eq(gram, S8):
+            exact_s8_involution += involution_ok
+            exact_s8_related += _relates(table, z)
+            continue
+        if calibrated is not None or not involution_ok:
+            continue
+        deviations_ok = all(
+            {i, j} in ({3, 6}, {4, 5}) and got == Fraction(1, 2)
+            for i, j, got, _ in table.gram_deviations()
+        )
+        if deviations_ok and _relates(table, z):
+            calibrated = {
+                "scales": (c1, c8, c2, c7, c3, c6),
+                "perm": _CAL_PERM,
+                "gram_deviations": table.gram_deviations(),
+            }
     return {
         "exact_s8_with_involution": exact_s8_involution,
         "exact_s8_with_relatedness": exact_s8_related,
@@ -617,35 +617,5 @@ def calibration_search(quick: bool = True) -> dict:
     }
 
 
-def _related_for_table(table: CayleyTable, a) -> bool:
-    """Relatedness of the z-triple evaluated against an explicit table
-    (used by the calibration search, bypassing the module singleton)."""
-    dp = mat_mul(diag_d(), perm_P())
-    mats = [mat_mul(m_matrix(j, a), dp) for j in range(3)]
-    mus = list(a)
-    # probe the trace-carrying pair first: it kills bad scalings instantly
-    order = [(3, 3), (4, 4), (3, 4), (4, 3)] + [
-        (k, l) for k in range(DIM) for l in range(DIM) if not {k, l} <= {3, 4}
-    ]
-    basis_vecs = [
-        tuple(_F1 if m == k else _F0 for m in range(DIM)) for k in range(DIM)
-    ]
-    for i in range(3):
-        mi, m1, m2 = mats[i % 3], mats[(i + 1) % 3], mats[(i + 2) % 3]
-        mu_inv = _F1 / mus[i % 3]
-        for k, l in order:
-            ek, el = basis_vecs[k], basis_vecs[l]
-            sxy = _star_coords(table, ek, el)
-            lhs = tuple(mu_inv * c for c in mat_vec(mi, sxy))
-            rhs = _star_coords(table, mat_vec(m2, ek), mat_vec(m1, el))
-            if lhs != rhs:
-                return False
-    return True
-
-
 def _conj_coords(c):
     return (-c[0], -c[1], -c[2], c[4], c[3], -c[5], -c[6], -c[7])
-
-
-def _star_coords(table, x, y):
-    return _mul_coords(table, _conj_coords(x), _conj_coords(y))

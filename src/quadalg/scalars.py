@@ -1,6 +1,7 @@
 """Exact base-field arithmetic: integer factorization and primality under
 fixed bounds, rationals, square classes, quadratic extensions
-K = Q(sqrt k), and Hilbert symbols at the places of Q.
+K = Q(sqrt k), Hilbert symbols at the places of Q, and Laurent
+polynomials over Q or K, on which identities are proved.
 
 Scalars are plain ``fractions.Fraction`` values.  A square class is the
 signed squarefree integer representing a*Q*^2; two scalars share it iff
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Union
 
 Scalar = Fraction
@@ -455,12 +456,106 @@ class QuadExtScalar:
         return f"{self.x}+{self.y}*sqrt({self.k})"
 
 
+class Laurent:
+    """A Laurent polynomial over Q or K: the sum of the terms c * m over
+    its (m, c) pairs, c a Fraction or QuadExtScalar and m a monomial, a
+    sorted tuple of (variable, nonzero exponent) pairs.  Field operations
+    that agree on independent variables agree at all their nonzero values,
+    so one evaluation on generic coordinates proves an identity for every
+    value.  Only a monomial is invertible."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, pairs=()):
+        terms = {}
+        for m, c in pairs:
+            terms[m] = terms[m] + c if m in terms else c
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @staticmethod
+    def _coerce(v):
+        if isinstance(v, (int, Fraction, QuadExtScalar)):
+            return Laurent([((), as_scalar(v))])
+        return v if isinstance(v, Laurent) else None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Laurent([*self.terms.items(), *o.terms.items()])
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        products = ((m, n, c * d) for m, c in self.terms.items() for n, d in o.terms.items())
+        return Laurent((_monomial_product(m, n), cd) for m, n, cd in products)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Laurent((m, -c) for m, c in self.terms.items())
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        return self * (Fraction(1) / other)
+
+    def __rtruediv__(self, other):
+        if len(self.terms) != 1:
+            error = ValueError if self.terms else ZeroDivisionError
+            raise error(f"{self} is not an invertible monomial")
+        ((m, c),) = self.terms.items()
+        return other * Laurent([(tuple((v, -e) for v, e in m), 1 / c)])
+
+    def __pow__(self, n: int):
+        return prod([self if n >= 0 else 1 / self] * abs(n), start=Fraction(1))
+
+    def conj(self) -> "Laurent":
+        """iota on the coefficients."""
+        return Laurent((m, iota(c)) for m, c in self.terms.items())
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.terms == o.terms
+
+    def __hash__(self):
+        # a constant equals, so must hash like, its coefficient
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __repr__(self) -> str:
+        return " + ".join(
+            "*".join([f"({c})"] * (c != 1 or not m) + [v if e == 1 else f"{v}^{e}" for v, e in m])
+            for m, c in sorted(self.terms.items())
+        ) or "0"
+
+
+def _monomial_product(m: tuple, n: tuple) -> tuple:
+    exps = dict(m)
+    for v, e in n:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def variable(name: str) -> Laurent:
+    return Laurent([(((name, 1),), Fraction(1))])
+
+
 KScalar = Union[Fraction, QuadExtScalar]
 
 
 def iota(v: KScalar) -> KScalar:
     """Conjugation, acting trivially on rationals."""
-    return v.conj() if isinstance(v, QuadExtScalar) else v
+    return v.conj() if isinstance(v, (QuadExtScalar, Laurent)) else v
 
 
 def sqrt_k(k: RatLike) -> QuadExtScalar:
@@ -468,8 +563,8 @@ def sqrt_k(k: RatLike) -> QuadExtScalar:
 
 
 def as_scalar(v) -> KScalar:
-    """An element of K as is, any other number as a Fraction."""
-    return v if type(v) is Fraction or isinstance(v, QuadExtScalar) else Fraction(v)
+    """An element of K or a Laurent polynomial as is, any other number as a Fraction."""
+    return v if type(v) is Fraction or isinstance(v, (QuadExtScalar, Laurent)) else Fraction(v)
 
 
 def as_rational(v: KScalar) -> Fraction:

@@ -17,7 +17,7 @@ from . import albert, cayley, descent, forms, rootsys
 from .exactmat import det as mdet, identity, mat_eq, mat_inv, mat_mul, scal_mul
 from .scalars import QuadExtScalar
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _F1 = Fraction(1)
 
@@ -282,37 +282,18 @@ def _check_involution_table():
 
 
 def _check_composition():
-    good = all(
-        (cayley.u(i) * cayley.u(j)).norm() == cayley.u(i).norm() * cayley.u(j).norm()
-        for i in range(1, 9)
-        for j in range(1, 9)
-    )
-    import random
-
-    rng = random.Random(0)
-    for _ in range(100):
-        x = cayley.Octonion([Fraction(rng.randint(-5, 5)) for _ in range(8)])
-        y = cayley.Octonion([Fraction(rng.randint(-5, 5)) for _ in range(8)])
-        good &= (x * y).norm() == x.norm() * y.norm()
-    return _ok(good, {"basis_pairs": 64, "random_pairs": 100})
+    x, y = cayley.generic_octonion("x"), cayley.generic_octonion("y")
+    return _ok((x * y).norm() == x.norm() * y.norm(), {"generic_coordinates": 16})
 
 
 def _check_p_and_m_similitudes():
     p = cayley.Similitude(cayley.perm_P())
     good = p.mu == 1 and p.sigma_n() == p
-    import random
-
-    rng = random.Random(1)
-    triples = []
-    for _ in range(5):
-        a0 = Fraction(rng.randint(1, 9))
-        a1 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
-        triples.append((a0, a1, 1 / (a0 * a1)))
-    for a in triples:
-        for j in range(3):
-            m = cayley.Similitude(cayley.m_matrix(j, a))
-            good &= m.mu == a[j] and m.det() == a[j] ** 4
-    return _ok(good, {"mu_P": 1, "triples": len(triples)})
+    a = cayley.generic_a()
+    for j in range(3):
+        m = cayley.Similitude(cayley.m_matrix(j, a))
+        good &= m.mu == a[j] and m.det() == a[j] ** 4
+    return _ok(good, {"mu_P": 1, "a": [str(x) for x in a]})
 
 
 def _check_small_triples_related():
@@ -327,30 +308,17 @@ def _check_small_triples_related():
 
 
 def _check_z_related():
-    """The relatedness of z_{K,a}; per the calibration contract this check
-    must report its status rather than pass silently."""
-    import random
-
-    rng = random.Random(2)
-    witness = {}
-    good = True
-    trials = [(Fraction(1), Fraction(3), Fraction(1, 3))]
-    for _ in range(4):
-        a0 = Fraction(rng.randint(1, 7))
-        a1 = Fraction(rng.randint(1, 7), rng.randint(1, 3))
-        trials.append((a0, a1, 1 / (a0 * a1)))
-    for a in trials:
-        z = cayley.special_cocycle(a)
-        related = cayley.is_related_triple(z)
-        mus = z.multipliers == tuple(a)
-        dets = all(s.det() == s.mu**4 for s in z.t)
-        witness[str(tuple(str(x) for x in a))] = {
-            "related": related,
-            "multipliers_are_a": mus,
-            "det_is_mu4": dets,
-        }
-        good &= related and mus and dets
-    return _ok(good, witness)
+    """The relatedness of z_{K,a} for every a with a0 a1 a2 = 1, proved on
+    the generic a; per the calibration contract this check must report its
+    status rather than pass silently."""
+    a = cayley.generic_a()
+    z = cayley.special_cocycle(a)
+    flags = {
+        "related": cayley.is_related_triple(z),
+        "multipliers_are_a": z.multipliers == a,
+        "det_is_mu4": all(s.det() == s.mu**4 for s in z.t),
+    }
+    return _ok(all(flags.values()), {"a": [str(x) for x in a], **flags})
 
 
 def _check_z_cocycle_condition():
@@ -394,19 +362,12 @@ def _check_albert_basics():
     good &= all(
         albert.cross(e[i], e[(i + 1) % 3]) == e[(i + 2) % 3] for i in range(3)
     )
-    import random
-
-    rng = random.Random(3)
-    for _ in range(10):
-        x = albert.AlbertElement.from_coords(
-            [Fraction(rng.randint(-3, 3)) for _ in range(27)]
-        )
-        good &= 6 * albert.norm_N(x) == albert.trace_form_T(x, albert.cross(x, x))
+    x = albert.generic_element("x")
+    good &= 6 * albert.norm_N(x) == albert.trace_form_T(x, albert.cross(x, x))
     # trace pairing on the c0 slot equals the full norm polarization
-    x8 = cayley.Octonion([Fraction(rng.randint(-3, 3)) for _ in range(8)])
-    y8 = cayley.Octonion([Fraction(rng.randint(-3, 3)) for _ in range(8)])
+    x8, y8 = cayley.generic_octonion("y"), cayley.generic_octonion("z")
     good &= albert.trace_form_T(albert.c_only(0, x8), albert.c_only(0, y8)) == 2 * x8.norm_pairing(y8)
-    return _ok(good, {"random_duality_samples": 10})
+    return _ok(good, {"generic_coordinates": 27})
 
 
 def _specialcor_data():
@@ -436,8 +397,9 @@ def _check_g_action():
     r = albert.restrict_to_A(gmm)
     good = mat_eq(r, identity(10))
     z, _, _ = _specialcor_data()
-    good &= albert.g_norm_preservation_certificate(z)
-    rz = albert.restrict_to_A(albert.g_map(z))
+    gz = albert.g_map(z)
+    good &= gz.preserves_norm()
+    rz = albert.restrict_to_A(gz)
     good &= mdet(rz) == 1 and albert.preserves_a_form(rz)
     return _ok(good, {"kernel_restricts_to_identity": True, "det_z_on_A": 1})
 
@@ -466,7 +428,7 @@ def _check_dagger_identities():
 def _check_psi_restriction():
     p = albert.psi(3, 2, cayley.u(5))
     r = albert.restrict_to_A(p)
-    good = albert.preserves_a_form(r) and p.preserves_norm(6)
+    good = albert.preserves_a_form(r) and p.preserves_norm()
     # V45(1) structure: identity plus E[4,5] and E[6,7] in A coordinates
     # (1-based rows/cols of the display), i.e. indices (3,4) and (5,6)
     expect = [[Fraction(int(i == j)) for j in range(10)] for i in range(10)]
@@ -482,7 +444,7 @@ def _check_swap_map():
     d = mdet(r)
     witness = {
         "det_on_A": int(d),
-        "norm_isometry": sw.preserves_norm(6),
+        "norm_isometry": sw.preserves_norm(),
         "note": (
             "the displayed bar-less slot swap has determinant -1 on A but "
             "is not a norm isometry; the norm-preserving hermitian "
@@ -491,7 +453,7 @@ def _check_swap_map():
     }
     if d == -1:
         return "pass", witness
-    ok = sw.preserves_norm(6) and albert.in_subgroup_H(sw) and d == 1
+    ok = witness["norm_isometry"] and albert.in_subgroup_H(sw) and d == 1
     return ("open-question" if ok else "fail"), witness
 
 
@@ -521,13 +483,19 @@ def _check_twista_descent():
     return _ok(good, witness)
 
 
+def _rostcalc_holds(rep: descent.RostCalcReport) -> bool:
+    """q_z matches the table, q_z - q has the expected Witt class, and the
+    Arason class is trivial exactly when the real symbol is."""
+    arason_ok = rep.arason_class_trivial == (not rep.real_symbol_nontrivial)
+    return rep.qz_matches_table and rep.difference_witt_class_ok and arason_ok
+
+
 def _check_rostcalc_pipeline():
     witness = {}
     good = True
     for k, a in [(2, 3), (-1, -1), (3, -2), (5, 7), (-2, -3)]:
         rep = descent.rostcalc_report(k, a)
-        good &= rep.qz_matches_table and rep.difference_witt_class_ok
-        good &= rep.arason_class_trivial == (not rep.real_symbol_nontrivial)
+        good &= _rostcalc_holds(rep)
         witness[f"(k,a)=({k},{a})"] = rep.as_dict()
     return _ok(good, witness)
 
@@ -612,14 +580,8 @@ def run_checks(only: str | None = None, overrides: dict | None = None) -> list[C
             continue
         if overrides and check_id == "P30" and {"k", "a"} <= overrides.keys():
             rep = descent.rostcalc_report(overrides["k"], overrides["a"])
-            ok = (
-                rep.qz_matches_table
-                and rep.difference_witt_class_ok
-                and rep.arason_class_trivial == (not rep.real_symbol_nontrivial)
-            )
-            results.append(
-                CheckResult(check_id, location, "pass" if ok else "fail", rep.as_dict())
-            )
+            status, witness = _ok(_rostcalc_holds(rep), rep.as_dict())
+            results.append(CheckResult(check_id, location, status, witness))
             continue
         try:
             status, witness = fn()

@@ -114,7 +114,7 @@ def test_acceptance_5_albert_identity_suite():
         )
         e0 = e[0]
         ok &= albert.cross(e0, albert.cross(e0, albert.cross(e0, y))) == albert.cross(e0, y)
-    ok &= albert.g_norm_preservation_certificate(z)
+    ok &= albert.g_map(z).preserves_norm()
     gz = albert.g_map(z)
     want = albert.g_map(
         SimilitudeTriple(tuple(Similitude(mat_inv(s.sigma_n().matrix)) for s in z.t))

@@ -20,7 +20,6 @@ from quadalg.albert import (
     e_idem,
     g_action,
     g_map,
-    g_norm_preservation_certificate,
     identity_map,
     in_subgroup_H,
     jordan_product,
@@ -148,12 +147,30 @@ def test_g_action():
 
 def test_g_preserves_norm():
     z = special_z(Q(5))
-    assert g_norm_preservation_certificate(z)
+    assert g_map(z).preserves_norm()
     gz = g_map(z)
     rng = random.Random(6)
     for _ in range(10):
         x = rnd_albert(rng)
         assert norm_N(gz(x)) == norm_N(x)
+
+
+def test_preserves_norm_rejects_non_isometries():
+    from quadalg.exactmat import scal_mul
+
+    assert identity_map().preserves_norm()
+    assert not albert.AlbertMap(scal_mul(Q(2), identity(27))).preserves_norm()
+    assert not albert.AlbertMap(scal_mul(Q(-1), identity(27))).preserves_norm()
+    # the bar-less slot swap is not a norm isometry (see swap_map)
+    barless = linear_map_from_action(
+        lambda x: AlbertElement((x.eps[0], x.eps[2], x.eps[1]), (x.c[0], x.c[2], x.c[1]))
+    )
+    assert not barless.preserves_norm()
+
+
+def test_g_map_of_the_generic_z_triple_preserves_norm():
+    a = cayley.generic_a()
+    assert g_map(cayley.special_cocycle(a)).preserves_norm()
 
 
 def test_specialcor_and_moving_lemma():
@@ -203,11 +220,11 @@ def test_psi():
         psi(2, 2, u(5))
     p = psi(3, 2, u(5))
     assert in_subgroup_H(p)
-    assert p.preserves_norm(8)
+    assert p.preserves_norm()
     assert dagger(p) == psi(2, 3, -u(4))
     # psi with index 1 does not fix e0
     q = psi(1, 2, u(5))
-    assert q.preserves_norm(5)
+    assert q.preserves_norm()
     assert not in_subgroup_H(q)
 
 
@@ -232,7 +249,7 @@ def test_restrict_to_A():
 def test_swap_map():
     sw = swap_map()
     assert in_subgroup_H(sw)
-    assert sw.preserves_norm(6)
+    assert sw.preserves_norm()
     r = restrict_to_A(sw)
     assert mdet(r) == 1  # the norm-preserving swap; see the module notes
     assert preserves_a_form(r, albert._a_gram_algebra())

@@ -17,6 +17,7 @@ from quadalg.cayley import (
     coboundary_triple,
     diag_d,
     freedom_identity_holds,
+    generic_a,
     is_related_triple,
     m_matrix,
     multiplier,
@@ -131,11 +132,50 @@ def test_related_triples():
     neg = Similitude(scal_mul(Q(-1), identity(8)))
     assert is_related_triple(SimilitudeTriple((eye, eye, eye)))
     assert is_related_triple(SimilitudeTriple((eye, neg, neg)))
-    assert not is_related_triple(SimilitudeTriple((neg, eye, eye))) or True
+    assert not is_related_triple(SimilitudeTriple((neg, eye, eye)))
     # multipliers of a related triple always multiply to 1
     z = special_cocycle((Q(2), Q(5), Q(1, 10)))
     mus = z.multipliers
     assert mus[0] * mus[1] * mus[2] == 1
+
+
+def basis_related(T):
+    """The pointwise reference: the relatedness identity on all 64 basis
+    pairs, which span every pair by bilinearity."""
+    return all(
+        T[i](star(x, y)) == T[i].mu * star(T[i + 2](x), T[i + 1](y))
+        for i in range(3)
+        for x in BASIS
+        for y in BASIS
+    )
+
+
+def test_generic_relatedness_agrees_with_basis_pairs():
+    eye = Similitude(identity(8))
+    neg = Similitude(scal_mul(Q(-1), identity(8)))
+    two = Similitude(scal_mul(Q(2), identity(8)))
+    z = special_cocycle((Q(2), Q(5), Q(1, 10)))
+    triples = [
+        (eye, eye, eye),
+        (eye, neg, neg),
+        (neg, eye, eye),
+        (two, eye, eye),
+        z.t,
+        (z.t[1], z.t[0], z.t[2]),
+        (z.t[0], z.t[1], z.t[2].compose(neg)),
+    ]
+    verdicts = [is_related_triple(SimilitudeTriple(t)) for t in triples]
+    assert verdicts == [basis_related(SimilitudeTriple(t)) for t in triples]
+    assert verdicts == [True, True, False, False, True, False, False]
+
+
+def test_z_related_for_the_generic_a():
+    a = generic_a()
+    assert a[0] * a[1] * a[2] == 1
+    z = special_cocycle(a)
+    assert is_related_triple(z)
+    assert z.multipliers == a
+    assert all(s.det() == s.mu**4 for s in z.t)
 
 
 def test_special_cocycle():

@@ -230,6 +230,22 @@ def test_verify_rostcalc_override(capsys):
     assert code == 0
 
 
+def test_verify_report_proves_on_generic_elements(tmp_path, capsys):
+    p = tmp_path / "r.json"
+    ids = ("P19", "P20", "P22", "P25")
+    reports = []
+    for check_id in ids:
+        code, _, _ = run(capsys, "verify-paper", "--only", check_id, "--json", str(p))
+        assert code == 0
+        reports.append(json.loads(p.read_text()))
+    assert all(r["schema"] == 2 for r in reports)
+    witness = {r["checks"][0]["id"]: r["checks"][0]["witness"] for r in reports}
+    assert witness["P19"] == {"generic_coordinates": 16}
+    assert witness["P20"]["a"] == witness["P22"]["a"] == ["A", "B", "A^-1*B^-1"]
+    assert witness["P22"]["related"] is True
+    assert witness["P25"] == {"generic_coordinates": 27}
+
+
 def test_verify_report_determinism(tmp_path, capsys):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     code1, out1, _ = run(capsys, "verify-paper", "--only", "P15", "--json", str(p1))

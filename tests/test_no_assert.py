@@ -23,6 +23,21 @@ def test_library_raises_instead_of_asserting():
     assert asserts == []
 
 
+def test_library_imports_no_random():
+    """Identities are proved on generic elements, never on random samples."""
+    sources = sorted(Path(quadalg.__file__).parent.rglob("*.py"))
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "random" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "random"
+    ]
+    assert imports == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

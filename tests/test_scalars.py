@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from quadalg.scalars import (
+    Laurent,
     Place,
     QuadExtScalar,
     REAL,
@@ -19,6 +20,9 @@ from quadalg.scalars import (
     sqrt_mod,
     square_class,
     sqrt_k,
+    as_scalar,
+    iota,
+    variable,
 )
 
 
@@ -211,6 +215,95 @@ def test_relevant_places_cover():
 def test_rational_element_hashes_like_its_fraction():
     assert QuadExtScalar(3, 0, 2) == Q(3)
     assert len({QuadExtScalar(3, 0, 2), Q(3)}) == 1
+
+
+# ---------------------------------------------------------------- Laurent polynomials
+
+
+def evaluate(p, point):
+    """A Laurent polynomial (or a plain number) at {variable: value}."""
+    if not isinstance(p, Laurent):
+        return p
+    total = Q(0)
+    for monomial, c in p.terms.items():
+        for v, e in monomial:
+            c = c * point[v] ** e
+        total += c
+    return total
+
+
+def test_laurent_matches_fractions_at_rational_points():
+    """Seeded expressions built from variables, Fractions and ints, with
+    every operator and its reflection, agree at rational points with the
+    same computation done in Fractions."""
+    rng = random.Random(6)
+    names = ("x", "y", "z")
+    for _ in range(40):
+        point = {v: Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for v in names}
+        pool = [(variable(v), point[v]) for v in names]
+        pool += [(Q(c, 2), Q(c, 2)) for c in (-3, 1, 5)] + [(2, Q(2)), (-1, Q(-1))]
+        for _ in range(10):
+            (p, a), (q, b) = rng.choice(pool), rng.choice(pool)
+            monomial = isinstance(p, Laurent) and len(p.terms) == 1
+            invertible = len(q.terms) == 1 if isinstance(q, Laurent) else q != 0
+            op = rng.choice("+-*/^")
+            if op == "+":
+                pool.append((p + q, a + b))
+            elif op == "-":
+                pool.append((p - q, a - b))
+            elif op == "/" and invertible:
+                pool.append((p / q, a / b))
+            elif op == "^":
+                e = rng.randint(-2, 3) if monomial else rng.randint(0, 2)
+                pool.append((p**e, a**e))
+            else:
+                pool.append((p * q, a * b))
+        for p, a in pool:
+            assert evaluate(p, point) == a
+
+
+def test_laurent_ring_laws_and_monomial_inverse():
+    x, y = variable("x"), variable("y")
+    assert (x + y) * (x - y) == x * x - y * y
+    assert (x + y) ** 2 == x * x + 2 * x * y + y * y
+    assert x * (1 / x) == 1 and (3 * x / y) * (y / x) == 3
+    assert 1 / (2 * x * y) == Q(1, 2) * x**-1 * y**-1
+    assert x - x == 0 and not (x - x) and bool(x)
+    assert x != y and x + 1 != x
+    with pytest.raises(ValueError):
+        1 / (x + y)
+    with pytest.raises(ValueError):
+        x / (x + 1)
+    with pytest.raises(ZeroDivisionError):
+        1 / (x - x)
+
+
+def test_laurent_constant_equals_and_hashes_like_its_fraction():
+    k = Q(2)
+    for c in (Q(0), Q(3), Q(-7, 4)):
+        p = Laurent([((), c)])
+        assert p == c and c == p and hash(p) == hash(c)
+        assert len({p, c}) == 1
+    r = QuadExtScalar(1, 1, k) * QuadExtScalar(1, -1, k)  # rational, -1
+    assert Laurent([((), r)]) == -1 and hash(Laurent([((), r)])) == hash(Q(-1))
+    x = variable("x")
+    assert x * 2 - x - x == 0 and hash(x * 2 - x - x) == hash(Q(0))
+    assert hash(x + 1) == hash(1 + x)
+
+
+def test_laurent_conj_and_scalar_protocol():
+    k = Q(3)
+    s, x = QuadExtScalar(1, 2, k), variable("x")
+    p = s * x + QuadExtScalar(0, 1, k)
+    assert p.conj() == iota(p) == s.conj() * x + QuadExtScalar(0, -1, k)
+    assert p.conj().conj() == p
+    for t in (Q(2), Q(-1, 3)):
+        assert evaluate(p.conj(), {"x": t}) == iota(evaluate(p, {"x": t}))
+        assert evaluate(p * p.conj(), {"x": t}) == evaluate(p, {"x": t}).norm()
+    assert iota(x) == x
+    assert as_scalar(p) is p
+    assert repr(2 * x * variable("y") ** -1 - 1) == "(-1) + (2)*x*y^-1"
+    assert repr(x - x) == "0" and repr(QuadExtScalar(1, 1, k) * x) == "(1+1*sqrt(3))*x"
 
 
 # ---------------------------------------------------------------- number theory
