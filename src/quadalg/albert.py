@@ -45,6 +45,7 @@ from .exactmat import (
     mat_inv,
     mat_mul,
     mat_vec,
+    pullback,
     transpose,
 )
 from .scalars import KScalar, as_scalar, iota, variable
@@ -505,7 +506,7 @@ def restrict_to_A(f: AlbertMap) -> Matrix:
 
 def preserves_a_form(r10: Matrix, gram: Matrix = None) -> bool:
     g = A_GRAM if gram is None else gram
-    return mat_eq(mat_mul(transpose(r10), mat_mul(g, r10)), g)
+    return mat_eq(pullback(r10, g), g)
 
 
 def swap_map() -> AlbertMap:

@@ -38,6 +38,8 @@ from .exactmat import (
     mat_inv,
     mat_mul,
     mat_vec,
+    pullback,
+    ratio,
     transpose,
 )
 from .scalars import KScalar, QuadExtScalar, as_scalar, iota, variable
@@ -323,8 +325,11 @@ class Similitude:
 
     def __init__(self, matrix: Matrix):
         matrix = freeze(matrix)
-        mu = _similitude_multiplier(matrix)
-        if mu is None:
+        if len(matrix) != DIM or any(len(r) != DIM for r in matrix):
+            raise ValueError("similitudes are 8x8")
+        g = build_cayley_table().gram
+        mu = ratio(pullback(matrix, g), g)
+        if not mu:
             raise ValueError("matrix is not a norm similitude")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "mu", mu)
@@ -368,25 +373,6 @@ class Similitude:
         return f"similitude(mu={self.mu})"
 
 
-def _similitude_multiplier(matrix: Matrix):
-    g = build_cayley_table().gram
-    lhs = mat_mul(transpose(matrix), mat_mul(g, matrix))
-    mu = None
-    for i in range(DIM):
-        for j in range(DIM):
-            if g[i][j]:
-                r = lhs[i][j] / g[i][j]
-                if mu is None:
-                    mu = r
-                elif r != mu:
-                    return None
-            elif lhs[i][j]:
-                return None
-    if mu is None or not mu:
-        return None
-    return mu
-
-
 def multiplier(t: Similitude):
     return t.mu
 
@@ -398,6 +384,10 @@ def sigma_n(t: Similitude) -> Similitude:
 @dataclass(frozen=True)
 class SimilitudeTriple:
     t: tuple[Similitude, Similitude, Similitude]
+
+    def __post_init__(self):
+        if len(self.t) != 3 or not all(isinstance(s, Similitude) for s in self.t):
+            raise ValueError("a similitude triple is three similitudes")
 
     def __getitem__(self, i: int) -> Similitude:
         return self.t[i % 3]
@@ -559,12 +549,15 @@ def calibration_search() -> dict:
     Slots are forced by the weight pattern of the m_j matrices (u1,u6,u7
     one isotropic line, u2,u3,u8 the paired line, u4,u5 the trace-carrying
     pair).  Scale products of +-2 on a pair give that pair the S8 Gram
-    value 1; products of +-1 give 1/2.  The search confirms that no
-    candidate attains the exact S8 Gram together with the involution
-    table or with relatedness (a rationality obstruction: both force
-    trace(u4)^2 = 2), and returns the calibrated optimum, which gives up
-    only the (3,6) and (4,5) Gram entries.  Relatedness is decided on
-    the generic z-triple, for every product-one a at once."""
+    value 1; products of +-1 give 1/2.  The u4, u5 scales stay 1: the
+    involution makes u4 + u5 = trace(u4) 1, so n(u4, u5) = 1 would need
+    trace(u4)^2 = 2, which no rational trace meets.  The search counts
+    the candidates that differ from S8 only at (4,5), and how many of
+    them keep the involution table and relatedness (all do the first,
+    none the second: relatedness pins (3,6)), and returns the calibrated
+    optimum, which gives up only the (3,6) and (4,5) Gram entries.
+    Relatedness is decided on the generic z-triple, for every product-one
+    a at once."""
     import itertools
 
     full_pairs = [  # scale product +-2: S8 Gram value +-1 on the pair
@@ -585,8 +578,7 @@ def calibration_search() -> dict:
     # permutation that fixes the constraint set, so scanning one labeling
     # loses nothing
     z = special_cocycle(generic_a())
-    exact_s8_involution = 0
-    exact_s8_related = 0
+    near_s8 = near_s8_involution = near_s8_related = 0
     calibrated = None
     for (c1, c8), (c2, c7), (c3, c6) in itertools.product(
         full_pairs, full_pairs, full_pairs + half_pairs
@@ -594,15 +586,17 @@ def calibration_search() -> dict:
         prod, gram = _build_tables((c1, c8, c2, c7, c3, c6), _CAL_PERM)
         table = CayleyTable(prod, gram)
         involution_ok = _involution_table_holds(table)
-        if mat_eq(gram, S8):
-            exact_s8_involution += involution_ok
-            exact_s8_related += _relates(table, z)
+        deviations = table.gram_deviations()
+        if [(i, j) for i, j, _, _ in deviations] == [(4, 5)]:
+            near_s8 += 1
+            near_s8_involution += involution_ok
+            near_s8_related += _relates(table, z)
             continue
         if calibrated is not None or not involution_ok:
             continue
         deviations_ok = all(
             {i, j} in ({3, 6}, {4, 5}) and got == Fraction(1, 2)
-            for i, j, got, _ in table.gram_deviations()
+            for i, j, got, _ in deviations
         )
         if deviations_ok and _relates(table, z):
             calibrated = {
@@ -611,8 +605,9 @@ def calibration_search() -> dict:
                 "gram_deviations": table.gram_deviations(),
             }
     return {
-        "exact_s8_with_involution": exact_s8_involution,
-        "exact_s8_with_relatedness": exact_s8_related,
+        "s8_except_45": near_s8,
+        "s8_except_45_with_involution": near_s8_involution,
+        "s8_except_45_with_relatedness": near_s8_related,
         "calibrated": calibrated,
     }
 

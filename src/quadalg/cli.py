@@ -1,7 +1,11 @@
 """Command-line frontend: form / hermitian / rootsys / cayley / albert /
 descend / verify-paper.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse errors.  The
+Exit codes: 0 success, 1 check failure, 2 usage or input errors.  `main`
+is the one error boundary: a ValueError (a bad literal, malformed JSON, a
+folding or hypothesis the library rejects) or an OSError (a file that
+cannot be read or written) becomes one stderr line `error: ...` and exit
+2.  Any other exception is a program fault and keeps its traceback.  The
 tool is batch-only; `verify-paper` runs the whole ledger of source
 calculations and prints one line per check.
 """
@@ -11,10 +15,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import albert, cayley, descent, forms, rootsys, verify
 from .scalars import QuadExtScalar, parse_scalar
+
+# numbers keep their decimal text, so that every entry reads exactly
+_JSON = json.JSONDecoder(parse_float=str)
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return _JSON.decode(fh.read())
+
+
+def _scalar(x):
+    """A JSON number or string as an exact scalar; true, false, null,
+    lists and objects are rejected as bad literals."""
+    return parse_scalar(str(x))
+
+
+def _matrix(rows, entry=_scalar) -> tuple:
+    """A JSON matrix, `entry` applied to each element; anything but a
+    nonempty list of nonempty lists of one length is a ValueError."""
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows)
+    ):
+        raise ValueError("expected a JSON matrix: nonempty rows of one length")
+    return tuple(tuple(map(entry, row)) for row in rows)
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -26,25 +55,17 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _cmd_form(args) -> int:
-    try:
-        q = forms.parse_form(args.expr, field=args.field)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:  # an entry past the factoring bounds raises here
-        inv = forms.invariants_json(q)
-        index, anis = forms.witt_decompose(q)
-        payload = {
-            "literal": forms.form_literal(q),
-            "invariants": inv,
-            "witt_index": index,
-            "anisotropic": forms.form_literal(anis),
-            "isotropic": forms.is_isotropic(q),
-            "in_I^n": {str(n): forms.in_power_I(q, n) for n in range(1, 5)},
-        }
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    q = forms.parse_form(args.expr, field=args.field)
+    inv = forms.invariants_json(q)
+    index, anis = forms.witt_decompose(q)
+    payload = {
+        "literal": forms.form_literal(q),
+        "invariants": inv,
+        "witt_index": index,
+        "anisotropic": forms.form_literal(anis),
+        "isotropic": forms.is_isotropic(q),
+        "in_I^n": {str(n): forms.in_power_I(q, n) for n in range(1, 5)},
+    }
     if args.json is not None:
         _write_json(payload, args.json or None)
     else:
@@ -59,19 +80,15 @@ def _cmd_form(args) -> int:
 
 
 def _cmd_hermitian(args) -> int:
-    try:
-        entries = forms.parse_form(args.entries, field=args.field).entries
-        h = forms.HermitianDiagonal(args.field, parse_scalar(args.k), entries)
-        q = forms.trace_form(h)
-        payload = {
-            "hermitian": forms.form_literal(forms.DiagonalForm(args.field, entries)),
-            "k": str(h.k),
-            "trace_form": forms.form_literal(q),
-            "invariants": forms.invariants_json(q),
-        }
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entries = forms.parse_form(args.entries, field=args.field).entries
+    h = forms.HermitianDiagonal(args.field, parse_scalar(args.k), entries)
+    q = forms.trace_form(h)
+    payload = {
+        "hermitian": forms.form_literal(forms.DiagonalForm(args.field, entries)),
+        "k": str(h.k),
+        "trace_form": forms.form_literal(q),
+        "invariants": forms.invariants_json(q),
+    }
     if args.json is not None:
         _write_json(payload, args.json or None)
     else:
@@ -81,18 +98,10 @@ def _cmd_hermitian(args) -> int:
 
 
 def _cmd_rootsys(args) -> int:
-    try:
-        rd = rootsys.build_root_datum(args.type)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rd = rootsys.build_root_datum(args.type)
     payload = {"type": rd.label, "cartan": [list(r) for r in rd.cartan]}
     if args.fold is not None:
-        try:
-            fr = rootsys.fold(rd, name=args.fold)
-        except rootsys.FoldingError as exc:
-            print(f"folding rejected: {exc}", file=sys.stderr)
-            return 2
+        fr = rootsys.fold(rd, name=args.fold)
         mult = rootsys.rost_multiplier(fr.embedding, fr.folded, rd)
         payload.update(
             {
@@ -104,18 +113,12 @@ def _cmd_rootsys(args) -> int:
             }
         )
     elif args.embedding:
-        try:
-            if args.source is None:
-                raise ValueError("--embedding needs --source")
-            with open(args.embedding) as fh:
-                rows = json.load(fh)
-            emb = rootsys.LatticeEmbedding(tuple(tuple(r) for r in rows))
-            src = rootsys.build_root_datum(args.source)
-            payload["multiplier"] = rootsys.rost_multiplier(emb, src, rd)
-            payload["source"] = src.label
-        except (ValueError, TypeError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        if args.source is None:
+            raise ValueError("--embedding needs --source")
+        emb = rootsys.LatticeEmbedding(_matrix(_read_json(args.embedding)))
+        src = rootsys.build_root_datum(args.source)
+        payload["multiplier"] = rootsys.rost_multiplier(emb, src, rd)
+        payload["source"] = src.label
     if args.json is not None:
         _write_json(payload, args.json or None)
     else:
@@ -124,45 +127,22 @@ def _cmd_rootsys(args) -> int:
     return 0
 
 
-def _parse_triple(values, k=None):
-    out = []
-    for v in values:
-        if k is not None:
-            x, _, y = v.partition("+")
-            out.append(QuadExtScalar(parse_scalar(x), parse_scalar(y or "0"), k))
-        else:
-            out.append(parse_scalar(v))
-    return tuple(out)
-
-
 def _cmd_cayley(args) -> int:
     table = cayley.build_cayley_table()
     if args.triple:
-        try:
-            with open(args.triple) as fh:
-                mats = json.load(fh)
-            trip = cayley.SimilitudeTriple(
-                tuple(
-                    cayley.Similitude(
-                        tuple(tuple(Fraction(x) for x in row) for row in m)
-                    )
-                    for m in mats
-                )
-            )
-        except (ValueError, TypeError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        mats = _read_json(args.triple)
+        if not isinstance(mats, list):
+            raise ValueError("--triple needs a JSON list of three 8x8 matrices")
+        trip = cayley.SimilitudeTriple(
+            tuple(cayley.Similitude(_matrix(m)) for m in mats)
+        )
         payload = {
             "multipliers": [str(m) for m in trip.multipliers],
             "related": cayley.is_related_triple(trip),
         }
     elif args.cocycle:
-        try:
-            a = _parse_triple(args.cocycle)
-            trip = cayley.special_cocycle(a)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        a = tuple(map(parse_scalar, args.cocycle))
+        trip = cayley.special_cocycle(a)
         payload = {
             "a": [str(x) for x in a],
             "multipliers": [str(m) for m in trip.multipliers],
@@ -191,25 +171,13 @@ def _cmd_cayley(args) -> int:
 
 def _cmd_albert(args) -> int:
     if args.element:
-        try:
-            data = json.loads(args.element)
-            x = albert.AlbertElement(
-                [parse_scalar(str(e)) for e in data["eps"]],
-                [
-                    cayley.Octonion([parse_scalar(str(t)) for t in c8])
-                    for c8 in data["c"]
-                ],
-            )
-            if args.map:
-                with open(args.map) as fh:
-                    rows = json.load(fh)
-                f = albert.AlbertMap(
-                    tuple(tuple(parse_scalar(str(v)) for v in row) for row in rows)
-                )
-                x = f(x)
-        except (ValueError, KeyError, TypeError, OSError) as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return 2
+        data = _JSON.decode(args.element)
+        if not (isinstance(data, dict) and "eps" in data and "c" in data):
+            raise ValueError('--element needs a JSON object {"eps": .., "c": ..}')
+        (eps,) = _matrix([data["eps"]])
+        x = albert.AlbertElement(eps, [cayley.Octonion(c) for c in _matrix(data["c"])])
+        if args.map:
+            x = albert.AlbertMap(_matrix(_read_json(args.map)))(x)
         payload = {
             "eps": [str(e) for e in x.eps],
             "c": [[str(t) for t in c.coords] for c in x.c],
@@ -238,41 +206,30 @@ def _cmd_albert(args) -> int:
 
 
 def _cmd_descend(args) -> int:
-    try:
-        k = parse_scalar(args.k)
-        if args.cocycle:
-            with open(args.cocycle) as fh:
-                rows = json.load(fh)
-            mat = tuple(
-                tuple(
-                    QuadExtScalar(Fraction(str(x)), Fraction(str(y)), k)
-                    for x, y in row
-                )
-                for row in rows
-            )
-            z = descent.SemilinearCocycle(k, mat)
-            gram = albert.A_GRAM
-            if args.gram:
-                with open(args.gram) as fh:
-                    gram = tuple(
-                        tuple(Fraction(str(v)) for v in row) for row in json.load(fh)
-                    )
-            q = descent.descend_form(gram, z)
-            payload = {"descended": forms.form_literal(q)}
-        elif args.a is not None:
-            rep = descent.rostcalc_report(k, parse_scalar(args.a))
-            payload = rep.as_dict()
-            payload["table"] = descent.rostcalc_table_rows(k, rep.a)
-        else:
-            q = descent.twist_a_descend(k)
-            payload = {
-                "descended": forms.form_literal(q),
-                "expected": forms.form_literal(descent.twist_a_expected(k)),
-                "isometric": forms.isometric(q, descent.twist_a_expected(k)),
-            }
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    k = parse_scalar(args.k)
+    if args.cocycle:
+
+        def x_plus_y_sqrt_k(xy):
+            if not (isinstance(xy, list) and len(xy) == 2):
+                raise ValueError(f"a cocycle entry is a pair [x, y], not {xy!r}")
+            return QuadExtScalar(_scalar(xy[0]), _scalar(xy[1]), k)
+
+        z = descent.SemilinearCocycle(
+            k, _matrix(_read_json(args.cocycle), x_plus_y_sqrt_k)
+        )
+        gram = _matrix(_read_json(args.gram)) if args.gram else albert.A_GRAM
+        payload = {"descended": forms.form_literal(descent.descend_form(gram, z))}
+    elif args.a is not None:
+        rep = descent.rostcalc_report(k, parse_scalar(args.a))
+        payload = rep.as_dict()
+        payload["table"] = descent.rostcalc_table_rows(k, rep.a)
+    else:
+        q = descent.twist_a_descend(k)
+        payload = {
+            "descended": forms.form_literal(q),
+            "expected": forms.form_literal(descent.twist_a_expected(k)),
+            "isometric": forms.isometric(q, descent.twist_a_expected(k)),
+        }
     if args.report is not None:
         _write_json(payload, args.report or None)
     else:
@@ -281,21 +238,16 @@ def _cmd_descend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:  # only the P30 overrides can raise: a bad literal, or k a square
-        overrides = {}
-        if args.k is not None and args.a is not None:
-            overrides = {"k": parse_scalar(args.k), "a": parse_scalar(args.a)}
-        results = verify.run_checks(only=args.only, overrides=overrides or None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    overrides = None
+    if args.k is not None and args.a is not None:
+        overrides = {"k": parse_scalar(args.k), "a": parse_scalar(args.a)}
+    results = verify.run_checks(only=args.only, overrides=overrides)
     if not results:
-        print(f"no check matches {args.only!r}", file=sys.stderr)
-        return 2
-    print(verify.render_table(results))
+        raise ValueError(f"no check matches {args.only!r}")
     payload = verify.report_json(results)
-    if args.json:
+    if args.json:  # written first: a failed write leaves stdout empty
         _write_json(payload, args.json)
+    print(verify.render_table(results))
     failed = payload["summary"]["fail"]
     oq = payload["summary"]["open-question"]
     print(
@@ -375,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .exactmat import (
     mat_eq,
     mat_mul,
     mat_vec,
-    transpose,
+    pullback,
 )
 from .scalars import QuadExtScalar, RatLike, as_rational, iota, is_square, sqrt_k
 
@@ -49,6 +49,8 @@ class SemilinearCocycle:
         if is_square(self.k):
             raise ValueError("k must not be a square")
         m = freeze(self.matrix)
+        if any(len(row) != len(m) for row in m):
+            raise ValueError("a cocycle matrix is square")
         object.__setattr__(self, "matrix", m)
         if not mat_eq(mat_mul(m, _iota_mat(m)), identity(len(m))):
             raise ValueError("cocycle condition Z iota(Z) = 1 fails")
@@ -91,10 +93,9 @@ def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
     K) to the fixed F-span of the cocycle; Z must be a K-isometry of the
     form.  Returns the diagonalized F-form."""
     n = z.dim
-    if len(gram) != n:
+    if len(gram) != n or any(len(row) != n for row in gram):
         raise ValueError("Gram and cocycle dimensions differ")
-    zt_g_z = mat_mul(transpose(z.matrix), mat_mul(gram, z.matrix))
-    if not mat_eq(zt_g_z, gram):
+    if not mat_eq(pullback(z.matrix, gram), gram):
         raise ValueError("cocycle is not an isometry of the form")
     basis = fixed_subspace(z)
     rows = []
@@ -102,10 +103,7 @@ def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
         gv = mat_vec(gram, v)
         # raises if not F-rational
         rows.append([as_rational(dot(w, gv)) for w in basis])
-    entries = forms._diagonalize_gram(rows)
-    if any(e == 0 for e in entries):
-        raise ValueError("degenerate restriction: cocycle is not an isometry")
-    return forms.DiagonalForm("Q", tuple(entries))
+    return forms.DiagonalForm("Q", tuple(forms._diagonalize_gram(rows)))
 
 
 # --------------------------------------------------------------------------

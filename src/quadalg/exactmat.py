@@ -73,6 +73,26 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for r, s in zip(a, b) for x, y in zip(r, s))
 
 
+def pullback(a: Matrix, g: Matrix) -> Matrix:
+    """a^T g a: the Gram matrix g pulled back along a."""
+    return mat_mul(transpose(a), mat_mul(g, a))
+
+
+def ratio(a: Matrix, b: Matrix):
+    """The scalar c with a = c b, or None when there is none or b is 0."""
+    c = None
+    for r, s in zip(a, b):
+        for x, y in zip(r, s):
+            if not y:
+                if x:
+                    return None
+            elif c is None:
+                c = x / y
+            elif x != c * y:
+                return None
+    return c
+
+
 def _reduce(rows: list[list], ncols: int) -> tuple[list[int], object]:
     """Gauss-Jordan elimination of `rows`, in place, over the first `ncols`
     columns: each pivot row is scaled to 1 and its column cleared in every

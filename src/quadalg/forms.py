@@ -596,7 +596,8 @@ def _diagonalize_gram(gram):
     """Diagonal entries of a congruent diagonal matrix, squarefree-reduced.
 
     Symmetric Gaussian elimination; a zero diagonal block is repaired by
-    the characteristic-zero row+column addition trick.
+    the characteristic-zero row+column addition trick, and a zero block
+    (a degenerate Gram) is a ValueError.
     """
     n = len(gram)
     g = [[Fraction(x) for x in row] for row in gram]
@@ -605,11 +606,11 @@ def _diagonalize_gram(gram):
         piv = next((i for i in range(t, n) if g[i][i] != 0), None)
         if piv is None:
             i, j = next(
-                (i, j)
-                for i in range(t, n)
-                for j in range(t, n)
-                if i != j and g[i][j] != 0
+                ((i, j) for i in range(t, n) for j in range(t, n) if g[i][j] != 0),
+                (None, None),
             )
+            if i is None:
+                raise ValueError("degenerate Gram matrix")
             for m in range(n):
                 g[i][m] += g[j][m]
             for m in range(n):
@@ -809,7 +810,15 @@ _TOKEN = re.compile(r"\s*(<<|>>|<|>|\+|\*|,|[^\s<>+*,]+)")
 
 def parse_form(text: str, field: str = "Q") -> DiagonalForm:
     """Parse the form grammar: `<a,b,...>`, `<<a,...>>` (Pfister), `nH`,
-    `c*<...>`, joined by `+`."""
+    `c*<...>`, joined by `+`.  Every failure is one ValueError that says
+    "parse error"."""
+    try:
+        return _parse_form(text, field)
+    except ValueError as exc:
+        raise ValueError(f"parse error: {exc}") from exc
+
+
+def _parse_form(text: str, field: str) -> DiagonalForm:
     from .scalars import parse_scalar
 
     tokens = _TOKEN.findall(text)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import Matrix, dot, freeze, mat_mul, mat_vec, rank as mat_rank, transpose
+from .exactmat import Matrix, dot, freeze, mat_vec, pullback, rank as mat_rank, ratio, transpose
 
 
 class FoldingError(ValueError):
@@ -129,7 +129,7 @@ def build_root_datum(type_str: str, rank: int | None = None) -> RootDatum:
         [[2 * pair[i][j] / norms[i] for j in range(rank)] for i in range(rank)]
     )
     if any(x != int(x) for row in cartan for x in row):
-        raise AssertionError("non-integral Cartan matrix")
+        raise RuntimeError("non-integral Cartan matrix")
     cartan = freeze([[int(x) for x in row] for row in cartan])
     return RootDatum(f"{series}{rank}", series, rank, cartan, tuple(norms))
 
@@ -161,8 +161,8 @@ def canonical_form(rd: RootDatum) -> CanonicalForm:
     cf = CanonicalForm(gram)
     for i in range(n):
         s = rd.simple_reflection(i)
-        if mat_mul(transpose(s), mat_mul(gram, s)) != gram:
-            raise AssertionError(f"canonical form not invariant under s_{i}")
+        if pullback(s, gram) != gram:
+            raise RuntimeError(f"canonical form not invariant under s_{i}")
     return cf
 
 
@@ -214,6 +214,8 @@ class LatticeEmbedding:
     matrix: Matrix
 
     def __post_init__(self):
+        if any(x != int(x) for row in self.matrix for x in row):
+            raise ValueError("embedding matrix has a non-integral entry")
         m = freeze([[int(x) for x in row] for row in self.matrix])
         object.__setattr__(self, "matrix", m)
         if mat_rank(m) != len(m[0]):
@@ -290,7 +292,7 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
         for i in range(m)
     ]
     if any(x != int(x) for row in dual_cartan for x in row):
-        raise AssertionError("folded pairing is not a Cartan matrix")
+        raise RuntimeError("folded pairing is not a Cartan matrix")
     dual_cartan = [[int(x) for x in row] for row in dual_cartan]
     # B2 and C2 are the same system; folding A-series is conventionally
     # written C_{l+1}, folding D-series B_{n-1}
@@ -325,7 +327,7 @@ def _identify_from_dual(dual_cartan, prefer: str = "") -> tuple[str, list[int]]:
             return label, perm
     if matches:
         return matches[0]
-    raise AssertionError("folded system matches no catalogued type")
+    raise RuntimeError("folded system matches no catalogued type")
 
 
 def _cartan_match(got, target) -> list[int] | None:
@@ -355,23 +357,12 @@ def rost_multiplier(
     if emb.source_rank != source.rank or emb.target_rank != target.rank:
         raise ValueError("embedding shape does not match the root data")
     gs = canonical_form(source).gram
-    gt = canonical_form(target).gram
-    pulled = mat_mul(transpose(emb.matrix), mat_mul(gt, emb.matrix))
-    ratio = None
-    for i in range(source.rank):
-        for j in range(source.rank):
-            if gs[i][j] == 0:
-                if pulled[i][j] != 0:
-                    raise ValueError("pullback form is not coroot-compatible")
-                continue
-            r = Fraction(pulled[i][j]) / gs[i][j]
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                raise ValueError("pullback form is not coroot-compatible")
-    if ratio is None or ratio <= 0 or ratio != int(ratio):
+    n = ratio(pullback(emb.matrix, canonical_form(target).gram), gs)
+    if n is None:
+        raise ValueError("pullback form is not coroot-compatible")
+    if n <= 0 or n != int(n):
         raise ValueError("pullback multiplier is not a positive integer")
-    return int(ratio)
+    return int(n)
 
 
 def sl_block_diagonal_embedding(n: int) -> LatticeEmbedding:

@@ -28,8 +28,8 @@ from quadalg.cayley import (
     star,
     u,
 )
-from quadalg.exactmat import identity, mat_eq, mat_inv, mat_mul, scal_mul
-from quadalg.scalars import QuadExtScalar
+from quadalg.exactmat import dot, identity, mat_eq, mat_inv, mat_mul, mat_vec, scal_mul
+from quadalg.scalars import QuadExtScalar, is_square
 
 
 def rnd_oct(rng, lo=-4, hi=4):
@@ -245,8 +245,18 @@ def test_k_coefficient_triples_related():
 
 def test_calibration_search_documents_the_obstruction():
     res = calibration_search()
-    assert res["exact_s8_with_involution"] == 0
-    assert res["exact_s8_with_relatedness"] == 0
+    # the 64 candidates off S8 only at (4,5) all keep the involution table
+    # and none relates the z-triples: relatedness pins (3,6)
+    assert res["s8_except_45"] == 64
+    assert res["s8_except_45_with_involution"] == 64
+    assert res["s8_except_45_with_relatedness"] == 0
     assert res["calibrated"] is not None
     devs = res["calibrated"]["gram_deviations"]
     assert {(i, j) for i, j, _, _ in devs} == {(3, 6), (4, 5)}
+    # (4,5): the involution makes u4 + u5 = trace(u4) 1, so
+    # n(u4 + u5) = trace(u4)^2, here 1 = 1^2; S8's n(u4, u5) = 1 would
+    # make n(u4 + u5) = 2, and 2 is no rational square
+    w = u(4) + u(5)
+    assert u(4).conj() == u(5) and w == u(4).trace() * ONE
+    assert w.norm() == u(4).trace() ** 2 == 1
+    assert dot(w.coords, mat_vec(S8, w.coords)) == 2 and not is_square(Q(2))

@@ -88,6 +88,8 @@ def test_rootsys_embedding(tmp_path, capsys):
     assert code == 0 and "multiplier: 2" in out
 
 
+ELEMENT = json.dumps({"eps": [0, 0, 0], "c": [[0] * 8] * 3})
+
 # nextprime(10^63) * nextprime(3 * 10^63): a 127-digit semiprime, past the
 # factoring bounds of quadalg.scalars
 BIG = int(
@@ -112,6 +114,20 @@ BIG = int(
         ("verify-paper", "--only", "P30", "--k", "4", "--a", "3"),
         ("verify-paper", "--only", "P30", "--k", "0", "--a", "3"),
         ("verify-paper", "--only", "P30", "--k", "x", "--a", "3"),
+        ("rootsys", "--type", "B3", "--fold"),
+        ("rootsys", "--type", "D5", "--fold", "triality"),
+        ("form", "<1,2>", "--json", "{nodir}"),
+        ("cayley", "--json", "{nodir}"),
+        ("descend", "--k", "2", "--report", "{nodir}"),
+        ("verify-paper", "--only", "P01", "--json", "{nodir}"),
+        ("cayley", "--triple", "{one8}"),
+        ("cayley", "--triple", "{three2}"),
+        ("rootsys", "--type", "A3", "--embedding", "{half}", "--source", "A1"),
+        ("albert", "--element", "[1]"),
+        ("albert", "--element", "{element}", "--map", "{flat}"),
+        ("descend", "--k", "2", "--cocycle", "{wide}"),
+        ("descend", "--k", "2", "--cocycle", "{eye3}", "--gram", "{tall}"),
+        ("descend", "--k", "2", "--cocycle", "{unit}", "--gram", "{zero}"),
     ],
     ids=[
         "triple_missing",
@@ -127,6 +143,20 @@ BIG = int(
         "verify_square_k",
         "verify_zero_k",
         "verify_bad_k",
+        "fold_no_automorphism",
+        "triality_not_d4",
+        "form_unwritable",
+        "cayley_unwritable",
+        "descend_unwritable",
+        "verify_unwritable",
+        "triple_one_matrix",
+        "triple_2x2",
+        "embedding_non_integral",
+        "element_not_object",
+        "map_2x2",
+        "cocycle_not_square",
+        "gram_not_square",
+        "gram_degenerate",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):
@@ -137,15 +167,53 @@ def test_file_input_errors(tmp_path, capsys, argv):
         "number": tmp_path / "number.json",
         "flat": tmp_path / "flat.json",
         "unit": tmp_path / "unit.json",
+        "nodir": tmp_path / "no" / "o.json",
+        "one8": tmp_path / "one8.json",
+        "three2": tmp_path / "three2.json",
+        "half": tmp_path / "half.json",
+        "wide": tmp_path / "wide.json",
+        "eye3": tmp_path / "eye3.json",
+        "tall": tmp_path / "tall.json",
+        "zero": tmp_path / "zero.json",
     }
     files["bad"].write_text("[[1], [0")
     files["emb"].write_text(json.dumps([[1], [0], [1]]))
     files["number"].write_text("3")
     files["flat"].write_text(json.dumps([[1, 2], [3, 4]]))
     files["unit"].write_text(json.dumps([[[1, 0]]]))  # the 1x1 identity cocycle
-    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    eye8 = [[int(i == j) for j in range(8)] for i in range(8)]
+    files["one8"].write_text(json.dumps([eye8]))
+    files["three2"].write_text(json.dumps([[[1, 0], [0, 1]]] * 3))
+    files["half"].write_text("[[1.5], [0], [1]]")
+    files["wide"].write_text(json.dumps([[[0, 0], [0, 0], [1, 0]], [[0, 0], [1, 0], [0, 0]]]))
+    files["eye3"].write_text(json.dumps([[[int(i == j), 0] for j in range(3)] for i in range(3)]))
+    files["tall"].write_text(json.dumps([[1, 0], [0, 1], [0, 0]]))
+    files["zero"].write_text("[[0]]")
+    code, out, err = run(capsys, *(a.format(element=ELEMENT, **files) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_program_fault_keeps_its_traceback(capsys, monkeypatch):
+    """Only ValueError and OSError are input errors; anything else is a
+    fault of the program and is not turned into exit 2."""
+
+    def broken(**_):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr("quadalg.verify.run_checks", broken)
+    with pytest.raises(RuntimeError, match="broken invariant"):
+        main(["verify-paper", "--only", "P01"])
+    assert capsys.readouterr().err == ""
+
+
+def test_json_entries_read_as_exact_decimals(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    tenth = [[0.1 if i == j else 0 for j in range(8)] for i in range(8)]
+    path.write_text(json.dumps([tenth] * 3))
+    code, out, _ = run(capsys, "cayley", "--triple", str(path))
+    assert code == 0
+    assert json.loads(out)["multipliers"] == ["1/100"] * 3
 
 
 def test_cayley_info(capsys):
