@@ -98,6 +98,8 @@ def _cmd_hermitian(args) -> int:
 
 
 def _cmd_rootsys(args) -> int:
+    if args.source is not None and not args.embedding:
+        raise ValueError("--source needs --embedding")
     rd = rootsys.build_root_datum(args.type)
     payload = {"type": rd.label, "cartan": [list(r) for r in rd.cartan]}
     if args.fold is not None:
@@ -170,6 +172,8 @@ def _cmd_cayley(args) -> int:
 
 
 def _cmd_albert(args) -> int:
+    if args.map is not None and not args.element:
+        raise ValueError("--map needs --element")
     if args.element:
         data = _JSON.decode(args.element)
         if not (isinstance(data, dict) and "eps" in data and "c" in data):

@@ -12,8 +12,8 @@ proof of Hasse-Minkowski.
 The layer is linear in the dimension: a Hasse symbol is n - 1 Hilbert
 symbols per place (prefix products of square classes), the complement of
 a hyperbolic plane is eliminated as "diagonal plus rank one" without
-building its basis, and `invariants` is computed once per form and kept on
-it.
+building its basis, and the entries' square classes and `invariants` are
+computed once per form and kept on it.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class DiagonalForm:
     def __post_init__(self):
         if self.field not in ("Q", "R"):
             raise ValueError(f"unknown base field {self.field!r}")
-        entries = tuple(Fraction(a) for a in self.entries)
-        if any(a == 0 for a in entries):
+        entries = tuple(a if type(a) is Fraction else Fraction(a) for a in self.entries)
+        if not all(entries):
             raise ValueError("diagonal entries must be nonzero")
         object.__setattr__(self, "entries", entries)
 
@@ -164,7 +164,7 @@ def invariants(q: DiagonalForm) -> WittInvariants:
         ds = [1 if a > 0 else -1 for a in q.entries]
         places = [REAL]
     else:
-        ds = [square_class(a) for a in q.entries]
+        ds = _classes(q)
         places = relevant_places(*ds)
     det = 1
     for d in ds:
@@ -174,6 +174,14 @@ def invariants(q: DiagonalForm) -> WittInvariants:
     inv = WittInvariants(n, disc, hasse, signature(q))
     object.__setattr__(q, "_invariants", inv)
     return inv
+
+
+def _classes(q: DiagonalForm) -> tuple[int, ...]:
+    """The square classes of q's entries over Q, computed once and kept on
+    the (frozen) form."""
+    if "_classes" not in q.__dict__:
+        object.__setattr__(q, "_classes", tuple(square_class(a) for a in q.entries))
+    return q.__dict__["_classes"]
 
 
 def _class_product(x: int, y: int) -> int:
@@ -223,9 +231,9 @@ def _isotropic_at(entries, v: Place) -> bool:
         return any(a > 0 for a in entries) and any(a < 0 for a in entries)
     if n >= 5:
         return True
-    d = Fraction(1)
+    d = 1
     for a in entries:
-        d *= a
+        d = _class_product(d, a)
     if n == 2:
         return is_local_square(-d, v)
     if n == 3:
@@ -241,19 +249,8 @@ def is_isotropic(q: DiagonalForm) -> bool:
     places only when -d is a rational square."""
     if q.field == "R":
         return _isotropic_at(q.entries, REAL)
-    ds = [square_class(a) for a in q.entries]
+    ds = _classes(q)
     return all(_isotropic_at(ds, v) for v in relevant_places(-1, *ds))
-
-
-def _reduce_to_squarefree(entries):
-    """Write a_i = d_i c_i^2 with d_i squarefree; return (d, c)."""
-    ds, cs = [], []
-    for a in entries:
-        d = square_class(a)
-        c2 = a / d
-        cs.append(_fraction_sqrt(c2))
-        ds.append(d)
-    return ds, cs
 
 
 def _fraction_sqrt(a: Fraction) -> Fraction:
@@ -273,6 +270,11 @@ def isotropic_vector(q: DiagonalForm) -> tuple[Fraction, ...]:
     """
     if not is_isotropic(q):
         raise ValueError("form is anisotropic")
+    return _witness(q)
+
+
+def _witness(q: DiagonalForm) -> tuple[Fraction, ...]:
+    """An exact nonzero vector with q(v) = 0, for q known to be isotropic."""
     if q.field == "R":
         i = next(i for i, a in enumerate(q.entries) if a > 0)
         j = next(j for j, a in enumerate(q.entries) if a < 0)
@@ -280,9 +282,10 @@ def isotropic_vector(q: DiagonalForm) -> tuple[Fraction, ...]:
         v[i] = Fraction(1)
         v[j] = _fraction_sqrt(q.entries[i] / -q.entries[j])
         return tuple(v)
-    ds, cs = _reduce_to_squarefree(q.entries)
+    # a_i = d_i c_i^2 with d_i squarefree: a zero w of <d_i> gives w_i / c_i
+    ds = _classes(q)
     w = _isotropic_vector_squarefree(ds)
-    return tuple(Fraction(x) / c for x, c in zip(w, cs))
+    return tuple(Fraction(x) / _fraction_sqrt(a / d) for x, a, d in zip(w, q.entries, ds))
 
 
 def _isotropic_vector_squarefree(ds):
@@ -544,8 +547,7 @@ def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
     index = 0
     cur = q
     while is_isotropic(cur):
-        v = isotropic_vector(cur)
-        cur = _split_hyperbolic(cur, v)
+        cur = _split_hyperbolic(cur, _witness(cur))
         index += 1
     return index, cur
 

@@ -178,14 +178,17 @@ def coroot_values(rd: RootDatum) -> dict[tuple, Fraction]:
 def diagram_automorphism(rd: RootDatum, name: str = "") -> tuple[int, ...]:
     """A Dynkin-diagram automorphism as a permutation of simple-root
     indices.  Defaults: the reversal for A_n, the swap for D_n, the unique
-    nontrivial one for E6; name="triality" gives the 3-cycle on D4."""
+    nontrivial one for E6; name="triality" gives the 3-cycle on D4.  Any
+    other name is a ValueError."""
     n = rd.rank
-    if rd.series == "A":
-        perm = tuple(n - 1 - i for i in range(n))
-    elif rd.series == "D" and name == "triality":
-        if n != 4:
+    if name not in ("", "triality"):
+        raise ValueError(f"unknown diagram automorphism {name!r} (known: triality)")
+    if name == "triality":
+        if rd.label != "D4":
             raise ValueError("triality needs D4")
         perm = (2, 1, 3, 0)  # Bourbaki nodes 1 -> 3 -> 4 -> 1, node 2 fixed
+    elif rd.series == "A":
+        perm = tuple(n - 1 - i for i in range(n))
     elif rd.series == "D":
         perm = tuple(range(n - 2)) + (n - 1, n - 2)
     elif rd.label == "E6":

@@ -195,20 +195,22 @@ def sqrt_mod(a: int, n: int) -> int | None:
 
 
 @lru_cache(maxsize=None)
+def _odd_primes(n: int) -> tuple[int, ...]:
+    """The primes dividing n >= 1 to an odd power, all of them for a
+    squarefree n: `factor` runs once per n."""
+    return tuple(p for p, e in factor(n).items() if e % 2)
+
+
+@lru_cache(maxsize=None)
 def _squarefree_part(n: int) -> int:
     """Signed squarefree part of a nonzero integer."""
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factor(abs(n)).items():
-        if e % 2:
-            out *= p
-    return out
+    return prod(_odd_primes(abs(n)), start=-1 if n < 0 else 1)
 
 
 def square_class(a: RatLike) -> SquareClass:
-    """Signed squarefree integer representing a modulo nonzero squares."""
-    a = Fraction(a)
-    if a == 0:
+    """Signed squarefree integer representing a modulo nonzero squares; an
+    int or a Fraction is read as it is."""
+    if not a:
         raise ValueError("zero has no square class")
     return _squarefree_part(a.numerator * a.denominator)
 
@@ -221,8 +223,7 @@ def is_square(a: RatLike) -> bool:
 
 def is_local_square(a: RatLike, place: "Place") -> bool:
     """Whether a is a square in the completion at the place."""
-    a = Fraction(a)
-    if a == 0:
+    if not a:
         raise ValueError("zero is not classified")
     if place.is_real:
         return a > 0
@@ -236,15 +237,26 @@ def is_local_square(a: RatLike, place: "Place") -> bool:
     return _legendre(u, p) == 1
 
 
+_PLACES: dict[int, "Place"] = {}
+
+
 @dataclass(frozen=True)
 class Place:
-    """A place of Q carrying a local invariant: the real place or a prime."""
+    """A place of Q carrying a local invariant: the real place or a prime.
+    Places are interned, so a prime is proved prime once."""
 
     p: int  # 0 encodes the real place
 
-    def __post_init__(self) -> None:
-        if self.p != 0 and not is_prime(self.p):
-            raise ValueError(f"not a place: {self.p}")
+    def __new__(cls, p: int) -> "Place":
+        place = _PLACES.get(p)
+        if place is None:
+            if p != 0 and not is_prime(p):
+                raise ValueError(f"not a place: {p}")
+            place = _PLACES[p] = super().__new__(cls)
+        return place
+
+    def __reduce__(self):  # pickle and copy through the interning constructor
+        return Place, (self.p,)
 
     @property
     def is_real(self) -> bool:
@@ -263,9 +275,8 @@ def relevant_places(*scalars: RatLike) -> list[Place]:
     inputs are +1 away from this set."""
     primes = {2}
     for a in scalars:
-        if Fraction(a) == 0:
-            continue
-        primes.update(factor(abs(square_class(a))))
+        if a:
+            primes.update(_odd_primes(abs(square_class(a))))
     return [REAL] + [Place(p) for p in sorted(primes)]
 
 
@@ -291,8 +302,7 @@ def hilbert_symbol(a: RatLike, b: RatLike, place: Place) -> int:
     Computed by the classical explicit formulas (Legendre symbols for odd
     p, unit residues mod 8 for p = 2, signs at the real place).
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    if not a or not b:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if place.is_real:
         return -1 if (a < 0 and b < 0) else 1

@@ -128,6 +128,10 @@ BIG = int(
         ("descend", "--k", "2", "--cocycle", "{wide}"),
         ("descend", "--k", "2", "--cocycle", "{eye3}", "--gram", "{tall}"),
         ("descend", "--k", "2", "--cocycle", "{unit}", "--gram", "{zero}"),
+        ("rootsys", "--type", "E6", "--fold", "nonsense"),
+        ("rootsys", "--type", "A3", "--fold", "triality"),
+        ("albert", "--map", "{flat}"),
+        ("rootsys", "--type", "A3", "--source", "A1"),
     ],
     ids=[
         "triple_missing",
@@ -157,6 +161,10 @@ BIG = int(
         "cocycle_not_square",
         "gram_not_square",
         "gram_degenerate",
+        "fold_unknown_name",
+        "triality_not_d",
+        "map_without_element",
+        "source_without_embedding",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):

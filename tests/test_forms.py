@@ -7,7 +7,7 @@ from math import isqrt
 
 import pytest
 
-from quadalg import forms
+from quadalg import forms, scalars
 from quadalg.forms import (
     DiagonalForm,
     HermitianDiagonal,
@@ -614,6 +614,38 @@ def test_split_hyperbolic_makes_no_bilinear_call(monkeypatch):
     monkeypatch.setattr(DiagonalForm, "bilinear", refuse)
     for q, v in pairs:
         forms._split_hyperbolic(q, v)
+
+
+# squarefree-class entries, rescaled by squares, sharing primes across forms
+FACTOR_GATE_FORMS = [
+    form([2, Q(-27, 4), 5, 7 * 4, -30, Q(6, 25)]),
+    form([Q(-3, 4), 10, -14, 35 * 9, 2]),
+    form([2 * 9, -3, 5, Q(-7, 16), 1, 11]),
+]
+
+
+def test_factor_runs_once_per_square_class(monkeypatch):
+    for cached in vars(scalars).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    calls = []
+    real = scalars.factor
+    monkeypatch.setattr(scalars, "factor", lambda n: calls.append(n) or real(n))
+    for q in FACTOR_GATE_FORMS:
+        q = form(q.entries)  # a fresh form, with nothing kept on it yet
+        invariants(q)
+        is_isotropic(q)
+        relevant_places(*q.entries)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_witt_decompose_decides_isotropy_once_per_split(monkeypatch):
+    decided = []
+    real = forms.is_isotropic
+    monkeypatch.setattr(forms, "is_isotropic", lambda q: decided.append(q.dim) or real(q))
+    q = form([2, Q(-8, 9), 3, -12, 5, -45, 7])  # 3H + <7>: index m = 3
+    assert witt_decompose(q) == (3, form([7]))
+    assert decided == [7, 5, 3, 1]  # m + 1 decisions; a second one per split gives 2m + 1
 
 
 def test_invariants_are_computed_once_and_read_only():

@@ -1,0 +1,76 @@
+"""Property tests for the scalar layer and the Witt invariants, on a fixed
+seed and a bounded number of examples, so every run draws the same cases."""
+
+from fractions import Fraction as Q
+
+from hypothesis import given, settings, strategies as st
+
+from quadalg.forms import form, invariants
+from quadalg.scalars import (
+    Place,
+    REAL,
+    hilbert_symbol,
+    is_local_square,
+    relevant_places,
+    square_class,
+)
+
+FIXED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+PLACES = [REAL] + [Place(p) for p in (2, 3, 5, 7, 11, 13)]
+
+nonzero_ints = st.integers(-3000, 3000).filter(bool)
+nonzero_rationals = st.builds(Q, nonzero_ints, st.integers(1, 300))
+places = st.sampled_from(PLACES)
+
+
+def forms_of(a):
+    """a as an int (when it is one), as its Fraction and as a*c^2 for
+    rational c, which must all be treated alike."""
+    return st.builds(lambda c: [a, Q(a), a * c * c], nonzero_rationals)
+
+
+@FIXED
+@given(nonzero_rationals, nonzero_rationals)
+def test_hilbert_reciprocity(a, b):
+    product = 1
+    for v in relevant_places(a, b):
+        product *= hilbert_symbol(a, b, v)
+    assert product == 1
+
+
+@FIXED
+@given(nonzero_rationals, nonzero_rationals, nonzero_rationals, places)
+def test_hilbert_symbol_is_bimultiplicative_and_symmetric(a, b, c, v):
+    assert hilbert_symbol(a, b * c, v) == hilbert_symbol(a, b, v) * hilbert_symbol(a, c, v)
+    assert hilbert_symbol(a * b, c, v) == hilbert_symbol(a, c, v) * hilbert_symbol(b, c, v)
+    assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
+
+
+@FIXED
+@given(nonzero_ints.flatmap(forms_of), nonzero_rationals, places)
+def test_scalar_layer_sees_only_the_square_class(variants, b, v):
+    int_form = variants[0]
+    for a in variants:
+        assert square_class(a) == square_class(int_form)
+        assert hilbert_symbol(a, b, v) == hilbert_symbol(int_form, b, v)
+        assert hilbert_symbol(b, a, v) == hilbert_symbol(b, int_form, v)
+        assert is_local_square(a, v) == is_local_square(int_form, v)
+        assert relevant_places(a) == relevant_places(int_form)
+        assert relevant_places(a, b) == relevant_places(int_form, b)
+
+
+@FIXED
+@given(
+    st.lists(nonzero_rationals, min_size=1, max_size=8).flatmap(
+        lambda entries: st.tuples(
+            st.just(entries),
+            st.permutations(entries),
+            st.lists(nonzero_rationals, min_size=len(entries), max_size=len(entries)),
+        )
+    )
+)
+def test_invariants_ignore_order_and_square_factors(drawn):
+    entries, permuted, scales = drawn
+    rescaled = [a * c * c for a, c in zip(permuted, scales)]
+    assert invariants(form(rescaled)) == invariants(form(entries))

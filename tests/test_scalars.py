@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from quadalg import scalars
 from quadalg.scalars import (
     Laurent,
     Place,
@@ -64,6 +67,25 @@ def test_place_validation():
     assert REAL.is_real
     with pytest.raises(ValueError):
         Place(6)
+
+
+def test_place_proves_a_prime_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(scalars, "is_prime", counting)
+    assert len({id(Place(1009)) for _ in range(3)}) == 1
+    assert calls.count(1009) <= 1
+    assert all(v is Place(v.p) for v in relevant_places(1009, Q(-2018, 9)))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Place(1007)  # 19 * 53: never interned
+    assert calls.count(1007) == 2
+    for clone in (copy.deepcopy(Place(1009)), pickle.loads(pickle.dumps(Place(1009)))):
+        assert clone is Place(1009)
 
 
 def hilbert_oracle(a, b, p):
