@@ -100,6 +100,8 @@ def _cmd_hermitian(args) -> int:
 def _cmd_rootsys(args) -> int:
     if args.source is not None and not args.embedding:
         raise ValueError("--source needs --embedding")
+    if args.fold is not None and args.embedding:
+        raise ValueError("--fold and --embedding exclude each other")
     rd = rootsys.build_root_datum(args.type)
     payload = {"type": rd.label, "cartan": [list(r) for r in rd.cartan]}
     if args.fold is not None:

@@ -5,15 +5,17 @@ complete invariant fingerprint is (dimension, signed discriminant, Hasse
 symbols, real signature); over R only the signature matters.  Isotropy is
 decided place by place (Hasse-Minkowski), and the yes/no Witt questions
 (Witt triviality, I^n, the kernel of restriction to Q(sqrt k)) are read off
-the invariants.  Witt decomposition splits hyperbolic planes off using
-explicit isotropy witnesses, built by the common-value split of Serre's
-proof of Hasse-Minkowski.
+the invariants.  Over Q, entries of opposite square classes cancel in
+pairs first (q = pH + <r>); the invariants, the isotropy test and the Witt
+decomposition read the residue r.  Witt decomposition splits the remaining
+hyperbolic planes off using explicit isotropy witnesses, built by the
+common-value split of Serre's proof of Hasse-Minkowski.
 
-The layer is linear in the dimension: a Hasse symbol is n - 1 Hilbert
-symbols per place (prefix products of square classes), the complement of
-a hyperbolic plane is eliminated as "diagonal plus rank one" without
-building its basis, and the entries' square classes and `invariants` are
-computed once per form and kept on it.
+The layer is linear in the dimension: a Hasse symbol is at most n - 1
+Hilbert symbols per place (prefix products of square classes), the
+complement of a hyperbolic plane is eliminated as "diagonal plus rank one"
+without building its basis, and the entries' square classes, their
+cancellation and `invariants` are computed once per form and kept on it.
 """
 
 from __future__ import annotations
@@ -154,23 +156,32 @@ def invariants(q: DiagonalForm) -> WittInvariants:
 
     Over R the discriminant is a sign (R*/R*^2 = {+1, -1}); over Q it is
     the signed squarefree class (-1)^(n(n-1)/2) det(q) (B7.eg convention).
-    The entries' square classes are taken once and serve every place.
+    Over Q they are read off q = pH + r (`_cancelled`): the Hasse symbols
+    are s_v(q) = s_v(pH) s_v(r) ((-1)^p, det r)_v, with s_v(pH) in closed
+    form (`_hyperbolic_hasse`), so only the residue r costs Hilbert symbols.
     """
     if "_invariants" in q.__dict__:
         return q.__dict__["_invariants"]
     n = q.dim
     if q.field == "R":
         # only signs are semantically relevant; symbols live at the real place
-        ds = [1 if a > 0 else -1 for a in q.entries]
+        pairs, ds = 0, [1 if a > 0 else -1 for a in q.entries]
         places = [REAL]
     else:
-        ds = _classes(q)
+        pairs, ds = _cancelled(q)
         places = relevant_places(*ds)
     det = 1
     for d in ds:
         det = _class_product(det, d)
-    disc = (-1) ** (n * (n - 1) // 2) * det
-    hasse = {v: -1 for v in places if _hasse(ds, v) == -1}
+    split = _hyperbolic_hasse(pairs)
+    hasse = {}
+    for v in places:
+        eps = -_hasse(ds, v) if v in split else _hasse(ds, v)
+        if pairs % 2:
+            eps *= hilbert_symbol(-1, det, v)
+        if eps == -1:
+            hasse[v] = -1
+    disc = (-1) ** (n * (n - 1) // 2 + pairs) * det
     inv = WittInvariants(n, disc, hasse, signature(q))
     object.__setattr__(q, "_invariants", inv)
     return inv
@@ -182,6 +193,26 @@ def _classes(q: DiagonalForm) -> tuple[int, ...]:
     if "_classes" not in q.__dict__:
         object.__setattr__(q, "_classes", tuple(square_class(a) for a in q.entries))
     return q.__dict__["_classes"]
+
+
+def _cancelled(q: DiagonalForm) -> tuple[int, tuple[int, ...]]:
+    """(p, r) with q = pH + <r> over Q, computed once and kept on the
+    (frozen) form.  Entries of opposite square classes <d a^2, -d b^2> span
+    a hyperbolic plane, so one pass over the classes cancels them in pairs;
+    the residue r keeps the other classes, squarefree and in order, and no
+    two of its entries are opposite."""
+    if "_cancelled" not in q.__dict__:
+        kept, open_slots = [], {}
+        for d in _classes(q):
+            slots = open_slots.get(-d)
+            if slots:
+                kept[slots.pop()] = 0
+            else:
+                open_slots.setdefault(d, []).append(len(kept))
+                kept.append(d)
+        residue = tuple(d for d in kept if d)
+        object.__setattr__(q, "_cancelled", ((q.dim - len(residue)) // 2, residue))
+    return q.__dict__["_cancelled"]
 
 
 def _class_product(x: int, y: int) -> int:
@@ -243,14 +274,16 @@ def _isotropic_at(entries, v: Place) -> bool:
 
 def is_isotropic(q: DiagonalForm) -> bool:
     """Hasse-Minkowski: over R a sign test, over Q isotropy at every place
-    (Serre, Cours d'arithmetique IV.3.2).  The places outside
-    `relevant_places` need no test: every entry is a unit there, so a form
-    of dimension >= 3 is isotropic, and a binary form passes the relevant
-    places only when -d is a rational square."""
+    (Serre, Cours d'arithmetique IV.3.2).  Over Q a form with two opposite
+    square classes is isotropic at once (`_cancelled`); otherwise the test
+    runs on the squarefree residue.  The places outside `relevant_places`
+    need no test: every entry is a unit there, so a form of dimension >= 3
+    is isotropic, and a binary form passes the relevant places only when
+    -d is a rational square."""
     if q.field == "R":
         return _isotropic_at(q.entries, REAL)
-    ds = _classes(q)
-    return all(_isotropic_at(ds, v) for v in relevant_places(-1, *ds))
+    pairs, ds = _cancelled(q)
+    return pairs > 0 or all(_isotropic_at(ds, v) for v in relevant_places(-1, *ds))
 
 
 def _fraction_sqrt(a: Fraction) -> Fraction:
@@ -537,15 +570,21 @@ def _holzer_reduce(a, b, x, y, z):
 
 
 def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
-    """q = index*H + anisotropic, with an explicit split at every step."""
+    """q = index*H + anisotropic.
+
+    Over Q the opposite square classes cancel first (`_cancelled`,
+    q = pH + <r>); the chain of explicit splits, each through a witness,
+    then runs on <r> only.  When nothing cancels, the chain runs on q
+    itself, so an anisotropic q is returned as it is.
+    """
     if q.field == "R":
         pos = sum(1 for a in q.entries if a > 0)
         neg = q.dim - pos
         index = min(pos, neg)
         rest = (Fraction(1),) * (pos - index) + (Fraction(-1),) * (neg - index)
         return index, DiagonalForm("R", rest)
-    index = 0
-    cur = q
+    index, residue = _cancelled(q)
+    cur = DiagonalForm("Q", residue) if index else q
     while is_isotropic(cur):
         cur = _split_hyperbolic(cur, _witness(cur))
         index += 1
@@ -858,6 +897,9 @@ def _parse_form(text: str, field: str) -> DiagonalForm:
             return pfister(*scalar_list(">>"), field=field)
         if tok == "<":
             take("<")
+            if peek() == ">":  # the zero form, as `form_literal` writes it
+                take(">")
+                return DiagonalForm(field, ())
             return DiagonalForm(field, tuple(scalar_list(">")))
         # `nH` or `c*<...>` / `c*<<...>>`
         word = take()

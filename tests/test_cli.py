@@ -132,6 +132,7 @@ BIG = int(
         ("rootsys", "--type", "A3", "--fold", "triality"),
         ("albert", "--map", "{flat}"),
         ("rootsys", "--type", "A3", "--source", "A1"),
+        ("rootsys", "--type", "A3", "--fold", "--embedding", "{missing}", "--source", "A1"),
     ],
     ids=[
         "triple_missing",
@@ -165,6 +166,7 @@ BIG = int(
         "triality_not_d",
         "map_without_element",
         "source_without_embedding",
+        "fold_with_embedding",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):

@@ -640,12 +640,33 @@ def test_factor_runs_once_per_square_class(monkeypatch):
 
 
 def test_witt_decompose_decides_isotropy_once_per_split(monkeypatch):
-    decided = []
-    real = forms.is_isotropic
+    decided, split = [], []
+    real, real_split = forms.is_isotropic, forms._split_hyperbolic
     monkeypatch.setattr(forms, "is_isotropic", lambda q: decided.append(q.dim) or real(q))
-    q = form([2, Q(-8, 9), 3, -12, 5, -45, 7])  # 3H + <7>: index m = 3
+    monkeypatch.setattr(
+        forms, "_split_hyperbolic", lambda q, v: split.append(q.dim) or real_split(q, v)
+    )
+    q = form([2, Q(-8, 9), 3, -12, 5, -45, 7])  # 3H + <7>: three opposite pairs cancel
     assert witt_decompose(q) == (3, form([7]))
-    assert decided == [7, 5, 3, 1]  # m + 1 decisions; a second one per split gives 2m + 1
+    assert decided == [1] and split == []  # one decision, on the residue <7>
+    decided.clear()
+    q = form([1, 2, -3, 5, -6, -7])  # 2H + <5,-7>, and no two classes are opposite
+    assert witt_decompose(q) == (2, form([5, -7]))
+    assert split == [6, 4]
+    # the chain decides once per split (6, 4, 2), and the first witness tests
+    # one ternary subform (3); a second decision per split adds a 6 and a 4
+    assert decided == [6, 3, 4, 2]
+
+
+def test_invariants_take_one_hilbert_symbol_per_place_off_the_residue(monkeypatch):
+    calls = []
+    real = forms.hilbert_symbol
+    monkeypatch.setattr(forms, "hilbert_symbol", lambda a, b, v: calls.append(v) or real(a, b, v))
+    q = parse_form("7H + <1>")
+    inv = invariants(q)
+    assert (inv.disc, dict(inv.hasse)) == reference_invariants(q)
+    # `reference_invariants`, over all 15 classes, takes 7 symbols per place
+    assert calls and len(calls) == len(set(calls)) <= len(relevant_places(1))
 
 
 def test_invariants_are_computed_once_and_read_only():
@@ -657,3 +678,79 @@ def test_invariants_are_computed_once_and_read_only():
     assert invariants(form([2, 3, -5])) == inv  # an equal form, its own copy
     for clone in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
         assert clone == q and invariants(clone) == inv
+
+
+# --------------------------------------------------------------------------
+# the routes without cancellation, kept as references
+
+
+def reference_invariants(q):
+    """(disc, hasse) over all of q's square classes: the prefix-product
+    Hasse symbol prod_j (d_1...d_{j-1}, d_j)_v, n - 1 symbols per place."""
+    ds = [square_class(a) for a in q.entries]
+    det, hasse = 1, {}
+    for d in ds:
+        det = square_class(det * d)
+    for v in relevant_places(*ds):
+        eps, prefix = 1, 1
+        for d in ds:
+            eps *= hilbert_symbol(prefix, d, v)
+            prefix = square_class(prefix * d)
+        if eps == -1:
+            hasse[v] = -1
+    n = len(ds)
+    return (-1) ** (n * (n - 1) // 2) * det, hasse
+
+
+def reference_witt_decompose(q):
+    """The chain of explicit splits run from q itself: isotropy by the
+    local-global test over all of the current form's classes, one witness
+    and one hyperbolic plane per step."""
+    index, cur = 0, q
+    while True:
+        ds = [square_class(a) for a in cur.entries]
+        if not all(forms._isotropic_at(ds, v) for v in relevant_places(-1, *ds)):
+            return index, cur
+        cur = forms._split_hyperbolic(cur, forms._witness(cur))
+        index += 1
+
+
+def mixed_forms(seed, count):
+    """Forms over Q whose entries often share a square class with an earlier
+    entry, or take its opposite, each rescaled by a rational square."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        entries = []
+        for _ in range(rng.randint(1, 9)):
+            if entries and rng.random() < 0.6:
+                a = rng.choice((1, -1)) * square_class(rng.choice(entries))
+            else:
+                a = rng.choice(SMALL)
+            entries.append(a * Q(rng.randint(1, 5), rng.randint(1, 3)) ** 2)
+        out.append(form(entries))
+    return out
+
+
+MIXED = mixed_forms(11, 2000)
+
+
+def test_mixed_forms_cancel_often_and_not_always():
+    pairs = [forms._cancelled(q)[0] for q in MIXED]
+    assert 1000 < sum(p > 0 for p in pairs) < 1800
+    assert sum(p == 0 and is_isotropic(q) for p, q in zip(pairs, MIXED)) > 100
+
+
+def test_invariants_match_the_reference_without_cancellation():
+    for q in MIXED:
+        inv = invariants(q)
+        assert (inv.disc, dict(inv.hasse)) == reference_invariants(q), q
+
+
+def test_witt_decompose_matches_the_split_chain_from_q():
+    for q in MIXED:
+        index, an = witt_decompose(q)
+        ref_index, ref_an = reference_witt_decompose(q)
+        assert index == ref_index and isometric(an, ref_an), q
+        assert is_isotropic(q) == (index > 0) and not is_isotropic(an)
+        assert 2 * index + an.dim == q.dim

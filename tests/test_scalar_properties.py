@@ -1,11 +1,21 @@
-"""Property tests for the scalar layer and the Witt invariants, on a fixed
-seed and a bounded number of examples, so every run draws the same cases."""
+"""Property tests for the scalar layer, the Witt invariants and the form
+literals, on a fixed seed and a bounded number of examples, so every run
+draws the same cases.  A property run is not a proof: the exact
+certificates in the other test files stay."""
 
 from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
 
-from quadalg.forms import form, invariants
+from quadalg.forms import (
+    DiagonalForm,
+    form,
+    form_literal,
+    invariants,
+    isometric,
+    parse_form,
+    witt_decompose,
+)
 from quadalg.scalars import (
     Place,
     REAL,
@@ -74,3 +84,51 @@ def test_invariants_ignore_order_and_square_factors(drawn):
     entries, permuted, scales = drawn
     rescaled = [a * c * c for a, c in zip(permuted, scales)]
     assert invariants(form(rescaled)) == invariants(form(entries))
+
+
+def isometric_variant(entries):
+    """A form isometric to <entries>: permuted and rescaled by squares,
+    after the binary move <a, b> = <a + b, ab(a + b)> on the first two
+    entries (when a + b != 0), which changes their square classes."""
+    moved = list(entries)
+    if len(moved) > 1 and moved[0] + moved[1]:
+        a, b = moved[:2]
+        moved[:2] = [a + b, a * b * (a + b)]
+    return st.tuples(
+        st.permutations(moved),
+        st.lists(nonzero_rationals, min_size=len(moved), max_size=len(moved)),
+    ).map(lambda t: [x * c * c for x, c in zip(*t)])
+
+
+small_entries = st.lists(nonzero_rationals, min_size=1, max_size=5)
+
+
+@FIXED
+@given(
+    small_entries.flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            st.one_of(
+                isometric_variant(q),
+                st.lists(nonzero_rationals, min_size=len(q), max_size=len(q)),
+            ),
+        )
+    ),
+    small_entries,
+)
+def test_witt_cancellation(pair, r_entries):
+    """q + r = q' + r implies q = q'; with r and -r both present, the
+    opposite classes cancel and the residue carries the answer."""
+    (q_entries, q2_entries), r = pair, form(r_entries)
+    q, q2 = form(q_entries), form(q2_entries)
+    assert isometric(q + r, q2 + r) == isometric(q, q2)
+    index, anisotropic = witt_decompose(q + r + -r)
+    q_index, q_anisotropic = witt_decompose(q)
+    assert index == q_index + r.dim and isometric(anisotropic, q_anisotropic)
+
+
+@FIXED
+@given(st.lists(nonzero_rationals, max_size=8), st.sampled_from(["Q", "R"]))
+def test_form_literal_round_trip(entries, field):
+    q = DiagonalForm(field, tuple(entries))
+    assert parse_form(form_literal(q), field) == q
