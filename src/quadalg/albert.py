@@ -331,9 +331,6 @@ class AlbertMap:
     def __call__(self, x: AlbertElement) -> AlbertElement:
         return AlbertElement.from_coords(mat_vec(self.matrix, x.coords()))
 
-    def compose(self, other: "AlbertMap") -> "AlbertMap":
-        return AlbertMap(mat_mul(self.matrix, other.matrix))
-
     def inverse(self) -> "AlbertMap":
         return AlbertMap(mat_inv(self.matrix))
 
@@ -387,10 +384,6 @@ def g_map(T: SimilitudeTriple) -> AlbertMap:
     return AlbertMap(
         _block_diagonal([_F1 / t.mu for t in T.t], [t.matrix for t in T.t])
     )
-
-
-def g_action(T: SimilitudeTriple, x: AlbertElement) -> AlbertElement:
-    return g_map(T)(x)
 
 
 # --------------------------------------------------------------------------

@@ -90,31 +90,34 @@ S8 = freeze(
 )
 
 
+@lru_cache(maxsize=1)
 def _zorn_slot_products():
-    """Sparse single-slot products: slot a x slot b -> [(slot, coeff)]."""
-    table = {}
+    """Sparse single-slot products: slot a x slot b -> [(slot, coeff)].
+    Built on integer unit vectors (the Zorn product has integer structure
+    constants); each stored coefficient is a Fraction."""
+    units = [tuple(int(m == a) for m in range(8)) for a in range(8)]
+    return {
+        (a, b): tuple(
+            (m, Fraction(c)) for m, c in enumerate(_zorn_mul(units[a], units[b])) if c
+        )
+        for a in range(8)
+        for b in range(8)
+    }
+
+
+@lru_cache(maxsize=1)
+def _zorn_slot_gram():
+    """Half-polarized Gram of the Zorn norm in slot coordinates."""
+    gram = {}
     for a in range(8):
-        ea = tuple(_F1 if m == a else _F0 for m in range(8))
         for b in range(8):
-            eb = tuple(_F1 if m == b else _F0 for m in range(8))
-            z = _zorn_mul(ea, eb)
-            table[a, b] = tuple((m, c) for m, c in enumerate(z) if c)
-    return table
-
-
-_SLOT_PRODUCTS = _zorn_slot_products()
-
-# half-polarized Gram of the Zorn norm in slot coordinates
-_SLOT_GRAM = {}
-for _a in range(8):
-    for _b in range(8):
-        if {_a, _b} == {0, 7}:
-            _SLOT_GRAM[_a, _b] = Fraction(1, 2)
-        elif _b == _a + 3 and 1 <= _a <= 3 or _a == _b + 3 and 1 <= _b <= 3:
-            _SLOT_GRAM[_a, _b] = Fraction(-1, 2)
-        else:
-            _SLOT_GRAM[_a, _b] = _F0
-del _a, _b
+            if {a, b} == {0, 7}:
+                gram[a, b] = Fraction(1, 2)
+            elif b == a + 3 and 1 <= a <= 3 or a == b + 3 and 1 <= b <= 3:
+                gram[a, b] = Fraction(-1, 2)
+            else:
+                gram[a, b] = _F0
+    return gram
 
 
 def _candidate_slots(perm):
@@ -128,17 +131,18 @@ def _build_tables(scales, perm):
     coeff = (c1, c2, c3, _F1, _F1, c6, c7, c8)
     slots = _candidate_slots(perm)
     slot_to_u = {s: i for i, s in enumerate(slots)}
+    slot_products, slot_gram = _zorn_slot_products(), _zorn_slot_gram()
     prod = [[None] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(DIM):
             coords = [_F0] * DIM
-            for m, c in _SLOT_PRODUCTS[slots[i], slots[j]]:
+            for m, c in slot_products[slots[i], slots[j]]:
                 t = slot_to_u[m]
                 coords[t] = coeff[i] * coeff[j] * c / coeff[t]
             prod[i][j] = tuple(coords)
     gram = freeze(
         [
-            [coeff[i] * coeff[j] * _SLOT_GRAM[slots[i], slots[j]] for j in range(DIM)]
+            [coeff[i] * coeff[j] * slot_gram[slots[i], slots[j]] for j in range(DIM)]
             for i in range(DIM)
         ]
     )
@@ -340,18 +344,11 @@ class Similitude:
     def __call__(self, x: Octonion) -> Octonion:
         return Octonion(mat_vec(self.matrix, x.coords))
 
-    def compose(self, other: "Similitude") -> "Similitude":
-        return Similitude(mat_mul(self.matrix, other.matrix))
-
     def inverse(self) -> "Similitude":
         return Similitude(mat_inv(self.matrix))
 
     def det(self):
         return det(self.matrix)
-
-    @property
-    def is_proper(self) -> bool:
-        return self.det() == self.mu**4
 
     def sigma_n(self) -> "Similitude":
         """The norm adjoint G^-1 t^T G; sigma_n(t) t = mu(t)."""

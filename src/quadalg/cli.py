@@ -7,7 +7,9 @@ folding or hypothesis the library rejects) or an OSError (a file that
 cannot be read or written) becomes one stderr line `error: ...` and exit
 2.  Any other exception is a program fault and keeps its traceback.  The
 tool is batch-only; `verify-paper` runs the whole ledger of source
-calculations and prints one line per check.
+calculations and prints one line per check.  Each subcommand imports only
+the modules it uses, when it runs, so a call pays at start-up for its own
+subcommand and no other.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import json
 import sys
 
-from . import albert, cayley, descent, forms, rootsys, verify
 from .scalars import QuadExtScalar, parse_scalar
 
 # numbers keep their decimal text, so that every entry reads exactly
@@ -55,6 +56,8 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _cmd_form(args) -> int:
+    from . import forms
+
     q = forms.parse_form(args.expr, field=args.field)
     inv = forms.invariants_json(q)
     index, anis = forms.witt_decompose(q)
@@ -80,6 +83,8 @@ def _cmd_form(args) -> int:
 
 
 def _cmd_hermitian(args) -> int:
+    from . import forms
+
     entries = forms.parse_form(args.entries, field=args.field).entries
     h = forms.HermitianDiagonal(args.field, parse_scalar(args.k), entries)
     q = forms.trace_form(h)
@@ -98,6 +103,8 @@ def _cmd_hermitian(args) -> int:
 
 
 def _cmd_rootsys(args) -> int:
+    from . import rootsys
+
     if args.source is not None and not args.embedding:
         raise ValueError("--source needs --embedding")
     if args.fold is not None and args.embedding:
@@ -132,7 +139,8 @@ def _cmd_rootsys(args) -> int:
 
 
 def _cmd_cayley(args) -> int:
-    table = cayley.build_cayley_table()
+    from . import cayley
+
     if args.triple:
         mats = _read_json(args.triple)
         if not isinstance(mats, list):
@@ -155,6 +163,7 @@ def _cmd_cayley(args) -> int:
             "cocycle_condition": cayley.cocycle_condition_holds(trip),
         }
     else:
+        table = cayley.build_cayley_table()
         payload = {
             "gram_deviations": [
                 {"pair": [i, j], "value": str(got), "expected": str(want)}
@@ -174,6 +183,8 @@ def _cmd_cayley(args) -> int:
 
 
 def _cmd_albert(args) -> int:
+    from . import albert, cayley
+
     if args.map is not None and not args.element:
         raise ValueError("--map needs --element")
     if args.element:
@@ -212,6 +223,8 @@ def _cmd_albert(args) -> int:
 
 
 def _cmd_descend(args) -> int:
+    from . import albert, descent, forms
+
     k = parse_scalar(args.k)
     if args.cocycle:
 
@@ -244,6 +257,8 @@ def _cmd_descend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     overrides = None
     if args.k is not None and args.a is not None:
         overrides = {"k": parse_scalar(args.k), "a": parse_scalar(args.a)}

@@ -135,9 +135,6 @@ class WittInvariants:
     hasse: Mapping[Place, int]  # places with symbol -1 only; read-only
     signature: int
 
-    def hasse_at(self, v: Place) -> int:
-        return self.hasse.get(v, 1)
-
     def __post_init__(self):
         if (self.signature - self.dim) % 2 or abs(self.signature) > self.dim:
             raise ValueError("signature incompatible with dimension")

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from quadalg import cayley
 from quadalg.cayley import (
     BASIS,
     ONE,
@@ -50,6 +51,29 @@ def test_gram_and_involution_tables():
     assert all(u(i).norm() == 0 for i in range(1, 9))
 
 
+def reference_slot_products():
+    """Reference: the Zorn slot products built on Fraction unit vectors,
+    so every coefficient is a Fraction by construction."""
+    f0, f1 = Q(0), Q(1)
+    table = {}
+    for a in range(8):
+        ea = tuple(f1 if m == a else f0 for m in range(8))
+        for b in range(8):
+            eb = tuple(f1 if m == b else f0 for m in range(8))
+            z = cayley._zorn_mul(ea, eb)
+            table[a, b] = tuple((m, c) for m, c in enumerate(z) if c)
+    return table
+
+
+def test_integer_slot_products_match_the_fraction_build():
+    table = cayley._zorn_slot_products()
+    reference = reference_slot_products()
+    assert len(table) == len(reference) == 64
+    for key, entries in reference.items():
+        assert table[key] == entries, key
+        assert all(type(c) is Q for _, c in table[key]), key
+
+
 def test_unit_and_algebra_basics():
     rng = random.Random(0)
     x = rnd_oct(rng)
@@ -90,7 +114,7 @@ def test_star_product():
 def test_similitude_basics():
     p = Similitude(perm_P())
     assert multiplier(p) == 1
-    assert sigma_n(p) == p and p.is_proper
+    assert sigma_n(p) == p and p.det() == p.mu**4
     eye = Similitude(identity(8))
     assert multiplier(eye) == 1
     with pytest.raises(ValueError):
@@ -115,7 +139,8 @@ def test_sigma_n_involution_and_mu_multiplicativity():
             scal_mul(s.mu, identity(8)),
         )
     s, t = z.t[0], z.t[1]
-    assert multiplier(s.compose(t)) == multiplier(s) * multiplier(t)
+    st = Similitude(mat_mul(s.matrix, t.matrix))
+    assert multiplier(st) == multiplier(s) * multiplier(t)
 
 
 def test_m_matrix_properties():
@@ -124,7 +149,7 @@ def test_m_matrix_properties():
         m = Similitude(m_matrix(j, a))
         assert m.mu == a[j]
         assert m.det() == a[j] ** 4
-        assert m.is_proper
+        assert m.det() == m.mu**4
 
 
 def test_related_triples():
@@ -162,7 +187,7 @@ def test_generic_relatedness_agrees_with_basis_pairs():
         (two, eye, eye),
         z.t,
         (z.t[1], z.t[0], z.t[2]),
-        (z.t[0], z.t[1], z.t[2].compose(neg)),
+        (z.t[0], z.t[1], Similitude(mat_mul(z.t[2].matrix, neg.matrix))),
     ]
     verdicts = [is_related_triple(SimilitudeTriple(t)) for t in triples]
     assert verdicts == [basis_related(SimilitudeTriple(t)) for t in triples]

@@ -39,11 +39,58 @@ def test_no_runtime_dependency_is_declared():
     assert project["dependencies"] == []
 
 
-def test_cli_import_loads_no_sympy():
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports quadalg from here."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = "import sys, quadalg.cli; print('sympy' in sys.modules)"
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
+
+
+def test_cli_import_loads_no_sympy():
+    run = _python("import sys, quadalg.cli; print('sympy' in sys.modules)")
     assert run.returncode == 0 and run.stdout == "False\n"
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The quadalg modules in sys.modules once `code` has run in a fresh
+    interpreter without error."""
+    run = _python(
+        f"import sys\n{code}\n"
+        "print(*(m for m in sys.modules if m.split('.')[0] == 'quadalg'))"
+    )
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_only_the_scalar_layer():
+    assert _loaded_after("import quadalg.cli") == {
+        "quadalg",
+        "quadalg.cli",
+        "quadalg.scalars",
+    }
+
+
+def _loaded_by_cli(*argv: str) -> set[str]:
+    code = f"from quadalg.cli import main\nif main({list(argv)!r}):\n    sys.exit('exit != 0')"
+    return _loaded_after(code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("form", "7H + <1>", "--json"), ("hermitian", "<1,-1,2>", "--k", "3", "--json")],
+    ids=["form", "hermitian"],
+)
+def test_form_commands_load_only_forms(argv):
+    loaded = _loaded_by_cli(*argv)
+    assert "quadalg.forms" in loaded
+    heavy = {f"quadalg.{m}" for m in ("albert", "cayley", "descent", "rootsys", "verify")}
+    assert loaded & heavy == set()
+
+
+def test_rootsys_fold_loads_no_algebra_or_ledger():
+    loaded = _loaded_by_cli("rootsys", "--type", "E6", "--fold", "--json")
+    assert "quadalg.rootsys" in loaded
+    heavy = {f"quadalg.{m}" for m in ("albert", "cayley", "descent", "verify")}
+    assert loaded & heavy == set()

@@ -74,7 +74,7 @@ def test_invariants_examples():
     assert (hyp.dim, hyp.disc, hyp.hasse, hyp.signature) == (2, 1, {}, 0)
     q23 = invariants(form([2, 3]))
     assert q23.disc == -6
-    assert q23.hasse_at(Place(3)) == -1
+    assert q23.hasse.get(Place(3), 1) == -1
     phi = pfister(-1, -1, -1, -1, field="R")
     q_alpha = scale(-1, DiagonalForm("R", phi.entries[1:]))
     assert invariants(q_alpha).disc == 1
@@ -512,7 +512,7 @@ def test_hasse_prefix_products_match_pairwise():
         for v in relevant_places(*q.entries) + [Place(11)]:
             expected = pairwise_hasse(q.entries, v)
             assert forms._hasse(classes, v) == expected
-            assert inv.hasse_at(v) == expected
+            assert inv.hasse.get(v, 1) == expected
             if trial % 2 == 0:  # integers that are not squarefree
                 assert forms._hasse([int(a) for a in q.entries], v) == expected
 
