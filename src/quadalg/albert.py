@@ -30,11 +30,9 @@ from .cayley import (
     DIM as ODIM,
     Octonion,
     ONE,
-    Similitude,
     SimilitudeTriple,
     build_cayley_table,
     is_related_triple,
-    u,
 )
 from .exactmat import (
     Matrix,
@@ -164,16 +162,6 @@ def c_only(i: int, x: Octonion) -> AlbertElement:
 # products and forms
 
 
-def jordan_product(x: AlbertElement, y: AlbertElement) -> AlbertElement:
-    """x . y = (xy + yx)/2 in the hermitian matrix representation."""
-    mx, my = _to_matrix(x), _to_matrix(y)
-    p, q = _mat3_mul(mx, my), _mat3_mul(my, mx)
-    half = Fraction(1, 2)
-    return _from_matrix(
-        [[half * (p[i][j] + q[i][j]) for j in range(3)] for i in range(3)]
-    )
-
-
 def _to_matrix(x: AlbertElement):
     m = [[ZERO_OCT] * 3 for _ in range(3)]
     for i in range(3):
@@ -181,16 +169,6 @@ def _to_matrix(x: AlbertElement):
         m[(i + 1) % 3][(i + 2) % 3] = x.c[i]
         m[(i + 2) % 3][(i + 1) % 3] = x.c[i].conj()
     return m
-
-
-def _mat3_mul(a, b):
-    return [
-        [
-            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
 
 
 def _from_matrix(m) -> AlbertElement:
@@ -258,31 +236,10 @@ def sharp(x: AlbertElement) -> AlbertElement:
     return AlbertElement(eps, c)
 
 
-def sharp_via_matrix(x: AlbertElement) -> AlbertElement:
-    """Independent route: x# = x^2 - T(x) x + sigma(x) 1 from the matrix
-    representation (sigma the second characteristic coefficient)."""
-    m = _to_matrix(x)
-    m2 = _mat3_mul(m, m)
-    t1 = x.eps[0] + x.eps[1] + x.eps[2]
-    sq = _from_matrix(m2)
-    t2 = sq.eps[0] + sq.eps[1] + sq.eps[2]
-    two_inv = Fraction(1, 2)
-    sigma = two_inv * (t1 * t1 - t2)
-    return sq - t1 * x + sigma * IDENTITY
-
-
 def cross(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     """Freudenthal cross product, pinned by T(x cross y, z) = 6 N(x,y,z);
     computed as the linearization of the adjoint."""
     return sharp(x + y) - sharp(x) - sharp(y)
-
-
-def cross_by_duality(x: AlbertElement, y: AlbertElement) -> AlbertElement:
-    """The defining route for the cross product: solve the T-duality
-    against all 27 basis vectors. Slower; used as a cross-check."""
-    vals = [6 * trilinear_N(x, y, b) for b in ALBERT_BASIS]
-    coords = mat_vec(_t_gram_inv(), vals)
-    return AlbertElement.from_coords(coords)
 
 
 def _block_diagonal(eps: Sequence[KScalar], blocks: Sequence[Matrix]) -> Matrix:
@@ -436,17 +393,6 @@ def _a_gram_display() -> Matrix:
 
 
 A_GRAM = _a_gram_display()
-
-
-def _a_gram_algebra() -> Matrix:
-    """Polarized Gram of the intrinsic A-form T(e0, j#) = eps1 eps2 - n(c)
-    in the same basis order; differs from the display at the hyperbolic
-    e-block (by 2) and at the two calibrated octonion pairs.  Read off the
-    form at the generic v in A: v_r v_c has coefficient (1 + [r != c]) g_rc."""
-    v = [variable(f"v{s}") for s in range(10)]
-    q = trace_form_T(e_idem(0), sharp(a_embed(v))).terms
-    entry = lambda r, c: q.get(next(iter((v[r] * v[c]).terms)), _F0) / (1 + (r != c))
-    return freeze([[entry(r, c) for c in range(10)] for r in range(10)])
 
 
 def a_embed(v: Sequence[KScalar]) -> AlbertElement:

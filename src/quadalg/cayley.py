@@ -23,7 +23,7 @@ The deviation is reported, never patched silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -42,7 +42,7 @@ from .exactmat import (
     ratio,
     transpose,
 )
-from .scalars import KScalar, QuadExtScalar, as_scalar, iota, variable
+from .scalars import KScalar, QuadExtScalar, as_scalar, exact_sum, iota, variable
 
 DIM = 8
 
@@ -156,6 +156,15 @@ class CayleyTable:
 
     products: tuple  # products[i][j] = coords of u_{i+1} u_{j+1}
     gram: Matrix
+    # constants[i][j] = ((m, g), ...): the nonzero coordinates of products[i][j]
+    constants: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        constants = tuple(
+            tuple(tuple((m, g) for m, g in enumerate(p) if g) for p in row)
+            for row in self.products
+        )
+        object.__setattr__(self, "constants", constants)
 
     def gram_deviations(self) -> list[tuple[int, int, Fraction, Fraction]]:
         """(i, j, actual, S8-expected) for every differing entry, 1-based."""
@@ -212,19 +221,19 @@ def _find_unit(table: CayleyTable):
 
 
 def _mul_coords(table: CayleyTable, x, y):
-    out = [0] * DIM
-    for i, xi in enumerate(x):
+    """Coordinates of x y: the partial products of each output coordinate,
+    one per nonzero structure constant, are gathered and summed once."""
+    parts = [[] for _ in range(DIM)]
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    for xi, row in zip(x, table.constants):
         if not xi:
             continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            row = table.products[i][j]
-            c = xi * yj
-            for m, g in enumerate(row):
-                if g:
-                    out[m] = out[m] + c * g
-    return tuple(_F0 + v for v in out)
+        for j, yj in ys:
+            if row[j]:
+                c = xi * yj
+                for m, g in row[j]:
+                    parts[m].append(c * g)
+    return tuple(map(exact_sum, parts))
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactmat import Matrix, dot, freeze, mat_vec, pullback, rank as mat_rank, ratio, transpose
+from .exactmat import Matrix, dot, freeze, mat_vec, pullback, rank as mat_rank, ratio
 
 
 class FoldingError(ValueError):
@@ -106,8 +107,10 @@ class RootDatum:
         return sorted(seen)
 
 
+@lru_cache(maxsize=None)
 def build_root_datum(type_str: str, rank: int | None = None) -> RootDatum:
-    """Construct standard data for Xn, e.g. build_root_datum("E6")."""
+    """Construct standard data for Xn, e.g. build_root_datum("E6"); built
+    once per argument pair and shared, as the datum is immutable."""
     if rank is None:
         m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", type_str.strip())
         if not m:
@@ -148,9 +151,11 @@ class CanonicalForm:
         return dot(v, mat_vec(self.gram, w))
 
 
+@lru_cache(maxsize=None)
 def canonical_form(rd: RootDatum) -> CanonicalForm:
     """Gram G[i][j] = A[i][j]/(a_j,a_j); equals Cartan/2 when simply laced.
-    Weyl invariance is checked against all simple reflections."""
+    Weyl invariance is checked against all simple reflections, once per
+    datum: the form is cached on the frozen datum."""
     n = rd.rank
     gram = freeze(
         [
@@ -284,24 +289,19 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
     sums = [
         tuple(Fraction(int(i in orbit)) for i in range(n)) for orbit in orbits
     ]
-    # Cartan matrix of the folded coroots as a root system in their own
-    # right (the dual system of the folded type).
+    # The orbit sums are the simple coroots of the folded type X, so their
+    # pairing matrix 2(s_i,s_j)/(s_i,s_i) is Cartan(X) transposed; read
+    # the other way round it is Cartan(X) itself, in orbit order.
     m = len(orbits)
-    dual_cartan = [
-        [
-            2 * cf.bilinear(sums[i], sums[j]) / cf.bilinear(sums[i], sums[i])
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    if any(x != int(x) for row in dual_cartan for x in row):
+    sq = [cf.value(s) for s in sums]
+    cartan = [[2 * cf.bilinear(sums[i], sums[j]) / sq[j] for j in range(m)] for i in range(m)]
+    if any(x != int(x) for row in cartan for x in row):
         raise RuntimeError("folded pairing is not a Cartan matrix")
-    dual_cartan = [[int(x) for x in row] for row in dual_cartan]
     # B2 and C2 are the same system; folding A-series is conventionally
     # written C_{l+1}, folding D-series B_{n-1}
-    prefer = {"A": "C", "D": "B"}.get(rd.series, "")
-    label, order = _identify_from_dual(dual_cartan, prefer)
-    folded = build_root_datum(label)
+    folded, order = _read_type(
+        [[int(x) for x in row] for row in cartan], "C" if rd.series == "A" else "B"
+    )
     ordered = [orbits[i] for i in order]
     emb = LatticeEmbedding(
         freeze(
@@ -311,39 +311,40 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
     return FoldResult(folded, tuple(ordered), emb)
 
 
-def _identify_from_dual(dual_cartan, prefer: str = "") -> tuple[str, list[int]]:
-    """Match the Cartan matrix of the folded coroot system against the
-    catalog of dual Cartans: Cartan(dual of X) is the transpose of
-    Cartan(X), so a match at X identifies the folded type as X itself.
-    The returned order maps Bourbaki numbering to input positions."""
-    m = len(dual_cartan)
-    matches = []
-    for series, ranks in _SERIES_RANKS.items():
-        if m not in ranks:
-            continue
-        rd = build_root_datum(series, m)
-        perm = _cartan_match(dual_cartan, transpose(rd.cartan))
-        if perm is not None:
-            matches.append((rd.label, perm))
-    for label, perm in matches:
-        if label.startswith(prefer) and prefer:
-            return label, perm
-    if matches:
-        return matches[0]
+def _read_type(cartan, prefer: str) -> tuple[RootDatum, list[int]]:
+    """The folded type, read off its Dynkin diagram, and the order that
+    maps its Bourbaki numbering to rows of `cartan`.
+
+    Every folded type is B, C, F or G: a chain with one multiple bond.  A
+    triple bond is G2; a double bond inside the chain is F4; a double bond
+    at an end is B when the end root is short and C when it is long, and
+    for rank 2, where both ends qualify, `prefer` names it.  The Bourbaki
+    order is the walk along the chain from one end or the other: none of
+    these diagrams has an automorphism, so one direction matches."""
+    m = len(cartan)
+    links = [[j for j in range(m) if j != i and cartan[i][j]] for i in range(m)]
+    order = [next((i for i in range(m) if len(links[i]) == 1), 0)]
+    while len(order) < m:
+        step = [j for j in links[order[-1]] if j not in order]
+        if len(step) != 1:
+            raise RuntimeError("folded diagram is not a chain")
+        order.append(step[0])
+    bonds = [cartan[a][b] * cartan[b][a] for a, b in zip(order, order[1:])]
+    p = max(range(m - 1), key=bonds.__getitem__)
+    end, inner = (order[-1], order[-2]) if p == m - 2 else (order[0], order[1])
+    if bonds[p] == 3:
+        series = "G"
+    elif 0 < p < m - 2:
+        series = "F"
+    elif m == 2:
+        series = prefer
+    else:
+        series = "B" if cartan[end][inner] < -1 else "C"
+    folded = build_root_datum(f"{series}{m}")
+    for walk in (order, order[::-1]):
+        if all(cartan[walk[i]][walk[j]] == folded.cartan[i][j] for i in range(m) for j in range(m)):
+            return folded, walk
     raise RuntimeError("folded system matches no catalogued type")
-
-
-def _cartan_match(got, target) -> list[int] | None:
-    """Find sigma with got[sigma[i]][sigma[j]] == target[i][j]."""
-    m = len(got)
-    for sigma in itertools.permutations(range(m)):
-        if all(
-            got[sigma[i]][sigma[j]] == target[i][j]
-            for i in range(m)
-            for j in range(m)
-        ):
-            return list(sigma)
-    return None
 
 
 # --------------------------------------------------------------------------

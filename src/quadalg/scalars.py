@@ -336,6 +336,9 @@ def is_norm_from_K(a: RatLike, k: RatLike) -> bool:
     return all(hilbert_symbol(k, a, v) == 1 for v in relevant_places(a, k))
 
 
+_F0 = Fraction(0)
+
+
 def _fraction(v: RatLike) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
@@ -368,19 +371,19 @@ class QuadExtScalar:
                 raise ValueError("mixed quadratic extensions")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExtScalar(other, 0, self.k)
+            return _quad(_fraction(other), _F0, self.k)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExtScalar(self.x + o.x, self.y + o.y, self.k)
+        return _quad(self.x + o.x, self.y + o.y, self.k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExtScalar(-self.x, -self.y, self.k)
+        return _quad(-self.x, -self.y, self.k)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -398,7 +401,7 @@ class QuadExtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExtScalar(
+        return _quad(
             self.x * o.x + self.k * self.y * o.y,
             self.x * o.y + self.y * o.x,
             self.k,
@@ -410,7 +413,7 @@ class QuadExtScalar:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("zero element of K")
-        return QuadExtScalar(self.x / n, -self.y / n, self.k)
+        return _quad(self.x / n, -self.y / n, self.k)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -427,7 +430,7 @@ class QuadExtScalar:
     # -- field-theoretic maps -------------------------------------------
     def conj(self) -> "QuadExtScalar":
         """The nontrivial F-automorphism iota: x + y sqrt(k) -> x - y sqrt(k)."""
-        return QuadExtScalar(self.x, -self.y, self.k)
+        return _quad(self.x, -self.y, self.k)
 
     def norm(self) -> Fraction:
         """N_{K/F}: x^2 - k y^2."""
@@ -466,6 +469,17 @@ class QuadExtScalar:
         return f"{self.x}+{self.y}*sqrt({self.k})"
 
 
+def _quad(x: Fraction, y: Fraction, k: Fraction) -> QuadExtScalar:
+    """x + y sqrt(k) built by the arithmetic: x and y are already exact
+    Fractions and k is an operand's, already checked, so the public
+    constructor's validation is skipped."""
+    out = object.__new__(QuadExtScalar)
+    object.__setattr__(out, "x", x)
+    object.__setattr__(out, "y", y)
+    object.__setattr__(out, "k", k)
+    return out
+
+
 class Laurent:
     """A Laurent polynomial over Q or K: the sum of the terms c * m over
     its (m, c) pairs, c a Fraction or QuadExtScalar and m a monomial, a
@@ -495,6 +509,10 @@ class Laurent:
         return Laurent([*self.terms.items(), *o.terms.items()])
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, QuadExtScalar)):  # scale the coefficients
+            out = object.__new__(Laurent)
+            out.terms = {m: cd for m, c in self.terms.items() if (cd := c * other)}
+            return out
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -554,6 +572,16 @@ def _monomial_product(m: tuple, n: tuple) -> tuple:
     for v, e in n:
         exps[v] = exps.get(v, 0) + e
     return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def exact_sum(values: list):
+    """The sum of exact scalars, Fraction(0) for none.  Laurent values are
+    summed once, into one term dict, not one Laurent per partial sum."""
+    if len(values) < 2:
+        return values[0] if values else _F0
+    if any(isinstance(v, Laurent) for v in values):
+        return Laurent(pair for v in values for pair in Laurent._coerce(v).terms.items())
+    return sum(values[1:], values[0])
 
 
 def variable(name: str) -> Laurent:

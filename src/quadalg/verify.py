@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from . import albert, cayley, descent, forms, rootsys
@@ -165,19 +166,21 @@ def _check_rostcalc_witt_class():
 # foldings and Rost multipliers
 
 
-def _all_foldings():
-    out = []
-    out.append(("E6", rootsys.fold(rootsys.build_root_datum("E6"))))
+@lru_cache(maxsize=1)
+def _all_foldings() -> tuple:
+    """(name, FoldResult) for every quasi-split folding of the catalog,
+    folded once per process: P11, P12 and P13 read the same results."""
+    out = [("E6", rootsys.fold(rootsys.build_root_datum("E6")))]
     out.append(("D4 triality", rootsys.fold(rootsys.build_root_datum("D4"), name="triality")))
     for n in range(4, 9):
         out.append((f"D{n}", rootsys.fold(rootsys.build_root_datum(f"D{n}"))))
     for l in range(1, 4):
         out.append((f"A{2 * l + 1}", rootsys.fold(rootsys.build_root_datum(f"A{2 * l + 1}"))))
-    return out
+    return tuple(out)
 
 
 def _check_e6_fold():
-    fr = rootsys.fold(rootsys.build_root_datum("E6"))
+    fr = dict(_all_foldings())["E6"]
     return _ok(
         fr.folded.label == "F4" and sorted(fr.orbit_sizes) == [1, 1, 2, 2],
         {"folded": fr.folded.label, "orbit_sizes": list(fr.orbit_sizes)},

@@ -16,13 +16,11 @@ from quadalg.albert import (
     a_project,
     c_only,
     cross,
-    cross_by_duality,
     dagger,
     e_idem,
     g_map,
     identity_map,
     in_subgroup_H,
-    jordan_product,
     linear_map_from_action,
     moving_lemma_data,
     norm_N,
@@ -30,13 +28,13 @@ from quadalg.albert import (
     psi,
     restrict_to_A,
     sharp,
-    sharp_via_matrix,
     swap_map,
     trace_form_T,
     trilinear_N,
 )
 from quadalg.cayley import Octonion, Similitude, SimilitudeTriple, u
-from quadalg.exactmat import det as mdet, identity, mat_eq, mat_inv, mat_mul, rank
+from quadalg.exactmat import det as mdet, freeze, identity, mat_eq, mat_inv, mat_mul, mat_vec, rank
+from quadalg.scalars import variable
 
 rng_pool = [-3, -2, -1, 0, 0, 1, 2, 3]
 
@@ -53,6 +51,59 @@ def rnd_oct(rng):
 
 def special_z(a=Q(3)):
     return cayley.special_cocycle((Q(1), a, 1 / a))
+
+
+# Independent routes, kept here as references for the closed forms.
+
+
+def mat3_mul(a, b):
+    return [
+        [
+            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+def jordan_product(x, y):
+    """x . y = (xy + yx)/2 in the hermitian matrix representation."""
+    mx, my = albert._to_matrix(x), albert._to_matrix(y)
+    p, q = mat3_mul(mx, my), mat3_mul(my, mx)
+    half = Q(1, 2)
+    return albert._from_matrix(
+        [[half * (p[i][j] + q[i][j]) for j in range(3)] for i in range(3)]
+    )
+
+
+def sharp_via_matrix(x):
+    """x# = x^2 - T(x) x + sigma(x) 1 from the matrix representation
+    (sigma the second characteristic coefficient)."""
+    m = albert._to_matrix(x)
+    m2 = mat3_mul(m, m)
+    t1 = x.eps[0] + x.eps[1] + x.eps[2]
+    sq = albert._from_matrix(m2)
+    t2 = sq.eps[0] + sq.eps[1] + sq.eps[2]
+    sigma = Q(1, 2) * (t1 * t1 - t2)
+    return sq - t1 * x + sigma * IDENTITY
+
+
+def cross_by_duality(x, y):
+    """The defining route for the cross product: solve the T-duality
+    against all 27 basis vectors."""
+    vals = [6 * trilinear_N(x, y, b) for b in ALBERT_BASIS]
+    return AlbertElement.from_coords(mat_vec(albert._t_gram_inv(), vals))
+
+
+def a_gram_algebra():
+    """Polarized Gram of the intrinsic A-form T(e0, j#) = eps1 eps2 - n(c)
+    in the A basis order; differs from the display at the hyperbolic
+    e-block (by 2) and at the two calibrated octonion pairs.  Read off the
+    form at the generic v in A: v_r v_c has coefficient (1 + [r != c]) g_rc."""
+    v = [variable(f"v{s}") for s in range(10)]
+    q = trace_form_T(e_idem(0), sharp(a_embed(v))).terms
+    entry = lambda r, c: q.get(next(iter((v[r] * v[c]).terms)), Q(0)) / (1 + (r != c))
+    return freeze([[entry(r, c) for c in range(10)] for r in range(10)])
 
 
 def test_jordan_and_trace_basics():
@@ -254,7 +305,7 @@ def test_swap_map():
     assert sw.preserves_norm()
     r = restrict_to_A(sw)
     assert mdet(r) == 1  # the norm-preserving swap; see the module notes
-    assert preserves_a_form(r, albert._a_gram_algebra())
+    assert preserves_a_form(r, a_gram_algebra())
 
 
 def test_a_subspace():

@@ -19,6 +19,7 @@ from quadalg.cayley import (
     diag_d,
     freedom_identity_holds,
     generic_a,
+    generic_octonion,
     is_related_triple,
     m_matrix,
     multiplier,
@@ -72,6 +73,69 @@ def test_integer_slot_products_match_the_fraction_build():
     for key, entries in reference.items():
         assert table[key] == entries, key
         assert all(type(c) is Q for _, c in table[key]), key
+
+
+def reference_mul_coords(table, x, y):
+    """Reference: the dense product, every entry of every table row, one
+    running sum per output coordinate."""
+    out = [0] * 8
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            row = table.products[i][j]
+            c = xi * yj
+            for m, g in enumerate(row):
+                if g:
+                    out[m] = out[m] + c * g
+    return tuple(Q(0) + v for v in out)
+
+
+def candidate_table():
+    """A calibration_search candidate that is not the calibrated table."""
+    scales = (Q(-2), Q(1), Q(1), Q(-2), Q(1), Q(-1))
+    return cayley.CayleyTable(*cayley._build_tables(scales, cayley._CAL_PERM))
+
+
+def coordinate_pairs():
+    rng = random.Random(12)
+    k = Q(3)
+    x, y = generic_octonion("x").coords, generic_octonion("y").coords
+    z = special_cocycle(generic_a())
+    rational = lambda: tuple(Q(rng.choice([-3, -1, 0, 0, 1, 2]), rng.randint(1, 3)) for _ in range(8))
+    quad = lambda: tuple(QuadExtScalar(rng.randint(-2, 2), rng.randint(-2, 2), k) for _ in range(8))
+    return {
+        "generic": (x, y),
+        "generic_square": (x, x),  # coordinates whose terms cancel
+        "generic_times_rational": (x, rational()),
+        "multi_term": (mat_vec(z.t[0].matrix, x), mat_vec(z.t[1].matrix, y)),
+        "sum_of_generics": (tuple(a + b for a, b in zip(x, y)), tuple(a - b for a, b in zip(x, y))),
+        "quadratic": (quad(), quad()),
+        "rational": (rational(), rational()),
+        "unit": (ONE.coords, x),
+    }
+
+
+@pytest.mark.parametrize("table", [build_cayley_table(), candidate_table()], ids=["calibrated", "candidate"])
+def test_sparse_product_matches_the_dense_reference(table):
+    for name, (x, y) in coordinate_pairs().items():
+        got, want = cayley._mul_coords(table, x, y), reference_mul_coords(table, x, y)
+        assert got == want, name
+        assert [type(v) for v in got] == [type(v) for v in want], name
+
+
+def test_structure_constants_are_the_nonzero_products():
+    assert candidate_table().products != build_cayley_table().products
+    for table in (build_cayley_table(), candidate_table()):
+        for i in range(8):
+            for j in range(8):
+                dense = [Q(0)] * 8
+                for m, g in table.constants[i][j]:
+                    assert g != 0
+                    dense[m] = g
+                assert tuple(dense) == table.products[i][j]
 
 
 def test_unit_and_algebra_basics():

@@ -1,9 +1,16 @@
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import quadalg
 from quadalg.exactmat import det, freeze, mat_mul, transpose
 from quadalg.rootsys import (
+    _SERIES_RANKS,
     FoldingError,
     LatticeEmbedding,
     build_root_datum,
@@ -146,3 +153,140 @@ def test_folded_cartan_is_f4():
     ]
     f4 = build_root_datum("F4")
     assert freeze(cartan) == transpose(f4.cartan)
+
+
+# ---------------------------------------- the permutation search as reference
+
+
+def reference_cartan_match(got, target):
+    """Find sigma with got[sigma[i]][sigma[j]] == target[i][j]."""
+    m = len(got)
+    for sigma in itertools.permutations(range(m)):
+        if all(
+            got[sigma[i]][sigma[j]] == target[i][j]
+            for i in range(m)
+            for j in range(m)
+        ):
+            return list(sigma)
+    return None
+
+
+def reference_identify(dual_cartan, prefer=""):
+    """Match the Cartan matrix of the folded coroot system against the
+    catalog of dual Cartans, trying every order of every series of the
+    rank: a match at X identifies the folded type as X itself."""
+    m = len(dual_cartan)
+    matches = []
+    for series, ranks in _SERIES_RANKS.items():
+        if m not in ranks:
+            continue
+        rd = build_root_datum(series, m)
+        perm = reference_cartan_match(dual_cartan, transpose(rd.cartan))
+        if perm is not None:
+            matches.append((rd.label, perm))
+    for label, perm in matches:
+        if label.startswith(prefer) and prefer:
+            return label, perm
+    if matches:
+        return matches[0]
+    raise RuntimeError("folded system matches no catalogued type")
+
+
+def reference_fold(rd, perm):
+    """(folded label, orbits, embedding matrix) by the permutation search."""
+    n = rd.rank
+    orbits, seen = [], set()
+    for i in range(n):
+        if i not in seen:
+            orbit, j = [i], perm[i]
+            while j != i:
+                orbit.append(j)
+                j = perm[j]
+            seen.update(orbit)
+            orbits.append(tuple(sorted(orbit)))
+    cf = canonical_form(rd)
+    sums = [tuple(Q(int(i in orbit)) for i in range(n)) for orbit in orbits]
+    m = len(orbits)
+    dual_cartan = [
+        [int(2 * cf.bilinear(sums[i], sums[j]) / cf.bilinear(sums[i], sums[i])) for j in range(m)]
+        for i in range(m)
+    ]
+    label, order = reference_identify(dual_cartan, {"A": "C", "D": "B"}.get(rd.series, ""))
+    ordered = tuple(orbits[i] for i in order)
+    matrix = freeze([[int(i in orb) for orb in ordered] for i in range(n)])
+    return label, ordered, matrix
+
+
+def admitted_folds():
+    """Every fold the catalog admits: the A_{2l+1} reversal, the D_n swap,
+    every nontrivial D4 automorphism (its orbits never hold adjacent
+    nodes), triality among them, and the E6 automorphism."""
+    labels = ["A3", "A5", "A7", "D3", "D5", "D6", "D7", "D8", "E6"]
+    out = [(label, diagram_automorphism(build_root_datum(label))) for label in labels]
+    d4 = build_root_datum("D4")
+    for perm in itertools.permutations(range(4)):
+        automorphism = all(
+            d4.cartan[perm[i]][perm[j]] == d4.cartan[i][j] for i in range(4) for j in range(4)
+        )
+        if automorphism and perm != (0, 1, 2, 3):
+            out.append(("D4", perm))
+    return out
+
+
+@pytest.mark.parametrize(
+    "label,perm", admitted_folds(), ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else v
+)
+def test_diagram_reading_matches_the_permutation_search(label, perm):
+    rd = build_root_datum(label)
+    fr = fold(rd, perm)
+    assert (fr.folded.label, fr.orbits, fr.embedding.matrix) == reference_fold(rd, perm)
+
+
+def test_admitted_folds_cover_the_d4_automorphisms():
+    d4_perms = {perm for label, perm in admitted_folds() if label == "D4"}
+    assert len(d4_perms) == 5  # S3 on the outer nodes, less the identity
+    d4 = build_root_datum("D4")
+    assert {diagram_automorphism(d4), diagram_automorphism(d4, "triality")} <= d4_perms
+
+
+# ------------------------------------------------ operation-count gate
+
+BUILT_ONCE = """
+from quadalg import rootsys, verify
+
+built, formed, folds = [], [], []
+
+
+def counting(cls, record):
+    init = cls.__init__
+
+    def wrapper(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        record(self)
+
+    cls.__init__ = wrapper
+
+
+counting(rootsys.RootDatum, lambda rd: built.append(rd.label))
+counting(rootsys.CanonicalForm, lambda cf: formed.append(cf.gram))
+fold = rootsys.fold
+rootsys.fold = lambda *args, **kwargs: folds.append(1) or fold(*args, **kwargs)
+assert all(r.status != "fail" for r in verify.run_checks())
+print(len(built), len(set(built)), len(formed), len(set(formed)), len(folds))
+"""
+
+
+def test_one_ledger_pass_builds_each_structure_once():
+    """In a fresh interpreter, one run of the ledger builds each root datum
+    and each canonical form once, and folds at most 14 times: the ten
+    catalogued foldings, shared by P11-P13, and P15's two rejections."""
+    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run(
+        [sys.executable, "-c", BUILT_ONCE], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    built, labels, formed, grams, folds = map(int, run.stdout.split())
+    assert 0 < built == labels
+    assert 0 < formed == grams <= labels
+    assert 0 < folds <= 14

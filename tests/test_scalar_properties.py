@@ -5,6 +5,7 @@ certificates in the other test files stay."""
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadalg.forms import (
@@ -17,8 +18,11 @@ from quadalg.forms import (
     witt_decompose,
 )
 from quadalg.scalars import (
+    Laurent,
     Place,
+    QuadExtScalar,
     REAL,
+    as_scalar,
     hilbert_symbol,
     is_local_square,
     relevant_places,
@@ -132,3 +136,48 @@ def test_witt_cancellation(pair, r_entries):
 def test_form_literal_round_trip(entries, field):
     q = DiagonalForm(field, tuple(entries))
     assert parse_form(form_literal(q), field) == q
+
+
+# ------------------------------------------------ the arithmetic fast paths
+
+K = Q(3)
+rationals = st.builds(Q, st.integers(-20, 20), st.integers(1, 6))
+quads = st.builds(lambda x, y: QuadExtScalar(x, y, K), rationals, rationals)
+monomials = st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(-2, 2).filter(bool)),
+    max_size=3,
+    unique_by=lambda t: t[0],
+).map(lambda pairs: tuple(sorted(pairs)))
+laurents = st.lists(st.tuples(monomials, st.one_of(rationals, quads)), max_size=4).map(Laurent)
+scalars = st.one_of(st.integers(-5, 5), rationals, quads, st.just(QuadExtScalar(0, 0, K)))
+
+
+@FIXED
+@given(laurents, scalars)
+def test_laurent_times_a_scalar_is_the_constant_product(p, c):
+    constant = Laurent([((), as_scalar(c))])
+    want = p * constant
+    for got in (p * c, c * p):
+        assert got == want and got.terms == want.terms
+        assert all(got.terms.values())  # a product that cancels leaves no term
+    if not c:
+        assert not (p * c).terms
+
+
+@FIXED
+@given(quads, st.one_of(quads, rationals, st.integers(-5, 5)))
+def test_quadext_results_keep_fraction_parts_and_the_field(a, b):
+    results = [a + b, b + a, a - b, b - a, a * b, b * a, -a, a.conj()]
+    if b:
+        results += [a / b]
+    if a:
+        results += [a.inverse(), b / a]
+    for r in results:
+        assert type(r) is QuadExtScalar
+        assert type(r.x) is Q and type(r.y) is Q
+        assert type(r.k) is Q and r.k == a.k
+
+
+def test_quadext_still_rejects_a_square_k():
+    with pytest.raises(ValueError):
+        QuadExtScalar(1, 1, 4)
