@@ -22,7 +22,6 @@ and computed by linearizing the adjoint; sharp(x) = (x cross x)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -46,13 +45,11 @@ from .exactmat import (
     pullback,
     transpose,
 )
-from .scalars import KScalar, as_scalar, iota, variable
+from .scalars import KScalar, as_scalar, div, exact_sum, iota, rat, variable
 
 ADIM = 27
 
-_F0, _F1 = Fraction(0), Fraction(1)
-
-ZERO_OCT = Octonion([_F0] * ODIM)
+ZERO_OCT = Octonion([0] * ODIM)
 
 
 class AlbertElement:
@@ -126,20 +123,20 @@ class AlbertElement:
         return f"albert(eps={self.eps}, c={self.c})"
 
 
-ZERO = AlbertElement((_F0, _F0, _F0), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
-IDENTITY = AlbertElement((_F1, _F1, _F1), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
+ZERO = AlbertElement((0, 0, 0), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
+IDENTITY = AlbertElement((1, 1, 1), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
 
 
 def e_idem(i: int) -> AlbertElement:
     """The diagonal idempotent e_i (1 in the (i+1,i+1) slot), i = 0,1,2."""
-    eps = [_F0, _F0, _F0]
-    eps[i] = _F1
+    eps = [0, 0, 0]
+    eps[i] = 1
     return AlbertElement(eps, (ZERO_OCT, ZERO_OCT, ZERO_OCT))
 
 
 def basis_element(m: int) -> AlbertElement:
-    v = [_F0] * ADIM
-    v[m] = _F1
+    v = [0] * ADIM
+    v[m] = 1
     return AlbertElement.from_coords(v)
 
 
@@ -155,7 +152,7 @@ def c_only(i: int, x: Octonion) -> AlbertElement:
     """Element supported on the c_i slot."""
     c = [ZERO_OCT, ZERO_OCT, ZERO_OCT]
     c[i] = x
-    return AlbertElement((_F0, _F0, _F0), c)
+    return AlbertElement((0, 0, 0), c)
 
 
 # --------------------------------------------------------------------------
@@ -190,10 +187,10 @@ def _from_matrix(m) -> AlbertElement:
 def trace_form_T(x: AlbertElement, y: AlbertElement):
     """T(x,y) = trace(x . y): diagonal products plus the full norm
     polarizations of the c-slots."""
-    out = sum(a * b for a, b in zip(x.eps, y.eps))
-    for a, b in zip(x.c, y.c):
-        out = out + 2 * a.norm_pairing(b)
-    return out
+    return exact_sum(
+        [a * b for a, b in zip(x.eps, y.eps)]
+        + [2 * a.norm_pairing(b) for a, b in zip(x.c, y.c)]
+    )
 
 
 def _oct_trace(x: Octonion):
@@ -206,7 +203,7 @@ def norm_N(x: AlbertElement):
     c0, c1, c2 = x.c
     out = e0 * e1 * e2
     out = out - e0 * c0.norm() - e1 * c1.norm() - e2 * c2.norm()
-    return out + _oct_trace((c0 * c1) * c2)
+    return rat(out + _oct_trace((c0 * c1) * c2))
 
 
 def trilinear_N(x: AlbertElement, y: AlbertElement, z: AlbertElement):
@@ -220,7 +217,7 @@ def trilinear_N(x: AlbertElement, y: AlbertElement, z: AlbertElement):
         + norm_N(y)
         + norm_N(z)
     )
-    return n * Fraction(1, 6)
+    return div(n, 6)
 
 
 def sharp(x: AlbertElement) -> AlbertElement:
@@ -245,7 +242,7 @@ def cross(x: AlbertElement, y: AlbertElement) -> AlbertElement:
 def _block_diagonal(eps: Sequence[KScalar], blocks: Sequence[Matrix]) -> Matrix:
     """The 27x27 matrix diag(eps0, eps1, eps2) + block0 + block1 + block2,
     each 8x8 block on the coordinates of its octonion slot."""
-    rows = [[_F0] * ADIM for _ in range(ADIM)]
+    rows = [[0] * ADIM for _ in range(ADIM)]
     for i in range(3):
         rows[i][i] = eps[i]
         for r, row in enumerate(blocks[i]):
@@ -258,8 +255,8 @@ def _t_gram() -> Matrix:
     """T on the basis in closed form, diag(1, 1, 1) + 2G + 2G + 2G with G
     the octonion norm Gram: trace_form_T pairs the diagonal slots by
     products and each octonion slot by twice the norm pairing."""
-    g2 = freeze([[2 * x for x in row] for row in build_cayley_table().gram])
-    return _block_diagonal((_F1, _F1, _F1), (g2, g2, g2))
+    g2 = freeze([[rat(2 * x) for x in row] for row in build_cayley_table().gram])
+    return _block_diagonal((1, 1, 1), (g2, g2, g2))
 
 
 @lru_cache(maxsize=1)
@@ -339,7 +336,7 @@ def g_map(T: SimilitudeTriple) -> AlbertMap:
     if not is_related_triple(T):
         raise ValueError("triple is not related; g-action undefined")
     return AlbertMap(
-        _block_diagonal([_F1 / t.mu for t in T.t], [t.matrix for t in T.t])
+        _block_diagonal([div(1, t.mu) for t in T.t], [t.matrix for t in T.t])
     )
 
 
@@ -374,14 +371,12 @@ def psi(i: int, j: int, x: Octonion) -> AlbertMap:
 # positions of the A basis (u1..u4, e1, e2, u5..u8) inside the 27 coords
 A_COORD_INDICES = (3, 4, 5, 6, 1, 2, 7, 8, 9, 10)
 
-_S2 = ((_F0, _F1), (_F1, _F0))
-_S4 = tuple(
-    tuple(_F1 if r + c == 3 else _F0 for c in range(4)) for r in range(4)
-)
+_S2 = ((0, 1), (1, 0))
+_S4 = tuple(tuple(int(r + c == 3) for c in range(4)) for r in range(4))
 
 
 def _a_gram_display() -> Matrix:
-    g = [[_F0] * 10 for _ in range(10)]
+    g = [[0] * 10 for _ in range(10)]
     for r in range(4):
         for c in range(4):
             g[r][6 + c] = -_S4[r][c]
@@ -399,7 +394,7 @@ def a_embed(v: Sequence[KScalar]) -> AlbertElement:
     """A-coordinates (u1..u4, e1, e2, u5..u8) -> Albert element."""
     if len(v) != 10:
         raise ValueError("A has dimension 10")
-    coords = [_F0] * ADIM
+    coords = [0] * ADIM
     for val, pos in zip(v, A_COORD_INDICES):
         coords[pos] = val
     return AlbertElement.from_coords(coords)
@@ -416,11 +411,8 @@ def a_project(x: AlbertElement) -> tuple:
 
 def a_form_value(v: Sequence[KScalar]):
     """The quadratic form N_A of the subspace, from its displayed Gram."""
-    return sum(
-        A_GRAM[r][c] * (v[r] * v[c])
-        for r in range(10)
-        for c in range(10)
-        if A_GRAM[r][c]
+    return exact_sum(
+        [A_GRAM[r][c] * (v[r] * v[c]) for r in range(10) for c in range(10) if A_GRAM[r][c]]
     )
 
 
@@ -438,7 +430,7 @@ def restrict_to_A(f: AlbertMap) -> Matrix:
         raise ValueError("map is not in H (does not fix e0 with its dagger)")
     cols = []
     for s in range(10):
-        img = f(a_embed([_F1 if t == s else _F0 for t in range(10)]))
+        img = f(a_embed([int(t == s) for t in range(10)]))
         cols.append(a_project(img))
     return freeze([[cols[c][r] for c in range(10)] for r in range(10)])
 

@@ -42,11 +42,19 @@ from .exactmat import (
     ratio,
     transpose,
 )
-from .scalars import KScalar, QuadExtScalar, as_scalar, exact_sum, iota, variable
+from .scalars import (
+    KScalar,
+    QuadExtScalar,
+    RatLike,
+    as_scalar,
+    div,
+    exact_sum,
+    iota,
+    rat,
+    variable,
+)
 
 DIM = 8
-
-_F0, _F1 = Fraction(0), Fraction(1)
 
 
 class CalibrationError(RuntimeError):
@@ -75,31 +83,20 @@ def _zorn_mul(x, y):
     )
 
 
-_CAL_SCALES = (
-    Fraction(2),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-1),
-    Fraction(1),
-    Fraction(-1),
-)
+_CAL_SCALES = (2, -1, 2, -1, 1, -1)
 _CAL_PERM = (0, 1, 2)
 
-S8 = freeze(
-    [[_F1 if i + j == DIM - 1 else _F0 for j in range(DIM)] for i in range(DIM)]
-)
+S8 = freeze([[int(i + j == DIM - 1) for j in range(DIM)] for i in range(DIM)])
 
 
 @lru_cache(maxsize=1)
 def _zorn_slot_products():
     """Sparse single-slot products: slot a x slot b -> [(slot, coeff)].
-    Built on integer unit vectors (the Zorn product has integer structure
-    constants); each stored coefficient is a Fraction."""
+    Built on integer unit vectors: the Zorn product has integer structure
+    constants, and each stored coefficient is an int."""
     units = [tuple(int(m == a) for m in range(8)) for a in range(8)]
     return {
-        (a, b): tuple(
-            (m, Fraction(c)) for m, c in enumerate(_zorn_mul(units[a], units[b])) if c
-        )
+        (a, b): tuple((m, c) for m, c in enumerate(_zorn_mul(units[a], units[b])) if c)
         for a in range(8)
         for b in range(8)
     }
@@ -107,7 +104,8 @@ def _zorn_slot_products():
 
 @lru_cache(maxsize=1)
 def _zorn_slot_gram():
-    """Half-polarized Gram of the Zorn norm in slot coordinates."""
+    """Half-polarized Gram of the Zorn norm in slot coordinates: the
+    nonzero entries are +-1/2 and stay Fractions, the zeros are ints."""
     gram = {}
     for a in range(8):
         for b in range(8):
@@ -116,7 +114,7 @@ def _zorn_slot_gram():
             elif b == a + 3 and 1 <= a <= 3 or a == b + 3 and 1 <= b <= 3:
                 gram[a, b] = Fraction(-1, 2)
             else:
-                gram[a, b] = _F0
+                gram[a, b] = 0
     return gram
 
 
@@ -128,21 +126,21 @@ def _candidate_slots(perm):
 
 def _build_tables(scales, perm):
     c1, c8, c2, c7, c3, c6 = scales
-    coeff = (c1, c2, c3, _F1, _F1, c6, c7, c8)
+    coeff = (c1, c2, c3, 1, 1, c6, c7, c8)
     slots = _candidate_slots(perm)
     slot_to_u = {s: i for i, s in enumerate(slots)}
     slot_products, slot_gram = _zorn_slot_products(), _zorn_slot_gram()
     prod = [[None] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(DIM):
-            coords = [_F0] * DIM
+            coords = [0] * DIM
             for m, c in slot_products[slots[i], slots[j]]:
                 t = slot_to_u[m]
-                coords[t] = coeff[i] * coeff[j] * c / coeff[t]
+                coords[t] = div(coeff[i] * coeff[j] * c, coeff[t])
             prod[i][j] = tuple(coords)
     gram = freeze(
         [
-            [coeff[i] * coeff[j] * slot_gram[slots[i], slots[j]] for j in range(DIM)]
+            [rat(coeff[i] * coeff[j] * slot_gram[slots[i], slots[j]]) for j in range(DIM)]
             for i in range(DIM)
         ]
     )
@@ -166,7 +164,7 @@ class CayleyTable:
         )
         object.__setattr__(self, "constants", constants)
 
-    def gram_deviations(self) -> list[tuple[int, int, Fraction, Fraction]]:
+    def gram_deviations(self) -> list[tuple[int, int, RatLike, RatLike]]:
         """(i, j, actual, S8-expected) for every differing entry, 1-based."""
         out = []
         for i in range(DIM):
@@ -215,7 +213,7 @@ def _validate_table(table: CayleyTable) -> None:
 def _find_unit(table: CayleyTable):
     """The h-pair combination u4 + u5, if it is a left unit: one x = x on
     the generic octonion x."""
-    one = (_F0, _F0, _F0, _F1, _F1, _F0, _F0, _F0)
+    one = (0, 0, 0, 1, 1, 0, 0, 0)
     x = generic_octonion("x").coords
     return one if _mul_coords(table, one, x) == x else None
 
@@ -242,7 +240,8 @@ def _mul_coords(table: CayleyTable, x, y):
 
 class Octonion:
     """An element of the split Cayley algebra in the u1..u8 basis; the
-    coordinates are Fractions or QuadExtScalar over one extension."""
+    coordinates are exact rationals (int or Fraction, canonical), Laurent
+    polynomials or QuadExtScalar over one extension."""
 
     __slots__ = ("coords",)
 
@@ -301,10 +300,12 @@ class Octonion:
         """The bilinearization with n(x,x) = n(x)."""
         g = build_cayley_table().gram
         a, b = self.coords, other.coords
-        return sum(g[i][j] * (a[i] * b[j]) for i in range(DIM) for j in range(DIM) if g[i][j])
+        return exact_sum(
+            [g[i][j] * (a[i] * b[j]) for i in range(DIM) for j in range(DIM) if g[i][j]]
+        )
 
     def trace(self):
-        return self.norm_pairing(ONE) * 2
+        return rat(self.norm_pairing(ONE) * 2)
 
     def __repr__(self) -> str:
         return "oct(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -314,7 +315,7 @@ def u(i: int) -> Octonion:
     """Basis element u_i, 1-indexed."""
     if not 1 <= i <= DIM:
         raise ValueError("basis index out of range")
-    return Octonion([_F1 if j == i - 1 else _F0 for j in range(DIM)])
+    return Octonion([int(j == i - 1) for j in range(DIM)])
 
 
 BASIS = tuple(u(i) for i in range(1, DIM + 1))
@@ -367,7 +368,7 @@ class Similitude:
     def iota_twisted(self) -> "Similitude":
         """The twisted Galois action on the group G: entrywise conjugation
         of sigma_n(t)^{-1}, which is t / mu(t)."""
-        inv_mu = _F1 / self.mu
+        inv_mu = div(1, self.mu)
         return Similitude(
             freeze([[iota(x * inv_mu) for x in row] for row in self.matrix])
         )
@@ -415,7 +416,7 @@ def generic_a() -> tuple:
     """The product-one triple (A, B, 1/(AB)) in independent variables: an
     identity that holds for it holds for every a with a0 a1 a2 = 1."""
     a, b = variable("A"), variable("B")
-    return (a, b, 1 / (a * b))
+    return (a, b, div(1, a * b))
 
 
 def _relates(table: CayleyTable, T: SimilitudeTriple) -> bool:
@@ -449,25 +450,25 @@ def is_related_triple(T: SimilitudeTriple) -> bool:
 def perm_P() -> Matrix:
     """The permutation (1 2)(3 6)(4 5)(7 8) on the basis."""
     images = {1: 2, 2: 1, 3: 6, 6: 3, 4: 5, 5: 4, 7: 8, 8: 7}
-    rows = [[_F0] * DIM for _ in range(DIM)]
+    rows = [[0] * DIM for _ in range(DIM)]
     for k, m in images.items():
-        rows[m - 1][k - 1] = _F1
+        rows[m - 1][k - 1] = 1
     return freeze(rows)
 
 
 def diag_d() -> Matrix:
     signs = [1, 1, -1, 1, 1, -1, 1, 1]
     return freeze(
-        [[Fraction(signs[i]) if i == j else _F0 for j in range(DIM)] for i in range(DIM)]
+        [[signs[i] if i == j else 0 for j in range(DIM)] for i in range(DIM)]
     )
 
 
 def m_matrix(j: int, a: Sequence[KScalar]) -> Matrix:
     """diag(1, a_j, a_j, a_{j+2}^{-1}, a_{j+1}^{-1}, 1, 1, a_j)."""
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
-    entries = [_F1, aj, aj, _F1 / aj2, _F1 / aj1, _F1, _F1, aj]
+    entries = [1, aj, aj, div(1, aj2), div(1, aj1), 1, 1, aj]
     return freeze(
-        [[entries[i] if i == c else _F0 for c in range(DIM)] for i in range(DIM)]
+        [[entries[i] if i == c else 0 for c in range(DIM)] for i in range(DIM)]
     )
 
 
@@ -489,10 +490,10 @@ def special_cocycle_iota_closed_form(j: int, a: Sequence[KScalar]) -> Matrix:
     """diag(a_j^{-1},1,1,a_{j+1},a_{j+2},a_j^{-1},a_j^{-1},1) d P, the
     stated closed form of the iota-twist of z_j."""
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
-    inv = _F1 / aj
+    inv = div(1, aj)
     entries = [inv, 1, 1, aj1, aj2, inv, inv, 1]
     diag = freeze(
-        [[entries[i] if i == c else _F0 for c in range(DIM)] for i in range(DIM)]
+        [[entries[i] if i == c else 0 for c in range(DIM)] for i in range(DIM)]
     )
     return mat_mul(diag, mat_mul(diag_d(), perm_P()))
 
@@ -566,20 +567,10 @@ def calibration_search() -> dict:
     a at once."""
     import itertools
 
-    full_pairs = [  # scale product +-2: S8 Gram value +-1 on the pair
-        (Fraction(2), Fraction(-1)),
-        (Fraction(-2), Fraction(1)),
-        (Fraction(1), Fraction(-2)),
-        (Fraction(-1), Fraction(2)),
-        (Fraction(2), Fraction(1)),
-        (Fraction(-2), Fraction(-1)),
-    ]
-    half_pairs = [  # scale product +-1: Gram value +-1/2 on the pair
-        (Fraction(1), Fraction(1)),
-        (Fraction(-1), Fraction(-1)),
-        (Fraction(1), Fraction(-1)),
-        (Fraction(-1), Fraction(1)),
-    ]
+    # scale product +-2: S8 Gram value +-1 on the pair
+    full_pairs = [(2, -1), (-2, 1), (1, -2), (-1, 2), (2, 1), (-2, -1)]
+    # scale product +-1: Gram value +-1/2 on the pair
+    half_pairs = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
     # relabeling the three e-indices conjugates every candidate by a basis
     # permutation that fixes the constraint set, so scanning one labeling
     # loses nothing

@@ -13,7 +13,6 @@ packaged as report objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import albert, cayley, forms
 from .exactmat import (
@@ -27,9 +26,7 @@ from .exactmat import (
     mat_vec,
     pullback,
 )
-from .scalars import QuadExtScalar, RatLike, as_rational, iota, is_square, sqrt_k
-
-_F0, _F1 = Fraction(0), Fraction(1)
+from .scalars import QuadExtScalar, RatLike, as_rat, as_rational, div, iota, is_square, sqrt_k
 
 
 def _iota_mat(m: Matrix) -> Matrix:
@@ -41,11 +38,11 @@ class SemilinearCocycle:
     """A matrix Z over K with Z iota(Z) = 1, acting semilinearly by
     a -> Z(iota a)."""
 
-    k: Fraction
+    k: RatLike
     matrix: Matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "k", Fraction(self.k))
+        object.__setattr__(self, "k", as_rat(self.k))
         if is_square(self.k):
             raise ValueError("k must not be a square")
         m = freeze(self.matrix)
@@ -75,7 +72,7 @@ def fixed_subspace(z: SemilinearCocycle) -> list[tuple]:
     cands = []
     for i in range(n):
         w = tuple(
-            QuadExtScalar(_F1 if j == i else _F0, 0, z.k) for j in range(n)
+            QuadExtScalar(int(j == i), 0, z.k) for j in range(n)
         )
         tw = z.twisted(w)
         cands.append(tuple(a + b for a, b in zip(w, tw)))
@@ -114,15 +111,15 @@ def dagger_cocycle_matrix() -> Matrix:
     """M = diag(1_4, -S2, 1_4) on the A-coordinates: the cocycle whose
     twist computes the F-form of the e0-stabilizer's 10-dimensional
     representation."""
-    m = [[_F0] * 10 for _ in range(10)]
+    m = [[0] * 10 for _ in range(10)]
     for i in (0, 1, 2, 3, 6, 7, 8, 9):
-        m[i][i] = _F1
-    m[4][5] = m[5][4] = -_F1
+        m[i][i] = 1
+    m[4][5] = m[5][4] = -1
     return freeze(m)
 
 
 def twist_a_cocycle(k: RatLike) -> SemilinearCocycle:
-    return SemilinearCocycle(Fraction(k), dagger_cocycle_matrix())
+    return SemilinearCocycle(k, dagger_cocycle_matrix())
 
 
 def twist_a_descend(k: RatLike) -> forms.DiagonalForm:
@@ -132,23 +129,23 @@ def twist_a_descend(k: RatLike) -> forms.DiagonalForm:
 
 def twist_a_expected(k: RatLike) -> forms.DiagonalForm:
     return forms.direct_sum(
-        forms.hyperbolic(4), forms.form([-2, 2 * Fraction(k)])
+        forms.hyperbolic(4), forms.form([-2, 2 * as_rat(k)])
     )
 
 
 def special_cocycle_on_A(k: RatLike, a: RatLike) -> SemilinearCocycle:
     """The cocycle z_iota M on A for z = z_{K,(1,a,1/a)}; its fixed form
     computes the image q_z of the special cocycle in H^1(F, SO(q))."""
-    a = Fraction(a)
+    a = as_rat(a)
     if a == 0:
         raise ValueError("a must be nonzero")
-    triple = cayley.special_cocycle((_F1, a, 1 / a))
+    triple = cayley.special_cocycle((1, a, div(1, a)))
     za = albert.restrict_to_A(albert.g_map(triple))
-    return SemilinearCocycle(Fraction(k), mat_mul(za, dagger_cocycle_matrix()))
+    return SemilinearCocycle(k, mat_mul(za, dagger_cocycle_matrix()))
 
 
 def rostcalc_expected_qz(k: RatLike, a: RatLike) -> forms.DiagonalForm:
-    k, a = Fraction(k), Fraction(a)
+    k, a = as_rat(k), as_rat(a)
     return forms.direct_sum(
         forms.hyperbolic(2),
         forms.form([2, -2 * k, -2 * a, 2 * a * k, -2 * a, 2 * a * k]),
@@ -157,8 +154,8 @@ def rostcalc_expected_qz(k: RatLike, a: RatLike) -> forms.DiagonalForm:
 
 @dataclass(frozen=True)
 class RostCalcReport:
-    k: Fraction
-    a: Fraction
+    k: RatLike
+    a: RatLike
     q_z: forms.DiagonalForm
     q: forms.DiagonalForm
     qz_matches_table: bool
@@ -184,7 +181,7 @@ def rostcalc_report(k: RatLike, a: RatLike) -> RostCalcReport:
     the tabulated form, check the Witt class of q_z - q against
     <2><<a,k,-1>>, and evaluate the Arason-invariant triviality (which,
     over Q, is the vanishing of the real symbol (a) cup (k) cup (-1))."""
-    k, a = Fraction(k), Fraction(a)
+    k, a = as_rat(k), as_rat(a)
     q_z = descend_form(albert.A_GRAM, special_cocycle_on_A(k, a))
     q = twist_a_expected(k)
     diff = forms.direct_sum(q_z, -q)
@@ -205,7 +202,7 @@ def rostcalc_table_rows(k: RatLike, a: RatLike) -> list[dict]:
     """The five 2-dimensional subspaces of the descent table: for each,
     the displayed fixed vectors and their contribution to q_z, all
     verified against the actual cocycle."""
-    k, a = Fraction(k), Fraction(a)
+    k, a = as_rat(k), as_rat(a)
     z = special_cocycle_on_A(k, a)
     rt = sqrt_k(k)
 
@@ -245,7 +242,7 @@ def rostcalc_table_rows(k: RatLike, a: RatLike) -> list[dict]:
             "subspace": "(u3,u6)",
             "vectors": [avec((2, one), (7, -one)), avec((2, rt), (7, rt))],
             "contribution": "<2,-2k>",
-            "values": [Fraction(2), -2 * k],
+            "values": [2, -2 * k],
         },
         {
             "subspace": "(u4,u5)",
@@ -271,4 +268,4 @@ def rostcalc_table_rows(k: RatLike, a: RatLike) -> list[dict]:
 
 def a_value_pair(v, w, a_value):
     s = a_value(tuple(x + y for x, y in zip(v, w)))
-    return (s - a_value(v) - a_value(w)) / 2
+    return div(s - a_value(v) - a_value(w), 2)

@@ -1,27 +1,27 @@
 """Small exact linear algebra over Q or Q(sqrt k).
 
-Matrices are tuples of tuples of field elements (Fraction or
-QuadExtScalar).  `det`, `mat_inv`, `rank` and `independent` share one
-Gauss-Jordan elimination.
+Matrices are tuples of tuples of field elements: exact rationals in the
+canonical form of `scalars` (an int when integral, else a Fraction) or
+QuadExtScalar.  `det`, `mat_inv`, `rank` and `independent` share one
+Gauss-Jordan elimination, and its one division is `scalars.div`.
 
 Every kernel skips zeros: products and inner sums multiply only pairs of
 nonzero entries, and the elimination scales and clears only nonzero
 entries.  Most 8x8 and 27x27 maps this package builds are monomial, so a
 product of two of them costs n multiplications instead of n^3, with no
 second matrix type: a matrix is the same dense tuple whatever its shape.
-A zero entry of a result may come back as Fraction(0) where the dense sum
+A zero entry of a result may come back as the int 0 where the dense sum
 gave QuadExtScalar(0, 0, k); the two are equal and hash alike.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
+
+from .scalars import div, rat
 
 Matrix = tuple[tuple, ...]
 Vector = tuple
-
-_F0, _F1 = Fraction(0), Fraction(1)
 
 
 def freeze(rows: Sequence[Sequence]) -> Matrix:
@@ -29,7 +29,7 @@ def freeze(rows: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return freeze([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+    return freeze([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -42,13 +42,13 @@ def _nonzeros(v: Sequence) -> list:
 
 def _dot(row: Sequence, nonzeros: list):
     """The sum of row[j] * x over the (j, x) in `nonzeros` with row[j]
-    nonzero; Fraction(0) when there is no such term."""
+    nonzero, in canonical form; 0 when there is no such term."""
     out = None
     for j, x in nonzeros:
         y = row[j]
         if y:
             out = y * x if out is None else out + y * x
-    return _F0 if out is None else out
+    return 0 if out is None else rat(out)
 
 
 def dot(v: Sequence, w: Sequence):
@@ -66,7 +66,7 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
 
 
 def scal_mul(c, a: Matrix) -> Matrix:
-    return freeze([[c * x for x in row] for row in a])
+    return freeze([[rat(c * x) for x in row] for row in a])
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -87,7 +87,7 @@ def ratio(a: Matrix, b: Matrix):
                 if x:
                     return None
             elif c is None:
-                c = x / y
+                c = div(x, y)
             elif x != c * y:
                 return None
     return c
@@ -99,7 +99,7 @@ def _reduce(rows: list[list], ncols: int) -> tuple[list[int], object]:
     other row.  Returns the pivot columns and the determinant of the
     leading square block (0 as soon as a column has no pivot)."""
     pivots = []
-    d = _F1
+    d = 1
     for col in range(ncols):
         r = len(pivots)
         if r == len(rows):
@@ -112,13 +112,13 @@ def _reduce(rows: list[list], ncols: int) -> tuple[list[int], object]:
             rows[r], rows[piv] = rows[piv], rows[r]
             d = -d
         p = rows[r][col]
-        d = d * p
-        inv = _F1 / p
-        rows[r] = [x * inv if x else x for x in rows[r]]
+        d = rat(d * p)
+        inv = div(1, p)
+        rows[r] = [rat(x * inv) if x else x for x in rows[r]]
         for i, row in enumerate(rows):
             if i != r and row[col]:
                 f = row[col]
-                rows[i] = [x - f * y if y else x for x, y in zip(row, rows[r])]
+                rows[i] = [rat(x - f * y) if y else x for x, y in zip(row, rows[r])]
         pivots.append(col)
     return pivots, d
 

@@ -35,6 +35,7 @@ from .scalars import (
     RatLike,
     _legendre,
     _val_unit,
+    div,
     hilbert_symbol,
     is_square,
     next_prime,
@@ -291,7 +292,7 @@ def _fraction_sqrt(a: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def isotropic_vector(q: DiagonalForm) -> tuple[Fraction, ...]:
+def isotropic_vector(q: DiagonalForm) -> tuple[RatLike, ...]:
     """An exact nonzero vector with q(v) = 0.
 
     The existence certificate comes first (local-global test); the witness
@@ -303,19 +304,19 @@ def isotropic_vector(q: DiagonalForm) -> tuple[Fraction, ...]:
     return _witness(q)
 
 
-def _witness(q: DiagonalForm) -> tuple[Fraction, ...]:
+def _witness(q: DiagonalForm) -> tuple[RatLike, ...]:
     """An exact nonzero vector with q(v) = 0, for q known to be isotropic."""
     if q.field == "R":
         i = next(i for i, a in enumerate(q.entries) if a > 0)
         j = next(j for j, a in enumerate(q.entries) if a < 0)
         v = [Fraction(0)] * q.dim
         v[i] = Fraction(1)
-        v[j] = _fraction_sqrt(q.entries[i] / -q.entries[j])
+        v[j] = _fraction_sqrt(div(q.entries[i], -q.entries[j]))
         return tuple(v)
     # a_i = d_i c_i^2 with d_i squarefree: a zero w of <d_i> gives w_i / c_i
     ds = _classes(q)
     w = _isotropic_vector_squarefree(ds)
-    return tuple(Fraction(x) / _fraction_sqrt(a / d) for x, a, d in zip(w, q.entries, ds))
+    return tuple(div(x, _fraction_sqrt(div(a, d))) for x, a, d in zip(w, q.entries, ds))
 
 
 def _isotropic_vector_squarefree(ds):
@@ -450,7 +451,7 @@ def _ternary_witness(a, b, c):
             if d != coeffs[i]:
                 k = _fraction_sqrt(Fraction(coeffs[i], d))
                 coeffs[i] = d
-                mults[i] /= k
+                mults[i] = div(mults[i], k)
                 changed = True
         for i in range(3):
             for j in range(3):
@@ -610,7 +611,7 @@ def _split_hyperbolic(q: DiagonalForm, v) -> DiagonalForm:
     rest = [m for m in range(q.dim) if m not in (j, k)]
     d = [a[m] for m in rest]
     u = [a[m] * v[m] for m in rest]
-    s = 1 / (a[j] * v[j] * v[j])
+    s = div(1, a[j] * v[j] * v[j])
     out = []
     for t in range(len(d)):
         for i in range(t, len(d)):
@@ -626,7 +627,7 @@ def _split_hyperbolic(q: DiagonalForm, v) -> DiagonalForm:
         d[t], d[i] = d[i], d[t]
         u[t], u[i] = u[i], u[t]
         out.append(Fraction(square_class(p)))
-        s = s * d[t] / p
+        s = div(s * d[t], p)
     return DiagonalForm(q.field, tuple(out))
 
 
@@ -662,7 +663,7 @@ def _diagonalize_gram(gram):
         out.append(Fraction(square_class(d)))
         for i in range(t + 1, n):
             if g[i][t]:
-                f = g[i][t] / d
+                f = div(g[i][t], d)
                 for m in range(n):
                     g[i][m] -= f * g[t][m]
                 for m in range(n):

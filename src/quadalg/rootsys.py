@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactmat import Matrix, dot, freeze, mat_vec, pullback, rank as mat_rank, ratio
+from .scalars import RatLike, div
 
 
 class FoldingError(ValueError):
@@ -127,9 +128,9 @@ def build_root_datum(type_str: str, rank: int | None = None) -> RootDatum:
     for i, j in _edges(series, rank):
         # adjacent simple roots meet at 120/135/150 degrees; in every case
         # the inner product is -max of the two root norms over 2
-        pair[i][j] = pair[j][i] = -max(norms[i], norms[j]) / 2
+        pair[i][j] = pair[j][i] = div(-max(norms[i], norms[j]), 2)
     cartan = freeze(
-        [[2 * pair[i][j] / norms[i] for j in range(rank)] for i in range(rank)]
+        [[div(2 * pair[i][j], norms[i]) for j in range(rank)] for i in range(rank)]
     )
     if any(x != int(x) for row in cartan for x in row):
         raise RuntimeError("non-integral Cartan matrix")
@@ -144,10 +145,10 @@ class CanonicalForm:
 
     gram: Matrix
 
-    def value(self, v) -> Fraction:
+    def value(self, v) -> RatLike:
         return self.bilinear(v, v)
 
-    def bilinear(self, v, w) -> Fraction:
+    def bilinear(self, v, w) -> RatLike:
         return dot(v, mat_vec(self.gram, w))
 
 
@@ -159,7 +160,7 @@ def canonical_form(rd: RootDatum) -> CanonicalForm:
     n = rd.rank
     gram = freeze(
         [
-            [Fraction(rd.cartan[i][j]) / rd.root_norms[j] for j in range(n)]
+            [div(rd.cartan[i][j], rd.root_norms[j]) for j in range(n)]
             for i in range(n)
         ]
     )
@@ -171,7 +172,7 @@ def canonical_form(rd: RootDatum) -> CanonicalForm:
     return cf
 
 
-def coroot_values(rd: RootDatum) -> dict[tuple, Fraction]:
+def coroot_values(rd: RootDatum) -> dict[tuple, RatLike]:
     cf = canonical_form(rd)
     return {v: cf.value(v) for v in rd.all_coroots()}
 
@@ -294,7 +295,7 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
     # the other way round it is Cartan(X) itself, in orbit order.
     m = len(orbits)
     sq = [cf.value(s) for s in sums]
-    cartan = [[2 * cf.bilinear(sums[i], sums[j]) / sq[j] for j in range(m)] for i in range(m)]
+    cartan = [[div(2 * cf.bilinear(sums[i], sums[j]), sq[j]) for j in range(m)] for i in range(m)]
     if any(x != int(x) for row in cartan for x in row):
         raise RuntimeError("folded pairing is not a Cartan matrix")
     # B2 and C2 are the same system; folding A-series is conventionally

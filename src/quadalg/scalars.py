@@ -3,9 +3,12 @@ fixed bounds, rationals, square classes, quadratic extensions
 K = Q(sqrt k), Hilbert symbols at the places of Q, and Laurent
 polynomials over Q or K, on which identities are proved.
 
-Scalars are plain ``fractions.Fraction`` values.  A square class is the
-signed squarefree integer representing a*Q*^2; two scalars share it iff
-their ratio is a nonzero rational square.
+An exact rational is kept in one canonical form: an ``int`` when it is
+integral and a ``fractions.Fraction`` otherwise (`rat`).  `div` is the
+only true division: an int divided by an int never becomes a float, and
+an integral quotient comes back as an int.  A square class is the signed
+squarefree integer representing a*Q*^2; two scalars share it iff their
+ratio is a nonzero rational square.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Iterable, Union
 
-Scalar = Fraction
 SquareClass = int
 
 RatLike = Union[Fraction, int]
@@ -336,11 +338,21 @@ def is_norm_from_K(a: RatLike, k: RatLike) -> bool:
     return all(hilbert_symbol(k, a, v) == 1 for v in relevant_places(a, k))
 
 
-_F0 = Fraction(0)
+def rat(v):
+    """v in canonical form: a Fraction with denominator 1 becomes its int;
+    every other value (an int, a proper Fraction, an element of K, a
+    Laurent polynomial) is returned as it is."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
-def _fraction(v: RatLike) -> Fraction:
-    return v if type(v) is Fraction else Fraction(v)
+def div(a, b):
+    """The exact quotient a / b in canonical form, and the only true
+    division in the package: an int by an int goes through Fraction, so
+    the result is never a float.  Raises ZeroDivisionError for b = 0."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return rat(a / b)
 
 
 @lru_cache(maxsize=None)
@@ -357,9 +369,9 @@ class QuadExtScalar:
     __slots__ = ("x", "y", "k")
 
     def __init__(self, x: RatLike, y: RatLike, k: RatLike):
-        object.__setattr__(self, "x", _fraction(x))
-        object.__setattr__(self, "y", _fraction(y))
-        object.__setattr__(self, "k", _field_parameter(_fraction(k)))
+        object.__setattr__(self, "x", as_rat(x))
+        object.__setattr__(self, "y", as_rat(y))
+        object.__setattr__(self, "k", _field_parameter(as_rat(k)))
 
     def __setattr__(self, *args):  # immutable
         raise AttributeError("QuadExtScalar is immutable")
@@ -371,7 +383,7 @@ class QuadExtScalar:
                 raise ValueError("mixed quadratic extensions")
             return other
         if isinstance(other, (int, Fraction)):
-            return _quad(_fraction(other), _F0, self.k)
+            return _quad(other, 0, self.k)
         return None
 
     def __add__(self, other):
@@ -413,7 +425,7 @@ class QuadExtScalar:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("zero element of K")
-        return _quad(self.x / n, -self.y / n, self.k)
+        return _quad(div(self.x, n), div(-self.y, n), self.k)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -432,18 +444,18 @@ class QuadExtScalar:
         """The nontrivial F-automorphism iota: x + y sqrt(k) -> x - y sqrt(k)."""
         return _quad(self.x, -self.y, self.k)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> RatLike:
         """N_{K/F}: x^2 - k y^2."""
-        return self.x * self.x - self.k * self.y * self.y
+        return rat(self.x * self.x - self.k * self.y * self.y)
 
-    def trace(self) -> Fraction:
-        return 2 * self.x
+    def trace(self) -> RatLike:
+        return rat(2 * self.x)
 
     @property
     def is_rational(self) -> bool:
         return self.y == 0
 
-    def rational(self) -> Fraction:
+    def rational(self) -> RatLike:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
         return self.x
@@ -457,7 +469,7 @@ class QuadExtScalar:
         return NotImplemented
 
     def __hash__(self):
-        # a rational element equals, so must hash like, its Fraction
+        # a rational element equals, so must hash like, its rational part
         return hash(self.x) if self.y == 0 else hash((self.x, self.y, self.k))
 
     def __bool__(self) -> bool:
@@ -469,24 +481,25 @@ class QuadExtScalar:
         return f"{self.x}+{self.y}*sqrt({self.k})"
 
 
-def _quad(x: Fraction, y: Fraction, k: Fraction) -> QuadExtScalar:
-    """x + y sqrt(k) built by the arithmetic: x and y are already exact
-    Fractions and k is an operand's, already checked, so the public
-    constructor's validation is skipped."""
+def _quad(x: RatLike, y: RatLike, k: RatLike) -> QuadExtScalar:
+    """x + y sqrt(k) built by the arithmetic: x and y are exact rationals,
+    demoted to int when integral, and k is an operand's, already checked,
+    so the public constructor's validation is skipped."""
     out = object.__new__(QuadExtScalar)
-    object.__setattr__(out, "x", x)
-    object.__setattr__(out, "y", y)
+    object.__setattr__(out, "x", rat(x))
+    object.__setattr__(out, "y", rat(y))
     object.__setattr__(out, "k", k)
     return out
 
 
 class Laurent:
     """A Laurent polynomial over Q or K: the sum of the terms c * m over
-    its (m, c) pairs, c a Fraction or QuadExtScalar and m a monomial, a
-    sorted tuple of (variable, nonzero exponent) pairs.  Field operations
-    that agree on independent variables agree at all their nonzero values,
-    so one evaluation on generic coordinates proves an identity for every
-    value.  Only a monomial is invertible."""
+    its (m, c) pairs, c a canonical exact rational (an int when integral,
+    else a Fraction) or a QuadExtScalar, and m a monomial, a sorted tuple
+    of (variable, nonzero exponent) pairs.  Field operations that agree on
+    independent variables agree at all their nonzero values, so one
+    evaluation on generic coordinates proves an identity for every value.
+    Only a monomial is invertible."""
 
     __slots__ = ("terms",)
 
@@ -494,7 +507,7 @@ class Laurent:
         terms = {}
         for m, c in pairs:
             terms[m] = terms[m] + c if m in terms else c
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: rat(c) for m, c in terms.items() if c}
 
     @staticmethod
     def _coerce(v):
@@ -511,7 +524,7 @@ class Laurent:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadExtScalar)):  # scale the coefficients
             out = object.__new__(Laurent)
-            out.terms = {m: cd for m, c in self.terms.items() if (cd := c * other)}
+            out.terms = {m: rat(cd) for m, c in self.terms.items() if (cd := c * other)}
             return out
         o = self._coerce(other)
         if o is None:
@@ -531,17 +544,17 @@ class Laurent:
         return -self + other
 
     def __truediv__(self, other):
-        return self * (Fraction(1) / other)
+        return self * div(1, other)
 
     def __rtruediv__(self, other):
         if len(self.terms) != 1:
             error = ValueError if self.terms else ZeroDivisionError
             raise error(f"{self} is not an invertible monomial")
         ((m, c),) = self.terms.items()
-        return other * Laurent([(tuple((v, -e) for v, e in m), 1 / c)])
+        return other * Laurent([(tuple((v, -e) for v, e in m), div(1, c))])
 
     def __pow__(self, n: int):
-        return prod([self if n >= 0 else 1 / self] * abs(n), start=Fraction(1))
+        return prod([self if n >= 0 else div(1, self)] * abs(n), start=1)
 
     def conj(self) -> "Laurent":
         """iota on the coefficients."""
@@ -575,20 +588,21 @@ def _monomial_product(m: tuple, n: tuple) -> tuple:
 
 
 def exact_sum(values: list):
-    """The sum of exact scalars, Fraction(0) for none.  Laurent values are
-    summed once, into one term dict, not one Laurent per partial sum."""
+    """The sum of exact scalars in canonical form, 0 for none.  Laurent
+    values are summed once, into one term dict, not one Laurent per
+    partial sum."""
     if len(values) < 2:
-        return values[0] if values else _F0
+        return rat(values[0]) if values else 0
     if any(isinstance(v, Laurent) for v in values):
         return Laurent(pair for v in values for pair in Laurent._coerce(v).terms.items())
-    return sum(values[1:], values[0])
+    return rat(sum(values[1:], values[0]))
 
 
 def variable(name: str) -> Laurent:
-    return Laurent([(((name, 1),), Fraction(1))])
+    return Laurent([(((name, 1),), 1)])
 
 
-KScalar = Union[Fraction, QuadExtScalar]
+KScalar = Union[int, Fraction, QuadExtScalar]
 
 
 def iota(v: KScalar) -> KScalar:
@@ -600,13 +614,20 @@ def sqrt_k(k: RatLike) -> QuadExtScalar:
     return QuadExtScalar(0, 1, k)
 
 
+def as_rat(v) -> RatLike:
+    """A rational number (an int, a Fraction, or what Fraction accepts)
+    in canonical form."""
+    return rat(v if isinstance(v, (int, Fraction)) else Fraction(v))
+
+
 def as_scalar(v) -> KScalar:
-    """An element of K or a Laurent polynomial as is, any other number as a Fraction."""
-    return v if type(v) is Fraction or isinstance(v, (QuadExtScalar, Laurent)) else Fraction(v)
+    """An element of K or a Laurent polynomial as is, any other number as
+    a canonical rational."""
+    return v if isinstance(v, (int, QuadExtScalar, Laurent)) else as_rat(v)
 
 
-def as_rational(v: KScalar) -> Fraction:
+def as_rational(v: KScalar) -> RatLike:
     """Extract a rational value, rejecting elements with a sqrt(k) part."""
     if isinstance(v, QuadExtScalar):
         return v.rational()
-    return Fraction(v)
+    return as_rat(v)

@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import albert, cayley, descent, forms, rootsys
 from .exactmat import det as mdet, identity, mat_eq, mat_inv, mat_mul, scal_mul
-from .scalars import QuadExtScalar
+from .scalars import QuadExtScalar, div
 
 SCHEMA_VERSION = 2
 
@@ -375,7 +375,7 @@ def _check_albert_basics():
 
 def _specialcor_data():
     a = Fraction(3)
-    z = cayley.special_cocycle((Fraction(1), a, 1 / a))
+    z = cayley.special_cocycle((Fraction(1), a, div(1, a)))
     c = Fraction(1, 2) * (cayley.u(2) + cayley.u(8))
     j = albert.c_only(0, c)
     return z, c, j

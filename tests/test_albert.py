@@ -134,6 +134,8 @@ def test_closed_form_t_gram_is_the_trace_form():
         for n, b in enumerate(ALBERT_BASIS):
             t = trace_form_T(a, b)
             assert g[m][n] == t and type(g[m][n]) is type(t)
+            # canonical form: an int when integral, else a Fraction
+            assert type(t) is (int if t.denominator == 1 else Q)
 
 
 def test_c_slot_trace_pairing():

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +323,22 @@ def test_verify_report_proves_on_generic_elements(tmp_path, capsys):
     assert witness["P20"]["a"] == witness["P22"]["a"] == ["A", "B", "A^-1*B^-1"]
     assert witness["P22"]["related"] is True
     assert witness["P25"] == {"generic_coordinates": 27}
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def test_verify_report_matches_the_golden_output(tmp_path, capsys):
+    """The full report and the default table, byte for byte, as the
+    committed files in tests/data record them.  Regenerate them only for a
+    change that means to alter the ledger's output:
+    `quadalg verify-paper --json tests/data/verify_paper_report.json
+    > tests/data/verify_paper_table.txt`."""
+    p = tmp_path / "r.json"
+    code, out, err = run(capsys, "verify-paper", "--json", str(p))
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "verify_paper_table.txt").read_text()
+    assert p.read_bytes() == (GOLDEN / "verify_paper_report.json").read_bytes()
 
 
 def test_verify_report_determinism(tmp_path, capsys):

@@ -23,6 +23,8 @@ from quadalg.scalars import (
     QuadExtScalar,
     REAL,
     as_scalar,
+    div,
+    exact_sum,
     hilbert_symbol,
     is_local_square,
     relevant_places,
@@ -174,8 +176,81 @@ def test_quadext_results_keep_fraction_parts_and_the_field(a, b):
         results += [a.inverse(), b / a]
     for r in results:
         assert type(r) is QuadExtScalar
-        assert type(r.x) is Q and type(r.y) is Q
-        assert type(r.k) is Q and r.k == a.k
+        assert canonical(r.x) and canonical(r.y)
+        assert canonical(r.k) and r.k == a.k
+
+
+def canonical(v) -> bool:
+    """An exact rational in canonical form: an int when it is integral and
+    a Fraction otherwise (never an integral Fraction, never a float)."""
+    return type(v) is (int if v.denominator == 1 else Q)
+
+
+def canonical_coefficient(c) -> bool:
+    if type(c) is QuadExtScalar:
+        return canonical(c.x) and canonical(c.y) and canonical(c.k)
+    return canonical(c)
+
+
+# ints and Fractions, the integral ones included in both forms
+exact_rationals = st.one_of(st.integers(-50, 50), rationals, st.integers(-9, 9).map(Q))
+
+
+@FIXED
+@given(exact_rationals, exact_rationals.filter(bool))
+def test_div_is_the_exact_quotient_in_canonical_form(a, b):
+    q = div(a, b)
+    assert q == Q(a) / Q(b)
+    assert type(q) is (int if (Q(a) / Q(b)).denominator == 1 else Q)
+
+
+@FIXED
+@given(exact_rationals, st.sampled_from([0, Q(0)]))
+def test_div_by_zero_raises_and_nothing_becomes_a_float(a, zero):
+    with pytest.raises(ZeroDivisionError):
+        div(a, zero)
+    for b in (1, 2, 3, -7, Q(2, 3)):
+        assert not isinstance(div(a, b), float)
+        if a:
+            assert not isinstance(div(b, a), float)
+
+
+@FIXED
+@given(quads, st.one_of(quads, exact_rationals))
+def test_quadext_results_have_canonical_parts(a, b):
+    results = [a + b, b + a, a - b, b - a, a * b, b * a, -a, a.conj()]
+    results.append(QuadExtScalar(a.x, Q(2), Q(3)))  # the constructor demotes too
+    if b:
+        results += [div(a, b)]
+    if a:
+        results += [a.inverse(), div(b, a)]
+    for r in results:
+        assert type(r) is QuadExtScalar and canonical_coefficient(r)
+    assert canonical(a.norm()) and canonical(a.trace())
+
+
+@FIXED
+@given(laurents, laurents, st.one_of(exact_rationals, quads), monomials, st.integers(-2, 2))
+def test_laurent_results_have_canonical_coefficients(p, r, c, m, n):
+    monomial = Laurent([(m, 2)])
+    results = [p + r, p - r, p * r, p * c, c * p, p + c, -p, p.conj()]
+    results += [div(p, monomial), p * monomial**n]
+    if c:
+        results.append(div(p, c))
+    for f in results:
+        assert all(canonical_coefficient(x) for x in f.terms.values())
+
+
+@FIXED
+@given(st.lists(st.one_of(exact_rationals, quads, laurents), max_size=6))
+def test_exact_sum_is_the_sum_in_canonical_form(values):
+    total = exact_sum(values)
+    assert total == sum(values, 0)
+    if type(total) is Laurent:
+        assert all(canonical_coefficient(x) for x in total.terms.values())
+    else:
+        assert canonical_coefficient(total)
+    assert type(exact_sum([])) is int and exact_sum([]) == 0
 
 
 def test_quadext_still_rejects_a_square_k():
