@@ -21,7 +21,6 @@ and computed by linearizing the adjoint; sharp(x) = (x cross x)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -65,6 +64,9 @@ class AlbertElement:
 
     def __setattr__(self, *a):
         raise AttributeError("AlbertElement is immutable")
+
+    def __reduce__(self):  # pickle and copy through the constructor
+        return AlbertElement, (self.eps, self.c)
 
     # -- linear structure -------------------------------------------------
     def __add__(self, other: "AlbertElement") -> "AlbertElement":
@@ -465,11 +467,27 @@ def swap_map() -> AlbertMap:
 # Moving Lemma arithmetic
 
 
-@dataclass(frozen=True)
 class MovingLemmaData:
-    r: KScalar
-    j_prime: AlbertElement
-    checks: dict
+    """r = T(j, j'), j' = eta_iota(iota j), and the named identity checks."""
+
+    __slots__ = ("r", "j_prime", "checks")
+
+    def __init__(self, r: KScalar, j_prime: AlbertElement, checks: dict):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "j_prime", j_prime)
+        object.__setattr__(self, "checks", checks)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MovingLemmaData is immutable")
+
+    def _key(self) -> tuple:
+        return (self.r, self.j_prime, self.checks)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is MovingLemmaData else NotImplemented
+
+    def __reduce__(self):
+        return MovingLemmaData, self._key()
 
 
 def moving_lemma_data(T: SimilitudeTriple, j: AlbertElement) -> MovingLemmaData:

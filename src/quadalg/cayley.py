@@ -23,7 +23,6 @@ The deviation is reported, never patched silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -147,22 +146,33 @@ def _build_tables(scales, perm):
     return freeze(prod), gram
 
 
-@dataclass(frozen=True)
 class CayleyTable:
     """Structure constants, norm Gram (with n(x,x) = n(x)) and involution
-    signs of the calibrated basis."""
+    signs of the calibrated basis.  Two tables are equal when their
+    products and Grams are; `constants` is derived from the products."""
 
-    products: tuple  # products[i][j] = coords of u_{i+1} u_{j+1}
-    gram: Matrix
-    # constants[i][j] = ((m, g), ...): the nonzero coordinates of products[i][j]
-    constants: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("products", "gram", "constants")
 
-    def __post_init__(self):
+    def __init__(self, products: tuple, gram: Matrix):
+        # products[i][j] = coords of u_{i+1} u_{j+1}; constants[i][j] =
+        # ((m, g), ...), the nonzero coordinates of products[i][j]
         constants = tuple(
-            tuple(tuple((m, g) for m, g in enumerate(p) if g) for p in row)
-            for row in self.products
+            tuple(tuple((m, g) for m, g in enumerate(p) if g) for p in row) for row in products
         )
+        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "constants", constants)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CayleyTable is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CayleyTable:
+            return NotImplemented
+        return self.products == other.products and self.gram == other.gram
+
+    def __reduce__(self):
+        return CayleyTable, (self.products, self.gram)
 
     def gram_deviations(self) -> list[tuple[int, int, RatLike, RatLike]]:
         """(i, j, actual, S8-expected) for every differing entry, 1-based."""
@@ -256,6 +266,9 @@ class Octonion:
 
     def __setattr__(self, *a):
         raise AttributeError("Octonion is immutable")
+
+    def __reduce__(self):  # pickle and copy through the constructor
+        return Octonion, (self.coords,)
 
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion([a + b for a, b in zip(self.coords, other.coords)])
@@ -351,6 +364,9 @@ class Similitude:
     def __setattr__(self, *a):
         raise AttributeError("Similitude is immutable")
 
+    def __reduce__(self):  # pickle and copy through the constructor
+        return Similitude, (self.matrix,)
+
     def __call__(self, x: Octonion) -> Octonion:
         return Octonion(mat_vec(self.matrix, x.coords))
 
@@ -388,13 +404,24 @@ def sigma_n(t: Similitude) -> Similitude:
     return t.sigma_n()
 
 
-@dataclass(frozen=True)
 class SimilitudeTriple:
-    t: tuple[Similitude, Similitude, Similitude]
+    """Three similitudes t = (t0, t1, t2)."""
 
-    def __post_init__(self):
-        if len(self.t) != 3 or not all(isinstance(s, Similitude) for s in self.t):
+    __slots__ = ("t",)
+
+    def __init__(self, t: tuple[Similitude, Similitude, Similitude]):
+        if len(t) != 3 or not all(isinstance(s, Similitude) for s in t):
             raise ValueError("a similitude triple is three similitudes")
+        object.__setattr__(self, "t", t)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SimilitudeTriple is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.t == other.t if type(other) is SimilitudeTriple else NotImplemented
+
+    def __reduce__(self):
+        return SimilitudeTriple, (self.t,)
 
     def __getitem__(self, i: int) -> Similitude:
         return self.t[i % 3]

@@ -12,7 +12,7 @@ packaged as report objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 from . import albert, cayley, forms
 from .exactmat import (
@@ -33,24 +33,34 @@ def _iota_mat(m: Matrix) -> Matrix:
     return freeze([[iota(x) for x in row] for row in m])
 
 
-@dataclass(frozen=True)
 class SemilinearCocycle:
     """A matrix Z over K with Z iota(Z) = 1, acting semilinearly by
     a -> Z(iota a)."""
 
-    k: RatLike
-    matrix: Matrix
+    __slots__ = ("k", "matrix")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", as_rat(self.k))
-        if is_square(self.k):
+    def __init__(self, k: RatLike, matrix: Matrix):
+        k = as_rat(k)
+        if is_square(k):
             raise ValueError("k must not be a square")
-        m = freeze(self.matrix)
+        m = freeze(matrix)
         if any(len(row) != len(m) for row in m):
             raise ValueError("a cocycle matrix is square")
-        object.__setattr__(self, "matrix", m)
         if not mat_eq(mat_mul(m, _iota_mat(m)), identity(len(m))):
             raise ValueError("cocycle condition Z iota(Z) = 1 fails")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "matrix", m)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SemilinearCocycle is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SemilinearCocycle:
+            return NotImplemented
+        return self.k == other.k and self.matrix == other.matrix
+
+    def __reduce__(self):
+        return SemilinearCocycle, (self.k, self.matrix)
 
     @property
     def dim(self) -> int:
@@ -135,8 +145,13 @@ def twist_a_expected(k: RatLike) -> forms.DiagonalForm:
 
 def special_cocycle_on_A(k: RatLike, a: RatLike) -> SemilinearCocycle:
     """The cocycle z_iota M on A for z = z_{K,(1,a,1/a)}; its fixed form
-    computes the image q_z of the special cocycle in H^1(F, SO(q))."""
-    a = as_rat(a)
+    computes the image q_z of the special cocycle in H^1(F, SO(q)).  It is
+    built once per (k, a) and shared, as the cocycle is immutable."""
+    return _special_cocycle_on_A(as_rat(k), as_rat(a))
+
+
+@lru_cache(maxsize=None)
+def _special_cocycle_on_A(k: RatLike, a: RatLike) -> SemilinearCocycle:
     if a == 0:
         raise ValueError("a must be nonzero")
     triple = cayley.special_cocycle((1, a, div(1, a)))
@@ -152,16 +167,38 @@ def rostcalc_expected_qz(k: RatLike, a: RatLike) -> forms.DiagonalForm:
     )
 
 
-@dataclass(frozen=True)
 class RostCalcReport:
-    k: RatLike
-    a: RatLike
-    q_z: forms.DiagonalForm
-    q: forms.DiagonalForm
-    qz_matches_table: bool
-    difference_witt_class_ok: bool
-    arason_class_trivial: bool
-    real_symbol_nontrivial: bool
+    """The special-cocycle computation for (k, a): the descended form q_z,
+    the twisted form q, and the four verdicts of `rostcalc_report`."""
+
+    __slots__ = ("k", "a", "q_z", "q", "qz_matches_table", "difference_witt_class_ok",
+                 "arason_class_trivial", "real_symbol_nontrivial")
+
+    def __init__(self, k: RatLike, a: RatLike, q_z: forms.DiagonalForm, q: forms.DiagonalForm,
+                 qz_matches_table: bool, difference_witt_class_ok: bool,
+                 arason_class_trivial: bool, real_symbol_nontrivial: bool):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "q_z", q_z)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "qz_matches_table", qz_matches_table)
+        object.__setattr__(self, "difference_witt_class_ok", difference_witt_class_ok)
+        object.__setattr__(self, "arason_class_trivial", arason_class_trivial)
+        object.__setattr__(self, "real_symbol_nontrivial", real_symbol_nontrivial)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RostCalcReport is immutable")
+
+    def _key(self) -> tuple:
+        return (self.k, self.a, self.q_z, self.q, self.qz_matches_table,
+                self.difference_witt_class_ok, self.arason_class_trivial,
+                self.real_symbol_nontrivial)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is RostCalcReport else NotImplemented
+
+    def __reduce__(self):
+        return RostCalcReport, self._key()
 
     def as_dict(self) -> dict:
         return {

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from types import MappingProxyType
@@ -53,20 +52,32 @@ class HypothesisViolation(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
 class DiagonalForm:
-    """A nondegenerate diagonal quadratic form over Q or R."""
+    """A nondegenerate diagonal quadratic form over Q or R: its `field`
+    and its tuple of Fraction `entries`.  It is immutable; its __dict__
+    also keeps what is computed once per form (`_classes`, `_cancelled`,
+    `_invariants`)."""
 
-    field: str
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.field not in ("Q", "R"):
-            raise ValueError(f"unknown base field {self.field!r}")
-        entries = tuple(a if type(a) is Fraction else Fraction(a) for a in self.entries)
+    def __init__(self, field: str, entries: tuple[Fraction, ...]):
+        if field not in ("Q", "R"):
+            raise ValueError(f"unknown base field {field!r}")
+        entries = tuple(a if type(a) is Fraction else Fraction(a) for a in entries)
         if not all(entries):
             raise ValueError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", entries)
+        fields = self.__dict__
+        fields["field"] = field
+        fields["entries"] = entries
+
+    def __setattr__(self, *args):
+        raise AttributeError("DiagonalForm is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not DiagonalForm:
+            return NotImplemented
+        return self.field == other.field and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.field, self.entries))
 
     @property
     def dim(self) -> int:
@@ -129,17 +140,29 @@ def pfister(*slots: RatLike, field: str = "Q") -> DiagonalForm:
 # invariants
 
 
-@dataclass(frozen=True)
 class WittInvariants:
-    dim: int
-    disc: int  # signed squarefree discriminant class
-    hasse: Mapping[Place, int]  # places with symbol -1 only; read-only
-    signature: int
+    """dim, disc (the signed squarefree discriminant class), hasse (the
+    places with symbol -1 only, read-only) and the signature."""
 
-    def __post_init__(self):
-        if (self.signature - self.dim) % 2 or abs(self.signature) > self.dim:
+    __slots__ = ("dim", "disc", "hasse", "signature")
+
+    def __init__(self, dim: int, disc: int, hasse: Mapping[Place, int], signature: int):
+        if (signature - dim) % 2 or abs(signature) > dim:
             raise ValueError("signature incompatible with dimension")
-        object.__setattr__(self, "hasse", MappingProxyType(dict(self.hasse)))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "hasse", MappingProxyType(dict(hasse)))
+        object.__setattr__(self, "signature", signature)
+
+    def __setattr__(self, *args):
+        raise AttributeError("WittInvariants is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not WittInvariants:
+            return NotImplemented
+        return (self.dim, self.disc, self.hasse, self.signature) == (
+            other.dim, other.disc, other.hasse, other.signature
+        )
 
     def __reduce__(self):  # a mappingproxy does not pickle or copy
         return WittInvariants, (self.dim, self.disc, dict(self.hasse), self.signature)
@@ -180,8 +203,7 @@ def invariants(q: DiagonalForm) -> WittInvariants:
         if eps == -1:
             hasse[v] = -1
     disc = (-1) ** (n * (n - 1) // 2 + pairs) * det
-    inv = WittInvariants(n, disc, hasse, signature(q))
-    object.__setattr__(q, "_invariants", inv)
+    inv = q.__dict__["_invariants"] = WittInvariants(n, disc, hasse, signature(q))
     return inv
 
 
@@ -189,7 +211,7 @@ def _classes(q: DiagonalForm) -> tuple[int, ...]:
     """The square classes of q's entries over Q, computed once and kept on
     the (frozen) form."""
     if "_classes" not in q.__dict__:
-        object.__setattr__(q, "_classes", tuple(square_class(a) for a in q.entries))
+        q.__dict__["_classes"] = tuple(square_class(a) for a in q.entries)
     return q.__dict__["_classes"]
 
 
@@ -209,7 +231,7 @@ def _cancelled(q: DiagonalForm) -> tuple[int, tuple[int, ...]]:
                 open_slots.setdefault(d, []).append(len(kept))
                 kept.append(d)
         residue = tuple(d for d in kept if d)
-        object.__setattr__(q, "_cancelled", ((q.dim - len(residue)) // 2, residue))
+        q.__dict__["_cancelled"] = ((q.dim - len(residue)) // 2, residue)
     return q.__dict__["_cancelled"]
 
 
@@ -765,25 +787,35 @@ def low_rank_kernel_check(q: DiagonalForm, q_cand: DiagonalForm) -> bool:
 # hermitian trace forms
 
 
-@dataclass(frozen=True)
 class HermitianDiagonal:
     """Diagonal hermitian form <l1,...,ln> over F(sqrt k), entries in F."""
 
-    field: str
-    k: Fraction
-    entries: tuple[Fraction, ...]
+    __slots__ = ("field", "k", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", Fraction(self.k))
-        entries = tuple(Fraction(a) for a in self.entries)
+    def __init__(self, field: str, k: RatLike, entries: tuple[Fraction, ...]):
+        k = Fraction(k)
+        entries = tuple(Fraction(a) for a in entries)
         if any(a == 0 for a in entries):
             raise ValueError("hermitian entries must be nonzero")
-        if self.field == "R":
-            if self.k >= 0:
+        if field == "R":
+            if k >= 0:
                 raise ValueError("k must be negative over R")
-        elif is_square(self.k):
+        elif is_square(k):
             raise ValueError("k must not be a square")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *args):
+        raise AttributeError("HermitianDiagonal is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not HermitianDiagonal:
+            return NotImplemented
+        return (self.field, self.k, self.entries) == (other.field, other.k, other.entries)
+
+    def __reduce__(self):
+        return HermitianDiagonal, (self.field, self.k, self.entries)
 
     @property
     def dim(self) -> int:

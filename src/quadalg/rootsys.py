@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,16 +68,33 @@ def _root_norms(series: str, n: int) -> list[Fraction]:
     raise ValueError(series)
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """Simple root data: Cartan matrix A[i][j] = 2(a_i,a_j)/(a_i,a_i),
     root norms (a_i,a_i), simple coroots = standard basis of Z^rank."""
 
-    label: str
-    series: str
-    rank: int
-    cartan: Matrix
-    root_norms: tuple[Fraction, ...]
+    __slots__ = ("label", "series", "rank", "cartan", "root_norms")
+
+    def __init__(self, label: str, series: str, rank: int, cartan: Matrix, root_norms: tuple):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "root_norms", root_norms)
+
+    def __setattr__(self, *args):
+        raise AttributeError("RootDatum is immutable")
+
+    def _key(self) -> tuple:
+        return (self.label, self.series, self.rank, self.cartan, self.root_norms)
+
+    def __eq__(self, other) -> bool:  # a datum keys the `canonical_form` cache
+        return self._key() == other._key() if type(other) is RootDatum else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return RootDatum, self._key()
 
     def simple_reflection(self, i: int) -> Matrix:
         """Action of s_i on coroot coordinates: e_j -> e_j - A[j][i] e_i."""
@@ -138,12 +154,23 @@ def build_root_datum(type_str: str, rank: int | None = None) -> RootDatum:
     return RootDatum(f"{series}{rank}", series, rank, cartan, tuple(norms))
 
 
-@dataclass(frozen=True)
 class CanonicalForm:
     """The minimal Weyl-invariant positive-definite integer-valued form on
     the coroot lattice, normalized to 1 on short coroots."""
 
-    gram: Matrix
+    __slots__ = ("gram",)
+
+    def __init__(self, gram: Matrix):
+        object.__setattr__(self, "gram", gram)
+
+    def __setattr__(self, *args):
+        raise AttributeError("CanonicalForm is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.gram == other.gram if type(other) is CanonicalForm else NotImplemented
+
+    def __reduce__(self):
+        return CanonicalForm, (self.gram,)
 
     def value(self, v) -> RatLike:
         return self.bilinear(v, v)
@@ -215,20 +242,28 @@ def _check_automorphism(rd: RootDatum, perm) -> None:
                 raise ValueError("permutation is not a diagram automorphism")
 
 
-@dataclass(frozen=True)
 class LatticeEmbedding:
     """An integer matrix from the source coroot lattice into the target's;
     columns are the images of the source's simple coroots."""
 
-    matrix: Matrix
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        if any(x != int(x) for row in self.matrix for x in row):
+    def __init__(self, matrix: Matrix):
+        if any(x != int(x) for row in matrix for x in row):
             raise ValueError("embedding matrix has a non-integral entry")
-        m = freeze([[int(x) for x in row] for row in self.matrix])
-        object.__setattr__(self, "matrix", m)
+        m = freeze([[int(x) for x in row] for row in matrix])
         if mat_rank(m) != len(m[0]):
             raise ValueError("embedding matrix is not injective")
+        object.__setattr__(self, "matrix", m)
+
+    def __setattr__(self, *args):
+        raise AttributeError("LatticeEmbedding is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.matrix == other.matrix if type(other) is LatticeEmbedding else NotImplemented
+
+    def __reduce__(self):
+        return LatticeEmbedding, (self.matrix,)
 
     @property
     def source_rank(self) -> int:
@@ -242,11 +277,28 @@ class LatticeEmbedding:
         return mat_vec(self.matrix, v)
 
 
-@dataclass(frozen=True)
 class FoldResult:
-    folded: RootDatum
-    orbits: tuple[tuple[int, ...], ...]  # per folded simple root, Bourbaki order
-    embedding: LatticeEmbedding
+    """The folded datum, the orbits of the automorphism (one per folded
+    simple root, in Bourbaki order) and the embedding of coroot lattices."""
+
+    __slots__ = ("folded", "orbits", "embedding")
+
+    def __init__(self, folded: RootDatum, orbits: tuple, embedding: LatticeEmbedding):
+        object.__setattr__(self, "folded", folded)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "embedding", embedding)
+
+    def __setattr__(self, *args):
+        raise AttributeError("FoldResult is immutable")
+
+    def _key(self) -> tuple:
+        return (self.folded, self.orbits, self.embedding)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is FoldResult else NotImplemented
+
+    def __reduce__(self):
+        return FoldResult, self._key()
 
     @property
     def orbit_sizes(self) -> tuple[int, ...]:

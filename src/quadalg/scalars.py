@@ -13,9 +13,9 @@ ratio is a nonzero rational square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
 from typing import Iterable, Union
 
@@ -37,7 +37,16 @@ def parse_scalar(text: str) -> Fraction:
 # number past the bounds raises ValueError instead of running on
 
 
-_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1))]
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return list(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(1000)
 # Strong probable primes to the first 13 prime bases are prime below
 # psi_13 (Sorenson & Webster, Math. Comp. 86 (2017)); nothing larger is
 # accepted as prime.
@@ -242,20 +251,24 @@ def is_local_square(a: RatLike, place: "Place") -> bool:
 _PLACES: dict[int, "Place"] = {}
 
 
-@dataclass(frozen=True)
 class Place:
     """A place of Q carrying a local invariant: the real place or a prime.
-    Places are interned, so a prime is proved prime once."""
+    Places are interned, so a prime is proved prime once, and two places
+    are equal only when they are the same object."""
 
-    p: int  # 0 encodes the real place
+    __slots__ = ("p",)  # p = 0 encodes the real place
 
     def __new__(cls, p: int) -> "Place":
         place = _PLACES.get(p)
         if place is None:
             if p != 0 and not is_prime(p):
                 raise ValueError(f"not a place: {p}")
-            place = _PLACES[p] = super().__new__(cls)
+            place = _PLACES[p] = object.__new__(cls)
+            object.__setattr__(place, "p", p)
         return place
+
+    def __setattr__(self, *args):
+        raise AttributeError("Place is immutable")
 
     def __reduce__(self):  # pickle and copy through the interning constructor
         return Place, (self.p,)
@@ -369,12 +382,15 @@ class QuadExtScalar:
     __slots__ = ("x", "y", "k")
 
     def __init__(self, x: RatLike, y: RatLike, k: RatLike):
-        object.__setattr__(self, "x", as_rat(x))
-        object.__setattr__(self, "y", as_rat(y))
-        object.__setattr__(self, "k", _field_parameter(as_rat(k)))
+        _set_x(self, as_rat(x))
+        _set_y(self, as_rat(y))
+        _set_k(self, _field_parameter(as_rat(k)))
 
     def __setattr__(self, *args):  # immutable
         raise AttributeError("QuadExtScalar is immutable")
+
+    def __reduce__(self):  # pickle and copy through the constructor
+        return QuadExtScalar, (self.x, self.y, self.k)
 
     # -- ring structure ------------------------------------------------
     def _coerce(self, other):
@@ -481,14 +497,18 @@ class QuadExtScalar:
         return f"{self.x}+{self.y}*sqrt({self.k})"
 
 
+# the slots' own setters, which skip the __setattr__ that keeps K immutable
+_set_x, _set_y, _set_k = (QuadExtScalar.__dict__[name].__set__ for name in QuadExtScalar.__slots__)
+
+
 def _quad(x: RatLike, y: RatLike, k: RatLike) -> QuadExtScalar:
     """x + y sqrt(k) built by the arithmetic: x and y are exact rationals,
-    demoted to int when integral, and k is an operand's, already checked,
-    so the public constructor's validation is skipped."""
+    demoted to int when integral (`rat`, inline), and k is an operand's,
+    already checked, so the public constructor's validation is skipped."""
     out = object.__new__(QuadExtScalar)
-    object.__setattr__(out, "x", rat(x))
-    object.__setattr__(out, "y", rat(y))
-    object.__setattr__(out, "k", k)
+    _set_x(out, x.numerator if type(x) is Fraction and x.denominator == 1 else x)
+    _set_y(out, y.numerator if type(y) is Fraction and y.denominator == 1 else y)
+    _set_k(out, k)
     return out
 
 
@@ -554,7 +574,9 @@ class Laurent:
         return other * Laurent([(tuple((v, -e) for v, e in m), div(1, c))])
 
     def __pow__(self, n: int):
-        return prod([self if n >= 0 else div(1, self)] * abs(n), start=1)
+        if not n:
+            return Laurent([((), 1)])
+        return prod([self if n > 0 else div(1, self)] * abs(n))
 
     def conj(self) -> "Laurent":
         """iota on the coefficients."""

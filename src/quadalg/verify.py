@@ -9,7 +9,6 @@ never silently passed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -23,12 +22,29 @@ SCHEMA_VERSION = 2
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    check_id: str
-    location: str
-    status: str  # pass | fail | open-question
-    witness: dict
+    """One ledger line: the check's id and location, its status (pass |
+    fail | open-question) and its witness."""
+
+    __slots__ = ("check_id", "location", "status", "witness")
+
+    def __init__(self, check_id: str, location: str, status: str, witness: dict):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CheckResult is immutable")
+
+    def _key(self) -> tuple:
+        return (self.check_id, self.location, self.status, self.witness)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is CheckResult else NotImplemented
+
+    def __reduce__(self):
+        return CheckResult, self._key()
 
     def as_dict(self) -> dict:
         return {

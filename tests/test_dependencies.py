@@ -53,6 +53,14 @@ def test_cli_import_loads_no_sympy():
     assert run.returncode == 0 and run.stdout == "False\n"
 
 
+def test_no_module_loads_dataclasses_or_inspect():
+    """`quadalg.verify` imports every module of the package but the CLI;
+    none of them pays for `dataclasses`, which imports `inspect`."""
+    run = _python("import sys, quadalg.verify; print({'dataclasses', 'inspect'} & set(sys.modules))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "set()\n"
+
+
 def _loaded_after(code: str) -> set[str]:
     """The quadalg modules in sys.modules once `code` has run in a fresh
     interpreter without error."""

@@ -1,0 +1,132 @@
+"""The immutable records of the package: equality by fields, a hash that
+agrees with it where there is one, no assignment, and copies and pickles
+that come back equal."""
+
+import copy
+import pickle
+from fractions import Fraction as Q
+
+import pytest
+
+from quadalg import albert, cayley, descent, forms, rootsys, verify
+from quadalg.exactmat import freeze, identity
+from quadalg.scalars import REAL, Place, QuadExtScalar
+
+
+def _cayley_tables():
+    table = cayley.build_cayley_table()
+    candidate = cayley._build_tables((-2, 1, 1, -2, 1, -1), cayley._CAL_PERM)
+    return table, cayley.CayleyTable(table.products, table.gram), cayley.CayleyTable(*candidate)
+
+
+def _root_data():
+    b3 = rootsys.build_root_datum("B3")
+    copied = rootsys.RootDatum(b3.label, b3.series, b3.rank, b3.cartan, b3.root_norms)
+    return b3, copied, rootsys.build_root_datum("C3")
+
+
+def _canonical_forms():
+    b3 = rootsys.canonical_form(rootsys.build_root_datum("B3"))
+    c3 = rootsys.canonical_form(rootsys.build_root_datum("C3"))
+    return b3, rootsys.CanonicalForm(b3.gram), c3
+
+
+def _folds():
+    d4 = rootsys.build_root_datum("D4")
+    return rootsys.fold(d4), rootsys.fold(d4), rootsys.fold(d4, name="triality")
+
+
+def _triples():
+    eye = cayley.Similitude(identity(8))
+    neg = cayley.Similitude(freeze([[-x for x in row] for row in identity(8)]))
+    return (
+        cayley.SimilitudeTriple((eye, eye, eye)),
+        cayley.SimilitudeTriple((cayley.Similitude(identity(8)),) * 3),
+        cayley.SimilitudeTriple((eye, neg, neg)),
+    )
+
+
+def _moving_lemma_data():
+    def data(i):
+        return albert.MovingLemmaData(Q(3, 2), albert.e_idem(i), {"T(e0,e0) = 1": True})
+
+    return data(0), data(0), data(1)
+
+
+def _cocycles():
+    unit = QuadExtScalar(2, 1, 3)  # 2 + sqrt(3), of norm 1, so Z iota(Z) = 1
+    over_k = [descent.SemilinearCocycle(3, ((unit, 0), (0, 1))) for _ in range(2)]
+    return (*over_k, descent.SemilinearCocycle(3, identity(2)))
+
+
+def _rostcalc_reports():
+    def report(a):
+        q_z, q = forms.form([1, -1]), forms.form([2])
+        return descent.RostCalcReport(2, a, q_z, q, True, True, False, False)
+
+    return report(3), report(3), report(5)
+
+
+RECORDS = {
+    "Place": (lambda: (Place(7), Place(7), Place(11)), "p"),
+    "DiagonalForm": (
+        lambda: (forms.form([1, 2]), forms.DiagonalForm("Q", (1, 2)), forms.form([1, 3])),
+        "entries",
+    ),
+    "WittInvariants": (
+        lambda: (
+            forms.WittInvariants(2, -1, {Place(3): -1}, 0),
+            forms.WittInvariants(2, -1, {Place(3): -1}, 0),
+            forms.WittInvariants(2, -1, {}, 0),
+        ),
+        "hasse",
+    ),
+    "HermitianDiagonal": (
+        lambda: tuple(forms.HermitianDiagonal("Q", k, (1, -1)) for k in (2, 2, 3)),
+        "k",
+    ),
+    "RootDatum": (_root_data, "cartan"),
+    "CanonicalForm": (_canonical_forms, "gram"),
+    "LatticeEmbedding": (
+        lambda: tuple(
+            rootsys.LatticeEmbedding(freeze(m)) for m in ([[1], [1]], [[1], [1]], [[1], [2]])
+        ),
+        "matrix",
+    ),
+    "FoldResult": (_folds, "orbits"),
+    "CayleyTable": (_cayley_tables, "products"),
+    "SimilitudeTriple": (_triples, "t"),
+    "MovingLemmaData": (_moving_lemma_data, "j_prime"),
+    "SemilinearCocycle": (_cocycles, "matrix"),
+    "RostCalcReport": (_rostcalc_reports, "a"),
+    "CheckResult": (
+        lambda: tuple(
+            verify.CheckResult("P01", "B7", s, {"dim": 16}) for s in ("pass", "pass", "fail")
+        ),
+        "status",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_by_fields_and_stay_frozen(name):
+    build, field = RECORDS[name]
+    record, same, other = build()
+    assert type(record).__name__ == name
+    assert (same is record) == (name == "Place")  # only places are interned
+    assert record == same and not record != same
+    assert record != other and not record == other
+    assert record != object()
+    if type(record).__hash__ is not None:
+        assert hash(record) == hash(same)
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(other, field))
+    assert record == same
+    for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
+        if name == "Place":
+            assert clone is record
+        if name == "WittInvariants":
+            with pytest.raises(TypeError):
+                clone.hasse[REAL] = -1
+

@@ -234,11 +234,12 @@ def test_quadext_results_have_canonical_parts(a, b):
 def test_laurent_results_have_canonical_coefficients(p, r, c, m, n):
     monomial = Laurent([(m, 2)])
     results = [p + r, p - r, p * r, p * c, c * p, p + c, -p, p.conj()]
-    results += [div(p, monomial), p * monomial**n]
+    results += [div(p, monomial), p * monomial**n, monomial**n]  # n = 0 included
     if c:
         results.append(div(p, c))
     for f in results:
-        assert all(canonical_coefficient(x) for x in f.terms.values())
+        assert type(f) is Laurent and all(canonical_coefficient(x) for x in f.terms.values())
+    assert (monomial**n) * (monomial**-n) == 1
 
 
 @FIXED
