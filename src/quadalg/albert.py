@@ -21,8 +21,9 @@ and computed by linearizing the adjoint; sharp(x) = (x cross x)/2.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from .cayley import (
     DIM as ODIM,
@@ -44,7 +45,7 @@ from .exactmat import (
     pullback,
     transpose,
 )
-from .scalars import KScalar, as_scalar, div, exact_sum, iota, rat, variable
+from .scalars import QuadExtScalar, as_scalar, div, exact_sum, iota, rat, variable
 
 ADIM = 27
 
@@ -56,7 +57,7 @@ class AlbertElement:
 
     __slots__ = ("eps", "c")
 
-    def __init__(self, eps: Sequence[KScalar], c: Sequence[Octonion]):
+    def __init__(self, eps: Sequence[int | Fraction | QuadExtScalar], c: Sequence[Octonion]):
         if len(eps) != 3 or len(c) != 3:
             raise ValueError("need three diagonal scalars and three octonions")
         object.__setattr__(self, "eps", tuple(as_scalar(e) for e in eps))
@@ -113,7 +114,7 @@ class AlbertElement:
         return tuple(out)
 
     @staticmethod
-    def from_coords(v: Sequence[KScalar]) -> "AlbertElement":
+    def from_coords(v: Sequence[int | Fraction | QuadExtScalar]) -> "AlbertElement":
         if len(v) != ADIM:
             raise ValueError("need 27 coordinates")
         return AlbertElement(
@@ -241,7 +242,9 @@ def cross(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     return sharp(x + y) - sharp(x) - sharp(y)
 
 
-def _block_diagonal(eps: Sequence[KScalar], blocks: Sequence[Matrix]) -> Matrix:
+def _block_diagonal(
+    eps: Sequence[int | Fraction | QuadExtScalar], blocks: Sequence[Matrix]
+) -> Matrix:
     """The 27x27 matrix diag(eps0, eps1, eps2) + block0 + block1 + block2,
     each 8x8 block on the coordinates of its octonion slot."""
     rows = [[0] * ADIM for _ in range(ADIM)]
@@ -392,7 +395,7 @@ def _a_gram_display() -> Matrix:
 A_GRAM = _a_gram_display()
 
 
-def a_embed(v: Sequence[KScalar]) -> AlbertElement:
+def a_embed(v: Sequence[int | Fraction | QuadExtScalar]) -> AlbertElement:
     """A-coordinates (u1..u4, e1, e2, u5..u8) -> Albert element."""
     if len(v) != 10:
         raise ValueError("A has dimension 10")
@@ -411,7 +414,7 @@ def a_project(x: AlbertElement) -> tuple:
     return tuple(coords[pos] for pos in A_COORD_INDICES)
 
 
-def a_form_value(v: Sequence[KScalar]):
+def a_form_value(v: Sequence[int | Fraction | QuadExtScalar]):
     """The quadratic form N_A of the subspace, from its displayed Gram."""
     return exact_sum(
         [A_GRAM[r][c] * (v[r] * v[c]) for r in range(10) for c in range(10) if A_GRAM[r][c]]
@@ -472,7 +475,7 @@ class MovingLemmaData:
 
     __slots__ = ("r", "j_prime", "checks")
 
-    def __init__(self, r: KScalar, j_prime: AlbertElement, checks: dict):
+    def __init__(self, r: int | Fraction | QuadExtScalar, j_prime: AlbertElement, checks: dict):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "j_prime", j_prime)
         object.__setattr__(self, "checks", checks)

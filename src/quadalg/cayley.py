@@ -23,9 +23,9 @@ The deviation is reported, never patched silently.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .exactmat import (
     Matrix,
@@ -42,9 +42,7 @@ from .exactmat import (
     transpose,
 )
 from .scalars import (
-    KScalar,
     QuadExtScalar,
-    RatLike,
     as_scalar,
     div,
     exact_sum,
@@ -174,7 +172,7 @@ class CayleyTable:
     def __reduce__(self):
         return CayleyTable, (self.products, self.gram)
 
-    def gram_deviations(self) -> list[tuple[int, int, RatLike, RatLike]]:
+    def gram_deviations(self) -> list[tuple[int, int, int | Fraction, int | Fraction]]:
         """(i, j, actual, S8-expected) for every differing entry, 1-based."""
         out = []
         for i in range(DIM):
@@ -255,7 +253,7 @@ class Octonion:
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: Sequence[KScalar]):
+    def __init__(self, coords: Sequence[int | Fraction | QuadExtScalar]):
         if len(coords) != DIM:
             raise ValueError("octonions have 8 coordinates")
         object.__setattr__(
@@ -490,7 +488,7 @@ def diag_d() -> Matrix:
     )
 
 
-def m_matrix(j: int, a: Sequence[KScalar]) -> Matrix:
+def m_matrix(j: int, a: Sequence[int | Fraction | QuadExtScalar]) -> Matrix:
     """diag(1, a_j, a_j, a_{j+2}^{-1}, a_{j+1}^{-1}, 1, 1, a_j)."""
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
     entries = [1, aj, aj, div(1, aj2), div(1, aj1), 1, 1, aj]
@@ -499,7 +497,7 @@ def m_matrix(j: int, a: Sequence[KScalar]) -> Matrix:
     )
 
 
-def special_cocycle(a: Sequence[KScalar]) -> SimilitudeTriple:
+def special_cocycle(a: Sequence[int | Fraction | QuadExtScalar]) -> SimilitudeTriple:
     """The related triple z_j = m_j(a) d P for a product-one triple a;
     its multiplier triple is exactly (a0, a1, a2)."""
     if len(a) != 3:
@@ -513,7 +511,7 @@ def special_cocycle(a: Sequence[KScalar]) -> SimilitudeTriple:
     )
 
 
-def special_cocycle_iota_closed_form(j: int, a: Sequence[KScalar]) -> Matrix:
+def special_cocycle_iota_closed_form(j: int, a: Sequence[int | Fraction | QuadExtScalar]) -> Matrix:
     """diag(a_j^{-1},1,1,a_{j+1},a_{j+2},a_j^{-1},a_j^{-1},1) d P, the
     stated closed form of the iota-twist of z_j."""
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
@@ -553,7 +551,9 @@ def coboundary_triple(lam: Sequence[QuadExtScalar]) -> SimilitudeTriple:
 
 
 def freedom_identity_holds(
-    a: Sequence[KScalar], a_prime: Sequence[KScalar], lam: Sequence[QuadExtScalar]
+    a: Sequence[int | Fraction | QuadExtScalar],
+    a_prime: Sequence[int | Fraction | QuadExtScalar],
+    lam: Sequence[QuadExtScalar],
 ) -> bool:
     """iota(l) z_{K,a'} l^{-1} = z_{K,a} whenever a_j^{-1} a'_j = N(lambda_j)."""
     for j in range(3):

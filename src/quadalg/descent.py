@@ -12,6 +12,7 @@ packaged as report objects.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from . import albert, cayley, forms
@@ -26,7 +27,7 @@ from .exactmat import (
     mat_vec,
     pullback,
 )
-from .scalars import QuadExtScalar, RatLike, as_rat, as_rational, div, iota, is_square, sqrt_k
+from .scalars import QuadExtScalar, as_rat, as_rational, div, iota, is_square, sqrt_k
 
 
 def _iota_mat(m: Matrix) -> Matrix:
@@ -39,7 +40,7 @@ class SemilinearCocycle:
 
     __slots__ = ("k", "matrix")
 
-    def __init__(self, k: RatLike, matrix: Matrix):
+    def __init__(self, k: int | Fraction, matrix: Matrix):
         k = as_rat(k)
         if is_square(k):
             raise ValueError("k must not be a square")
@@ -128,22 +129,22 @@ def dagger_cocycle_matrix() -> Matrix:
     return freeze(m)
 
 
-def twist_a_cocycle(k: RatLike) -> SemilinearCocycle:
+def twist_a_cocycle(k: int | Fraction) -> SemilinearCocycle:
     return SemilinearCocycle(k, dagger_cocycle_matrix())
 
 
-def twist_a_descend(k: RatLike) -> forms.DiagonalForm:
+def twist_a_descend(k: int | Fraction) -> forms.DiagonalForm:
     """Descend the 10-dimensional A-form along M; equals 4H + <-2, 2k>."""
     return descend_form(albert.A_GRAM, twist_a_cocycle(k))
 
 
-def twist_a_expected(k: RatLike) -> forms.DiagonalForm:
+def twist_a_expected(k: int | Fraction) -> forms.DiagonalForm:
     return forms.direct_sum(
         forms.hyperbolic(4), forms.form([-2, 2 * as_rat(k)])
     )
 
 
-def special_cocycle_on_A(k: RatLike, a: RatLike) -> SemilinearCocycle:
+def special_cocycle_on_A(k: int | Fraction, a: int | Fraction) -> SemilinearCocycle:
     """The cocycle z_iota M on A for z = z_{K,(1,a,1/a)}; its fixed form
     computes the image q_z of the special cocycle in H^1(F, SO(q)).  It is
     built once per (k, a) and shared, as the cocycle is immutable."""
@@ -151,7 +152,7 @@ def special_cocycle_on_A(k: RatLike, a: RatLike) -> SemilinearCocycle:
 
 
 @lru_cache(maxsize=None)
-def _special_cocycle_on_A(k: RatLike, a: RatLike) -> SemilinearCocycle:
+def _special_cocycle_on_A(k: int | Fraction, a: int | Fraction) -> SemilinearCocycle:
     if a == 0:
         raise ValueError("a must be nonzero")
     triple = cayley.special_cocycle((1, a, div(1, a)))
@@ -159,7 +160,7 @@ def _special_cocycle_on_A(k: RatLike, a: RatLike) -> SemilinearCocycle:
     return SemilinearCocycle(k, mat_mul(za, dagger_cocycle_matrix()))
 
 
-def rostcalc_expected_qz(k: RatLike, a: RatLike) -> forms.DiagonalForm:
+def rostcalc_expected_qz(k: int | Fraction, a: int | Fraction) -> forms.DiagonalForm:
     k, a = as_rat(k), as_rat(a)
     return forms.direct_sum(
         forms.hyperbolic(2),
@@ -174,7 +175,8 @@ class RostCalcReport:
     __slots__ = ("k", "a", "q_z", "q", "qz_matches_table", "difference_witt_class_ok",
                  "arason_class_trivial", "real_symbol_nontrivial")
 
-    def __init__(self, k: RatLike, a: RatLike, q_z: forms.DiagonalForm, q: forms.DiagonalForm,
+    def __init__(self, k: int | Fraction, a: int | Fraction,
+                 q_z: forms.DiagonalForm, q: forms.DiagonalForm,
                  qz_matches_table: bool, difference_witt_class_ok: bool,
                  arason_class_trivial: bool, real_symbol_nontrivial: bool):
         object.__setattr__(self, "k", k)
@@ -213,7 +215,7 @@ class RostCalcReport:
         }
 
 
-def rostcalc_report(k: RatLike, a: RatLike) -> RostCalcReport:
+def rostcalc_report(k: int | Fraction, a: int | Fraction) -> RostCalcReport:
     """Run the whole special-cocycle computation: descend, compare with
     the tabulated form, check the Witt class of q_z - q against
     <2><<a,k,-1>>, and evaluate the Arason-invariant triviality (which,
@@ -235,7 +237,7 @@ def rostcalc_report(k: RatLike, a: RatLike) -> RostCalcReport:
     )
 
 
-def rostcalc_table_rows(k: RatLike, a: RatLike) -> list[dict]:
+def rostcalc_table_rows(k: int | Fraction, a: int | Fraction) -> list[dict]:
     """The five 2-dimensional subspaces of the descent table: for each,
     the displayed fixed vectors and their contribution to q_z, all
     verified against the actual cocycle."""

@@ -16,7 +16,7 @@ gave QuadExtScalar(0, 0, k); the two are equal and hash alike.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .scalars import div, rat
 

@@ -11,8 +11,10 @@ decomposition read the residue r.  Witt decomposition splits the remaining
 hyperbolic planes off using explicit isotropy witnesses, built by the
 common-value split of Serre's proof of Hasse-Minkowski.
 
-The layer is linear in the dimension: a Hasse symbol is at most n - 1
-Hilbert symbols per place (prefix products of square classes), the
+Entries are exact rationals in the canonical form of `scalars`: an int
+when integral, else a Fraction.  The layer is linear in the dimension: a
+Hasse symbol is one pass over the entries per place, with at most one
+Legendre symbol (Serre's explicit formulas summed over all pairs), the
 complement of a hyperbolic plane is eliminated as "diagonal plus rank one"
 without building its basis, and the entries' square classes, their
 cancellation and `invariants` are computed once per form and kept on it.
@@ -31,13 +33,14 @@ from .scalars import (
     is_local_square,
     Place,
     REAL,
-    RatLike,
     _legendre,
     _val_unit,
+    as_rat,
     div,
     hilbert_symbol,
     is_square,
     next_prime,
+    parse_scalar,
     relevant_places,
     sqrt_mod,
     square_class,
@@ -54,14 +57,15 @@ class HypothesisViolation(ValueError):
 
 class DiagonalForm:
     """A nondegenerate diagonal quadratic form over Q or R: its `field`
-    and its tuple of Fraction `entries`.  It is immutable; its __dict__
-    also keeps what is computed once per form (`_classes`, `_cancelled`,
-    `_invariants`)."""
+    and its tuple of `entries`, each a canonical rational (an int when
+    integral, else a Fraction; `scalars.as_rat`).  It is immutable; its
+    __dict__ also keeps what is computed once per form (`_classes`,
+    `_cancelled`, `_invariants`)."""
 
-    def __init__(self, field: str, entries: tuple[Fraction, ...]):
+    def __init__(self, field: str, entries: tuple[int | Fraction, ...]):
         if field not in ("Q", "R"):
             raise ValueError(f"unknown base field {field!r}")
-        entries = tuple(a if type(a) is Fraction else Fraction(a) for a in entries)
+        entries = tuple(a if type(a) is int else as_rat(a) for a in entries)
         if not all(entries):
             raise ValueError("diagonal entries must be nonzero")
         fields = self.__dict__
@@ -83,10 +87,10 @@ class DiagonalForm:
     def dim(self) -> int:
         return len(self.entries)
 
-    def value(self, v) -> Fraction:
+    def value(self, v) -> int | Fraction:
         return sum(a * x * x for a, x in zip(self.entries, v))
 
-    def bilinear(self, v, w) -> Fraction:
+    def bilinear(self, v, w) -> int | Fraction:
         return sum(a * x * y for a, x, y in zip(self.entries, v, w))
 
     def __add__(self, other: "DiagonalForm") -> "DiagonalForm":
@@ -100,7 +104,7 @@ class DiagonalForm:
 
 
 def form(entries, field: str = "Q") -> DiagonalForm:
-    return DiagonalForm(field, tuple(Fraction(a) for a in entries))
+    return DiagonalForm(field, tuple(entries))
 
 
 def direct_sum(q1: DiagonalForm, q2: DiagonalForm) -> DiagonalForm:
@@ -109,8 +113,8 @@ def direct_sum(q1: DiagonalForm, q2: DiagonalForm) -> DiagonalForm:
     return DiagonalForm(q1.field, q1.entries + q2.entries)
 
 
-def scale(c: RatLike, q: DiagonalForm) -> DiagonalForm:
-    c = Fraction(c)
+def scale(c: int | Fraction, q: DiagonalForm) -> DiagonalForm:
+    c = as_rat(c)
     if c == 0:
         raise ValueError("scaling by zero")
     return DiagonalForm(q.field, tuple(c * a for a in q.entries))
@@ -125,15 +129,22 @@ def tensor(q1: DiagonalForm, q2: DiagonalForm) -> DiagonalForm:
 
 
 def hyperbolic(m: int, field: str = "Q") -> DiagonalForm:
-    return DiagonalForm(field, (Fraction(1), Fraction(-1)) * m)
+    return DiagonalForm(field, (1, -1) * m)
 
 
-def pfister(*slots: RatLike, field: str = "Q") -> DiagonalForm:
+def pfister(*slots: int | Fraction, field: str = "Q") -> DiagonalForm:
     """The n-fold Pfister form <<a1,...,an>> = <1,-a1> x ... x <1,-an>."""
-    q = DiagonalForm(field, (Fraction(1),))
+    return DiagonalForm(field, tuple(_pfister_entries(slots)))
+
+
+def _pfister_entries(slots) -> list:
+    """The 2^n entries of <<a1,...,an>> in the order of `tensor`: each
+    slot a turns every entry e into e, -a*e."""
+    entries = [1]
     for a in slots:
-        q = tensor(q, DiagonalForm(field, (Fraction(1), -Fraction(a))))
-    return q
+        a = as_rat(a)
+        entries = [x for e in entries for x in (e, -a * e)]
+    return entries
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +190,8 @@ def invariants(q: DiagonalForm) -> WittInvariants:
     the signed squarefree class (-1)^(n(n-1)/2) det(q) (B7.eg convention).
     Over Q they are read off q = pH + r (`_cancelled`): the Hasse symbols
     are s_v(q) = s_v(pH) s_v(r) ((-1)^p, det r)_v, with s_v(pH) in closed
-    form (`_hyperbolic_hasse`), so only the residue r costs Hilbert symbols.
+    form (`_hyperbolic_hasse`), so each place costs one `_hasse` pass over
+    the residue and, for odd p, one Hilbert symbol.
     """
     if "_invariants" in q.__dict__:
         return q.__dict__["_invariants"]
@@ -244,15 +256,41 @@ def _class_product(x: int, y: int) -> int:
 
 def _hasse(ds, v: Place) -> int:
     """The Hasse symbol prod_{i<j} (d_i, d_j)_v of <d_1,...,d_n> for
-    nonzero integers d_i, as prod_j (d_1...d_{j-1}, d_j)_v
-    (bimultiplicativity): n - 1 symbols, with the prefix reduced by
-    `_class_product` (squarefree for squarefree d_i)."""
-    eps, prefix = 1, 1
+    nonzero integers d_i, squarefree or not, in one pass over the entries:
+    Serre's explicit formulas (Cours d'arithmetique III.1.2 Thm. 1) summed
+    over all pairs.  Write d_i = p^e_i u_i and let k count the odd e_i.  At
+    an odd p the symbol is (-1)^(C(k,2)(p-1)/2) (U_out|p)^k (U_in|p)^(k-1),
+    with U_in and U_out the products mod p of the u_i with odd and with even
+    e_i, so at most one Legendre symbol.  At 2 the exponents e(u) = (u-1)/2
+    and w(u) = (u^2-1)/8 sum the same way, to C(n_e,2) + k n_w + n_w_in
+    mod 2, for n_e entries with e(u_i) odd, n_w with w(u_i) odd and n_w_in
+    of those with odd e_i.  At the real place it is (-1)^C(neg,2)."""
+    if v.is_real:
+        neg = sum(1 for d in ds if d < 0)
+        return -1 if neg * (neg - 1) // 2 % 2 else 1
+    p, k = v.p, 0
+    if p == 2:
+        n_e = n_w = n_w_in = 0
+        for d in ds:
+            e, u = _val_unit(d, 2)
+            n_e += u % 4 == 3
+            if u % 8 in (3, 5):
+                n_w += 1
+                n_w_in += e % 2
+            k += e % 2
+        return -1 if (n_e * (n_e - 1) // 2 + k * n_w + n_w_in) % 2 else 1
+    u_in = u_out = 1
     for d in ds:
-        if prefix != 1:
-            eps *= hilbert_symbol(prefix, d, v)
-        prefix = _class_product(prefix, d)
-    return eps
+        e, u = _val_unit(d, p)
+        if e % 2:
+            k += 1
+            u_in = u_in * u % p
+        else:
+            u_out = u_out * u % p
+    sign = -1 if k * (k - 1) // 2 * (p // 2) % 2 else 1
+    if k % 2:
+        return sign * _legendre(u_out, p)
+    return sign * _legendre(u_in, p) if k else sign
 
 
 def _hyperbolic_hasse(m: int) -> set[Place]:
@@ -306,15 +344,16 @@ def is_isotropic(q: DiagonalForm) -> bool:
     return pairs > 0 or all(_isotropic_at(ds, v) for v in relevant_places(-1, *ds))
 
 
-def _fraction_sqrt(a: Fraction) -> Fraction:
+def _fraction_sqrt(a: int | Fraction) -> int | Fraction:
+    """The rational square root of a rational square a >= 0, canonical."""
     num, den = a.numerator, a.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
         raise ValueError(f"{a} is not a square")
-    return Fraction(rn, rd)
+    return div(rn, rd)
 
 
-def isotropic_vector(q: DiagonalForm) -> tuple[RatLike, ...]:
+def isotropic_vector(q: DiagonalForm) -> tuple[int | Fraction, ...]:
     """An exact nonzero vector with q(v) = 0.
 
     The existence certificate comes first (local-global test); the witness
@@ -326,13 +365,13 @@ def isotropic_vector(q: DiagonalForm) -> tuple[RatLike, ...]:
     return _witness(q)
 
 
-def _witness(q: DiagonalForm) -> tuple[RatLike, ...]:
+def _witness(q: DiagonalForm) -> tuple[int | Fraction, ...]:
     """An exact nonzero vector with q(v) = 0, for q known to be isotropic."""
     if q.field == "R":
         i = next(i for i, a in enumerate(q.entries) if a > 0)
         j = next(j for j, a in enumerate(q.entries) if a < 0)
-        v = [Fraction(0)] * q.dim
-        v[i] = Fraction(1)
+        v = [0] * q.dim
+        v[i] = 1
         v[j] = _fraction_sqrt(div(q.entries[i], -q.entries[j]))
         return tuple(v)
     # a_i = d_i c_i^2 with d_i squarefree: a zero w of <d_i> gives w_i / c_i
@@ -365,11 +404,12 @@ def _isotropic_vector_squarefree(ds):
         if w is None:
             raise RuntimeError("certified ternary form defeated the solvers")
         return list(w)
-    # an isotropic ternary (or smaller) subform finishes the job
+    # an isotropic ternary subform finishes the job; it has no opposite
+    # entries, so it is isotropic iff it is so at each of its places
     for idx in itertools.combinations(range(n), 3):
-        sub = DiagonalForm("Q", tuple(Fraction(ds[i]) for i in idx))
-        if is_isotropic(sub):
-            w = _ternary_witness(*(ds[i] for i in idx))
+        sub = [ds[i] for i in idx]
+        if all(_isotropic_at(sub, v) for v in relevant_places(-1, *sub)):
+            w = _ternary_witness(*sub)
             if w is not None:
                 v = [0] * n
                 for i, s in zip(idx, w):
@@ -464,14 +504,14 @@ def _ternary_witness(a, b, c):
     if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
         return None
     coeffs = [a, b, c]
-    mults = [Fraction(1)] * 3  # witness w maps back as w_i * mults_i
+    mults = [1] * 3  # witness w maps back as w_i * mults_i
     changed = True
     while changed:
         changed = False
         for i in range(3):
             d = square_class(coeffs[i])
             if d != coeffs[i]:
-                k = _fraction_sqrt(Fraction(coeffs[i], d))
+                k = _fraction_sqrt(div(coeffs[i], d))
                 coeffs[i] = d
                 mults[i] = div(mults[i], k)
                 changed = True
@@ -493,8 +533,8 @@ def _ternary_witness(a, b, c):
     back = [m * s for m, s in zip(mults, w)]
     den = 1
     for f in back:
-        den = den * Fraction(f).denominator // gcd(den, Fraction(f).denominator)
-    out = tuple(int(f * den) for f in back)
+        den = den * f.denominator // gcd(den, f.denominator)
+    out = tuple(f.numerator * (den // f.denominator) for f in back)
     if a * out[0] ** 2 + b * out[1] ** 2 + c * out[2] ** 2 != 0:
         raise RuntimeError("ternary witness is not isotropic")
     return out
@@ -601,7 +641,7 @@ def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
         pos = sum(1 for a in q.entries if a > 0)
         neg = q.dim - pos
         index = min(pos, neg)
-        rest = (Fraction(1),) * (pos - index) + (Fraction(-1),) * (neg - index)
+        rest = (1,) * (pos - index) + (-1,) * (neg - index)
         return index, DiagonalForm("R", rest)
     index, residue = _cancelled(q)
     cur = DiagonalForm("Q", residue) if index else q
@@ -648,7 +688,7 @@ def _split_hyperbolic(q: DiagonalForm, v) -> DiagonalForm:
             break
         d[t], d[i] = d[i], d[t]
         u[t], u[i] = u[i], u[t]
-        out.append(Fraction(square_class(p)))
+        out.append(square_class(p))
         s = div(s * d[t], p)
     return DiagonalForm(q.field, tuple(out))
 
@@ -661,7 +701,7 @@ def _diagonalize_gram(gram):
     (a degenerate Gram) is a ValueError.
     """
     n = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]
+    g = [list(row) for row in gram]
     out = []
     for t in range(n):
         piv = next((i for i in range(t, n) if g[i][i] != 0), None)
@@ -682,7 +722,7 @@ def _diagonalize_gram(gram):
             for row in g:
                 row[t], row[piv] = row[piv], row[t]
         d = g[t][t]
-        out.append(Fraction(square_class(d)))
+        out.append(square_class(d))
         for i in range(t + 1, n):
             if g[i][t]:
                 f = div(g[i][t], d)
@@ -792,9 +832,9 @@ class HermitianDiagonal:
 
     __slots__ = ("field", "k", "entries")
 
-    def __init__(self, field: str, k: RatLike, entries: tuple[Fraction, ...]):
-        k = Fraction(k)
-        entries = tuple(Fraction(a) for a in entries)
+    def __init__(self, field: str, k: int | Fraction, entries: tuple[int | Fraction, ...]):
+        k = as_rat(k)
+        entries = tuple(as_rat(a) for a in entries)
         if any(a == 0 for a in entries):
             raise ValueError("hermitian entries must be nonzero")
         if field == "R":
@@ -822,9 +862,9 @@ class HermitianDiagonal:
         return len(self.entries)
 
 
-def hermitian_hyperbolic(m: int, k: RatLike, field: str = "Q") -> HermitianDiagonal:
+def hermitian_hyperbolic(m: int, k: int | Fraction, field: str = "Q") -> HermitianDiagonal:
     """m unitary hyperbolic planes; diagonalized as <1,-1> repeated."""
-    return HermitianDiagonal(field, Fraction(k), (Fraction(1), Fraction(-1)) * m)
+    return HermitianDiagonal(field, k, (1, -1) * m)
 
 
 def trace_form(h: HermitianDiagonal) -> DiagonalForm:
@@ -840,7 +880,7 @@ def trace_form(h: HermitianDiagonal) -> DiagonalForm:
 # behaviour under the quadratic extension K = Q(sqrt k)
 
 
-def in_k_witt_ideal(q: DiagonalForm, k: RatLike) -> bool:
+def in_k_witt_ideal(q: DiagonalForm, k: int | Fraction) -> bool:
     """Whether the Witt class of q lies in <1,-k> W(Q), i.e. q becomes
     hyperbolic over K = Q(sqrt k) (the kernel of restriction is exactly that
     ideal).
@@ -852,7 +892,7 @@ def in_k_witt_ideal(q: DiagonalForm, k: RatLike) -> bool:
     quadratic (or K_w = C) and restriction kills Br_2 of Q_v, so a Hasse
     defect of q only counts at a place where k is a local square.
     """
-    k = Fraction(k)
+    k = as_rat(k)
     if q.field != "Q":
         raise ValueError("K-ideal test is for forms over Q")
     if is_square(k):
@@ -867,7 +907,7 @@ def in_k_witt_ideal(q: DiagonalForm, k: RatLike) -> bool:
     )
 
 
-def isometric_over_K(q1: DiagonalForm, q2: DiagonalForm, k: RatLike) -> bool:
+def isometric_over_K(q1: DiagonalForm, q2: DiagonalForm, k: int | Fraction) -> bool:
     """Isometry of q1 x K and q2 x K for forms defined over Q."""
     return q1.dim == q2.dim and in_k_witt_ideal(direct_sum(q1, -q2), k)
 
@@ -890,10 +930,8 @@ def parse_form(text: str, field: str = "Q") -> DiagonalForm:
 
 
 def _parse_form(text: str, field: str) -> DiagonalForm:
-    from .scalars import parse_scalar
-
     tokens = _TOKEN.findall(text)
-    if not tokens or "".join(_TOKEN.findall(text)) != "".join(text.split()):
+    if not tokens or "".join(tokens) != "".join(text.split()):
         raise ValueError(f"cannot tokenize form literal {text!r}")
     pos = 0
 
@@ -918,37 +956,43 @@ def _parse_form(text: str, field: str) -> DiagonalForm:
             take(",")
             vals.append(parse_scalar(take()))
         take(closer)
+        if 0 in vals:  # the first bad term is the one reported
+            raise ValueError("diagonal entries must be nonzero")
         return vals
 
     def term():
+        """The entries of one term, in the order the form lists them."""
         tok = peek()
         if tok == "<<":
             take("<<")
-            return pfister(*scalar_list(">>"), field=field)
+            return _pfister_entries(scalar_list(">>"))
         if tok == "<":
             take("<")
             if peek() == ">":  # the zero form, as `form_literal` writes it
                 take(">")
-                return DiagonalForm(field, ())
-            return DiagonalForm(field, tuple(scalar_list(">")))
+                return []
+            return scalar_list(">")
         # `nH` or `c*<...>` / `c*<<...>>`
         word = take()
         if word.endswith("H") or word.endswith("h"):
             n = int(word[:-1]) if word[:-1] else 1
             if n < 0:
                 raise ValueError("negative hyperbolic multiplicity")
-            return hyperbolic(n, field)
+            return [1, -1] * n
         c = parse_scalar(word)
         take("*")
-        return scale(c, term())
+        entries = term()
+        if c == 0:
+            raise ValueError("scaling by zero")
+        return [c * a for a in entries]
 
-    q = term()
+    entries = term()
     while peek() == "+":
         take("+")
-        q = direct_sum(q, term())
+        entries += term()
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in form literal {text!r}")
-    return q
+    return DiagonalForm(field, tuple(entries))
 
 
 def form_literal(q: DiagonalForm) -> str:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactmat import Matrix, dot, freeze, mat_vec, pullback, rank as mat_rank, ratio
-from .scalars import RatLike, div
+from .scalars import div
 
 
 class FoldingError(ValueError):
@@ -53,18 +53,17 @@ def _edges(series: str, n: int) -> list[tuple[int, int]]:
     raise ValueError(series)
 
 
-def _root_norms(series: str, n: int) -> list[Fraction]:
-    two = Fraction(2)
+def _root_norms(series: str, n: int) -> list[int | Fraction]:
     if series in ("A", "D", "E"):
-        return [two] * n
+        return [2] * n
     if series == "B":  # last root short
-        return [two] * (n - 1) + [Fraction(1)]
+        return [2] * (n - 1) + [1]
     if series == "C":  # last root long
-        return [Fraction(1)] * (n - 1) + [two]
+        return [1] * (n - 1) + [2]
     if series == "F":  # 1,2 long; 3,4 short
-        return [two, two, Fraction(1), Fraction(1)]
+        return [2, 2, 1, 1]
     if series == "G":  # Bourbaki: alpha1 short
-        return [Fraction(2, 3), two]
+        return [div(2, 3), 2]
     raise ValueError(series)
 
 
@@ -99,16 +98,16 @@ class RootDatum:
     def simple_reflection(self, i: int) -> Matrix:
         """Action of s_i on coroot coordinates: e_j -> e_j - A[j][i] e_i."""
         n = self.rank
-        out = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+        out = [[int(r == c) for c in range(n)] for r in range(n)]
         for j in range(n):
-            out[i][j] -= Fraction(self.cartan[j][i])
+            out[i][j] -= self.cartan[j][i]
         return freeze(out)
 
-    def all_coroots(self) -> list[tuple[Fraction, ...]]:
+    def all_coroots(self) -> list[tuple[int, ...]]:
         """Closure of the simple coroots under the Weyl generators."""
         gens = [self.simple_reflection(i) for i in range(self.rank)]
         seen = {
-            tuple(Fraction(int(r == i)) for r in range(self.rank))
+            tuple(int(r == i) for r in range(self.rank))
             for i in range(self.rank)
         }
         frontier = list(seen)
@@ -138,7 +137,7 @@ def build_root_datum(type_str: str, rank: int | None = None) -> RootDatum:
     if series not in _SERIES_RANKS or rank not in _SERIES_RANKS[series]:
         raise ValueError(f"unsupported type {series}{rank}")
     norms = _root_norms(series, rank)
-    pair = [[Fraction(0)] * rank for _ in range(rank)]
+    pair = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         pair[i][i] = norms[i]
     for i, j in _edges(series, rank):
@@ -172,10 +171,10 @@ class CanonicalForm:
     def __reduce__(self):
         return CanonicalForm, (self.gram,)
 
-    def value(self, v) -> RatLike:
+    def value(self, v) -> int | Fraction:
         return self.bilinear(v, v)
 
-    def bilinear(self, v, w) -> RatLike:
+    def bilinear(self, v, w) -> int | Fraction:
         return dot(v, mat_vec(self.gram, w))
 
 
@@ -199,7 +198,7 @@ def canonical_form(rd: RootDatum) -> CanonicalForm:
     return cf
 
 
-def coroot_values(rd: RootDatum) -> dict[tuple, RatLike]:
+def coroot_values(rd: RootDatum) -> dict[tuple, int | Fraction]:
     cf = canonical_form(rd)
     return {v: cf.value(v) for v in rd.all_coroots()}
 
@@ -339,9 +338,7 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
     if len(orbits) == n:
         raise FoldingError("trivial", "automorphism has no nontrivial orbit")
     cf = canonical_form(rd)
-    sums = [
-        tuple(Fraction(int(i in orbit)) for i in range(n)) for orbit in orbits
-    ]
+    sums = [tuple(int(i in orbit) for i in range(n)) for orbit in orbits]
     # The orbit sums are the simple coroots of the folded type X, so their
     # pairing matrix 2(s_i,s_j)/(s_i,s_i) is Cartan(X) transposed; read
     # the other way round it is Cartan(X) itself, in orbit order.

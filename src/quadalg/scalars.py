@@ -17,17 +17,22 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import Iterable, Union
 
 SquareClass = int
 
-RatLike = Union[Fraction, int]
 
-
-def parse_scalar(text: str) -> Fraction:
-    """Parse a scalar literal "n" or "n/d" with optional sign."""
+def parse_scalar(text: str) -> int | Fraction:
+    """Parse a scalar literal into a canonical rational (`rat`).  A signed
+    ASCII digit string "n", or "n/d", is read with int and `div`; any other
+    text goes to Fraction, so "0.1", "1e3", "1_000" and surrounding spaces
+    read as Fraction reads them.  Every failure, a zero denominator
+    included, is a ValueError."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
     try:
-        return Fraction(text.strip())
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return div(int(num), int(den)) if slash else int(num)
+        return rat(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar literal {text!r}") from exc
 
@@ -218,7 +223,7 @@ def _squarefree_part(n: int) -> int:
     return prod(_odd_primes(abs(n)), start=-1 if n < 0 else 1)
 
 
-def square_class(a: RatLike) -> SquareClass:
+def square_class(a: int | Fraction) -> SquareClass:
     """Signed squarefree integer representing a modulo nonzero squares; an
     int or a Fraction is read as it is."""
     if not a:
@@ -226,13 +231,13 @@ def square_class(a: RatLike) -> SquareClass:
     return _squarefree_part(a.numerator * a.denominator)
 
 
-def is_square(a: RatLike) -> bool:
+def is_square(a: int | Fraction) -> bool:
     """Whether a = b^2 for a rational b (0 = 0^2 included)."""
-    a = Fraction(a)
+    a = as_rat(a)
     return a == 0 or (a > 0 and square_class(a) == 1)
 
 
-def is_local_square(a: RatLike, place: "Place") -> bool:
+def is_local_square(a: int | Fraction, place: "Place") -> bool:
     """Whether a is a square in the completion at the place."""
     if not a:
         raise ValueError("zero is not classified")
@@ -284,7 +289,7 @@ class Place:
 REAL = Place(0)
 
 
-def relevant_places(*scalars: RatLike) -> list[Place]:
+def relevant_places(*scalars: int | Fraction) -> list[Place]:
     """The real place, 2, and every odd prime dividing a square-class
     representative of one of the inputs.  Hilbert symbols built from the
     inputs are +1 away from this set."""
@@ -310,7 +315,7 @@ def _legendre(u: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def hilbert_symbol(a: RatLike, b: RatLike, place: Place) -> int:
+def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Place) -> int:
     """Hilbert symbol (a,b) at a place of Q: +1 iff z^2 = a x^2 + b y^2
     has a nonzero solution over the completion.
 
@@ -340,10 +345,10 @@ def hilbert_symbol(a: RatLike, b: RatLike, place: Place) -> int:
     return sign
 
 
-def is_norm_from_K(a: RatLike, k: RatLike) -> bool:
+def is_norm_from_K(a: int | Fraction, k: int | Fraction) -> bool:
     """Whether a = x^2 - k y^2 for rational x, y; equivalently the form
     <1,-k,-a> is isotropic, i.e. the quaternion algebra (k,a) splits."""
-    a, k = Fraction(a), Fraction(k)
+    a, k = as_rat(a), as_rat(k)
     if a == 0:
         raise ValueError("a must be nonzero")
     if is_square(k):
@@ -381,7 +386,7 @@ class QuadExtScalar:
 
     __slots__ = ("x", "y", "k")
 
-    def __init__(self, x: RatLike, y: RatLike, k: RatLike):
+    def __init__(self, x: int | Fraction, y: int | Fraction, k: int | Fraction):
         _set_x(self, as_rat(x))
         _set_y(self, as_rat(y))
         _set_k(self, _field_parameter(as_rat(k)))
@@ -460,18 +465,18 @@ class QuadExtScalar:
         """The nontrivial F-automorphism iota: x + y sqrt(k) -> x - y sqrt(k)."""
         return _quad(self.x, -self.y, self.k)
 
-    def norm(self) -> RatLike:
+    def norm(self) -> int | Fraction:
         """N_{K/F}: x^2 - k y^2."""
         return rat(self.x * self.x - self.k * self.y * self.y)
 
-    def trace(self) -> RatLike:
+    def trace(self) -> int | Fraction:
         return rat(2 * self.x)
 
     @property
     def is_rational(self) -> bool:
         return self.y == 0
 
-    def rational(self) -> RatLike:
+    def rational(self) -> int | Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
         return self.x
@@ -501,7 +506,7 @@ class QuadExtScalar:
 _set_x, _set_y, _set_k = (QuadExtScalar.__dict__[name].__set__ for name in QuadExtScalar.__slots__)
 
 
-def _quad(x: RatLike, y: RatLike, k: RatLike) -> QuadExtScalar:
+def _quad(x: int | Fraction, y: int | Fraction, k: int | Fraction) -> QuadExtScalar:
     """x + y sqrt(k) built by the arithmetic: x and y are exact rationals,
     demoted to int when integral (`rat`, inline), and k is an operand's,
     already checked, so the public constructor's validation is skipped."""
@@ -624,31 +629,30 @@ def variable(name: str) -> Laurent:
     return Laurent([(((name, 1),), 1)])
 
 
-KScalar = Union[int, Fraction, QuadExtScalar]
-
-
-def iota(v: KScalar) -> KScalar:
+def iota(v: int | Fraction | QuadExtScalar) -> int | Fraction | QuadExtScalar:
     """Conjugation, acting trivially on rationals."""
     return v.conj() if isinstance(v, (QuadExtScalar, Laurent)) else v
 
 
-def sqrt_k(k: RatLike) -> QuadExtScalar:
+def sqrt_k(k: int | Fraction) -> QuadExtScalar:
     return QuadExtScalar(0, 1, k)
 
 
-def as_rat(v) -> RatLike:
-    """A rational number (an int, a Fraction, or what Fraction accepts)
-    in canonical form."""
-    return rat(v if isinstance(v, (int, Fraction)) else Fraction(v))
+def as_rat(v) -> int | Fraction:
+    """A rational number (an int, a Fraction, or what Fraction accepts,
+    a bool included) in canonical form."""
+    if type(v) is int:
+        return v
+    return rat(v if type(v) is Fraction else Fraction(v))
 
 
-def as_scalar(v) -> KScalar:
+def as_scalar(v) -> int | Fraction | QuadExtScalar:
     """An element of K or a Laurent polynomial as is, any other number as
     a canonical rational."""
     return v if isinstance(v, (int, QuadExtScalar, Laurent)) else as_rat(v)
 
 
-def as_rational(v: KScalar) -> RatLike:
+def as_rational(v: int | Fraction | QuadExtScalar) -> int | Fraction:
     """Extract a rational value, rejecting elements with a sqrt(k) part."""
     if isinstance(v, QuadExtScalar):
         return v.rational()

@@ -10,8 +10,8 @@ never silently passed).
 from __future__ import annotations
 
 from fractions import Fraction
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from . import albert, cayley, descent, forms, rootsys
 from .exactmat import det as mdet, identity, mat_eq, mat_inv, mat_mul, scal_mul

@@ -39,12 +39,13 @@ def test_no_runtime_dependency_is_declared():
     assert project["dependencies"] == []
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that imports quadalg from here."""
+def _python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter, with these interpreter flags, that
+    imports quadalg from here."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
     )
 
 
@@ -59,6 +60,16 @@ def test_no_module_loads_dataclasses_or_inspect():
     run = _python("import sys, quadalg.verify; print({'dataclasses', 'inspect'} & set(sys.modules))")
     assert run.returncode == 0, run.stderr
     assert run.stdout == "set()\n"
+
+
+def test_no_module_loads_typing():
+    """Annotations stay unevaluated strings, so nothing imports `typing`.
+    The interpreter runs with -S because a `.pth` file of an installed
+    package may import `typing` while `site` runs."""
+    code = "import sys, quadalg.cli, quadalg.forms, quadalg.verify; print('typing' in sys.modules)"
+    run = _python(code, "-S")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def _loaded_after(code: str) -> set[str]:

@@ -3,7 +3,7 @@ import itertools
 import pickle
 import random
 from fractions import Fraction as Q
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -59,6 +59,9 @@ def test_construction_rules():
         direct_sum(form([1]), form([1], field="R"))
     with pytest.raises(ValueError):
         scale(0, form([1]))
+    # entries are canonical: an int when integral, a bool read as its int
+    q = form([True, Q(4, 2), Q(1, 2), "-3"])
+    assert [(a, type(a)) for a in q.entries] == [(1, int), (2, int), (Q(1, 2), Q), (-3, int)]
 
 
 def test_pfister_examples():
@@ -67,6 +70,10 @@ def test_pfister_examples():
     assert phi.dim == 16 and all(a == 1 for a in phi.entries)
     assert tensor(form([1, -1]), form([5])).entries == (5, -5)
     assert isometric(tensor(form([1, -1]), form([5])), hyperbolic(1))
+    slots, chain = (2, Q(-3, 4), 5), form([1])
+    for a in slots:
+        chain = tensor(chain, form([1, -a]))
+    assert pfister(*slots).entries == chain.entries  # in the order of `tensor`
 
 
 def test_invariants_examples():
@@ -503,6 +510,17 @@ def shared_prime_entry(rng, rational):
     return rng.choice((1, -1)) * Q(part(), part() if rational else 1)
 
 
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def unit_times_powers(rng):
+    """A signed unit of a random residue 1, 3, 5 or 7 mod 8 times powers
+    (0 to 3) of three primes up to 31, so squarefree or not."""
+    unit = 8 * rng.randint(0, 4) + rng.choice((1, 3, 5, 7))
+    power = prod(p ** rng.choice((0, 0, 1, 2, 3)) for p in rng.sample(PRIMES_TO_31, 3))
+    return rng.choice((1, -1)) * unit * power
+
+
 def test_hasse_prefix_products_match_pairwise():
     rng = random.Random(17)
     for trial in range(120):
@@ -515,6 +533,18 @@ def test_hasse_prefix_products_match_pairwise():
             assert inv.hasse.get(v, 1) == expected
             if trial % 2 == 0:  # integers that are not squarefree
                 assert forms._hasse([int(a) for a in q.entries], v) == expected
+    # units of every residue mod 8 times primes up to 31, at 2, 3, ..., 31
+    # and the real place
+    places = [REAL] + [Place(p) for p in PRIMES_TO_31]
+    for _ in range(60):
+        entries = [unit_times_powers(rng) for _ in range(rng.randint(0, 12))]
+        classes = [square_class(a) for a in entries]
+        inv = invariants(form(entries))
+        for v in places:
+            expected = pairwise_hasse(entries, v)
+            assert forms._hasse(entries, v) == expected
+            assert forms._hasse(classes, v) == expected
+            assert inv.hasse.get(v, 1) == expected
 
 
 def test_hyperbolic_hasse_defects_closed_form():
@@ -534,7 +564,7 @@ def dense_split(q, v):
     for m in range(q.dim):
         if m in (j, k):
             continue
-        beta = a[m] * v[m] / b
+        beta = Q(a[m] * v[m]) / b
         alpha = -beta * a[j] / b
         vec = [-alpha * x for x in v]
         vec[m] += 1
@@ -591,18 +621,19 @@ def test_split_hyperbolic_matches_dense_route():
 # ------------------------------------------------ operation-count gates
 
 
-def test_invariants_make_n_minus_1_symbols_per_place(monkeypatch):
-    calls = []
-
-    def counting(a, b, v):
-        calls.append(v)
-        return hilbert_symbol(a, b, v)
-
-    monkeypatch.setattr(forms, "hilbert_symbol", counting)
+def test_invariants_make_no_hilbert_symbol_and_one_legendre_per_odd_place(monkeypatch):
+    symbols, legendres = [], []
+    real_legendre = forms._legendre
+    monkeypatch.setattr(forms, "hilbert_symbol", lambda a, b, v: symbols.append(v) or hilbert_symbol(a, b, v))
+    monkeypatch.setattr(forms, "_legendre", lambda u, p: legendres.append(p) or real_legendre(u, p))
     q = form([2, -3, 5, 7, -6, 10, 14, -15, 21, 35, -2, 3])
-    r = len(relevant_places(*q.entries))
-    invariants(q)
-    assert 0 < len(calls) <= (q.dim - 1) * r  # pairwise: 66 per place
+    odd = {v.p for v in relevant_places(*q.entries) if v.p > 2}
+    inv = invariants(q)
+    # pairwise: 66 symbols per place; prefix products: 11
+    assert symbols == []
+    assert len(legendres) == len(set(legendres)) and set(legendres) <= odd
+    for v in relevant_places(*q.entries):
+        assert inv.hasse.get(v, 1) == pairwise_hasse(q.entries, v)
 
 
 def test_split_hyperbolic_makes_no_bilinear_call(monkeypatch):
@@ -653,9 +684,9 @@ def test_witt_decompose_decides_isotropy_once_per_split(monkeypatch):
     q = form([1, 2, -3, 5, -6, -7])  # 2H + <5,-7>, and no two classes are opposite
     assert witt_decompose(q) == (2, form([5, -7]))
     assert split == [6, 4]
-    # the chain decides once per split (6, 4, 2), and the first witness tests
-    # one ternary subform (3); a second decision per split adds a 6 and a 4
-    assert decided == [6, 3, 4, 2]
+    # the chain decides once per split (6, 4, 2); the first witness tests its
+    # ternary subforms place by place, with no form and no second decision
+    assert decided == [6, 4, 2]
 
 
 def test_invariants_take_one_hilbert_symbol_per_place_off_the_residue(monkeypatch):

@@ -6,7 +6,7 @@ certificates in the other test files stay."""
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadalg.forms import (
     DiagonalForm,
@@ -27,6 +27,8 @@ from quadalg.scalars import (
     exact_sum,
     hilbert_symbol,
     is_local_square,
+    parse_scalar,
+    rat,
     relevant_places,
     square_class,
 )
@@ -137,7 +139,33 @@ def test_witt_cancellation(pair, r_entries):
 @given(st.lists(nonzero_rationals, max_size=8), st.sampled_from(["Q", "R"]))
 def test_form_literal_round_trip(entries, field):
     q = DiagonalForm(field, tuple(entries))
-    assert parse_form(form_literal(q), field) == q
+    parsed = parse_form(form_literal(q), field)
+    assert parsed == q
+    assert [type(a) for a in parsed.entries] == [type(rat(a)) for a in entries]
+
+
+# signs, ASCII digits, Arabic-Indic three, Devanagari seven, superscript two
+# (a digit that is not decimal), fullwidth one, and the separators
+SCALAR_CHARS = st.sampled_from(list("+-0123456789/ _.eE") + ["\u0663", "\u096d", "\u00b2", "\uff11"])
+
+
+@FIXED
+@example("-0")
+@example("007")
+@example("4/2")
+@example("3/6")
+@example("1/0")
+@example("+5")
+@given(st.text(SCALAR_CHARS, max_size=8))
+def test_parse_scalar_reads_what_fraction_reads(text):
+    try:
+        expected = rat(Q(text.strip()))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+        return
+    got = parse_scalar(text)
+    assert got == expected and type(got) is type(expected)
 
 
 # ------------------------------------------------ the arithmetic fast paths
