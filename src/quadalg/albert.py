@@ -45,14 +45,14 @@ from .exactmat import (
     pullback,
     transpose,
 )
-from .scalars import QuadExtScalar, as_scalar, div, exact_sum, iota, rat, variable
+from .scalars import QuadExtScalar, _Frozen, as_scalar, div, exact_sum, iota, rat, variable
 
 ADIM = 27
 
 ZERO_OCT = Octonion([0] * ODIM)
 
 
-class AlbertElement:
+class AlbertElement(_Frozen):
     """(eps0, eps1, eps2; c0, c1, c2) with exact scalar entries."""
 
     __slots__ = ("eps", "c")
@@ -63,11 +63,8 @@ class AlbertElement:
         object.__setattr__(self, "eps", tuple(as_scalar(e) for e in eps))
         object.__setattr__(self, "c", tuple(c))
 
-    def __setattr__(self, *a):
-        raise AttributeError("AlbertElement is immutable")
-
-    def __reduce__(self):  # pickle and copy through the constructor
-        return AlbertElement, (self.eps, self.c)
+    def _key(self) -> tuple:
+        return (self.eps, self.c)
 
     # -- linear structure -------------------------------------------------
     def __add__(self, other: "AlbertElement") -> "AlbertElement":
@@ -90,15 +87,8 @@ class AlbertElement:
             [scalar * a for a in self.eps], [scalar * x for x in self.c]
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlbertElement)
-            and all(a == b for a, b in zip(self.eps, other.eps))
-            and all(a == b for a, b in zip(self.c, other.c))
-        )
-
     def __hash__(self):
-        return hash((self.eps, tuple(x.coords for x in self.c)))
+        return hash(self._key())
 
     def __bool__(self) -> bool:
         return any(bool(e) for e in self.eps) or any(bool(x) for x in self.c)
@@ -273,7 +263,7 @@ def _t_gram_inv() -> Matrix:
 # maps of the algebra
 
 
-class AlbertMap:
+class AlbertMap(_Frozen):
     """An invertible linear map in the 27 coordinates."""
 
     __slots__ = ("matrix",)
@@ -284,8 +274,8 @@ class AlbertMap:
             raise ValueError("Albert maps are 27x27")
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, *a):
-        raise AttributeError("AlbertMap is immutable")
+    def _key(self) -> tuple:
+        return (self.matrix,)
 
     def __call__(self, x: AlbertElement) -> AlbertElement:
         return AlbertElement.from_coords(mat_vec(self.matrix, x.coords()))
@@ -310,9 +300,6 @@ class AlbertMap:
         identity in the 27 coordinates, so f preserves N on every element."""
         x = generic_element("x")
         return norm_N(self(x)) == norm_N(x)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlbertMap) and mat_eq(self.matrix, other.matrix)
 
     def __repr__(self) -> str:
         return "albert_map(27x27)"
@@ -470,7 +457,7 @@ def swap_map() -> AlbertMap:
 # Moving Lemma arithmetic
 
 
-class MovingLemmaData:
+class MovingLemmaData(_Frozen):
     """r = T(j, j'), j' = eta_iota(iota j), and the named identity checks."""
 
     __slots__ = ("r", "j_prime", "checks")
@@ -480,17 +467,8 @@ class MovingLemmaData:
         object.__setattr__(self, "j_prime", j_prime)
         object.__setattr__(self, "checks", checks)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MovingLemmaData is immutable")
-
     def _key(self) -> tuple:
         return (self.r, self.j_prime, self.checks)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is MovingLemmaData else NotImplemented
-
-    def __reduce__(self):
-        return MovingLemmaData, self._key()
 
 
 def moving_lemma_data(T: SimilitudeTriple, j: AlbertElement) -> MovingLemmaData:

@@ -43,6 +43,7 @@ from .exactmat import (
 )
 from .scalars import (
     QuadExtScalar,
+    _Frozen,
     as_scalar,
     div,
     exact_sum,
@@ -144,7 +145,7 @@ def _build_tables(scales, perm):
     return freeze(prod), gram
 
 
-class CayleyTable:
+class CayleyTable(_Frozen):
     """Structure constants, norm Gram (with n(x,x) = n(x)) and involution
     signs of the calibrated basis.  Two tables are equal when their
     products and Grams are; `constants` is derived from the products."""
@@ -161,16 +162,8 @@ class CayleyTable:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "constants", constants)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CayleyTable is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not CayleyTable:
-            return NotImplemented
-        return self.products == other.products and self.gram == other.gram
-
-    def __reduce__(self):
-        return CayleyTable, (self.products, self.gram)
+    def _key(self) -> tuple:
+        return (self.products, self.gram)
 
     def gram_deviations(self) -> list[tuple[int, int, int | Fraction, int | Fraction]]:
         """(i, j, actual, S8-expected) for every differing entry, 1-based."""
@@ -246,7 +239,7 @@ def _mul_coords(table: CayleyTable, x, y):
 # octonions
 
 
-class Octonion:
+class Octonion(_Frozen):
     """An element of the split Cayley algebra in the u1..u8 basis; the
     coordinates are exact rationals (int or Fraction, canonical), Laurent
     polynomials or QuadExtScalar over one extension."""
@@ -262,11 +255,8 @@ class Octonion:
             tuple(as_scalar(c) for c in coords),
         )
 
-    def __setattr__(self, *a):
-        raise AttributeError("Octonion is immutable")
-
-    def __reduce__(self):  # pickle and copy through the constructor
-        return Octonion, (self.coords,)
+    def _key(self) -> tuple:
+        return (self.coords,)
 
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion([a + b for a, b in zip(self.coords, other.coords)])
@@ -284,11 +274,6 @@ class Octonion:
 
     def __rmul__(self, scalar):
         return Octonion([scalar * a for a in self.coords])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Octonion) and all(
-            a == b for a, b in zip(self.coords, other.coords)
-        )
 
     def __hash__(self):
         return hash(self.coords)
@@ -342,7 +327,7 @@ def star(x: Octonion, y: Octonion) -> Octonion:
 # similitudes
 
 
-class Similitude:
+class Similitude(_Frozen):
     """An invertible map with n(t(c)) = mu(t) n(c); matrix acts on
     coordinate columns, rightmost factor acts first in compositions."""
 
@@ -359,11 +344,8 @@ class Similitude:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "mu", mu)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Similitude is immutable")
-
-    def __reduce__(self):  # pickle and copy through the constructor
-        return Similitude, (self.matrix,)
+    def _key(self) -> tuple:
+        return (self.matrix,)
 
     def __call__(self, x: Octonion) -> Octonion:
         return Octonion(mat_vec(self.matrix, x.coords))
@@ -387,9 +369,6 @@ class Similitude:
             freeze([[iota(x * inv_mu) for x in row] for row in self.matrix])
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Similitude) and mat_eq(self.matrix, other.matrix)
-
     def __repr__(self) -> str:
         return f"similitude(mu={self.mu})"
 
@@ -402,7 +381,7 @@ def sigma_n(t: Similitude) -> Similitude:
     return t.sigma_n()
 
 
-class SimilitudeTriple:
+class SimilitudeTriple(_Frozen):
     """Three similitudes t = (t0, t1, t2)."""
 
     __slots__ = ("t",)
@@ -412,14 +391,8 @@ class SimilitudeTriple:
             raise ValueError("a similitude triple is three similitudes")
         object.__setattr__(self, "t", t)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SimilitudeTriple is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self.t == other.t if type(other) is SimilitudeTriple else NotImplemented
-
-    def __reduce__(self):
-        return SimilitudeTriple, (self.t,)
+    def _key(self) -> tuple:
+        return (self.t,)
 
     def __getitem__(self, i: int) -> Similitude:
         return self.t[i % 3]

@@ -1,21 +1,26 @@
 """Command-line frontend: form / hermitian / rootsys / cayley / albert /
 descend / verify-paper.
 
-Exit codes: 0 success, 1 check failure, 2 usage or input errors.  `main`
-is the one error boundary: a ValueError (a bad literal, malformed JSON, a
-folding or hypothesis the library rejects) or an OSError (a file that
-cannot be read or written) becomes one stderr line `error: ...` and exit
-2.  Any other exception is a program fault and keeps its traceback.  The
-tool is batch-only; `verify-paper` runs the whole ledger of source
-calculations and prints one line per check.  Each subcommand imports only
-the modules it uses, when it runs, so a call pays at start-up for its own
-subcommand and no other.
+Exit codes: 0 success, 1 check failure, 2 usage or input errors, and 141
+(128 + SIGPIPE, nothing on stderr) when standard output closes early, as
+in `quadalg form ... | head -c 1`.  `main` is the one error boundary: a
+ValueError (a bad literal, malformed JSON, a folding or hypothesis the
+library rejects) or another OSError (a file that cannot be read or
+written) becomes one stderr line `error: ...` and exit 2.  Any other
+exception is a program fault and keeps its traceback.  An argument that
+starts with "-" and a digit is a value, so negative values need no "--"
+(`quadalg form "-1/2*<<5>>"`).  The tool is batch-only; `verify-paper`
+runs the whole ledger of source calculations and prints one line per
+check.  Each subcommand imports only the modules it uses, when it runs,
+so a call pays at start-up for its own subcommand and no other.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 from .scalars import QuadExtScalar, parse_scalar
@@ -277,8 +282,18 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every argument that starts with "-" and a digit, such as
+    "-1/2" or "-1/2*<<5>>", as a value, where argparse's own (private)
+    matcher takes only integers and decimals.  No option starts so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadalg",
         description=(
             "Exact verification of Witt-ring, Cayley/Albert, root-system "
@@ -349,7 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; send what is left to devnull, so that the
+        # flush at interpreter exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,14 +27,14 @@ from .exactmat import (
     mat_vec,
     pullback,
 )
-from .scalars import QuadExtScalar, as_rat, as_rational, div, iota, is_square, sqrt_k
+from .scalars import QuadExtScalar, _Frozen, as_rat, as_rational, div, iota, is_square, sqrt_k
 
 
 def _iota_mat(m: Matrix) -> Matrix:
     return freeze([[iota(x) for x in row] for row in m])
 
 
-class SemilinearCocycle:
+class SemilinearCocycle(_Frozen):
     """A matrix Z over K with Z iota(Z) = 1, acting semilinearly by
     a -> Z(iota a)."""
 
@@ -52,16 +52,8 @@ class SemilinearCocycle:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "matrix", m)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SemilinearCocycle is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SemilinearCocycle:
-            return NotImplemented
-        return self.k == other.k and self.matrix == other.matrix
-
-    def __reduce__(self):
-        return SemilinearCocycle, (self.k, self.matrix)
+    def _key(self) -> tuple:
+        return (self.k, self.matrix)
 
     @property
     def dim(self) -> int:
@@ -168,7 +160,7 @@ def rostcalc_expected_qz(k: int | Fraction, a: int | Fraction) -> forms.Diagonal
     )
 
 
-class RostCalcReport:
+class RostCalcReport(_Frozen):
     """The special-cocycle computation for (k, a): the descended form q_z,
     the twisted form q, and the four verdicts of `rostcalc_report`."""
 
@@ -188,19 +180,10 @@ class RostCalcReport:
         object.__setattr__(self, "arason_class_trivial", arason_class_trivial)
         object.__setattr__(self, "real_symbol_nontrivial", real_symbol_nontrivial)
 
-    def __setattr__(self, *a):
-        raise AttributeError("RostCalcReport is immutable")
-
     def _key(self) -> tuple:
         return (self.k, self.a, self.q_z, self.q, self.qz_matches_table,
                 self.difference_witt_class_ok, self.arason_class_trivial,
                 self.real_symbol_nontrivial)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is RostCalcReport else NotImplemented
-
-    def __reduce__(self):
-        return RostCalcReport, self._key()
 
     def as_dict(self) -> dict:
         return {

@@ -33,6 +33,7 @@ from .scalars import (
     is_local_square,
     Place,
     REAL,
+    _Frozen,
     _legendre,
     _val_unit,
     as_rat,
@@ -55,7 +56,7 @@ class HypothesisViolation(ValueError):
         self.reason = reason
 
 
-class DiagonalForm:
+class DiagonalForm(_Frozen):
     """A nondegenerate diagonal quadratic form over Q or R: its `field`
     and its tuple of `entries`, each a canonical rational (an int when
     integral, else a Fraction; `scalars.as_rat`).  It is immutable; its
@@ -72,16 +73,11 @@ class DiagonalForm:
         fields["field"] = field
         fields["entries"] = entries
 
-    def __setattr__(self, *args):
-        raise AttributeError("DiagonalForm is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not DiagonalForm:
-            return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+    def _key(self) -> tuple:
+        return (self.field, self.entries)
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        return hash(self._key())
 
     @property
     def dim(self) -> int:
@@ -151,7 +147,7 @@ def _pfister_entries(slots) -> list:
 # invariants
 
 
-class WittInvariants:
+class WittInvariants(_Frozen):
     """dim, disc (the signed squarefree discriminant class), hasse (the
     places with symbol -1 only, read-only) and the signature."""
 
@@ -165,18 +161,8 @@ class WittInvariants:
         object.__setattr__(self, "hasse", MappingProxyType(dict(hasse)))
         object.__setattr__(self, "signature", signature)
 
-    def __setattr__(self, *args):
-        raise AttributeError("WittInvariants is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not WittInvariants:
-            return NotImplemented
-        return (self.dim, self.disc, self.hasse, self.signature) == (
-            other.dim, other.disc, other.hasse, other.signature
-        )
-
-    def __reduce__(self):  # a mappingproxy does not pickle or copy
-        return WittInvariants, (self.dim, self.disc, dict(self.hasse), self.signature)
+    def _key(self) -> tuple:  # a mappingproxy does not pickle or copy
+        return (self.dim, self.disc, dict(self.hasse), self.signature)
 
 
 def signature(q: DiagonalForm) -> int:
@@ -827,7 +813,7 @@ def low_rank_kernel_check(q: DiagonalForm, q_cand: DiagonalForm) -> bool:
 # hermitian trace forms
 
 
-class HermitianDiagonal:
+class HermitianDiagonal(_Frozen):
     """Diagonal hermitian form <l1,...,ln> over F(sqrt k), entries in F."""
 
     __slots__ = ("field", "k", "entries")
@@ -846,16 +832,8 @@ class HermitianDiagonal:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, *args):
-        raise AttributeError("HermitianDiagonal is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not HermitianDiagonal:
-            return NotImplemented
-        return (self.field, self.k, self.entries) == (other.field, other.k, other.entries)
-
-    def __reduce__(self):
-        return HermitianDiagonal, (self.field, self.k, self.entries)
+    def _key(self) -> tuple:
+        return (self.field, self.k, self.entries)
 
     @property
     def dim(self) -> int:

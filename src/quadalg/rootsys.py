@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactmat import Matrix, dot, freeze, mat_vec, pullback, rank as mat_rank, ratio
-from .scalars import div
+from .scalars import _Frozen, div
 
 
 class FoldingError(ValueError):
@@ -67,7 +67,7 @@ def _root_norms(series: str, n: int) -> list[int | Fraction]:
     raise ValueError(series)
 
 
-class RootDatum:
+class RootDatum(_Frozen):
     """Simple root data: Cartan matrix A[i][j] = 2(a_i,a_j)/(a_i,a_i),
     root norms (a_i,a_i), simple coroots = standard basis of Z^rank."""
 
@@ -80,20 +80,11 @@ class RootDatum:
         object.__setattr__(self, "cartan", cartan)
         object.__setattr__(self, "root_norms", root_norms)
 
-    def __setattr__(self, *args):
-        raise AttributeError("RootDatum is immutable")
-
     def _key(self) -> tuple:
         return (self.label, self.series, self.rank, self.cartan, self.root_norms)
 
-    def __eq__(self, other) -> bool:  # a datum keys the `canonical_form` cache
-        return self._key() == other._key() if type(other) is RootDatum else NotImplemented
-
-    def __hash__(self):
+    def __hash__(self):  # a datum keys the `canonical_form` cache
         return hash(self._key())
-
-    def __reduce__(self):
-        return RootDatum, self._key()
 
     def simple_reflection(self, i: int) -> Matrix:
         """Action of s_i on coroot coordinates: e_j -> e_j - A[j][i] e_i."""
@@ -153,7 +144,7 @@ def build_root_datum(type_str: str, rank: int | None = None) -> RootDatum:
     return RootDatum(f"{series}{rank}", series, rank, cartan, tuple(norms))
 
 
-class CanonicalForm:
+class CanonicalForm(_Frozen):
     """The minimal Weyl-invariant positive-definite integer-valued form on
     the coroot lattice, normalized to 1 on short coroots."""
 
@@ -162,14 +153,8 @@ class CanonicalForm:
     def __init__(self, gram: Matrix):
         object.__setattr__(self, "gram", gram)
 
-    def __setattr__(self, *args):
-        raise AttributeError("CanonicalForm is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self.gram == other.gram if type(other) is CanonicalForm else NotImplemented
-
-    def __reduce__(self):
-        return CanonicalForm, (self.gram,)
+    def _key(self) -> tuple:
+        return (self.gram,)
 
     def value(self, v) -> int | Fraction:
         return self.bilinear(v, v)
@@ -241,7 +226,7 @@ def _check_automorphism(rd: RootDatum, perm) -> None:
                 raise ValueError("permutation is not a diagram automorphism")
 
 
-class LatticeEmbedding:
+class LatticeEmbedding(_Frozen):
     """An integer matrix from the source coroot lattice into the target's;
     columns are the images of the source's simple coroots."""
 
@@ -255,14 +240,8 @@ class LatticeEmbedding:
             raise ValueError("embedding matrix is not injective")
         object.__setattr__(self, "matrix", m)
 
-    def __setattr__(self, *args):
-        raise AttributeError("LatticeEmbedding is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self.matrix == other.matrix if type(other) is LatticeEmbedding else NotImplemented
-
-    def __reduce__(self):
-        return LatticeEmbedding, (self.matrix,)
+    def _key(self) -> tuple:
+        return (self.matrix,)
 
     @property
     def source_rank(self) -> int:
@@ -276,7 +255,7 @@ class LatticeEmbedding:
         return mat_vec(self.matrix, v)
 
 
-class FoldResult:
+class FoldResult(_Frozen):
     """The folded datum, the orbits of the automorphism (one per folded
     simple root, in Bourbaki order) and the embedding of coroot lattices."""
 
@@ -287,17 +266,8 @@ class FoldResult:
         object.__setattr__(self, "orbits", orbits)
         object.__setattr__(self, "embedding", embedding)
 
-    def __setattr__(self, *args):
-        raise AttributeError("FoldResult is immutable")
-
     def _key(self) -> tuple:
         return (self.folded, self.orbits, self.embedding)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is FoldResult else NotImplemented
-
-    def __reduce__(self):
-        return FoldResult, self._key()
 
     @property
     def orbit_sizes(self) -> tuple[int, ...]:

@@ -253,15 +253,34 @@ def is_local_square(a: int | Fraction, place: "Place") -> bool:
     return _legendre(u, p) == 1
 
 
+class _Frozen:
+    """The base of the immutable values.  `__init__` sets each field past
+    `__setattr__`, which raises; two values are equal when they are of one
+    type with equal `_key()`s; and a copy or a pickle calls the type on
+    `_key()`, so `_key()` holds the constructor's arguments."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
 _PLACES: dict[int, "Place"] = {}
 
 
-class Place:
+class Place(_Frozen):
     """A place of Q carrying a local invariant: the real place or a prime.
     Places are interned, so a prime is proved prime once, and two places
     are equal only when they are the same object."""
 
     __slots__ = ("p",)  # p = 0 encodes the real place
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
 
     def __new__(cls, p: int) -> "Place":
         place = _PLACES.get(p)
@@ -272,11 +291,8 @@ class Place:
             object.__setattr__(place, "p", p)
         return place
 
-    def __setattr__(self, *args):
-        raise AttributeError("Place is immutable")
-
-    def __reduce__(self):  # pickle and copy through the interning constructor
-        return Place, (self.p,)
+    def _key(self) -> tuple:  # a copy comes back through the interning constructor
+        return (self.p,)
 
     @property
     def is_real(self) -> bool:
@@ -381,7 +397,7 @@ def _field_parameter(k: Fraction) -> Fraction:
     return k
 
 
-class QuadExtScalar:
+class QuadExtScalar(_Frozen):
     """An element x + y*sqrt(k) of K = Q(sqrt k), k a fixed nonsquare."""
 
     __slots__ = ("x", "y", "k")
@@ -391,11 +407,8 @@ class QuadExtScalar:
         _set_y(self, as_rat(y))
         _set_k(self, _field_parameter(as_rat(k)))
 
-    def __setattr__(self, *args):  # immutable
-        raise AttributeError("QuadExtScalar is immutable")
-
-    def __reduce__(self):  # pickle and copy through the constructor
-        return QuadExtScalar, (self.x, self.y, self.k)
+    def _key(self) -> tuple:
+        return (self.x, self.y, self.k)
 
     # -- ring structure ------------------------------------------------
     def _coerce(self, other):
@@ -482,7 +495,7 @@ class QuadExtScalar:
         return self.x
 
     # -- comparisons -----------------------------------------------------
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other) -> bool:  # not the base's: it also equals a rational
         if isinstance(other, QuadExtScalar):
             return (self.x, self.y, self.k) == (other.x, other.y, other.k)
         if isinstance(other, (int, Fraction)):

@@ -15,14 +15,14 @@ from functools import lru_cache
 
 from . import albert, cayley, descent, forms, rootsys
 from .exactmat import det as mdet, identity, mat_eq, mat_inv, mat_mul, scal_mul
-from .scalars import QuadExtScalar, div
+from .scalars import QuadExtScalar, _Frozen, div
 
 SCHEMA_VERSION = 2
 
 _F1 = Fraction(1)
 
 
-class CheckResult:
+class CheckResult(_Frozen):
     """One ledger line: the check's id and location, its status (pass |
     fail | open-question) and its witness."""
 
@@ -34,17 +34,8 @@ class CheckResult:
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "witness", witness)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CheckResult is immutable")
-
     def _key(self) -> tuple:
         return (self.check_id, self.location, self.status, self.witness)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is CheckResult else NotImplemented
-
-    def __reduce__(self):
-        return CheckResult, self._key()
 
     def as_dict(self) -> dict:
         return {

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quadalg
 from quadalg.cli import main
 
 
@@ -216,6 +220,47 @@ def test_program_fault_keeps_its_traceback(capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="broken invariant"):
         main(["verify-paper", "--only", "P01"])
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, spelled",
+    [
+        (["form", "-1/2*<<5>>"], ["form", "--", "-1/2*<<5>>"]),
+        (["descend", "--k", "2", "--a", "-1/3"], ["descend", "--k", "2", "--a=-1/3"]),
+        # an option's values have no "--" spelling; a leading space, which
+        # the scalar reader strips, keeps argparse from seeing an option
+        (["cayley", "--cocycle", "1", "3", "-1/3"], ["cayley", "--cocycle", "1", "3", " -1/3"]),
+        (["hermitian", "<1,-1,2>", "--k", "-1/2"], ["hermitian", "<1,-1,2>", "--k=-1/2"]),
+        (
+            ["verify-paper", "--only", "rostcalc", "--k", "5", "--a", "-11/2"],
+            ["verify-paper", "--only", "rostcalc", "--k", "5", "--a=-11/2"],
+        ),
+    ],
+    ids=["form", "descend", "cayley", "hermitian", "verify-paper"],
+)
+def test_negative_values_need_no_double_dash(capsys, argv, spelled):
+    """An argument that starts with "-" and a digit is a value: the call
+    does what the same call spelled so that argparse reads a value does."""
+    assert run(capsys, *argv) == run(capsys, *spelled)
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that has gone, as in `quadalg form ... | head -c 1`, is not
+    an input error: the CLI exits 128 + SIGPIPE and writes no stderr."""
+    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadalg.cli", "form", "7H + <1>", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_json_entries_read_as_exact_decimals(tmp_path, capsys):

@@ -47,6 +47,32 @@ def test_library_imports_no_random():
     assert imports == []
 
 
+def test_only_the_frozen_base_blocks_assignment_and_pickles():
+    """Every immutable value inherits `__setattr__` and `__reduce__` from
+    `scalars._Frozen`; no class spells them out again."""
+    sources = sorted(Path(quadalg.__file__).parent.glob("*.py"))
+    defined = [
+        f"{path.name}:{item.lineno} {node.name}.{name}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef) and node.name != "_Frozen"
+        for item in node.body
+        for name in _defined_names(item)
+        if name in ("__setattr__", "__reduce__")
+    ]
+    assert defined == []
+
+
+def _defined_names(statement) -> list[str]:
+    """The names a statement of a class body binds: a `def`, or the plain
+    names of an assignment such as `__eq__, __hash__ = ...`."""
+    if isinstance(statement, ast.FunctionDef):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [n.id for t in statement.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

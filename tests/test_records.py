@@ -53,6 +53,25 @@ def _moving_lemma_data():
     return data(0), data(0), data(1)
 
 
+def _albert_maps():
+    negated = freeze([[-x for x in row] for row in identity(27)])
+    return albert.AlbertMap(identity(27)), albert.identity_map(), albert.AlbertMap(negated)
+
+
+def _octonions():
+    return tuple(cayley.Octonion([x, 0, 1, 0, 0, Q(1, 2), 0, -3]) for x in (1, 1, 2))
+
+
+def _similitudes():
+    negated = freeze([[-x for x in row] for row in identity(8)])
+    return cayley.Similitude(identity(8)), cayley.Similitude(identity(8)), cayley.Similitude(negated)
+
+
+def _albert_elements():
+    c = [cayley.Octonion([0, 1, 0, 0, 0, 0, 0, 0])] * 3
+    return tuple(albert.AlbertElement([1, x, 0], c) for x in (Q(1, 2), Q(1, 2), 3))
+
+
 def _cocycles():
     unit = QuadExtScalar(2, 1, 3)  # 2 + sqrt(3), of norm 1, so Z iota(Z) = 1
     over_k = [descent.SemilinearCocycle(3, ((unit, 0), (0, 1))) for _ in range(2)]
@@ -99,6 +118,14 @@ RECORDS = {
     "MovingLemmaData": (_moving_lemma_data, "j_prime"),
     "SemilinearCocycle": (_cocycles, "matrix"),
     "RostCalcReport": (_rostcalc_reports, "a"),
+    "AlbertMap": (_albert_maps, "matrix"),
+    "Octonion": (_octonions, "coords"),
+    "Similitude": (_similitudes, "matrix"),
+    "AlbertElement": (_albert_elements, "eps"),
+    "QuadExtScalar": (
+        lambda: tuple(QuadExtScalar(2, y, 3) for y in (1, 1, -1)),
+        "x",
+    ),
     "CheckResult": (
         lambda: tuple(
             verify.CheckResult("P01", "B7", s, {"dim": 16}) for s in ("pass", "pass", "fail")
