@@ -6,18 +6,22 @@ symbols, real signature); over R only the signature matters.  Isotropy is
 decided place by place (Hasse-Minkowski), and the yes/no Witt questions
 (Witt triviality, I^n, the kernel of restriction to Q(sqrt k)) are read off
 the invariants.  Over Q, entries of opposite square classes cancel in
-pairs first (q = pH + <r>); the invariants, the isotropy test and the Witt
-decomposition read the residue r.  Witt decomposition splits the remaining
-hyperbolic planes off using explicit isotropy witnesses, built by the
-common-value split of Serre's proof of Hasse-Minkowski.
+pairs first (q = pH + <r>); the invariants and the isotropy test read the
+residue r.  So does the Witt decomposition, with no isotropic vector: the
+anisotropic dimension is the least at which Serre's existence conditions
+admit a form with q's invariants less those of the hyperbolic part.  The
+anisotropic part is the residue when that is as short; otherwise it is
+built by the induction of Serre's existence proof (entries peeled off one
+at a time, then a binary form solved for by elimination over F2) and
+certified against q's invariants.  Only `isotropic_vector` builds explicit
+witnesses, by the common-value split of Serre's proof of Hasse-Minkowski.
 
 Entries are exact rationals in the canonical form of `scalars`: an int
 when integral, else a Fraction.  The layer is linear in the dimension: a
 Hasse symbol is one pass over the entries per place, with at most one
-Legendre symbol (Serre's explicit formulas summed over all pairs), the
-complement of a hyperbolic plane is eliminated as "diagonal plus rank one"
-without building its basis, and the entries' square classes, their
-cancellation and `invariants` are computed once per form and kept on it.
+Legendre symbol (Serre's explicit formulas summed over all pairs), and the
+entries' square classes, their cancellation and `invariants` are computed
+once per form and kept on it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import itertools
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from types import MappingProxyType
 
 from .scalars import (
@@ -616,12 +620,23 @@ def _holzer_reduce(a, b, x, y, z):
 
 
 def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
-    """q = index*H + anisotropic.
+    """q = index*H + anisotropic, read off the invariants.
 
-    Over Q the opposite square classes cancel first (`_cancelled`,
-    q = pH + <r>); the chain of explicit splits, each through a witness,
-    then runs on <r> only.  When nothing cancels, the chain runs on q
-    itself, so an anisotropic q is returned as it is.
+    Over R the signs decide.  Over Q, q = mH + q_an where q_an has det
+    (-1)^m det q, Hasse symbols s_v(q) s_v(mH) ((-1)^m, det q_an)_v and q's
+    signature (`_target`).  Its dimension k is the least one, of q's parity
+    and at least |signature|, at which a form with those invariants exists
+    (`_exists`); such a form is anisotropic, or a shorter one would exist,
+    and it is q_an by Hasse-Minkowski.
+
+    When k is the dimension of the cancelled residue (`_cancelled`), the
+    residue is returned, or q itself when nothing cancelled, so an
+    anisotropic q comes back as it is; k = 0 or 1 gives <> or <det>.
+    Otherwise q_an is built by the induction of Serre's proof of Prop. 7:
+    `_peel` takes off one entry at a time down to dimension 2 and `_binary`
+    solves for the last two.  The result is certified (`_certify`): mH + q_an
+    has q's invariants, or a RuntimeError is raised.  No isotropic vector is
+    searched for, and nothing is factored past q's own square classes.
     """
     if q.field == "R":
         pos = sum(1 for a in q.entries if a > 0)
@@ -629,54 +644,148 @@ def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
         index = min(pos, neg)
         rest = (1,) * (pos - index) + (-1,) * (neg - index)
         return index, DiagonalForm("R", rest)
-    index, residue = _cancelled(q)
-    cur = DiagonalForm("Q", residue) if index else q
-    while is_isotropic(cur):
-        cur = _split_hyperbolic(cur, _witness(cur))
-        index += 1
-    return index, cur
+    pairs, residue = _cancelled(q)
+    inv = invariants(q)
+    n, k = q.dim, abs(inv.signature)
+    det = (-1) ** (n * (n - 1) // 2) * inv.disc
+    # past dimension 2 the signature alone bounds k, and k = dim r needs no place
+    places = None if 3 <= k == len(residue) else relevant_places(*residue)
+    while k < 3 and not _exists(k, *_target(inv, det, (n - k) // 2, places)):
+        k += 2
+    if k == len(residue):
+        return pairs, DiagonalForm("Q", residue) if pairs else q
+    m = (n - k) // 2
+    d, eps = _target(inv, det, m, places)
+    if k <= 1:
+        return m, DiagonalForm("Q", (d,) * k)
+    entries, sig = [], inv.signature
+    for dim in range(k, 2, -1):
+        c, d, eps = _peel(residue, d, eps, sig, dim, places)
+        entries.append(c)
+        sig -= 1 if c > 0 else -1
+    pair, aux = _binary(d, eps, places)
+    entries += pair
+    _certify(inv, m, entries, places + aux)
+    return m, DiagonalForm("Q", tuple(entries))
 
 
-def _split_hyperbolic(q: DiagonalForm, v) -> DiagonalForm:
-    """Orthogonal complement of the hyperbolic plane through isotropic v.
+def _target(inv: WittInvariants, det: int, m: int, places) -> tuple[int, set[Place]]:
+    """(det, Hasse places) of q_an for q = mH + q_an, q with invariants inv
+    and squarefree det: s(A + B) = s(A) s(B) (det A, det B)_v and
+    det mH = (-1)^m.  The symbols are -1 only within `places`."""
+    d = -det if m % 2 else det
+    eps = set(inv.hasse) ^ _hyperbolic_hasse(m)
+    if m % 2:
+        eps ^= {v for v in places if hilbert_symbol(-1, d, v) == -1}
+    return d, eps
 
-    With j the first and k the last index where v is nonzero (k != j, as
-    q(v) = 0), the plane is span(v, e_j).  The projection P onto its
-    B-orthogonal complement kills e_j, and the only other relation among
-    the P(e_m) is sum v_m P(e_m) = 0, so the P(e_m) with m not in {j, k}
-    are a basis of the complement.  Their Gram matrix is
-    diag(a_m) + s u u^T with u_m = a_m v_m and s = 1/(a_j v_j^2), and
-    symmetric elimination keeps that shape: the pivot at d_t is
-    p = d_t + s u_t^2, after which s becomes s d_t / p.  Pivots are chosen
-    as `_diagonalize_gram` chooses them, so the diagonal is the one it
-    gives; a block whose pivots are all zero goes to it as a dense matrix.
+
+def _exists(k: int, d: int, eps: set[Place]) -> bool:
+    """Whether a form over Q of dimension k, squarefree det d and Hasse
+    symbol -1 exactly at eps exists, given a signature that fits k (Serre,
+    A Course in Arithmetic, IV.3.3 Prop. 7): from dimension 3 on always; in
+    dimension 2 when no symbol is -1 where -d is a local square; in
+    dimension 1 when every symbol is 1; in dimension 0 when, besides, d = 1."""
+    if k >= 3:
+        return True
+    if k == 2:
+        return not any(_class_key(-d, v) == _class_key(1, v) for v in eps)
+    return not eps and (k == 1 or d == 1)
+
+
+def _peel(residue, d, eps, sig, k, places) -> tuple[int, int, set[Place]]:
+    """One step of Serre's induction: an entry c with q_an = q' + <c> for a
+    form q' of dimension k - 1 that exists, and q''s det and Hasse places
+    (d c and eps twisted by (-d, c)_v, as s(q' + <c>) = s(q') (d c, c)_v).
+    The candidates are the residue's own classes, then `_serre_entry`."""
+    for c in itertools.chain(dict.fromkeys(residue), _serre_entry(d, eps, places)):
+        if abs(sig - (1 if c > 0 else -1)) > k - 1:
+            continue
+        dc = _class_product(d, c)
+        rest = eps ^ {v for v in places if hilbert_symbol(-d, c, v) == -1}
+        if _exists(k - 1, dc, rest):
+            return c, dc, rest
+    raise RuntimeError("no entry peels off the anisotropic part")
+
+
+def _serre_entry(d, eps, places):
+    """Yields the entry c = -d t that peels a ternary q_an (det d, Hasse places eps)
+    down to a binary that exists, t being the product of the places (-1 for
+    the real one) where q_an is anisotropic, i.e. where eps differs from
+    (-1, -d)_v: there c is not in the class of -d, and elsewhere either
+    class serves."""
+    bad = [v for v in places if (v in eps) != (hilbert_symbol(-1, -d, v) == -1)]
+    yield _class_product(-d, prod(-1 if v.is_real else v.p for v in bad))
+
+
+def _binary(d, eps, places) -> tuple[tuple[int, int], list[Place]]:
+    """A binary <a, a d> with det d and Hasse symbol (a, -d)_v = -1 exactly
+    at eps (Serre, III.2.2 Thm. 4), and the auxiliary places it used.
+
+    Let S be the real place, 2, the primes of d and those of eps.  Each
+    generator g, namely -1, the primes of S, then primes l outside S with
+    (-d|l) = 1 added until the target lies in their span, is the bitmask of
+    the places of S where (g, -d)_v = -1; elimination over F2 finds the
+    generators whose masks sum to the target, and a is their product.
+    Outside S every symbol of a is 1: all is a unit, or -d is a square at l.
     """
-    if q.value(v) != 0:
-        raise RuntimeError("split vector is not isotropic")
-    a = q.entries
-    support = [i for i, x in enumerate(v) if x != 0]
-    j, k = support[0], support[-1]
-    rest = [m for m in range(q.dim) if m not in (j, k)]
-    d = [a[m] for m in rest]
-    u = [a[m] * v[m] for m in rest]
-    s = div(1, a[j] * v[j] * v[j])
-    out = []
-    for t in range(len(d)):
-        for i in range(t, len(d)):
-            p = d[i] + s * u[i] * u[i]
-            if p:
-                break
-        else:
-            block = [[s * x * y for y in u[t:]] for x in u[t:]]
-            for r, row in enumerate(block):
-                row[r] += d[t + r]
-            out += _diagonalize_gram(block)
-            break
-        d[t], d[i] = d[i], d[t]
-        u[t], u[i] = u[i], u[t]
-        out.append(square_class(p))
-        s = div(s * d[t], p)
-    return DiagonalForm(q.field, tuple(out))
+    s = [v for v in places if v.p <= 2 or d % v.p == 0 or v in eps]
+    s_primes = {v.p for v in s}
+    target = sum(1 << i for i, v in enumerate(s) if v in eps)
+    basis = {}  # leading bit -> (mask, product of the generators summed)
+
+    def reduce(mask, a):
+        while mask and mask.bit_length() - 1 in basis:
+            b_mask, b = basis[mask.bit_length() - 1]
+            mask, a = mask ^ b_mask, _class_product(a, b)
+        return mask, a
+
+    aux, ell = [], 2
+    gens = itertools.chain([-1], (v.p for v in s if not v.is_real))
+    while len(aux) <= len(s) + 64:
+        g = next(gens, None)
+        if g is None:  # an auxiliary prime
+            ell = next_prime(ell)
+            if ell in s_primes or _legendre(-d, ell) != 1:
+                continue
+            aux.append(Place(ell))
+            g = ell
+        mask, g = reduce(
+            sum(1 << i for i, v in enumerate(s) if hilbert_symbol(g, -d, v) == -1), g
+        )
+        if mask:
+            basis[mask.bit_length() - 1] = (mask, g)
+        rest, a = reduce(target, 1)
+        if not rest:
+            return (a, _class_product(a, d)), aux
+    raise RuntimeError("no binary form with the given invariants")
+
+
+def _certify(inv: WittInvariants, m: int, entries, places) -> None:
+    """Raise RuntimeError unless mH + <entries> has the invariants inv: every
+    entry is +-1 times primes of `places`, so no other place can carry a
+    Hasse symbol -1, and the dimension, the disc, the Hasse symbol at each
+    of the places and the signature agree (Hasse-Minkowski)."""
+    primes = [v.p for v in places if not v.is_real]
+
+    def known(a):
+        for p in primes:
+            a = _val_unit(a, p)[1]
+        return a in (1, -1)
+
+    full = (1, -1) * m + tuple(entries)
+    n, det = len(full), 1
+    for a in full:
+        det = _class_product(det, a)
+    got = (
+        n,
+        (-1) ** (n * (n - 1) // 2) * det,
+        {v for v in places if _hasse(full, v) == -1},
+        sum(1 if a > 0 else -1 for a in full),
+    )
+    want = (inv.dim, inv.disc, set(inv.hasse), inv.signature)
+    if not all(map(known, entries)) or got != want:
+        raise RuntimeError("the anisotropic part fails its certificate")
 
 
 def _diagonalize_gram(gram):

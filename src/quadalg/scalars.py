@@ -336,14 +336,16 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Place) -> int:
     has a nonzero solution over the completion.
 
     Computed by the classical explicit formulas (Legendre symbols for odd
-    p, unit residues mod 8 for p = 2, signs at the real place).
+    p, unit residues mod 8 for p = 2, signs at the real place).  They read
+    only the parities of the valuations and the units, so nothing is
+    factored.
     """
     if not a or not b:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if place.is_real:
         return -1 if (a < 0 and b < 0) else 1
-    # Replace by square-class representatives; symbols only see those.
-    ai, bi = square_class(a), square_class(b)
+    # num*den is an integer in the square class of num/den
+    ai, bi = a.numerator * a.denominator, b.numerator * b.denominator
     p = place.p
     alpha, u = _val_unit(ai, p)
     beta, w = _val_unit(bi, p)

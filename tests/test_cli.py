@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import quadalg
+from quadalg import forms
 from quadalg.cli import main
 
 
@@ -53,6 +54,18 @@ def test_form_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["invariants"]["disc"] == -6
+
+
+def test_form_decomposes_a_form_with_large_witness_pivots(capsys):
+    # a chain of isotropic-vector splits met a 30-digit pivot here and exited 2
+    literal = "<-221776,-4,26767,25019,5713,-9,-28012/9,-212,-136701,-9047,16>"
+    code, out, err = run(capsys, "form", literal, "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    q, an = forms.parse_form(literal), forms.parse_form(payload["anisotropic"])
+    hyperbolic = forms.hyperbolic(payload["witt_index"])
+    assert forms.isometric(forms.direct_sum(hyperbolic, an), q)
+    assert an.dim and not forms.is_isotropic(an)
 
 
 def test_hermitian_command(capsys):

