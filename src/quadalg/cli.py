@@ -180,10 +180,7 @@ def _cmd_cayley(args) -> int:
                 for i, j in [(1, 8), (4, 4), (4, 5), (1, 2)]
             },
         }
-    if args.json is not None:
-        _write_json(payload, args.json or None)
-    else:
-        print(json.dumps(payload, indent=2))
+    _write_json(payload, args.json or None)
     return 0
 
 
@@ -220,10 +217,7 @@ def _cmd_albert(args) -> int:
             ),
             "N(identity)": str(albert.norm_N(albert.IDENTITY)),
         }
-    if args.json is not None:
-        _write_json(payload, args.json or None)
-    else:
-        print(json.dumps(payload, indent=2))
+    _write_json(payload, args.json or None)
     return 0
 
 
@@ -254,18 +248,17 @@ def _cmd_descend(args) -> int:
             "expected": forms.form_literal(descent.twist_a_expected(k)),
             "isometric": forms.isometric(q, descent.twist_a_expected(k)),
         }
-    if args.report is not None:
-        _write_json(payload, args.report or None)
-    else:
-        print(json.dumps(payload, indent=2))
+    _write_json(payload, args.report or None)
     return 0
 
 
 def _cmd_verify(args) -> int:
     from . import verify
 
+    if (args.k is None) != (args.a is None):
+        raise ValueError("--k and --a go together")
     overrides = None
-    if args.k is not None and args.a is not None:
+    if args.k is not None:
         overrides = {"k": parse_scalar(args.k), "a": parse_scalar(args.a)}
     results = verify.run_checks(only=args.only, overrides=overrides)
     if not results:

@@ -30,19 +30,22 @@ import itertools
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, prod
 from types import MappingProxyType
 
 from .scalars import (
-    is_local_square,
     Place,
     REAL,
     _Frozen,
+    _hasse,
     _legendre,
+    _local_class,
     _val_unit,
     as_rat,
     div,
     hilbert_symbol,
+    is_local_square,
     is_square,
     next_prime,
     parse_scalar,
@@ -193,9 +196,7 @@ def invariants(q: DiagonalForm) -> WittInvariants:
     else:
         pairs, ds = _cancelled(q)
         places = relevant_places(*ds)
-    det = 1
-    for d in ds:
-        det = _class_product(det, d)
+    det = reduce(_class_product, ds, 1)
     split = _hyperbolic_hasse(pairs)
     hasse = {}
     for v in places:
@@ -244,45 +245,6 @@ def _class_product(x: int, y: int) -> int:
     return x * y // (g * g)
 
 
-def _hasse(ds, v: Place) -> int:
-    """The Hasse symbol prod_{i<j} (d_i, d_j)_v of <d_1,...,d_n> for
-    nonzero integers d_i, squarefree or not, in one pass over the entries:
-    Serre's explicit formulas (Cours d'arithmetique III.1.2 Thm. 1) summed
-    over all pairs.  Write d_i = p^e_i u_i and let k count the odd e_i.  At
-    an odd p the symbol is (-1)^(C(k,2)(p-1)/2) (U_out|p)^k (U_in|p)^(k-1),
-    with U_in and U_out the products mod p of the u_i with odd and with even
-    e_i, so at most one Legendre symbol.  At 2 the exponents e(u) = (u-1)/2
-    and w(u) = (u^2-1)/8 sum the same way, to C(n_e,2) + k n_w + n_w_in
-    mod 2, for n_e entries with e(u_i) odd, n_w with w(u_i) odd and n_w_in
-    of those with odd e_i.  At the real place it is (-1)^C(neg,2)."""
-    if v.is_real:
-        neg = sum(1 for d in ds if d < 0)
-        return -1 if neg * (neg - 1) // 2 % 2 else 1
-    p, k = v.p, 0
-    if p == 2:
-        n_e = n_w = n_w_in = 0
-        for d in ds:
-            e, u = _val_unit(d, 2)
-            n_e += u % 4 == 3
-            if u % 8 in (3, 5):
-                n_w += 1
-                n_w_in += e % 2
-            k += e % 2
-        return -1 if (n_e * (n_e - 1) // 2 + k * n_w + n_w_in) % 2 else 1
-    u_in = u_out = 1
-    for d in ds:
-        e, u = _val_unit(d, p)
-        if e % 2:
-            k += 1
-            u_in = u_in * u % p
-        else:
-            u_out = u_out * u % p
-    sign = -1 if k * (k - 1) // 2 * (p // 2) % 2 else 1
-    if k % 2:
-        return sign * _legendre(u_out, p)
-    return sign * _legendre(u_in, p) if k else sign
-
-
 def _hyperbolic_hasse(m: int) -> set[Place]:
     """The places where mH has Hasse symbol -1: the pairs of its m entries
     -1 give (-1,-1)_v^(m(m-1)/2), which is -1 at the real place and at 2."""
@@ -300,24 +262,18 @@ def _hasse_defects(inv: WittInvariants) -> set[Place]:
 
 
 def _isotropic_at(entries, v: Place) -> bool:
-    """Whether the diagonal form with these nonzero entries (integers when
+    """Whether the diagonal form q with these nonzero entries (integers when
     v is finite) is isotropic over Q_v (Serre, Cours d'arithmetique IV.2.2
-    Thm. 6)."""
+    Thm. 6): over R when it has both signs; at a prime when q = H + g for
+    some g that exists at v (`_exists_at`), of dimension n - 2, det -det q
+    and Hasse symbol s_v(q) (-1, -det q)_v, as s(H + g) = s(g) (-1, det g)_v."""
     n = len(entries)
     if n <= 1:
         return False
     if v.is_real:
         return any(a > 0 for a in entries) and any(a < 0 for a in entries)
-    if n >= 5:
-        return True
-    d = 1
-    for a in entries:
-        d = _class_product(d, a)
-    if n == 2:
-        return is_local_square(-d, v)
-    if n == 3:
-        return hilbert_symbol(-1, -d, v) == _hasse(entries, v)
-    return not is_local_square(d, v) or _hasse(entries, v) == hilbert_symbol(-1, -1, v)
+    d = reduce(_class_product, entries, 1)
+    return _exists_at(n - 2, -d, _hasse(entries, v) * hilbert_symbol(-1, -d, v), v)
 
 
 def is_isotropic(q: DiagonalForm) -> bool:
@@ -336,11 +292,9 @@ def is_isotropic(q: DiagonalForm) -> bool:
 
 def _fraction_sqrt(a: int | Fraction) -> int | Fraction:
     """The rational square root of a rational square a >= 0, canonical."""
-    num, den = a.numerator, a.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
+    if not is_square(a):
         raise ValueError(f"{a} is not a square")
-    return div(rn, rd)
+    return div(isqrt(a.numerator), isqrt(a.denominator))
 
 
 def isotropic_vector(q: DiagonalForm) -> tuple[int | Fraction, ...]:
@@ -456,10 +410,10 @@ def _common_value(head, rest) -> int:
             s *= classes[0]
         elif classes[0] % v.p == 0:
             s *= v.p
-        works.append((v, {_class_key(c, v) for c in classes}))
+        works.append((v, {_local_class(c, v) for c in classes}))
     skip = {v.p for v in places}
     r = 1
-    while not all(_class_key(s * r, v) in keys for v, keys in works):
+    while not all(_local_class(s * r, v) in keys for v, keys in works):
         r = next_prime(r)
         while r in skip:
             r = next_prime(r)
@@ -474,14 +428,6 @@ def _class_reps(v: Place) -> tuple[int, ...]:
         return (1, -1, 5, -5, 2, -2, 10, -10)
     u = next(u for u in range(2, v.p) if _legendre(u, v.p) == -1)
     return (1, u, v.p, u * v.p)
-
-
-def _class_key(t: int, v: Place):
-    """The class of the nonzero integer t in Q_v*/Q_v*^2."""
-    if v.is_real:
-        return t > 0
-    e, u = _val_unit(t, v.p)
-    return e % 2, u % 8 if v.p == 2 else _legendre(u, v.p)
 
 
 def _ternary_witness(a, b, c):
@@ -683,14 +629,22 @@ def _target(inv: WittInvariants, det: int, m: int, places) -> tuple[int, set[Pla
 def _exists(k: int, d: int, eps: set[Place]) -> bool:
     """Whether a form over Q of dimension k, squarefree det d and Hasse
     symbol -1 exactly at eps exists, given a signature that fits k (Serre,
-    A Course in Arithmetic, IV.3.3 Prop. 7): from dimension 3 on always; in
-    dimension 2 when no symbol is -1 where -d is a local square; in
-    dimension 1 when every symbol is 1; in dimension 0 when, besides, d = 1."""
+    A Course in Arithmetic, IV.3.3 Prop. 7): d = 1 when k = 0, and a form
+    with symbol -1 exists at each place of eps (`_exists_at`)."""
+    return (k > 0 or d == 1) and all(_exists_at(k, d, -1, v) for v in eps)
+
+
+def _exists_at(k: int, d: int, eps: int, v: Place) -> bool:
+    """Whether a form over Q_v of dimension k, det d and Hasse symbol eps
+    exists (Serre IV.2.3 Prop. 6, at a prime; at the real place the same
+    holds given a signature that fits k): from dimension 3 on always; in
+    dimension 2 unless eps = -1 and -d is a square at v; in dimension 1
+    when eps = 1; in dimension 0 when, besides, d is a square at v."""
     if k >= 3:
         return True
     if k == 2:
-        return not any(_class_key(-d, v) == _class_key(1, v) for v in eps)
-    return not eps and (k == 1 or d == 1)
+        return eps == 1 or not is_local_square(-d, v)
+    return eps == 1 and (k == 1 or is_local_square(d, v))
 
 
 def _peel(residue, d, eps, sig, k, places) -> tuple[int, int, set[Place]]:
@@ -774,9 +728,7 @@ def _certify(inv: WittInvariants, m: int, entries, places) -> None:
         return a in (1, -1)
 
     full = (1, -1) * m + tuple(entries)
-    n, det = len(full), 1
-    for a in full:
-        det = _class_product(det, a)
+    n, det = len(full), reduce(_class_product, full, 1)
     got = (
         n,
         (-1) ** (n * (n - 1) // 2) * det,
@@ -1003,13 +955,14 @@ def isometric_over_K(q1: DiagonalForm, q2: DiagonalForm, k: int | Fraction) -> b
 # literals
 
 
-_TOKEN = re.compile(r"\s*(<<|>>|<|>|\+|\*|,|[^\s<>+*,]+)")
+_TOKEN = re.compile(r"\s*(<<|>>|<|>|\+?[^\s<>+*,]+|\+|\*|,)")
 
 
 def parse_form(text: str, field: str = "Q") -> DiagonalForm:
     """Parse the form grammar: `<a,b,...>`, `<<a,...>>` (Pfister), `nH`,
-    `c*<...>`, joined by `+`.  Every failure is one ValueError that says
-    "parse error"."""
+    `c*<...>`, joined by `+`; a `+` glued to a scalar where one is due is
+    its sign (`<+5>`, `+2*<1>`; `<1>+2*<3>` is a sum).  Every failure is
+    one ValueError that says "parse error"."""
     try:
         return _parse_form(text, field)
     except ValueError as exc:
@@ -1074,8 +1027,10 @@ def _parse_form(text: str, field: str) -> DiagonalForm:
         return [c * a for a in entries]
 
     entries = term()
-    while peek() == "+":
-        take("+")
+    while (peek() or "").startswith("+"):  # a sum; a `+2` splits into `+`, `2`
+        tokens[pos] = tokens[pos][1:]
+        if not tokens[pos]:
+            pos += 1
         entries += term()
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in form literal {text!r}")

@@ -8,7 +8,11 @@ integral and a ``fractions.Fraction`` otherwise (`rat`).  `div` is the
 only true division: an int divided by an int never becomes a float, and
 an integral quotient comes back as an int.  A square class is the signed
 squarefree integer representing a*Q*^2; two scalars share it iff their
-ratio is a nonzero rational square.
+ratio is a nonzero rational square.  Serre's local formulas are stated
+once, on valuations and units: `_local_class` (a class of Q_v*/Q_v*^2)
+and `_hasse` (the Hasse symbol of a diagonal form), of which
+`is_local_square` and `hilbert_symbol` are the one- and two-entry cases.
+Only `square_class` and `relevant_places` factor.
 """
 
 from __future__ import annotations
@@ -232,25 +236,18 @@ def square_class(a: int | Fraction) -> SquareClass:
 
 
 def is_square(a: int | Fraction) -> bool:
-    """Whether a = b^2 for a rational b (0 = 0^2 included)."""
+    """Whether a = b^2 for a rational b (0 = 0^2 included): the integer
+    square roots of its numerator and denominator, nothing factored."""
     a = as_rat(a)
-    return a == 0 or (a > 0 and square_class(a) == 1)
+    return a >= 0 and all(isqrt(n) ** 2 == n for n in (a.numerator, a.denominator))
 
 
 def is_local_square(a: int | Fraction, place: "Place") -> bool:
-    """Whether a is a square in the completion at the place."""
+    """Whether a is a square in the completion at the place: num*den, in
+    the square class of a, has the local class of 1 (`_local_class`)."""
     if not a:
         raise ValueError("zero is not classified")
-    if place.is_real:
-        return a > 0
-    d = square_class(a)  # squarefree integer, same local square classes
-    p = place.p
-    v, u = _val_unit(d, p)
-    if v % 2:
-        return False
-    if p == 2:
-        return u % 8 == 1
-    return _legendre(u, p) == 1
+    return _local_class(a.numerator * a.denominator, place) == _local_class(1, place)
 
 
 class _Frozen:
@@ -331,36 +328,63 @@ def _legendre(u: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def _local_class(t: int, v: Place):
+    """The class of the nonzero integer t in Q_v*/Q_v*^2: its sign at the
+    real place; at a prime p, the parity of its valuation and its unit's
+    residue (mod 8 at 2, the Legendre symbol at an odd p)."""
+    if v.is_real:
+        return t > 0
+    e, u = _val_unit(t, v.p)
+    return e % 2, u % 8 if v.p == 2 else _legendre(u, v.p)
+
+
+def _hasse(ds, v: Place) -> int:
+    """The Hasse symbol prod_{i<j} (d_i, d_j)_v of <d_1,...,d_n> for
+    nonzero integers d_i, squarefree or not, in one pass over the entries:
+    Serre's explicit formulas (Cours d'arithmetique III.1.2 Thm. 1) summed
+    over all pairs.  Write d_i = p^e_i u_i and let k count the odd e_i.  At
+    an odd p the symbol is (-1)^(C(k,2)(p-1)/2) (U_out|p)^k (U_in|p)^(k-1),
+    with U_in and U_out the products mod p of the u_i with odd and with even
+    e_i, so at most one Legendre symbol.  At 2 the exponents e(u) = (u-1)/2
+    and w(u) = (u^2-1)/8 sum the same way, to C(n_e,2) + k n_w + n_w_in
+    mod 2, for n_e entries with e(u_i) odd, n_w with w(u_i) odd and n_w_in
+    of those with odd e_i.  At the real place it is (-1)^C(neg,2)."""
+    if v.is_real:
+        neg = sum(1 for d in ds if d < 0)
+        return -1 if neg * (neg - 1) // 2 % 2 else 1
+    p, k = v.p, 0
+    if p == 2:
+        n_e = n_w = n_w_in = 0
+        for d in ds:
+            e, u = _val_unit(d, 2)
+            n_e += u % 4 == 3
+            if u % 8 in (3, 5):
+                n_w += 1
+                n_w_in += e % 2
+            k += e % 2
+        return -1 if (n_e * (n_e - 1) // 2 + k * n_w + n_w_in) % 2 else 1
+    u_in = u_out = 1
+    for d in ds:
+        e, u = _val_unit(d, p)
+        if e % 2:
+            k += 1
+            u_in = u_in * u % p
+        else:
+            u_out = u_out * u % p
+    sign = -1 if k * (k - 1) // 2 * (p // 2) % 2 else 1
+    if k % 2:
+        return sign * _legendre(u_out, p)
+    return sign * _legendre(u_in, p) if k else sign
+
+
 def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Place) -> int:
     """Hilbert symbol (a,b) at a place of Q: +1 iff z^2 = a x^2 + b y^2
-    has a nonzero solution over the completion.
-
-    Computed by the classical explicit formulas (Legendre symbols for odd
-    p, unit residues mod 8 for p = 2, signs at the real place).  They read
-    only the parities of the valuations and the units, so nothing is
-    factored.
-    """
+    has a nonzero solution over the completion.  It is the Hasse symbol of
+    the binary <a, b> (`_hasse`), read off num*den of each argument, which
+    lies in its square class; nothing is factored."""
     if not a or not b:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    if place.is_real:
-        return -1 if (a < 0 and b < 0) else 1
-    # num*den is an integer in the square class of num/den
-    ai, bi = a.numerator * a.denominator, b.numerator * b.denominator
-    p = place.p
-    alpha, u = _val_unit(ai, p)
-    beta, w = _val_unit(bi, p)
-    if p == 2:
-        eps = ((u - 1) // 2) * ((w - 1) // 2)
-        omega = alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
-        return -1 if (eps + omega) % 2 else 1
-    sign = 1
-    if alpha * beta * ((p - 1) // 2) % 2:
-        sign = -sign
-    if beta % 2:
-        sign *= _legendre(u, p)
-    if alpha % 2:
-        sign *= _legendre(w, p)
-    return sign
+    return _hasse((a.numerator * a.denominator, b.numerator * b.denominator), place)
 
 
 def is_norm_from_K(a: int | Fraction, k: int | Fraction) -> bool:

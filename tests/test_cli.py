@@ -151,6 +151,9 @@ BIG = int(
         ("albert", "--map", "{flat}"),
         ("rootsys", "--type", "A3", "--source", "A1"),
         ("rootsys", "--type", "A3", "--fold", "--embedding", "{missing}", "--source", "A1"),
+        ("verify-paper", "--only", "rostcalc", "--k", "7"),
+        ("verify-paper", "--only", "rostcalc", "--a", "7"),
+        ("form", "<1,+>"),
     ],
     ids=[
         "triple_missing",
@@ -185,6 +188,9 @@ BIG = int(
         "map_without_element",
         "source_without_embedding",
         "fold_with_embedding",
+        "verify_k_without_a",
+        "verify_a_without_k",
+        "form_sign_without_scalar",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):
@@ -248,13 +254,44 @@ def test_program_fault_keeps_its_traceback(capsys, monkeypatch):
             ["verify-paper", "--only", "rostcalc", "--k", "5", "--a", "-11/2"],
             ["verify-paper", "--only", "rostcalc", "--k", "5", "--a=-11/2"],
         ),
+        # a "+" glued to a scalar where one is due is its sign, as "-" is;
+        # elsewhere it joins two terms
+        (["form", "<+5,3>"], ["form", "<5,3>"]),
+        (["form", "<<-1,+1>>"], ["form", "<<-1,1>>"]),
+        (["form", "+2*<1>"], ["form", "2*<1>"]),
+        (["form", "<1>+2*<3>"], ["form", "<1,6>"]),
+        (["form", "<1> + <2>"], ["form", "<1,2>"]),
+        (["form", "7H + <1>"], ["form", "<" + "1,-1," * 7 + "1>"]),
     ],
-    ids=["form", "descend", "cayley", "hermitian", "verify-paper"],
+    ids=[
+        "form",
+        "descend",
+        "cayley",
+        "hermitian",
+        "verify-paper",
+        "plus_entry",
+        "plus_pfister_slot",
+        "plus_scale",
+        "glued_sum",
+        "spaced_sum",
+        "hyperbolic_sum",
+    ],
 )
 def test_negative_values_need_no_double_dash(capsys, argv, spelled):
     """An argument that starts with "-" and a digit is a value: the call
     does what the same call spelled so that argparse reads a value does."""
     assert run(capsys, *argv) == run(capsys, *spelled)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["cayley"], "--json"), (["albert"], "--json"), (["descend", "--k", "3"], "--report")],
+    ids=["cayley", "albert", "descend"],
+)
+def test_bare_output_flag_prints_what_no_flag_prints(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, flag)
+    assert code == 0 and out and err == ""
+    assert (code, out, err) == run(capsys, *argv)
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -36,7 +36,7 @@ from quadalg.forms import (
     witt_decompose,
     witt_equivalent,
 )
-from quadalg.scalars import Place, REAL, div, hilbert_symbol, relevant_places, square_class
+from quadalg.scalars import Place, REAL, div, hilbert_symbol, is_local_square, relevant_places, square_class
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
 
@@ -585,6 +585,37 @@ def test_hasse_prefix_products_match_pairwise():
             assert inv.hasse.get(v, 1) == expected
 
 
+def reference_isotropic_at(entries, v):
+    """Serre's Thm. 6 (Cours d'arithmetique IV.2.2) case by case: a binary
+    form is isotropic iff -d is a square, a ternary one iff its Hasse
+    symbol is (-1, -d)_v, a quaternary one iff d is not a square or its
+    symbol is (-1, -1)_v, and every form of dimension >= 5 is."""
+    n = len(entries)
+    if n <= 1:
+        return False
+    if v.is_real:
+        return any(a > 0 for a in entries) and any(a < 0 for a in entries)
+    if n >= 5:
+        return True
+    d = prod(entries)
+    if n == 2:
+        return is_local_square(-d, v)
+    if n == 3:
+        return hilbert_symbol(-1, -d, v) == pairwise_hasse(entries, v)
+    return not is_local_square(d, v) or pairwise_hasse(entries, v) == hilbert_symbol(-1, -1, v)
+
+
+def test_isotropic_at_matches_the_case_analysis():
+    rng = random.Random(19)
+    for _ in range(300):
+        entries = [
+            rng.choice((1, -1)) * prod(rng.sample(PRIMES_TO_31[:6], rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        for v in relevant_places(-1, *entries):
+            assert forms._isotropic_at(entries, v) == reference_isotropic_at(entries, v), (entries, v)
+
+
 def test_hyperbolic_hasse_defects_closed_form():
     for m in range(13):
         assert forms._hyperbolic_hasse(m) == set(invariants(hyperbolic(m)).hasse)
@@ -661,9 +692,10 @@ def test_split_hyperbolic_matches_dense_route():
 
 def test_invariants_make_no_hilbert_symbol_and_one_legendre_per_odd_place(monkeypatch):
     symbols, legendres = [], []
-    real_legendre = forms._legendre
+    real_legendre = scalars._legendre
     monkeypatch.setattr(forms, "hilbert_symbol", lambda a, b, v: symbols.append(v) or hilbert_symbol(a, b, v))
-    monkeypatch.setattr(forms, "_legendre", lambda u, p: legendres.append(p) or real_legendre(u, p))
+    # `_hasse` lives in scalars and looks `_legendre` up there
+    monkeypatch.setattr(scalars, "_legendre", lambda u, p: legendres.append(p) or real_legendre(u, p))
     q = form([2, -3, 5, 7, -6, 10, 14, -15, 21, 35, -2, 3])
     odd = {v.p for v in relevant_places(*q.entries) if v.p > 2}
     inv = invariants(q)

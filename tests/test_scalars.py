@@ -164,6 +164,25 @@ def test_hilbert_product_formula():
         assert prod == 1
 
 
+def test_local_facts_factor_nothing(monkeypatch):
+    """Hilbert symbols, local squares and rational squares read valuations,
+    units and integer square roots, so a product of two 14-digit primes,
+    past rho's step budget, is answered without `factor`."""
+    p, q = next_prime(10**13), next_prime(2 * 10**13)
+    n = p * q
+
+    def refuse(m):
+        raise AssertionError(f"factor({m}) called")
+
+    monkeypatch.setattr(scalars, "factor", refuse)
+    assert not is_square(n) and is_square(n * n) and is_square(Q(n * n, 4))
+    for v in (REAL, Place(2), Place(3), Place(5)):
+        expected = n % 8 == 1 if v.p == 2 else v.is_real or pow(n, (v.p - 1) // 2, v.p) == 1
+        assert scalars.is_local_square(n, v) == expected
+        assert scalars.is_local_square(n * n, v)
+        assert hilbert_symbol(n, -3, v) == hilbert_symbol(p, -3, v) * hilbert_symbol(q, -3, v)
+
+
 def norm_search(a, k, bound=25):
     """Bounded search for a = x^2 - k y^2 with small rational x, y."""
     for den in range(1, 6):
