@@ -409,22 +409,28 @@ def a_form_value(v: Sequence[int | Fraction | QuadExtScalar]):
 
 
 def in_subgroup_H(f: AlbertMap) -> bool:
-    """Membership in H: f and dagger(f) both fix e0."""
-    e0 = e_idem(0)
-    return f(e0) == e0 and f.dagger()(e0) == e0
+    """Membership in H: f and dagger(f) = T^-1 f^-T T both fix e0.  As the
+    trace-form Gram T fixes e0, that is column 0 and row 0 of f being e0;
+    a singular map that fixes e0 has no dagger and is rejected."""
+    m = f.matrix
+    if any(row[0] != int(i == 0) for i, row in enumerate(m)):
+        return False
+    if not det(m):
+        raise ValueError("dagger needs an invertible map")
+    return all(x == int(c == 0) for c, x in enumerate(m[0]))
 
 
 def restrict_to_A(f: AlbertMap) -> Matrix:
     """The 10x10 restriction of an H-element to A (it stabilizes A since
-    f(e0 x j) = dagger(f)(e0) x dagger(f)(j)); maps not stabilizing A or
-    outside H are rejected."""
+    f(e0 x j) = dagger(f)(e0) x dagger(f)(j)): the block of f on the A
+    coordinates.  Maps outside H, or whose image of A leaves A, are
+    rejected."""
     if not in_subgroup_H(f):
         raise ValueError("map is not in H (does not fix e0 with its dagger)")
-    cols = []
-    for s in range(10):
-        img = f(a_embed([int(t == s) for t in range(10)]))
-        cols.append(a_project(img))
-    return freeze([[cols[c][r] for c in range(10)] for r in range(10)])
+    m = f.matrix
+    if any(m[r][c] for c in A_COORD_INDICES for r in range(ADIM) if r not in A_COORD_INDICES):
+        raise ValueError("element does not lie in the subspace A")
+    return freeze([[m[r][c] for c in A_COORD_INDICES] for r in A_COORD_INDICES])
 
 
 def preserves_a_form(r10: Matrix, gram: Matrix = None) -> bool:

@@ -437,8 +437,20 @@ def _relates(table: CayleyTable, T: SimilitudeTriple) -> bool:
 
 def is_related_triple(T: SimilitudeTriple) -> bool:
     """Whether mu(t_i)^{-1} t_i(x star y) = t_{i+2}(x) star t_{i+1}(y) for
-    all octonions x, y and all i mod 3."""
+    all octonions x, y and all i mod 3.  A special cocycle m_j(mu) d P, mu
+    its multipliers with product 1, is the image of the generic z under the
+    ring map A -> mu0, B -> mu1: the one generic proof decides it."""
+    mu = T.multipliers
+    if mu[0] * mu[1] * mu[2] == 1:
+        dp = mat_mul(diag_d(), perm_P())
+        if all(mat_eq(T[j].matrix, mat_mul(m_matrix(j, mu), dp)) for j in range(3)):
+            return _special_family_related()
     return _relates(build_cayley_table(), T)
+
+
+@lru_cache(maxsize=1)
+def _special_family_related() -> bool:
+    return _relates(build_cayley_table(), special_cocycle(generic_a()))
 
 
 # --------------------------------------------------------------------------

@@ -69,17 +69,18 @@ class SemilinearCocycle(_Frozen):
 
 def fixed_subspace(z: SemilinearCocycle) -> list[tuple]:
     """An F-basis of the fixed points of the twisted action: n vectors
-    over K that are fixed and K-linearly independent (an F-form basis)."""
+    over K that are fixed and K-linearly independent (an F-form basis).
+    The 2n candidates w + Z iota w and sqrt(k)(w - Z iota w) are built
+    from integer unit vectors w, so they keep int zeros that the
+    elimination skips."""
     n = z.dim
     rt = sqrt_k(z.k)
     cands = []
     for i in range(n):
-        w = tuple(
-            QuadExtScalar(int(j == i), 0, z.k) for j in range(n)
-        )
+        w = tuple(int(j == i) for j in range(n))
         tw = z.twisted(w)
         cands.append(tuple(a + b for a, b in zip(w, tw)))
-        cands.append(tuple(rt * (a - b) for a, b in zip(w, tw)))
+        cands.append(tuple(rt * d if (d := a - b) else 0 for a, b in zip(w, tw)))
     found = independent(cands)
     if len(found) != n:
         raise RuntimeError("fixed subspace has deficient rank")

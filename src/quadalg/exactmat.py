@@ -5,13 +5,14 @@ canonical form of `scalars` (an int when integral, else a Fraction) or
 QuadExtScalar.  `det`, `mat_inv`, `rank` and `independent` share one
 Gauss-Jordan elimination, and its one division is `scalars.div`.
 
-Every kernel skips zeros: products and inner sums multiply only pairs of
-nonzero entries, and the elimination scales and clears only nonzero
-entries.  Most 8x8 and 27x27 maps this package builds are monomial, so a
-product of two of them costs n multiplications instead of n^3, with no
-second matrix type: a matrix is the same dense tuple whatever its shape.
-A zero entry of a result may come back as the int 0 where the dense sum
-gave QuadExtScalar(0, 0, k); the two are equal and hash alike.
+Every kernel skips zeros.  `mat_mul` combines rows (Gustavson's order),
+so a product costs one multiplication per nonzero product a[i][j] b[j][c]
+besides one pass over each factor; the elimination scales and clears
+only nonzero entries.  Most 8x8 and 27x27 maps this package builds are
+monomial, so a product of two of them makes n multiplications, with no
+second matrix type.  A zero entry of a result may come back as the int 0
+where the dense sum gave QuadExtScalar(0, 0, k); the two are equal and
+hash alike.
 """
 
 from __future__ import annotations
@@ -56,8 +57,23 @@ def dot(v: Sequence, w: Sequence):
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(_dot(col, nz) for col in bt) for nz in map(_nonzeros, a))
+    """a b by rows: each nonzero a[i][j], j ascending, adds b[j][c] * a[i][j]
+    for the nonzero b[j][c] to row i, so each entry is the sum `_dot` gives."""
+    b_rows = [_nonzeros(row) for row in b]
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = {}
+        for j, x in enumerate(row):
+            if x:
+                for c, y in b_rows[j]:
+                    v = acc.get(c)
+                    acc[c] = y * x if v is None else v + y * x
+        dense = [0] * width
+        for c, v in acc.items():
+            dense[c] = rat(v)
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Sequence) -> Vector:

@@ -272,6 +272,8 @@ def _isotropic_at(entries, v: Place) -> bool:
         return False
     if v.is_real:
         return any(a > 0 for a in entries) and any(a < 0 for a in entries)
+    if n >= 5:  # g has dimension >= 3, so it exists whatever d and s_v(q)
+        return True
     d = reduce(_class_product, entries, 1)
     return _exists_at(n - 2, -d, _hasse(entries, v) * hilbert_symbol(-1, -d, v), v)
 

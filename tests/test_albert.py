@@ -33,8 +33,18 @@ from quadalg.albert import (
     trilinear_N,
 )
 from quadalg.cayley import Octonion, Similitude, SimilitudeTriple, u
-from quadalg.exactmat import det as mdet, freeze, identity, mat_eq, mat_inv, mat_mul, mat_vec, rank
-from quadalg.scalars import variable
+from quadalg.exactmat import (
+    det as mdet,
+    freeze,
+    identity,
+    mat_eq,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    rank,
+    scal_mul,
+)
+from quadalg.scalars import QuadExtScalar, variable
 
 rng_pool = [-3, -2, -1, 0, 0, 1, 2, 3]
 
@@ -104,6 +114,21 @@ def a_gram_algebra():
     q = trace_form_T(e_idem(0), sharp(a_embed(v))).terms
     entry = lambda r, c: q.get(next(iter((v[r] * v[c]).terms)), Q(0)) / (1 + (r != c))
     return freeze([[entry(r, c) for c in range(10)] for r in range(10)])
+
+
+def in_H_via_dagger(f):
+    """The 27-dimensional route to H: f and dagger(f) applied to e0."""
+    e0 = e_idem(0)
+    return f(e0) == e0 and f.dagger()(e0) == e0
+
+
+def restrict_via_embedding(f):
+    """The 27-dimensional route to the A-restriction: f on each embedded
+    A basis vector, projected back to A."""
+    if not in_H_via_dagger(f):
+        raise ValueError("map is not in H")
+    cols = [a_project(f(a_embed([int(t == s) for t in range(10)]))) for s in range(10)]
+    return freeze([[cols[c][r] for c in range(10)] for r in range(10)])
 
 
 def test_jordan_and_trace_basics():
@@ -330,3 +355,52 @@ def test_serialization_round_trip():
     m = g_map(special_z())
     y = m(x)
     assert AlbertElement.from_coords(y.coords()) == y
+
+
+def kernel_triple():
+    eye = Similitude(identity(8))
+    neg = Similitude(scal_mul(Q(-1), identity(8)))
+    return SimilitudeTriple((eye, neg, neg))
+
+
+def h_cases():
+    """The maps in H: g-maps of special cocycles over Q and Q(sqrt k), psi
+    maps, the slot swap, the identity and the kernel triple's; and two not
+    in H: psi(1, 2, u5) fixes e0 but its dagger does not, psi(2, 1, u5)
+    moves e0."""
+    ks = [QuadExtScalar(x, y, k) for x, y, k in ((1, 1, Q(2)), (2, -3, Q(-1)), (0, 1, Q(7)))]
+    in_h = [g_map(special_z(a)) for a in (Q(3), Q(-2, 5), Q(7, 4), *ks)]
+    in_h += [psi(3, 2, u(5)), psi(2, 3, Q(1, 2) * u(1) - u(7)), swap_map(), identity_map()]
+    in_h.append(g_map(kernel_triple()))
+    return in_h, [psi(1, 2, u(5)), psi(2, 1, u(5))]
+
+
+def test_h_and_the_a_restriction_agree_with_the_27_dimensional_route():
+    in_h, outside = h_cases()
+    e0 = e_idem(0)
+    assert outside[0](e0) == e0 and outside[1](e0) != e0
+    for f in in_h + outside:
+        assert in_subgroup_H(f) == in_H_via_dagger(f) == (f in in_h)
+    for f in in_h:
+        got, want = restrict_to_A(f), restrict_via_embedding(f)
+        assert all(x == y and str(x) == str(y) for r, s in zip(got, want) for x, y in zip(r, s))
+    for f in outside:
+        for route in (restrict_to_A, restrict_via_embedding):
+            with pytest.raises(ValueError):
+                route(f)
+
+
+def test_singular_and_a_leaving_maps_are_rejected_by_both_routes():
+    singular = [list(row) for row in identity(27)]
+    singular[26][26] = 0  # fixes e0 but has no dagger
+    singular = AlbertMap(freeze(singular))
+    for route in (in_subgroup_H, in_H_via_dagger, restrict_to_A, restrict_via_embedding):
+        with pytest.raises(ValueError, match="dagger needs an invertible map"):
+            route(singular)
+    leaving = [list(row) for row in identity(27)]
+    leaving[12][3] = 1  # fixes e0 with its dagger, but moves u1 out of A
+    leaving = AlbertMap(freeze(leaving))
+    assert in_subgroup_H(leaving) and in_H_via_dagger(leaving)
+    for route in (restrict_to_A, restrict_via_embedding):
+        with pytest.raises(ValueError, match="does not lie in the subspace A"):
+            route(leaving)

@@ -31,7 +31,7 @@ from quadalg.cayley import (
     u,
 )
 from quadalg.exactmat import dot, identity, mat_eq, mat_inv, mat_mul, mat_vec, scal_mul
-from quadalg.scalars import QuadExtScalar, is_square
+from quadalg.scalars import QuadExtScalar, div, is_square, variable
 
 
 def rnd_oct(rng, lo=-4, hi=4):
@@ -350,3 +350,61 @@ def test_calibration_search_documents_the_obstruction():
     assert u(4).conj() == u(5) and w == u(4).trace() * ONE
     assert w.norm() == u(4).trace() ** 2 == 1
     assert dot(w.coords, mat_vec(S8, w.coords)) == 2 and not is_square(Q(2))
+
+
+def special_family_cases():
+    """Seeded product-one triples over Q, over Q(sqrt k) and of Laurent
+    monomials."""
+    rng = random.Random(20)
+    cases = []
+    for _ in range(3):
+        a0, a1 = Q(rng.randint(1, 9), rng.randint(1, 4)), Q(-rng.randint(1, 9), rng.randint(1, 4))
+        cases.append((a0, a1, 1 / (a0 * a1)))
+    for k in (Q(2), Q(-1), Q(5)):
+        b = QuadExtScalar(rng.randint(1, 5), rng.randint(-3, 3), k)
+        cases.append((QuadExtScalar(1, 0, k), b, b.inverse()))
+    s, t = variable("s"), variable("t")
+    cases.append((s, t * t, div(1, s * t * t)))
+    cases.append((s, div(1, s), 1))
+    return cases
+
+
+@pytest.mark.parametrize("a", special_family_cases())
+def test_the_family_shortcut_agrees_with_the_direct_proof(a):
+    z = special_cocycle(a)
+    direct = cayley._relates(build_cayley_table(), z)
+    assert direct and is_related_triple(z) == direct
+
+
+def count_relates(monkeypatch):
+    calls = []
+    real = cayley._relates
+    monkeypatch.setattr(cayley, "_relates", lambda table, T: calls.append(T) or real(table, T))
+    return calls
+
+
+def test_the_special_family_is_proved_once(monkeypatch):
+    cayley._special_family_related.cache_clear()
+    calls = count_relates(monkeypatch)
+    for a in special_family_cases():
+        assert is_related_triple(special_cocycle(a))
+    assert calls == [special_cocycle(generic_a())]
+
+
+def test_product_one_triples_that_are_not_special_are_proved_directly(monkeypatch):
+    eye = Similitude(identity(8))
+    neg = Similitude(scal_mul(Q(-1), identity(8)))
+    k = Q(2)
+    lam = (QuadExtScalar(3, -2, k), QuadExtScalar(1, 1, k), QuadExtScalar(1, 1, k))
+    z = special_cocycle((Q(2), Q(5), Q(1, 10)))
+    triples = [
+        SimilitudeTriple((eye, neg, neg)),  # the kernel triple
+        coboundary_triple(lam),
+        SimilitudeTriple((z.t[1], z.t[0], z.t[2])),  # multipliers permuted
+    ]
+    for T in triples:
+        mus = T.multipliers
+        assert mus[0] * mus[1] * mus[2] == 1
+    calls = count_relates(monkeypatch)
+    assert [is_related_triple(T) for T in triples] == [True, True, False]
+    assert calls == triples

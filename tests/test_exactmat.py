@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadalg import forms
 from quadalg.exactmat import (
@@ -14,10 +15,11 @@ from quadalg.exactmat import (
     mat_inv,
     mat_mul,
     mat_vec,
+    pullback,
     rank,
     transpose,
 )
-from quadalg.scalars import QuadExtScalar, as_rational, iota
+from quadalg.scalars import QuadExtScalar, as_rational, iota, rat
 from test_forms import split_hyperbolic  # the chain's split, kept as a reference
 
 
@@ -306,3 +308,90 @@ def test_monomial_map_on_a_basis_vector_makes_one_multiplication():
     image = mat_vec(t, e3)
     assert Counting.products == 1
     assert list(map(value, image)) == [t[i][3].v for i in range(8)]
+
+
+# --------------------------------------------------------------------------
+# the row-combination product against a triple loop, on drawn matrices
+
+FIXED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+def triple_loop_mul(a, b):
+    """Entry (i, c) as the column-by-column kernel summed it: the products
+    b[j][c] * a[i][j] of nonzero factors in ascending j, in canonical form,
+    and the int 0 where there is none."""
+    out = []
+    for row in a:
+        new = []
+        for c in range(len(b[0]) if b else 0):
+            total = None
+            for j, x in enumerate(row):
+                y = b[j][c]
+                if x and y:
+                    total = y * x if total is None else total + y * x
+            new.append(0 if total is None else rat(total))
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def same_typed_entries(got, want):
+    """`same_entries` row by row, and of the same type entry by entry."""
+    return len(got) == len(want) and all(
+        same_entries(r, s) and list(map(type, r)) == list(map(type, s)) for r, s in zip(got, want)
+    )
+
+
+@st.composite
+def products(draw):
+    """Two conformable matrices over Q or one Q(sqrt k), with a drawn share
+    of zeros; entries of +-1 and +-2 make cancelling sums common."""
+    k = draw(st.sampled_from([None, Q(2), Q(-1), Q(5)]))
+    n, m, p = (draw(st.integers(1, 6)) for _ in range(3))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    small = st.sampled_from([1, -1, 2, -2, Q(1, 2), Q(-3, 2)])
+
+    def entry():
+        if draw(st.integers(0, 9)) < 10 * zeros:
+            return 0
+        x = draw(small)
+        return x if k is None else QuadExtScalar(x, draw(st.sampled_from([0, 0, 1, -1])), k)
+
+    a = freeze([[entry() for _ in range(m)] for _ in range(n)])
+    return a, freeze([[entry() for _ in range(p)] for _ in range(m)])
+
+
+@FIXED
+@given(products())
+@example((freeze([[1, 1]]), freeze([[1, 2], [-1, -2]])))  # every entry cancels
+@example((freeze([[K(1, 1), K(1)]]), freeze([[K(1, -1)], [K(1)]])))  # cancels over K
+def test_row_combination_product_matches_the_triple_loop(ab):
+    a, b = ab
+    got = mat_mul(a, b)
+    assert same_typed_entries(got, triple_loop_mul(a, b))
+    assert mat_eq(got, dense_mul(a, b))
+
+
+@st.composite
+def monomial_maps(draw):
+    """A monomial 27x27 map over Q or Q(sqrt 3), and a symmetric Gram."""
+    k = draw(st.sampled_from([None, Q(3)]))
+    perm = draw(st.permutations(range(27)))
+    scale = st.sampled_from([1, -1, 2, Q(1, 3), Q(-5, 2)])
+
+    def value():
+        x = draw(scale)
+        return x if k is None else QuadExtScalar(x, draw(st.sampled_from([0, 1])), k)
+
+    a = freeze([[value() if c == perm[r] else 0 for c in range(27)] for r in range(27)])
+    g = [[0] * 27 for _ in range(27)]
+    for i in range(27):
+        g[i][26 - i] = g[26 - i][i] = draw(scale)
+    return a, freeze(g)
+
+
+@FIXED
+@given(monomial_maps())
+def test_pullback_of_a_monomial_map_matches_the_triple_loop(ag):
+    a, g = ag
+    want = triple_loop_mul(transpose(a), triple_loop_mul(g, a))
+    assert same_typed_entries(pullback(a, g), want)

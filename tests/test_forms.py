@@ -610,10 +610,18 @@ def test_isotropic_at_matches_the_case_analysis():
     for _ in range(300):
         entries = [
             rng.choice((1, -1)) * prod(rng.sample(PRIMES_TO_31[:6], rng.randint(0, 3)))
-            for _ in range(rng.randint(1, 6))
+            for _ in range(rng.randint(1, 7))
         ]
         for v in relevant_places(-1, *entries):
             assert forms._isotropic_at(entries, v) == reference_isotropic_at(entries, v), (entries, v)
+
+
+def test_isotropy_at_a_prime_from_dimension_five_reads_no_symbol(monkeypatch):
+    for name in ("_hasse", "hilbert_symbol", "_exists_at"):
+        monkeypatch.setattr(forms, name, lambda *args: pytest.fail("a symbol was read"))
+    for entries in ([1, 2, 3, 5, 7], [-3, 6, -10, 15, 2, 7], [2] * 7):
+        primes = [v for v in relevant_places(-1, *entries) if not v.is_real]
+        assert primes and all(forms._isotropic_at(entries, v) for v in primes)
 
 
 def test_hyperbolic_hasse_defects_closed_form():
