@@ -14,7 +14,9 @@ anisotropic part is the residue when that is as short; otherwise it is
 built by the induction of Serre's existence proof (entries peeled off one
 at a time, then a binary form solved for by elimination over F2) and
 certified against q's invariants.  Only `isotropic_vector` builds explicit
-witnesses, by the common-value split of Serre's proof of Hasse-Minkowski.
+witnesses: verified ternary zeros, joined through one class that both halves
+of q represent, found by the same F2 elimination as the binary form (in
+dimension 4) or as a small value of an indefinite head (from dimension 5).
 
 Entries are exact rationals in the canonical form of `scalars`: an int
 when integral, else a Fraction.  The layer is linear in the dimension: a
@@ -40,7 +42,6 @@ from .scalars import (
     _Frozen,
     _hasse,
     _legendre,
-    _local_class,
     _val_unit,
     as_rat,
     div,
@@ -303,8 +304,9 @@ def isotropic_vector(q: DiagonalForm) -> tuple[int | Fraction, ...]:
     """An exact nonzero vector with q(v) = 0.
 
     The existence certificate comes first (local-global test); the witness
-    is then built by `_isotropic_vector_squarefree` from verified ternary
-    witnesses, split through common values as in Serre's proof.
+    is then built from verified ternary witnesses by
+    `_isotropic_vector_squarefree`.  Over R it is a rational vector, so it
+    exists exactly when the entries are isotropic over Q.
     """
     if not is_isotropic(q):
         raise ValueError("form is anisotropic")
@@ -314,12 +316,10 @@ def isotropic_vector(q: DiagonalForm) -> tuple[int | Fraction, ...]:
 def _witness(q: DiagonalForm) -> tuple[int | Fraction, ...]:
     """An exact nonzero vector with q(v) = 0, for q known to be isotropic."""
     if q.field == "R":
-        i = next(i for i, a in enumerate(q.entries) if a > 0)
-        j = next(j for j, a in enumerate(q.entries) if a < 0)
-        v = [0] * q.dim
-        v[i] = 1
-        v[j] = _fraction_sqrt(div(q.entries[i], -q.entries[j]))
-        return tuple(v)
+        rational = form(q.entries)
+        if not is_isotropic(rational):
+            raise ValueError("form is isotropic over R but has no rational isotropic vector")
+        return _witness(rational)
     # a_i = d_i c_i^2 with d_i squarefree: a zero w of <d_i> gives w_i / c_i
     ds = _classes(q)
     w = _isotropic_vector_squarefree(ds)
@@ -330,117 +330,77 @@ def _isotropic_vector_squarefree(ds):
     """A nonzero integer zero of sum d_i x_i^2 for squarefree d_i; the
     form is assumed isotropic (certified by the caller).
 
-    Strategy: a hyperbolic pair, then a verified ternary witness, then the
-    split q = <d0,d1> + rest through a common value t of both parts
-    (`_common_value`): a ternary witness of <d0,d1,-t> and, by recursion,
-    a witness of the smaller rest + <t> combine into one of q.
+    A hyperbolic pair, else a ternary witness of q or of an isotropic
+    ternary subform.  Otherwise an indefinite head <a, b> and a rest of two
+    or three entries are split through a class c that both head and -rest
+    represent, and zeros of head + <-c> and rest + <c> combine.  A binary
+    <x, y> represents c iff (c, -xy)_v = (x, y)_v at each place v: in
+    dimension 4 c solves these conditions (`_f2_solve`).  From dimension 5
+    on, head + rest is isotropic (Meyer), and c is the class of the first
+    value a y1^2 + b y2^2 (coprime y1, y2 >= 0, by height y1 + y2 < 128)
+    for which the quaternary rest + <c> is isotropic, and is solved.
     """
     n = len(ds)
     # opposite squarefree entries span a hyperbolic pair
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ds[i] == -ds[j]:
-                v = [0] * n
-                v[i] = v[j] = 1
-                return v
-    if n == 2:
-        raise ValueError("binary squarefree isotropic means opposite entries")
-    if n == 3:
-        w = _ternary_witness(*ds)
-        if w is None:
-            raise RuntimeError("certified ternary form defeated the solvers")
-        return list(w)
-    # an isotropic ternary subform finishes the job; it has no opposite
-    # entries, so it is isotropic iff it is so at each of its places
+    for i, j in itertools.combinations(range(n), 2):
+        if ds[i] == -ds[j]:
+            return _placed(n, (i, j), (1, 1))
+    # q itself when ternary, else an isotropic ternary subform; it has no
+    # opposite entries, so it is isotropic iff it is so at each of its places
     for idx in itertools.combinations(range(n), 3):
         sub = [ds[i] for i in idx]
-        if all(_isotropic_at(sub, v) for v in relevant_places(-1, *sub)):
-            w = _ternary_witness(*sub)
-            if w is not None:
-                v = [0] * n
-                for i, s in zip(idx, w):
-                    v[i] = s
-                return v
-    head, rest = list(ds[:2]), list(ds[2:])
-    t = _common_value(head, rest)
-    w1 = _ternary_witness(*head, -t)
-    if w1 is None:
-        raise RuntimeError("common value is not represented by the head")
-    # rest entries and t are squarefree, so the recursion applies
-    w2 = _isotropic_vector_squarefree(rest + [t])
-    x1, x2, z1 = w1
-    z2 = w2[-1]
-    if z1 == 0:
-        v = [x1, x2] + [0] * (n - 2)
-    elif z2 == 0:
-        v = [0, 0] + list(w2[:-1])
+        if n == 3 or all(_isotropic_at(sub, v) for v in relevant_places(-1, *sub)):
+            return _placed(n, idx, _ternary_witness(*sub))
+    if n == 2:
+        raise RuntimeError("a certified binary form has no opposite entries")
+    i = next(i for i in range(n) if ds[i] > 0)
+    j = next(j for j in range(n) if ds[j] < 0)
+    idx = [i, j] + [k for k in range(n) if k not in (i, j)][:3]
+    a, b, *rest = (ds[k] for k in idx)
+    if n == 4:
+        halves, places = ((a, b), [-d for d in rest]), relevant_places(*ds)
+        c, _ = _f2_solve(
+            places,
+            lambda g: _bits(hilbert_symbol(g, -x * y, v) == -1 for v in places for x, y in halves),
+            _bits(hilbert_symbol(x, y, v) == -1 for v in places for x, y in halves),
+            lambda ell: all(_legendre(-x * y, ell) == 1 for x, y in halves),
+        )
+        w1, w2 = (_ternary_witness(x, y, -c) for x, y in halves)
     else:
-        v = [x1 * z2, x2 * z2] + [y * z1 for y in w2[:-1]]
-    if sum(d * x * x for d, x in zip(ds, v)) != 0:
+        heights = ((y, h - y) for h in range(1, 128) for y in range(h + 1) if gcd(y, h - y) == 1)
+        for y1, y2 in heights:
+            t = a * y1 * y1 + b * y2 * y2
+            c = square_class(t)
+            if all(_isotropic_at(rest + [c], v) for v in relevant_places(-1, *rest, c)):
+                break
+        else:
+            raise RuntimeError("no small value of the head makes the rest isotropic")
+        w1, w2 = (y1, y2, isqrt(t // c)), _isotropic_vector_squarefree(rest + [c])
+    # head(x1 z2, x2 z2) = c z1^2 z2^2 = -rest(z1 y) for w1 = (x1, x2, z1), w2 = (y, z2)
+    (x1, x2, z1), z2 = w1, w2[-1]
+    v = _placed(n, idx, [x1 * z2, x2 * z2] + [y * z1 for y in w2[:-1]])
+    if not any(v) or sum(d * x * x for d, x in zip(ds, v)) != 0:
         raise RuntimeError("split witness is not isotropic")
     return v
 
 
-def _common_value(head, rest) -> int:
-    """A squarefree integer t represented by both the binary head and rest,
-    so that head + <-t> and rest + <t> are isotropic, for an isotropic
-    q = head + rest (Serre, Cours d'arithmetique IV.3.2, proof of Thm. 8).
-
-    t = head[0] serves whenever rest + <head[0]> is isotropic.  Otherwise
-    each place v in S = relevant_places(q) gets the local classes c for
-    which both forms are isotropic over Q_v; the first of them fixes the
-    sign (at the real place) or the valuation parity (at a prime) of s.
-    Then t = s*r, for r = 1 or a prime outside S, serves at every v in S
-    once it lies in one of those classes, and at every prime outside S but
-    r, where all entries and t are units.  The product formula, applied to
-    the ternary head + <-t> (and to rest + <t> when rest is binary), covers
-    r.  Dirichlet's theorem on primes in progressions ends the search.
-    """
-    if is_isotropic(form(rest + head[:1])):
-        return head[0]
-    places = relevant_places(*head, *rest)
-    s, works = 1, []
-    for v in places:
-        classes = [
-            c
-            for c in _class_reps(v)
-            if _isotropic_at(head + [-c], v) and _isotropic_at(rest + [c], v)
-        ]
-        if not classes:
-            raise RuntimeError(f"form is anisotropic at {v}")
-        if v.is_real:
-            s *= classes[0]
-        elif classes[0] % v.p == 0:
-            s *= v.p
-        works.append((v, {_local_class(c, v) for c in classes}))
-    skip = {v.p for v in places}
-    r = 1
-    while not all(_local_class(s * r, v) in keys for v, keys in works):
-        r = next_prime(r)
-        while r in skip:
-            r = next_prime(r)
-    return s * r
-
-
-def _class_reps(v: Place) -> tuple[int, ...]:
-    """Squarefree representatives of Q_v*/Q_v*^2, the class of 1 first."""
-    if v.is_real:
-        return (1, -1)
-    if v.p == 2:
-        return (1, -1, 5, -5, 2, -2, 10, -10)
-    u = next(u for u in range(2, v.p) if _legendre(u, v.p) == -1)
-    return (1, u, v.p, u * v.p)
+def _placed(n: int, idx, w) -> list[int]:
+    """The n-vector with the entries of w at the indices idx, else 0."""
+    v = [0] * n
+    for i, x in zip(idx, w):
+        v[i] = x
+    return v
 
 
 def _ternary_witness(a, b, c):
-    """A verified nonzero integer zero of ax^2 + by^2 + cz^2 (or None if
-    the form is anisotropic).
+    """A verified nonzero integer zero of the isotropic ax^2 + by^2 + cz^2;
+    a RuntimeError if the solver finds none.
 
     The coefficients are brought to Legendre normal form (squarefree and
     pairwise coprime) first, where `_legendre_equation_zero` applies.
     """
-    if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
-        return None
+    if (a > 0) == (b > 0) == (c > 0):
+        raise RuntimeError("a definite ternary form has no zero")
     coeffs = [a, b, c]
     mults = [1] * 3  # witness w maps back as w_i * mults_i
     changed = True
@@ -467,7 +427,7 @@ def _ternary_witness(a, b, c):
                     changed = True
     w = _legendre_equation_zero(*coeffs)
     if w is None:
-        return None
+        raise RuntimeError("the ternary form has no zero")
     back = [m * s for m, s in zip(mults, w)]
     den = 1
     for f in back:
@@ -678,43 +638,61 @@ def _binary(d, eps, places) -> tuple[tuple[int, int], list[Place]]:
     """A binary <a, a d> with det d and Hasse symbol (a, -d)_v = -1 exactly
     at eps (Serre, III.2.2 Thm. 4), and the auxiliary places it used.
 
-    Let S be the real place, 2, the primes of d and those of eps.  Each
-    generator g, namely -1, the primes of S, then primes l outside S with
-    (-d|l) = 1 added until the target lies in their span, is the bitmask of
-    the places of S where (g, -d)_v = -1; elimination over F2 finds the
-    generators whose masks sum to the target, and a is their product.
-    Outside S every symbol of a is 1: all is a unit, or -d is a square at l.
+    Let S be the real place, 2, the primes of d and those of eps: a is the
+    class whose symbols (a, -d)_v on S are -1 exactly at eps (`_f2_solve`),
+    with auxiliary primes l outside S where (-d|l) = 1.  Outside S every
+    symbol of a is 1: all is a unit, or -d is a square at l.
     """
     s = [v for v in places if v.p <= 2 or d % v.p == 0 or v in eps]
-    s_primes = {v.p for v in s}
-    target = sum(1 << i for i, v in enumerate(s) if v in eps)
+    a, aux = _f2_solve(
+        s,
+        lambda g: _bits(hilbert_symbol(g, -d, v) == -1 for v in s),
+        _bits(v in eps for v in s),
+        lambda ell: _legendre(-d, ell) == 1,
+    )
+    return (a, _class_product(a, d)), aux
+
+
+def _f2_solve(places, mask_of, target, admit) -> tuple[int, list[Place]]:
+    """A squarefree t with mask_of(t) = target, and the auxiliary places
+    it used: Serre's class with prescribed local symbols (A Course in
+    Arithmetic, III.2.2 Thm. 4), by elimination over F2.  mask_of(g), the
+    bits of g's symbols at `places`, adds over F2 in g.  The generators
+    are -1, the primes of `places`, then at most len(places) + 64 primes
+    l outside them that `admit` accepts; t is the product of those whose
+    masks sum to the target.
+    """
+    primes = {v.p for v in places}
     basis = {}  # leading bit -> (mask, product of the generators summed)
 
-    def reduce(mask, a):
+    def reduce(mask, t):
         while mask and mask.bit_length() - 1 in basis:
             b_mask, b = basis[mask.bit_length() - 1]
-            mask, a = mask ^ b_mask, _class_product(a, b)
-        return mask, a
+            mask, t = mask ^ b_mask, _class_product(t, b)
+        return mask, t
 
     aux, ell = [], 2
-    gens = itertools.chain([-1], (v.p for v in s if not v.is_real))
-    while len(aux) <= len(s) + 64:
+    gens = itertools.chain([-1], (v.p for v in places if not v.is_real))
+    while len(aux) <= len(places) + 64:
         g = next(gens, None)
         if g is None:  # an auxiliary prime
             ell = next_prime(ell)
-            if ell in s_primes or _legendre(-d, ell) != 1:
+            if ell in primes or not admit(ell):
                 continue
             aux.append(Place(ell))
             g = ell
-        mask, g = reduce(
-            sum(1 << i for i, v in enumerate(s) if hilbert_symbol(g, -d, v) == -1), g
-        )
+        mask, g = reduce(mask_of(g), g)
         if mask:
             basis[mask.bit_length() - 1] = (mask, g)
-        rest, a = reduce(target, 1)
+        rest, t = reduce(target, 1)
         if not rest:
-            return (a, _class_product(a, d)), aux
-    raise RuntimeError("no binary form with the given invariants")
+            return t, aux
+    raise RuntimeError("no class with the given local symbols")
+
+
+def _bits(flags) -> int:
+    """The bitmask with bit i set where the i-th flag is true."""
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
 def _certify(inv: WittInvariants, m: int, entries, places) -> None:

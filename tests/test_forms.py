@@ -140,6 +140,69 @@ def test_isotropic_vector_is_a_witness():
         found += 1
 
 
+def test_isotropic_vector_over_r_is_a_rational_zero_or_refused():
+    q = form([1, -4], "R")
+    v = isotropic_vector(q)
+    assert any(v) and q.value(v) == 0
+    for entries in ([2, -1], [2, -3, 5]):
+        q = form(entries, "R")
+        assert is_isotropic(q)
+        with pytest.raises(ValueError, match="isotropic over R but has no rational isotropic vector"):
+            isotropic_vector(q)
+
+
+# the form whose witness took 43,399 `next_prime` calls in a prime walk
+WALK_FORM = form([-195199, 9035, 685499, 4503])
+
+
+def test_isotropic_vector_solves_for_the_split_class_without_a_prime_walk(monkeypatch):
+    calls = []
+    real = forms.next_prime
+    monkeypatch.setattr(forms, "next_prime", lambda n: calls.append(n) or real(n))
+    v = isotropic_vector(WALK_FORM)
+    assert any(v) and WALK_FORM.value(v) == 0
+    assert 0 < len(calls) <= 100
+
+
+def has_isotropic_ternary_subform(ds):
+    return any(
+        all(forms._isotropic_at(sub, v) for v in relevant_places(-1, *sub))
+        for sub in itertools.combinations(ds, 3)
+    )
+
+
+def split_forms(seed, count):
+    """Isotropic forms of dimension 4, 5 and 6 in turn, with squarefree
+    entries of three primes below 200 and no isotropic ternary subform, so
+    that every witness is split through a class."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ds = [rng.choice((1, -1)) * prod(rng.sample(HARSH_PRIMES, 3)) for _ in range(4 + len(out) % 3)]
+        q = form(ds)
+        if is_isotropic(q) and not has_isotropic_ternary_subform(ds):
+            out.append(q)
+    return out
+
+
+def test_isotropic_vector_splits_forms_with_no_isotropic_ternary_subform(monkeypatch):
+    """Each step of the split is taken: dimension 4 solves for its class
+    over F2, dimension 5 takes a value of its head and solves the
+    quaternary rest, and a longer form keeps five of its entries first."""
+    steps = []
+    chain, solve = forms._isotropic_vector_squarefree, forms._f2_solve
+    monkeypatch.setattr(forms, "_isotropic_vector_squarefree", lambda ds: steps.append(len(ds)) or chain(ds))
+    monkeypatch.setattr(forms, "_f2_solve", lambda *args: steps.append("F2") or solve(*args))
+    for q in split_forms(17, 15):
+        start = len(steps)
+        v = isotropic_vector(q)
+        assert any(v) and q.value(v) == 0, q
+        # the dimensions the chain was called with, then the F2 solves
+        assert steps[start] == q.dim and set(steps[start + 1 :]) <= {4, "F2"}
+    walk = list(zip(steps, steps[1:]))
+    assert (4, "F2") in walk and (5, 4) in walk and (6, 4) in walk
+
+
 def holzer_zero(a, b, c):
     """Reference zero of a normalized ternary ax^2 + by^2 + cz^2 by
     enumeration: a solvable one has a zero with each |x_i| at most the
@@ -206,6 +269,8 @@ def test_witt_decompose_examples():
     assert idx == 0 and an.dim == 4
     idx, an = witt_decompose(form([1, 1, 1, 1], "R"))
     assert idx == 0 and an.dim == 4
+    idx, an = witt_decompose(parse_form("<2,3,-5,7,11,-13,17,19,-23,29,31,37,-41,43,47,53>"))
+    assert f"{idx}H + {form_literal(an)}" == "4H + <2,2,2,2,2,2,38019,857180843188670>"
 
 
 def test_witt_round_trip():
@@ -217,8 +282,8 @@ def test_witt_round_trip():
         assert isometric(direct_sum(hyperbolic(idx), an), q)
 
 
-# isotropic forms with no isotropic ternary subform, whose witness needs a
-# common value other than their first entry
+# isotropic forms with no isotropic ternary subform, whose witness is split
+# through a class that both halves represent
 FAULT_FORMS = ("<-17/9,12650/4,-425/9,7/4>", "<9,267/4,1,-188/4>")
 HARD_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -756,7 +821,7 @@ def test_witt_decompose_reads_the_invariants_without_witnesses(monkeypatch):
     def refuse(*_):
         raise AssertionError("witness machinery called")
 
-    for name in ("_witness", "_ternary_witness", "_common_value", "is_isotropic"):
+    for name in ("_witness", "_ternary_witness", "_isotropic_vector_squarefree", "is_isotropic"):
         monkeypatch.setattr(forms, name, refuse)
     new, made = Q.__new__.__code__, []
 
