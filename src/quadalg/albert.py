@@ -16,7 +16,11 @@ and the adjoint the closed form
 both validated against the matrix-representation route (x# as the
 degree-2 characteristic coefficient, 3N as T(x, x#)) in the test suite.
 The cross product is pinned by T-duality, T(x cross y, z) = 6 N(x, y, z),
-and computed by linearizing the adjoint; sharp(x) = (x cross x)/2.
+and written down as the polarization of the adjoint; sharp(x) =
+(x cross x)/2.  The psi maps and the slot swap are written down too:
+each is the identity plus a few blocks of octonion products with basis
+elements, and `linear_map_from_action` is the reference the test suite
+holds them to.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cayley import (
+    BASIS,
     DIM as ODIM,
     Octonion,
-    ONE,
     SimilitudeTriple,
     build_cayley_table,
     is_related_triple,
@@ -152,31 +156,6 @@ def c_only(i: int, x: Octonion) -> AlbertElement:
 # products and forms
 
 
-def _to_matrix(x: AlbertElement):
-    m = [[ZERO_OCT] * 3 for _ in range(3)]
-    for i in range(3):
-        m[i][i] = x.eps[i] * ONE
-        m[(i + 1) % 3][(i + 2) % 3] = x.c[i]
-        m[(i + 2) % 3][(i + 1) % 3] = x.c[i].conj()
-    return m
-
-
-def _from_matrix(m) -> AlbertElement:
-    eps = []
-    for i in range(3):
-        d = m[i][i]
-        if d.coords[3] != d.coords[4] or any(
-            bool(d.coords[t]) for t in (0, 1, 2, 5, 6, 7)
-        ):
-            raise ValueError("matrix is not hermitian: diagonal not scalar")
-        eps.append(d.coords[3])
-    c = [m[1][2], m[2][0], m[0][1]]
-    for i in range(3):
-        if m[(i + 2) % 3][(i + 1) % 3] != c[i].conj():
-            raise ValueError("matrix is not hermitian")
-    return AlbertElement(eps, c)
-
-
 def trace_form_T(x: AlbertElement, y: AlbertElement):
     """T(x,y) = trace(x . y): diagonal products plus the full norm
     polarizations of the c-slots."""
@@ -186,17 +165,14 @@ def trace_form_T(x: AlbertElement, y: AlbertElement):
     )
 
 
-def _oct_trace(x: Octonion):
-    return 2 * x.norm_pairing(ONE)
-
-
 def norm_N(x: AlbertElement):
-    """The cubic norm (determinant-type closed form)."""
+    """The cubic norm eps0 eps1 eps2 - sum_i eps_i n(c_i) + t((c0 c1) c2),
+    with the trace read as t(ab) = 2 n(a, conj b): one octonion product."""
     e0, e1, e2 = x.eps
     c0, c1, c2 = x.c
     out = e0 * e1 * e2
     out = out - e0 * c0.norm() - e1 * c1.norm() - e2 * c2.norm()
-    return rat(out + _oct_trace((c0 * c1) * c2))
+    return rat(out + 2 * (c0 * c1).norm_pairing(c2.conj()))
 
 
 def trilinear_N(x: AlbertElement, y: AlbertElement, z: AlbertElement):
@@ -227,9 +203,27 @@ def sharp(x: AlbertElement) -> AlbertElement:
 
 
 def cross(x: AlbertElement, y: AlbertElement) -> AlbertElement:
-    """Freudenthal cross product, pinned by T(x cross y, z) = 6 N(x,y,z);
-    computed as the linearization of the adjoint."""
-    return sharp(x + y) - sharp(x) - sharp(y)
+    """Freudenthal cross product, pinned by T(x cross y, z) = 6 N(x,y,z):
+    the polarization sharp(x + y) - sharp(x) - sharp(y), written down.
+    For x = (e; c), y = (f; d) and s mod 3,
+
+        (x cross y)_{eps_s} = e_{s+1} f_{s+2} + f_{s+1} e_{s+2} - 2 n(c_s, d_s)
+        (x cross y)_{c_s}   = conj(c_{s+2}) conj(d_{s+1})
+                              + conj(d_{s+2}) conj(c_{s+1}) - e_s d_s - f_s c_s."""
+    e, f = x.eps, y.eps
+    c, d = x.c, y.c
+    cb, db = [t.conj() for t in c], [t.conj() for t in d]
+    eps, octs = [], []
+    for s in range(3):
+        s1, s2 = (s + 1) % 3, (s + 2) % 3
+        eps.append(e[s1] * f[s2] + f[s1] * e[s2] - 2 * c[s].norm_pairing(d[s]))
+        octs.append(cb[s2] * db[s1] + db[s2] * cb[s1] - e[s] * d[s] - f[s] * c[s])
+    return AlbertElement(eps, octs)
+
+
+def _slot(i: int) -> int:
+    """The first of the eight coordinates of the octonion slot c_i."""
+    return 3 + 8 * i
 
 
 def _block_diagonal(
@@ -241,7 +235,7 @@ def _block_diagonal(
     for i in range(3):
         rows[i][i] = eps[i]
         for r, row in enumerate(blocks[i]):
-            rows[3 + 8 * i + r][3 + 8 * i : 11 + 8 * i] = row
+            rows[_slot(i) + r][_slot(i) : _slot(i) + ODIM] = row
     return freeze(rows)
 
 
@@ -337,23 +331,38 @@ def g_map(T: SimilitudeTriple) -> AlbertMap:
 
 
 def psi(i: int, j: int, x: Octonion) -> AlbertMap:
-    """psi_ij(x): a -> (1 + x E_ij) a (1 + x E_ij)^*, indices in 1..3."""
+    """psi_ij(x): a -> (1 + x E_ij) a (1 + x E_ij)^*, indices in 1..3,
+    written down.  With I = i - 1, J = j - 1, K the third index, and y = x
+    when the (I, J) entry of the hermitian matrix is c_K, y = conj(x) when
+    it is conj(c_K), psi_ij(x) is the identity plus
+
+        eps_I gains n(x) eps_J + 2 n(y, c_K),
+        c_K   gains eps_J y,
+        c_J   gains conj(x c_I) when J = I + 1 mod 3, else x conj(c_I),
+
+    which is the matrix product expanded: the (I, I) entry gains
+    x a_JI + a_IJ conj(x) + x a_JJ conj(x), the (I, J) entry x a_JJ and the
+    (I, K) entry x a_JK."""
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("need distinct indices in 1..3")
-
-    def act(a: AlbertElement) -> AlbertElement:
-        m = _to_matrix(a)
-        # left-multiply by 1 + x E_ij: row i gains x * row j
-        m1 = [row[:] for row in m]
-        m1[i - 1] = [m[i - 1][t] + x * m[j - 1][t] for t in range(3)]
-        # right-multiply by 1 + conj(x) E_ji: column i gains column j * conj(x)
-        xbar = x.conj()
-        m2 = [row[:] for row in m1]
-        for t in range(3):
-            m2[t][i - 1] = m1[t][i - 1] + m1[t][j - 1] * xbar
-        return _from_matrix(m2)
-
-    return linear_map_from_action(act)
+    I, J = i - 1, j - 1
+    K = 3 - I - J
+    forward = J == (I + 1) % 3  # the (I, J) entry is c_K
+    y = x if forward else x.conj()
+    if forward:
+        cols = [(x * b).conj().coords for b in BASIS]
+    else:
+        cols = [(x * b.conj()).coords for b in BASIS]
+    rows = [list(row) for row in identity(ADIM)]
+    rows[I][J] = x.norm()
+    pairing = mat_vec(build_cayley_table().gram, y.coords)
+    rows[I][_slot(K) : _slot(K) + ODIM] = [rat(2 * v) for v in pairing]
+    for a, v in enumerate(y.coords):
+        rows[_slot(K) + a][J] = v
+    for b, col in enumerate(cols):
+        for a, v in enumerate(col):
+            rows[_slot(J) + a][_slot(I) + b] = v
+    return AlbertMap(freeze(rows))
 
 
 # --------------------------------------------------------------------------
@@ -447,16 +456,17 @@ def swap_map() -> AlbertMap:
     bar-less version is not a norm isometry).  Note its A-restriction has
     determinant +1: the entry conjugations contribute a second sign, so
     the stated determinant -1 belongs to the bar-less display only; the
-    verification ledger records this discrepancy.
+    verification ledger records this discrepancy.  Written down, it is the
+    permutation of eps1 and eps2 and of the slots c1 and c2, with the
+    conjugation's 8x8 matrix on each slot.
     """
-
-    def act(x: AlbertElement) -> AlbertElement:
-        return AlbertElement(
-            (x.eps[0], x.eps[2], x.eps[1]),
-            (x.c[0].conj(), x.c[2].conj(), x.c[1].conj()),
-        )
-
-    return linear_map_from_action(act)
+    rows = [[0] * ADIM for _ in range(ADIM)]
+    rows[0][0] = rows[1][2] = rows[2][1] = 1
+    for b, u in enumerate(BASIS):
+        for a, v in enumerate(u.conj().coords):
+            for src, dst in ((0, 0), (2, 1), (1, 2)):
+                rows[_slot(dst) + a][_slot(src) + b] = v
+    return AlbertMap(freeze(rows))
 
 
 # --------------------------------------------------------------------------

@@ -7,10 +7,11 @@ Gauss-Jordan elimination, and its one division is `scalars.div`.
 
 Every kernel skips zeros.  `mat_mul` combines rows (Gustavson's order),
 so a product costs one multiplication per nonzero product a[i][j] b[j][c]
-besides one pass over each factor; the elimination scales and clears
-only nonzero entries.  Most 8x8 and 27x27 maps this package builds are
-monomial, so a product of two of them makes n multiplications, with no
-second matrix type.  A zero entry of a result may come back as the int 0
+besides one pass over each factor.  The elimination holds each row as a
+dict of its nonzero entries and touches only those.  Most 8x8 and 27x27
+maps this package builds are monomial, so a product of two of them makes
+n multiplications, its determinant n and its inverse 2n, with no second
+matrix type.  A zero entry of a result may come back as the int 0
 where the dense sum gave QuadExtScalar(0, 0, k); the two are equal and
 hash alike.
 """
@@ -109,54 +110,71 @@ def ratio(a: Matrix, b: Matrix):
     return c
 
 
-def _reduce(rows: list[list], ncols: int) -> tuple[list[int], object]:
-    """Gauss-Jordan elimination of `rows`, in place, over the first `ncols`
-    columns: each pivot row is scaled to 1 and its column cleared in every
-    other row.  Returns the pivot columns and the determinant of the
-    leading square block (0 as soon as a column has no pivot)."""
+def _reduce(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], object, list[dict]]:
+    """Gauss-Jordan elimination of `rows` over the first `ncols` columns:
+    each pivot row is scaled to 1 and its column cleared in every other
+    row.  Returns the pivot columns, the determinant of the leading square
+    block (0 as soon as a column has no pivot) and the reduced rows.
+
+    Each row is held as a dict {column: value} of its nonzero entries, so
+    a pivot is found by membership and only nonzeros are scaled and
+    cleared: on a monomial matrix a column costs one multiplication for
+    the determinant and one per other nonzero of the pivot row."""
+    nz = [dict(_nonzeros(row)) for row in rows]
     pivots = []
     d = 1
     for col in range(ncols):
         r = len(pivots)
-        if r == len(rows):
+        if r == len(nz):
             break
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        piv = next((i for i in range(r, len(nz)) if col in nz[i]), None)
         if piv is None:
             d = d * 0
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+            nz[r], nz[piv] = nz[piv], nz[r]
             d = -d
-        p = rows[r][col]
+        row = nz[r]
+        p = row.pop(col)
         d = rat(d * p)
         inv = div(1, p)
-        rows[r] = [rat(x * inv) if x else x for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                f = row[col]
-                rows[i] = [rat(x - f * y) if y else x for x, y in zip(row, rows[r])]
+        for c, x in row.items():
+            row[c] = rat(x * inv)
+        for other in nz:
+            f = other.pop(col, None)
+            if f is None:
+                continue
+            for c, y in row.items():
+                v = rat(other.get(c, 0) - f * y)
+                if v:
+                    other[c] = v
+                else:
+                    other.pop(c, None)
+        row[col] = 1
         pivots.append(col)
-    return pivots, d
+    return pivots, d, nz
 
 
 def det(a: Matrix):
-    return _reduce([list(row) for row in a], len(a))[1]
+    return _reduce(a, len(a))[1]
 
 
 def mat_inv(a: Matrix) -> Matrix:
+    """The inverse, read off the right half of [a | 1] reduced and written
+    back dense, with the int 0 for every zero."""
     n = len(a)
-    m = [list(row) + list(e) for row, e in zip(a, identity(n))]
-    if len(_reduce(m, n)[0]) < n:
+    pivots, _, rows = _reduce([[*row, *e] for row, e in zip(a, identity(n))], n)
+    if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
-    return freeze([row[n:] for row in m])
+    return tuple(tuple(row.get(c, 0) for c in range(n, 2 * n)) for row in rows)
 
 
 def rank(a: Matrix) -> int:
-    return len(_reduce([list(row) for row in a], len(a[0]) if a else 0)[0])
+    return len(_reduce(a, len(a[0]) if a else 0)[0])
 
 
 def independent(vecs: Sequence[Vector]) -> list[Vector]:
     """The vectors not in the span of the ones before them: the pivot
     columns of the matrix whose columns are `vecs`."""
-    pivots, _ = _reduce([list(row) for row in zip(*vecs)], len(vecs))
+    pivots, _, _ = _reduce(list(zip(*vecs)), len(vecs))
     return [vecs[c] for c in pivots]

@@ -166,21 +166,32 @@ class CanonicalForm(_Frozen):
 @lru_cache(maxsize=None)
 def canonical_form(rd: RootDatum) -> CanonicalForm:
     """Gram G[i][j] = A[i][j]/(a_j,a_j); equals Cartan/2 when simply laced.
-    Weyl invariance is checked against all simple reflections, once per
-    datum: the form is cached on the frozen datum."""
+    Weyl invariance is checked once per datum (the form is cached on the
+    frozen datum) by its criterion: s_i preserves a symmetric G exactly
+    when G[j][i] = A[j][i] G[i][i]/2 for every j.
+
+    Proof.  Write s v = v - f(v) e_i with f(e_j) = A[j][i].  Then
+    G(s v, s w) - G(v, w) = f(v) f(w) G(e_i, e_i) - f(w) G(v, e_i)
+    - f(v) G(e_i, w), which the criterion makes 0; conversely s e_i = -e_i,
+    so G(s v, s e_i) = G(v, e_i) says 2 G(v, e_i) = f(v) G(e_i, e_i).
+
+    The same step shows that an antisymmetric form preserved by s_i
+    vanishes on e_i, so s_i preserves any G exactly when row i of G also
+    equals its column i; both are checked for each i."""
     n = rd.rank
+    a = rd.cartan
     gram = freeze(
         [
-            [div(rd.cartan[i][j], rd.root_norms[j]) for j in range(n)]
+            [div(a[i][j], rd.root_norms[j]) for j in range(n)]
             for i in range(n)
         ]
     )
-    cf = CanonicalForm(gram)
     for i in range(n):
-        s = rd.simple_reflection(i)
-        if pullback(s, gram) != gram:
+        column = [gram[j][i] for j in range(n)]
+        criterion = all(2 * g == a[j][i] * gram[i][i] for j, g in enumerate(column))
+        if list(gram[i]) != column or not criterion:
             raise RuntimeError(f"canonical form not invariant under s_{i}")
-    return cf
+    return CanonicalForm(gram)
 
 
 def coroot_values(rd: RootDatum) -> dict[tuple, int | Fraction]:

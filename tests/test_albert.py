@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from quadalg import albert, cayley, descent
+from quadalg import albert, cayley, descent, verify
 from quadalg.albert import (
     A_GRAM,
     ALBERT_BASIS,
@@ -66,6 +66,33 @@ def special_z(a=Q(3)):
 # Independent routes, kept here as references for the closed forms.
 
 
+def to_matrix(x):
+    """The hermitian 3x3 octonion matrix of x: eps_i on the diagonal, c_i in
+    the (i+1, i+2) slot and conj(c_i) in the (i+2, i+1) slot."""
+    m = [[albert.ZERO_OCT] * 3 for _ in range(3)]
+    for i in range(3):
+        m[i][i] = x.eps[i] * cayley.ONE
+        m[(i + 1) % 3][(i + 2) % 3] = x.c[i]
+        m[(i + 2) % 3][(i + 1) % 3] = x.c[i].conj()
+    return m
+
+
+def from_matrix(m):
+    """The Albert element of a hermitian octonion matrix; raises on any
+    other matrix."""
+    eps = []
+    for i in range(3):
+        d = m[i][i]
+        if d.coords[3] != d.coords[4] or any(bool(d.coords[t]) for t in (0, 1, 2, 5, 6, 7)):
+            raise ValueError("matrix is not hermitian: diagonal not scalar")
+        eps.append(d.coords[3])
+    c = [m[1][2], m[2][0], m[0][1]]
+    for i in range(3):
+        if m[(i + 2) % 3][(i + 1) % 3] != c[i].conj():
+            raise ValueError("matrix is not hermitian")
+    return AlbertElement(eps, c)
+
+
 def mat3_mul(a, b):
     return [
         [
@@ -78,10 +105,10 @@ def mat3_mul(a, b):
 
 def jordan_product(x, y):
     """x . y = (xy + yx)/2 in the hermitian matrix representation."""
-    mx, my = albert._to_matrix(x), albert._to_matrix(y)
+    mx, my = to_matrix(x), to_matrix(y)
     p, q = mat3_mul(mx, my), mat3_mul(my, mx)
     half = Q(1, 2)
-    return albert._from_matrix(
+    return from_matrix(
         [[half * (p[i][j] + q[i][j]) for j in range(3)] for i in range(3)]
     )
 
@@ -89,10 +116,10 @@ def jordan_product(x, y):
 def sharp_via_matrix(x):
     """x# = x^2 - T(x) x + sigma(x) 1 from the matrix representation
     (sigma the second characteristic coefficient)."""
-    m = albert._to_matrix(x)
+    m = to_matrix(x)
     m2 = mat3_mul(m, m)
     t1 = x.eps[0] + x.eps[1] + x.eps[2]
-    sq = albert._from_matrix(m2)
+    sq = from_matrix(m2)
     t2 = sq.eps[0] + sq.eps[1] + sq.eps[2]
     sigma = Q(1, 2) * (t1 * t1 - t2)
     return sq - t1 * x + sigma * IDENTITY
@@ -103,6 +130,40 @@ def cross_by_duality(x, y):
     against all 27 basis vectors."""
     vals = [6 * trilinear_N(x, y, b) for b in ALBERT_BASIS]
     return AlbertElement.from_coords(mat_vec(albert._t_gram_inv(), vals))
+
+
+def psi_via_action(i, j, x):
+    """The defining route for psi_ij(x): the congruence by 1 + x E_ij run on
+    each of the 27 basis elements."""
+
+    def act(a):
+        m = to_matrix(a)
+        # left-multiply by 1 + x E_ij: row i gains x * row j
+        m1 = [row[:] for row in m]
+        m1[i - 1] = [m[i - 1][t] + x * m[j - 1][t] for t in range(3)]
+        # right-multiply by 1 + conj(x) E_ji: column i gains column j * conj(x)
+        xbar = x.conj()
+        m2 = [row[:] for row in m1]
+        for t in range(3):
+            m2[t][i - 1] = m1[t][i - 1] + m1[t][j - 1] * xbar
+        return from_matrix(m2)
+
+    return linear_map_from_action(act)
+
+
+def swap_via_action():
+    return linear_map_from_action(
+        lambda x: AlbertElement(
+            (x.eps[0], x.eps[2], x.eps[1]), (x.c[0].conj(), x.c[2].conj(), x.c[1].conj())
+        )
+    )
+
+
+def norm_via_two_products(x):
+    """N(x) with t((c0 c1) c2) read off the second product."""
+    e0, e1, e2 = x.eps
+    c0, c1, c2 = x.c
+    return e0 * e1 * e2 - e0 * c0.norm() - e1 * c1.norm() - e2 * c2.norm() + ((c0 * c1) * c2).trace()
 
 
 def a_gram_algebra():
@@ -306,6 +367,49 @@ def test_psi():
     q = psi(1, 2, u(5))
     assert q.preserves_norm()
     assert not in_subgroup_H(q)
+
+
+PAIRS = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+
+
+@pytest.mark.parametrize("i, j", PAIRS)
+def test_psi_closed_form_is_the_congruence(i, j):
+    # the generic octonion stands for every x: both sides are linear maps
+    # whose entries are polynomials in its coordinates
+    k = QuadExtScalar
+    over_k = Octonion([k(1, 2, 3), 0, 0, Q(1, 2), 0, k(0, 1, 3), 0, k(-1, 1, 3)])
+    for x in (cayley.generic_octonion("x"), over_k, u(5), -u(4)):
+        assert psi(i, j, x) == psi_via_action(i, j, x)
+
+
+def test_swap_map_closed_form_is_the_congruence():
+    assert swap_map() == swap_via_action()
+
+
+def test_cross_and_norm_closed_forms_on_generic_elements():
+    x, y = albert.generic_element("x"), albert.generic_element("y")
+    assert cross(x, y) == sharp(x + y) - sharp(x) - sharp(y)
+    assert norm_N(x) == norm_via_two_products(x)
+
+
+def test_a_cold_ledger_builds_no_map_by_action(monkeypatch):
+    from test_ledger_mutants import clear_caches
+
+    calls = []
+
+    def counted(action):
+        calls.append(action)
+        return linear_map_from_action(action)
+
+    clear_caches()
+    monkeypatch.setattr(albert, "linear_map_from_action", counted)
+    try:
+        reports = verify.run_checks()
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert [r.status for r in reports].count("pass") == 28
+    assert calls == []
 
 
 def test_restrict_to_A():

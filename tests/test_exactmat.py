@@ -269,10 +269,18 @@ class Counting:
         Counting.products += 1
         return Counting(self.v * value(other))
 
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        return Counting(value(other) / self.v)
+
     def __add__(self, other):
         return Counting(self.v + value(other))
 
     __radd__ = __add__
+
+    def __neg__(self):
+        return Counting(-self.v)
 
     def __bool__(self):
         return bool(self.v)
@@ -308,6 +316,31 @@ def test_monomial_map_on_a_basis_vector_makes_one_multiplication():
     image = mat_vec(t, e3)
     assert Counting.products == 1
     assert list(map(value, image)) == [t[i][3].v for i in range(8)]
+
+
+def test_monomial_elimination_makes_one_multiplication_per_nonzero():
+    rng = random.Random(11)
+    a = monomial(rng, 27)
+    perm = [next(j for j, x in enumerate(row) if x) for row in a]
+    cycles, seen = 0, set()
+    for start in range(27):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    want = Q((-1) ** (27 - cycles))
+    for i in range(27):
+        want *= a[i][perm[i]].v
+    Counting.products = 0
+    assert value(det(a)) == want
+    assert Counting.products == 27  # the determinant's 27 factors
+    Counting.products = 0
+    inv = mat_inv(a)
+    assert Counting.products <= 2 * 27  # and each pivot row's one scaling
+    assert [[value(x) for x in row] for row in inv] == [
+        [1 / a[c][r].v if r == perm[c] else 0 for c in range(27)] for r in range(27)
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,10 @@ def always(value):
     return lambda *_: value
 
 
+def negated(real):
+    return lambda *args: -real(*args)
+
+
 # name: (module or modules, attribute, replacement, the checks it must fail)
 MUTANTS = {
     # z_j is no similitude any more: special_cocycle raises
@@ -50,6 +54,21 @@ MUTANTS = {
         diag_d_flipped(3, 4),
         ("P22", "P26", "P27", "P28", "P30"),
     ),
+    # every special cocycle z_j = m_j(a) d P loses its permutation
+    "cayley.perm_P is the identity": (
+        cayley,
+        "perm_P",
+        always(exactmat.identity(cayley.DIM)),
+        ("P22", "P23", "P24", "P26", "P27", "P28", "P30"),
+    ),
+    # P28 expects dagger(g_z) = g of the inverse norm adjoints, and
+    # dagger(psi32(u5)) = psi23(-u4)
+    "AlbertMap.dagger is the identity": (albert.AlbertMap, "dagger", lambda f: f, ("P28",)),
+    # P25 expects e_i x e_{i+1} = e_{i+2}; P26's Moving Lemma identities
+    # are built from cross products
+    "albert.cross negated": (albert, "cross", negated(albert.cross), ("P25", "P26")),
+    # P29 expects psi32(u5) to restrict to V45(1) on A
+    "albert.psi is the identity": (albert, "psi", lambda *_: albert.identity_map(), ("P29",)),
     # P03, P06 and P09 each expect two forms that are not Witt equivalent
     "forms.witt_trivial returns True": (forms, "witt_trivial", always(True), ("P03", "P06", "P09")),
     "forms.is_isotropic returns True": (forms, "is_isotropic", always(True), ("P10",)),

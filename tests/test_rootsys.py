@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import quadalg
-from quadalg.exactmat import det, freeze, mat_mul, transpose
+from quadalg.exactmat import det, freeze, mat_mul, pullback, transpose
 from quadalg.rootsys import (
     _SERIES_RANKS,
     FoldingError,
     LatticeEmbedding,
+    RootDatum,
     build_root_datum,
     canonical_form,
     coroot_values,
@@ -65,6 +66,45 @@ def test_canonical_form_properties():
             for j in range(rd.rank)
         )
         assert half == laced
+
+
+def first_reflection_moving(rd, gram):
+    """The reference Weyl check: the first i with s_i^T G s_i != G, by
+    dense products, or None when every simple reflection preserves G."""
+    return next(
+        (i for i in range(rd.rank) if pullback(rd.simple_reflection(i), gram) != gram), None
+    )
+
+
+def with_norms(rd, norms):
+    """rd with the given root norms, and the Gram canonical_form builds
+    from them."""
+    n = rd.rank
+    gram = freeze([[Q(rd.cartan[i][j], norms[j]) for j in range(n)] for i in range(n)])
+    return RootDatum(rd.label, rd.series, n, rd.cartan, tuple(norms)), gram
+
+
+def test_weyl_criterion_agrees_with_the_pullback_reference():
+    catalogued = [build_root_datum(s, n) for s, ranks in _SERIES_RANKS.items() for n in ranks]
+    assert {"E6", "E7", "E8", "F4", "G2"} <= {rd.label for rd in catalogued}
+    for rd in catalogued:
+        assert first_reflection_moving(rd, canonical_form(rd).gram) is None
+        # every norm 2: right for the simply laced types only
+        flat, gram = with_norms(rd, [2] * rd.rank)
+        moved = first_reflection_moving(flat, gram)
+        assert (moved is None) == (rd.series in "ADE")
+        if moved is None:
+            assert canonical_form(flat).gram == gram
+        else:
+            with pytest.raises(RuntimeError, match=f"not invariant under s_{moved}$"):
+                canonical_form(flat)
+
+
+def test_weyl_criterion_rejects_g2_with_equal_norms():
+    g2, gram = with_norms(build_root_datum("G2"), (2, 2))
+    assert first_reflection_moving(g2, gram) == 0
+    with pytest.raises(RuntimeError, match="not invariant under s_0"):
+        canonical_form(g2)
 
 
 def test_g2_values():
