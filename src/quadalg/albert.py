@@ -145,6 +145,13 @@ def generic_element(prefix: str) -> AlbertElement:
     return AlbertElement.from_coords([variable(f"{prefix}{m}") for m in range(ADIM)])
 
 
+@lru_cache(maxsize=1)
+def generic_norm():
+    """N(X) of the generic element X = generic_element("x"), formed once
+    per process."""
+    return norm_N(generic_element("x"))
+
+
 def c_only(i: int, x: Octonion) -> AlbertElement:
     """Element supported on the c_i slot."""
     c = [ZERO_OCT, ZERO_OCT, ZERO_OCT]
@@ -292,8 +299,7 @@ class AlbertMap(_Frozen):
     def preserves_norm(self) -> bool:
         """Whether N(f(X)) = N(X) for the generic element X: a polynomial
         identity in the 27 coordinates, so f preserves N on every element."""
-        x = generic_element("x")
-        return norm_N(self(x)) == norm_N(x)
+        return norm_N(self(generic_element("x"))) == generic_norm()
 
     def __repr__(self) -> str:
         return "albert_map(27x27)"
@@ -411,10 +417,10 @@ def a_project(x: AlbertElement) -> tuple:
 
 
 def a_form_value(v: Sequence[int | Fraction | QuadExtScalar]):
-    """The quadratic form N_A of the subspace, from its displayed Gram."""
-    return exact_sum(
-        [A_GRAM[r][c] * (v[r] * v[c]) for r in range(10) for c in range(10) if A_GRAM[r][c]]
-    )
+    """The quadratic form N_A of the subspace, from its displayed Gram,
+    summed over the nonzero coordinates only."""
+    nz = [(r, x) for r, x in enumerate(v) if x]
+    return exact_sum([A_GRAM[r][c] * (x * y) for r, x in nz for c, y in nz if A_GRAM[r][c]])
 
 
 def in_subgroup_H(f: AlbertMap) -> bool:

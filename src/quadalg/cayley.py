@@ -417,19 +417,34 @@ def generic_a() -> tuple:
     return (a, b, div(1, a * b))
 
 
+def _star_coords(table: CayleyTable, x, y):
+    """Coordinates of x star y = conj(x) conj(y) on `table`."""
+    return _mul_coords(table, _conj_coords(x), _conj_coords(y))
+
+
+def _generic_star(table: CayleyTable) -> tuple:
+    """(X, Y, X star Y) for the generic octonions X, Y on `table`."""
+    x, y = generic_octonion("x").coords, generic_octonion("y").coords
+    return x, y, _star_coords(table, x, y)
+
+
+@lru_cache(maxsize=1)
+def _calibrated_generic_star() -> tuple:
+    """`_generic_star` on the calibrated table, formed once per process;
+    the candidate tables of `calibration_search` are not kept."""
+    return _generic_star(build_cayley_table())
+
+
 def _relates(table: CayleyTable, T: SimilitudeTriple) -> bool:
     """t_i(X star Y) = mu(t_i) t_{i+2}(X) star t_{i+1}(Y) for all i mod 3,
     with the star product of `table` and X, Y generic octonions: the
     identity is bilinear, so this one evaluation proves it for all pairs."""
-
-    def star_of(x, y):
-        return _mul_coords(table, _conj_coords(x), _conj_coords(y))
-
-    x, y = generic_octonion("x").coords, generic_octonion("y").coords
-    xy = star_of(x, y)
+    calibrated = table is build_cayley_table()
+    x, y, xy = _calibrated_generic_star() if calibrated else _generic_star(table)
     for i in range(3):
         lhs = mat_vec(T[i].matrix, xy)
-        rhs = star_of(mat_vec(T[i + 2].matrix, x), mat_vec(T[i + 1].matrix, y))
+        tx, ty = mat_vec(T[i + 2].matrix, x), mat_vec(T[i + 1].matrix, y)
+        rhs = xy if tx == x and ty == y else _star_coords(table, tx, ty)
         if any(l != T[i].mu * r for l, r in zip(lhs, rhs)):
             return False
     return True
@@ -442,7 +457,7 @@ def is_related_triple(T: SimilitudeTriple) -> bool:
     ring map A -> mu0, B -> mu1: the one generic proof decides it."""
     mu = T.multipliers
     if mu[0] * mu[1] * mu[2] == 1:
-        dp = mat_mul(diag_d(), perm_P())
+        dp = _d_times_P()
         if all(mat_eq(T[j].matrix, mat_mul(m_matrix(j, mu), dp)) for j in range(3)):
             return _special_family_related()
     return _relates(build_cayley_table(), T)
@@ -464,6 +479,12 @@ def perm_P() -> Matrix:
     for k, m in images.items():
         rows[m - 1][k - 1] = 1
     return freeze(rows)
+
+
+@lru_cache(maxsize=1)
+def _d_times_P() -> Matrix:
+    """d P, the factor that every special cocycle z_j = m_j(a) d P shares."""
+    return mat_mul(diag_d(), perm_P())
 
 
 def diag_d() -> Matrix:
@@ -490,7 +511,7 @@ def special_cocycle(a: Sequence[int | Fraction | QuadExtScalar]) -> SimilitudeTr
     prod = a[0] * a[1] * a[2]
     if prod != 1:
         raise ValueError("triple must have product 1")
-    dp = mat_mul(diag_d(), perm_P())
+    dp = _d_times_P()
     return SimilitudeTriple(
         tuple(Similitude(mat_mul(m_matrix(j, a), dp)) for j in range(3))
     )
@@ -505,7 +526,7 @@ def special_cocycle_iota_closed_form(j: int, a: Sequence[int | Fraction | QuadEx
     diag = freeze(
         [[entries[i] if i == c else 0 for c in range(DIM)] for i in range(DIM)]
     )
-    return mat_mul(diag, mat_mul(diag_d(), perm_P()))
+    return mat_mul(diag, _d_times_P())
 
 
 def cocycle_condition_holds(T: SimilitudeTriple) -> bool:

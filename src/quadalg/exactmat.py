@@ -19,6 +19,7 @@ hash alike.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .scalars import div, rat
 
@@ -30,7 +31,9 @@ def freeze(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
+    """The n x n identity, built once per n: the tuples are immutable."""
     return freeze([[int(i == j) for j in range(n)] for i in range(n)])
 
 

@@ -438,11 +438,12 @@ class QuadExtScalar(_Frozen):
 
     # -- ring structure ------------------------------------------------
     def _coerce(self, other):
-        if isinstance(other, QuadExtScalar):
+        # exact types first: isinstance(v, Fraction) goes through ABCMeta
+        if type(other) is QuadExtScalar or isinstance(other, QuadExtScalar):
             if other.k != self.k:
                 raise ValueError("mixed quadratic extensions")
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction) or isinstance(other, (int, Fraction)):
             return _quad(other, 0, self.k)
         return None
 
@@ -461,7 +462,7 @@ class QuadExtScalar(_Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _quad(self.x - o.x, self.y - o.y, self.k)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -522,9 +523,9 @@ class QuadExtScalar(_Frozen):
 
     # -- comparisons -----------------------------------------------------
     def __eq__(self, other) -> bool:  # not the base's: it also equals a rational
-        if isinstance(other, QuadExtScalar):
+        if type(other) is QuadExtScalar or isinstance(other, QuadExtScalar):
             return (self.x, self.y, self.k) == (other.x, other.y, other.k)
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction) or isinstance(other, (int, Fraction)):
             return self.y == 0 and self.x == other
         return NotImplemented
 
@@ -556,50 +557,179 @@ def _quad(x: int | Fraction, y: int | Fraction, k: int | Fraction) -> QuadExtSca
     return out
 
 
-class Laurent:
-    """A Laurent polynomial over Q or K: the sum of the terms c * m over
-    its (m, c) pairs, c a canonical exact rational (an int when integral,
-    else a Fraction) or a QuadExtScalar, and m a monomial, a sorted tuple
-    of (variable, nonzero exponent) pairs.  Field operations that agree on
+# Packed monomials (Johnson, SIGSAM Bull. 8(3), 1974; Monagan & Pearce,
+# CASC 2007): the key of x_1^e_1 ... x_n^e_n is sum_i e_i 2^(W s_i), with
+# W = _FIELD_BITS and s_i the slot of x_i, given in first-use order.  While
+# no |e_i| passes the bound the fields never carry into each other, so a
+# product of monomials is a sum of keys, an inverse a negated key and an
+# n-th power n times a key.
+_FIELD_BITS = 24
+EXPONENT_BOUND = (1 << (_FIELD_BITS - 1)) - 1  # the largest |exponent| a field holds
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_SHIFTS: dict[str, int] = {}  # variable -> the offset of its field
+_NAMES: list[str] = []  # the variables in first-use order
+
+
+def _pack(monomial) -> tuple[int, int]:
+    """The key of a monomial given as (variable, exponent) pairs, the
+    exponents of a repeated variable summed, and its largest |exponent|.
+    An exponent past `EXPONENT_BOUND` raises OverflowError."""
+    exps: dict = {}
+    for v, e in monomial:
+        exps[v] = exps.get(v, 0) + e
+    key = bound = 0
+    for v, e in exps.items():
+        if abs(e) > EXPONENT_BOUND:
+            raise OverflowError(f"exponent {e} of {v} exceeds the packed bound {EXPONENT_BOUND}")
+        shift = _SHIFTS.get(v)
+        if shift is None:
+            shift = _SHIFTS[v] = _FIELD_BITS * len(_NAMES)
+            _NAMES.append(v)
+        key += e << shift
+        bound = max(bound, abs(e))
+    return key, bound
+
+
+def _unpack(key: int) -> tuple:
+    """The monomial of a key: its sorted (variable, nonzero exponent) pairs,
+    one field at a time from the lowest, each read as a signed digit."""
+    pairs, slot = [], 0
+    while key:
+        e = key & _FIELD_MASK
+        if e > EXPONENT_BOUND:
+            e -= _FIELD_MASK + 1
+        if e:
+            pairs.append((_NAMES[slot], e))
+        key = (key - e) >> _FIELD_BITS
+        slot += 1
+    return tuple(sorted(pairs))
+
+
+_SCALARS = (int, Fraction, QuadExtScalar)  # the coefficients' types
+
+
+def _laurent(terms: dict, bound: int) -> "Laurent":
+    """The Laurent polynomial of packed terms that are nonzero and canonical
+    already, with `bound` at least its largest |exponent|."""
+    out = object.__new__(Laurent)
+    _set_terms(out, terms)
+    _set_bound(out, bound)
+    return out
+
+
+def _sum_terms(values) -> "Laurent":
+    """The sum of Laurent polynomials, gathered into one term dict."""
+    terms: dict = {}
+    get = terms.get
+    bound = 0
+    for p in values:
+        bound = max(bound, p._bound)
+        for m, c in p._terms.items():
+            v = get(m)
+            terms[m] = c if v is None else v + c
+    return _laurent({m: rat(c) for m, c in terms.items() if c}, bound)
+
+
+def _product_terms(a: dict, b: dict) -> dict:
+    """The packed terms of the product of two Laurent polynomials' packed
+    terms, gathered into one dict: each monomial product is a key sum."""
+    terms: dict = {}
+    get = terms.get
+    for m, c in a.items():
+        for n, d in b.items():
+            key = m + n
+            v = get(key)
+            terms[key] = c * d if v is None else v + c * d
+    return {m: rat(c) for m, c in terms.items() if c}
+
+
+def _power(v, n: int, one):
+    """v to the power n >= 0 by repeated squaring, `one` for n = 0."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * v
+        n >>= 1
+        if n:
+            v = v * v
+    return out
+
+
+class Laurent(_Frozen):
+    """A Laurent polynomial over Q or K: the sum of the terms c * m, c a
+    canonical exact rational (an int when integral, else a Fraction) or a
+    QuadExtScalar, and m a monomial.  Field operations that agree on
     independent variables agree at all their nonzero values, so one
     evaluation on generic coordinates proves an identity for every value.
-    Only a monomial is invertible."""
+    Only a monomial is invertible.
 
-    __slots__ = ("terms",)
+    The terms are held as {key: c}, the key of a monomial its packed
+    exponent vector: one int with a signed field of `_FIELD_BITS` bits per
+    variable, so that multiplying monomials adds keys.  Every exponent
+    stays within +-`EXPONENT_BOUND` (2^23 - 1): each polynomial carries a
+    bound on its exponents, a product or power whose bound could pass it
+    is formed on the unpacked monomials, and one that does pass it raises
+    OverflowError instead of carrying into the next field.  `terms` is the
+    unpacked view, {monomial: c} with each monomial a sorted tuple of
+    (variable, nonzero exponent) pairs, and `Laurent(pairs)` takes the
+    (monomial, c) pairs of that view; a copy or a pickle goes through
+    them, as the keys depend on the order in which the process met its
+    variables."""
+
+    __slots__ = ("_terms", "_bound")
 
     def __init__(self, pairs=()):
-        terms = {}
+        terms: dict = {}
+        bound = 0
         for m, c in pairs:
-            terms[m] = terms[m] + c if m in terms else c
-        self.terms = {m: rat(c) for m, c in terms.items() if c}
+            key, b = _pack(m)
+            bound = max(bound, b)
+            terms[key] = terms[key] + c if key in terms else c
+        _set_terms(self, {m: rat(c) for m, c in terms.items() if c})
+        _set_bound(self, bound)
+
+    def _key(self) -> tuple:  # the unpacked pairs: keys depend on the process
+        return (tuple(self.terms.items()),)
+
+    @property
+    def terms(self) -> dict:
+        return {_unpack(m): c for m, c in self._terms.items()}
 
     @staticmethod
     def _coerce(v):
-        if isinstance(v, (int, Fraction, QuadExtScalar)):
+        if type(v) is Laurent or isinstance(v, Laurent):
+            return v
+        if type(v) in _SCALARS:
+            return _laurent({0: rat(v)} if v else {}, 0)
+        if isinstance(v, _SCALARS):
             return Laurent([((), as_scalar(v))])
-        return v if isinstance(v, Laurent) else None
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Laurent([*self.terms.items(), *o.terms.items()])
+        return _sum_terms((self, o))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadExtScalar)):  # scale the coefficients
-            out = object.__new__(Laurent)
-            out.terms = {m: rat(cd) for m, c in self.terms.items() if (cd := c * other)}
-            return out
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        products = ((m, n, c * d) for m, c in self.terms.items() for n, d in o.terms.items())
-        return Laurent((_monomial_product(m, n), cd) for m, n, cd in products)
+        if type(other) is not Laurent and not isinstance(other, Laurent):
+            if not (type(other) in _SCALARS or isinstance(other, _SCALARS)):
+                return NotImplemented
+            terms = {m: rat(cd) for m, c in self._terms.items() if (cd := c * other)}
+            return _laurent(terms, self._bound)  # the coefficients scaled
+        bound = self._bound + other._bound
+        if bound > EXPONENT_BOUND:  # a field might overflow: add the exponents unpacked
+            return Laurent(
+                (_unpack(m) + _unpack(n), c * d)
+                for m, c in self._terms.items()
+                for n, d in other._terms.items()
+            )
+        return _laurent(_product_terms(self._terms, other._terms), bound)
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __neg__(self):
-        return Laurent((m, -c) for m, c in self.terms.items())
+        return _laurent({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
         return self + -other
@@ -611,33 +741,44 @@ class Laurent:
         return self * div(1, other)
 
     def __rtruediv__(self, other):
-        if len(self.terms) != 1:
-            error = ValueError if self.terms else ZeroDivisionError
+        if len(self._terms) != 1:
+            error = ValueError if self._terms else ZeroDivisionError
             raise error(f"{self} is not an invertible monomial")
-        ((m, c),) = self.terms.items()
-        return other * Laurent([(tuple((v, -e) for v, e in m), div(1, c))])
+        ((m, c),) = self._terms.items()
+        return other * _laurent({-m: div(1, c)}, self._bound)
 
     def __pow__(self, n: int):
-        if not n:
-            return Laurent([((), 1)])
-        return prod([self if n > 0 else div(1, self)] * abs(n))
+        """A monomial in one step, its key times n; anything else by
+        repeated squaring; a negative power of a monomial only."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return div(1, self) ** -n
+        if len(self._terms) != 1:
+            return _power(self, n, Laurent([((), 1)]))
+        ((m, c),) = self._terms.items()
+        if self._bound * n > EXPONENT_BOUND:  # unpacked: an exponent past the bound raises
+            key, bound = _pack((v, e * n) for v, e in _unpack(m))
+        else:
+            key, bound = m * n, self._bound * n
+        return _laurent({key: rat(_power(c, n, 1))}, bound)
 
     def conj(self) -> "Laurent":
         """iota on the coefficients."""
-        return Laurent((m, iota(c)) for m, c in self.terms.items())
+        return _laurent({m: iota(c) for m, c in self._terms.items()}, self._bound)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
-        return NotImplemented if o is None else self.terms == o.terms
+        return NotImplemented if o is None else self._terms == o._terms
 
     def __hash__(self):
         # a constant equals, so must hash like, its coefficient
-        if self.terms.keys() <= {()}:
-            return hash(self.terms.get((), 0))
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __repr__(self) -> str:
         return " + ".join(
@@ -646,11 +787,7 @@ class Laurent:
         ) or "0"
 
 
-def _monomial_product(m: tuple, n: tuple) -> tuple:
-    exps = dict(m)
-    for v, e in n:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in exps.items() if e))
+_set_terms, _set_bound = (Laurent.__dict__[name].__set__ for name in Laurent.__slots__)
 
 
 def exact_sum(values: list):
@@ -660,7 +797,7 @@ def exact_sum(values: list):
     if len(values) < 2:
         return rat(values[0]) if values else 0
     if any(isinstance(v, Laurent) for v in values):
-        return Laurent(pair for v in values for pair in Laurent._coerce(v).terms.items())
+        return _sum_terms([Laurent._coerce(v) for v in values])
     return rat(sum(values[1:], values[0]))
 
 

@@ -373,7 +373,7 @@ def _check_albert_basics():
         albert.cross(e[i], e[(i + 1) % 3]) == e[(i + 2) % 3] for i in range(3)
     )
     x = albert.generic_element("x")
-    good &= 6 * albert.norm_N(x) == albert.trace_form_T(x, albert.cross(x, x))
+    good &= 6 * albert.generic_norm() == albert.trace_form_T(x, albert.cross(x, x))
     # trace pairing on the c0 slot equals the full norm polarization
     x8, y8 = cayley.generic_octonion("y"), cayley.generic_octonion("z")
     good &= albert.trace_form_T(albert.c_only(0, x8), albert.c_only(0, y8)) == 2 * x8.norm_pairing(y8)
@@ -585,8 +585,8 @@ def run_checks(only: str | None = None, overrides: dict | None = None) -> list[C
     """Run the ledger (deterministic order); `only` filters by identifier
     or by a substring of the location."""
     results = []
-    for check_id, location, fn in CHECKS:
-        if only and only.lower() not in (check_id.lower(), *_loc_tokens(location)):
+    for (check_id, location, fn), names in zip(CHECKS, _CHECK_NAMES):
+        if only and only.lower() not in names:
             continue
         if overrides and check_id == "P30" and {"k", "a"} <= overrides.keys():
             rep = descent.rostcalc_report(overrides["k"], overrides["a"])
@@ -603,6 +603,11 @@ def run_checks(only: str | None = None, overrides: dict | None = None) -> list[C
 
 def _loc_tokens(location: str) -> tuple[str, ...]:
     return tuple(tok.strip(",").lower() for tok in location.split())
+
+
+# each check's names for `only`, its identifier and its location's tokens,
+# lower-cased once at import
+_CHECK_NAMES = [(check_id.lower(), *_loc_tokens(location)) for check_id, location, _ in CHECKS]
 
 
 def report_json(results: list[CheckResult]) -> dict:

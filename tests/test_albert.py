@@ -412,6 +412,44 @@ def test_a_cold_ledger_builds_no_map_by_action(monkeypatch):
     assert calls == []
 
 
+def test_a_cold_ledger_forms_each_generic_value_once(monkeypatch):
+    """One cold pass forms the star product of the generic octonions, the
+    norm of the generic Albert element and d P once each: the checks that
+    need them share one value."""
+    from test_ledger_mutants import clear_caches
+
+    x, y = cayley.generic_octonion("x").coords, cayley.generic_octonion("y").coords
+    star_args = (cayley._conj_coords(x), cayley._conj_coords(y))
+    generic = albert.generic_element("x")
+    d, p = cayley.diag_d(), cayley.perm_P()
+    counts = {"X star Y": 0, "N(X)": 0, "d P": 0}
+    mul_coords, real_norm, real_mat_mul = cayley._mul_coords, albert.norm_N, cayley.mat_mul
+
+    def counted_mul_coords(table, a, b):
+        counts["X star Y"] += (a, b) == star_args
+        return mul_coords(table, a, b)
+
+    def counted_norm(e):
+        counts["N(X)"] += e == generic
+        return real_norm(e)
+
+    def counted_mat_mul(a, b):
+        counts["d P"] += a == d and b == p
+        return real_mat_mul(a, b)
+
+    clear_caches()
+    monkeypatch.setattr(cayley, "_mul_coords", counted_mul_coords)
+    monkeypatch.setattr(albert, "norm_N", counted_norm)
+    monkeypatch.setattr(cayley, "mat_mul", counted_mat_mul)
+    try:
+        reports = verify.run_checks()
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert [r.status for r in reports].count("pass") == 28
+    assert counts == {"X star Y": 1, "N(X)": 1, "d P": 1}
+
+
 def test_restrict_to_A():
     z = special_z()
     gz = g_map(z)

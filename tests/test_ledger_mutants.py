@@ -29,6 +29,39 @@ def diag_d_flipped(*indices, real=cayley.diag_d):
     return mutant
 
 
+def perm_P_images_swapped(a, b, real=cayley.perm_P):
+    """P with the images of u_a and u_b exchanged: its columns a, b swapped."""
+
+    def mutant():
+        rows = [list(row) for row in real()]
+        for row in rows:
+            row[a - 1], row[b - 1] = row[b - 1], row[a - 1]
+        return freeze(rows)
+
+    return mutant
+
+
+def negated_at_2(real):
+    return lambda a, b, place: -real(a, b, place) if place.p == 2 else real(a, b, place)
+
+
+def b_and_c_swapped(real=rootsys._read_type):
+    """_read_type naming each B_n C_n and each C_n B_n, with the same walk."""
+
+    def mutant(cartan, prefer):
+        folded, walk = real(cartan, prefer)
+        swapped = {"B": "C", "C": "B"}.get(folded.label[0])
+        return (rootsys.build_root_datum(swapped + folded.label[1:]), walk) if swapped else (folded, walk)
+
+    return mutant
+
+
+def key_difference(real=scalars._product_terms):
+    """The packed product with m - n for m + n: each monomial of the second
+    factor enters inverted."""
+    return lambda a, b: real(a, {-n: d for n, d in b.items()})
+
+
 def always(value):
     return lambda *_: value
 
@@ -78,12 +111,47 @@ MUTANTS = {
     # forms imports both from scalars, so each is patched in both modules
     "_hasse returns 1": ((scalars, forms), "_hasse", always(1), ("P07", "P10")),
     "hilbert_symbol returns 1": ((scalars, forms), "hilbert_symbol", always(1), ("P07", "P10")),
+    "hilbert_symbol negated at 2": (
+        (scalars, forms),
+        "hilbert_symbol",
+        negated_at_2(scalars.hilbert_symbol),
+        ("P07", "P10"),
+    ),
+    # K = Q(sqrt k) is a field only for a nonsquare k; P07 and P30 build K
+    "scalars.is_square returns False": (
+        (scalars, forms, descent),
+        "is_square",
+        always(False),
+        ("P07", "P30"),
+    ),
+    # P21 and P22 prove triples related; no triple they try is unrelated
+    "cayley._relates returns True": (cayley, "_relates", always(True), ("P21", "P22")),
+    # u4 and u5 keep their places: each z_j keeps its multiplier, but the
+    # triple is not related and det z_j changes sign
+    "cayley.perm_P with the u4/u5 images swapped": (
+        cayley,
+        "perm_P",
+        perm_P_images_swapped(4, 5),
+        ("P22", "P23", "P24", "P26", "P27", "P28", "P30"),
+    ),
+    # P13 expects Rost multiplier 1 for every folding, D_n to B_(n-1) and
+    # A_(2l+1) to C_(l+1) included
+    "rootsys._read_type with B and C swapped": (rootsys, "_read_type", b_and_c_swapped(), ("P13",)),
+    # every identity on generic coordinates is a product of Laurent polynomials
+    "scalars._product_terms subtracts keys": (
+        scalars,
+        "_product_terms",
+        key_difference(),
+        ("P19", "P20", "P22", "P25", "P26", "P27", "P28", "P29", "P30"),
+    ),
 }
 
 # Rows that no ledger check fails yet.  P01-P10 are decided by dimension,
 # discriminant and signature alone, so no verdict reads a local symbol, an
-# isotropy test or the Witt decomposition.  The strict marker makes a row
-# fail loudly once a check catches its mutant.
+# isotropy test or the Witt decomposition.  The square test only guards the
+# field parameters, and the ledger passes no square k.  Every triple P21 and
+# P22 try is related, so a proof that always says yes passes them.  The
+# strict marker makes a row fail loudly once a check catches its mutant.
 BLIND = (
     "forms.is_isotropic returns True",
     "forms.is_isotropic returns False",
@@ -91,6 +159,9 @@ BLIND = (
     "forms.witt_decompose returns (0, q)",
     "_hasse returns 1",
     "hilbert_symbol returns 1",
+    "hilbert_symbol negated at 2",
+    "scalars.is_square returns False",
+    "cayley._relates returns True",
 )
 
 # Mutants that no correct input tells apart from the library, with the reason.
