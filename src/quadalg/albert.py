@@ -64,11 +64,7 @@ class AlbertElement(_Frozen):
     def __init__(self, eps: Sequence[int | Fraction | QuadExtScalar], c: Sequence[Octonion]):
         if len(eps) != 3 or len(c) != 3:
             raise ValueError("need three diagonal scalars and three octonions")
-        object.__setattr__(self, "eps", tuple(as_scalar(e) for e in eps))
-        object.__setattr__(self, "c", tuple(c))
-
-    def _key(self) -> tuple:
-        return (self.eps, self.c)
+        super().__init__(tuple(as_scalar(e) for e in eps), tuple(c))
 
     # -- linear structure -------------------------------------------------
     def __add__(self, other: "AlbertElement") -> "AlbertElement":
@@ -273,10 +269,7 @@ class AlbertMap(_Frozen):
         matrix = freeze(matrix)
         if len(matrix) != ADIM or any(len(r) != ADIM for r in matrix):
             raise ValueError("Albert maps are 27x27")
-        object.__setattr__(self, "matrix", matrix)
-
-    def _key(self) -> tuple:
-        return (self.matrix,)
+        super().__init__(matrix)
 
     def __call__(self, x: AlbertElement) -> AlbertElement:
         return AlbertElement.from_coords(mat_vec(self.matrix, x.coords()))
@@ -483,14 +476,6 @@ class MovingLemmaData(_Frozen):
     """r = T(j, j'), j' = eta_iota(iota j), and the named identity checks."""
 
     __slots__ = ("r", "j_prime", "checks")
-
-    def __init__(self, r: int | Fraction | QuadExtScalar, j_prime: AlbertElement, checks: dict):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "j_prime", j_prime)
-        object.__setattr__(self, "checks", checks)
-
-    def _key(self) -> tuple:
-        return (self.r, self.j_prime, self.checks)
 
 
 def moving_lemma_data(T: SimilitudeTriple, j: AlbertElement) -> MovingLemmaData:

@@ -158,11 +158,9 @@ class CayleyTable(_Frozen):
         constants = tuple(
             tuple(tuple((m, g) for m, g in enumerate(p) if g) for p in row) for row in products
         )
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "constants", constants)
+        super().__init__(products, gram, constants)
 
-    def _key(self) -> tuple:
+    def _key(self) -> tuple:  # constants are derived from the products
         return (self.products, self.gram)
 
     def gram_deviations(self) -> list[tuple[int, int, int | Fraction, int | Fraction]]:
@@ -249,14 +247,7 @@ class Octonion(_Frozen):
     def __init__(self, coords: Sequence[int | Fraction | QuadExtScalar]):
         if len(coords) != DIM:
             raise ValueError("octonions have 8 coordinates")
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(as_scalar(c) for c in coords),
-        )
-
-    def _key(self) -> tuple:
-        return (self.coords,)
+        super().__init__(tuple(as_scalar(c) for c in coords))
 
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion([a + b for a, b in zip(self.coords, other.coords)])
@@ -341,10 +332,9 @@ class Similitude(_Frozen):
         mu = ratio(pullback(matrix, g), g)
         if not mu:
             raise ValueError("matrix is not a norm similitude")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "mu", mu)
+        super().__init__(matrix, mu)
 
-    def _key(self) -> tuple:
+    def _key(self) -> tuple:  # mu is derived from the matrix
         return (self.matrix,)
 
     def __call__(self, x: Octonion) -> Octonion:
@@ -389,10 +379,7 @@ class SimilitudeTriple(_Frozen):
     def __init__(self, t: tuple[Similitude, Similitude, Similitude]):
         if len(t) != 3 or not all(isinstance(s, Similitude) for s in t):
             raise ValueError("a similitude triple is three similitudes")
-        object.__setattr__(self, "t", t)
-
-    def _key(self) -> tuple:
-        return (self.t,)
+        super().__init__(t)
 
     def __getitem__(self, i: int) -> Similitude:
         return self.t[i % 3]

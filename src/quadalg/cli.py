@@ -224,6 +224,10 @@ def _cmd_albert(args) -> int:
 def _cmd_descend(args) -> int:
     from . import albert, descent, forms
 
+    if args.gram and not args.cocycle:
+        raise ValueError("--gram needs --cocycle")
+    if args.cocycle and args.a is not None:
+        raise ValueError("--cocycle and --a exclude each other")
     k = parse_scalar(args.k)
     if args.cocycle:
 

@@ -49,11 +49,7 @@ class SemilinearCocycle(_Frozen):
             raise ValueError("a cocycle matrix is square")
         if not mat_eq(mat_mul(m, _iota_mat(m)), identity(len(m))):
             raise ValueError("cocycle condition Z iota(Z) = 1 fails")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "matrix", m)
-
-    def _key(self) -> tuple:
-        return (self.k, self.matrix)
+        super().__init__(k, m)
 
     @property
     def dim(self) -> int:
@@ -96,6 +92,8 @@ def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
     n = z.dim
     if len(gram) != n or any(len(row) != n for row in gram):
         raise ValueError("Gram and cocycle dimensions differ")
+    if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(i)):
+        raise ValueError("Gram matrix is not symmetric")
     if not mat_eq(pullback(z.matrix, gram), gram):
         raise ValueError("cocycle is not an isometry of the form")
     basis = fixed_subspace(z)
@@ -167,24 +165,6 @@ class RostCalcReport(_Frozen):
 
     __slots__ = ("k", "a", "q_z", "q", "qz_matches_table", "difference_witt_class_ok",
                  "arason_class_trivial", "real_symbol_nontrivial")
-
-    def __init__(self, k: int | Fraction, a: int | Fraction,
-                 q_z: forms.DiagonalForm, q: forms.DiagonalForm,
-                 qz_matches_table: bool, difference_witt_class_ok: bool,
-                 arason_class_trivial: bool, real_symbol_nontrivial: bool):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "q_z", q_z)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qz_matches_table", qz_matches_table)
-        object.__setattr__(self, "difference_witt_class_ok", difference_witt_class_ok)
-        object.__setattr__(self, "arason_class_trivial", arason_class_trivial)
-        object.__setattr__(self, "real_symbol_nontrivial", real_symbol_nontrivial)
-
-    def _key(self) -> tuple:
-        return (self.k, self.a, self.q_z, self.q, self.qz_matches_table,
-                self.difference_witt_class_ok, self.arason_class_trivial,
-                self.real_symbol_nontrivial)
 
     def as_dict(self) -> dict:
         return {

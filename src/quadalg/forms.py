@@ -81,7 +81,7 @@ class DiagonalForm(_Frozen):
         fields["field"] = field
         fields["entries"] = entries
 
-    def _key(self) -> tuple:
+    def _key(self) -> tuple:  # no slots: the __dict__ also holds the caches
         return (self.field, self.entries)
 
     def __hash__(self):
@@ -164,10 +164,7 @@ class WittInvariants(_Frozen):
     def __init__(self, dim: int, disc: int, hasse: Mapping[Place, int], signature: int):
         if (signature - dim) % 2 or abs(signature) > dim:
             raise ValueError("signature incompatible with dimension")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "hasse", MappingProxyType(dict(hasse)))
-        object.__setattr__(self, "signature", signature)
+        super().__init__(dim, disc, MappingProxyType(dict(hasse)), signature)
 
     def _key(self) -> tuple:  # a mappingproxy does not pickle or copy
         return (self.dim, self.disc, dict(self.hasse), self.signature)
@@ -869,12 +866,7 @@ class HermitianDiagonal(_Frozen):
                 raise ValueError("k must be negative over R")
         elif is_square(k):
             raise ValueError("k must not be a square")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "entries", entries)
-
-    def _key(self) -> tuple:
-        return (self.field, self.k, self.entries)
+        super().__init__(field, k, entries)
 
     @property
     def dim(self) -> int:
@@ -936,13 +928,15 @@ def isometric_over_K(q1: DiagonalForm, q2: DiagonalForm, k: int | Fraction) -> b
 
 
 _TOKEN = re.compile(r"\s*(<<|>>|<|>|\+?[^\s<>+*,]+|\+|\*|,)")
+MAX_LITERAL_DIM = 1 << 16  # the most entries a literal may spell, `nH` and `<<...>>` included
 
 
 def parse_form(text: str, field: str = "Q") -> DiagonalForm:
     """Parse the form grammar: `<a,b,...>`, `<<a,...>>` (Pfister), `nH`,
     `c*<...>`, joined by `+`; a `+` glued to a scalar where one is due is
-    its sign (`<+5>`, `+2*<1>`; `<1>+2*<3>` is a sum).  Every failure is
-    one ValueError that says "parse error"."""
+    its sign (`<+5>`, `+2*<1>`; `<1>+2*<3>` is a sum).  A literal of more
+    than `MAX_LITERAL_DIM` entries is refused before they are built.  Every
+    failure is one ValueError that says "parse error"."""
     try:
         return _parse_form(text, field)
     except ValueError as exc:
@@ -953,7 +947,7 @@ def _parse_form(text: str, field: str) -> DiagonalForm:
     tokens = _TOKEN.findall(text)
     if not tokens or "".join(tokens) != "".join(text.split()):
         raise ValueError(f"cannot tokenize form literal {text!r}")
-    pos = 0
+    pos = dim = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -980,24 +974,35 @@ def _parse_form(text: str, field: str) -> DiagonalForm:
             raise ValueError("diagonal entries must be nonzero")
         return vals
 
+    def sized(n):  # n more entries, counted before they are built
+        nonlocal dim
+        dim += n
+        if dim > MAX_LITERAL_DIM:
+            raise ValueError(f"form literal has more than {MAX_LITERAL_DIM} entries")
+
     def term():
         """The entries of one term, in the order the form lists them."""
         tok = peek()
         if tok == "<<":
             take("<<")
-            return _pfister_entries(scalar_list(">>"))
+            slots = scalar_list(">>")
+            sized(1 << len(slots))
+            return _pfister_entries(slots)
         if tok == "<":
             take("<")
             if peek() == ">":  # the zero form, as `form_literal` writes it
                 take(">")
                 return []
-            return scalar_list(">")
+            vals = scalar_list(">")
+            sized(len(vals))
+            return vals
         # `nH` or `c*<...>` / `c*<<...>>`
         word = take()
         if word.endswith("H") or word.endswith("h"):
             n = int(word[:-1]) if word[:-1] else 1
             if n < 0:
                 raise ValueError("negative hyperbolic multiplicity")
+            sized(2 * n)
             return [1, -1] * n
         c = parse_scalar(word)
         take("*")

@@ -73,16 +73,6 @@ class RootDatum(_Frozen):
 
     __slots__ = ("label", "series", "rank", "cartan", "root_norms")
 
-    def __init__(self, label: str, series: str, rank: int, cartan: Matrix, root_norms: tuple):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "root_norms", root_norms)
-
-    def _key(self) -> tuple:
-        return (self.label, self.series, self.rank, self.cartan, self.root_norms)
-
     def __hash__(self):  # a datum keys the `canonical_form` cache
         return hash(self._key())
 
@@ -149,12 +139,6 @@ class CanonicalForm(_Frozen):
     the coroot lattice, normalized to 1 on short coroots."""
 
     __slots__ = ("gram",)
-
-    def __init__(self, gram: Matrix):
-        object.__setattr__(self, "gram", gram)
-
-    def _key(self) -> tuple:
-        return (self.gram,)
 
     def value(self, v) -> int | Fraction:
         return self.bilinear(v, v)
@@ -249,10 +233,7 @@ class LatticeEmbedding(_Frozen):
         m = freeze([[int(x) for x in row] for row in matrix])
         if mat_rank(m) != len(m[0]):
             raise ValueError("embedding matrix is not injective")
-        object.__setattr__(self, "matrix", m)
-
-    def _key(self) -> tuple:
-        return (self.matrix,)
+        super().__init__(m)
 
     @property
     def source_rank(self) -> int:
@@ -271,14 +252,6 @@ class FoldResult(_Frozen):
     simple root, in Bourbaki order) and the embedding of coroot lattices."""
 
     __slots__ = ("folded", "orbits", "embedding")
-
-    def __init__(self, folded: RootDatum, orbits: tuple, embedding: LatticeEmbedding):
-        object.__setattr__(self, "folded", folded)
-        object.__setattr__(self, "orbits", orbits)
-        object.__setattr__(self, "embedding", embedding)
-
-    def _key(self) -> tuple:
-        return (self.folded, self.orbits, self.embedding)
 
     @property
     def orbit_sizes(self) -> tuple[int, ...]:

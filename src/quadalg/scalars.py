@@ -251,15 +251,36 @@ def is_local_square(a: int | Fraction, place: "Place") -> bool:
 
 
 class _Frozen:
-    """The base of the immutable values.  `__init__` sets each field past
-    `__setattr__`, which raises; two values are equal when they are of one
-    type with equal `_key()`s; and a copy or a pickle calls the type on
-    `_key()`, so `_key()` holds the constructor's arguments."""
+    """The base of the immutable values.  A subclass names its fields once,
+    in `__slots__`; the base records them (`_fields`) with the slots' own
+    setters (`_setters`), which write past `__setattr__`, which raises.
+    `__init__` fills the fields by position or by name, so a class that
+    checks its arguments calls it once they pass.  Two values are equal
+    when they are of one type with equal `_key()`s, and a copy or a pickle
+    calls the type on `_key()`: the fields, unless a class overrides it
+    because its constructor's arguments are not its fields."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__slots__", ()))
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # each field once, by position or by name
+            rest = fields[len(args):]
+            if len(args) > len(fields) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+            args += tuple(kwargs[name] for name in rest)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other) -> bool:
         return self._key() == other._key() if type(other) is type(self) else NotImplemented
@@ -285,11 +306,11 @@ class Place(_Frozen):
             if p != 0 and not is_prime(p):
                 raise ValueError(f"not a place: {p}")
             place = _PLACES[p] = object.__new__(cls)
-            object.__setattr__(place, "p", p)
+            _Frozen.__init__(place, p)
         return place
 
-    def _key(self) -> tuple:  # a copy comes back through the interning constructor
-        return (self.p,)
+    def __init__(self, p: int):  # p was set once, by `__new__`; a lookup leaves it
+        pass
 
     @property
     def is_real(self) -> bool:
@@ -429,12 +450,7 @@ class QuadExtScalar(_Frozen):
     __slots__ = ("x", "y", "k")
 
     def __init__(self, x: int | Fraction, y: int | Fraction, k: int | Fraction):
-        _set_x(self, as_rat(x))
-        _set_y(self, as_rat(y))
-        _set_k(self, _field_parameter(as_rat(k)))
-
-    def _key(self) -> tuple:
-        return (self.x, self.y, self.k)
+        super().__init__(as_rat(x), as_rat(y), _field_parameter(as_rat(k)))
 
     # -- ring structure ------------------------------------------------
     def _coerce(self, other):
@@ -542,8 +558,7 @@ class QuadExtScalar(_Frozen):
         return f"{self.x}+{self.y}*sqrt({self.k})"
 
 
-# the slots' own setters, which skip the __setattr__ that keeps K immutable
-_set_x, _set_y, _set_k = (QuadExtScalar.__dict__[name].__set__ for name in QuadExtScalar.__slots__)
+_set_x, _set_y, _set_k = QuadExtScalar._setters
 
 
 def _quad(x: int | Fraction, y: int | Fraction, k: int | Fraction) -> QuadExtScalar:
@@ -685,8 +700,7 @@ class Laurent(_Frozen):
             key, b = _pack(m)
             bound = max(bound, b)
             terms[key] = terms[key] + c if key in terms else c
-        _set_terms(self, {m: rat(c) for m, c in terms.items() if c})
-        _set_bound(self, bound)
+        super().__init__({m: rat(c) for m, c in terms.items() if c}, bound)
 
     def _key(self) -> tuple:  # the unpacked pairs: keys depend on the process
         return (tuple(self.terms.items()),)
@@ -787,7 +801,7 @@ class Laurent(_Frozen):
         ) or "0"
 
 
-_set_terms, _set_bound = (Laurent.__dict__[name].__set__ for name in Laurent.__slots__)
+_set_terms, _set_bound = Laurent._setters
 
 
 def exact_sum(values: list):

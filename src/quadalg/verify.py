@@ -28,15 +28,6 @@ class CheckResult(_Frozen):
 
     __slots__ = ("check_id", "location", "status", "witness")
 
-    def __init__(self, check_id: str, location: str, status: str, witness: dict):
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "location", location)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-
-    def _key(self) -> tuple:
-        return (self.check_id, self.location, self.status, self.witness)
-
     def as_dict(self) -> dict:
         return {
             "id": self.check_id,

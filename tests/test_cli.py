@@ -154,6 +154,13 @@ BIG = int(
         ("verify-paper", "--only", "rostcalc", "--k", "7"),
         ("verify-paper", "--only", "rostcalc", "--a", "7"),
         ("form", "<1,+>"),
+        ("form", "99999999999999999999H"),
+        ("form", "9999999999H"),
+        ("form", "<<" + ",".join(["1"] * 40) + ">>"),
+        ("descend", "--k", "2", "--cocycle", "{eye2}", "--gram", "{flat}"),
+        ("descend", "--k", "2", "--gram", "{symmetric}"),
+        ("descend", "--k", "2", "--a", "3", "--gram", "{symmetric}"),
+        ("descend", "--k", "2", "--cocycle", "{eye2}", "--gram", "{symmetric}", "--a", "3"),
     ],
     ids=[
         "triple_missing",
@@ -191,6 +198,13 @@ BIG = int(
         "verify_k_without_a",
         "verify_a_without_k",
         "form_sign_without_scalar",
+        "form_hyperbolic_past_index",
+        "form_hyperbolic_oversized",
+        "form_pfister_oversized",
+        "gram_not_symmetric",
+        "gram_without_cocycle",
+        "gram_with_a",
+        "cocycle_with_a",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):
@@ -209,6 +223,8 @@ def test_file_input_errors(tmp_path, capsys, argv):
         "eye3": tmp_path / "eye3.json",
         "tall": tmp_path / "tall.json",
         "zero": tmp_path / "zero.json",
+        "eye2": tmp_path / "eye2.json",
+        "symmetric": tmp_path / "symmetric.json",
     }
     files["bad"].write_text("[[1], [0")
     files["emb"].write_text(json.dumps([[1], [0], [1]]))
@@ -223,6 +239,8 @@ def test_file_input_errors(tmp_path, capsys, argv):
     files["eye3"].write_text(json.dumps([[[int(i == j), 0] for j in range(3)] for i in range(3)]))
     files["tall"].write_text(json.dumps([[1, 0], [0, 1], [0, 0]]))
     files["zero"].write_text("[[0]]")
+    files["eye2"].write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
+    files["symmetric"].write_text(json.dumps([[1, 2], [2, 3]]))
     code, out, err = run(capsys, *(a.format(element=ELEMENT, **files) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -76,6 +76,15 @@ def test_descend_rejects_non_isometries():
         descend_form(gram, bad)
 
 
+def test_descend_rejects_a_non_symmetric_gram():
+    # every Gram matrix is preserved by the identity cocycle, so only the
+    # symmetry check stands between [[1,2],[3,4]] and a diagonalization
+    z = SemilinearCocycle(2, identity(2))
+    assert descend_form(freeze([[1, 2], [2, 3]]), z) == forms.form([1, -1])
+    with pytest.raises(ValueError, match="not symmetric"):
+        descend_form(freeze([[1, 2], [3, 4]]), z)
+
+
 def test_twist_a_descent():
     for k in (2, 3, -5):
         q = twist_a_descend(k)

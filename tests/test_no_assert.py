@@ -47,20 +47,52 @@ def test_library_imports_no_random():
     assert imports == []
 
 
+# the classes that define `_key()`, and why their key is not their fields
+OWN_KEYS = {
+    "_Frozen": "the default: the fields",
+    "Similitude": "mu is derived from the matrix",
+    "CayleyTable": "constants are derived from the products",
+    "WittInvariants": "a mappingproxy does not pickle or copy",
+    "Laurent": "packed keys depend on the process",
+    "DiagonalForm": "no slots: its __dict__ also holds per-form caches",
+}
+
+
 def test_only_the_frozen_base_blocks_assignment_and_pickles():
     """Every immutable value inherits `__setattr__` and `__reduce__` from
-    `scalars._Frozen`; no class spells them out again."""
+    `scalars._Frozen`; no class spells them out again.  Its fields are
+    written by the base's slot setters, never by `object.__setattr__` or a
+    setter pulled out of a class `__dict__` elsewhere, and only the
+    classes of `OWN_KEYS` define `_key()`."""
     sources = sorted(Path(quadalg.__file__).parent.glob("*.py"))
+    trees = [(path, ast.parse(path.read_text(), str(path))) for path in sources]
+    classes = [
+        (path, node)
+        for path, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
     defined = [
         f"{path.name}:{item.lineno} {node.name}.{name}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.ClassDef) and node.name != "_Frozen"
+        for path, node in classes
+        if node.name != "_Frozen"
         for item in node.body
         for name in _defined_names(item)
         if name in ("__setattr__", "__reduce__")
     ]
     assert defined == []
+    keyed = {n.name for _, n in classes for item in n.body if "_key" in _defined_names(item)}
+    assert keyed == set(OWN_KEYS)
+    in_base = {id(n) for _, node in classes if node.name == "_Frozen" for n in ast.walk(node)}
+    writes = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (ast.unparse(node) == "object.__setattr__" or node.attr == "__set__")
+        and id(node) not in in_base
+    ]
+    assert writes == []
 
 
 def _defined_names(statement) -> list[str]:

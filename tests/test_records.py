@@ -3,14 +3,18 @@ agrees with it where there is one, no assignment, and copies and pickles
 that come back equal."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction as Q
 
 import pytest
 
+import quadalg
 from quadalg import albert, cayley, descent, forms, rootsys, verify
 from quadalg.exactmat import freeze, identity
-from quadalg.scalars import REAL, Place, QuadExtScalar
+from quadalg.scalars import REAL, Laurent, Place, QuadExtScalar, _Frozen
 
 
 def _cayley_tables():
@@ -86,6 +90,14 @@ def _rostcalc_reports():
     return report(3), report(3), report(5)
 
 
+def _laurents():
+    def poly(y):
+        # x^-2 (1 + sqrt 2) + y z^3: a negative exponent and a coefficient in K
+        return Laurent([((("x", -2),), QuadExtScalar(1, 1, 2)), ((("z", 3),), y)])
+
+    return poly(Q(1, 2)), poly(Q(1, 2)), poly(3)
+
+
 RECORDS = {
     "Place": (lambda: (Place(7), Place(7), Place(11)), "p"),
     "DiagonalForm": (
@@ -132,7 +144,61 @@ RECORDS = {
         ),
         "status",
     ),
+    "Laurent": (_laurents, "_terms"),
 }
+
+
+def _frozen_types(cls=_Frozen):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("quadalg."):
+            yield sub
+        yield from _frozen_types(sub)
+
+
+def test_records_name_every_frozen_type():
+    for module in pkgutil.iter_modules(quadalg.__path__):
+        importlib.import_module(f"quadalg.{module.name}")
+    assert sorted(t.__name__ for t in _frozen_types()) == sorted(RECORDS)
+
+
+def _parameters(cls) -> list[str]:
+    """The constructor's keyword names: the fields, unless it has its own."""
+    if cls.__init__ is _Frozen.__init__:
+        return list(cls._fields)
+    return list(inspect.signature(cls.__init__).parameters)[1:]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_build_alike_by_keyword_and_by_position(name):
+    record = RECORDS[name][0]()[0]
+    cls, args = record.__reduce__()
+    names = _parameters(cls)
+    assert len(names) == len(args)
+    assert cls(**dict(zip(names, args))) == cls(*args) == record
+    half = len(args) // 2
+    assert cls(*args[:half], **dict(zip(names[half:], args[half:]))) == record
+
+
+# the records built by the base's `__init__`, from their fields alone
+PURE = sorted(
+    name for name, (build, _) in RECORDS.items() if type(build()[0]).__init__ is _Frozen.__init__
+)
+
+
+@pytest.mark.parametrize("name", PURE)
+def test_a_missing_or_unknown_field_is_a_type_error(name):
+    cls, args = RECORDS[name][0]()[0].__reduce__()
+    fields = dict(zip(cls._fields, args))
+    with pytest.raises(TypeError):
+        cls(*args[:-1])  # the last field missing
+    with pytest.raises(TypeError):
+        cls(*args, args[0])  # one value too many
+    with pytest.raises(TypeError):
+        cls(*args, extra=1)  # an unknown field
+    with pytest.raises(TypeError):
+        cls(args[0], **fields)  # the first field twice
+    with pytest.raises(TypeError):
+        cls(**{f: fields[f] for f in cls._fields[1:]})  # by name, the first missing
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
