@@ -41,12 +41,15 @@ from .exactmat import (
     Matrix,
     det,
     freeze,
+    from_nonzeros,
     identity,
     mat_eq,
     mat_inv,
     mat_mul,
     mat_vec,
+    pairing,
     pullback,
+    scal_mul,
     transpose,
 )
 from .scalars import QuadExtScalar, _Frozen, as_scalar, div, exact_sum, iota, rat, variable
@@ -122,15 +125,11 @@ IDENTITY = AlbertElement((1, 1, 1), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
 
 def e_idem(i: int) -> AlbertElement:
     """The diagonal idempotent e_i (1 in the (i+1,i+1) slot), i = 0,1,2."""
-    eps = [0, 0, 0]
-    eps[i] = 1
-    return AlbertElement(eps, (ZERO_OCT, ZERO_OCT, ZERO_OCT))
+    return AlbertElement(identity(3)[i], (ZERO_OCT, ZERO_OCT, ZERO_OCT))
 
 
 def basis_element(m: int) -> AlbertElement:
-    v = [0] * ADIM
-    v[m] = 1
-    return AlbertElement.from_coords(v)
+    return AlbertElement.from_coords(identity(ADIM)[m])
 
 
 ALBERT_BASIS = tuple(basis_element(m) for m in range(ADIM))
@@ -234,12 +233,11 @@ def _block_diagonal(
 ) -> Matrix:
     """The 27x27 matrix diag(eps0, eps1, eps2) + block0 + block1 + block2,
     each 8x8 block on the coordinates of its octonion slot."""
-    rows = [[0] * ADIM for _ in range(ADIM)]
-    for i in range(3):
-        rows[i][i] = eps[i]
-        for r, row in enumerate(blocks[i]):
-            rows[_slot(i) + r][_slot(i) : _slot(i) + ODIM] = row
-    return freeze(rows)
+    entries = [(i, i, eps[i]) for i in range(3)]
+    for i, block in enumerate(blocks):
+        s = _slot(i)
+        entries += [(s + r, s + c, x) for r, row in enumerate(block) for c, x in enumerate(row)]
+    return from_nonzeros(ADIM, ADIM, entries)
 
 
 @lru_cache(maxsize=1)
@@ -247,7 +245,7 @@ def _t_gram() -> Matrix:
     """T on the basis in closed form, diag(1, 1, 1) + 2G + 2G + 2G with G
     the octonion norm Gram: trace_form_T pairs the diagonal slots by
     products and each octonion slot by twice the norm pairing."""
-    g2 = freeze([[rat(2 * x) for x in row] for row in build_cayley_table().gram])
+    g2 = scal_mul(2, build_cayley_table().gram)
     return _block_diagonal((1, 1, 1), (g2, g2, g2))
 
 
@@ -307,8 +305,7 @@ def dagger(f: AlbertMap) -> AlbertMap:
 
 
 def linear_map_from_action(action: Callable[[AlbertElement], AlbertElement]) -> AlbertMap:
-    cols = [action(b).coords() for b in ALBERT_BASIS]
-    return AlbertMap(freeze([[cols[j][i] for j in range(ADIM)] for i in range(ADIM)]))
+    return AlbertMap(transpose([action(b).coords() for b in ALBERT_BASIS]))
 
 
 # --------------------------------------------------------------------------
@@ -352,16 +349,14 @@ def psi(i: int, j: int, x: Octonion) -> AlbertMap:
         cols = [(x * b).conj().coords for b in BASIS]
     else:
         cols = [(x * b.conj()).coords for b in BASIS]
-    rows = [list(row) for row in identity(ADIM)]
-    rows[I][J] = x.norm()
-    pairing = mat_vec(build_cayley_table().gram, y.coords)
-    rows[I][_slot(K) : _slot(K) + ODIM] = [rat(2 * v) for v in pairing]
-    for a, v in enumerate(y.coords):
-        rows[_slot(K) + a][J] = v
-    for b, col in enumerate(cols):
-        for a, v in enumerate(col):
-            rows[_slot(J) + a][_slot(I) + b] = v
-    return AlbertMap(freeze(rows))
+    gy = mat_vec(build_cayley_table().gram, y.coords)
+    entries = [(m, m, 1) for m in range(ADIM)] + [(I, J, x.norm())]
+    entries += [(I, _slot(K) + c, rat(2 * v)) for c, v in enumerate(gy)]
+    entries += [(_slot(K) + a, J, v) for a, v in enumerate(y.coords)]
+    entries += [
+        (_slot(J) + a, _slot(I) + b, v) for b, col in enumerate(cols) for a, v in enumerate(col)
+    ]
+    return AlbertMap(from_nonzeros(ADIM, ADIM, entries))
 
 
 # --------------------------------------------------------------------------
@@ -371,20 +366,11 @@ def psi(i: int, j: int, x: Octonion) -> AlbertMap:
 # positions of the A basis (u1..u4, e1, e2, u5..u8) inside the 27 coords
 A_COORD_INDICES = (3, 4, 5, 6, 1, 2, 7, 8, 9, 10)
 
-_S2 = ((0, 1), (1, 0))
-_S4 = tuple(tuple(int(r + c == 3) for c in range(4)) for r in range(4))
-
 
 def _a_gram_display() -> Matrix:
-    g = [[0] * 10 for _ in range(10)]
-    for r in range(4):
-        for c in range(4):
-            g[r][6 + c] = -_S4[r][c]
-            g[6 + r][c] = -_S4[r][c]
-    for r in range(2):
-        for c in range(2):
-            g[4 + r][4 + c] = _S2[r][c]
-    return freeze(g)
+    """The displayed Gram of the A-form: -S4 pairs u1..u4 with u5..u8 and
+    S2 pairs e1 with e2, so it is antidiagonal, -1 but at the e-entries."""
+    return from_nonzeros(10, 10, [(r, 9 - r, 1 if r in (4, 5) else -1) for r in range(10)])
 
 
 A_GRAM = _a_gram_display()
@@ -410,10 +396,8 @@ def a_project(x: AlbertElement) -> tuple:
 
 
 def a_form_value(v: Sequence[int | Fraction | QuadExtScalar]):
-    """The quadratic form N_A of the subspace, from its displayed Gram,
-    summed over the nonzero coordinates only."""
-    nz = [(r, x) for r, x in enumerate(v) if x]
-    return exact_sum([A_GRAM[r][c] * (x * y) for r, x in nz for c, y in nz if A_GRAM[r][c]])
+    """The quadratic form N_A of the subspace, from its displayed Gram."""
+    return pairing(A_GRAM, v, v)
 
 
 def in_subgroup_H(f: AlbertMap) -> bool:
@@ -459,13 +443,14 @@ def swap_map() -> AlbertMap:
     permutation of eps1 and eps2 and of the slots c1 and c2, with the
     conjugation's 8x8 matrix on each slot.
     """
-    rows = [[0] * ADIM for _ in range(ADIM)]
-    rows[0][0] = rows[1][2] = rows[2][1] = 1
-    for b, u in enumerate(BASIS):
-        for a, v in enumerate(u.conj().coords):
-            for src, dst in ((0, 0), (2, 1), (1, 2)):
-                rows[_slot(dst) + a][_slot(src) + b] = v
-    return AlbertMap(freeze(rows))
+    entries = [(0, 0, 1), (1, 2, 1), (2, 1, 1)]
+    for src, dst in ((0, 0), (2, 1), (1, 2)):
+        entries += [
+            (_slot(dst) + a, _slot(src) + b, v)
+            for b, u in enumerate(BASIS)
+            for a, v in enumerate(u.conj().coords)
+        ]
+    return AlbertMap(from_nonzeros(ADIM, ADIM, entries))
 
 
 # --------------------------------------------------------------------------

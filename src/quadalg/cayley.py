@@ -30,13 +30,15 @@ from functools import lru_cache
 from .exactmat import (
     Matrix,
     det,
-    dot,
+    diagonal,
     freeze,
+    from_nonzeros,
     identity,
     mat_eq,
     mat_inv,
     mat_mul,
     mat_vec,
+    pairing,
     pullback,
     ratio,
     transpose,
@@ -84,7 +86,7 @@ def _zorn_mul(x, y):
 _CAL_SCALES = (2, -1, 2, -1, 1, -1)
 _CAL_PERM = (0, 1, 2)
 
-S8 = freeze([[int(i + j == DIM - 1) for j in range(DIM)] for i in range(DIM)])
+S8 = from_nonzeros(DIM, DIM, [(i, DIM - 1 - i, 1) for i in range(DIM)])
 
 
 @lru_cache(maxsize=1)
@@ -92,7 +94,7 @@ def _zorn_slot_products():
     """Sparse single-slot products: slot a x slot b -> [(slot, coeff)].
     Built on integer unit vectors: the Zorn product has integer structure
     constants, and each stored coefficient is an int."""
-    units = [tuple(int(m == a) for m in range(8)) for a in range(8)]
+    units = identity(8)
     return {
         (a, b): tuple((m, c) for m, c in enumerate(_zorn_mul(units[a], units[b])) if c)
         for a in range(8)
@@ -101,19 +103,13 @@ def _zorn_slot_products():
 
 
 @lru_cache(maxsize=1)
-def _zorn_slot_gram():
+def _zorn_slot_gram() -> Matrix:
     """Half-polarized Gram of the Zorn norm in slot coordinates: the
-    nonzero entries are +-1/2 and stay Fractions, the zeros are ints."""
-    gram = {}
-    for a in range(8):
-        for b in range(8):
-            if {a, b} == {0, 7}:
-                gram[a, b] = Fraction(1, 2)
-            elif b == a + 3 and 1 <= a <= 3 or a == b + 3 and 1 <= b <= 3:
-                gram[a, b] = Fraction(-1, 2)
-            else:
-                gram[a, b] = 0
-    return gram
+    nonzero entries are +-1/2 and stay Fractions, the zeros are ints.
+    Slot 0 pairs with slot 7 and each slot 1..3 with the slot 3 past it."""
+    half = Fraction(1, 2)
+    pairs = [(0, 7, half)] + [(a, a + 3, -half) for a in (1, 2, 3)]
+    return from_nonzeros(8, 8, pairs + [(b, a, x) for a, b, x in pairs])
 
 
 def _candidate_slots(perm):
@@ -127,7 +123,7 @@ def _build_tables(scales, perm):
     coeff = (c1, c2, c3, 1, 1, c6, c7, c8)
     slots = _candidate_slots(perm)
     slot_to_u = {s: i for i, s in enumerate(slots)}
-    slot_products, slot_gram = _zorn_slot_products(), _zorn_slot_gram()
+    slot_products = _zorn_slot_products()
     prod = [[None] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(DIM):
@@ -136,13 +132,10 @@ def _build_tables(scales, perm):
                 t = slot_to_u[m]
                 coords[t] = div(coeff[i] * coeff[j] * c, coeff[t])
             prod[i][j] = tuple(coords)
-    gram = freeze(
-        [
-            [rat(coeff[i] * coeff[j] * slot_gram[slots[i], slots[j]]) for j in range(DIM)]
-            for i in range(DIM)
-        ]
-    )
-    return freeze(prod), gram
+    # u_i is coeff[i] times the unit of slot i: the Gram is the slot Gram
+    # pulled back along that monomial map
+    to_slots = from_nonzeros(DIM, DIM, [(s, i, coeff[i]) for i, s in enumerate(slots)])
+    return freeze(prod), pullback(to_slots, _zorn_slot_gram())
 
 
 class CayleyTable(_Frozen):
@@ -194,7 +187,7 @@ def _involution_table_holds(table: CayleyTable) -> bool:
     if one is None:
         return False
     x = generic_octonion("x").coords
-    t = 2 * dot(mat_vec(table.gram, one), x)
+    t = 2 * pairing(table.gram, one, x)
     return tuple(t * e - c for e, c in zip(one, x)) == _conj_coords(x)
 
 
@@ -285,11 +278,7 @@ class Octonion(_Frozen):
 
     def norm_pairing(self, other: "Octonion"):
         """The bilinearization with n(x,x) = n(x)."""
-        g = build_cayley_table().gram
-        a, b = self.coords, other.coords
-        return exact_sum(
-            [g[i][j] * (a[i] * b[j]) for i in range(DIM) for j in range(DIM) if g[i][j]]
-        )
+        return pairing(build_cayley_table().gram, self.coords, other.coords)
 
     def trace(self):
         return rat(self.norm_pairing(ONE) * 2)
@@ -302,7 +291,7 @@ def u(i: int) -> Octonion:
     """Basis element u_i, 1-indexed."""
     if not 1 <= i <= DIM:
         raise ValueError("basis index out of range")
-    return Octonion([int(j == i - 1) for j in range(DIM)])
+    return Octonion(identity(DIM)[i - 1])
 
 
 BASIS = tuple(u(i) for i in range(1, DIM + 1))
@@ -462,10 +451,7 @@ def _special_family_related() -> bool:
 def perm_P() -> Matrix:
     """The permutation (1 2)(3 6)(4 5)(7 8) on the basis."""
     images = {1: 2, 2: 1, 3: 6, 6: 3, 4: 5, 5: 4, 7: 8, 8: 7}
-    rows = [[0] * DIM for _ in range(DIM)]
-    for k, m in images.items():
-        rows[m - 1][k - 1] = 1
-    return freeze(rows)
+    return from_nonzeros(DIM, DIM, [(m - 1, k - 1, 1) for k, m in images.items()])
 
 
 @lru_cache(maxsize=1)
@@ -475,19 +461,13 @@ def _d_times_P() -> Matrix:
 
 
 def diag_d() -> Matrix:
-    signs = [1, 1, -1, 1, 1, -1, 1, 1]
-    return freeze(
-        [[signs[i] if i == j else 0 for j in range(DIM)] for i in range(DIM)]
-    )
+    return diagonal([1, 1, -1, 1, 1, -1, 1, 1])
 
 
 def m_matrix(j: int, a: Sequence[int | Fraction | QuadExtScalar]) -> Matrix:
     """diag(1, a_j, a_j, a_{j+2}^{-1}, a_{j+1}^{-1}, 1, 1, a_j)."""
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
-    entries = [1, aj, aj, div(1, aj2), div(1, aj1), 1, 1, aj]
-    return freeze(
-        [[entries[i] if i == c else 0 for c in range(DIM)] for i in range(DIM)]
-    )
+    return diagonal([1, aj, aj, div(1, aj2), div(1, aj1), 1, 1, aj])
 
 
 def special_cocycle(a: Sequence[int | Fraction | QuadExtScalar]) -> SimilitudeTriple:
@@ -509,11 +489,7 @@ def special_cocycle_iota_closed_form(j: int, a: Sequence[int | Fraction | QuadEx
     stated closed form of the iota-twist of z_j."""
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
     inv = div(1, aj)
-    entries = [inv, 1, 1, aj1, aj2, inv, inv, 1]
-    diag = freeze(
-        [[entries[i] if i == c else 0 for c in range(DIM)] for i in range(DIM)]
-    )
-    return mat_mul(diag, _d_times_P())
+    return mat_mul(diagonal([inv, 1, 1, aj1, aj2, inv, inv, 1]), _d_times_P())
 
 
 def cocycle_condition_holds(T: SimilitudeTriple) -> bool:

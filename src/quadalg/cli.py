@@ -197,16 +197,17 @@ def _cmd_albert(args) -> int:
         x = albert.AlbertElement(eps, [cayley.Octonion(c) for c in _matrix(data["c"])])
         if args.map:
             x = albert.AlbertMap(_matrix(_read_json(args.map)))(x)
+        sharp = albert.sharp(x)
         payload = {
             "eps": [str(e) for e in x.eps],
             "c": [[str(t) for t in c.coords] for c in x.c],
             "norm": str(albert.norm_N(x)),
             "trace_T(x,x)": str(albert.trace_form_T(x, x)),
             "sharp": {
-                "eps": [str(e) for e in albert.sharp(x).eps],
-                "c": [[str(t) for t in c.coords] for c in albert.sharp(x).c],
+                "eps": [str(e) for e in sharp.eps],
+                "c": [[str(t) for t in c.coords] for c in sharp.c],
             },
-            "rank_one": albert.sharp(x) == albert.ZERO,
+            "rank_one": sharp == albert.ZERO,
         }
     else:
         e = [albert.e_idem(i) for i in range(3)]

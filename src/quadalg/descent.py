@@ -18,13 +18,14 @@ from functools import lru_cache
 from . import albert, cayley, forms
 from .exactmat import (
     Matrix,
-    dot,
     freeze,
+    from_nonzeros,
     identity,
     independent,
     mat_eq,
     mat_mul,
     mat_vec,
+    pairing,
     pullback,
 )
 from .scalars import QuadExtScalar, _Frozen, as_rat, as_rational, div, iota, is_square, sqrt_k
@@ -72,8 +73,7 @@ def fixed_subspace(z: SemilinearCocycle) -> list[tuple]:
     n = z.dim
     rt = sqrt_k(z.k)
     cands = []
-    for i in range(n):
-        w = tuple(int(j == i) for j in range(n))
+    for w in identity(n):
         tw = z.twisted(w)
         cands.append(tuple(a + b for a, b in zip(w, tw)))
         cands.append(tuple(rt * d if (d := a - b) else 0 for a, b in zip(w, tw)))
@@ -97,11 +97,8 @@ def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
     if not mat_eq(pullback(z.matrix, gram), gram):
         raise ValueError("cocycle is not an isometry of the form")
     basis = fixed_subspace(z)
-    rows = []
-    for v in basis:
-        gv = mat_vec(gram, v)
-        # raises if not F-rational
-        rows.append([as_rational(dot(w, gv)) for w in basis])
+    # as_rational raises if a value is not F-rational
+    rows = [[as_rational(pairing(gram, v, w)) for w in basis] for v in basis]
     return forms.DiagonalForm("Q", tuple(forms._diagonalize_gram(rows)))
 
 
@@ -113,11 +110,8 @@ def dagger_cocycle_matrix() -> Matrix:
     """M = diag(1_4, -S2, 1_4) on the A-coordinates: the cocycle whose
     twist computes the F-form of the e0-stabilizer's 10-dimensional
     representation."""
-    m = [[0] * 10 for _ in range(10)]
-    for i in (0, 1, 2, 3, 6, 7, 8, 9):
-        m[i][i] = 1
-    m[4][5] = m[5][4] = -1
-    return freeze(m)
+    ones = [(i, i, 1) for i in (0, 1, 2, 3, 6, 7, 8, 9)]
+    return from_nonzeros(10, 10, ones + [(4, 5, -1), (5, 4, -1)])
 
 
 def twist_a_cocycle(k: int | Fraction) -> SemilinearCocycle:
@@ -228,7 +222,9 @@ def rostcalc_table_rows(k: int | Fraction, a: int | Fraction) -> list[dict]:
         avec((8, one), (9, one)),
         avec((8, rt), (9, -rt)),
     ]
-    iso_gram = [[a_value_pair(v, w, a_value) for w in iso_vectors] for v in iso_vectors]
+    iso_gram = [
+        [as_rational(pairing(albert.A_GRAM, v, w)) for w in iso_vectors] for v in iso_vectors
+    ]
     rows = [
         {
             "subspace": "(u1,u2) with (u7,u8)",
@@ -267,8 +263,3 @@ def rostcalc_table_rows(k: int | Fraction, a: int | Fraction) -> list[dict]:
     for row in rows:
         row["vectors"] = [tuple(str(x) for x in v) for v in row["vectors"]]
     return rows
-
-
-def a_value_pair(v, w, a_value):
-    s = a_value(tuple(x + y for x, y in zip(v, w)))
-    return div(s - a_value(v) - a_value(w), 2)

@@ -2,8 +2,12 @@
 
 Matrices are tuples of tuples of field elements: exact rationals in the
 canonical form of `scalars` (an int when integral, else a Fraction) or
-QuadExtScalar.  `det`, `mat_inv`, `rank` and `independent` share one
-Gauss-Jordan elimination, and its one division is `scalars.div`.
+QuadExtScalar.  A fixed matrix is written as its nonzeros: `from_nonzeros`
+places them and puts the int 0 everywhere else, and `diagonal` and
+`identity` are built on it, so no other module fills rows of zeros.  A
+Gram form v^T g w is evaluated in one place, `pairing`.  `det`,
+`mat_inv`, `rank` and `independent` share one Gauss-Jordan elimination,
+and its one division is `scalars.div`.
 
 Every kernel skips zeros.  `mat_mul` combines rows (Gustavson's order),
 so a product costs one multiplication per nonzero product a[i][j] b[j][c]
@@ -21,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .scalars import div, rat
+from .scalars import div, exact_sum, rat
 
 Matrix = tuple[tuple, ...]
 Vector = tuple
@@ -31,10 +35,24 @@ def freeze(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+def from_nonzeros(n: int, m: int, entries) -> Matrix:
+    """The n x m matrix with x at each (r, c, x) of `entries` and the int 0
+    everywhere else; a later entry at a place replaces an earlier one."""
+    rows = [[0] * m for _ in range(n)]
+    for r, c, x in entries:
+        rows[r][c] = x
+    return freeze(rows)
+
+
+def diagonal(entries: Sequence) -> Matrix:
+    n = len(entries)
+    return from_nonzeros(n, n, [(i, i, x) for i, x in enumerate(entries)])
+
+
 @lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
     """The n x n identity, built once per n: the tuples are immutable."""
-    return freeze([[int(i == j) for j in range(n)] for i in range(n)])
+    return diagonal([1] * n)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -56,8 +74,15 @@ def _dot(row: Sequence, nonzeros: list):
     return 0 if out is None else rat(out)
 
 
-def dot(v: Sequence, w: Sequence):
-    return _dot(v, _nonzeros(w))
+def pairing(g: Matrix, v: Sequence, w: Sequence):
+    """v^T g w: the products g[r][c] (v[r] w[c]) of nonzero factors, summed
+    once by `exact_sum`, so the int 0 when there are none."""
+    ws = _nonzeros(w)
+    terms = []
+    for r, x in _nonzeros(v):
+        row = g[r]
+        terms += [row[c] * (x * y) for c, y in ws if row[c]]
+    return exact_sum(terms)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

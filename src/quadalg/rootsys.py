@@ -15,7 +15,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmat import Matrix, dot, freeze, mat_vec, pullback, rank as mat_rank, ratio
+from .exactmat import Matrix, freeze, from_nonzeros, identity, mat_vec, pairing, pullback, ratio
+from .exactmat import rank as mat_rank, transpose
 from .scalars import _Frozen, div
 
 
@@ -79,18 +80,13 @@ class RootDatum(_Frozen):
     def simple_reflection(self, i: int) -> Matrix:
         """Action of s_i on coroot coordinates: e_j -> e_j - A[j][i] e_i."""
         n = self.rank
-        out = [[int(r == c) for c in range(n)] for r in range(n)]
-        for j in range(n):
-            out[i][j] -= self.cartan[j][i]
-        return freeze(out)
+        row_i = [(i, j, int(i == j) - self.cartan[j][i]) for j in range(n)]
+        return from_nonzeros(n, n, [(r, r, 1) for r in range(n)] + row_i)
 
     def all_coroots(self) -> list[tuple[int, ...]]:
         """Closure of the simple coroots under the Weyl generators."""
         gens = [self.simple_reflection(i) for i in range(self.rank)]
-        seen = {
-            tuple(int(r == i) for r in range(self.rank))
-            for i in range(self.rank)
-        }
+        seen = set(identity(self.rank))
         frontier = list(seen)
         while frontier:
             nxt = []
@@ -118,13 +114,13 @@ def build_root_datum(type_str: str, rank: int | None = None) -> RootDatum:
     if series not in _SERIES_RANKS or rank not in _SERIES_RANKS[series]:
         raise ValueError(f"unsupported type {series}{rank}")
     norms = _root_norms(series, rank)
-    pair = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        pair[i][i] = norms[i]
+    entries = [(i, i, x) for i, x in enumerate(norms)]
     for i, j in _edges(series, rank):
         # adjacent simple roots meet at 120/135/150 degrees; in every case
         # the inner product is -max of the two root norms over 2
-        pair[i][j] = pair[j][i] = div(-max(norms[i], norms[j]), 2)
+        x = div(-max(norms[i], norms[j]), 2)
+        entries += [(i, j, x), (j, i, x)]
+    pair = from_nonzeros(rank, rank, entries)
     cartan = freeze(
         [[div(2 * pair[i][j], norms[i]) for j in range(rank)] for i in range(rank)]
     )
@@ -144,7 +140,7 @@ class CanonicalForm(_Frozen):
         return self.bilinear(v, v)
 
     def bilinear(self, v, w) -> int | Fraction:
-        return dot(v, mat_vec(self.gram, w))
+        return pairing(self.gram, v, w)
 
 
 @lru_cache(maxsize=None)
@@ -306,13 +302,8 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
     folded, order = _read_type(
         [[int(x) for x in row] for row in cartan], "C" if rd.series == "A" else "B"
     )
-    ordered = [orbits[i] for i in order]
-    emb = LatticeEmbedding(
-        freeze(
-            [[int(i in orb) for orb in ordered] for i in range(n)]
-        )
-    )
-    return FoldResult(folded, tuple(ordered), emb)
+    emb = LatticeEmbedding(transpose([sums[i] for i in order]))
+    return FoldResult(folded, tuple(orbits[i] for i in order), emb)
 
 
 def _read_type(cartan, prefer: str) -> tuple[RootDatum, list[int]]:
@@ -376,16 +367,10 @@ def rost_multiplier(
 def sl_block_diagonal_embedding(n: int) -> LatticeEmbedding:
     """SL_n -> SL_2n by x -> diag(x, x) on coroot lattices (A_{n-1} into
     A_{2n-1}): the i-th simple coroot maps to e_i + e_{i+n}."""
-    rows = [[0] * (n - 1) for _ in range(2 * n - 1)]
-    for i in range(n - 1):
-        rows[i][i] = 1
-        rows[i + n][i] = 1
-    return LatticeEmbedding(freeze(rows))
+    images = [(i, i, 1) for i in range(n - 1)] + [(i + n, i, 1) for i in range(n - 1)]
+    return LatticeEmbedding(from_nonzeros(2 * n - 1, n - 1, images))
 
 
 def sl_corner_embedding(n: int) -> LatticeEmbedding:
     """SL_n -> SL_2n by x -> diag(x, 1): e_i -> e_i."""
-    rows = [[0] * (n - 1) for _ in range(2 * n - 1)]
-    for i in range(n - 1):
-        rows[i][i] = 1
-    return LatticeEmbedding(freeze(rows))
+    return LatticeEmbedding(from_nonzeros(2 * n - 1, n - 1, [(i, i, 1) for i in range(n - 1)]))

@@ -25,18 +25,31 @@ from math import gcd, isqrt, prod
 SquareClass = int
 
 
+# int() reads and str() writes at most this many digits (CPython's default)
+_MAX_DIGITS = 4300
+
+
 def parse_scalar(text: str) -> int | Fraction:
     """Parse a scalar literal into a canonical rational (`rat`).  A signed
     ASCII digit string "n", or "n/d", is read with int and `div`; any other
     text goes to Fraction, so "0.1", "1e3", "1_000" and surrounding spaces
-    read as Fraction reads them.  Every failure, a zero denominator
-    included, is a ValueError."""
+    read as Fraction reads them.  A value whose numerator or denominator
+    has more than 4,300 digits is refused, as int refuses such a digit
+    string, and an exponent beyond twice that is refused before 10^e is
+    built: only a zero mantissa keeps such a value under the bound.  Every
+    failure, a zero denominator included, is a ValueError."""
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     try:
         if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
             return div(int(num), int(den)) if slash else int(num)
-        return rat(Fraction(text.strip()))
+        _, e, exponent = text.lower().rpartition("e")
+        if e and abs(int(exponent)) > 2 * _MAX_DIGITS:
+            raise ValueError("exponent out of range")
+        q = Fraction(text.strip())
+        if max(abs(q.numerator), q.denominator) >= 10**_MAX_DIGITS:
+            raise ValueError("too many digits")
+        return rat(q)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar literal {text!r}") from exc
 

@@ -14,7 +14,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from . import albert, cayley, descent, forms, rootsys
-from .exactmat import det as mdet, identity, mat_eq, mat_inv, mat_mul, scal_mul
+from .exactmat import det as mdet, from_nonzeros, identity, mat_eq, mat_inv, mat_mul, scal_mul
 from .scalars import QuadExtScalar, _Frozen, div
 
 SCHEMA_VERSION = 2
@@ -432,10 +432,8 @@ def _check_psi_restriction():
     good = albert.preserves_a_form(r) and p.preserves_norm()
     # V45(1) structure: identity plus E[4,5] and E[6,7] in A coordinates
     # (1-based rows/cols of the display), i.e. indices (3,4) and (5,6)
-    expect = [[Fraction(int(i == j)) for j in range(10)] for i in range(10)]
-    expect[3][4] += 1
-    expect[5][6] += 1
-    good &= mat_eq(r, tuple(tuple(row) for row in expect))
+    expect = from_nonzeros(10, 10, [(i, i, 1) for i in range(10)] + [(3, 4, 1), (5, 6, 1)])
+    good &= mat_eq(r, expect)
     return _ok(good, {"matches_V45(1)": True})
 
 

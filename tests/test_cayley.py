@@ -30,7 +30,7 @@ from quadalg.cayley import (
     star,
     u,
 )
-from quadalg.exactmat import dot, identity, mat_eq, mat_inv, mat_mul, mat_vec, scal_mul
+from quadalg.exactmat import identity, mat_eq, mat_inv, mat_mul, mat_vec, pairing, scal_mul
 from quadalg.scalars import QuadExtScalar, div, is_square, variable
 
 
@@ -349,7 +349,7 @@ def test_calibration_search_documents_the_obstruction():
     w = u(4) + u(5)
     assert u(4).conj() == u(5) and w == u(4).trace() * ONE
     assert w.norm() == u(4).trace() ** 2 == 1
-    assert dot(w.coords, mat_vec(S8, w.coords)) == 2 and not is_square(Q(2))
+    assert pairing(S8, w.coords, w.coords) == 2 and not is_square(Q(2))
 
 
 def special_family_cases():

@@ -161,6 +161,10 @@ BIG = int(
         ("descend", "--k", "2", "--gram", "{symmetric}"),
         ("descend", "--k", "2", "--a", "3", "--gram", "{symmetric}"),
         ("descend", "--k", "2", "--cocycle", "{eye2}", "--gram", "{symmetric}", "--a", "3"),
+        ("form", "<1e200000>"),
+        ("form", "<1,1e-9000>"),
+        ("descend", "--k", "2", "--cocycle", "{exponent}"),
+        ("cayley", "--cocycle", "1", "1e200000", "1e-200000"),
     ],
     ids=[
         "triple_missing",
@@ -205,6 +209,10 @@ BIG = int(
         "gram_without_cocycle",
         "gram_with_a",
         "cocycle_with_a",
+        "form_exponent_oversized",
+        "form_negative_exponent_oversized",
+        "cocycle_exponent_oversized",
+        "cayley_cocycle_exponent_oversized",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):
@@ -225,6 +233,7 @@ def test_file_input_errors(tmp_path, capsys, argv):
         "zero": tmp_path / "zero.json",
         "eye2": tmp_path / "eye2.json",
         "symmetric": tmp_path / "symmetric.json",
+        "exponent": tmp_path / "exponent.json",
     }
     files["bad"].write_text("[[1], [0")
     files["emb"].write_text(json.dumps([[1], [0], [1]]))
@@ -241,6 +250,7 @@ def test_file_input_errors(tmp_path, capsys, argv):
     files["zero"].write_text("[[0]]")
     files["eye2"].write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
     files["symmetric"].write_text(json.dumps([[1, 2], [2, 3]]))
+    files["exponent"].write_text("[[[1e200000, 0]]]")
     code, out, err = run(capsys, *(a.format(element=ELEMENT, **files) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,25 +1,30 @@
+import ast
 import itertools
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadalg import forms
+import quadalg
+from quadalg import albert, cayley, forms
 from quadalg.exactmat import (
     det,
     freeze,
+    from_nonzeros,
     identity,
     independent,
     mat_eq,
     mat_inv,
     mat_mul,
     mat_vec,
+    pairing,
     pullback,
     rank,
     transpose,
 )
-from quadalg.scalars import QuadExtScalar, as_rational, iota, rat
+from quadalg.scalars import QuadExtScalar, as_rational, exact_sum, iota, rat
 from test_forms import split_hyperbolic  # the chain's split, kept as a reference
 
 
@@ -428,3 +433,164 @@ def test_pullback_of_a_monomial_map_matches_the_triple_loop(ag):
     a, g = ag
     want = triple_loop_mul(transpose(a), triple_loop_mul(g, a))
     assert same_typed_entries(pullback(a, g), want)
+
+
+# --------------------------------------------------------------------------
+# matrices written as their nonzeros, and the one Gram pairing
+
+
+ENTRY = st.sampled_from([1, -2, Q(1, 3), Q(0), K(0), K(1, 1)])
+
+
+@FIXED
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), ENTRY)),
+)
+def test_from_nonzeros_puts_the_int_0_where_no_entry_is_given(n, m, entries):
+    entries = [(r, c, x) for r, c, x in entries if r < n and c < m]
+    last = {(r, c): x for r, c, x in entries}  # a later entry replaces an earlier one
+    a = from_nonzeros(n, m, entries)
+    assert type(a) is tuple and len(a) == n
+    for r, row in enumerate(a):
+        assert type(row) is tuple and len(row) == m
+        for c, x in enumerate(row):
+            if (r, c) in last:
+                assert x is last[r, c]
+            else:
+                assert type(x) is int and x == 0
+
+
+def double_sum(g, v, w):
+    """The sum over r, c of g[r][c] (v[r] w[c]) for the nonzero factors, in
+    canonical form, and the int 0 when there is no such product."""
+    total = None
+    for r, x in enumerate(v):
+        for c, y in enumerate(w):
+            if x and g[r][c] and y:
+                term = g[r][c] * (x * y)
+                total = term if total is None else total + term
+    return 0 if total is None else rat(total)
+
+
+@st.composite
+def gram_pairings(draw):
+    """An n x m matrix g and vectors v, w over Q or Q(sqrt 2), with a drawn
+    share of zeros, some of them the zero of K."""
+    k = draw(st.sampled_from([None, Q(2)]))
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    small = st.sampled_from([1, -1, 2, -2, Q(1, 2), Q(-3, 2)])
+
+    def entry():
+        if draw(st.integers(0, 9)) < 10 * zeros:
+            return 0 if k is None else draw(st.sampled_from([0, K(0)]))
+        x = draw(small)
+        return x if k is None else K(x, draw(st.sampled_from([0, 0, 1, -1])))
+
+    g = freeze([[entry() for _ in range(m)] for _ in range(n)])
+    return g, tuple(entry() for _ in range(n)), tuple(entry() for _ in range(m))
+
+
+@FIXED
+@given(gram_pairings())
+@example((freeze([[1, 1], [1, 1]]), (1, -1), (1, 1)))  # the terms cancel to 0
+@example((freeze([[K(1), K(0)]]), (K(0),), (K(1), K(1))))  # no product: the int 0
+def test_pairing_is_the_double_sum(gvw):
+    g, v, w = gvw
+    got, want = pairing(g, v, w), double_sum(g, v, w)
+    assert same_entries((got,), (want,)) and type(got) is type(want)
+
+
+def test_pairing_on_generic_laurent_vectors():
+    x, y = cayley.generic_octonion("x").coords, cayley.generic_octonion("y").coords
+    gram = cayley.build_cayley_table().gram
+    one = (0, 0, 0, 1, 1, 0, 0, 0)
+    rng = random.Random(23)
+    dense = freeze([[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(8)] for _ in range(8)])
+    for g in (gram, cayley.S8, dense):
+        for v, w in ((x, y), (one, x), (y, one), (x, x)):
+            got, want = pairing(g, v, w), double_sum(g, v, w)
+            assert got == want and type(got) is type(want)
+
+
+def octonion_coords():
+    k = st.sampled_from([None, Q(2)])
+    small = st.sampled_from([0, 0, 1, -1, 2, Q(1, 2), Q(-3, 2)])
+    return k.flatmap(
+        lambda k: st.tuples(
+            *[small if k is None else st.builds(K, small, small) for _ in range(cayley.DIM)]
+        )
+    )
+
+
+@FIXED
+@given(octonion_coords(), octonion_coords())
+def test_norm_pairing_and_a_form_value_match_their_explicit_sums(a, b):
+    """The octonion norm pairing and the A-form, against the sums over
+    every nonzero Gram entry that they were written as before."""
+    g = cayley.build_cayley_table().gram
+    want = exact_sum([g[i][j] * (a[i] * b[j]) for i in range(8) for j in range(8) if g[i][j]])
+    assert cayley.Octonion(a).norm_pairing(cayley.Octonion(b)) == want
+    v = a + b[:2]
+    nz = [(r, x) for r, x in enumerate(v) if x]
+    gram = albert.A_GRAM
+    want = exact_sum([gram[r][c] * (x * y) for r, x in nz for c, y in nz if gram[r][c]])
+    assert albert.a_form_value(v) == want
+
+
+def _is_zero(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 0
+
+
+def _zero_list_times(node, part) -> bool:
+    """`[p, ...] * n` or `n * [p, ...]` with every p satisfying `part`."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+        isinstance(side, ast.List) and side.elts and all(map(part, side.elts))
+        for side in (node.left, node.right)
+    )
+
+
+def _zero_row(node) -> bool:
+    """`[0] * m` or `[0 for _ in ...]`: one row of zeros."""
+    return _zero_list_times(node, _is_zero) or isinstance(node, ast.ListComp) and _is_zero(node.elt)
+
+
+def _zero_rows(node) -> bool:
+    """A list of zero-filled rows: `[[0] * m for _ in ...]` or `[[0] * m] * n`."""
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        return _zero_row(node.elt)
+    return _zero_list_times(node, _zero_row)
+
+
+@pytest.mark.parametrize(
+    "code, rows",
+    [
+        ("[[0] * m for _ in range(n)]", True),
+        ("[m * [0] for _ in range(n)]", True),
+        ("[[0] * m] * n", True),
+        ("list([0 for _ in range(m)] for _ in range(n))", True),
+        ("[0] * n", False),
+        ("[[None] * m for _ in range(n)]", False),
+        ("[[1] * m for _ in range(n)]", False),
+    ],
+)
+def test_the_zero_rows_gate_reads_the_code(code, rows):
+    assert any(map(_zero_rows, ast.walk(ast.parse(code)))) is rows
+
+
+def test_only_exactmat_fills_rows_of_zeros():
+    """A fixed matrix is written as its nonzeros (`from_nonzeros`), so no
+    other module builds a list of zero-filled rows; a zero vector such as
+    `[0] * n` is allowed."""
+    sources = sorted(Path(quadalg.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    built = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "exactmat.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _zero_rows(node)
+    ]
+    assert built == []

@@ -137,6 +137,16 @@ MUTANTS = {
     # P13 expects Rost multiplier 1 for every folding, D_n to B_(n-1) and
     # A_(2l+1) to C_(l+1) included
     "rootsys._read_type with B and C swapped": (rootsys, "_read_type", b_and_c_swapped(), ("P13",)),
+    # every Gram evaluation changes sign: the calibrated table fails its
+    # involution check, so each check that needs the table (P17, P19-P30)
+    # fails, and the coroot forms' values turn negative (P12, P16);
+    # patched in every module that imports it
+    "exactmat.pairing negated": (
+        (exactmat, cayley, albert, descent, rootsys),
+        "pairing",
+        negated(exactmat.pairing),
+        ("P12", "P16", "P17", *(f"P{i}" for i in range(19, 31))),
+    ),
     # every identity on generic coordinates is a product of Laurent polynomials
     "scalars._product_terms subtracts keys": (
         scalars,

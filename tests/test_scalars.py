@@ -62,6 +62,18 @@ def test_parse_scalar():
         parse_scalar("x+1")
 
 
+def test_parse_scalar_refuses_more_digits_than_int_reads():
+    """A literal is read only when its numerator and denominator have at
+    most 4,300 digits, as many as int reads and str writes; an exponent
+    that would pass them is refused before 10^e is built."""
+    assert parse_scalar("1e4000") == 10**4000
+    assert parse_scalar("1e4299") == 10**4299
+    assert parse_scalar("-25e-4299") == Q(-1, 4 * 10**4297)
+    for text in ("1e4300", "1e-4300", "1e200000", "1e10000000", "0e99999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="bad scalar literal"):
+            parse_scalar(text)
+
+
 def test_place_validation():
     assert Place(7).p == 7
     assert REAL.is_real
