@@ -87,6 +87,10 @@ _CAL_SCALES = (2, -1, 2, -1, 1, -1)
 _CAL_PERM = (0, 1, 2)
 
 S8 = from_nonzeros(DIM, DIM, [(i, DIM - 1 - i, 1) for i in range(DIM)])
+# the calibrated Gram's entries off S8, (i, j) 1-based with i < j: the two
+# pairs that no rational basis keeping the involution table and related
+# z-triples can give the S8 value 1
+GRAM_DEVIATIONS = {(3, 6): Fraction(1, 2), (4, 5): Fraction(1, 2)}
 
 
 @lru_cache(maxsize=1)
@@ -196,9 +200,8 @@ def _validate_table(table: CayleyTable) -> None:
         raise CalibrationError("table has no unit element")
     if not _involution_table_holds(table):
         raise CalibrationError("involution table fails")
-    # expected Gram: S8 away from the two provably irrational pairs
     for i, j, got, want in table.gram_deviations():
-        if {i, j} not in ({3, 6}, {4, 5}) or got != Fraction(1, 2):
+        if GRAM_DEVIATIONS.get((i, j)) != got:
             raise CalibrationError(f"unexpected Gram entry at ({i},{j}): {got}")
 
 
@@ -587,10 +590,7 @@ def calibration_search() -> dict:
             continue
         if calibrated is not None or not involution_ok:
             continue
-        deviations_ok = all(
-            {i, j} in ({3, 6}, {4, 5}) and got == Fraction(1, 2)
-            for i, j, got, _ in deviations
-        )
+        deviations_ok = all(GRAM_DEVIATIONS.get((i, j)) == got for i, j, got, _ in deviations)
         if deviations_ok and _relates(table, z):
             calibrated = {
                 "scales": (c1, c8, c2, c7, c3, c6),

@@ -268,6 +268,8 @@ def _cmd_verify(args) -> int:
     results = verify.run_checks(only=args.only, overrides=overrides)
     if not results:
         raise ValueError(f"no check matches {args.only!r}")
+    if overrides and all(r.check_id != "P30" for r in results):
+        raise ValueError(f"--k and --a apply only to P30, which {args.only!r} does not select")
     payload = verify.report_json(results)
     if args.json:  # written first: a failed write leaves stdout empty
         _write_json(payload, args.json)

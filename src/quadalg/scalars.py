@@ -193,40 +193,6 @@ def _rho_split(n: int) -> int:
     raise ValueError(f"cannot split a {len(str(n))}-digit number in {_RHO_STEPS} steps")
 
 
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A root of t^2 = a mod the prime p (Tonelli-Shanks), or None."""
-    a %= p
-    if a == 0 or p == 2:
-        return a
-    if _legendre(a, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = next(z for z in range(2, p) if _legendre(z, p) == -1)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            i, t2 = i + 1, t2 * t2 % p
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def sqrt_mod(a: int, n: int) -> int | None:
-    """A root of t^2 = a mod the squarefree n >= 1, or None: a root per
-    prime of n, joined by the Chinese remainder theorem."""
-    t, m = 0, 1
-    for p in factor(n):
-        r = _sqrt_mod_prime(a, p)
-        if r is None:
-            return None
-        t += m * ((r - t) * pow(m, -1, p) % p)
-        m *= p
-    return t
-
-
 @lru_cache(maxsize=None)
 def _odd_primes(n: int) -> tuple[int, ...]:
     """The primes dividing n >= 1 to an odd power, all of them for a

@@ -165,6 +165,8 @@ BIG = int(
         ("form", "<1,1e-9000>"),
         ("descend", "--k", "2", "--cocycle", "{exponent}"),
         ("cayley", "--cocycle", "1", "1e200000", "1e-200000"),
+        ("verify-paper", "--only", "P01", "--k", "2", "--a", "3"),
+        ("verify-paper", "--only", "cayley", "--k", "2", "--a", "3"),
     ],
     ids=[
         "triple_missing",
@@ -213,6 +215,8 @@ BIG = int(
         "form_negative_exponent_oversized",
         "cocycle_exponent_oversized",
         "cayley_cocycle_exponent_oversized",
+        "verify_override_without_p30",
+        "verify_override_by_location_without_p30",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):

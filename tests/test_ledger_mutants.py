@@ -62,6 +62,12 @@ def key_difference(real=scalars._product_terms):
     return lambda a, b: real(a, {-n: d for n, d in b.items()})
 
 
+# the displayed A-Gram with the (u1, u8) pair's sign flipped
+A_GRAM_U1_U8_FLIPPED = exactmat.from_nonzeros(
+    10, 10, [(r, 9 - r, 1 if r in (0, 4, 5, 9) else -1) for r in range(10)]
+)
+
+
 def always(value):
     return lambda *_: value
 
@@ -70,7 +76,8 @@ def negated(real):
     return lambda *args: -real(*args)
 
 
-# name: (module or modules, attribute, replacement, the checks it must fail)
+# name: (module or modules, attribute, replacement, the checks it must fail);
+# a tuple of attributes takes a tuple of replacements, one each
 MUTANTS = {
     # z_j is no similitude any more: special_cocycle raises
     "diag_d one sign flipped": (
@@ -100,6 +107,14 @@ MUTANTS = {
     # P25 expects e_i x e_{i+1} = e_{i+2}; P26's Moving Lemma identities
     # are built from cross products
     "albert.cross negated": (albert, "cross", negated(albert.cross), ("P25", "P26")),
+    # P29 states the A-form's closed form on generic coordinates, so it fails
+    # a Gram patched together with its display; P27 and P30 read the Gram
+    "albert.A_GRAM with the (u1, u8) sign flipped": (
+        albert,
+        ("_a_gram_display", "A_GRAM"),
+        (lambda: A_GRAM_U1_U8_FLIPPED, A_GRAM_U1_U8_FLIPPED),
+        ("P27", "P29", "P30"),
+    ),
     # P29 expects psi32(u5) to restrict to V45(1) on A
     "albert.psi is the identity": (albert, "psi", lambda *_: albert.identity_map(), ("P29",)),
     # P03, P06 and P09 each expect two forms that are not Witt equivalent
@@ -184,10 +199,13 @@ EQUIVALENT = {
 
 @pytest.fixture
 def mutant(request, monkeypatch):
-    modules, name, replacement, must_fail = MUTANTS[request.param]
+    modules, names, replacements, must_fail = MUTANTS[request.param]
+    if not isinstance(names, tuple):
+        names, replacements = (names,), (replacements,)
     clear_caches()
     for module in modules if isinstance(modules, tuple) else (modules,):
-        monkeypatch.setattr(module, name, replacement)
+        for name, replacement in zip(names, replacements):
+            monkeypatch.setattr(module, name, replacement)
     yield must_fail
     monkeypatch.undo()
     clear_caches()

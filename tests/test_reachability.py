@@ -1,0 +1,105 @@
+"""Every private helper of the library is reached from code the library runs.
+
+The walk starts from the functions of `cli` and from the module-level code
+of every module (assignments, decorators, defaults), and follows names
+transitively: a bare name resolves to its module's own definition or to
+what `from .m import name` brings in, and `m.name` to module m's
+definition.  A reached class reaches its whole body, methods included.
+Public functions that only the tests call are roots too, so the helpers
+behind them count as reached; every other module-level function whose name
+starts with `_` must be reached.
+"""
+
+import ast
+from pathlib import Path
+
+import quadalg
+
+PACKAGE = Path(quadalg.__file__).parent
+
+# public API that no command reaches and the tests exercise
+TEST_ONLY = {
+    "tensor",
+    "isometric_over_K",
+    "in_k_witt_ideal",
+    "is_norm_from_K",
+    "star",
+    "calibration_search",  # the obstruction behind P17's open question
+    "linear_map_from_action",
+    "a_embed",
+}
+
+
+def _imports(tree) -> tuple[dict, dict]:
+    """The names `from .m import x [as y]` binds (y -> (m, x)) and the
+    modules `from . import m` binds, anywhere in the module."""
+    names, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                else:
+                    names[alias.asname or alias.name] = (node.module, alias.name)
+    return names, modules
+
+
+def unreached_private_functions(package: Path = PACKAGE, test_only=TEST_ONLY) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+    defs = {
+        m: {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        for m, tree in trees.items()
+    }
+    bound = {m: _imports(tree) for m, tree in trees.items()}
+
+    def refs(module, nodes):
+        names, modules = bound[module]
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    yield (module, sub.id) if sub.id in defs[module] else names.get(sub.id)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                    if sub.value.id in modules:
+                        yield sub.value.id, sub.attr
+
+    todo = [(m, name) for m in defs for name in test_only if name in defs[m]]
+    assert sorted(name for _, name in todo) == sorted(test_only)
+    todo += [("cli", name) for name in defs["cli"]]
+    for m, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                todo += refs(m, node.decorator_list + node.args.defaults + node.args.kw_defaults)
+            elif not isinstance(node, ast.ClassDef):
+                todo += refs(m, [node])
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key is None or key in reached or key[1] not in defs.get(key[0], {}):
+            continue
+        reached.add(key)
+        todo += refs(key[0], [defs[key[0]][key[1]]])
+    return [
+        f"{m}.{name}"
+        for m in defs
+        for name, node in defs[m].items()
+        if name.startswith("_") and isinstance(node, ast.FunctionDef) and (m, name) not in reached
+    ]
+
+
+def test_every_private_function_is_reached_from_what_the_library_runs():
+    assert unreached_private_functions() == []
+
+
+def test_the_walk_names_a_helper_that_only_dead_code_calls(tmp_path):
+    (tmp_path / "cli.py").write_text("from . import algebra\n\ndef main():\n    return algebra.run()\n")
+    (tmp_path / "algebra.py").write_text(
+        "TABLE = [_table()]\n\n"
+        "def _table():\n    return 1\n\n"
+        "def run():\n    return _step()\n\n"
+        "def _step():\n    return 2\n\n"
+        "def dead():\n    return _dead_step()\n\n"
+        "def _dead_step():\n    return 3\n\n"
+        "def listed():\n    return _listed_step()\n\n"
+        "def _listed_step():\n    return 4\n"
+    )
+    assert unreached_private_functions(tmp_path, {"listed"}) == ["algebra._dead_step"]

@@ -20,13 +20,14 @@ from quadalg.scalars import (
     next_prime,
     parse_scalar,
     relevant_places,
-    sqrt_mod,
     square_class,
     sqrt_k,
     as_scalar,
     iota,
     variable,
 )
+
+from witness_chain import sqrt_mod
 
 
 def test_square_class_examples():
