@@ -43,7 +43,6 @@ from .exactmat import (
     freeze,
     from_nonzeros,
     identity,
-    mat_eq,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -272,12 +271,6 @@ class AlbertMap(_Frozen):
     def __call__(self, x: AlbertElement) -> AlbertElement:
         return AlbertElement.from_coords(mat_vec(self.matrix, x.coords()))
 
-    def inverse(self) -> "AlbertMap":
-        return AlbertMap(mat_inv(self.matrix))
-
-    def det(self):
-        return det(self.matrix)
-
     def dagger(self) -> "AlbertMap":
         """The unique map with T(f(j), dagger(f)(j')) = T(j, j');
         singular maps are rejected."""
@@ -298,10 +291,6 @@ class AlbertMap(_Frozen):
 
 def identity_map() -> AlbertMap:
     return AlbertMap(identity(ADIM))
-
-
-def dagger(f: AlbertMap) -> AlbertMap:
-    return f.dagger()
 
 
 def linear_map_from_action(action: Callable[[AlbertElement], AlbertElement]) -> AlbertMap:
@@ -367,13 +356,9 @@ def psi(i: int, j: int, x: Octonion) -> AlbertMap:
 A_COORD_INDICES = (3, 4, 5, 6, 1, 2, 7, 8, 9, 10)
 
 
-def _a_gram_display() -> Matrix:
-    """The displayed Gram of the A-form: -S4 pairs u1..u4 with u5..u8 and
-    S2 pairs e1 with e2, so it is antidiagonal, -1 but at the e-entries."""
-    return from_nonzeros(10, 10, [(r, 9 - r, 1 if r in (4, 5) else -1) for r in range(10)])
-
-
-A_GRAM = _a_gram_display()
+# the displayed Gram of the A-form: -S4 pairs u1..u4 with u5..u8 and S2
+# pairs e1 with e2, so it is antidiagonal, -1 but at the e-entries
+A_GRAM = from_nonzeros(10, 10, [(r, 9 - r, 1 if r in (4, 5) else -1) for r in range(10)])
 
 
 def a_embed(v: Sequence[int | Fraction | QuadExtScalar]) -> AlbertElement:
@@ -401,7 +386,7 @@ def a_form_value(v: Sequence[int | Fraction | QuadExtScalar]):
 
 
 def in_subgroup_H(f: AlbertMap) -> bool:
-    """Membership in H: f and dagger(f) = T^-1 f^-T T both fix e0.  As the
+    """Membership in H: f and f.dagger() = T^-1 f^-T T both fix e0.  As the
     trace-form Gram T fixes e0, that is column 0 and row 0 of f being e0;
     a singular map that fixes e0 has no dagger and is rejected."""
     m = f.matrix
@@ -414,7 +399,7 @@ def in_subgroup_H(f: AlbertMap) -> bool:
 
 def restrict_to_A(f: AlbertMap) -> Matrix:
     """The 10x10 restriction of an H-element to A (it stabilizes A since
-    f(e0 x j) = dagger(f)(e0) x dagger(f)(j)): the block of f on the A
+    f(e0 x j) = f.dagger()(e0) x f.dagger()(j)): the block of f on the A
     coordinates.  Maps outside H, or whose image of A leaves A, are
     rejected."""
     if not in_subgroup_H(f):
@@ -425,9 +410,8 @@ def restrict_to_A(f: AlbertMap) -> Matrix:
     return freeze([[m[r][c] for c in A_COORD_INDICES] for r in A_COORD_INDICES])
 
 
-def preserves_a_form(r10: Matrix, gram: Matrix = None) -> bool:
-    g = A_GRAM if gram is None else gram
-    return mat_eq(pullback(r10, g), g)
+def preserves_a_form(r10: Matrix) -> bool:
+    return pullback(r10, A_GRAM) == A_GRAM
 
 
 def swap_map() -> AlbertMap:

@@ -34,7 +34,6 @@ from .exactmat import (
     freeze,
     from_nonzeros,
     identity,
-    mat_eq,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -84,7 +83,8 @@ def _zorn_mul(x, y):
 
 
 _CAL_SCALES = (2, -1, 2, -1, 1, -1)
-_CAL_PERM = (0, 1, 2)
+# the Zorn slot of each u-basis vector, with e_i = slot 1+i, f_i = slot 4+i
+_SLOTS = (1, 6, 5, 0, 7, 2, 3, 4)
 
 S8 = from_nonzeros(DIM, DIM, [(i, DIM - 1 - i, 1) for i in range(DIM)])
 # the calibrated Gram's entries off S8, (i, j) 1-based with i < j: the two
@@ -116,29 +116,22 @@ def _zorn_slot_gram() -> Matrix:
     return from_nonzeros(8, 8, pairs + [(b, a, x) for a, b, x in pairs])
 
 
-def _candidate_slots(perm):
-    """Zorn slot of each u-basis vector: e_i = slot 1+i, f_i = slot 4+i."""
-    i1, i6, i7 = perm
-    return (1 + i1, 4 + i7, 4 + i6, 0, 7, 1 + i6, 1 + i7, 4 + i1)
-
-
-def _build_tables(scales, perm):
+def _build_tables(scales):
     c1, c8, c2, c7, c3, c6 = scales
     coeff = (c1, c2, c3, 1, 1, c6, c7, c8)
-    slots = _candidate_slots(perm)
-    slot_to_u = {s: i for i, s in enumerate(slots)}
+    slot_to_u = {s: i for i, s in enumerate(_SLOTS)}
     slot_products = _zorn_slot_products()
     prod = [[None] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(DIM):
             coords = [0] * DIM
-            for m, c in slot_products[slots[i], slots[j]]:
+            for m, c in slot_products[_SLOTS[i], _SLOTS[j]]:
                 t = slot_to_u[m]
                 coords[t] = div(coeff[i] * coeff[j] * c, coeff[t])
             prod[i][j] = tuple(coords)
     # u_i is coeff[i] times the unit of slot i: the Gram is the slot Gram
     # pulled back along that monomial map
-    to_slots = from_nonzeros(DIM, DIM, [(s, i, coeff[i]) for i, s in enumerate(slots)])
+    to_slots = from_nonzeros(DIM, DIM, [(s, i, coeff[i]) for i, s in enumerate(_SLOTS)])
     return freeze(prod), pullback(to_slots, _zorn_slot_gram())
 
 
@@ -173,7 +166,7 @@ class CayleyTable(_Frozen):
 @lru_cache(maxsize=1)
 def build_cayley_table() -> CayleyTable:
     """Construct and validate the calibrated multiplication table."""
-    prod, gram = _build_tables(_CAL_SCALES, _CAL_PERM)
+    prod, gram = _build_tables(_CAL_SCALES)
     table = CayleyTable(prod, gram)
     _validate_table(table)
     return table
@@ -332,9 +325,6 @@ class Similitude(_Frozen):
     def __call__(self, x: Octonion) -> Octonion:
         return Octonion(mat_vec(self.matrix, x.coords))
 
-    def inverse(self) -> "Similitude":
-        return Similitude(mat_inv(self.matrix))
-
     def det(self):
         return det(self.matrix)
 
@@ -355,14 +345,6 @@ class Similitude(_Frozen):
         return f"similitude(mu={self.mu})"
 
 
-def multiplier(t: Similitude):
-    return t.mu
-
-
-def sigma_n(t: Similitude) -> Similitude:
-    return t.sigma_n()
-
-
 class SimilitudeTriple(_Frozen):
     """Three similitudes t = (t0, t1, t2)."""
 
@@ -379,9 +361,6 @@ class SimilitudeTriple(_Frozen):
     @property
     def multipliers(self):
         return tuple(s.mu for s in self.t)
-
-    def iota_twisted(self) -> "SimilitudeTriple":
-        return SimilitudeTriple(tuple(s.iota_twisted() for s in self.t))
 
 
 def generic_octonion(prefix: str) -> Octonion:
@@ -437,7 +416,7 @@ def is_related_triple(T: SimilitudeTriple) -> bool:
     mu = T.multipliers
     if mu[0] * mu[1] * mu[2] == 1:
         dp = _d_times_P()
-        if all(mat_eq(T[j].matrix, mat_mul(m_matrix(j, mu), dp)) for j in range(3)):
+        if all(T[j].matrix == mat_mul(m_matrix(j, mu), dp) for j in range(3)):
             return _special_family_related()
     return _relates(build_cayley_table(), T)
 
@@ -500,7 +479,7 @@ def cocycle_condition_holds(T: SimilitudeTriple) -> bool:
     eye = identity(DIM)
     for s in T.t:
         tw = s.iota_twisted()
-        if not mat_eq(mat_mul(s.matrix, tw.matrix), eye):
+        if mat_mul(s.matrix, tw.matrix) != eye:
             return False
     return True
 
@@ -539,7 +518,7 @@ def freedom_identity_holds(
             ell.t[j].iota_twisted().matrix,
             mat_mul(zp.t[j].matrix, mat_inv(ell.t[j].matrix)),
         )
-        if not mat_eq(lhs, z.t[j].matrix):
+        if lhs != z.t[j].matrix:
             return False
     return True
 
@@ -579,7 +558,7 @@ def calibration_search() -> dict:
     for (c1, c8), (c2, c7), (c3, c6) in itertools.product(
         full_pairs, full_pairs, full_pairs + half_pairs
     ):
-        prod, gram = _build_tables((c1, c8, c2, c7, c3, c6), _CAL_PERM)
+        prod, gram = _build_tables((c1, c8, c2, c7, c3, c6))
         table = CayleyTable(prod, gram)
         involution_ok = _involution_table_holds(table)
         deviations = table.gram_deviations()
@@ -594,7 +573,6 @@ def calibration_search() -> dict:
         if deviations_ok and _relates(table, z):
             calibrated = {
                 "scales": (c1, c8, c2, c7, c3, c6),
-                "perm": _CAL_PERM,
                 "gram_deviations": table.gram_deviations(),
             }
     return {

@@ -22,7 +22,6 @@ from .exactmat import (
     from_nonzeros,
     identity,
     independent,
-    mat_eq,
     mat_mul,
     mat_vec,
     pairing,
@@ -48,7 +47,7 @@ class SemilinearCocycle(_Frozen):
         m = freeze(matrix)
         if any(len(row) != len(m) for row in m):
             raise ValueError("a cocycle matrix is square")
-        if not mat_eq(mat_mul(m, _iota_mat(m)), identity(len(m))):
+        if mat_mul(m, _iota_mat(m)) != identity(len(m)):
             raise ValueError("cocycle condition Z iota(Z) = 1 fails")
         super().__init__(k, m)
 
@@ -89,12 +88,13 @@ def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
     """Restrict a rational Gram matrix (a form defined over F, extended to
     K) to the fixed F-span of the cocycle; Z must be a K-isometry of the
     form.  Returns the diagonalized F-form."""
+    gram = freeze(gram)
     n = z.dim
     if len(gram) != n or any(len(row) != n for row in gram):
         raise ValueError("Gram and cocycle dimensions differ")
     if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(i)):
         raise ValueError("Gram matrix is not symmetric")
-    if not mat_eq(pullback(z.matrix, gram), gram):
+    if pullback(z.matrix, gram) != gram:
         raise ValueError("cocycle is not an isometry of the form")
     basis = fixed_subspace(z)
     # as_rational raises if a value is not F-rational
@@ -129,15 +129,11 @@ def twist_a_expected(k: int | Fraction) -> forms.DiagonalForm:
     )
 
 
+@lru_cache(maxsize=None)
 def special_cocycle_on_A(k: int | Fraction, a: int | Fraction) -> SemilinearCocycle:
     """The cocycle z_iota M on A for z = z_{K,(1,a,1/a)}; its fixed form
     computes the image q_z of the special cocycle in H^1(F, SO(q)).  It is
     built once per (k, a) and shared, as the cocycle is immutable."""
-    return _special_cocycle_on_A(as_rat(k), as_rat(a))
-
-
-@lru_cache(maxsize=None)
-def _special_cocycle_on_A(k: int | Fraction, a: int | Fraction) -> SemilinearCocycle:
     if a == 0:
         raise ValueError("a must be nonzero")
     triple = cayley.special_cocycle((1, a, div(1, a)))

@@ -17,7 +17,7 @@ maps this package builds are monomial, so a product of two of them makes
 n multiplications, its determinant n and its inverse 2n, with no second
 matrix type.  A zero entry of a result may come back as the int 0
 where the dense sum gave QuadExtScalar(0, 0, k); the two are equal and
-hash alike.
+hash alike, so matrices compare with `==`.
 """
 
 from __future__ import annotations
@@ -112,10 +112,6 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
 
 def scal_mul(c, a: Matrix) -> Matrix:
     return freeze([[rat(c * x) for x in row] for row in a])
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for r, s in zip(a, b) for x, y in zip(r, s))
 
 
 def pullback(a: Matrix, g: Matrix) -> Matrix:

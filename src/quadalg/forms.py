@@ -632,10 +632,6 @@ class HermitianDiagonal(_Frozen):
             raise ValueError("k must not be a square")
         super().__init__(field, k, entries)
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
 
 def hermitian_hyperbolic(m: int, k: int | Fraction, field: str = "Q") -> HermitianDiagonal:
     """m unitary hyperbolic planes; diagonalized as <1,-1> repeated."""

@@ -101,16 +101,13 @@ class RootDatum(_Frozen):
 
 
 @lru_cache(maxsize=None)
-def build_root_datum(type_str: str, rank: int | None = None) -> RootDatum:
+def build_root_datum(type_str: str) -> RootDatum:
     """Construct standard data for Xn, e.g. build_root_datum("E6"); built
-    once per argument pair and shared, as the datum is immutable."""
-    if rank is None:
-        m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", type_str.strip())
-        if not m:
-            raise ValueError(f"bad root-system type {type_str!r}")
-        series, rank = m.group(1).upper(), int(m.group(2))
-    else:
-        series = type_str.strip().upper()
+    once per type string and shared, as the datum is immutable."""
+    m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", type_str.strip())
+    if not m:
+        raise ValueError(f"bad root-system type {type_str!r}")
+    series, rank = m.group(1).upper(), int(m.group(2))
     if series not in _SERIES_RANKS or rank not in _SERIES_RANKS[series]:
         raise ValueError(f"unsupported type {series}{rank}")
     norms = _root_norms(series, rank)
@@ -238,9 +235,6 @@ class LatticeEmbedding(_Frozen):
     @property
     def target_rank(self) -> int:
         return len(self.matrix)
-
-    def image(self, v) -> tuple:
-        return mat_vec(self.matrix, v)
 
 
 class FoldResult(_Frozen):

@@ -167,6 +167,7 @@ BIG = int(
         ("cayley", "--cocycle", "1", "1e200000", "1e-200000"),
         ("verify-paper", "--only", "P01", "--k", "2", "--a", "3"),
         ("verify-paper", "--only", "cayley", "--k", "2", "--a", "3"),
+        ("verify-paper", "--only", ""),
     ],
     ids=[
         "triple_missing",
@@ -217,6 +218,7 @@ BIG = int(
         "cayley_cocycle_exponent_oversized",
         "verify_override_without_p30",
         "verify_override_by_location_without_p30",
+        "verify_empty_only",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):

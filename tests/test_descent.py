@@ -18,7 +18,7 @@ from quadalg.descent import (
     twist_a_descend,
     twist_a_expected,
 )
-from quadalg.exactmat import freeze, identity, mat_eq
+from quadalg.exactmat import freeze, identity
 from quadalg.scalars import QuadExtScalar, sqrt_k
 
 
@@ -127,8 +127,8 @@ def test_rostcalc_table_rows():
 
 def test_dagger_cocycle_is_an_involution():
     m = dagger_cocycle_matrix()
-    assert mat_eq(freeze([[sum(m[i][t] * m[t][j] for t in range(10)) for j in range(10)]
-                          for i in range(10)]), identity(10))
+    assert freeze([[sum(m[i][t] * m[t][j] for t in range(10)) for j in range(10)]
+                   for i in range(10)]) == identity(10)
 
 
 def test_report_shape():

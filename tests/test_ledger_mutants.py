@@ -5,6 +5,9 @@ survives into the mutant's run, or the other way round.  A row that no
 check fails yet is a strict expected failure, and a mutant that no input
 can tell apart is listed with the reason instead of run."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from quadalg import albert, cayley, descent, exactmat, forms, rootsys, scalars, verify
@@ -107,12 +110,12 @@ MUTANTS = {
     # P25 expects e_i x e_{i+1} = e_{i+2}; P26's Moving Lemma identities
     # are built from cross products
     "albert.cross negated": (albert, "cross", negated(albert.cross), ("P25", "P26")),
-    # P29 states the A-form's closed form on generic coordinates, so it fails
-    # a Gram patched together with its display; P27 and P30 read the Gram
+    # P29 states the A-form's closed form on generic coordinates; P27 and
+    # P30 read the Gram
     "albert.A_GRAM with the (u1, u8) sign flipped": (
         albert,
-        ("_a_gram_display", "A_GRAM"),
-        (lambda: A_GRAM_U1_U8_FLIPPED, A_GRAM_U1_U8_FLIPPED),
+        "A_GRAM",
+        A_GRAM_U1_U8_FLIPPED,
         ("P27", "P29", "P30"),
     ),
     # P29 expects psi32(u5) to restrict to V45(1) on A
@@ -225,6 +228,16 @@ def test_equivalent_mutants_name_library_functions():
     assert set(BLIND) <= set(MUTANTS)
     for module, name in EQUIVALENT:
         assert callable(getattr(module, name))
+
+
+@pytest.mark.parametrize("mutant", ["albert.psi is the identity"], indirect=True)
+def test_the_psi_row_changes_p29s_psi_witness(mutant):
+    """P29 reports the V45(1) comparison it made, so the witness, not only
+    the status, shows that psi32(u5) does not restrict to V45(1)."""
+    golden = json.loads((Path(__file__).parent / "data" / "verify_paper_report.json").read_text())
+    (passing,) = [c["witness"]["psi_on_A"] for c in golden["checks"] if c["id"] == "P29"]
+    (p29,) = verify.run_checks(only="P29")
+    assert p29.witness["psi_on_A"] != passing
 
 
 @pytest.mark.parametrize("mutant", ["diag_d one sign flipped"], indirect=True)

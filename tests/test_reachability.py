@@ -1,13 +1,13 @@
-"""Every private helper of the library is reached from code the library runs.
+"""Every function of the library is reached from code the library runs.
 
 The walk starts from the functions of `cli` and from the module-level code
 of every module (assignments, decorators, defaults), and follows names
 transitively: a bare name resolves to its module's own definition or to
 what `from .m import name` brings in, and `m.name` to module m's
 definition.  A reached class reaches its whole body, methods included.
-Public functions that only the tests call are roots too, so the helpers
-behind them count as reached; every other module-level function whose name
-starts with `_` must be reached.
+The public functions that only the tests call (`TEST_ONLY`) are roots too,
+so the helpers behind them count as reached; every other module-level
+function, public or private, must be reached.
 """
 
 import ast
@@ -44,7 +44,7 @@ def _imports(tree) -> tuple[dict, dict]:
     return names, modules
 
 
-def unreached_private_functions(package: Path = PACKAGE, test_only=TEST_ONLY) -> list[str]:
+def unreached_functions(package: Path = PACKAGE, test_only=TEST_ONLY) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
     defs = {
         m: {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
@@ -82,12 +82,12 @@ def unreached_private_functions(package: Path = PACKAGE, test_only=TEST_ONLY) ->
         f"{m}.{name}"
         for m in defs
         for name, node in defs[m].items()
-        if name.startswith("_") and isinstance(node, ast.FunctionDef) and (m, name) not in reached
+        if isinstance(node, ast.FunctionDef) and (m, name) not in reached
     ]
 
 
-def test_every_private_function_is_reached_from_what_the_library_runs():
-    assert unreached_private_functions() == []
+def test_every_function_is_reached_from_what_the_library_runs():
+    assert unreached_functions() == []
 
 
 def test_the_walk_names_a_helper_that_only_dead_code_calls(tmp_path):
@@ -100,6 +100,49 @@ def test_the_walk_names_a_helper_that_only_dead_code_calls(tmp_path):
         "def dead():\n    return _dead_step()\n\n"
         "def _dead_step():\n    return 3\n\n"
         "def listed():\n    return _listed_step()\n\n"
-        "def _listed_step():\n    return 4\n"
+        "def _listed_step():\n    return 4\n\n"
+        "def unused():\n    return 5\n"
     )
-    assert unreached_private_functions(tmp_path, {"listed"}) == ["algebra._dead_step"]
+    want = ["algebra.dead", "algebra._dead_step", "algebra.unused"]
+    assert unreached_functions(tmp_path, {"listed"}) == want
+
+
+def second_spellings(package: Path = PACKAGE) -> list[str]:
+    """The module-level functions whose body, past a docstring, is one
+    `return` of an attribute of their only parameter or of a method call on
+    it: `def mu(t): return t.mu` spells `t.mu` a second time."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            params = [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            if len(params) != 1 or len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            value = body[0].value
+            if isinstance(value, ast.Call):
+                value = value.func
+            if (
+                isinstance(value, ast.Attribute)
+                and isinstance(value.value, ast.Name)
+                and value.value.id == params[0]
+            ):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_no_function_is_a_second_spelling_of_a_method_or_attribute():
+    assert second_spellings() == []
+
+
+def test_the_alias_gate_names_each_second_spelling(tmp_path):
+    (tmp_path / "algebra.py").write_text(
+        "def mu(t):\n    return t.mu\n\n"
+        "def norm(x):\n    \"\"\"The norm.\"\"\"\n    return x.norm()\n\n"
+        "def scaled(x, c=2):\n    return x.scale(c)\n\n"
+        "def twice(x):\n    return 2 * x\n\n"
+        "def first(x):\n    return x[0].mu\n\n"
+        "def conj(x):\n    y = x\n    return y.conj()\n"
+    )
+    assert second_spellings(tmp_path) == ["algebra.mu", "algebra.norm"]

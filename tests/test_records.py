@@ -19,7 +19,7 @@ from quadalg.scalars import REAL, Laurent, Place, QuadExtScalar, _Frozen
 
 def _cayley_tables():
     table = cayley.build_cayley_table()
-    candidate = cayley._build_tables((-2, 1, 1, -2, 1, -1), cayley._CAL_PERM)
+    candidate = cayley._build_tables((-2, 1, 1, -2, 1, -1))
     return table, cayley.CayleyTable(table.products, table.gram), cayley.CayleyTable(*candidate)
 
 

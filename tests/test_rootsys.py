@@ -85,7 +85,7 @@ def with_norms(rd, norms):
 
 
 def test_weyl_criterion_agrees_with_the_pullback_reference():
-    catalogued = [build_root_datum(s, n) for s, ranks in _SERIES_RANKS.items() for n in ranks]
+    catalogued = [build_root_datum(f"{s}{n}") for s, ranks in _SERIES_RANKS.items() for n in ranks]
     assert {"E6", "E7", "E8", "F4", "G2"} <= {rd.label for rd in catalogued}
     for rd in catalogued:
         assert first_reflection_moving(rd, canonical_form(rd).gram) is None
@@ -220,7 +220,7 @@ def reference_identify(dual_cartan, prefer=""):
     for series, ranks in _SERIES_RANKS.items():
         if m not in ranks:
             continue
-        rd = build_root_datum(series, m)
+        rd = build_root_datum(f"{series}{m}")
         perm = reference_cartan_match(dual_cartan, transpose(rd.cartan))
         if perm is not None:
             matches.append((rd.label, perm))
