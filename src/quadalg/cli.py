@@ -352,7 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_descend)
 
     p = sub.add_parser("verify-paper", help="run the full check ledger")
-    p.add_argument("--only", default=None, help="run a single check (id)")
+    p.add_argument(
+        "--only",
+        default=None,
+        help="run the checks whose id or location word matches (e.g. P14, cayley, rostcalc)",
+    )
     p.add_argument("--json", default=None, help="write the JSON report here")
     p.add_argument("--k", default=None)
     p.add_argument("--a", default=None)

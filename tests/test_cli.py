@@ -433,9 +433,35 @@ def test_verify_unknown(capsys):
     assert code == 2
 
 
-def test_verify_rostcalc_override(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--only", "P30", "--k", "5", "--a", "-11")
+FOLDINGS = ["P11", "P12", "P13", "P15"]
+
+
+@pytest.mark.parametrize(
+    "selector, ids",
+    [("P14", ["P14"]), ("p14", ["P14"]), ("foldings", FOLDINGS), ("foldings:", FOLDINGS),
+     ("Cayley", ["P17", "P18", "P19"]), ("rostcalc", ["P30"])],
+)
+def test_verify_only_runs_the_checks_its_word_names(capsys, selector, ids):
+    """`--only` matches a check's id or a word of its location, in any case
+    and without a trailing comma or colon."""
+    code, out, _ = run(capsys, "verify-paper", "--only", selector)
+    assert code == 0 and [line.split()[0] for line in out.splitlines()[:-1]] == ids
+
+
+def test_verify_only_help_says_what_it_matches(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify-paper", "--help"])
+    assert "the checks whose id or location word matches" in " ".join(capsys.readouterr().out.split())
+
+
+def test_verify_rostcalc_override(tmp_path, capsys):
+    """The override runs P30's rostcalc claims on the one pair it is given."""
+    p = tmp_path / "r.json"
+    code, _, _ = run(capsys, "verify-paper", "--only", "P30", "--k", "5", "--a", "-11", "--json", str(p))
     assert code == 0
+    (check,) = json.loads(p.read_text())["checks"]
+    assert list(check["witness"]) == ["(k,a)=(5,-11)"]
+    assert check["witness"]["(k,a)=(5,-11)"]["qz_matches_table"] is True
 
 
 def test_verify_report_proves_on_generic_elements(tmp_path, capsys):
@@ -446,12 +472,13 @@ def test_verify_report_proves_on_generic_elements(tmp_path, capsys):
         code, _, _ = run(capsys, "verify-paper", "--only", check_id, "--json", str(p))
         assert code == 0
         reports.append(json.loads(p.read_text()))
-    assert all(r["schema"] == 2 for r in reports)
+    assert all(r["schema"] == 3 for r in reports)
     witness = {r["checks"][0]["id"]: r["checks"][0]["witness"] for r in reports}
-    assert witness["P19"] == {"generic_coordinates": 16}
-    assert witness["P20"]["a"] == witness["P22"]["a"] == ["A", "B", "A^-1*B^-1"]
+    assert witness["P19"] == {"n(XY) = n(X)n(Y)": True, "generic_coordinates": 16}
+    assert witness["P20"]["mu(m_j)"] == witness["P22"]["multipliers"] == ["A", "B", "A^-1*B^-1"]
     assert witness["P22"]["related"] is True
-    assert witness["P25"] == {"generic_coordinates": 27}
+    assert witness["P25"]["6N(X) = T(X, X x X)"] is True
+    assert witness["P25"]["generic_coordinates"] == 27
 
 
 GOLDEN = Path(__file__).parent / "data"
