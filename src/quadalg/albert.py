@@ -11,16 +11,15 @@ c_i in the (i+1, i+2) slot.  The cubic norm has the closed form
 and the adjoint the closed form
 
     (x#)_{eps_i} = eps_{i+1} eps_{i+2} - n(c_i)
-    (x#)_{c_i}   = conj(c_{i+2}) conj(c_{i+1}) - eps_i c_i,
+    (x#)_{c_i}   = conj(c_{i+2}) conj(c_{i+1}) - eps_i c_i.
 
-both validated against the matrix-representation route (x# as the
-degree-2 characteristic coefficient, 3N as T(x, x#)) in the test suite.
-The cross product is pinned by T-duality, T(x cross y, z) = 6 N(x, y, z),
-and written down as the polarization of the adjoint; sharp(x) =
-(x cross x)/2.  The psi maps and the slot swap are written down too:
-each is the identity plus a few blocks of octonion products with basis
-elements, and `linear_map_from_action` is the reference the test suite
-holds them to.
+The cross product, pinned by T-duality T(x cross y, z) = 6 N(x, y, z), is
+that closed form polarized and written down, and sharp(x) = (x cross x)/2.
+The test suite holds N and sharp, so `cross` too, to the matrix route (x#
+the degree-2 characteristic coefficient, 3N = T(x, x#)), and the psi maps
+and the slot swap, each the identity plus a few blocks of octonion
+products with basis elements, to `linear_map_from_action`.  The ledger
+(P26) states the Moving Lemma's frame identities on `moving_lemma_data`.
 """
 
 from __future__ import annotations
@@ -191,21 +190,13 @@ def trilinear_N(x: AlbertElement, y: AlbertElement, z: AlbertElement):
 
 
 def sharp(x: AlbertElement) -> AlbertElement:
-    """The adjoint: sharp(x) = (x cross x)/2, in closed form."""
-    e0, e1, e2 = x.eps
-    c0, c1, c2 = x.c
-    eps = (e1 * e2 - c0.norm(), e2 * e0 - c1.norm(), e0 * e1 - c2.norm())
-    c = (
-        c2.conj() * c1.conj() - e0 * c0,
-        c0.conj() * c2.conj() - e1 * c1,
-        c1.conj() * c0.conj() - e2 * c2,
-    )
-    return AlbertElement(eps, c)
+    """The adjoint, sharp(x) = (x cross x)/2."""
+    return Fraction(1, 2) * cross(x, x)
 
 
 def cross(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     """Freudenthal cross product, pinned by T(x cross y, z) = 6 N(x,y,z):
-    the polarization sharp(x + y) - sharp(x) - sharp(y), written down.
+    the polarization of the adjoint's closed form, written down.
     For x = (e; c), y = (f; d) and s mod 3,
 
         (x cross y)_{eps_s} = e_{s+1} f_{s+2} + f_{s+1} e_{s+2} - 2 n(c_s, d_s)
@@ -441,30 +432,16 @@ def swap_map() -> AlbertMap:
 # Moving Lemma arithmetic
 
 
-class MovingLemmaData(_Frozen):
-    """r = T(j, j'), j' = eta_iota(iota j), and the named identity checks."""
-
-    __slots__ = ("r", "j_prime", "checks")
-
-
-def moving_lemma_data(T: SimilitudeTriple, j: AlbertElement) -> MovingLemmaData:
-    """For a rank-one j in e0 x J and the cocycle value eta_iota = g_T,
-    compute j' = eta_iota(iota j) and r = T(j, j'), and verify the
-    general-position identities of the frame (j, e0, e0 x j') that drive
-    the repositioning argument for special cocycles."""
+def moving_lemma_data(T: SimilitudeTriple, j: AlbertElement) -> tuple:
+    """(r, j') for a rank-one j in e0 x J and the cocycle value
+    eta_iota = g_T: j' = eta_iota(iota j) and r = T(j, j'), which the
+    repositioning argument for special cocycles needs nonzero.  A j
+    outside A, of rank other than one, or with r = 0 is rejected."""
     a_project(j)  # raises if j is outside A = e0 x J
     if sharp(j) != ZERO:
         raise ValueError("j must be rank one (sharp j = 0)")
-    eta = g_map(T)
-    j_prime = eta(j.iota())
+    j_prime = g_map(T)(j.iota())
     r = trace_form_T(j, j_prime)
     if not bool(r):
         raise ValueError("hypothesis fails: T(j, eta_iota iota j) = 0")
-    e0 = e_idem(0)
-    checks = {
-        "T(e0,e0) = 1": trace_form_T(e0, e0) == 1,
-        "e0 x (e0 x j') = j'": cross(e0, cross(e0, j_prime)) == j_prime,
-        "j x (e0 x j') = r e0": cross(j, cross(e0, j_prime)) == r * e0,
-        "6N(e0, j, e0 x j') = r": 6 * trilinear_N(e0, j, cross(e0, j_prime)) == r,
-    }
-    return MovingLemmaData(r, j_prime, checks)
+    return r, j_prime

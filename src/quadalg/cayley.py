@@ -49,7 +49,6 @@ from .scalars import (
     div,
     exact_sum,
     iota,
-    rat,
     variable,
 )
 
@@ -91,6 +90,15 @@ S8 = from_nonzeros(DIM, DIM, [(i, DIM - 1 - i, 1) for i in range(DIM)])
 # pairs that no rational basis keeping the involution table and related
 # z-triples can give the S8 value 1
 GRAM_DEVIATIONS = {(3, 6): Fraction(1, 2), (4, 5): Fraction(1, 2)}
+
+
+def deviation_records(deviations: dict) -> list[dict]:
+    """Gram entries {(i, j): value} off S8 as the records {"pair", "value",
+    "expected"} that `quadalg cayley` prints and P17 states."""
+    return [
+        {"pair": [i, j], "value": str(x), "expected": str(S8[i - 1][j - 1])}
+        for (i, j), x in deviations.items()
+    ]
 
 
 @lru_cache(maxsize=1)
@@ -153,14 +161,10 @@ class CayleyTable(_Frozen):
     def _key(self) -> tuple:  # constants are derived from the products
         return (self.products, self.gram)
 
-    def gram_deviations(self) -> list[tuple[int, int, int | Fraction, int | Fraction]]:
-        """(i, j, actual, S8-expected) for every differing entry, 1-based."""
-        out = []
-        for i in range(DIM):
-            for j in range(i, DIM):
-                if self.gram[i][j] != S8[i][j]:
-                    out.append((i + 1, j + 1, self.gram[i][j], S8[i][j]))
-        return out
+    def gram_deviations(self) -> dict[tuple[int, int], int | Fraction]:
+        """{(i, j): entry} for every Gram entry off S8, 1-based, i <= j."""
+        g = self.gram
+        return {(i + 1, j + 1): g[i][j] for i in range(DIM) for j in range(i, DIM) if g[i][j] != S8[i][j]}
 
 
 @lru_cache(maxsize=1)
@@ -193,7 +197,7 @@ def _validate_table(table: CayleyTable) -> None:
         raise CalibrationError("table has no unit element")
     if not _involution_table_holds(table):
         raise CalibrationError("involution table fails")
-    for i, j, got, want in table.gram_deviations():
+    for (i, j), got in table.gram_deviations().items():
         if GRAM_DEVIATIONS.get((i, j)) != got:
             raise CalibrationError(f"unexpected Gram entry at ({i},{j}): {got}")
 
@@ -275,9 +279,6 @@ class Octonion(_Frozen):
     def norm_pairing(self, other: "Octonion"):
         """The bilinearization with n(x,x) = n(x)."""
         return pairing(build_cayley_table().gram, self.coords, other.coords)
-
-    def trace(self):
-        return rat(self.norm_pairing(ONE) * 2)
 
     def __repr__(self) -> str:
         return "oct(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -501,28 +502,6 @@ def coboundary_triple(lam: Sequence[QuadExtScalar]) -> SimilitudeTriple:
     )
 
 
-def freedom_identity_holds(
-    a: Sequence[int | Fraction | QuadExtScalar],
-    a_prime: Sequence[int | Fraction | QuadExtScalar],
-    lam: Sequence[QuadExtScalar],
-) -> bool:
-    """iota(l) z_{K,a'} l^{-1} = z_{K,a} whenever a_j^{-1} a'_j = N(lambda_j)."""
-    for j in range(3):
-        if a_prime[j] != a[j] * lam[j].norm():
-            raise ValueError("a' must differ from a by the norms of lambda")
-    z = special_cocycle(a)
-    zp = special_cocycle(a_prime)
-    ell = coboundary_triple(lam)
-    for j in range(3):
-        lhs = mat_mul(
-            ell.t[j].iota_twisted().matrix,
-            mat_mul(zp.t[j].matrix, mat_inv(ell.t[j].matrix)),
-        )
-        if lhs != z.t[j].matrix:
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # calibration search
 
@@ -562,19 +541,16 @@ def calibration_search() -> dict:
         table = CayleyTable(prod, gram)
         involution_ok = _involution_table_holds(table)
         deviations = table.gram_deviations()
-        if [(i, j) for i, j, _, _ in deviations] == [(4, 5)]:
+        if list(deviations) == [(4, 5)]:
             near_s8 += 1
             near_s8_involution += involution_ok
             near_s8_related += _relates(table, z)
             continue
         if calibrated is not None or not involution_ok:
             continue
-        deviations_ok = all(GRAM_DEVIATIONS.get((i, j)) == got for i, j, got, _ in deviations)
+        deviations_ok = all(GRAM_DEVIATIONS.get(pair) == got for pair, got in deviations.items())
         if deviations_ok and _relates(table, z):
-            calibrated = {
-                "scales": (c1, c8, c2, c7, c3, c6),
-                "gram_deviations": table.gram_deviations(),
-            }
+            calibrated = {"scales": (c1, c8, c2, c7, c3, c6), "gram_deviations": deviations}
     return {
         "s8_except_45": near_s8,
         "s8_except_45_with_involution": near_s8_involution,

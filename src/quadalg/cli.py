@@ -170,10 +170,7 @@ def _cmd_cayley(args) -> int:
     else:
         table = cayley.build_cayley_table()
         payload = {
-            "gram_deviations": [
-                {"pair": [i, j], "value": str(got), "expected": str(want)}
-                for i, j, got, want in table.gram_deviations()
-            ],
+            "gram_deviations": cayley.deviation_records(table.gram_deviations()),
             "involution": "u4 <-> u5, others negated",
             "products": {
                 f"u{i}u{j}": [str(x) for x in table.products[i - 1][j - 1]]

@@ -89,12 +89,6 @@ class DiagonalForm(_Frozen):
     def dim(self) -> int:
         return len(self.entries)
 
-    def value(self, v) -> int | Fraction:
-        return sum(a * x * x for a, x in zip(self.entries, v))
-
-    def bilinear(self, v, w) -> int | Fraction:
-        return sum(a * x * y for a, x, y in zip(self.entries, v, w))
-
     def __add__(self, other: "DiagonalForm") -> "DiagonalForm":
         return direct_sum(self, other)
 

@@ -2,7 +2,8 @@
 Weyl-invariant form, Dynkin-diagram foldings, and Rost multipliers.
 
 Coroots live in the coroot lattice itself: simple coroots are the
-standard basis of Z^rank and the canonical form is the only metric.
+standard basis of Z^rank and the canonical form is the only metric,
+kept as its Gram matrix and evaluated by `exactmat.pairing`.
 Bourbaki numbering throughout; root lengths are normalized so long roots
 have (a,a) = 2, which makes the canonical form take the value 1 on short
 coroots (Gram = Cartan/2 in the simply-laced case).
@@ -127,22 +128,12 @@ def build_root_datum(type_str: str) -> RootDatum:
     return RootDatum(f"{series}{rank}", series, rank, cartan, tuple(norms))
 
 
-class CanonicalForm(_Frozen):
-    """The minimal Weyl-invariant positive-definite integer-valued form on
-    the coroot lattice, normalized to 1 on short coroots."""
-
-    __slots__ = ("gram",)
-
-    def value(self, v) -> int | Fraction:
-        return self.bilinear(v, v)
-
-    def bilinear(self, v, w) -> int | Fraction:
-        return pairing(self.gram, v, w)
-
-
 @lru_cache(maxsize=None)
-def canonical_form(rd: RootDatum) -> CanonicalForm:
-    """Gram G[i][j] = A[i][j]/(a_j,a_j); equals Cartan/2 when simply laced.
+def canonical_form(rd: RootDatum) -> Matrix:
+    """The Gram of the minimal Weyl-invariant positive-definite
+    integer-valued form on the coroot lattice, normalized to 1 on short
+    coroots: G[i][j] = A[i][j]/(a_j,a_j), which is Cartan/2 when simply
+    laced.
     Weyl invariance is checked once per datum (the form is cached on the
     frozen datum) by its criterion: s_i preserves a symmetric G exactly
     when G[j][i] = A[j][i] G[i][i]/2 for every j.
@@ -168,12 +159,12 @@ def canonical_form(rd: RootDatum) -> CanonicalForm:
         criterion = all(2 * g == a[j][i] * gram[i][i] for j, g in enumerate(column))
         if list(gram[i]) != column or not criterion:
             raise RuntimeError(f"canonical form not invariant under s_{i}")
-    return CanonicalForm(gram)
+    return gram
 
 
 def coroot_values(rd: RootDatum) -> dict[tuple, int | Fraction]:
-    cf = canonical_form(rd)
-    return {v: cf.value(v) for v in rd.all_coroots()}
+    gram = canonical_form(rd)
+    return {v: pairing(gram, v, v) for v in rd.all_coroots()}
 
 
 # --------------------------------------------------------------------------
@@ -281,14 +272,13 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
                 )
     if len(orbits) == n:
         raise FoldingError("trivial", "automorphism has no nontrivial orbit")
-    cf = canonical_form(rd)
+    gram = canonical_form(rd)
     sums = [tuple(int(i in orbit) for i in range(n)) for orbit in orbits]
     # The orbit sums are the simple coroots of the folded type X, so their
     # pairing matrix 2(s_i,s_j)/(s_i,s_i) is Cartan(X) transposed; read
     # the other way round it is Cartan(X) itself, in orbit order.
-    m = len(orbits)
-    sq = [cf.value(s) for s in sums]
-    cartan = [[div(2 * cf.bilinear(sums[i], sums[j]), sq[j]) for j in range(m)] for i in range(m)]
+    sq = [pairing(gram, t, t) for t in sums]
+    cartan = [[div(2 * pairing(gram, s, t), q) for t, q in zip(sums, sq)] for s in sums]
     if any(x != int(x) for row in cartan for x in row):
         raise RuntimeError("folded pairing is not a Cartan matrix")
     # B2 and C2 are the same system; folding A-series is conventionally
@@ -349,8 +339,8 @@ def rost_multiplier(
     proportional to q_source."""
     if emb.source_rank != source.rank or emb.target_rank != target.rank:
         raise ValueError("embedding shape does not match the root data")
-    gs = canonical_form(source).gram
-    n = ratio(pullback(emb.matrix, canonical_form(target).gram), gs)
+    gs = canonical_form(source)
+    n = ratio(pullback(emb.matrix, canonical_form(target)), gs)
     if n is None:
         raise ValueError("pullback form is not coroot-compatible")
     if n <= 0 or n != int(n):

@@ -504,9 +504,6 @@ class QuadExtScalar(_Frozen):
         """N_{K/F}: x^2 - k y^2."""
         return rat(self.x * self.x - self.k * self.y * self.y)
 
-    def trace(self) -> int | Fraction:
-        return rat(2 * self.x)
-
     @property
     def is_rational(self) -> bool:
         return self.y == 0

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from quadalg import cayley
+from quadalg import cayley, verify
 from quadalg.cayley import (
     BASIS,
     ONE,
@@ -17,7 +17,6 @@ from quadalg.cayley import (
     cocycle_condition_holds,
     coboundary_triple,
     diag_d,
-    freedom_identity_holds,
     generic_a,
     generic_octonion,
     is_related_triple,
@@ -38,9 +37,7 @@ def rnd_oct(rng, lo=-4, hi=4):
 
 def test_gram_and_involution_tables():
     table = build_cayley_table()
-    devs = table.gram_deviations()
-    assert [(i, j) for i, j, _, _ in devs] == [(3, 6), (4, 5)]
-    assert all(got == Q(1, 2) for _, _, got, _ in devs)
+    assert table.gram_deviations() == {(3, 6): Q(1, 2), (4, 5): Q(1, 2)}
     for i in (1, 2, 3, 6, 7, 8):
         assert u(i).conj() == -u(i)
     assert u(4).conj() == u(5) and u(5).conj() == u(4)
@@ -144,7 +141,7 @@ def test_unit_and_algebra_basics():
     assert x.conj().conj() == x
     assert x.conj().norm() == x.norm()
     assert x * x.conj() == x.norm() * ONE
-    assert x.conj() == x.trace() * ONE - x
+    assert x.conj() == 2 * x.norm_pairing(ONE) * ONE - x
 
 
 def test_composition_is_exactly_multiplicative():
@@ -300,11 +297,9 @@ def test_coboundary_triple_and_freedom():
     lam = (QuadExtScalar(3, -2, k), QuadExtScalar(1, 1, k), QuadExtScalar(1, 1, k))
     ell = coboundary_triple(lam)
     assert is_related_triple(ell)
-    a = (Q(1), Q(2), Q(1, 2))
-    a_prime = tuple(ai * li.norm() for ai, li in zip(a, lam))
-    assert freedom_identity_holds(a, a_prime, lam)
-    with pytest.raises(ValueError):
-        freedom_identity_holds(a, (Q(1), Q(5), Q(1, 5)), lam)
+    # the freedom identity iota(l_j) z_{a',j} l_j^-1 = z_{a,j} is P24's claim
+    (p24,) = verify.run_checks(only="P24")
+    assert p24.witness["freedom_identity"] == [True] * 3
     # identity case: lambda = (1,1,1)
     assert all(s.matrix == identity(8) for s in coboundary_triple((one, one, one)).t)
 
@@ -332,13 +327,14 @@ def test_calibration_search_documents_the_obstruction():
     assert res["s8_except_45_with_relatedness"] == 0
     assert res["calibrated"] is not None
     devs = res["calibrated"]["gram_deviations"]
-    assert {(i, j) for i, j, _, _ in devs} == {(3, 6), (4, 5)}
+    assert set(devs) == {(3, 6), (4, 5)}
     # (4,5): the involution makes u4 + u5 = trace(u4) 1, so
     # n(u4 + u5) = trace(u4)^2, here 1 = 1^2; S8's n(u4, u5) = 1 would
     # make n(u4 + u5) = 2, and 2 is no rational square
     w = u(4) + u(5)
-    assert u(4).conj() == u(5) and w == u(4).trace() * ONE
-    assert w.norm() == u(4).trace() ** 2 == 1
+    trace_u4 = 2 * u(4).norm_pairing(ONE)
+    assert u(4).conj() == u(5) and w == trace_u4 * ONE
+    assert w.norm() == trace_u4**2 == 1
     assert pairing(S8, w.coords, w.coords) == 2 and not is_square(Q(2))
 
 

@@ -472,7 +472,7 @@ def test_verify_report_proves_on_generic_elements(tmp_path, capsys):
         code, _, _ = run(capsys, "verify-paper", "--only", check_id, "--json", str(p))
         assert code == 0
         reports.append(json.loads(p.read_text()))
-    assert all(r["schema"] == 3 for r in reports)
+    assert all(r["schema"] == 4 for r in reports)
     witness = {r["checks"][0]["id"]: r["checks"][0]["witness"] for r in reports}
     assert witness["P19"] == {"n(XY) = n(X)n(Y)": True, "generic_coordinates": 16}
     assert witness["P20"]["mu(m_j)"] == witness["P22"]["multipliers"] == ["A", "B", "A^-1*B^-1"]

@@ -24,7 +24,7 @@ from quadalg.exactmat import (
     transpose,
 )
 from quadalg.scalars import QuadExtScalar, as_rational, exact_sum, iota, rat
-from test_forms import split_hyperbolic  # the chain's split, kept as a reference
+from test_forms import form_value, split_hyperbolic  # the chain's split, kept as a reference
 
 
 def K(x, y=0):
@@ -132,7 +132,7 @@ def test_independent_over_k():
 def test_split_hyperbolic_complement(entries, v, complement):
     q = forms.form(entries)
     v = tuple(Q(x) for x in v)
-    assert q.value(v) == 0
+    assert form_value(q, v) == 0
     rest = split_hyperbolic(q, v)
     assert rest.dim == q.dim - 2
     assert forms.isometric(forms.direct_sum(forms.hyperbolic(1), rest), q)

@@ -35,12 +35,18 @@ from quadalg.forms import (
     witt_decompose,
     witt_equivalent,
 )
+from quadalg.exactmat import diagonal, pairing
 from quadalg.scalars import Place, REAL, div, hilbert_symbol, is_local_square, relevant_places, square_class
 
 import witness_chain  # the isotropic-vector chain, kept as a reference
 from witness_chain import isotropic_vector
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
+
+
+def form_value(q, v):
+    """q(v) for the diagonal form q."""
+    return pairing(diagonal(q.entries), v, v)
 
 
 def rnd_form(rng, dim, field="Q"):
@@ -138,14 +144,14 @@ def test_isotropic_vector_is_a_witness():
             continue
         v = isotropic_vector(q)
         assert any(bool(x) for x in v)
-        assert q.value(v) == 0
+        assert form_value(q, v) == 0
         found += 1
 
 
 def test_isotropic_vector_over_r_is_a_rational_zero_or_refused():
     q = form([1, -4], "R")
     v = isotropic_vector(q)
-    assert any(v) and q.value(v) == 0
+    assert any(v) and form_value(q, v) == 0
     for entries in ([2, -1], [2, -3, 5]):
         q = form(entries, "R")
         assert is_isotropic(q)
@@ -162,7 +168,7 @@ def test_isotropic_vector_solves_for_the_split_class_without_a_prime_walk(monkey
     real = forms.next_prime
     monkeypatch.setattr(forms, "next_prime", lambda n: calls.append(n) or real(n))
     v = isotropic_vector(WALK_FORM)
-    assert any(v) and WALK_FORM.value(v) == 0
+    assert any(v) and form_value(WALK_FORM, v) == 0
     assert 0 < len(calls) <= 100
 
 
@@ -198,7 +204,7 @@ def test_isotropic_vector_splits_forms_with_no_isotropic_ternary_subform(monkeyp
     for q in split_forms(17, 15):
         start = len(steps)
         v = isotropic_vector(q)
-        assert any(v) and q.value(v) == 0, q
+        assert any(v) and form_value(q, v) == 0, q
         # the dimensions the chain was called with, then the F2 solves
         assert steps[start] == q.dim and set(steps[start + 1 :]) <= {4, "F2"}
     walk = list(zip(steps, steps[1:]))
@@ -699,7 +705,7 @@ def test_hyperbolic_hasse_defects_closed_form():
 
 def dense_split(q, v):
     """The complement of span(v, e_j) from an explicit basis, its Gram
-    matrix through `bilinear`, and `_diagonalize_gram`."""
+    matrix through `pairing`, and `_diagonalize_gram`."""
     a = q.entries
     support = [i for i, x in enumerate(v) if x != 0]
     j, k = support[0], support[-1]
@@ -714,7 +720,8 @@ def dense_split(q, v):
         vec[m] += 1
         vec[j] -= beta
         basis.append(vec)
-    gram = [[q.bilinear(x, y) for y in basis] for x in basis]
+    g = diagonal(q.entries)
+    gram = [[pairing(g, x, y) for y in basis] for x in basis]
     return tuple(forms._diagonalize_gram(gram))
 
 
@@ -782,14 +789,13 @@ def test_invariants_make_no_hilbert_symbol_and_one_legendre_per_odd_place(monkey
 
 
 def test_split_hyperbolic_makes_no_bilinear_call(monkeypatch):
+    """The split evaluates q once, at v, and pairs no two vectors."""
     pairs = isotropic_pairs(random.Random(29), 20)
-
-    def refuse(*_):
-        raise AssertionError("bilinear called")
-
-    monkeypatch.setattr(DiagonalForm, "bilinear", refuse)
+    calls, real = [], pairing
+    monkeypatch.setattr(sys.modules[__name__], "pairing", lambda *args: calls.append(args) or real(*args))
     for q, v in pairs:
         split_hyperbolic(q, v)
+    assert [args[1:] for args in calls] == [(v, v) for _, v in pairs]
 
 
 # squarefree-class entries, rescaled by squares, sharing primes across forms
@@ -925,7 +931,7 @@ def split_hyperbolic(q, v):
     as `_diagonalize_gram` chooses them, so the diagonal is the one it
     gives; a block whose pivots are all zero goes to it as a dense matrix.
     """
-    if q.value(v) != 0:
+    if form_value(q, v) != 0:
         raise RuntimeError("split vector is not isotropic")
     a = q.entries
     support = [i for i, x in enumerate(v) if x != 0]

@@ -7,10 +7,13 @@ what `from .m import name` brings in, and `m.name` to module m's
 definition.  A reached class reaches its whole body, methods included.
 The public functions that only the tests call (`TEST_ONLY`) are roots too,
 so the helpers behind them count as reached; every other module-level
-function, public or private, must be reached.
+function, public or private, must be reached.  As a reached class reaches
+all its methods, a second gate asks that each method be named as an
+attribute somewhere in the library.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import quadalg
@@ -146,3 +149,51 @@ def test_the_alias_gate_names_each_second_spelling(tmp_path):
         "def conj(x):\n    y = x\n    return y.conj()\n"
     )
     assert second_spellings(tmp_path) == ["algebra.mu", "algebra.norm"]
+
+
+# methods that no library code calls and the tests exercise
+TEST_ONLY_METHODS: set[str] = set()
+
+
+def unnamed_methods(package: Path = PACKAGE, test_only=TEST_ONLY_METHODS) -> list[str]:
+    """The methods and properties of the library's classes whose name no
+    attribute (`.name`) of the library spells outside their own `def`.  The
+    check goes by name, not by type: any `.name` of that spelling counts,
+    whichever object it reads.  Dunders, `_key` (the records' base calls
+    it) and the `test_only` names are exempt."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+
+    def attributes(node) -> Counter:
+        return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+    named = sum((attributes(tree) for tree in trees.values()), Counter())
+    return [
+        f"{m}.{cls.name}.{fn.name}"
+        for m, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in {"_key", *test_only}
+        and named[fn.name] == attributes(fn)[fn.name]
+    ]
+
+
+def test_every_method_is_named_by_the_library():
+    assert unnamed_methods() == []
+
+
+def test_the_method_gate_names_a_method_only_its_own_body_calls(tmp_path):
+    (tmp_path / "algebra.py").write_text(
+        "class Form:\n"
+        "    def __init__(self, g):\n        self.g = g\n\n"
+        "    def _key(self):\n        return self.g\n\n"
+        "    def value(self, v):\n        return self.g * v\n\n"
+        "    def again(self, v):\n        return self.again(v - 1) if v else 0\n\n"
+        "    @property\n    def rank(self):\n        return 1\n\n"
+        "    def listed(self):\n        return 2\n\n"
+        "    def unused(self):\n        return 3\n\n\n"
+        "def run(form):\n    return form.value(form.rank)\n"
+    )
+    assert unnamed_methods(tmp_path, {"listed"}) == ["algebra.Form.again", "algebra.Form.unused"]

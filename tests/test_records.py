@@ -29,12 +29,6 @@ def _root_data():
     return b3, copied, rootsys.build_root_datum("C3")
 
 
-def _canonical_forms():
-    b3 = rootsys.canonical_form(rootsys.build_root_datum("B3"))
-    c3 = rootsys.canonical_form(rootsys.build_root_datum("C3"))
-    return b3, rootsys.CanonicalForm(b3.gram), c3
-
-
 def _folds():
     d4 = rootsys.build_root_datum("D4")
     return rootsys.fold(d4), rootsys.fold(d4), rootsys.fold(d4, name="triality")
@@ -48,13 +42,6 @@ def _triples():
         cayley.SimilitudeTriple((cayley.Similitude(identity(8)),) * 3),
         cayley.SimilitudeTriple((eye, neg, neg)),
     )
-
-
-def _moving_lemma_data():
-    def data(i):
-        return albert.MovingLemmaData(Q(3, 2), albert.e_idem(i), {"T(e0,e0) = 1": True})
-
-    return data(0), data(0), data(1)
 
 
 def _albert_maps():
@@ -117,7 +104,6 @@ RECORDS = {
         "k",
     ),
     "RootDatum": (_root_data, "cartan"),
-    "CanonicalForm": (_canonical_forms, "gram"),
     "LatticeEmbedding": (
         lambda: tuple(
             rootsys.LatticeEmbedding(freeze(m)) for m in ([[1], [1]], [[1], [1]], [[1], [2]])
@@ -127,7 +113,6 @@ RECORDS = {
     "FoldResult": (_folds, "orbits"),
     "CayleyTable": (_cayley_tables, "products"),
     "SimilitudeTriple": (_triples, "t"),
-    "MovingLemmaData": (_moving_lemma_data, "j_prime"),
     "SemilinearCocycle": (_cocycles, "matrix"),
     "RostCalcReport": (_rostcalc_reports, "a"),
     "AlbertMap": (_albert_maps, "matrix"),

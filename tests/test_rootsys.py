@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quadalg
-from quadalg.exactmat import det, freeze, mat_mul, pullback, transpose
+from quadalg.exactmat import det, freeze, mat_mul, pairing, pullback, transpose
 from quadalg.rootsys import (
     _SERIES_RANKS,
     FoldingError,
@@ -54,14 +54,14 @@ def test_root_counts():
 def test_canonical_form_properties():
     for label in ("A3", "B3", "C3", "D4", "F4", "G2", "E6"):
         rd = build_root_datum(label)
-        cf = canonical_form(rd)  # raises if not Weyl-invariant
+        gram = canonical_form(rd)  # raises if not Weyl-invariant
         values = coroot_values(rd)
         assert min(values.values()) == 1
         assert all(v == int(v) and v > 0 for v in values.values())
         # Gram = Cartan/2 iff simply laced
         laced = rd.series in ("A", "D", "E")
         half = all(
-            2 * cf.gram[i][j] == rd.cartan[i][j]
+            2 * gram[i][j] == rd.cartan[i][j]
             for i in range(rd.rank)
             for j in range(rd.rank)
         )
@@ -88,13 +88,13 @@ def test_weyl_criterion_agrees_with_the_pullback_reference():
     catalogued = [build_root_datum(f"{s}{n}") for s, ranks in _SERIES_RANKS.items() for n in ranks]
     assert {"E6", "E7", "E8", "F4", "G2"} <= {rd.label for rd in catalogued}
     for rd in catalogued:
-        assert first_reflection_moving(rd, canonical_form(rd).gram) is None
+        assert first_reflection_moving(rd, canonical_form(rd)) is None
         # every norm 2: right for the simply laced types only
         flat, gram = with_norms(rd, [2] * rd.rank)
         moved = first_reflection_moving(flat, gram)
         assert (moved is None) == (rd.series in "ADE")
         if moved is None:
-            assert canonical_form(flat).gram == gram
+            assert canonical_form(flat) == gram
         else:
             with pytest.raises(RuntimeError, match=f"not invariant under s_{moved}$"):
                 canonical_form(flat)
@@ -137,10 +137,10 @@ def test_foldings():
         assert sorted(fr.orbit_sizes) == sorted(sizes)
         # the orbit sums really carry the q-value = orbit size
         rd = build_root_datum(label)
-        cf = canonical_form(rd)
+        gram = canonical_form(rd)
         for col, orbit in enumerate(fr.orbits):
             v = [fr.embedding.matrix[i][col] for i in range(rd.rank)]
-            assert cf.value(v) == len(orbit)
+            assert pairing(gram, v, v) == len(orbit)
         assert rost_multiplier(fr.embedding, fr.folded, rd) == 1
 
 
@@ -179,14 +179,14 @@ def test_embedding_validation():
 def test_folded_cartan_is_f4():
     e6 = build_root_datum("E6")
     fr = fold(e6)
-    cf = canonical_form(e6)
+    gram = canonical_form(e6)
     m = len(fr.orbits)
     sums = [
         [fr.embedding.matrix[i][col] for i in range(6)] for col in range(m)
     ]
     cartan = [
         [
-            int(2 * cf.bilinear(sums[i], sums[j]) / cf.bilinear(sums[i], sums[i]))
+            int(2 * pairing(gram, sums[i], sums[j]) / pairing(gram, sums[i], sums[i]))
             for j in range(m)
         ]
         for i in range(m)
@@ -244,11 +244,11 @@ def reference_fold(rd, perm):
                 j = perm[j]
             seen.update(orbit)
             orbits.append(tuple(sorted(orbit)))
-    cf = canonical_form(rd)
+    gram = canonical_form(rd)
     sums = [tuple(Q(int(i in orbit)) for i in range(n)) for orbit in orbits]
     m = len(orbits)
     dual_cartan = [
-        [int(2 * cf.bilinear(sums[i], sums[j]) / cf.bilinear(sums[i], sums[i])) for j in range(m)]
+        [int(2 * pairing(gram, sums[i], sums[j]) / pairing(gram, sums[i], sums[i])) for j in range(m)]
         for i in range(m)
     ]
     label, order = reference_identify(dual_cartan, {"A": "C", "D": "B"}.get(rd.series, ""))
@@ -294,7 +294,7 @@ def test_admitted_folds_cover_the_d4_automorphisms():
 BUILT_ONCE = """
 from quadalg import rootsys, verify
 
-built, formed, folds = [], [], []
+built, folds = [], []
 
 
 def counting(cls, record):
@@ -308,11 +308,11 @@ def counting(cls, record):
 
 
 counting(rootsys.RootDatum, lambda rd: built.append(rd.label))
-counting(rootsys.CanonicalForm, lambda cf: formed.append(cf.gram))
 fold = rootsys.fold
 rootsys.fold = lambda *args, **kwargs: folds.append(1) or fold(*args, **kwargs)
 assert all(r.status != "fail" for r in verify.run_checks())
-print(len(built), len(set(built)), len(formed), len(set(formed)), len(folds))
+formed = rootsys.canonical_form.cache_info()
+print(len(built), len(set(built)), formed.misses, formed.currsize, len(folds))
 """
 
 
@@ -326,7 +326,7 @@ def test_one_ledger_pass_builds_each_structure_once():
         [sys.executable, "-c", BUILT_ONCE], capture_output=True, text=True, env=env
     )
     assert run.returncode == 0, run.stderr
-    built, labels, formed, grams, folds = map(int, run.stdout.split())
+    built, labels, formed, cached, folds = map(int, run.stdout.split())
     assert 0 < built == labels
-    assert 0 < formed == grams <= labels
+    assert 0 < formed == cached <= labels
     assert 0 < folds <= 14

@@ -254,7 +254,7 @@ def test_quadext_results_have_canonical_parts(a, b):
         results += [a.inverse(), div(b, a)]
     for r in results:
         assert type(r) is QuadExtScalar and canonical_coefficient(r)
-    assert canonical(a.norm()) and canonical(a.trace())
+    assert canonical(a.norm())
 
 
 @FIXED
