@@ -1,18 +1,20 @@
 """Command-line frontend: form / hermitian / rootsys / cayley / albert /
 descend / verify-paper.
 
-Exit codes: 0 success, 1 check failure, 2 usage or input errors, and 141
-(128 + SIGPIPE, nothing on stderr) when standard output closes early, as
-in `quadalg form ... | head -c 1`.  `main` is the one error boundary: a
-ValueError (a bad literal, malformed JSON, a folding or hypothesis the
-library rejects) or another OSError (a file that cannot be read or
-written) becomes one stderr line `error: ...` and exit 2.  Any other
-exception is a program fault and keeps its traceback.  An argument that
-starts with "-" and a digit is a value, so negative values need no "--"
-(`quadalg form "-1/2*<<5>>"`).  The tool is batch-only; `verify-paper`
-runs the whole ledger of source calculations and prints one line per
-check.  Each subcommand imports only the modules it uses, when it runs,
-so a call pays at start-up for its own subcommand and no other.
+Exit codes: 0 success, 1 when a claim fails (a check of `verify-paper`
+or a claim of `descend --a`, both judged by the ledger's one rule), 2
+usage or input errors, and 141 (128 + SIGPIPE, nothing on stderr) when
+standard output closes early, as in `quadalg form ... | head -c 1`.
+`main` is the one error boundary: a ValueError (a bad literal, malformed
+JSON, a folding or hypothesis the library rejects) or another OSError (a
+file that cannot be read or written) becomes one stderr line
+`error: ...` and exit 2.  Any other exception is a program fault and
+keeps its traceback.  An argument that starts with "-" and a digit is a
+value, so negative values need no "--" (`quadalg form "-1/2*<<5>>"`).
+The tool is batch-only; `verify-paper` runs the whole ledger of source
+calculations and prints one line per check.  Each subcommand imports
+only the modules it uses, when it runs, so a call pays at start-up for
+its own subcommand and no other.
 """
 
 from __future__ import annotations
@@ -227,6 +229,7 @@ def _cmd_descend(args) -> int:
     if args.cocycle and args.a is not None:
         raise ValueError("--cocycle and --a exclude each other")
     k = parse_scalar(args.k)
+    code = 0
     if args.cocycle:
 
         def x_plus_y_sqrt_k(xy):
@@ -240,9 +243,12 @@ def _cmd_descend(args) -> int:
         gram = _matrix(_read_json(args.gram)) if args.gram else albert.A_GRAM
         payload = {"descended": forms.form_literal(descent.descend_form(gram, z))}
     elif args.a is not None:
-        rep = descent.rostcalc_report(k, parse_scalar(args.a))
-        payload = rep.as_dict()
-        payload["table"] = descent.rostcalc_table_rows(k, rep.a)
+        from . import verify
+
+        a = parse_scalar(args.a)
+        status, payload = verify.rostcalc_verdict(k, a)
+        table_status, payload["table"] = verify.rostcalc_table_verdict(k, a)
+        code = 1 if "fail" in (status, table_status) else 0
     else:
         q = descent.twist_a_descend(k)
         payload = {
@@ -251,22 +257,15 @@ def _cmd_descend(args) -> int:
             "isometric": forms.isometric(q, descent.twist_a_expected(k)),
         }
     _write_json(payload, args.report or None)
-    return 0
+    return code
 
 
 def _cmd_verify(args) -> int:
     from . import verify
 
-    if (args.k is None) != (args.a is None):
-        raise ValueError("--k and --a go together")
-    overrides = None
-    if args.k is not None:
-        overrides = {"k": parse_scalar(args.k), "a": parse_scalar(args.a)}
-    results = verify.run_checks(only=args.only, overrides=overrides)
+    results = verify.run_checks(only=args.only)
     if not results:
         raise ValueError(f"no check matches {args.only!r}")
-    if overrides and all(r.check_id != "P30" for r in results):
-        raise ValueError(f"--k and --a apply only to P30, which {args.only!r} does not select")
     payload = verify.report_json(results)
     if args.json:  # written first: a failed write leaves stdout empty
         _write_json(payload, args.json)
@@ -355,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the checks whose id or location word matches (e.g. P14, cayley, rostcalc)",
     )
     p.add_argument("--json", default=None, help="write the JSON report here")
-    p.add_argument("--k", default=None)
-    p.add_argument("--a", default=None)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

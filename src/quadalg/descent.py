@@ -6,8 +6,8 @@ averaging trick (w + Z iota w and sqrt(k)(w - Z iota w)), and the basis
 kept is the candidates outside the span of the ones before them, found by
 one elimination.  The two flagship pipelines, the e0-stabilizer descent
 (4H + <-2,2k>) and the special-cocycle computation
-(2H + <2,-2k,-2a,2ak,-2a,2ak> with Arason class <2><<a,k,-1>>), are
-packaged as report objects.
+(2H + <2,-2k,-2a,2ak,-2a,2ak>), are computed here; `verify` judges
+them, the Arason class <2><<a,k,-1>> of q_z - q included.
 """
 
 from __future__ import annotations
@@ -96,9 +96,13 @@ def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
         raise ValueError("Gram matrix is not symmetric")
     if pullback(z.matrix, gram) != gram:
         raise ValueError("cocycle is not an isometry of the form")
-    basis = fixed_subspace(z)
-    # as_rational raises if a value is not F-rational
-    rows = [[as_rational(pairing(gram, v, w)) for w in basis] for v in basis]
+    return span_form(gram, fixed_subspace(z))
+
+
+def span_form(gram: Matrix, vectors) -> forms.DiagonalForm:
+    """The diagonalized F-form of a Gram matrix on the span of vectors
+    over K; as_rational raises if a pairing is not F-rational."""
+    rows = [[as_rational(pairing(gram, v, w)) for w in vectors] for v in vectors]
     return forms.DiagonalForm("Q", tuple(forms._diagonalize_gram(rows)))
 
 
@@ -149,54 +153,18 @@ def rostcalc_expected_qz(k: int | Fraction, a: int | Fraction) -> forms.Diagonal
     )
 
 
-class RostCalcReport(_Frozen):
-    """The special-cocycle computation for (k, a): the descended form q_z,
-    the twisted form q, and the four verdicts of `rostcalc_report`."""
-
-    __slots__ = ("k", "a", "q_z", "q", "qz_matches_table", "difference_witt_class_ok",
-                 "arason_class_trivial", "real_symbol_nontrivial")
-
-    def as_dict(self) -> dict:
-        return {
-            "k": str(self.k),
-            "a": str(self.a),
-            "q_z": forms.form_literal(self.q_z),
-            "q": forms.form_literal(self.q),
-            "qz_matches_table": self.qz_matches_table,
-            "difference_witt_class_ok": self.difference_witt_class_ok,
-            "arason_class_trivial": self.arason_class_trivial,
-            "real_symbol_nontrivial": self.real_symbol_nontrivial,
-        }
-
-
-def rostcalc_report(k: int | Fraction, a: int | Fraction) -> RostCalcReport:
-    """Run the whole special-cocycle computation: descend, compare with
-    the tabulated form, check the Witt class of q_z - q against
-    <2><<a,k,-1>>, and evaluate the Arason-invariant triviality (which,
-    over Q, is the vanishing of the real symbol (a) cup (k) cup (-1))."""
-    k, a = as_rat(k), as_rat(a)
-    q_z = descend_form(albert.A_GRAM, special_cocycle_on_A(k, a))
-    q = twist_a_expected(k)
-    diff = forms.direct_sum(q_z, -q)
-    expected = forms.scale(2, forms.pfister(a, k, -1))
-    return RostCalcReport(
-        k=k,
-        a=a,
-        q_z=q_z,
-        q=q,
-        qz_matches_table=forms.isometric(q_z, rostcalc_expected_qz(k, a)),
-        difference_witt_class_ok=forms.witt_equivalent(diff, expected),
-        arason_class_trivial=forms.arason_trivial(diff),
-        real_symbol_nontrivial=(a < 0 and k < 0),
-    )
+def rostcalc_qz(k: int | Fraction, a: int | Fraction) -> forms.DiagonalForm:
+    """The image q_z of the special cocycle: the A-form descended along
+    z_iota M."""
+    return descend_form(albert.A_GRAM, special_cocycle_on_A(k, a))
 
 
 def rostcalc_table_rows(k: int | Fraction, a: int | Fraction) -> list[dict]:
-    """The five 2-dimensional subspaces of the descent table: for each,
-    the displayed fixed vectors and their contribution to q_z, all
-    verified against the actual cocycle."""
+    """The four subspaces of the descent table as data: for each, the
+    fixed vectors it displays, their stated A-form values, and the form
+    it contributes to q_z (2H from the complementary totally isotropic
+    pair)."""
     k, a = as_rat(k), as_rat(a)
-    z = special_cocycle_on_A(k, a)
     rt = sqrt_k(k)
 
     zero = QuadExtScalar(0, 0, k)
@@ -208,54 +176,35 @@ def rostcalc_table_rows(k: int | Fraction, a: int | Fraction) -> list[dict]:
             v[pos] = zero + val  # a rational val becomes an element of K
         return tuple(v)
 
-    def a_value(v):
-        return as_rational(albert.a_form_value(v))
-
     # A-coordinate order: u1,u2,u3,u4,e1,e2,u5..u8 -> indices 0..9
-    iso_vectors = [
-        avec((0, one), (1, one)),
-        avec((0, rt), (1, -rt)),
-        avec((8, one), (9, one)),
-        avec((8, rt), (9, -rt)),
-    ]
-    iso_gram = [
-        [as_rational(pairing(albert.A_GRAM, v, w)) for w in iso_vectors] for v in iso_vectors
-    ]
-    rows = [
+    return [
         {
             "subspace": "(u1,u2) with (u7,u8)",
-            "vectors": iso_vectors,
-            "contribution": "2H (complementary totally isotropic pair)",
-            "fixed_ok": all(z.is_fixed(v) for v in iso_vectors),
-            "values_ok": all(a_value(v) == 0 for v in iso_vectors)
-            and forms.isometric(
-                forms.DiagonalForm("Q", tuple(forms._diagonalize_gram(iso_gram))),
-                forms.hyperbolic(2),
-            ),
+            "contribution": forms.hyperbolic(2),
+            "vectors": [
+                avec((0, one), (1, one)),
+                avec((0, rt), (1, -rt)),
+                avec((8, one), (9, one)),
+                avec((8, rt), (9, -rt)),
+            ],
+            "values": [0, 0, 0, 0],
         },
         {
             "subspace": "(u3,u6)",
+            "contribution": forms.form([2, -2 * k]),
             "vectors": [avec((2, one), (7, -one)), avec((2, rt), (7, rt))],
-            "contribution": "<2,-2k>",
             "values": [2, -2 * k],
         },
         {
             "subspace": "(u4,u5)",
+            "contribution": forms.form([-2 * a, 2 * a * k]),
             "vectors": [avec((3, a), (6, one)), avec((3, -a * rt), (6, rt))],
-            "contribution": "<-2a,2ak>",
             "values": [-2 * a, 2 * a * k],
         },
         {
             "subspace": "(e1,e2)",
+            "contribution": forms.form([-2 * a, 2 * a * k]),
             "vectors": [avec((4, -one), (5, a)), avec((4, rt), (5, a * rt))],
-            "contribution": "<-2a,2ak>",
             "values": [-2 * a, 2 * a * k],
         },
     ]
-    for row in rows[1:]:
-        row["fixed_ok"] = all(z.is_fixed(v) for v in row["vectors"])
-        row["values_ok"] = [a_value(v) for v in row["vectors"]] == row["values"]
-        row["values"] = [str(x) for x in row["values"]]
-    for row in rows:
-        row["vectors"] = [tuple(str(x) for x in v) for v in row["vectors"]]
-    return rows

@@ -236,7 +236,7 @@ class _Frozen:
     `__init__` fills the fields by position or by name, so a class that
     checks its arguments calls it once they pass.  Two values are equal
     when they are of one type with equal `_key()`s, and a copy or a pickle
-    calls the type on `_key()`: the fields, unless a class overrides it
+    calls the type on `_key()`: the fields, unless a class redefines it
     because its constructor's arguments are not its fields."""
 
     __slots__ = ()

@@ -129,9 +129,9 @@ BIG = int(
         ("descend", "--k", "2", "--cocycle", "{unit}", "--gram", "{number}"),
         ("form", f"<{BIG},-3,5>"),
         ("hermitian", "<1>", "--k", str(BIG)),
-        ("verify-paper", "--only", "P30", "--k", "4", "--a", "3"),
-        ("verify-paper", "--only", "P30", "--k", "0", "--a", "3"),
-        ("verify-paper", "--only", "P30", "--k", "x", "--a", "3"),
+        ("descend", "--k", "4", "--a", "3"),
+        ("descend", "--k", "0", "--a", "3"),
+        ("descend", "--k", "x", "--a", "3"),
         ("rootsys", "--type", "B3", "--fold"),
         ("rootsys", "--type", "D5", "--fold", "triality"),
         ("form", "<1,2>", "--json", "{nodir}"),
@@ -151,8 +151,6 @@ BIG = int(
         ("albert", "--map", "{flat}"),
         ("rootsys", "--type", "A3", "--source", "A1"),
         ("rootsys", "--type", "A3", "--fold", "--embedding", "{missing}", "--source", "A1"),
-        ("verify-paper", "--only", "rostcalc", "--k", "7"),
-        ("verify-paper", "--only", "rostcalc", "--a", "7"),
         ("form", "<1,+>"),
         ("form", "99999999999999999999H"),
         ("form", "9999999999H"),
@@ -165,8 +163,6 @@ BIG = int(
         ("form", "<1,1e-9000>"),
         ("descend", "--k", "2", "--cocycle", "{exponent}"),
         ("cayley", "--cocycle", "1", "1e200000", "1e-200000"),
-        ("verify-paper", "--only", "P01", "--k", "2", "--a", "3"),
-        ("verify-paper", "--only", "cayley", "--k", "2", "--a", "3"),
         ("verify-paper", "--only", ""),
     ],
     ids=[
@@ -180,9 +176,9 @@ BIG = int(
         "gram_number",
         "form_oversized_entry",
         "hermitian_oversized_k",
-        "verify_square_k",
-        "verify_zero_k",
-        "verify_bad_k",
+        "descend_square_k",
+        "descend_zero_k",
+        "descend_bad_k",
         "fold_no_automorphism",
         "triality_not_d4",
         "form_unwritable",
@@ -202,8 +198,6 @@ BIG = int(
         "map_without_element",
         "source_without_embedding",
         "fold_with_embedding",
-        "verify_k_without_a",
-        "verify_a_without_k",
         "form_sign_without_scalar",
         "form_hyperbolic_past_index",
         "form_hyperbolic_oversized",
@@ -216,8 +210,6 @@ BIG = int(
         "form_negative_exponent_oversized",
         "cocycle_exponent_oversized",
         "cayley_cocycle_exponent_oversized",
-        "verify_override_without_p30",
-        "verify_override_by_location_without_p30",
         "verify_empty_only",
     ],
 )
@@ -284,10 +276,6 @@ def test_program_fault_keeps_its_traceback(capsys, monkeypatch):
         # the scalar reader strips, keeps argparse from seeing an option
         (["cayley", "--cocycle", "1", "3", "-1/3"], ["cayley", "--cocycle", "1", "3", " -1/3"]),
         (["hermitian", "<1,-1,2>", "--k", "-1/2"], ["hermitian", "<1,-1,2>", "--k=-1/2"]),
-        (
-            ["verify-paper", "--only", "rostcalc", "--k", "5", "--a", "-11/2"],
-            ["verify-paper", "--only", "rostcalc", "--k", "5", "--a=-11/2"],
-        ),
         # a "+" glued to a scalar where one is due is its sign, as "-" is;
         # elsewhere it joins two terms
         (["form", "<+5,3>"], ["form", "<5,3>"]),
@@ -302,7 +290,6 @@ def test_program_fault_keeps_its_traceback(capsys, monkeypatch):
         "descend",
         "cayley",
         "hermitian",
-        "verify-paper",
         "plus_entry",
         "plus_pfister_slot",
         "plus_scale",
@@ -403,6 +390,8 @@ def test_descend_rostcalc(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["qz_matches_table"] and payload["difference_witt_class_ok"]
+    assert list(payload["table"]) == ["(u1,u2) with (u7,u8)", "(u3,u6)", "(u4,u5)", "(e1,e2)"]
+    assert all(list(row) == ["contribution", "vectors", "fixed", "values", "span"] for row in payload["table"].values())
 
 
 def test_descend_cocycle_file(tmp_path, capsys):
@@ -454,14 +443,22 @@ def test_verify_only_help_says_what_it_matches(capsys):
     assert "the checks whose id or location word matches" in " ".join(capsys.readouterr().out.split())
 
 
-def test_verify_rostcalc_override(tmp_path, capsys):
-    """The override runs P30's rostcalc claims on the one pair it is given."""
+def test_descend_rostcalc_at_any_pair(tmp_path, capsys):
+    """`descend --a` judges the rostcalc claims on the one pair it is
+    given, as P30 judges its five, and reports them in `--report`."""
     p = tmp_path / "r.json"
-    code, _, _ = run(capsys, "verify-paper", "--only", "P30", "--k", "5", "--a", "-11", "--json", str(p))
-    assert code == 0
-    (check,) = json.loads(p.read_text())["checks"]
-    assert list(check["witness"]) == ["(k,a)=(5,-11)"]
-    assert check["witness"]["(k,a)=(5,-11)"]["qz_matches_table"] is True
+    code, out, _ = run(capsys, "descend", "--k", "5", "--a", "-11", "--report", str(p))
+    assert code == 0 and out == ""
+    payload = json.loads(p.read_text())
+    assert (payload["k"], payload["a"]) == ("5", "-11")
+    assert payload["qz_matches_table"] is True and "failed" not in payload
+
+
+def test_verify_paper_takes_no_pair(capsys):
+    """The rostcalc claims at one (k, a) are `descend --k K --a A`'s."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify-paper", "--k", "2", "--a", "3"])
+    assert exit_.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_report_proves_on_generic_elements(tmp_path, capsys):

@@ -3,16 +3,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from quadalg import albert, forms
+from quadalg import albert, descent, forms
 from quadalg.descent import (
-    RostCalcReport,
     SemilinearCocycle,
     dagger_cocycle_matrix,
     descend_form,
     fixed_subspace,
-    rostcalc_expected_qz,
-    rostcalc_report,
-    rostcalc_table_rows,
+    rostcalc_qz,
     special_cocycle_on_A,
     twist_a_cocycle,
     twist_a_descend,
@@ -20,6 +17,7 @@ from quadalg.descent import (
 )
 from quadalg.exactmat import freeze, identity
 from quadalg.scalars import QuadExtScalar, sqrt_k
+from quadalg.verify import rostcalc_table_verdict, rostcalc_verdict
 
 
 def kx(x, y, k):
@@ -101,28 +99,58 @@ def test_descents_are_K_forms_of_the_A_form():
     for k in (2, 3, -5):
         assert forms.isometric_over_K(twist_a_descend(k), base, k)
     for k, a in [(2, 3), (-1, -1)]:
-        q_z = rostcalc_report(k, a).q_z
+        q_z = rostcalc_qz(k, a)
         assert forms.isometric_over_K(q_z, base, k)
 
 
 def test_rostcalc_reports():
     for (k, a) in [(2, 3), (-1, -1), (3, -2)]:
-        rep = rostcalc_report(k, a)
-        assert rep.qz_matches_table
-        assert rep.difference_witt_class_ok
-        assert rep.arason_class_trivial == (not (k < 0 and a < 0))
+        status, rep = rostcalc_verdict(k, a)
+        assert status == "pass"
+        assert rep["qz_matches_table"]
+        assert rep["difference_witt_class_ok"]
+        assert rep["arason_class_trivial"] == (not (k < 0 and a < 0))
     with pytest.raises(ValueError):
-        rostcalc_report(2, 0)
+        rostcalc_verdict(2, 0)
     with pytest.raises(ValueError):
-        special_cocycle_on_A(4, 3)  # k a square
+        rostcalc_verdict(4, 3)  # k a square
+    with pytest.raises(ValueError):
+        special_cocycle_on_A(4, 3)
 
 
 def test_rostcalc_table_rows():
-    rows = rostcalc_table_rows(2, 3)
-    assert len(rows) == 4
-    assert all(row["fixed_ok"] for row in rows)
-    assert all(row["values_ok"] for row in rows)
-    assert rows[0]["contribution"].startswith("2H")
+    status, rows = rostcalc_table_verdict(2, 3)
+    assert status == "pass" and len(rows) == 4
+    assert all(row["fixed"] for row in rows.values())
+    assert all(row["span"] for row in rows.values())
+    assert [row["values"] for row in rows.values()] == [["0"] * 4, ["2", "-4"], ["-6", "12"], ["-6", "12"]]
+    # the complementary totally isotropic pair contributes 2H
+    assert rows["(u1,u2) with (u7,u8)"]["contribution"] == forms.form_literal(forms.hyperbolic(2))
+
+
+@pytest.mark.parametrize("k, a", [(-1, -1), (3, -2), (5, 7), (-2, -3), (2, Q(-1, 3)), (Q(5, 2), Q(7, 3))])
+def test_the_descent_table_holds_at_every_pair(k, a):
+    """The table is stated for every (k, a), not only at P30's (2, 3)."""
+    status, rows = rostcalc_table_verdict(k, a)
+    assert status == "pass"
+    assert rows["(u3,u6)"]["values"] == [str(v) for v in (2, -2 * k)]
+    assert rows["(e1,e2)"]["values"] == [str(v) for v in (-2 * a, 2 * a * k)]
+
+
+def test_the_span_claim_rejects_a_wrong_contribution(monkeypatch):
+    """Fixed vectors with the stated values can still span another form:
+    the span claim compares the whole Gram, cross terms included."""
+    real = descent.rostcalc_table_rows
+
+    def wrong(k, a):
+        rows = real(k, a)
+        rows[1]["contribution"] = forms.form([2, 2 * k])
+        return rows
+
+    monkeypatch.setattr(descent, "rostcalc_table_rows", wrong)
+    status, rows = rostcalc_table_verdict(2, 3)
+    assert status == "fail" and rows["failed"] == ["(u3,u6)"]
+    assert rows["(u3,u6)"]["failed"] == ["span"]
 
 
 def test_dagger_cocycle_is_an_involution():
@@ -132,9 +160,8 @@ def test_dagger_cocycle_is_an_involution():
 
 
 def test_report_shape():
-    rep = rostcalc_report(2, 3)
-    d = rep.as_dict()
-    assert set(d) == {
+    _, d = rostcalc_verdict(2, 3)
+    assert list(d) == [
         "k",
         "a",
         "q_z",
@@ -143,4 +170,4 @@ def test_report_shape():
         "difference_witt_class_ok",
         "arason_class_trivial",
         "real_symbol_nontrivial",
-    }
+    ]

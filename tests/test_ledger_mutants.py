@@ -143,7 +143,9 @@ MUTANTS = {
     "forms.witt_decompose returns (0, q)": (forms, "witt_decompose", lambda q: (0, q), ("P10",)),
     # forms imports both from scalars, so each is patched in both modules
     "_hasse returns 1": ((scalars, forms), "_hasse", always(1), ("P10",)),
-    "hilbert_symbol returns 1": ((scalars, forms), "hilbert_symbol", always(1), ("P07", "P10")),
+    # P30 states the real symbol (a)(k)(-1) at each pair, nontrivial at
+    # (-1, -1) and (-2, -3)
+    "hilbert_symbol returns 1": ((scalars, forms, verify), "hilbert_symbol", always(1), ("P30",)),
     "hilbert_symbol negated at 2": (
         (scalars, forms),
         "hilbert_symbol",
@@ -156,6 +158,14 @@ MUTANTS = {
         "is_square",
         always(False),
         ("P07", "P30"),
+    ),
+    # q_z stated as the twisted form q: P30 compares the descended q_z with
+    # the table, and they differ at (-1, -1); at (2, 3), P10's pair, q_z = q
+    "descent.rostcalc_expected_qz returns q": (
+        descent,
+        "rostcalc_expected_qz",
+        lambda k, a, real=descent.twist_a_expected: real(k),
+        ("P30",),
     ),
     # P21 expects the triple (-1, 1, 1) to be unrelated
     "cayley._relates returns True": (cayley, "_relates", always(True), ("P21",)),
@@ -192,12 +202,12 @@ MUTANTS = {
 # Rows that no ledger check fails yet.  P10 states the Hasse symbols of
 # <<3,2>>, but `invariants` reads them off `_hasse` (a Hilbert symbol enters
 # only through an odd number of cancelled pairs), and its isotropy and
-# Witt-index claims come out the same under either Hilbert-symbol mutant.
-# The square test only guards the field parameters, and the ledger passes no
-# square k.  The strict marker makes a row fail loudly once a check catches
-# its mutant.
+# Witt-index claims come out the same under either Hilbert-symbol mutant;
+# P30's real symbol is read at the real place, which the mutant at 2 leaves
+# alone.  The square test only guards the field parameters, and the ledger
+# passes no square k.  The strict marker makes a row fail loudly once a
+# check catches its mutant.
 BLIND = (
-    "hilbert_symbol returns 1",
     "hilbert_symbol negated at 2",
     "scalars.is_square returns False",
 )
@@ -269,20 +279,30 @@ def _shown(call) -> list:
     return [v for d in shown if isinstance(d, ast.Dict) for v in d.values]
 
 
+def _judges(f) -> bool:
+    """A function of verify.py that gives a verdict: a check, one that
+    calls `_verdict` or `_bundle`, or one annotated to return a verdict."""
+    verdict = ast.unparse(f.returns) == "tuple[str, dict]" if f.returns else False
+    calls = any(_called(n) in ("_verdict", "_bundle") for n in ast.walk(f))
+    return f.name not in ("_verdict", "_bundle") and (f.name.startswith("_check_") or calls or verdict)
+
+
 def test_no_literal_in_a_computed_slot():
-    """A witness reports what its check computed: every check returns
-    through `_verdict` or `_bundle`, and no computed or shown value of a
-    `_verdict` call is a literal.  A claim's stated value and its
+    """A witness reports what its check computed: every function that
+    gives a verdict, the ledger's checks and those the CLI prints alike,
+    returns through `_verdict` or `_bundle`, and no computed or shown value
+    of a `_verdict` call is a literal.  A claim's stated value and its
     `documented` value are stated, so they may be literals."""
     tree = ast.parse(Path(verify.__file__).read_text())
-    checks = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_check_")]
+    judges = [f for f in tree.body if isinstance(f, ast.FunctionDef) and _judges(f)]
     by_hand = [
         f"{f.name}:{r.lineno}"
-        for f in checks
+        for f in judges
         for r in ast.walk(f)
         if isinstance(r, ast.Return) and _called(r.value) not in ("_verdict", "_bundle")
     ]
-    assert len(checks) > 30 and by_hand == []
+    assert len(judges) > 30 and {"rostcalc_verdict", "rostcalc_table_verdict"} <= {f.name for f in judges}
+    assert by_hand == []
     slots = [
         slot
         for call in ast.walk(tree)
@@ -320,3 +340,16 @@ def test_the_family_shortcut_relates_no_special_cocycle_for_a_wrong_d(mutant):
     assert not cayley.is_related_triple(z)
     with pytest.raises(ValueError, match="not related"):
         albert.g_map(z)
+
+
+@pytest.mark.parametrize("mutant", ["descent.rostcalc_expected_qz returns q"], indirect=True)
+def test_the_cli_and_the_ledger_share_one_judge(mutant, capsys):
+    """`descend --a` prints the verdict P30 gives: under a wrong table
+    form it fails the same claim and exits 1."""
+    from quadalg.cli import main
+
+    code = main(["descend", "--k", "-1", "--a", "-1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["failed"] == ["qz_matches_table"]
+    (p30,) = verify.run_checks(only="P30")
+    assert p30.witness["rostcalc"]["(k,a)=(-1,-1)"]["failed"] == ["qz_matches_table"]

@@ -69,14 +69,6 @@ def _cocycles():
     return (*over_k, descent.SemilinearCocycle(3, identity(2)))
 
 
-def _rostcalc_reports():
-    def report(a):
-        q_z, q = forms.form([1, -1]), forms.form([2])
-        return descent.RostCalcReport(2, a, q_z, q, True, True, False, False)
-
-    return report(3), report(3), report(5)
-
-
 def _laurents():
     def poly(y):
         # x^-2 (1 + sqrt 2) + y z^3: a negative exponent and a coefficient in K
@@ -114,7 +106,6 @@ RECORDS = {
     "CayleyTable": (_cayley_tables, "products"),
     "SimilitudeTriple": (_triples, "t"),
     "SemilinearCocycle": (_cocycles, "matrix"),
-    "RostCalcReport": (_rostcalc_reports, "a"),
     "AlbertMap": (_albert_maps, "matrix"),
     "Octonion": (_octonions, "coords"),
     "Similitude": (_similitudes, "matrix"),
