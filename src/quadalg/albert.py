@@ -18,13 +18,14 @@ that closed form polarized and written down, and sharp(x) = (x cross x)/2.
 The test suite holds N and sharp, so `cross` too, to the matrix route (x#
 the degree-2 characteristic coefficient, 3N = T(x, x#)), and the psi maps
 and the slot swap, each the identity plus a few blocks of octonion
-products with basis elements, to `linear_map_from_action`.  The ledger
-(P26) states the Moving Lemma's frame identities on `moving_lemma_data`.
+products with basis elements, to the map built from its action on the 27
+basis elements (`tests/reference.py`).  The ledger (P26) states the Moving
+Lemma's frame identities on `moving_lemma_data`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -124,13 +125,6 @@ IDENTITY = AlbertElement((1, 1, 1), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
 def e_idem(i: int) -> AlbertElement:
     """The diagonal idempotent e_i (1 in the (i+1,i+1) slot), i = 0,1,2."""
     return AlbertElement(identity(3)[i], (ZERO_OCT, ZERO_OCT, ZERO_OCT))
-
-
-def basis_element(m: int) -> AlbertElement:
-    return AlbertElement.from_coords(identity(ADIM)[m])
-
-
-ALBERT_BASIS = tuple(basis_element(m) for m in range(ADIM))
 
 
 def generic_element(prefix: str) -> AlbertElement:
@@ -284,10 +278,6 @@ def identity_map() -> AlbertMap:
     return AlbertMap(identity(ADIM))
 
 
-def linear_map_from_action(action: Callable[[AlbertElement], AlbertElement]) -> AlbertMap:
-    return AlbertMap(transpose([action(b).coords() for b in ALBERT_BASIS]))
-
-
 # --------------------------------------------------------------------------
 # the embedding of related triples
 
@@ -350,16 +340,6 @@ A_COORD_INDICES = (3, 4, 5, 6, 1, 2, 7, 8, 9, 10)
 # the displayed Gram of the A-form: -S4 pairs u1..u4 with u5..u8 and S2
 # pairs e1 with e2, so it is antidiagonal, -1 but at the e-entries
 A_GRAM = from_nonzeros(10, 10, [(r, 9 - r, 1 if r in (4, 5) else -1) for r in range(10)])
-
-
-def a_embed(v: Sequence[int | Fraction | QuadExtScalar]) -> AlbertElement:
-    """A-coordinates (u1..u4, e1, e2, u5..u8) -> Albert element."""
-    if len(v) != 10:
-        raise ValueError("A has dimension 10")
-    coords = [0] * ADIM
-    for val, pos in zip(v, A_COORD_INDICES):
-        coords[pos] = val
-    return AlbertElement.from_coords(coords)
 
 
 def a_project(x: AlbertElement) -> tuple:

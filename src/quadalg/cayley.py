@@ -3,7 +3,7 @@ involution, star product, similitudes, related triples and the special
 cocycle matrices.
 
 The basis is realized inside the Zorn vector-matrix algebra and pinned by
-a calibration search (see ``calibration_search``).  The constraints are:
+a calibration search (`tests/reference.py` runs it).  The constraints are:
 the anti-diagonal Gram matrix S8 for the bilinearized norm (n(x,x)=n(x)),
 the involution table (conj u4 = u5, conj u5 = u4, conj u_i = -u_i else),
 and genuine relatedness of the special triples z_j = m_j(a) d P.  Over Q
@@ -292,12 +292,6 @@ def u(i: int) -> Octonion:
 
 
 BASIS = tuple(u(i) for i in range(1, DIM + 1))
-ONE = u(4) + u(5)
-
-
-def star(x: Octonion, y: Octonion) -> Octonion:
-    """The product x (star) y = conj(x) conj(y); not unital, not associative."""
-    return x.conj() * y.conj()
 
 
 # --------------------------------------------------------------------------
@@ -390,7 +384,7 @@ def _generic_star(table: CayleyTable) -> tuple:
 @lru_cache(maxsize=1)
 def _calibrated_generic_star() -> tuple:
     """`_generic_star` on the calibrated table, formed once per process;
-    the candidate tables of `calibration_search` are not kept."""
+    that of any other table is formed per call and not kept."""
     return _generic_star(build_cayley_table())
 
 
@@ -500,63 +494,6 @@ def coboundary_triple(lam: Sequence[QuadExtScalar]) -> SimilitudeTriple:
     return SimilitudeTriple(
         tuple(Similitude(mat_mul(p, mat_mul(m_matrix(j, lam), p))) for j in range(3))
     )
-
-
-# --------------------------------------------------------------------------
-# calibration search
-
-
-def calibration_search() -> dict:
-    """Search signed scaled bases of the Zorn model for one satisfying all
-    of: Gram S8, involution table, relatedness of the z-triples.
-
-    Slots are forced by the weight pattern of the m_j matrices (u1,u6,u7
-    one isotropic line, u2,u3,u8 the paired line, u4,u5 the trace-carrying
-    pair).  Scale products of +-2 on a pair give that pair the S8 Gram
-    value 1; products of +-1 give 1/2.  The u4, u5 scales stay 1: the
-    involution makes u4 + u5 = trace(u4) 1, so n(u4, u5) = 1 would need
-    trace(u4)^2 = 2, which no rational trace meets.  The search counts
-    the candidates that differ from S8 only at (4,5), and how many of
-    them keep the involution table and relatedness (all do the first,
-    none the second: relatedness pins (3,6)), and returns the calibrated
-    optimum, which gives up only the (3,6) and (4,5) Gram entries.
-    Relatedness is decided on the generic z-triple, for every product-one
-    a at once."""
-    import itertools
-
-    # scale product +-2: S8 Gram value +-1 on the pair
-    full_pairs = [(2, -1), (-2, 1), (1, -2), (-1, 2), (2, 1), (-2, -1)]
-    # scale product +-1: Gram value +-1/2 on the pair
-    half_pairs = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
-    # relabeling the three e-indices conjugates every candidate by a basis
-    # permutation that fixes the constraint set, so scanning one labeling
-    # loses nothing
-    z = special_cocycle(generic_a())
-    near_s8 = near_s8_involution = near_s8_related = 0
-    calibrated = None
-    for (c1, c8), (c2, c7), (c3, c6) in itertools.product(
-        full_pairs, full_pairs, full_pairs + half_pairs
-    ):
-        prod, gram = _build_tables((c1, c8, c2, c7, c3, c6))
-        table = CayleyTable(prod, gram)
-        involution_ok = _involution_table_holds(table)
-        deviations = table.gram_deviations()
-        if list(deviations) == [(4, 5)]:
-            near_s8 += 1
-            near_s8_involution += involution_ok
-            near_s8_related += _relates(table, z)
-            continue
-        if calibrated is not None or not involution_ok:
-            continue
-        deviations_ok = all(GRAM_DEVIATIONS.get(pair) == got for pair, got in deviations.items())
-        if deviations_ok and _relates(table, z):
-            calibrated = {"scales": (c1, c8, c2, c7, c3, c6), "gram_deviations": deviations}
-    return {
-        "s8_except_45": near_s8,
-        "s8_except_45_with_involution": near_s8_involution,
-        "s8_except_45_with_relatedness": near_s8_related,
-        "calibrated": calibrated,
-    }
 
 
 def _conj_coords(c):

@@ -4,7 +4,7 @@ A form is a diagonal <a1,...,an> with nonzero exact entries.  Over Q the
 complete invariant fingerprint is (dimension, signed discriminant, Hasse
 symbols, real signature); over R only the signature matters.  Isotropy is
 decided place by place (Hasse-Minkowski), and the yes/no Witt questions
-(Witt triviality, I^n, the kernel of restriction to Q(sqrt k)) are read off
+(Witt triviality, I^n, the Arason invariant) are read off
 the invariants.  Over Q, entries of opposite square classes cancel in
 pairs first (q = pH + <r>); the invariants and the isotropy test read the
 residue r.  So does the Witt decomposition, with no isotropic vector: the
@@ -116,14 +116,6 @@ def scale(c: int | Fraction, q: DiagonalForm) -> DiagonalForm:
     return DiagonalForm(q.field, tuple(c * a for a in q.entries))
 
 
-def tensor(q1: DiagonalForm, q2: DiagonalForm) -> DiagonalForm:
-    if q1.field != q2.field:
-        raise ValueError("mixed base fields")
-    return DiagonalForm(
-        q1.field, tuple(a * b for a in q1.entries for b in q2.entries)
-    )
-
-
 def hyperbolic(m: int, field: str = "Q") -> DiagonalForm:
     return DiagonalForm(field, (1, -1) * m)
 
@@ -134,8 +126,8 @@ def pfister(*slots: int | Fraction, field: str = "Q") -> DiagonalForm:
 
 
 def _pfister_entries(slots) -> list:
-    """The 2^n entries of <<a1,...,an>> in the order of `tensor`: each
-    slot a turns every entry e into e, -a*e."""
+    """The 2^n entries of <<a1,...,an>>: each slot a turns every entry e
+    into the pair e, -a*e, so <<a,b>> = <1,-b,-a,ab>."""
     entries = [1]
     for a in slots:
         a = as_rat(a)
@@ -639,42 +631,6 @@ def trace_form(h: HermitianDiagonal) -> DiagonalForm:
     for lam in h.entries:
         entries += [lam, -lam * h.k]
     return DiagonalForm(h.field, tuple(entries))
-
-
-# --------------------------------------------------------------------------
-# behaviour under the quadratic extension K = Q(sqrt k)
-
-
-def in_k_witt_ideal(q: DiagonalForm, k: int | Fraction) -> bool:
-    """Whether the Witt class of q lies in <1,-k> W(Q), i.e. q becomes
-    hyperbolic over K = Q(sqrt k) (the kernel of restriction is exactly that
-    ideal).
-
-    By Hasse-Minkowski over K that asks for even dimension, a discriminant
-    that is a square in K (1 or k over Q), signature 0 at the real places of
-    K (there are none for k < 0) and hyperbolic Hasse symbols at every place
-    w of K.  Where k is a local square at v, K_w = Q_v; elsewhere K_w/Q_v is
-    quadratic (or K_w = C) and restriction kills Br_2 of Q_v, so a Hasse
-    defect of q only counts at a place where k is a local square.
-    """
-    k = as_rat(k)
-    if q.field != "Q":
-        raise ValueError("K-ideal test is for forms over Q")
-    if is_square(k):
-        raise ValueError("k must not be a square")
-    if q.dim % 2:
-        return False
-    inv = invariants(q)
-    return (
-        inv.disc in (1, square_class(k))
-        and (k < 0 or inv.signature == 0)
-        and not any(is_local_square(k, v) for v in _hasse_defects(inv))
-    )
-
-
-def isometric_over_K(q1: DiagonalForm, q2: DiagonalForm, k: int | Fraction) -> bool:
-    """Isometry of q1 x K and q2 x K for forms defined over Q."""
-    return q1.dim == q2.dim and in_k_witt_ideal(direct_sum(q1, -q2), k)
 
 
 # --------------------------------------------------------------------------

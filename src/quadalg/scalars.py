@@ -531,7 +531,7 @@ class QuadExtScalar(_Frozen):
     def __repr__(self) -> str:
         if self.y == 0:
             return str(self.x)
-        return f"{self.x}+{self.y}*sqrt({self.k})"
+        return f"{self.x}{'-' if self.y < 0 else '+'}{abs(self.y)}*sqrt({self.k})"
 
 
 _set_x, _set_y, _set_k = QuadExtScalar._setters

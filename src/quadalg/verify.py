@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import albert, cayley, descent, forms, rootsys
 from .exactmat import det as mdet, from_nonzeros, identity, mat_inv, mat_mul, pairing, scal_mul
-from .scalars import REAL, QuadExtScalar, _Frozen, div, hilbert_symbol, variable
+from .scalars import REAL, QuadExtScalar, _Frozen, div, hilbert_symbol, is_norm_from_K, variable
 
 SCHEMA_VERSION = 4
 
@@ -567,9 +567,16 @@ def _check_p29():
 
 def _check_p30():
     pairs = ((2, 3), (-1, -1), (3, -2), (5, 7), (-2, -3))  # two with a nontrivial real symbol
+    # a is a norm from Q(sqrt k) iff (k,a)_v = 1 at every place v (Serre, III.1.2).
+    # By hand: (k,a)_v = -1 at v = 3 for (2,3), at the real place for (-1,-1) and
+    # (-2,-3), and at v = 5 for (5,7); at (3,-2), -2 = 1 - 3*1^2 is a norm.
+    norms = (False, False, True, False, False)
     return _bundle({
         "twistA": _check_twista_descent(),
         "rostcalc": _bundle({f"(k,a)=({k},{a})": rostcalc_verdict(k, a) for k, a in pairs}),
+        "norm_condition": _verdict(
+            {f"(k,a)=({k},{a})": (is_norm_from_K(a, k), norm) for (k, a), norm in zip(pairs, norms)}
+        ),
         "descent_table": rostcalc_table_verdict(2, 3),
     })
 

@@ -19,6 +19,8 @@ from quadalg.exactmat import freeze, identity
 from quadalg.scalars import QuadExtScalar, sqrt_k
 from quadalg.verify import rostcalc_table_verdict, rostcalc_verdict
 
+from reference import isometric_over_K
+
 
 def kx(x, y, k):
     return QuadExtScalar(Q(x), Q(y), Q(k))
@@ -97,10 +99,10 @@ def test_descents_are_K_forms_of_the_A_form():
         "Q", tuple(forms._diagonalize_gram([list(row) for row in albert.A_GRAM]))
     )
     for k in (2, 3, -5):
-        assert forms.isometric_over_K(twist_a_descend(k), base, k)
+        assert isometric_over_K(twist_a_descend(k), base, k)
     for k, a in [(2, 3), (-1, -1)]:
         q_z = rostcalc_qz(k, a)
-        assert forms.isometric_over_K(q_z, base, k)
+        assert isometric_over_K(q_z, base, k)
 
 
 def test_rostcalc_reports():

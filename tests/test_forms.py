@@ -19,18 +19,15 @@ from quadalg.forms import (
     form_literal,
     hermitian_hyperbolic,
     hyperbolic,
-    in_k_witt_ideal,
     in_power_I,
     invariants,
     is_isotropic,
     isometric,
-    isometric_over_K,
     low_rank_kernel_check,
     parse_form,
     pfister,
     scale,
     signature,
-    tensor,
     trace_form,
     witt_decompose,
     witt_equivalent,
@@ -40,6 +37,7 @@ from quadalg.scalars import Place, REAL, div, hilbert_symbol, is_local_square, r
 
 import witness_chain  # the isotropic-vector chain, kept as a reference
 from witness_chain import isotropic_vector
+from reference import in_k_witt_ideal, isometric_over_K, tensor
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
 

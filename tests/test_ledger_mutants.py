@@ -17,6 +17,8 @@ from quadalg import albert, cayley, descent, exactmat, forms, rootsys, scalars, 
 from quadalg.exactmat import freeze
 from quadalg.scalars import div
 
+from reference import linear_map_from_action
+
 
 def clear_caches():
     for module in (scalars, exactmat, forms, cayley, albert, rootsys, descent, verify):
@@ -71,7 +73,7 @@ def key_difference(real=scalars._product_terms):
 def barless_swap():
     """The slot swap as displayed, without the entry conjugations: its
     determinant on A is the stated -1, but it is no norm isometry."""
-    return albert.linear_map_from_action(
+    return linear_map_from_action(
         lambda x: albert.AlbertElement((x.eps[0], x.eps[2], x.eps[1]), (x.c[0], x.c[2], x.c[1]))
     )
 
@@ -144,13 +146,14 @@ MUTANTS = {
     # forms imports both from scalars, so each is patched in both modules
     "_hasse returns 1": ((scalars, forms), "_hasse", always(1), ("P10",)),
     # P30 states the real symbol (a)(k)(-1) at each pair, nontrivial at
-    # (-1, -1) and (-2, -3)
+    # (-1, -1) and (-2, -3), and whether a is a norm from Q(sqrt k), which
+    # it is only at (3, -2): there the mutant at 2 makes (k, a)_2 = -1
     "hilbert_symbol returns 1": ((scalars, forms, verify), "hilbert_symbol", always(1), ("P30",)),
     "hilbert_symbol negated at 2": (
         (scalars, forms),
         "hilbert_symbol",
         negated_at_2(scalars.hilbert_symbol),
-        ("P07", "P10"),
+        ("P30",),
     ),
     # K = Q(sqrt k) is a field only for a nonsquare k; P07 and P30 build K
     "scalars.is_square returns False": (
@@ -199,18 +202,10 @@ MUTANTS = {
     ),
 }
 
-# Rows that no ledger check fails yet.  P10 states the Hasse symbols of
-# <<3,2>>, but `invariants` reads them off `_hasse` (a Hilbert symbol enters
-# only through an odd number of cancelled pairs), and its isotropy and
-# Witt-index claims come out the same under either Hilbert-symbol mutant;
-# P30's real symbol is read at the real place, which the mutant at 2 leaves
-# alone.  The square test only guards the field parameters, and the ledger
-# passes no square k.  The strict marker makes a row fail loudly once a
-# check catches its mutant.
-BLIND = (
-    "hilbert_symbol negated at 2",
-    "scalars.is_square returns False",
-)
+# Rows that no ledger check fails yet.  The square test only guards the
+# field parameters, and the ledger passes no square k.  The strict marker
+# makes a row fail loudly once a check catches its mutant.
+BLIND = ("scalars.is_square returns False",)
 
 # Mutants that no correct input tells apart from the library, with the reason.
 EQUIVALENT = {

@@ -5,11 +5,11 @@ of every module (assignments, decorators, defaults), and follows names
 transitively: a bare name resolves to its module's own definition or to
 what `from .m import name` brings in, and `m.name` to module m's
 definition.  A reached class reaches its whole body, methods included.
-The public functions that only the tests call (`TEST_ONLY`) are roots too,
-so the helpers behind them count as reached; every other module-level
-function, public or private, must be reached.  As a reached class reaches
-all its methods, a second gate asks that each method be named as an
-attribute somewhere in the library.
+Every module-level function, public or private, must be reached: what
+only the tests use lives in the tests.  As a reached class reaches all its
+methods, a second gate asks that each method be named as an attribute
+somewhere in the library, and a third that each module-level name the
+library assigns be read by the library.
 """
 
 import ast
@@ -19,19 +19,6 @@ from pathlib import Path
 import quadalg
 
 PACKAGE = Path(quadalg.__file__).parent
-
-# public API that no command reaches and the tests exercise
-TEST_ONLY = {
-    "tensor",
-    "isometric_over_K",
-    "in_k_witt_ideal",
-    "is_norm_from_K",
-    "star",
-    "calibration_search",  # the obstruction behind P17's open question
-    "linear_map_from_action",
-    "a_embed",
-}
-
 
 def _imports(tree) -> tuple[dict, dict]:
     """The names `from .m import x [as y]` binds (y -> (m, x)) and the
@@ -47,8 +34,12 @@ def _imports(tree) -> tuple[dict, dict]:
     return names, modules
 
 
-def unreached_functions(package: Path = PACKAGE, test_only=TEST_ONLY) -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+def _trees(package: Path) -> dict:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+
+
+def unreached_functions(package: Path = PACKAGE) -> list[str]:
+    trees = _trees(package)
     defs = {
         m: {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         for m, tree in trees.items()
@@ -65,9 +56,7 @@ def unreached_functions(package: Path = PACKAGE, test_only=TEST_ONLY) -> list[st
                     if sub.value.id in modules:
                         yield sub.value.id, sub.attr
 
-    todo = [(m, name) for m in defs for name in test_only if name in defs[m]]
-    assert sorted(name for _, name in todo) == sorted(test_only)
-    todo += [("cli", name) for name in defs["cli"]]
+    todo = [("cli", name) for name in defs["cli"]]
     for m, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -102,12 +91,9 @@ def test_the_walk_names_a_helper_that_only_dead_code_calls(tmp_path):
         "def _step():\n    return 2\n\n"
         "def dead():\n    return _dead_step()\n\n"
         "def _dead_step():\n    return 3\n\n"
-        "def listed():\n    return _listed_step()\n\n"
-        "def _listed_step():\n    return 4\n\n"
-        "def unused():\n    return 5\n"
+        "def unused():\n    return 4\n"
     )
-    want = ["algebra.dead", "algebra._dead_step", "algebra.unused"]
-    assert unreached_functions(tmp_path, {"listed"}) == want
+    assert unreached_functions(tmp_path) == ["algebra.dead", "algebra._dead_step", "algebra.unused"]
 
 
 def second_spellings(package: Path = PACKAGE) -> list[str]:
@@ -151,17 +137,13 @@ def test_the_alias_gate_names_each_second_spelling(tmp_path):
     assert second_spellings(tmp_path) == ["algebra.mu", "algebra.norm"]
 
 
-# methods that no library code calls and the tests exercise
-TEST_ONLY_METHODS: set[str] = set()
-
-
-def unnamed_methods(package: Path = PACKAGE, test_only=TEST_ONLY_METHODS) -> list[str]:
+def unnamed_methods(package: Path = PACKAGE) -> list[str]:
     """The methods and properties of the library's classes whose name no
     attribute (`.name`) of the library spells outside their own `def`.  The
     check goes by name, not by type: any `.name` of that spelling counts,
-    whichever object it reads.  Dunders, `_key` (the records' base calls
-    it) and the `test_only` names are exempt."""
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+    whichever object it reads.  Dunders and `_key` (the records' base calls
+    it) are exempt."""
+    trees = _trees(package)
 
     def attributes(node) -> Counter:
         return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
@@ -175,7 +157,7 @@ def unnamed_methods(package: Path = PACKAGE, test_only=TEST_ONLY_METHODS) -> lis
         for fn in cls.body
         if isinstance(fn, ast.FunctionDef)
         and not (fn.name.startswith("__") and fn.name.endswith("__"))
-        and fn.name not in {"_key", *test_only}
+        and fn.name != "_key"
         and named[fn.name] == attributes(fn)[fn.name]
     ]
 
@@ -192,8 +174,45 @@ def test_the_method_gate_names_a_method_only_its_own_body_calls(tmp_path):
         "    def value(self, v):\n        return self.g * v\n\n"
         "    def again(self, v):\n        return self.again(v - 1) if v else 0\n\n"
         "    @property\n    def rank(self):\n        return 1\n\n"
-        "    def listed(self):\n        return 2\n\n"
-        "    def unused(self):\n        return 3\n\n\n"
+        "    def unused(self):\n        return 2\n\n\n"
         "def run(form):\n    return form.value(form.rank)\n"
     )
-    assert unnamed_methods(tmp_path, {"listed"}) == ["algebra.Form.again", "algebra.Form.unused"]
+    assert unnamed_methods(tmp_path) == ["algebra.Form.again", "algebra.Form.unused"]
+
+
+def unread_names(package: Path = PACKAGE) -> list[str]:
+    """The module-level names the library assigns and no library code
+    reads: not as a bare name in their own module, not through what
+    `from .m import name` binds elsewhere, and not as `m.name`.  Dunders
+    are exempt."""
+    trees, read = _trees(package), set()
+    for m, tree in trees.items():
+        names, modules = _imports(tree)
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(names.get(sub.id, (m, sub.id)))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                read.add((sub.value.id, sub.attr))
+    return [
+        f"{m}.{name.id}"
+        for m, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in getattr(node, "targets", None) or [node.target]
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and (m, name.id) not in read
+        and not (name.id.startswith("__") and name.id.endswith("__"))
+    ]
+
+
+def test_every_module_level_name_is_read_by_the_library():
+    assert unread_names() == []
+
+
+def test_the_name_gate_names_a_constant_nothing_reads(tmp_path):
+    (tmp_path / "cli.py").write_text("from . import algebra\nfrom .algebra import SCALE as S\n\nRUN = algebra.TABLE, S\n")
+    (tmp_path / "algebra.py").write_text(
+        "__all__ = ['run']\nTABLE = (1, 2)\nSCALE = 3\n_BASE = 4\nLIMIT: int = _BASE\nONE = 1\nX, Y = 5, 6\n\n"
+        "def run():\n    return X\n"
+    )
+    assert unread_names(tmp_path) == ["algebra.LIMIT", "algebra.ONE", "algebra.Y", "cli.RUN"]

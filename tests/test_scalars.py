@@ -358,6 +358,8 @@ def test_laurent_conj_and_scalar_protocol():
     assert as_scalar(p) is p
     assert repr(2 * x * variable("y") ** -1 - 1) == "(-1) + (2)*x*y^-1"
     assert repr(x - x) == "0" and repr(QuadExtScalar(1, 1, k) * x) == "(1+1*sqrt(3))*x"
+    assert repr(QuadExtScalar(1, -1, k) * x) == "(1-1*sqrt(3))*x"
+    assert repr(QuadExtScalar(0, -1, 2)) == "0-1*sqrt(2)" and repr(QuadExtScalar(1, Q(-1, 2), k)) == "1-1/2*sqrt(3)"
 
 
 # ---------------------------------------------------------------- number theory
