@@ -39,16 +39,19 @@ from .cayley import (
 )
 from .exactmat import (
     Matrix,
+    column,
     det,
-    freeze,
     from_nonzeros,
     identity,
     mat_inv,
     mat_mul,
     mat_vec,
+    nonzeros,
     pairing,
     pullback,
+    row,
     scal_mul,
+    submatrix,
     transpose,
 )
 from .scalars import QuadExtScalar, _Frozen, as_scalar, div, exact_sum, iota, rat, variable
@@ -124,7 +127,7 @@ IDENTITY = AlbertElement((1, 1, 1), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
 
 def e_idem(i: int) -> AlbertElement:
     """The diagonal idempotent e_i (1 in the (i+1,i+1) slot), i = 0,1,2."""
-    return AlbertElement(identity(3)[i], (ZERO_OCT, ZERO_OCT, ZERO_OCT))
+    return AlbertElement([int(j == i) for j in range(3)], (ZERO_OCT, ZERO_OCT, ZERO_OCT))
 
 
 def generic_element(prefix: str) -> AlbertElement:
@@ -220,7 +223,7 @@ def _block_diagonal(
     entries = [(i, i, eps[i]) for i in range(3)]
     for i, block in enumerate(blocks):
         s = _slot(i)
-        entries += [(s + r, s + c, x) for r, row in enumerate(block) for c, x in enumerate(row)]
+        entries += [(s + r, s + c, x) for r, c, x in nonzeros(block)]
     return from_nonzeros(ADIM, ADIM, entries)
 
 
@@ -248,8 +251,7 @@ class AlbertMap(_Frozen):
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: Matrix):
-        matrix = freeze(matrix)
-        if len(matrix) != ADIM or any(len(r) != ADIM for r in matrix):
+        if matrix.shape != (ADIM, ADIM):
             raise ValueError("Albert maps are 27x27")
         super().__init__(matrix)
 
@@ -333,8 +335,12 @@ def psi(i: int, j: int, x: Octonion) -> AlbertMap:
 # the 10-dimensional subspace A = e0 x J
 
 
-# positions of the A basis (u1..u4, e1, e2, u5..u8) inside the 27 coords
+# positions of the A basis (u1..u4, e1, e2, u5..u8) inside the 27 coords,
+# and the other seventeen
 A_COORD_INDICES = (3, 4, 5, 6, 1, 2, 7, 8, 9, 10)
+_OFF_A = tuple(m for m in range(ADIM) if m not in A_COORD_INDICES)
+# e0's coordinates
+_E0 = tuple(int(m == 0) for m in range(ADIM))
 
 
 # the displayed Gram of the A-form: -S4 pairs u1..u4 with u5..u8 and S2
@@ -361,11 +367,11 @@ def in_subgroup_H(f: AlbertMap) -> bool:
     trace-form Gram T fixes e0, that is column 0 and row 0 of f being e0;
     a singular map that fixes e0 has no dagger and is rejected."""
     m = f.matrix
-    if any(row[0] != int(i == 0) for i, row in enumerate(m)):
+    if column(m, 0) != _E0:
         return False
     if not det(m):
         raise ValueError("dagger needs an invertible map")
-    return all(x == int(c == 0) for c, x in enumerate(m[0]))
+    return row(m, 0) == _E0
 
 
 def restrict_to_A(f: AlbertMap) -> Matrix:
@@ -376,9 +382,9 @@ def restrict_to_A(f: AlbertMap) -> Matrix:
     if not in_subgroup_H(f):
         raise ValueError("map is not in H (does not fix e0 with its dagger)")
     m = f.matrix
-    if any(m[r][c] for c in A_COORD_INDICES for r in range(ADIM) if r not in A_COORD_INDICES):
+    if submatrix(m, _OFF_A, A_COORD_INDICES):
         raise ValueError("element does not lie in the subspace A")
-    return freeze([[m[r][c] for c in A_COORD_INDICES] for r in A_COORD_INDICES])
+    return submatrix(m, A_COORD_INDICES, A_COORD_INDICES)
 
 
 def preserves_a_form(r10: Matrix) -> bool:

@@ -29,9 +29,11 @@ from functools import lru_cache
 
 from .exactmat import (
     Matrix,
+    dense,
     det,
     diagonal,
-    freeze,
+    entry,
+    entrywise,
     from_nonzeros,
     identity,
     mat_inv,
@@ -96,7 +98,7 @@ def deviation_records(deviations: dict) -> list[dict]:
     """Gram entries {(i, j): value} off S8 as the records {"pair", "value",
     "expected"} that `quadalg cayley` prints and P17 states."""
     return [
-        {"pair": [i, j], "value": str(x), "expected": str(S8[i - 1][j - 1])}
+        {"pair": [i, j], "value": str(x), "expected": str(entry(S8, i - 1, j - 1))}
         for (i, j), x in deviations.items()
     ]
 
@@ -106,7 +108,7 @@ def _zorn_slot_products():
     """Sparse single-slot products: slot a x slot b -> [(slot, coeff)].
     Built on integer unit vectors: the Zorn product has integer structure
     constants, and each stored coefficient is an int."""
-    units = identity(8)
+    units = dense(identity(8))
     return {
         (a, b): tuple((m, c) for m, c in enumerate(_zorn_mul(units[a], units[b])) if c)
         for a in range(8)
@@ -140,7 +142,7 @@ def _build_tables(scales):
     # u_i is coeff[i] times the unit of slot i: the Gram is the slot Gram
     # pulled back along that monomial map
     to_slots = from_nonzeros(DIM, DIM, [(s, i, coeff[i]) for i, s in enumerate(_SLOTS)])
-    return freeze(prod), pullback(to_slots, _zorn_slot_gram())
+    return tuple(map(tuple, prod)), pullback(to_slots, _zorn_slot_gram())
 
 
 class CayleyTable(_Frozen):
@@ -163,8 +165,9 @@ class CayleyTable(_Frozen):
 
     def gram_deviations(self) -> dict[tuple[int, int], int | Fraction]:
         """{(i, j): entry} for every Gram entry off S8, 1-based, i <= j."""
-        g = self.gram
-        return {(i + 1, j + 1): g[i][j] for i in range(DIM) for j in range(i, DIM) if g[i][j] != S8[i][j]}
+        g, s8 = dense(self.gram), dense(S8)
+        pairs = [(i, j) for i in range(DIM) for j in range(i, DIM)]
+        return {(i + 1, j + 1): g[i][j] for i, j in pairs if g[i][j] != s8[i][j]}
 
 
 @lru_cache(maxsize=1)
@@ -288,7 +291,7 @@ def u(i: int) -> Octonion:
     """Basis element u_i, 1-indexed."""
     if not 1 <= i <= DIM:
         raise ValueError("basis index out of range")
-    return Octonion(identity(DIM)[i - 1])
+    return Octonion([int(j == i - 1) for j in range(DIM)])
 
 
 BASIS = tuple(u(i) for i in range(1, DIM + 1))
@@ -305,8 +308,7 @@ class Similitude(_Frozen):
     __slots__ = ("matrix", "mu")
 
     def __init__(self, matrix: Matrix):
-        matrix = freeze(matrix)
-        if len(matrix) != DIM or any(len(r) != DIM for r in matrix):
+        if matrix.shape != (DIM, DIM):
             raise ValueError("similitudes are 8x8")
         g = build_cayley_table().gram
         mu = ratio(pullback(matrix, g), g)
@@ -332,9 +334,7 @@ class Similitude(_Frozen):
         """The twisted Galois action on the group G: entrywise conjugation
         of sigma_n(t)^{-1}, which is t / mu(t)."""
         inv_mu = div(1, self.mu)
-        return Similitude(
-            freeze([[iota(x * inv_mu) for x in row] for row in self.matrix])
-        )
+        return Similitude(entrywise(lambda x: iota(x * inv_mu), self.matrix))
 
     def __repr__(self) -> str:
         return f"similitude(mu={self.mu})"

@@ -111,13 +111,14 @@ def _cmd_hermitian(args) -> int:
 
 def _cmd_rootsys(args) -> int:
     from . import rootsys
+    from .exactmat import dense, freeze
 
     if args.source is not None and not args.embedding:
         raise ValueError("--source needs --embedding")
     if args.fold is not None and args.embedding:
         raise ValueError("--fold and --embedding exclude each other")
     rd = rootsys.build_root_datum(args.type)
-    payload = {"type": rd.label, "cartan": [list(r) for r in rd.cartan]}
+    payload = {"type": rd.label, "cartan": [list(r) for r in dense(rd.cartan)]}
     if args.fold is not None:
         fr = rootsys.fold(rd, name=args.fold)
         mult = rootsys.rost_multiplier(fr.embedding, fr.folded, rd)
@@ -127,13 +128,13 @@ def _cmd_rootsys(args) -> int:
                 "orbits": [list(o) for o in fr.orbits],
                 "orbit_sizes": list(fr.orbit_sizes),
                 "multiplier": mult,
-                "embedding": [list(r) for r in fr.embedding.matrix],
+                "embedding": [list(r) for r in dense(fr.embedding.matrix)],
             }
         )
     elif args.embedding:
         if args.source is None:
             raise ValueError("--embedding needs --source")
-        emb = rootsys.LatticeEmbedding(_matrix(_read_json(args.embedding)))
+        emb = rootsys.LatticeEmbedding(freeze(_matrix(_read_json(args.embedding))))
         src = rootsys.build_root_datum(args.source)
         payload["multiplier"] = rootsys.rost_multiplier(emb, src, rd)
         payload["source"] = src.label
@@ -147,13 +148,14 @@ def _cmd_rootsys(args) -> int:
 
 def _cmd_cayley(args) -> int:
     from . import cayley
+    from .exactmat import freeze
 
     if args.triple:
         mats = _read_json(args.triple)
         if not isinstance(mats, list):
             raise ValueError("--triple needs a JSON list of three 8x8 matrices")
         trip = cayley.SimilitudeTriple(
-            tuple(cayley.Similitude(_matrix(m)) for m in mats)
+            tuple(cayley.Similitude(freeze(_matrix(m))) for m in mats)
         )
         payload = {
             "multipliers": [str(m) for m in trip.multipliers],
@@ -185,6 +187,7 @@ def _cmd_cayley(args) -> int:
 
 def _cmd_albert(args) -> int:
     from . import albert, cayley
+    from .exactmat import freeze
 
     if args.map is not None and not args.element:
         raise ValueError("--map needs --element")
@@ -195,7 +198,7 @@ def _cmd_albert(args) -> int:
         (eps,) = _matrix([data["eps"]])
         x = albert.AlbertElement(eps, [cayley.Octonion(c) for c in _matrix(data["c"])])
         if args.map:
-            x = albert.AlbertMap(_matrix(_read_json(args.map)))(x)
+            x = albert.AlbertMap(freeze(_matrix(_read_json(args.map))))(x)
         sharp = albert.sharp(x)
         payload = {
             "eps": [str(e) for e in x.eps],
@@ -223,6 +226,7 @@ def _cmd_albert(args) -> int:
 
 def _cmd_descend(args) -> int:
     from . import albert, descent, forms
+    from .exactmat import freeze
 
     if args.gram and not args.cocycle:
         raise ValueError("--gram needs --cocycle")
@@ -238,9 +242,9 @@ def _cmd_descend(args) -> int:
             return QuadExtScalar(_scalar(xy[0]), _scalar(xy[1]), k)
 
         z = descent.SemilinearCocycle(
-            k, _matrix(_read_json(args.cocycle), x_plus_y_sqrt_k)
+            k, freeze(_matrix(_read_json(args.cocycle), x_plus_y_sqrt_k))
         )
-        gram = _matrix(_read_json(args.gram)) if args.gram else albert.A_GRAM
+        gram = freeze(_matrix(_read_json(args.gram))) if args.gram else albert.A_GRAM
         payload = {"descended": forms.form_literal(descent.descend_form(gram, z))}
     elif args.a is not None:
         from . import verify
@@ -263,13 +267,14 @@ def _cmd_descend(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    results = verify.run_checks(only=args.only)
+    timings = {} if args.timings else None
+    results = verify.run_checks(only=args.only, timings=timings)
     if not results:
         raise ValueError(f"no check matches {args.only!r}")
-    payload = verify.report_json(results)
+    payload = verify.report_json(results, timings)
     if args.json:  # written first: a failed write leaves stdout empty
         _write_json(payload, args.json)
-    print(verify.render_table(results))
+    print(verify.render_table(results, timings))
     failed = payload["summary"]["fail"]
     oq = payload["summary"]["open-question"]
     print(
@@ -354,6 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the checks whose id or location word matches (e.g. P14, cayley, rostcalc)",
     )
     p.add_argument("--json", default=None, help="write the JSON report here")
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="add each check's wall time (elapsed_s) to the table and the report",
+    )
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -18,20 +18,22 @@ from functools import lru_cache
 from . import albert, cayley, forms
 from .exactmat import (
     Matrix,
-    freeze,
+    dense,
+    entrywise,
     from_nonzeros,
+    gram,
     identity,
     independent,
     mat_mul,
     mat_vec,
-    pairing,
     pullback,
+    transpose,
 )
 from .scalars import QuadExtScalar, _Frozen, as_rat, as_rational, div, iota, is_square, sqrt_k
 
 
 def _iota_mat(m: Matrix) -> Matrix:
-    return freeze([[iota(x) for x in row] for row in m])
+    return entrywise(iota, m)
 
 
 class SemilinearCocycle(_Frozen):
@@ -44,16 +46,16 @@ class SemilinearCocycle(_Frozen):
         k = as_rat(k)
         if is_square(k):
             raise ValueError("k must not be a square")
-        m = freeze(matrix)
-        if any(len(row) != len(m) for row in m):
+        n, m = matrix.shape
+        if n != m:
             raise ValueError("a cocycle matrix is square")
-        if mat_mul(m, _iota_mat(m)) != identity(len(m)):
+        if mat_mul(matrix, _iota_mat(matrix)) != identity(n):
             raise ValueError("cocycle condition Z iota(Z) = 1 fails")
-        super().__init__(k, m)
+        super().__init__(k, matrix)
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return self.matrix.shape[0]
 
     def twisted(self, v):
         """The semilinear action v -> Z(iota v)."""
@@ -67,13 +69,12 @@ def fixed_subspace(z: SemilinearCocycle) -> list[tuple]:
     """An F-basis of the fixed points of the twisted action: n vectors
     over K that are fixed and K-linearly independent (an F-form basis).
     The 2n candidates w + Z iota w and sqrt(k)(w - Z iota w) are built
-    from integer unit vectors w, so they keep int zeros that the
-    elimination skips."""
+    from integer unit vectors w, so Z iota w is column w of Z, and the
+    candidates keep int zeros that the elimination skips."""
     n = z.dim
     rt = sqrt_k(z.k)
     cands = []
-    for w in identity(n):
-        tw = z.twisted(w)
+    for w, tw in zip(dense(identity(n)), dense(transpose(z.matrix))):
         cands.append(tuple(a + b for a, b in zip(w, tw)))
         cands.append(tuple(rt * d if (d := a - b) else 0 for a, b in zip(w, tw)))
     found = independent(cands)
@@ -84,25 +85,23 @@ def fixed_subspace(z: SemilinearCocycle) -> list[tuple]:
     return found
 
 
-def descend_form(gram: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
-    """Restrict a rational Gram matrix (a form defined over F, extended to
-    K) to the fixed F-span of the cocycle; Z must be a K-isometry of the
-    form.  Returns the diagonalized F-form."""
-    gram = freeze(gram)
-    n = z.dim
-    if len(gram) != n or any(len(row) != n for row in gram):
+def descend_form(form: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
+    """Restrict a rational Gram matrix `form` (a form defined over F,
+    extended to K) to the fixed F-span of the cocycle; Z must be a
+    K-isometry of the form.  Returns the diagonalized F-form."""
+    if form.shape != (z.dim, z.dim):
         raise ValueError("Gram and cocycle dimensions differ")
-    if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(i)):
+    if form != transpose(form):
         raise ValueError("Gram matrix is not symmetric")
-    if pullback(z.matrix, gram) != gram:
+    if pullback(z.matrix, form) != form:
         raise ValueError("cocycle is not an isometry of the form")
-    return span_form(gram, fixed_subspace(z))
+    return span_form(form, fixed_subspace(z))
 
 
-def span_form(gram: Matrix, vectors) -> forms.DiagonalForm:
-    """The diagonalized F-form of a Gram matrix on the span of vectors
-    over K; as_rational raises if a pairing is not F-rational."""
-    rows = [[as_rational(pairing(gram, v, w)) for w in vectors] for v in vectors]
+def span_form(form: Matrix, vectors) -> forms.DiagonalForm:
+    """The diagonalized F-form of the Gram matrix `form` on the span of
+    vectors over K; as_rational raises if a pairing is not F-rational."""
+    rows = dense(entrywise(as_rational, gram(form, vectors)))
     return forms.DiagonalForm("Q", tuple(forms._diagonalize_gram(rows)))
 
 

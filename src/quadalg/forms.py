@@ -468,43 +468,76 @@ def _certify(inv: WittInvariants, m: int, entries, places) -> None:
 
 
 def _diagonalize_gram(gram):
-    """Diagonal entries of a congruent diagonal matrix, squarefree-reduced.
+    """Diagonal entries of a congruent diagonal matrix, squarefree-reduced,
+    for a symmetric Gram matrix given by its rows.
 
     Symmetric Gaussian elimination; a zero diagonal block is repaired by
     the characteristic-zero row+column addition trick, and a zero block
-    (a degenerate Gram) is a ValueError.
+    (a degenerate Gram) is a ValueError.  Each row is held as a dict of
+    its nonzero entries in the block not yet eliminated, so a pivot
+    updates only the entries of the rows that meet it: pivot t leaves
+    g[i][l] - g[i][t] g[t][l] / g[t][t] at each pair of its neighbours.
     """
     n = len(gram)
-    g = [list(row) for row in gram]
+    g = [{j: x for j, x in enumerate(row) if x} for row in gram]
     out = []
     for t in range(n):
-        piv = next((i for i in range(t, n) if g[i][i] != 0), None)
+        piv = next((i for i in range(t, n) if i in g[i]), None)
         if piv is None:
-            i, j = next(
-                ((i, j) for i in range(t, n) for j in range(t, n) if g[i][j] != 0),
-                (None, None),
-            )
+            i = next((i for i in range(t, n) if g[i]), None)
             if i is None:
                 raise ValueError("degenerate Gram matrix")
-            for m in range(n):
-                g[i][m] += g[j][m]
-            for m in range(n):
-                g[m][i] += g[m][j]
+            _add_row_and_column(g, i, min(g[i]))
             piv = i
         if piv != t:
-            g[t], g[piv] = g[piv], g[t]
-            for row in g:
-                row[t], row[piv] = row[piv], row[t]
-        d = g[t][t]
+            _swap_row_and_column(g, t, piv)
+        row = g[t]
+        d = row.pop(t)
         out.append(square_class(d))
-        for i in range(t + 1, n):
-            if g[i][t]:
-                f = div(g[i][t], d)
-                for m in range(n):
-                    g[i][m] -= f * g[t][m]
-                for m in range(n):
-                    g[m][i] -= f * g[m][t]
+        for i, x in row.items():
+            f = div(x, d)
+            other = g[i]
+            del other[t]
+            for m, y in row.items():
+                v = other.get(m, 0) - f * y
+                if v:
+                    other[m] = v
+                else:
+                    other.pop(m, None)
     return out
+
+
+def _add_row_and_column(g: list[dict], i: int, j: int) -> None:
+    """Row i += row j and column i += column j of the symmetric g, held as
+    dicts of nonzero entries: g[i][m] and g[m][i] gain g[j][m] for m != i,
+    and g[i][i] gains 2 g[i][j] + g[j][j]."""
+    row_i = g[i]
+    diag = row_i.get(i, 0) + 2 * row_i.get(j, 0) + g[j].get(j, 0)
+    for m, x in list(g[j].items()):
+        if m != i:
+            v = row_i.get(m, 0) + x
+            for a, b in ((i, m), (m, i)):
+                if v:
+                    g[a][b] = v
+                else:
+                    g[a].pop(b, None)
+    if diag:
+        row_i[i] = diag
+    else:
+        row_i.pop(i, None)
+
+
+def _swap_row_and_column(g: list[dict], t: int, p: int) -> None:
+    """Exchange rows t and p and columns t and p of the symmetric g: only
+    the rows that hold column t or p, t's and p's neighbours, change."""
+    g[t], g[p] = g[p], g[t]
+    for m in {t, p, *g[t], *g[p]}:
+        row = g[m]
+        a, b = row.pop(t, None), row.pop(p, None)
+        if a is not None:
+            row[p] = a
+        if b is not None:
+            row[t] = b
 
 
 # --------------------------------------------------------------------------

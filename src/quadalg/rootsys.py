@@ -16,8 +16,23 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmat import Matrix, freeze, from_nonzeros, identity, mat_vec, pairing, pullback, ratio
-from .exactmat import rank as mat_rank, transpose
+from .exactmat import (
+    Matrix,
+    column,
+    dense,
+    entry,
+    entrywise,
+    freeze,
+    from_nonzeros,
+    identity,
+    mat_vec,
+    nonzeros,
+    pairing,
+    pullback,
+    ratio,
+    transpose,
+)
+from .exactmat import rank as mat_rank
 from .scalars import _Frozen, div
 
 
@@ -81,13 +96,13 @@ class RootDatum(_Frozen):
     def simple_reflection(self, i: int) -> Matrix:
         """Action of s_i on coroot coordinates: e_j -> e_j - A[j][i] e_i."""
         n = self.rank
-        row_i = [(i, j, int(i == j) - self.cartan[j][i]) for j in range(n)]
+        row_i = [(i, j, int(i == j) - a_ji) for j, a_ji in enumerate(column(self.cartan, i))]
         return from_nonzeros(n, n, [(r, r, 1) for r in range(n)] + row_i)
 
     def all_coroots(self) -> list[tuple[int, ...]]:
         """Closure of the simple coroots under the Weyl generators."""
         gens = [self.simple_reflection(i) for i in range(self.rank)]
-        seen = set(identity(self.rank))
+        seen = set(dense(identity(self.rank)))
         frontier = list(seen)
         while frontier:
             nxt = []
@@ -118,13 +133,10 @@ def build_root_datum(type_str: str) -> RootDatum:
         # the inner product is -max of the two root norms over 2
         x = div(-max(norms[i], norms[j]), 2)
         entries += [(i, j, x), (j, i, x)]
-    pair = from_nonzeros(rank, rank, entries)
-    cartan = freeze(
-        [[div(2 * pair[i][j], norms[i]) for j in range(rank)] for i in range(rank)]
-    )
-    if any(x != int(x) for row in cartan for x in row):
+    cartan = [(i, j, div(2 * x, norms[i])) for i, j, x in entries]
+    if any(x != int(x) for _, _, x in cartan):
         raise RuntimeError("non-integral Cartan matrix")
-    cartan = freeze([[int(x) for x in row] for row in cartan])
+    cartan = from_nonzeros(rank, rank, [(i, j, int(x)) for i, j, x in cartan])
     return RootDatum(f"{series}{rank}", series, rank, cartan, tuple(norms))
 
 
@@ -146,20 +158,13 @@ def canonical_form(rd: RootDatum) -> Matrix:
     The same step shows that an antisymmetric form preserved by s_i
     vanishes on e_i, so s_i preserves any G exactly when row i of G also
     equals its column i; both are checked for each i."""
-    n = rd.rank
-    a = rd.cartan
-    gram = freeze(
-        [
-            [div(a[i][j], rd.root_norms[j]) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    for i in range(n):
-        column = [gram[j][i] for j in range(n)]
-        criterion = all(2 * g == a[j][i] * gram[i][i] for j, g in enumerate(column))
-        if list(gram[i]) != column or not criterion:
+    a = dense(rd.cartan)
+    gram = [[div(x, norm) for x, norm in zip(row, rd.root_norms)] for row in a]
+    for i, column in enumerate(zip(*gram)):
+        criterion = all(2 * g == row[i] * gram[i][i] for g, row in zip(column, a))
+        if gram[i] != list(column) or not criterion:
             raise RuntimeError(f"canonical form not invariant under s_{i}")
-    return gram
+    return freeze(gram)
 
 
 def coroot_values(rd: RootDatum) -> dict[tuple, int | Fraction]:
@@ -199,10 +204,9 @@ def _check_automorphism(rd: RootDatum, perm) -> None:
     n = rd.rank
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the simple roots")
-    for i in range(n):
-        for j in range(n):
-            if rd.cartan[perm[i]][perm[j]] != rd.cartan[i][j]:
-                raise ValueError("permutation is not a diagram automorphism")
+    a = dense(rd.cartan)
+    if any(a[perm[i]][perm[j]] != a[i][j] for i in range(n) for j in range(n)):
+        raise ValueError("permutation is not a diagram automorphism")
 
 
 class LatticeEmbedding(_Frozen):
@@ -212,20 +216,20 @@ class LatticeEmbedding(_Frozen):
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: Matrix):
-        if any(x != int(x) for row in matrix for x in row):
+        if any(x != int(x) for _, _, x in nonzeros(matrix)):
             raise ValueError("embedding matrix has a non-integral entry")
-        m = freeze([[int(x) for x in row] for row in matrix])
-        if mat_rank(m) != len(m[0]):
+        m = entrywise(int, matrix)
+        if mat_rank(m) != m.shape[1]:
             raise ValueError("embedding matrix is not injective")
         super().__init__(m)
 
     @property
     def source_rank(self) -> int:
-        return len(self.matrix[0])
+        return self.matrix.shape[1]
 
     @property
     def target_rank(self) -> int:
-        return len(self.matrix)
+        return self.matrix.shape[0]
 
 
 class FoldResult(_Frozen):
@@ -263,7 +267,7 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
         orbits.append(tuple(sorted(orbit)))
     for orbit in orbits:
         for i, j in itertools.combinations(orbit, 2):
-            if rd.cartan[i][j] != 0:
+            if entry(rd.cartan, i, j) != 0:
                 raise FoldingError(
                     "nonreduced-BC",
                     f"orbit {tuple(k + 1 for k in orbit)} contains adjacent "
@@ -286,7 +290,7 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
     folded, order = _read_type(
         [[int(x) for x in row] for row in cartan], "C" if rd.series == "A" else "B"
     )
-    emb = LatticeEmbedding(transpose([sums[i] for i in order]))
+    emb = LatticeEmbedding(transpose(freeze([sums[i] for i in order])))
     return FoldResult(folded, tuple(orbits[i] for i in order), emb)
 
 
@@ -320,8 +324,9 @@ def _read_type(cartan, prefer: str) -> tuple[RootDatum, list[int]]:
     else:
         series = "B" if cartan[end][inner] < -1 else "C"
     folded = build_root_datum(f"{series}{m}")
+    target = dense(folded.cartan)
     for walk in (order, order[::-1]):
-        if all(cartan[walk[i]][walk[j]] == folded.cartan[i][j] for i in range(m) for j in range(m)):
+        if all(cartan[walk[i]][walk[j]] == target[i][j] for i in range(m) for j in range(m)):
             return folded, walk
     raise RuntimeError("folded system matches no catalogued type")
 

@@ -13,12 +13,23 @@ That is how P17 (the calibrated Gram against S8) and P29's slot swap
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from collections.abc import Callable
 from functools import lru_cache
 
 from . import albert, cayley, descent, forms, rootsys
-from .exactmat import det as mdet, from_nonzeros, identity, mat_inv, mat_mul, pairing, scal_mul
+from .exactmat import (
+    dense,
+    det as mdet,
+    from_nonzeros,
+    identity,
+    mat_inv,
+    mat_mul,
+    pairing,
+    scal_mul,
+    transpose,
+)
 from .scalars import REAL, QuadExtScalar, _Frozen, div, hilbert_symbol, is_norm_from_K, variable
 
 SCHEMA_VERSION = 4
@@ -233,7 +244,8 @@ def _check_orbit_values():
     claims = {}
     for name, rd, fr in _all_foldings():
         gram = rootsys.canonical_form(rd)
-        vals = [str(pairing(gram, column, column)) for column in zip(*fr.embedding.matrix)]
+        columns = dense(transpose(fr.embedding.matrix))
+        vals = [str(pairing(gram, column, column)) for column in columns]
         claims[name] = ({"folded": fr.folded.label, "values": vals},
                         {"folded": _FOLDED_TYPES[name], "values": [str(len(o)) for o in fr.orbits]})
     return _verdict(claims)
@@ -264,7 +276,7 @@ def _check_a2l_rejected():
 def _check_canonical_gram():
     a2 = rootsys.build_root_datum("A2")
     gram = rootsys.canonical_form(a2)
-    half_cartan = all(2 * gram[i][j] == a2.cartan[i][j] for i in range(2) for j in range(2))
+    half_cartan = scal_mul(2, gram) == a2.cartan
     g2_vals = sorted(set(rootsys.coroot_values(rootsys.build_root_datum("G2")).values()))
     return _verdict({
         "A2_gram_is_half_cartan": (half_cartan, True),
@@ -615,17 +627,22 @@ CHECKS: list[tuple[str, str, Callable[[], tuple[str, dict]]]] = [
 ]
 
 
-def run_checks(only: str | None = None) -> list[CheckResult]:
+def run_checks(only: str | None = None, timings: dict | None = None) -> list[CheckResult]:
     """Run the ledger (deterministic order); `only` filters by identifier
-    or by a word of the location, and `only=""` selects no check."""
+    or by a word of the location, and `only=""` selects no check.  When
+    `timings` is a dict, each check's wall time in seconds is stored in it
+    under the check's id."""
     results = []
     for (check_id, location, fn), names in zip(CHECKS, _CHECK_NAMES):
         if only is not None and _token(only) not in names:
             continue
+        start = time.perf_counter()
         try:
             status, witness = fn()
         except Exception as exc:  # failures are data, not crashes
             status, witness = "fail", {"error": f"{type(exc).__name__}: {exc}"}
+        if timings is not None:
+            timings[check_id] = time.perf_counter() - start
         results.append(CheckResult(check_id, location, status, witness))
     return results
 
@@ -639,11 +656,16 @@ def _token(word: str) -> str:
 _CHECK_NAMES = [(_token(cid), *map(_token, location.split())) for cid, location, _ in CHECKS]
 
 
-def report_json(results: list[CheckResult]) -> dict:
+def report_json(results: list[CheckResult], timings: dict | None = None) -> dict:
+    """The JSON report; with `timings` ({check id: seconds}) each check
+    also carries its `elapsed_s`."""
+    checks = [r.as_dict() for r in results]
+    if timings is not None:
+        checks = [{**c, "elapsed_s": round(timings[c["id"]], 6)} for c in checks]
     return {
         "schema": SCHEMA_VERSION,
         "tool": "quadalg verify-paper",
-        "checks": [r.as_dict() for r in results],
+        "checks": checks,
         "summary": {
             "pass": sum(r.status == "pass" for r in results),
             "fail": sum(r.status == "fail" for r in results),
@@ -652,9 +674,14 @@ def report_json(results: list[CheckResult]) -> dict:
     }
 
 
-def render_table(results: list[CheckResult]) -> str:
+def render_table(results: list[CheckResult], timings: dict | None = None) -> str:
+    """One line per check; with `timings` ({check id: seconds}) each line
+    ends in the check's wall time."""
     lines = []
     width = max(len(r.location) for r in results) if results else 10
     for r in results:
-        lines.append(f"{r.check_id}  {r.location.ljust(width)}  {r.status}")
+        line = f"{r.check_id}  {r.location.ljust(width)}  {r.status}"
+        if timings is not None:  # past the longest status, "open-question"
+            line = f"{line.ljust(len(r.check_id) + width + 17)}  {timings[r.check_id]:.6f} s"
+        lines.append(line)
     return "\n".join(lines)

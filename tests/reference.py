@@ -1,17 +1,20 @@
 """Constructions and references that only the tests use: the tensor product,
 forms over K = Q(sqrt k), the octonion unit, Albert maps built from their
-action on the basis, and the calibration search behind P17's open question."""
+action on the basis, the calibration search behind P17's open question,
+and the dense-tuple kernels that `exactmat` had before a matrix stored
+only its nonzeros."""
 
 import itertools
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from quadalg.albert import ADIM, A_COORD_INDICES, AlbertElement, AlbertMap
 from quadalg.cayley import GRAM_DEVIATIONS, CayleyTable, _build_tables, _involution_table_holds, _relates
 from quadalg.cayley import generic_a, special_cocycle, u
-from quadalg.exactmat import identity, transpose
+from quadalg import exactmat
 from quadalg.forms import DiagonalForm, _hasse_defects, direct_sum, invariants
-from quadalg.scalars import QuadExtScalar, as_rat, is_local_square, is_square, square_class
+from quadalg.scalars import QuadExtScalar, as_rat, div, exact_sum, is_local_square, is_square, rat, square_class
 
 
 def tensor(q1: DiagonalForm, q2: DiagonalForm) -> DiagonalForm:
@@ -58,14 +61,15 @@ ONE = u(4) + u(5)
 
 
 def basis_element(m: int) -> AlbertElement:
-    return AlbertElement.from_coords(identity(ADIM)[m])
+    return AlbertElement.from_coords(exactmat.dense(exactmat.identity(ADIM))[m])
 
 
 ALBERT_BASIS = tuple(basis_element(m) for m in range(ADIM))
 
 
 def linear_map_from_action(action: Callable[[AlbertElement], AlbertElement]) -> AlbertMap:
-    return AlbertMap(transpose([action(b).coords() for b in ALBERT_BASIS]))
+    columns = exactmat.freeze([action(b).coords() for b in ALBERT_BASIS])
+    return AlbertMap(exactmat.transpose(columns))
 
 
 def a_embed(v: Sequence[int | Fraction | QuadExtScalar]) -> AlbertElement:
@@ -127,3 +131,185 @@ def calibration_search() -> dict:
         "s8_except_45_with_relatedness": near_s8_related,
         "calibrated": calibrated,
     }
+
+
+# --------------------------------------------------------------------------
+# the dense-tuple kernels: a matrix as a tuple of row tuples, the int 0 in
+# every empty place
+
+
+Matrix = tuple[tuple, ...]
+Vector = tuple
+
+
+def freeze(rows: Sequence[Sequence]) -> Matrix:
+    return tuple(tuple(row) for row in rows)
+
+
+def from_nonzeros(n: int, m: int, entries) -> Matrix:
+    """The n x m matrix with x at each (r, c, x) of `entries` and the int 0
+    everywhere else; a later entry at a place replaces an earlier one."""
+    rows = [[0] * m for _ in range(n)]
+    for r, c, x in entries:
+        rows[r][c] = x
+    return freeze(rows)
+
+
+def diagonal(entries: Sequence) -> Matrix:
+    n = len(entries)
+    return from_nonzeros(n, n, [(i, i, x) for i, x in enumerate(entries)])
+
+
+@lru_cache(maxsize=None)
+def identity(n: int) -> Matrix:
+    """The n x n identity, built once per n: the tuples are immutable."""
+    return diagonal([1] * n)
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
+
+
+def _nonzeros(v: Sequence) -> list:
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def _dot(row: Sequence, nonzeros: list):
+    """The sum of row[j] * x over the (j, x) in `nonzeros` with row[j]
+    nonzero, in canonical form; 0 when there is no such term."""
+    out = None
+    for j, x in nonzeros:
+        y = row[j]
+        if y:
+            out = y * x if out is None else out + y * x
+    return 0 if out is None else rat(out)
+
+
+def pairing(g: Matrix, v: Sequence, w: Sequence):
+    """v^T g w: the products g[r][c] (v[r] w[c]) of nonzero factors, summed
+    once by `exact_sum`, so the int 0 when there are none."""
+    ws = _nonzeros(w)
+    terms = []
+    for r, x in _nonzeros(v):
+        row = g[r]
+        terms += [row[c] * (x * y) for c, y in ws if row[c]]
+    return exact_sum(terms)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a b by rows: each nonzero a[i][j], j ascending, adds b[j][c] * a[i][j]
+    for the nonzero b[j][c] to row i, so each entry is the sum `_dot` gives."""
+    b_rows = [_nonzeros(row) for row in b]
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = {}
+        for j, x in enumerate(row):
+            if x:
+                for c, y in b_rows[j]:
+                    v = acc.get(c)
+                    acc[c] = y * x if v is None else v + y * x
+        dense = [0] * width
+        for c, v in acc.items():
+            dense[c] = rat(v)
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+def mat_vec(a: Matrix, v: Sequence) -> Vector:
+    nz = _nonzeros(v)
+    return tuple(_dot(row, nz) for row in a)
+
+
+def scal_mul(c, a: Matrix) -> Matrix:
+    return freeze([[rat(c * x) for x in row] for row in a])
+
+
+def pullback(a: Matrix, g: Matrix) -> Matrix:
+    """a^T g a: the Gram matrix g pulled back along a."""
+    return mat_mul(transpose(a), mat_mul(g, a))
+
+
+def ratio(a: Matrix, b: Matrix):
+    """The scalar c with a = c b, or None when there is none or b is 0."""
+    c = None
+    for r, s in zip(a, b):
+        for x, y in zip(r, s):
+            if not y:
+                if x:
+                    return None
+            elif c is None:
+                c = div(x, y)
+            elif x != c * y:
+                return None
+    return c
+
+
+def _reduce(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], object, list[dict]]:
+    """Gauss-Jordan elimination of `rows` over the first `ncols` columns:
+    each pivot row is scaled to 1 and its column cleared in every other
+    row.  Returns the pivot columns, the determinant of the leading square
+    block (0 as soon as a column has no pivot) and the reduced rows.
+
+    Each row is held as a dict {column: value} of its nonzero entries, so
+    a pivot is found by membership and only nonzeros are scaled and
+    cleared: on a monomial matrix a column costs one multiplication for
+    the determinant and one per other nonzero of the pivot row."""
+    nz = [dict(_nonzeros(row)) for row in rows]
+    pivots = []
+    d = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(nz):
+            break
+        piv = next((i for i in range(r, len(nz)) if col in nz[i]), None)
+        if piv is None:
+            d = d * 0
+            continue
+        if piv != r:
+            nz[r], nz[piv] = nz[piv], nz[r]
+            d = -d
+        row = nz[r]
+        p = row.pop(col)
+        d = rat(d * p)
+        inv = div(1, p)
+        for c, x in row.items():
+            row[c] = rat(x * inv)
+        for other in nz:
+            f = other.pop(col, None)
+            if f is None:
+                continue
+            for c, y in row.items():
+                v = rat(other.get(c, 0) - f * y)
+                if v:
+                    other[c] = v
+                else:
+                    other.pop(c, None)
+        row[col] = 1
+        pivots.append(col)
+    return pivots, d, nz
+
+
+def det(a: Matrix):
+    return _reduce(a, len(a))[1]
+
+
+def mat_inv(a: Matrix) -> Matrix:
+    """The inverse, read off the right half of [a | 1] reduced and written
+    back dense, with the int 0 for every zero."""
+    n = len(a)
+    pivots, _, rows = _reduce([[*row, *e] for row, e in zip(a, identity(n))], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row.get(c, 0) for c in range(n, 2 * n)) for row in rows)
+
+
+def rank(a: Matrix) -> int:
+    return len(_reduce(a, len(a[0]) if a else 0)[0])
+
+
+def independent(vecs: Sequence[Vector]) -> list[Vector]:
+    """The vectors not in the span of the ones before them: the pivot
+    columns of the matrix whose columns are `vecs`."""
+    pivots, _, _ = _reduce(list(zip(*vecs)), len(vecs))
+    return [vecs[c] for c in pivots]

@@ -29,6 +29,7 @@ from quadalg.albert import (
 )
 from quadalg.cayley import Octonion, Similitude, SimilitudeTriple, u
 from quadalg.exactmat import (
+    dense,
     det as mdet,
     freeze,
     identity,
@@ -212,7 +213,7 @@ def test_trace_form_is_nondegenerate():
 def test_closed_form_t_gram_is_the_trace_form():
     from quadalg.albert import _t_gram
 
-    g = _t_gram()
+    g = dense(_t_gram())
     for m, a in enumerate(ALBERT_BASIS):
         for n, b in enumerate(ALBERT_BASIS):
             t = trace_form_T(a, b)
@@ -495,7 +496,7 @@ def test_h_and_the_a_restriction_agree_with_the_27_dimensional_route():
         assert in_subgroup_H(f) == in_H_via_dagger(f) == (f in in_h)
     for f in in_h:
         got, want = restrict_to_A(f), restrict_via_embedding(f)
-        assert all(x == y and str(x) == str(y) for r, s in zip(got, want) for x, y in zip(r, s))
+        assert all(x == y and str(x) == str(y) for r, s in zip(dense(got), dense(want)) for x, y in zip(r, s))
     for f in outside:
         for route in (restrict_to_A, restrict_via_embedding):
             with pytest.raises(ValueError):
@@ -503,13 +504,13 @@ def test_h_and_the_a_restriction_agree_with_the_27_dimensional_route():
 
 
 def test_singular_and_a_leaving_maps_are_rejected_by_both_routes():
-    singular = [list(row) for row in identity(27)]
+    singular = [list(row) for row in dense(identity(27))]
     singular[26][26] = 0  # fixes e0 but has no dagger
     singular = AlbertMap(freeze(singular))
     for route in (in_subgroup_H, in_H_via_dagger, restrict_to_A, restrict_via_embedding):
         with pytest.raises(ValueError, match="dagger needs an invertible map"):
             route(singular)
-    leaving = [list(row) for row in identity(27)]
+    leaving = [list(row) for row in dense(identity(27))]
     leaving[12][3] = 1  # fixes e0 with its dagger, but moves u1 out of A
     leaving = AlbertMap(freeze(leaving))
     assert in_subgroup_H(leaving) and in_H_via_dagger(leaving)

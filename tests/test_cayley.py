@@ -24,7 +24,7 @@ from quadalg.cayley import (
     special_cocycle_iota_closed_form,
     u,
 )
-from quadalg.exactmat import identity, mat_inv, mat_mul, mat_vec, pairing, scal_mul
+from quadalg.exactmat import freeze, identity, mat_inv, mat_mul, mat_vec, pairing, scal_mul
 from quadalg.scalars import QuadExtScalar, div, is_square, variable
 
 from reference import ONE, calibration_search
@@ -178,13 +178,13 @@ def test_similitude_basics():
     assert eye.mu == 1
     with pytest.raises(ValueError):
         # singular matrices are not similitudes
-        Similitude(tuple(tuple(Q(0) for _ in range(8)) for _ in range(8)))
+        Similitude(freeze(tuple(tuple(Q(0) for _ in range(8)) for _ in range(8))))
     with pytest.raises(ValueError):
         # swapping u1 and u3 mixes pairs with different Gram values
         m = [[Q(int(i == j)) for j in range(8)] for i in range(8)]
         m[0][0] = m[2][2] = Q(0)
         m[0][2] = m[2][0] = Q(1)
-        Similitude(tuple(tuple(r) for r in m))
+        Similitude(freeze(m))
 
 
 def test_sigma_n_involution_and_mu_multiplicativity():

@@ -359,12 +359,13 @@ def test_cayley_cocycle(capsys):
 
 def test_cayley_triple_file(tmp_path, capsys):
     from quadalg.cayley import special_cocycle
+    from quadalg.exactmat import dense
     from fractions import Fraction as Q
 
     z = special_cocycle((Q(1), Q(2), Q(1, 2)))
     path = tmp_path / "triple.json"
     path.write_text(
-        json.dumps([[[str(x) for x in row] for row in t.matrix] for t in z.t])
+        json.dumps([[[str(x) for x in row] for row in dense(t.matrix)] for t in z.t])
     )
     code, out, _ = run(capsys, "cayley", "--triple", str(path))
     assert code == 0
@@ -397,9 +398,10 @@ def test_descend_rostcalc(capsys):
 def test_descend_cocycle_file(tmp_path, capsys):
     # the dagger cocycle M as [x, y] pairs: rational entries
     from quadalg.descent import dagger_cocycle_matrix
+    from quadalg.exactmat import dense
 
     m = dagger_cocycle_matrix()
-    rows = [[[str(x), "0"] for x in row] for row in m]
+    rows = [[[str(x), "0"] for x in row] for row in dense(m)]
     path = tmp_path / "cocycle.json"
     path.write_text(json.dumps(rows))
     code, out, _ = run(capsys, "descend", "--k", "2", "--cocycle", str(path))
@@ -491,6 +493,42 @@ def test_verify_report_matches_the_golden_output(tmp_path, capsys):
     code, out, err = run(capsys, "verify-paper", "--json", str(p))
     assert code == 0 and err == ""
     assert out == (GOLDEN / "verify_paper_table.txt").read_text()
+    assert p.read_bytes() == (GOLDEN / "verify_paper_report.json").read_bytes()
+
+
+def test_verify_timings_add_each_check_time_to_the_table_and_the_report(tmp_path, capsys):
+    """`--timings` appends each check's wall time to its table line and
+    puts it in the report as `elapsed_s`; the rest stays the golden
+    output."""
+    p = tmp_path / "r.json"
+    code, out, err = run(capsys, "verify-paper", "--timings", "--json", str(p))
+    assert code == 0 and err == ""
+    golden = (GOLDEN / "verify_paper_table.txt").read_text().splitlines()
+    lines = out.splitlines()
+    assert len(lines) == len(golden) and lines[-1] == golden[-1]
+    for line, want in zip(lines[:-1], golden[:-1]):
+        head, seconds = re.fullmatch(r"(.*?) +(\d+\.\d{6}) s", line).groups()
+        assert head == want and float(seconds) >= 0
+    report = json.loads(p.read_text())
+    elapsed = [check.pop("elapsed_s") for check in report["checks"]]
+    assert len(elapsed) == 30 and all(type(t) is float and t >= 0 for t in elapsed)
+    assert report == json.loads((GOLDEN / "verify_paper_report.json").read_text())
+
+
+def test_verify_report_without_timings_is_the_golden_output_under_python_O(tmp_path):
+    """Without `--timings` the table and the report carry no time, also
+    when `python -O` strips the asserts."""
+    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    p = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "quadalg.cli", "verify-paper", "--json", str(p)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "verify_paper_table.txt").read_text()
     assert p.read_bytes() == (GOLDEN / "verify_paper_report.json").read_bytes()
 
 

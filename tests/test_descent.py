@@ -15,7 +15,7 @@ from quadalg.descent import (
     twist_a_descend,
     twist_a_expected,
 )
-from quadalg.exactmat import freeze, identity
+from quadalg.exactmat import dense, freeze, identity
 from quadalg.scalars import QuadExtScalar, sqrt_k
 from quadalg.verify import rostcalc_table_verdict, rostcalc_verdict
 
@@ -96,7 +96,7 @@ def test_descents_are_K_forms_of_the_A_form():
     """Round trip: every descended form becomes the original A-form again
     over K (checked by the kernel-of-restriction ideal test)."""
     base = forms.DiagonalForm(
-        "Q", tuple(forms._diagonalize_gram([list(row) for row in albert.A_GRAM]))
+        "Q", tuple(forms._diagonalize_gram([list(row) for row in dense(albert.A_GRAM)]))
     )
     for k in (2, 3, -5):
         assert isometric_over_K(twist_a_descend(k), base, k)
@@ -156,7 +156,7 @@ def test_the_span_claim_rejects_a_wrong_contribution(monkeypatch):
 
 
 def test_dagger_cocycle_is_an_involution():
-    m = dagger_cocycle_matrix()
+    m = dense(dagger_cocycle_matrix())
     assert freeze([[sum(m[i][t] * m[t][j] for t in range(10)) for j in range(10)]
                    for i in range(10)]) == identity(10)
 

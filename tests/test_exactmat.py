@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quadalg
-from quadalg import albert, cayley, forms
+from quadalg import albert, cayley, descent, exactmat, forms
 from quadalg.exactmat import (
+    dense,
     det,
     freeze,
     from_nonzeros,
@@ -18,12 +19,17 @@ from quadalg.exactmat import (
     mat_inv,
     mat_mul,
     mat_vec,
+    nonzeros,
     pairing,
     pullback,
     rank,
+    ratio,
+    scal_mul,
     transpose,
 )
-from quadalg.scalars import QuadExtScalar, as_rational, exact_sum, iota, rat
+from quadalg.scalars import QuadExtScalar, as_rational, div, exact_sum, iota, rat
+
+import reference  # the dense-tuple kernels
 from test_forms import form_value, split_hyperbolic  # the chain's split, kept as a reference
 
 
@@ -58,7 +64,7 @@ def test_dense_det_inv_rank(quad):
     for n in (1, 2, 3, 4):
         a = random_matrix(rng, n, quad)
         d = det(a)
-        assert d == leibniz_det(a)
+        assert d == leibniz_det(dense(a))
         assert (rank(a) == n) == bool(d)
         if d:
             assert mat_mul(a, mat_inv(a)) == identity(n)
@@ -76,7 +82,7 @@ def test_monomial_det_inv_rank(scalars):
     assert rank(a) == 3
     inv = mat_inv(a)
     assert mat_mul(a, inv) == identity(3)
-    assert all(inv[perm[i]][i] == 1 / scalars[i] for i in range(3))
+    assert all(dense(inv)[perm[i]][i] == 1 / scalars[i] for i in range(3))
 
 
 @pytest.mark.parametrize(
@@ -91,7 +97,7 @@ def test_monomial_det_inv_rank(scalars):
 )
 def test_singular(a):
     assert det(a) == 0
-    assert rank(a) < len(a)
+    assert rank(a) < a.shape[0]
     with pytest.raises(ZeroDivisionError):
         mat_inv(a)
 
@@ -172,7 +178,7 @@ def dense_reduce(rows, ncols):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         d = d * rows[r][col] * (1 if piv == r else -1)
-        rows[r] = [x / rows[r][col] for x in rows[r]]
+        rows[r] = [div(x, rows[r][col]) for x in rows[r]]
         for i in range(len(rows)):
             if i != r:
                 f = rows[i][col]
@@ -203,9 +209,9 @@ def square_cases():
                 # the all-zero row and column moved inside, and a copy that
                 # is invertible: a unit diagonal added
                 perm = rng.sample(range(n), n)
-                a = freeze([[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+                a = freeze([[dense(a)[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
                 yield a
-                yield freeze([[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(a)])
+                yield freeze([[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(dense(a))])
 
 
 def same_entries(got, want):
@@ -218,26 +224,27 @@ def same_entries(got, want):
 def test_products_agree_with_the_dense_reference():
     rng = random.Random(17)
     for a in square_cases():
-        n = len(a)
+        n = a.shape[0]
         b = sparse_matrix(rng, n, n + 1, rng.choice([0.2, 0.6, 1.0]), rng.random() < 0.5)
-        got, want = mat_mul(a, b), dense_mul(a, b)
-        assert all(same_entries(r, s) for r, s in zip(got, want))
-        for v in itertools.chain(transpose(b), identity(n)):
-            assert same_entries(mat_vec(a, v), dense_vec(a, v))
+        got, want = mat_mul(a, b), dense_mul(dense(a), dense(b))
+        assert all(same_entries(r, s) for r, s in zip(dense(got), want))
+        for v in itertools.chain(dense(transpose(b)), dense(identity(n))):
+            assert same_entries(mat_vec(a, v), dense_vec(dense(a), v))
 
 
 def test_elimination_agrees_with_the_dense_reference():
     invertible = 0
     for a in square_cases():
-        n = len(a)
-        _, pivots, d = dense_reduce(a, n)
+        n = a.shape[0]
+        _, pivots, d = dense_reduce(dense(a), n)
         assert det(a) == d
         assert rank(a) == len(pivots)
-        vecs = list(transpose(a))  # the columns of a
+        vecs = list(dense(transpose(a)))  # the columns of a
         assert independent(vecs) == [vecs[c] for c in pivots]
         if d != 0:
             invertible += 1
-            reduced, _, _ = dense_reduce([list(r) + list(e) for r, e in zip(a, identity(n))], n)
+            augmented = [list(r) + list(e) for r, e in zip(dense(a), dense(identity(n)))]
+            reduced, _, _ = dense_reduce(augmented, n)
             assert mat_inv(a) == freeze(row[n:] for row in reduced)
         else:
             with pytest.raises(ZeroDivisionError):
@@ -249,7 +256,7 @@ def test_a_skipped_zero_of_a_k_product_behaves_like_the_zero_of_k():
     zero = K(0)
     a = freeze([[K(1, 1), K(0)], [K(0), K(0)]])
     b = freeze([[K(0), K(2, -1)], [K(3), K(0)]])
-    entries = [x for row in mat_mul(a, b) for x in row] + list(mat_vec(a, (K(0), K(1))))
+    entries = [x for row in dense(mat_mul(a, b)) for x in row] + list(mat_vec(a, (K(0), K(1))))
     skipped = [x for x in entries if type(x) is int]  # no product was summed
     assert len(skipped) == 5
     for x in skipped:
@@ -307,8 +314,8 @@ def test_monomial_product_makes_one_multiplication_per_row():
     Counting.products = 0
     ab = mat_mul(a, b)
     assert Counting.products == 27
-    assert [list(map(value, row)) for row in ab] == [
-        list(map(value, row)) for row in dense_mul(a, b)
+    assert [list(map(value, row)) for row in dense(ab)] == [
+        list(map(value, row)) for row in dense_mul(dense(a), dense(b))
     ]
 
 
@@ -319,13 +326,14 @@ def test_monomial_map_on_a_basis_vector_makes_one_multiplication():
     Counting.products = 0
     image = mat_vec(t, e3)
     assert Counting.products == 1
-    assert list(map(value, image)) == [t[i][3].v for i in range(8)]
+    assert list(map(value, image)) == [value(dense(t)[i][3]) for i in range(8)]
 
 
 def test_monomial_elimination_makes_one_multiplication_per_nonzero():
     rng = random.Random(11)
     a = monomial(rng, 27)
-    perm = [next(j for j, x in enumerate(row) if x) for row in a]
+    full = dense(a)
+    perm = [next(j for j, x in enumerate(row) if x) for row in full]
     cycles, seen = 0, set()
     for start in range(27):
         if start not in seen:
@@ -335,15 +343,15 @@ def test_monomial_elimination_makes_one_multiplication_per_nonzero():
                 start = perm[start]
     want = Q((-1) ** (27 - cycles))
     for i in range(27):
-        want *= a[i][perm[i]].v
+        want *= full[i][perm[i]].v
     Counting.products = 0
     assert value(det(a)) == want
     assert Counting.products == 27  # the determinant's 27 factors
     Counting.products = 0
     inv = mat_inv(a)
     assert Counting.products <= 2 * 27  # and each pivot row's one scaling
-    assert [[value(x) for x in row] for row in inv] == [
-        [1 / a[c][r].v if r == perm[c] else 0 for c in range(27)] for r in range(27)
+    assert [[value(x) for x in row] for row in dense(inv)] == [
+        [1 / full[c][r].v if r == perm[c] else 0 for c in range(27)] for r in range(27)
     ]
 
 
@@ -371,10 +379,12 @@ def triple_loop_mul(a, b):
     return tuple(out)
 
 
-def same_typed_entries(got, want):
-    """`same_entries` row by row, and of the same type entry by entry."""
+def same_matrix_entries(got, want):
+    """`same_entries` row by row, and of the same type entry by entry, but
+    that a zero, which a matrix does not store, reads as the int 0."""
     return len(got) == len(want) and all(
-        same_entries(r, s) and list(map(type, r)) == list(map(type, s)) for r, s in zip(got, want)
+        same_entries(r, s) and [type(x) for x in r] == [type(y) if y else int for y in s]
+        for r, s in zip(got, want)
     )
 
 
@@ -403,9 +413,9 @@ def products(draw):
 @example((freeze([[K(1, 1), K(1)]]), freeze([[K(1, -1)], [K(1)]])))  # cancels over K
 def test_row_combination_product_matches_the_triple_loop(ab):
     a, b = ab
-    got = mat_mul(a, b)
-    assert same_typed_entries(got, triple_loop_mul(a, b))
-    assert got == dense_mul(a, b)
+    got = dense(mat_mul(a, b))
+    assert same_matrix_entries(got, triple_loop_mul(dense(a), dense(b)))
+    assert got == dense_mul(dense(a), dense(b))
 
 
 @st.composite
@@ -430,8 +440,8 @@ def monomial_maps(draw):
 @given(monomial_maps())
 def test_pullback_of_a_monomial_map_matches_the_triple_loop(ag):
     a, g = ag
-    want = triple_loop_mul(transpose(a), triple_loop_mul(g, a))
-    assert same_typed_entries(pullback(a, g), want)
+    want = triple_loop_mul(dense(transpose(a)), triple_loop_mul(dense(g), dense(a)))
+    assert same_matrix_entries(dense(pullback(a, g)), want)
 
 
 # --------------------------------------------------------------------------
@@ -451,11 +461,15 @@ def test_from_nonzeros_puts_the_int_0_where_no_entry_is_given(n, m, entries):
     entries = [(r, c, x) for r, c, x in entries if r < n and c < m]
     last = {(r, c): x for r, c, x in entries}  # a later entry replaces an earlier one
     a = from_nonzeros(n, m, entries)
-    assert type(a) is tuple and len(a) == n
-    for r, row in enumerate(a):
+    assert a.shape == (n, m)
+    # no zero is stored, neither Q(0) nor the zero of K
+    assert [(r, c) for r, c, _ in nonzeros(a)] == sorted(p for p, x in last.items() if x)
+    full = dense(a)
+    assert type(full) is tuple and len(full) == n
+    for r, row in enumerate(full):
         assert type(row) is tuple and len(row) == m
         for c, x in enumerate(row):
-            if (r, c) in last:
+            if last.get((r, c)):
                 assert x is last[r, c]
             else:
                 assert type(x) is int and x == 0
@@ -488,7 +502,8 @@ def gram_pairings(draw):
         x = draw(small)
         return x if k is None else K(x, draw(st.sampled_from([0, 0, 1, -1])))
 
-    g = freeze([[entry() for _ in range(m)] for _ in range(n)])
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    g = from_nonzeros(n, m, [(r, c, x) for r, row in enumerate(rows) for c, x in enumerate(row)])
     return g, tuple(entry() for _ in range(n)), tuple(entry() for _ in range(m))
 
 
@@ -498,7 +513,7 @@ def gram_pairings(draw):
 @example((freeze([[K(1), K(0)]]), (K(0),), (K(1), K(1))))  # no product: the int 0
 def test_pairing_is_the_double_sum(gvw):
     g, v, w = gvw
-    got, want = pairing(g, v, w), double_sum(g, v, w)
+    got, want = pairing(g, v, w), double_sum(dense(g), v, w)
     assert same_entries((got,), (want,)) and type(got) is type(want)
 
 
@@ -507,10 +522,10 @@ def test_pairing_on_generic_laurent_vectors():
     gram = cayley.build_cayley_table().gram
     one = (0, 0, 0, 1, 1, 0, 0, 0)
     rng = random.Random(23)
-    dense = freeze([[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(8)] for _ in range(8)])
-    for g in (gram, cayley.S8, dense):
+    full = freeze([[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(8)] for _ in range(8)])
+    for g in (gram, cayley.S8, full):
         for v, w in ((x, y), (one, x), (y, one), (x, x)):
-            got, want = pairing(g, v, w), double_sum(g, v, w)
+            got, want = pairing(g, v, w), double_sum(dense(g), v, w)
             assert got == want and type(got) is type(want)
 
 
@@ -529,14 +544,176 @@ def octonion_coords():
 def test_norm_pairing_and_a_form_value_match_their_explicit_sums(a, b):
     """The octonion norm pairing and the A-form, against the sums over
     every nonzero Gram entry that they were written as before."""
-    g = cayley.build_cayley_table().gram
+    g = dense(cayley.build_cayley_table().gram)
     want = exact_sum([g[i][j] * (a[i] * b[j]) for i in range(8) for j in range(8) if g[i][j]])
     assert cayley.Octonion(a).norm_pairing(cayley.Octonion(b)) == want
     v = a + b[:2]
     nz = [(r, x) for r, x in enumerate(v) if x]
-    gram = albert.A_GRAM
+    gram = dense(albert.A_GRAM)
     want = exact_sum([gram[r][c] * (x * y) for r, x in nz for c, y in nz if gram[r][c]])
     assert albert.a_form_value(v) == want
+
+
+# --------------------------------------------------------------------------
+# shapes, and the stored nonzeros against the dense-tuple kernels
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ratio(identity(3), identity(8)),
+        lambda: mat_mul(identity(2), identity(3)),
+        lambda: mat_vec(identity(3), (1, 2)),
+        lambda: pairing(identity(3), (1, 2), (1, 2, 3)),
+        lambda: pullback(identity(2), identity(3)),
+        lambda: det(freeze([[1, 2, 3], [4, 5, 6]])),
+        lambda: mat_inv(freeze([[1, 2, 3], [4, 5, 6]])),
+    ],
+    ids=["ratio", "mat_mul", "mat_vec", "pairing", "pullback", "det", "mat_inv"],
+)
+def test_a_kernel_rejects_mismatched_shapes(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@st.composite
+def dense_operands(draw):
+    """Dense rows over Q or Q(sqrt 2): an n x m matrix a, an m x p matrix
+    b, an n x n matrix c, and vectors u, v of lengths n and m.  A drawn
+    share of the entries are zeros, written as the int 0, Q(0) or the zero
+    of K; entries of +-1 and +-2 make cancelling sums common."""
+    k = draw(st.sampled_from([None, Q(2)]))
+    n, m, p = (draw(st.integers(1, 5)) for _ in range(3))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    small = st.sampled_from([1, -1, 2, -2, Q(1, 2), Q(-3, 2)])
+
+    def entry():
+        if draw(st.integers(0, 9)) < 10 * zeros:
+            return draw(st.sampled_from([0, Q(0)] if k is None else [0, K(0)]))
+        x = draw(small)
+        return x if k is None else K(x, draw(st.sampled_from([0, 0, 1, -1])))
+
+    def rows(r, c):
+        return [[entry() for _ in range(c)] for _ in range(r)]
+
+    return rows(n, m), rows(m, p), rows(n, n), [entry() for _ in range(n)], [entry() for _ in range(m)]
+
+
+def stored_like(got, want) -> bool:
+    """A matrix against the dense rows a dense-tuple kernel gave: no zero
+    stored, and `same_matrix_entries` written out."""
+    return all(x for *_, x in nonzeros(got)) and same_matrix_entries(dense(got), want)
+
+
+def same_scalar(got, want) -> bool:
+    return got == want and type(got) is type(want)
+
+
+@FIXED
+@given(dense_operands())
+@example(([[1, 1]], [[1, 2], [-1, -2]], [[1]], [1], [1, -1]))  # every product entry cancels
+@example(
+    (
+        [[K(1, 1), K(0)], [K(0), K(0)]],
+        [[K(1, -1), K(3)], [K(1), K(0)]],
+        [[K(1, 1), K(1)], [K(1), K(1, -1)]],  # singular: (1 + sqrt 2)(1 - sqrt 2) = -1
+        [K(0), K(1)],
+        [K(1, 1), K(-1, -1)],
+    )
+)
+def test_the_kernels_agree_with_the_dense_tuple_kernels(operands):
+    a, b, c, u, v = operands
+    sa, sb, sc = freeze(a), freeze(b), freeze(c)
+    assert stored_like(sa, a) and stored_like(sb, b) and stored_like(sc, c)
+    assert stored_like(mat_mul(sa, sb), reference.mat_mul(a, b))
+    assert stored_like(transpose(sa), reference.transpose(a))
+    assert stored_like(scal_mul(Q(-1, 2), sa), reference.scal_mul(Q(-1, 2), a))
+    assert stored_like(pullback(sa, sc), reference.pullback(a, c))
+    got, want = mat_vec(sa, v), reference.mat_vec(a, v)
+    assert len(got) == len(want) and all(map(same_scalar, got, want))
+    assert same_scalar(pairing(sa, u, v), reference.pairing(a, u, v))
+    assert same_scalar(det(sc), reference.det(c))
+    if det(sc):
+        assert stored_like(mat_inv(sc), reference.mat_inv(c))
+    assert same_scalar(ratio(scal_mul(3, sc), sc), reference.ratio(reference.scal_mul(3, c), c))
+    assert ratio(sa, sa) == reference.ratio(a, a)
+    assert (rank(sa), rank(sb)) == (reference.rank(a), reference.rank(b))
+    vecs = [tuple(row) for row in b]
+    assert independent(vecs) == reference.independent(vecs)
+
+
+def test_the_readers_agree_with_the_dense_rows():
+    a = sparse_matrix(random.Random(31), 4, 6, 0.5, True)
+    full = dense(a)
+    assert [exactmat.row(a, r) for r in range(4)] == list(full)
+    assert [exactmat.column(a, c) for c in range(6)] == list(zip(*full))
+    assert all(exactmat.entry(a, r, c) == full[r][c] for r in range(4) for c in range(6))
+    assert list(nonzeros(a)) == [(r, c, x) for r, xs in enumerate(full) for c, x in enumerate(xs) if x]
+    picked = exactmat.submatrix(a, (3, 0), (5, 1, 2))
+    assert dense(picked) == tuple(tuple(full[r][c] for c in (5, 1, 2)) for r in (3, 0))
+    outside = [
+        lambda: exactmat.entry(a, 4, 0),
+        lambda: exactmat.row(a, -1),
+        lambda: exactmat.column(a, 6),
+        lambda: exactmat.submatrix(a, (0,), (6,)),
+        lambda: from_nonzeros(2, 2, [(0, 2, 1)]),
+    ]
+    for call in outside:
+        with pytest.raises(IndexError):
+            call()
+    with pytest.raises(ValueError):
+        exactmat.submatrix(a, (0,), (1, 1))
+    with pytest.raises(ValueError):
+        freeze([[1, 2], [3]])
+
+
+def test_a_gram_matrix_is_its_pairings():
+    rng = random.Random(29)
+    for quad in (False, True):
+        for n in (1, 4, 10):
+            g = sparse_matrix(rng, n, n, 0.4, quad)
+            symmetric = mat_mul(g, transpose(g))
+            vectors = [tuple(row) for row in dense(sparse_matrix(rng, 5, n, 0.5, quad))]
+            for form in (g, symmetric):
+                want = [[pairing(form, v, w) for w in vectors] for v in vectors]
+                assert stored_like(exactmat.gram(form, vectors), want)
+
+
+# --------------------------------------------------------------------------
+# what the elimination and the descended Gram visit
+
+
+def test_eliminating_a_monomial_map_updates_no_other_row(monkeypatch):
+    """A pivot clears its column only in the rows that hold it: on a
+    monomial map no row does, so no row is updated at all; on a dense map
+    every updated row held the pivot column."""
+    updated = []
+    real = exactmat._eliminate
+
+    def eliminate(other, col, p, pivot_row):
+        updated.append(col in other)
+        real(other, col, p, pivot_row)
+
+    monkeypatch.setattr(exactmat, "_eliminate", eliminate)
+    a = monomial(random.Random(13), 27)
+    det(a), mat_inv(a), rank(a)
+    assert updated == []
+    full = random_matrix(random.Random(19), 6, quad=True)
+    det(full), rank(full)
+    assert updated and all(updated)
+
+
+def test_span_form_evaluates_only_the_upper_triangle(monkeypatch):
+    """The descended Gram of P30's (k, a) = (2, 3): 55 entries of 100, as
+    the A-form is symmetric, each one `exact_sum`."""
+    z = descent.special_cocycle_on_A(2, 3)
+    basis = descent.fixed_subspace(z)
+    want = descent.span_form(albert.A_GRAM, basis)
+    sums = []
+    real = exactmat.exact_sum
+    monkeypatch.setattr(exactmat, "exact_sum", lambda values: sums.append(1) or real(values))
+    assert descent.span_form(albert.A_GRAM, basis) == want
+    assert len(basis) == 10 and len(sums) <= 55
 
 
 def _is_zero(node) -> bool:
@@ -593,3 +770,18 @@ def test_only_exactmat_fills_rows_of_zeros():
         if _zero_rows(node)
     ]
     assert built == []
+
+
+def test_only_exactmat_reads_the_stored_rows():
+    """A matrix's storage is exactmat's own: every other module reads a
+    matrix through `entry`, `row`, `column`, `submatrix`, `nonzeros` or
+    `dense`, so no other module names the `rows` attribute."""
+    sources = sorted(Path(quadalg.__file__).parent.glob("*.py"))
+    read = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "exactmat.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    ]
+    assert read == []

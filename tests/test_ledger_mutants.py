@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from quadalg import albert, cayley, descent, exactmat, forms, rootsys, scalars, verify
-from quadalg.exactmat import freeze
+from quadalg.exactmat import dense, freeze
 from quadalg.scalars import div
 
 from reference import linear_map_from_action
@@ -29,7 +29,7 @@ def clear_caches():
 
 def diag_d_flipped(*indices, real=cayley.diag_d):
     def mutant():
-        d = [list(row) for row in real()]
+        d = [list(row) for row in dense(real())]
         for i in indices:
             d[i][i] = -d[i][i]
         return freeze(d)
@@ -41,7 +41,7 @@ def perm_P_images_swapped(a, b, real=cayley.perm_P):
     """P with the images of u_a and u_b exchanged: its columns a, b swapped."""
 
     def mutant():
-        rows = [list(row) for row in real()]
+        rows = [list(row) for row in dense(real())]
         for row in rows:
             row[a - 1], row[b - 1] = row[b - 1], row[a - 1]
         return freeze(rows)
@@ -183,15 +183,23 @@ MUTANTS = {
     # P12 states the folded types, D_n to B_(n-1) and A_(2l+1) to C_(l+1)
     # among them; P13 expects Rost multiplier 1 for every folding
     "rootsys._read_type with B and C swapped": (rootsys, "_read_type", b_and_c_swapped(), ("P12", "P13")),
-    # every Gram evaluation changes sign: the calibrated table fails its
+    # every Gram pairing changes sign: the calibrated table fails its
     # involution check, so each check that needs the table (P17, P19-P30)
     # fails, and the coroot forms' values turn negative (P12, P16);
     # patched in every module that imports it
     "exactmat.pairing negated": (
-        (exactmat, cayley, albert, descent, rootsys, verify),
+        (exactmat, cayley, albert, rootsys, verify),
         "pairing",
         negated(exactmat.pairing),
         ("P12", "P16", "P17", *(f"P{i}" for i in range(19, 31))),
+    ),
+    # every descended Gram changes sign: P30's twistA and rostcalc forms
+    # turn negative
+    "exactmat.gram negated": (
+        (exactmat, descent),
+        "gram",
+        lambda g, vectors, real=exactmat.gram: exactmat.scal_mul(-1, real(g, vectors)),
+        ("P30",),
     ),
     # every identity on generic coordinates is a product of Laurent polynomials
     "scalars._product_terms subtracts keys": (

@@ -13,7 +13,7 @@ import pytest
 
 import quadalg
 from quadalg import albert, cayley, descent, forms, rootsys, verify
-from quadalg.exactmat import freeze, identity
+from quadalg.exactmat import dense, freeze, from_nonzeros, identity
 from quadalg.scalars import REAL, Laurent, Place, QuadExtScalar, _Frozen
 
 
@@ -36,7 +36,7 @@ def _folds():
 
 def _triples():
     eye = cayley.Similitude(identity(8))
-    neg = cayley.Similitude(freeze([[-x for x in row] for row in identity(8)]))
+    neg = cayley.Similitude(freeze([[-x for x in row] for row in dense(identity(8))]))
     return (
         cayley.SimilitudeTriple((eye, eye, eye)),
         cayley.SimilitudeTriple((cayley.Similitude(identity(8)),) * 3),
@@ -45,7 +45,7 @@ def _triples():
 
 
 def _albert_maps():
-    negated = freeze([[-x for x in row] for row in identity(27)])
+    negated = freeze([[-x for x in row] for row in dense(identity(27))])
     return albert.AlbertMap(identity(27)), albert.identity_map(), albert.AlbertMap(negated)
 
 
@@ -54,7 +54,7 @@ def _octonions():
 
 
 def _similitudes():
-    negated = freeze([[-x for x in row] for row in identity(8)])
+    negated = freeze([[-x for x in row] for row in dense(identity(8))])
     return cayley.Similitude(identity(8)), cayley.Similitude(identity(8)), cayley.Similitude(negated)
 
 
@@ -65,8 +65,16 @@ def _albert_elements():
 
 def _cocycles():
     unit = QuadExtScalar(2, 1, 3)  # 2 + sqrt(3), of norm 1, so Z iota(Z) = 1
-    over_k = [descent.SemilinearCocycle(3, ((unit, 0), (0, 1))) for _ in range(2)]
+    over_k = [descent.SemilinearCocycle(3, freeze(((unit, 0), (0, 1)))) for _ in range(2)]
     return (*over_k, descent.SemilinearCocycle(3, identity(2)))
+
+
+def _matrices():
+    # equal with no zero stored: K's zero in one, nothing at that place in
+    # the other
+    zero = QuadExtScalar(0, 0, 2)
+    same = from_nonzeros(2, 3, [(1, 2, Q(1, 2)), (0, 0, 1)])
+    return freeze([[1, zero, 0], [0, 0, Q(1, 2)]]), same, freeze([[1, 0, 0], [0, 0, 2]])
 
 
 def _laurents():
@@ -121,6 +129,7 @@ RECORDS = {
         "status",
     ),
     "Laurent": (_laurents, "_terms"),
+    "Matrix": (_matrices, "rows"),
 }
 
 
