@@ -19,6 +19,7 @@ from . import albert, cayley, forms
 from .exactmat import (
     Matrix,
     dense,
+    diagonalize,
     entrywise,
     from_nonzeros,
     gram,
@@ -30,6 +31,7 @@ from .exactmat import (
     transpose,
 )
 from .scalars import QuadExtScalar, _Frozen, as_rat, as_rational, div, iota, is_square, sqrt_k
+from .scalars import square_class
 
 
 def _iota_mat(m: Matrix) -> Matrix:
@@ -101,8 +103,8 @@ def descend_form(form: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
 def span_form(form: Matrix, vectors) -> forms.DiagonalForm:
     """The diagonalized F-form of the Gram matrix `form` on the span of
     vectors over K; as_rational raises if a pairing is not F-rational."""
-    rows = dense(entrywise(as_rational, gram(form, vectors)))
-    return forms.DiagonalForm("Q", tuple(forms._diagonalize_gram(rows)))
+    diag = diagonalize(entrywise(as_rational, gram(form, vectors)))
+    return forms.DiagonalForm("Q", tuple(map(square_class, diag)))
 
 
 # --------------------------------------------------------------------------

@@ -18,11 +18,13 @@ ACM TOMS 4(3), 1978), so a product makes one multiplication per nonzero
 product a[i][j] b[j][c]: a product of two monomial n x n maps makes n.
 A Gram form v^T g w is evaluated by `pairing`, and the Gram matrix of a
 list of vectors by `gram`, which forms each v^T g once and evaluates
-only the upper triangle of a symmetric g.  `det`, `mat_inv`, `rank` and
+only the upper triangle of the symmetric g.  `det`, `mat_inv`, `rank` and
 `independent` share one elimination that keeps, for each column, the
 rows that hold it (Davis, Direct Methods for Sparse Linear Systems, SIAM
 2006), so a pivot visits only those rows: the determinant of a monomial
-n x n map makes n multiplications and its inverse 2n.  Its one division
+n x n map makes n multiplications and its inverse 2n.  `diagonalize`,
+the symmetric elimination of a Gram matrix, clears each pivot from the
+rows that hold it by the same row update, `_eliminate`.  Every division
 is `scalars.div`.
 """
 
@@ -237,27 +239,27 @@ def pairing(g: Matrix, v: Sequence, w: Sequence):
 
 
 def gram(g: Matrix, vectors: Sequence[Vector]) -> Matrix:
-    """The Gram matrix (v_i^T g v_j) of `vectors` under the square g.  Each
-    row v_i^T g is formed once, as a product of stored rows, and an entry
-    is one `exact_sum` over the places where that row meets v_j, evaluated
-    only where they meet; when g is symmetric only the upper triangle is
-    evaluated and mirrored."""
+    """The Gram matrix (v_i^T g v_j) of `vectors` under the symmetric g.
+    Each row v_i^T g is formed once, as a product of stored rows, and an
+    entry is one `exact_sum` over the places where that row meets v_j,
+    evaluated only where they meet, in the upper triangle, and mirrored."""
     n = len(vectors)
     basis = freeze(vectors)
     if n and g.shape != (basis.shape[1],) * 2:
         raise ValueError(f"cannot pair {basis.shape[1]} coordinates by a {_size(g)} form")
+    if g != transpose(g):
+        raise ValueError("a Gram matrix is symmetric")
     held = [dict(pairs) for pairs in basis.rows]
-    symmetric = g == transpose(g)
     entries = []
     for i, pairs in enumerate(mat_mul(basis, g).rows if n else ()):
         support = dict(pairs).keys()
-        for j in range(i if symmetric else 0, n):
+        for j in range(i, n):
             v = held[j]
             if support.isdisjoint(v):
                 continue
             x = exact_sum([u * v[c] for c, u in pairs if c in v])
             if x:
-                entries += [(i, j, x), (j, i, x)] if symmetric else [(i, j, x)]
+                entries += [(i, j, x), (j, i, x)]
     return from_nonzeros(n, n, entries)
 
 
@@ -283,9 +285,9 @@ def ratio(a: Matrix, b: Matrix):
 
 
 def _eliminate(other: dict, col: int, p, pivot_row: dict) -> None:
-    """Clear col from `other`, a row that holds it, by subtracting
-    other[col] / p times the pivot row, whose entry p at col is left out
-    of `pivot_row`."""
+    """Subtract other[col] / p times `pivot_row`, which does not hold col,
+    from `other`, a row that does, clearing col: for a pivot p at col,
+    `pivot_row` is the pivot's row with p left out."""
     f = div(other.pop(col), p)
     for c, y in pivot_row.items():
         v = rat(other.get(c, 0) - f * y)
@@ -387,3 +389,46 @@ def independent(vecs: Sequence[Vector]) -> list[Vector]:
     columns = transpose(freeze(vecs))
     pivots, _ = _reduce([dict(pairs) for pairs in columns.rows], len(vecs))
     return [vecs[c] for c in pivots]
+
+
+def diagonalize(g: Matrix) -> list:
+    """The diagonal of a diagonal matrix congruent to the symmetric g, by
+    symmetric elimination on g's stored rows: step t pivots on the first
+    place from t on with a nonzero diagonal entry and clears its column,
+    and so its row, by `_eliminate`.  When every diagonal entry left is
+    zero, row and column j, the first neighbour of the first nonzero row
+    i, are first added to row and column i, which makes g[i][i] =
+    2 g[i][j] (Lam, Introduction to Quadratic Forms over Fields, I.2); a
+    zero block left is a degenerate g, a ValueError.  `order` lists the
+    rows by place."""
+    n = _square(g)
+    rows = [dict(pairs) for pairs in g.rows]
+    order = list(range(n))
+    out = []
+    for t in range(n):
+        left = order[t:]
+        piv = next((i for i in left if i in rows[i]), None)
+        if piv is None:
+            piv = next((i for i in left if rows[i]), None)
+            if piv is None:
+                raise ValueError("degenerate Gram matrix")
+            # row piv += row j by `_eliminate`, as g[j][j] = 0, then column
+            # piv += column j by symmetry
+            pivot_row = rows[piv]
+            j = min(pivot_row, key=order.index)
+            x = pivot_row[j]
+            _eliminate(pivot_row, j, -x, rows[j])
+            pivot_row[j], pivot_row[piv] = x, rat(2 * x)
+            for m in rows[j].keys() - {piv}:
+                if m in pivot_row:
+                    rows[m][piv] = pivot_row[m]
+                else:
+                    rows[m].pop(piv)
+        p = order.index(piv)
+        order[t], order[p] = piv, order[t]
+        pivot_row = rows[piv]
+        d = pivot_row.pop(piv)
+        out.append(d)
+        for i in pivot_row:
+            _eliminate(rows[i], piv, d, pivot_row)
+    return out

@@ -15,7 +15,9 @@ built by the induction of Serre's existence proof (entries peeled off one
 at a time, then a binary form solved for by elimination over F2) and
 certified against q's invariants.  Nothing here builds an isotropic
 vector: explicit witnesses live in the tests (`tests/witness_chain.py`),
-as an independent reference for these verdicts.
+as an independent reference for these verdicts.  The one elimination
+here is that over F2; a Gram matrix over Q is diagonalized by
+`exactmat.diagonalize`.
 
 Entries are exact rationals in the canonical form of `scalars`: an int
 when integral, else a Fraction.  The layer is linear in the dimension: a
@@ -43,7 +45,6 @@ from .scalars import (
     _legendre,
     _val_unit,
     as_rat,
-    div,
     hilbert_symbol,
     is_local_square,
     is_square,
@@ -465,79 +466,6 @@ def _certify(inv: WittInvariants, m: int, entries, places) -> None:
     want = (inv.dim, inv.disc, set(inv.hasse), inv.signature)
     if not all(map(known, entries)) or got != want:
         raise RuntimeError("the anisotropic part fails its certificate")
-
-
-def _diagonalize_gram(gram):
-    """Diagonal entries of a congruent diagonal matrix, squarefree-reduced,
-    for a symmetric Gram matrix given by its rows.
-
-    Symmetric Gaussian elimination; a zero diagonal block is repaired by
-    the characteristic-zero row+column addition trick, and a zero block
-    (a degenerate Gram) is a ValueError.  Each row is held as a dict of
-    its nonzero entries in the block not yet eliminated, so a pivot
-    updates only the entries of the rows that meet it: pivot t leaves
-    g[i][l] - g[i][t] g[t][l] / g[t][t] at each pair of its neighbours.
-    """
-    n = len(gram)
-    g = [{j: x for j, x in enumerate(row) if x} for row in gram]
-    out = []
-    for t in range(n):
-        piv = next((i for i in range(t, n) if i in g[i]), None)
-        if piv is None:
-            i = next((i for i in range(t, n) if g[i]), None)
-            if i is None:
-                raise ValueError("degenerate Gram matrix")
-            _add_row_and_column(g, i, min(g[i]))
-            piv = i
-        if piv != t:
-            _swap_row_and_column(g, t, piv)
-        row = g[t]
-        d = row.pop(t)
-        out.append(square_class(d))
-        for i, x in row.items():
-            f = div(x, d)
-            other = g[i]
-            del other[t]
-            for m, y in row.items():
-                v = other.get(m, 0) - f * y
-                if v:
-                    other[m] = v
-                else:
-                    other.pop(m, None)
-    return out
-
-
-def _add_row_and_column(g: list[dict], i: int, j: int) -> None:
-    """Row i += row j and column i += column j of the symmetric g, held as
-    dicts of nonzero entries: g[i][m] and g[m][i] gain g[j][m] for m != i,
-    and g[i][i] gains 2 g[i][j] + g[j][j]."""
-    row_i = g[i]
-    diag = row_i.get(i, 0) + 2 * row_i.get(j, 0) + g[j].get(j, 0)
-    for m, x in list(g[j].items()):
-        if m != i:
-            v = row_i.get(m, 0) + x
-            for a, b in ((i, m), (m, i)):
-                if v:
-                    g[a][b] = v
-                else:
-                    g[a].pop(b, None)
-    if diag:
-        row_i[i] = diag
-    else:
-        row_i.pop(i, None)
-
-
-def _swap_row_and_column(g: list[dict], t: int, p: int) -> None:
-    """Exchange rows t and p and columns t and p of the symmetric g: only
-    the rows that hold column t or p, t's and p's neighbours, change."""
-    g[t], g[p] = g[p], g[t]
-    for m in {t, p, *g[t], *g[p]}:
-        row = g[m]
-        a, b = row.pop(t, None), row.pop(p, None)
-        if a is not None:
-            row[p] = a
-        if b is not None:
-            row[t] = b
 
 
 # --------------------------------------------------------------------------

@@ -233,11 +233,11 @@ class _Frozen:
     """The base of the immutable values.  A subclass names its fields once,
     in `__slots__`; the base records them (`_fields`) with the slots' own
     setters (`_setters`), which write past `__setattr__`, which raises.
-    `__init__` fills the fields by position or by name, so a class that
-    checks its arguments calls it once they pass.  Two values are equal
-    when they are of one type with equal `_key()`s, and a copy or a pickle
-    calls the type on `_key()`: the fields, unless a class redefines it
-    because its constructor's arguments are not its fields."""
+    `__init__` fills the fields by position, so a class that checks its
+    arguments calls it once they pass.  Two values are equal when they are
+    of one type with equal `_key()`s, and a copy or a pickle calls the
+    type on `_key()`: the fields, unless a class redefines it because its
+    constructor's arguments are not its fields."""
 
     __slots__ = ()
 
@@ -245,13 +245,9 @@ class _Frozen:
         cls._fields = tuple(cls.__dict__.get("__slots__", ()))
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):  # each field once, by position or by name
-            rest = fields[len(args):]
-            if len(args) > len(fields) or kwargs.keys() != set(rest):
-                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-            args += tuple(kwargs[name] for name in rest)
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
         for set_field, value in zip(self._setters, args):
             set_field(self, value)
 

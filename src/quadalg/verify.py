@@ -76,11 +76,11 @@ def _verdict(
 
 
 def _reason(error: type, fn: Callable, *args) -> str | None:
-    """The reason of the `error` that `fn(*args)` raises, None if none."""
+    """The reason (else the message) of the `error` fn(*args) raises, or None."""
     try:
         fn(*args)
     except error as exc:
-        return exc.reason
+        return getattr(exc, "reason", str(exc))
     return None
 
 
@@ -590,6 +590,10 @@ def _check_p30():
             {f"(k,a)=({k},{a})": (is_norm_from_K(a, k), norm) for (k, a), norm in zip(pairs, norms)}
         ),
         "descent_table": rostcalc_table_verdict(2, 3),
+        # K = Q(sqrt k) is a field only for a nonsquare k
+        "square_k_rejected": _verdict(
+            {"k=4": (_reason(ValueError, descent.twist_a_cocycle, 4), "k must not be a square")}
+        ),
     })
 
 

@@ -1,8 +1,9 @@
 """Constructions and references that only the tests use: the tensor product,
 forms over K = Q(sqrt k), the octonion unit, Albert maps built from their
 action on the basis, the calibration search behind P17's open question,
-and the dense-tuple kernels that `exactmat` had before a matrix stored
-only its nonzeros."""
+the dense-tuple kernels that `exactmat` had before a matrix stored only
+its nonzeros, and the Gram diagonalization that `forms` had before
+`exactmat.diagonalize`."""
 
 import itertools
 from collections.abc import Callable, Sequence
@@ -313,3 +314,81 @@ def independent(vecs: Sequence[Vector]) -> list[Vector]:
     columns of the matrix whose columns are `vecs`."""
     pivots, _, _ = _reduce(list(zip(*vecs)), len(vecs))
     return [vecs[c] for c in pivots]
+
+
+# --------------------------------------------------------------------------
+# the Gram diagonalization that `forms` had before `exactmat.diagonalize`,
+# on rows held as dicts of their nonzero entries
+
+
+def _diagonalize_gram(gram):
+    """Diagonal entries of a congruent diagonal matrix, squarefree-reduced,
+    for a symmetric Gram matrix given by its rows.
+
+    Symmetric Gaussian elimination; a zero diagonal block is repaired by
+    the characteristic-zero row+column addition trick, and a zero block
+    (a degenerate Gram) is a ValueError.  Each row is held as a dict of
+    its nonzero entries in the block not yet eliminated, so a pivot
+    updates only the entries of the rows that meet it: pivot t leaves
+    g[i][l] - g[i][t] g[t][l] / g[t][t] at each pair of its neighbours.
+    """
+    n = len(gram)
+    g = [{j: x for j, x in enumerate(row) if x} for row in gram]
+    out = []
+    for t in range(n):
+        piv = next((i for i in range(t, n) if i in g[i]), None)
+        if piv is None:
+            i = next((i for i in range(t, n) if g[i]), None)
+            if i is None:
+                raise ValueError("degenerate Gram matrix")
+            _add_row_and_column(g, i, min(g[i]))
+            piv = i
+        if piv != t:
+            _swap_row_and_column(g, t, piv)
+        row = g[t]
+        d = row.pop(t)
+        out.append(square_class(d))
+        for i, x in row.items():
+            f = div(x, d)
+            other = g[i]
+            del other[t]
+            for m, y in row.items():
+                v = other.get(m, 0) - f * y
+                if v:
+                    other[m] = v
+                else:
+                    other.pop(m, None)
+    return out
+
+
+def _add_row_and_column(g: list[dict], i: int, j: int) -> None:
+    """Row i += row j and column i += column j of the symmetric g, held as
+    dicts of nonzero entries: g[i][m] and g[m][i] gain g[j][m] for m != i,
+    and g[i][i] gains 2 g[i][j] + g[j][j]."""
+    row_i = g[i]
+    diag = row_i.get(i, 0) + 2 * row_i.get(j, 0) + g[j].get(j, 0)
+    for m, x in list(g[j].items()):
+        if m != i:
+            v = row_i.get(m, 0) + x
+            for a, b in ((i, m), (m, i)):
+                if v:
+                    g[a][b] = v
+                else:
+                    g[a].pop(b, None)
+    if diag:
+        row_i[i] = diag
+    else:
+        row_i.pop(i, None)
+
+
+def _swap_row_and_column(g: list[dict], t: int, p: int) -> None:
+    """Exchange rows t and p and columns t and p of the symmetric g: only
+    the rows that hold column t or p, t's and p's neighbours, change."""
+    g[t], g[p] = g[p], g[t]
+    for m in {t, p, *g[t], *g[p]}:
+        row = g[m]
+        a, b = row.pop(t, None), row.pop(p, None)
+        if a is not None:
+            row[p] = a
+        if b is not None:
+            row[t] = b

@@ -15,8 +15,8 @@ from quadalg.descent import (
     twist_a_descend,
     twist_a_expected,
 )
-from quadalg.exactmat import dense, freeze, identity
-from quadalg.scalars import QuadExtScalar, sqrt_k
+from quadalg.exactmat import dense, diagonalize, freeze, identity
+from quadalg.scalars import QuadExtScalar, sqrt_k, square_class
 from quadalg.verify import rostcalc_table_verdict, rostcalc_verdict
 
 from reference import isometric_over_K
@@ -95,9 +95,7 @@ def test_twist_a_descent():
 def test_descents_are_K_forms_of_the_A_form():
     """Round trip: every descended form becomes the original A-form again
     over K (checked by the kernel-of-restriction ideal test)."""
-    base = forms.DiagonalForm(
-        "Q", tuple(forms._diagonalize_gram([list(row) for row in dense(albert.A_GRAM)]))
-    )
+    base = forms.DiagonalForm("Q", tuple(map(square_class, diagonalize(albert.A_GRAM))))
     for k in (2, 3, -5):
         assert isometric_over_K(twist_a_descend(k), base, k)
     for k, a in [(2, 3), (-1, -1)]:

@@ -27,9 +27,9 @@ from quadalg.exactmat import (
     scal_mul,
     transpose,
 )
-from quadalg.scalars import QuadExtScalar, as_rational, div, exact_sum, iota, rat
+from quadalg.scalars import QuadExtScalar, as_rational, div, exact_sum, iota, rat, square_class
 
-import reference  # the dense-tuple kernels
+import reference  # the dense-tuple kernels and the dict-row diagonalization
 from test_forms import form_value, split_hyperbolic  # the chain's split, kept as a reference
 
 
@@ -568,8 +568,9 @@ def test_norm_pairing_and_a_form_value_match_their_explicit_sums(a, b):
         lambda: pullback(identity(2), identity(3)),
         lambda: det(freeze([[1, 2, 3], [4, 5, 6]])),
         lambda: mat_inv(freeze([[1, 2, 3], [4, 5, 6]])),
+        lambda: exactmat.gram(freeze([[1, 2], [3, 4]]), [(1, 0), (0, 1)]),  # not symmetric
     ],
-    ids=["ratio", "mat_mul", "mat_vec", "pairing", "pullback", "det", "mat_inv"],
+    ids=["ratio", "mat_mul", "mat_vec", "pairing", "pullback", "det", "mat_inv", "gram"],
 )
 def test_a_kernel_rejects_mismatched_shapes(call):
     with pytest.raises(ValueError):
@@ -675,8 +676,61 @@ def test_a_gram_matrix_is_its_pairings():
             symmetric = mat_mul(g, transpose(g))
             vectors = [tuple(row) for row in dense(sparse_matrix(rng, 5, n, 0.5, quad))]
             for form in (g, symmetric):
+                if form != transpose(form):
+                    with pytest.raises(ValueError):
+                        exactmat.gram(form, vectors)
+                    continue
                 want = [[pairing(form, v, w) for w in vectors] for v in vectors]
                 assert stored_like(exactmat.gram(form, vectors), want)
+
+
+def gram_cases(rng):
+    """Seeded symmetric Grams over Q, up to 8 x 8: block sums of hyperbolic
+    planes [[0, b], [b, 0]], zero-diagonal 3 x 3 blocks, random blocks
+    whose diagonals are mostly zero past 1 x 1, and a few zero blocks,
+    permuted.  Every third is made degenerate by a row and column repeated
+    (scaled) in another place."""
+    sizes = {"hyperbolic": (2, 2), "hollow": (3, 3), "random": (1, 3), "zero": (1, 2)}
+    for case in range(3000):
+        n = rng.randint(1, 8)
+        g, at = [[Q(0)] * n for _ in range(n)], 0
+        while at < n:
+            kind = rng.choice(["hyperbolic", "hollow", "random", "random"] * 4 + ["zero"])
+            m = min(rng.randint(*sizes[kind]), n - at)
+            for i in range(at, at + m):
+                for j in range(i, at + m):
+                    if kind == "zero" or i == j and (kind != "random" or m > 1 and rng.random() < 0.6):
+                        continue
+                    x = Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+                    g[i][j] = g[j][i] = x
+            at += m
+        if case % 3 == 0 and n > 1:
+            i, j, c = *rng.sample(range(n), 2), Q(rng.choice([-2, 1, 3]))
+            for m in range(n):
+                g[j][m] = c * g[i][m]
+            for m in range(n):
+                g[m][j] = c * g[m][i]
+        perm = rng.sample(range(n), n)
+        yield [[g[a][b] for b in perm] for a in perm]
+
+
+def classes_or_error(diagonalize, g):
+    try:
+        return [square_class(x) for x in diagonalize(g)]
+    except ValueError as e:
+        return str(e)
+
+
+def test_diagonalize_agrees_with_the_reference_diagonalization():
+    """The square classes of `diagonalize`, or its ValueError, are those of
+    the sparse-row diagonalization `forms` had before, pivot for pivot."""
+    seen = set()
+    for g in gram_cases(random.Random(37)):
+        got = classes_or_error(exactmat.diagonalize, freeze(g))
+        assert got == classes_or_error(reference._diagonalize_gram, g), g
+        hollow = not any(g[i][i] for i in range(len(g)))  # the first pivot needs the repair
+        seen.add("degenerate" if isinstance(got, str) else "hollow" if hollow else "diagonal")
+    assert seen == {"degenerate", "hollow", "diagonal"}
 
 
 # --------------------------------------------------------------------------
@@ -714,6 +768,19 @@ def test_span_form_evaluates_only_the_upper_triangle(monkeypatch):
     monkeypatch.setattr(exactmat, "exact_sum", lambda values: sums.append(1) or real(values))
     assert descent.span_form(albert.A_GRAM, basis) == want
     assert len(basis) == 10 and len(sums) <= 55
+
+
+def test_span_form_eliminates_on_the_stored_rows(monkeypatch):
+    """The descended Gram of P30's (k, a) = (2, 3) is diagonalized by
+    `_eliminate` on its stored rows, with no dense round trip."""
+    basis = descent.fixed_subspace(descent.special_cocycle_on_A(2, 3))
+    want = descent.span_form(albert.A_GRAM, basis)
+    cleared, real = [], exactmat._eliminate
+    monkeypatch.setattr(exactmat, "_eliminate", lambda *args: cleared.append(args[1]) or real(*args))
+    for module in (exactmat, descent):
+        monkeypatch.setattr(module, "dense", lambda a: pytest.fail("a dense round trip"))
+    assert descent.span_form(albert.A_GRAM, basis) == want
+    assert cleared
 
 
 def _is_zero(node) -> bool:

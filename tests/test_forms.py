@@ -32,7 +32,7 @@ from quadalg.forms import (
     witt_decompose,
     witt_equivalent,
 )
-from quadalg.exactmat import diagonal, pairing
+from quadalg.exactmat import diagonal, diagonalize, freeze, pairing
 from quadalg.scalars import Place, REAL, div, hilbert_symbol, is_local_square, relevant_places, square_class
 
 import witness_chain  # the isotropic-vector chain, kept as a reference
@@ -488,7 +488,7 @@ def test_trace_form_against_direct_expansion():
         for i, lam in enumerate(lams):
             gram[2 * i][2 * i] = lam
             gram[2 * i + 1][2 * i + 1] = -lam * k
-        diag = forms._diagonalize_gram(gram)
+        diag = [square_class(x) for x in diagonalize(freeze(gram))]
         assert isometric(got, form(diag))
 
 
@@ -703,7 +703,7 @@ def test_hyperbolic_hasse_defects_closed_form():
 
 def dense_split(q, v):
     """The complement of span(v, e_j) from an explicit basis, its Gram
-    matrix through `pairing`, and `_diagonalize_gram`."""
+    matrix through `pairing`, and `diagonalize`."""
     a = q.entries
     support = [i for i, x in enumerate(v) if x != 0]
     j, k = support[0], support[-1]
@@ -720,7 +720,7 @@ def dense_split(q, v):
         basis.append(vec)
     g = diagonal(q.entries)
     gram = [[pairing(g, x, y) for y in basis] for x in basis]
-    return tuple(forms._diagonalize_gram(gram))
+    return tuple(map(square_class, diagonalize(freeze(gram))))
 
 
 def isotropic_pairs(rng, count):
@@ -755,8 +755,8 @@ def test_split_hyperbolic_pivot_cases_match_dense(monkeypatch, entries, v, repai
     q, v = form(entries), tuple(Q(x) for x in v)
     expected = dense_split(q, v)
     blocks = []
-    dense = forms._diagonalize_gram
-    monkeypatch.setattr(forms, "_diagonalize_gram", lambda g: blocks.append(g) or dense(g))
+    real = diagonalize
+    monkeypatch.setattr(sys.modules[__name__], "diagonalize", lambda g: blocks.append(g) or real(g))
     assert split_hyperbolic(q, v).entries == expected
     assert bool(blocks) == repaired
 
@@ -926,8 +926,8 @@ def split_hyperbolic(q, v):
     diag(a_m) + s u u^T with u_m = a_m v_m and s = 1/(a_j v_j^2), and
     symmetric elimination keeps that shape: the pivot at d_t is
     p = d_t + s u_t^2, after which s becomes s d_t / p.  Pivots are chosen
-    as `_diagonalize_gram` chooses them, so the diagonal is the one it
-    gives; a block whose pivots are all zero goes to it as a dense matrix.
+    as `diagonalize` chooses them, so the diagonal is the one it
+    gives; a block whose pivots are all zero goes to it as a matrix.
     """
     if form_value(q, v) != 0:
         raise RuntimeError("split vector is not isotropic")
@@ -948,7 +948,7 @@ def split_hyperbolic(q, v):
             block = [[s * x * y for y in u[t:]] for x in u[t:]]
             for r, row in enumerate(block):
                 row[r] += d[t + r]
-            out += forms._diagonalize_gram(block)
+            out += map(square_class, diagonalize(freeze(block)))
             break
         d[t], d[i] = d[i], d[t]
         u[t], u[i] = u[i], u[t]

@@ -155,12 +155,13 @@ MUTANTS = {
         negated_at_2(scalars.hilbert_symbol),
         ("P30",),
     ),
-    # K = Q(sqrt k) is a field only for a nonsquare k; P07 and P30 build K
+    # K = Q(sqrt k) is a field only for a nonsquare k: P30 states that the
+    # descent rejects k = 4 (P07 builds K only at k = 2)
     "scalars.is_square returns False": (
         (scalars, forms, descent),
         "is_square",
         always(False),
-        ("P07", "P30"),
+        ("P30",),
     ),
     # q_z stated as the twisted form q: P30 compares the descended q_z with
     # the table, and they differ at (-1, -1); at (2, 3), P10's pair, q_z = q
@@ -210,10 +211,9 @@ MUTANTS = {
     ),
 }
 
-# Rows that no ledger check fails yet.  The square test only guards the
-# field parameters, and the ledger passes no square k.  The strict marker
+# Rows that no ledger check fails yet (none today).  The strict marker
 # makes a row fail loudly once a check catches its mutant.
-BLIND = ("scalars.is_square returns False",)
+BLIND = ()
 
 # Mutants that no correct input tells apart from the library, with the reason.
 EQUIVALENT = {
