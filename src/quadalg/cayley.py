@@ -19,6 +19,10 @@ therefore carries the Gram S8 *except* that n(u3,u6) = n(u4,u5) = 1/2;
 every numeric value the source computations print (the descent tables,
 T(j, z iota j) = 1) lives on the unaffected pairs and reproduces exactly.
 The deviation is reported, never patched silently.
+
+The table is judged by the ledger's claims, not when it is built: P17
+states its Gram against S8, and P18 that u4 + u5 is its two-sided unit
+and that conj x = T(x) 1 - x acts as the involution table.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ from .scalars import (
 )
 
 DIM = 8
-
-
-class CalibrationError(RuntimeError):
-    """The constructed table violates one of its hard invariants."""
 
 
 # --------------------------------------------------------------------------
@@ -172,45 +172,13 @@ class CayleyTable(_Frozen):
 
 @lru_cache(maxsize=1)
 def build_cayley_table() -> CayleyTable:
-    """Construct and validate the calibrated multiplication table."""
-    prod, gram = _build_tables(_CAL_SCALES)
-    table = CayleyTable(prod, gram)
-    _validate_table(table)
-    return table
+    """The calibrated multiplication table; the ledger's P17 and P18 judge it."""
+    return CayleyTable(*_build_tables(_CAL_SCALES))
 
 
 @lru_cache(maxsize=1)
 def _gram_inv() -> Matrix:
     return mat_inv(build_cayley_table().gram)
-
-
-def _involution_table_holds(table: CayleyTable) -> bool:
-    """conj(x) = trace(x) 1 - x must act as u4 <-> u5, u_i -> -u_i else,
-    on the generic octonion x."""
-    one = _find_unit(table)
-    if one is None:
-        return False
-    x = generic_octonion("x").coords
-    t = 2 * pairing(table.gram, one, x)
-    return tuple(t * e - c for e, c in zip(one, x)) == _conj_coords(x)
-
-
-def _validate_table(table: CayleyTable) -> None:
-    if _find_unit(table) is None:
-        raise CalibrationError("table has no unit element")
-    if not _involution_table_holds(table):
-        raise CalibrationError("involution table fails")
-    for (i, j), got in table.gram_deviations().items():
-        if GRAM_DEVIATIONS.get((i, j)) != got:
-            raise CalibrationError(f"unexpected Gram entry at ({i},{j}): {got}")
-
-
-def _find_unit(table: CayleyTable):
-    """The h-pair combination u4 + u5, if it is a left unit: one x = x on
-    the generic octonion x."""
-    one = (0, 0, 0, 1, 1, 0, 0, 0)
-    x = generic_octonion("x").coords
-    return one if _mul_coords(table, one, x) == x else None
 
 
 def _mul_coords(table: CayleyTable, x, y):
@@ -467,16 +435,6 @@ def special_cocycle_iota_closed_form(j: int, a: Sequence[int | Fraction | QuadEx
     aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
     inv = div(1, aj)
     return mat_mul(diagonal([inv, 1, 1, aj1, aj2, inv, inv, 1]), _d_times_P())
-
-
-def cocycle_condition_holds(T: SimilitudeTriple) -> bool:
-    """z_iota * iota(z_iota) = identity, the 1-cocycle condition for K/F."""
-    eye = identity(DIM)
-    for s in T.t:
-        tw = s.iota_twisted()
-        if mat_mul(s.matrix, tw.matrix) != eye:
-            return False
-    return True
 
 
 def coboundary_triple(lam: Sequence[QuadExtScalar]) -> SimilitudeTriple:

@@ -1,20 +1,20 @@
 """Command-line frontend: form / hermitian / rootsys / cayley / albert /
 descend / verify-paper.
 
-Exit codes: 0 success, 1 when a claim fails (a check of `verify-paper`
-or a claim of `descend --a`, both judged by the ledger's one rule), 2
-usage or input errors, and 141 (128 + SIGPIPE, nothing on stderr) when
-standard output closes early, as in `quadalg form ... | head -c 1`.
-`main` is the one error boundary: a ValueError (a bad literal, malformed
-JSON, a folding or hypothesis the library rejects) or another OSError (a
-file that cannot be read or written) becomes one stderr line
-`error: ...` and exit 2.  Any other exception is a program fault and
-keeps its traceback.  An argument that starts with "-" and a digit is a
-value, so negative values need no "--" (`quadalg form "-1/2*<<5>>"`).
-The tool is batch-only; `verify-paper` runs the whole ledger of source
-calculations and prints one line per check.  Each subcommand imports
-only the modules it uses, when it runs, so a call pays at start-up for
-its own subcommand and no other.
+Exit codes: 0 success, 1 when a claim fails (a check of `verify-paper`,
+a claim of `descend --a` or of `cayley --cocycle`, all judged by the
+ledger's one rule), 2 usage or input errors, and 141 (128 + SIGPIPE,
+nothing on stderr) when standard output closes early, as in
+`quadalg form ... | head -c 1`.  `main` is the one error boundary: a
+ValueError (a bad literal, malformed JSON, a folding or hypothesis the
+library rejects) or another OSError (a file that cannot be read or
+written) becomes one stderr line `error: ...` and exit 2.  Any other
+exception is a program fault and keeps its traceback.  An argument that
+starts with "-" and a digit is a value, so negative values need no "--"
+(`quadalg form "-1/2*<<5>>"`).  The tool is batch-only; `verify-paper`
+runs the whole ledger of source calculations and prints one line per
+check.  Each subcommand imports only the modules it uses, when it runs,
+so a call pays at start-up for its own subcommand and no other.
 """
 
 from __future__ import annotations
@@ -150,6 +150,7 @@ def _cmd_cayley(args) -> int:
     from . import cayley
     from .exactmat import freeze
 
+    code = 0
     if args.triple:
         mats = _read_json(args.triple)
         if not isinstance(mats, list):
@@ -162,27 +163,33 @@ def _cmd_cayley(args) -> int:
             "related": cayley.is_related_triple(trip),
         }
     elif args.cocycle:
+        from . import verify
+
         a = tuple(map(parse_scalar, args.cocycle))
         trip = cayley.special_cocycle(a)
+        status, verdict = verify.cocycle_verdict(a)
         payload = {
             "a": [str(x) for x in a],
             "multipliers": [str(m) for m in trip.multipliers],
             "determinants": [str(t.det()) for t in trip.t],
             "related": cayley.is_related_triple(trip),
-            "cocycle_condition": cayley.cocycle_condition_holds(trip),
+            "cocycle_condition": verdict["cocycle_condition"],
         }
+        code = 1 if status == "fail" else 0
     else:
+        from . import verify
+
         table = cayley.build_cayley_table()
         payload = {
             "gram_deviations": cayley.deviation_records(table.gram_deviations()),
-            "involution": "u4 <-> u5, others negated",
+            "involution": verify.table_verdict(table)[1]["bar(u1..u8)"],
             "products": {
                 f"u{i}u{j}": [str(x) for x in table.products[i - 1][j - 1]]
                 for i, j in [(1, 8), (4, 4), (4, 5), (1, 2)]
             },
         }
     _write_json(payload, args.json or None)
-    return 0
+    return code
 
 
 def _cmd_albert(args) -> int:

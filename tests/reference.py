@@ -11,9 +11,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from quadalg.albert import ADIM, A_COORD_INDICES, AlbertElement, AlbertMap
-from quadalg.cayley import GRAM_DEVIATIONS, CayleyTable, _build_tables, _involution_table_holds, _relates
+from quadalg.cayley import GRAM_DEVIATIONS, CayleyTable, _build_tables, _relates
 from quadalg.cayley import generic_a, special_cocycle, u
-from quadalg import exactmat
+from quadalg import exactmat, verify
 from quadalg.forms import DiagonalForm, _hasse_defects, direct_sum, invariants
 from quadalg.scalars import QuadExtScalar, as_rat, div, exact_sum, is_local_square, is_square, rat, square_class
 
@@ -85,7 +85,10 @@ def a_embed(v: Sequence[int | Fraction | QuadExtScalar]) -> AlbertElement:
 
 def calibration_search() -> dict:
     """Search signed scaled bases of the Zorn model for one satisfying all
-    of: Gram S8, involution table, relatedness of the z-triples.
+    of: Gram S8, involution table, relatedness of the z-triples.  A
+    candidate keeps the involution table when P18's judge
+    (`verify.table_verdict`) passes it: u4 + u5 is its two-sided unit and
+    conj x = T(x) 1 - x.
 
     Slots are forced by the weight pattern of the m_j matrices (u1,u6,u7
     one isotropic line, u2,u3,u8 the paired line, u4,u5 the trace-carrying
@@ -114,7 +117,7 @@ def calibration_search() -> dict:
     ):
         prod, gram = _build_tables((c1, c8, c2, c7, c3, c6))
         table = CayleyTable(prod, gram)
-        involution_ok = _involution_table_holds(table)
+        involution_ok = verify.table_verdict(table)[0] == "pass"
         deviations = table.gram_deviations()
         if list(deviations) == [(4, 5)]:
             near_s8 += 1

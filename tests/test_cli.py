@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quadalg
-from quadalg import forms
+from quadalg import cayley, forms
 from quadalg.cli import main
 
 
@@ -348,6 +348,8 @@ def test_cayley_info(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["gram_deviations"]) == 2
+    # P18's computed bar(u1..u8): conj u4 = u5, conj u5 = u4, the rest negated
+    assert payload["involution"] == ["-u1", "-u2", "-u3", "u5", "u4", "-u6", "-u7", "-u8"]
 
 
 def test_cayley_cocycle(capsys):
@@ -355,6 +357,15 @@ def test_cayley_cocycle(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["related"] and payload["cocycle_condition"]
+
+
+def test_cayley_cocycle_prints_p23s_verdict_and_exits_1_when_it_fails(capsys, monkeypatch):
+    """`cayley --cocycle` prints the cocycle condition P23's judge computed:
+    with the iota-twist broken to the identity map, z iota(z) = z z is not
+    1, and the command exits 1."""
+    monkeypatch.setattr(cayley.Similitude, "iota_twisted", lambda s: s)
+    code, out, _ = run(capsys, "cayley", "--cocycle", "1", "3", "1/3")
+    assert code == 1 and json.loads(out)["cocycle_condition"] is False
 
 
 def test_cayley_triple_file(tmp_path, capsys):

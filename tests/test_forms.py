@@ -273,8 +273,8 @@ def test_witt_decompose_examples():
     assert idx == 1 and an.entries == (2,)
     idx, an = witt_decompose(pfister(-1, -1))
     assert idx == 0 and an.dim == 4
-    idx, an = witt_decompose(form([1, 1, 1, 1], "R"))
-    assert idx == 0 and an.dim == 4
+    assert witt_decompose(form([1, 1, 1, 1], "R")) == (0, form([1, 1, 1, 1], "R"))
+    assert witt_decompose(form([1, 1, -1], "R")) == (1, form([1], "R"))
     idx, an = witt_decompose(parse_form("<2,3,-5,7,11,-13,17,19,-23,29,31,37,-41,43,47,53>"))
     assert f"{idx}H + {form_literal(an)}" == "4H + <2,2,2,2,2,2,38019,857180843188670>"
 
@@ -463,10 +463,9 @@ def test_trace_form_examples():
     h7 = HermitianDiagonal("R", Q(-1), (Q(-1),) * 7)
     assert trace_form(h7).entries == (-1,) * 14
     assert trace_form(HermitianDiagonal("Q", Q(2), (Q(1),))).entries == (1, -2)
-    with pytest.raises(ValueError):
-        HermitianDiagonal("Q", Q(4), (Q(1),))
-    with pytest.raises(ValueError):
-        HermitianDiagonal("R", Q(2), (Q(1),))
+    for field, k in (("Q", 4), ("R", 2), ("R", 0)):
+        with pytest.raises(ValueError):
+            HermitianDiagonal(field, Q(k), (Q(1),))
 
 
 def test_trace_form_against_direct_expansion():
@@ -571,6 +570,16 @@ def test_parse_and_print():
     for bad in ("", "<1,>", "<1> + ", "3x", "<1> <2>", "1*"):
         with pytest.raises(ValueError):
             parse_form(bad)
+
+
+def test_a_literal_of_the_most_entries_parses_and_one_more_does_not():
+    """MAX_LITERAL_DIM is 2^16: 32768H and a 16-slot Pfister form spell
+    exactly that many entries."""
+    pfister16 = "<<" + ",".join(["-1"] * 16) + ">>"
+    for at_bound in ("32768H", pfister16):
+        assert parse_form(at_bound).dim == forms.MAX_LITERAL_DIM
+        with pytest.raises(ValueError, match="more than"):
+            parse_form(at_bound + " + <1>")
 
 
 def test_invariants_json_shape():

@@ -84,6 +84,11 @@ A_GRAM_U1_U8_FLIPPED = exactmat.from_nonzeros(
 )
 
 
+def conj_without_swap(c):
+    """The involution with u4 and u5 left in place, the rest negated."""
+    return (-c[0], -c[1], -c[2], c[3], c[4], -c[5], -c[6], -c[7])
+
+
 def always(value):
     return lambda *_: value
 
@@ -184,15 +189,27 @@ MUTANTS = {
     # P12 states the folded types, D_n to B_(n-1) and A_(2l+1) to C_(l+1)
     # among them; P13 expects Rost multiplier 1 for every folding
     "rootsys._read_type with B and C swapped": (rootsys, "_read_type", b_and_c_swapped(), ("P12", "P13")),
-    # every Gram pairing changes sign: the calibrated table fails its
-    # involution check, so each check that needs the table (P17, P19-P30)
-    # fails, and the coroot forms' values turn negative (P12, P16);
-    # patched in every module that imports it
+    # every Gram pairing changes sign, patched in every module that imports
+    # it: the trace T(X) = 2n(1, X) turns negative, so conj X = T(X) 1 - X
+    # fails (P18), and n(XY) = -n(X)n(Y) (P19); the coroot forms' values
+    # turn negative (P12, P16), and so do r (P26), the A-form's values
+    # (P29) and the descent table's (P30).  The Gram is built by pullback,
+    # not by pairing, so P17 stays open
     "exactmat.pairing negated": (
         (exactmat, cayley, albert, rootsys, verify),
         "pairing",
         negated(exactmat.pairing),
-        ("P12", "P16", "P17", *(f"P{i}" for i in range(19, 31))),
+        ("P12", "P16", "P18", "P19", "P26", "P29", "P30"),
+    ),
+    # conj with u4 and u5 unswapped is not T(X) 1 - X, and it fixes u4
+    # (P18); the star product built on it relates no z-triple (P22, P24),
+    # and the Albert algebra's cubic norm and maps read it (P25, P29).
+    # P26-P28 and P30 fail too, by the error g_map raises on an unrelated z
+    "cayley._conj_coords with u4 and u5 unswapped": (
+        cayley,
+        "_conj_coords",
+        conj_without_swap,
+        ("P18", "P22", "P24", "P25", "P29"),
     ),
     # every descended Gram changes sign: P30's twistA and rostcalc forms
     # turn negative
@@ -251,15 +268,21 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_paper_report.json"
 PASSING = {c["id"]: c["witness"] for c in GOLDEN["checks"]}
 
 
+# The Cayley-table rows: no judge runs when the table is built, so each
+# check they list fails by naming the claims that broke, not by an error.
+NAMED_ONLY = {"cayley._conj_coords with u4 and u5 unswapped", "exactmat.pairing negated"}
+
+
 @pytest.mark.parametrize("mutant", [name for name in sorted(MUTANTS) if name not in BLIND], indirect=True)
-def test_a_failing_check_shows_what_failed(mutant):
+def test_a_failing_check_shows_what_failed(mutant, request):
     """Each check a mutant fails reports a witness other than its passing
     one, which names the claims that broke or carries the error raised,
     and which the JSON report can hold."""
+    named_only = request.node.callspec.params["mutant"] in NAMED_ONLY
     for check_id in mutant:
         (result,) = verify.run_checks(only=check_id)
         assert json.loads(json.dumps(result.witness)) != PASSING[check_id], check_id
-        assert "failed" in result.witness or "error" in result.witness, check_id
+        assert "failed" in result.witness or ("error" in result.witness and not named_only), check_id
 
 
 def _called(node) -> str:
