@@ -1,7 +1,8 @@
-"""The 27-dimensional Albert algebra H3(C): Jordan product, trace form,
-cubic norm, cross product, sharp map, the action of related triples, the
-trace-form adjoint (dagger), Freudenthal's psi maps, and the subspace A
-with its 10-dimensional quadratic form.
+"""The 27-dimensional Albert algebra H3(C): Jordan product, trace form
+(written out once, as its Gram `_t_gram`), cubic norm, cross product,
+sharp map, the action of related triples, the trace-form adjoint
+(dagger), Freudenthal's psi maps, and the subspace A with its
+10-dimensional quadratic form.
 
 Elements are (eps0, eps1, eps2; c0, c1, c2) for the hermitian matrix with
 c_i in the (i+1, i+2) slot.  The cubic norm has the closed form
@@ -54,7 +55,7 @@ from .exactmat import (
     submatrix,
     transpose,
 )
-from .scalars import QuadExtScalar, _Frozen, as_scalar, div, exact_sum, iota, rat, variable
+from .scalars import QuadExtScalar, _Frozen, as_scalar, div, iota, rat, variable
 
 ADIM = 27
 
@@ -154,12 +155,8 @@ def c_only(i: int, x: Octonion) -> AlbertElement:
 
 
 def trace_form_T(x: AlbertElement, y: AlbertElement):
-    """T(x,y) = trace(x . y): diagonal products plus the full norm
-    polarizations of the c-slots."""
-    return exact_sum(
-        [a * b for a, b in zip(x.eps, y.eps)]
-        + [2 * a.norm_pairing(b) for a, b in zip(x.c, y.c)]
-    )
+    """T(x,y) = trace(x . y), evaluated on its Gram `_t_gram`."""
+    return pairing(_t_gram(), x.coords(), y.coords())
 
 
 def norm_N(x: AlbertElement):
@@ -229,9 +226,10 @@ def _block_diagonal(
 
 @lru_cache(maxsize=1)
 def _t_gram() -> Matrix:
-    """T on the basis in closed form, diag(1, 1, 1) + 2G + 2G + 2G with G
-    the octonion norm Gram: trace_form_T pairs the diagonal slots by
-    products and each octonion slot by twice the norm pairing."""
+    """T(x, y) = trace(x . y) on the basis in closed form (Springer and
+    Veldkamp 2000, 5.1), diag(1, 1, 1) + 2G + 2G + 2G with G the octonion
+    norm Gram: the diagonal slots pair by products and each octonion slot
+    by twice the norm pairing."""
     g2 = scal_mul(2, build_cayley_table().gram)
     return _block_diagonal((1, 1, 1), (g2, g2, g2))
 

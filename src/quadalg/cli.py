@@ -2,9 +2,9 @@
 descend / verify-paper.
 
 Exit codes: 0 success, 1 when a claim fails (a check of `verify-paper`,
-a claim of `descend --a` or of `cayley --cocycle`, all judged by the
-ledger's one rule), 2 usage or input errors, and 141 (128 + SIGPIPE,
-nothing on stderr) when standard output closes early, as in
+a claim of `descend --k`, of `descend --a` or of `cayley --cocycle`, all
+judged by the ledger's one rule), 2 usage or input errors, and 141
+(128 + SIGPIPE, nothing on stderr) when standard output closes early, as in
 `quadalg form ... | head -c 1`.  `main` is the one error boundary: a
 ValueError (a bad literal, malformed JSON, a folding or hypothesis the
 library rejects) or another OSError (a file that cannot be read or
@@ -261,12 +261,10 @@ def _cmd_descend(args) -> int:
         table_status, payload["table"] = verify.rostcalc_table_verdict(k, a)
         code = 1 if "fail" in (status, table_status) else 0
     else:
-        q = descent.twist_a_descend(k)
-        payload = {
-            "descended": forms.form_literal(q),
-            "expected": forms.form_literal(descent.twist_a_expected(k)),
-            "isometric": forms.isometric(q, descent.twist_a_expected(k)),
-        }
+        from . import verify
+
+        status, payload = verify.twista_verdict(k)
+        code = 1 if status == "fail" else 0
     _write_json(payload, args.report or None)
     return code
 

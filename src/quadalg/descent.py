@@ -21,8 +21,8 @@ from .exactmat import (
     dense,
     diagonalize,
     entrywise,
+    freeze,
     from_nonzeros,
-    gram,
     identity,
     independent,
     mat_mul,
@@ -30,7 +30,7 @@ from .exactmat import (
     pullback,
     transpose,
 )
-from .scalars import QuadExtScalar, _Frozen, as_rat, as_rational, div, iota, is_square, sqrt_k
+from .scalars import QuadExtScalar, _Frozen, as_rat, as_rational, div, field_parameter, iota, sqrt_k
 from .scalars import square_class
 
 
@@ -45,9 +45,7 @@ class SemilinearCocycle(_Frozen):
     __slots__ = ("k", "matrix")
 
     def __init__(self, k: int | Fraction, matrix: Matrix):
-        k = as_rat(k)
-        if is_square(k):
-            raise ValueError("k must not be a square")
+        k = field_parameter(k)
         n, m = matrix.shape
         if n != m:
             raise ValueError("a cocycle matrix is square")
@@ -101,9 +99,10 @@ def descend_form(form: Matrix, z: SemilinearCocycle) -> forms.DiagonalForm:
 
 
 def span_form(form: Matrix, vectors) -> forms.DiagonalForm:
-    """The diagonalized F-form of the Gram matrix `form` on the span of
-    vectors over K; as_rational raises if a pairing is not F-rational."""
-    diag = diagonalize(entrywise(as_rational, gram(form, vectors)))
+    """The diagonalized F-form of the symmetric Gram matrix `form` pulled
+    back to the span of vectors over K; as_rational raises if a pairing is
+    not F-rational."""
+    diag = diagonalize(entrywise(as_rational, pullback(transpose(freeze(vectors)), form)))
     return forms.DiagonalForm("Q", tuple(map(square_class, diag)))
 
 

@@ -17,15 +17,15 @@ shapes of its arguments do not fit.  `mat_mul` combines rows (Gustavson,
 ACM TOMS 4(3), 1978), so a product makes one multiplication per nonzero
 product a[i][j] b[j][c]: a product of two monomial n x n maps makes n.
 A Gram form v^T g w is evaluated by `pairing`, and the Gram matrix of a
-list of vectors by `gram`, which forms each v^T g once and evaluates
-only the upper triangle of the symmetric g.  `det`, `mat_inv`, `rank` and
-`independent` share one elimination that keeps, for each column, the
-rows that hold it (Davis, Direct Methods for Sparse Linear Systems, SIAM
-2006), so a pivot visits only those rows: the determinant of a monomial
-n x n map makes n multiplications and its inverse 2n.  `diagonalize`,
-the symmetric elimination of a Gram matrix, clears each pivot from the
-rows that hold it by the same row update, `_eliminate`.  Every division
-is `scalars.div`.
+list of vectors, a^T g a for the matrix a whose columns they are, by
+`pullback`.  `det`, `mat_inv`, `rank` and `independent` share one
+elimination that keeps, for each column, the rows that hold it (Davis,
+Direct Methods for Sparse Linear Systems, SIAM 2006), so a pivot visits
+only those rows: the determinant of a monomial n x n map makes n
+multiplications and its inverse 2n.  `diagonalize`, the symmetric
+elimination of a Gram matrix, clears each pivot from the rows that hold
+it by the same row update, `_eliminate`.  Every division is
+`scalars.div`.
 """
 
 from __future__ import annotations
@@ -236,31 +236,6 @@ def pairing(g: Matrix, v: Sequence, w: Sequence):
         if x:
             terms += [y * (x * z) for c, y in pairs if (z := w[c])]
     return exact_sum(terms)
-
-
-def gram(g: Matrix, vectors: Sequence[Vector]) -> Matrix:
-    """The Gram matrix (v_i^T g v_j) of `vectors` under the symmetric g.
-    Each row v_i^T g is formed once, as a product of stored rows, and an
-    entry is one `exact_sum` over the places where that row meets v_j,
-    evaluated only where they meet, in the upper triangle, and mirrored."""
-    n = len(vectors)
-    basis = freeze(vectors)
-    if n and g.shape != (basis.shape[1],) * 2:
-        raise ValueError(f"cannot pair {basis.shape[1]} coordinates by a {_size(g)} form")
-    if g != transpose(g):
-        raise ValueError("a Gram matrix is symmetric")
-    held = [dict(pairs) for pairs in basis.rows]
-    entries = []
-    for i, pairs in enumerate(mat_mul(basis, g).rows if n else ()):
-        support = dict(pairs).keys()
-        for j in range(i, n):
-            v = held[j]
-            if support.isdisjoint(v):
-                continue
-            x = exact_sum([u * v[c] for c, u in pairs if c in v])
-            if x:
-                entries += [(i, j, x), (j, i, x)]
-    return from_nonzeros(n, n, entries)
 
 
 def ratio(a: Matrix, b: Matrix):

@@ -45,9 +45,9 @@ from .scalars import (
     _legendre,
     _val_unit,
     as_rat,
+    field_parameter,
     hilbert_symbol,
     is_local_square,
-    is_square,
     next_prime,
     parse_scalar,
     relevant_places,
@@ -572,12 +572,9 @@ class HermitianDiagonal(_Frozen):
         entries = tuple(as_rat(a) for a in entries)
         if any(a == 0 for a in entries):
             raise ValueError("hermitian entries must be nonzero")
-        if field == "R":
-            if k >= 0:
-                raise ValueError("k must be negative over R")
-        elif is_square(k):
-            raise ValueError("k must not be a square")
-        super().__init__(field, k, entries)
+        if field == "R" and k >= 0:
+            raise ValueError("k must be negative over R")
+        super().__init__(field, field_parameter(k), entries)
 
 
 def hermitian_hyperbolic(m: int, k: int | Fraction, field: str = "Q") -> HermitianDiagonal:

@@ -6,7 +6,8 @@ standard basis of Z^rank and the canonical form is the only metric,
 kept as its Gram matrix and evaluated by `exactmat.pairing`.
 Bourbaki numbering throughout; root lengths are normalized so long roots
 have (a,a) = 2, which makes the canonical form take the value 1 on short
-coroots (Gram = Cartan/2 in the simply-laced case).
+coroots (Gram = Cartan/2 in the simply-laced case).  A folded type is
+the catalogued type whose Cartan matrix the folded pairing equals.
 """
 
 from __future__ import annotations
@@ -295,15 +296,15 @@ def fold(rd: RootDatum, perm: tuple[int, ...] | None = None, name: str = "") -> 
 
 
 def _read_type(cartan, prefer: str) -> tuple[RootDatum, list[int]]:
-    """The folded type, read off its Dynkin diagram, and the order that
+    """The folded type, matched against the catalogue, and the order that
     maps its Bourbaki numbering to rows of `cartan`.
 
-    Every folded type is B, C, F or G: a chain with one multiple bond.  A
-    triple bond is G2; a double bond inside the chain is F4; a double bond
-    at an end is B when the end root is short and C when it is long, and
-    for rank 2, where both ends qualify, `prefer` names it.  The Bourbaki
-    order is the walk along the chain from one end or the other: none of
-    these diagrams has an automorphism, so one direction matches."""
+    Every folded diagram is a chain, and its Bourbaki order is the walk
+    along it from one end or the other.  The type is the first of the
+    series `prefer`, B, C, F and G, in that order, whose catalogued Cartan
+    matrix at the chain's rank (`build_root_datum`) equals `cartan` read
+    along one of the two walks.  A Cartan matrix names one type, but for
+    B2 = C2, which `prefer` names."""
     m = len(cartan)
     links = [[j for j in range(m) if j != i and cartan[i][j]] for i in range(m)]
     order = [next((i for i in range(m) if len(links[i]) == 1), 0)]
@@ -312,22 +313,14 @@ def _read_type(cartan, prefer: str) -> tuple[RootDatum, list[int]]:
         if len(step) != 1:
             raise RuntimeError("folded diagram is not a chain")
         order.append(step[0])
-    bonds = [cartan[a][b] * cartan[b][a] for a, b in zip(order, order[1:])]
-    p = max(range(m - 1), key=bonds.__getitem__)
-    end, inner = (order[-1], order[-2]) if p == m - 2 else (order[0], order[1])
-    if bonds[p] == 3:
-        series = "G"
-    elif 0 < p < m - 2:
-        series = "F"
-    elif m == 2:
-        series = prefer
-    else:
-        series = "B" if cartan[end][inner] < -1 else "C"
-    folded = build_root_datum(f"{series}{m}")
-    target = dense(folded.cartan)
-    for walk in (order, order[::-1]):
-        if all(cartan[walk[i]][walk[j]] == target[i][j] for i in range(m) for j in range(m)):
-            return folded, walk
+    for series in dict.fromkeys((prefer, "B", "C", "F", "G")):
+        if m not in _SERIES_RANKS[series]:
+            continue
+        folded = build_root_datum(f"{series}{m}")
+        target = dense(folded.cartan)
+        for walk in (order, order[::-1]):
+            if all(cartan[walk[i]][walk[j]] == target[i][j] for i in range(m) for j in range(m)):
+                return folded, walk
     raise RuntimeError("folded system matches no catalogued type")
 
 

@@ -386,11 +386,10 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Place) -> int:
 def is_norm_from_K(a: int | Fraction, k: int | Fraction) -> bool:
     """Whether a = x^2 - k y^2 for rational x, y; equivalently the form
     <1,-k,-a> is isotropic, i.e. the quaternion algebra (k,a) splits."""
-    a, k = as_rat(a), as_rat(k)
+    a = as_rat(a)
     if a == 0:
         raise ValueError("a must be nonzero")
-    if is_square(k):
-        raise ValueError("k is a square, K is not a field")
+    k = field_parameter(k)
     return all(hilbert_symbol(k, a, v) == 1 for v in relevant_places(a, k))
 
 
@@ -412,10 +411,12 @@ def div(a, b):
 
 
 @lru_cache(maxsize=None)
-def _field_parameter(k: Fraction) -> Fraction:
-    """k itself, once it is known not to be a rational square."""
+def field_parameter(k: int | Fraction) -> int | Fraction:
+    """k as a canonical rational, once it is known not to be a square: the
+    one check that K = Q(sqrt k) is a field, made once per k."""
+    k = as_rat(k)
     if is_square(k):
-        raise ValueError("k must not be a rational square")
+        raise ValueError("k must not be a square")
     return k
 
 
@@ -425,7 +426,7 @@ class QuadExtScalar(_Frozen):
     __slots__ = ("x", "y", "k")
 
     def __init__(self, x: int | Fraction, y: int | Fraction, k: int | Fraction):
-        super().__init__(as_rat(x), as_rat(y), _field_parameter(as_rat(k)))
+        super().__init__(as_rat(x), as_rat(y), field_parameter(k))
 
     # -- ring structure ------------------------------------------------
     def _coerce(self, other):

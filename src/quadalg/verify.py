@@ -529,28 +529,30 @@ def _check_a_gram_display():
 # descent
 
 
-def _check_twista_descent():
-    parts = {}
-    for k in (2, 3, -5):
-        q = descent.twist_a_descend(k)
-        match = forms.isometric(q, descent.twist_a_expected(k))
-        parts[f"k={k}"] = _verdict({"matches": (match, True)}, {"descended": forms.form_literal(q)})
-    return _bundle(parts)
+def twista_verdict(k: int | Fraction) -> tuple[str, dict]:
+    """The twistA descent at k judged: the A-form descended along M is
+    4H + <-2, 2k>.  A square k raises ValueError."""
+    q, expected = descent.twist_a_descend(k), descent.twist_a_expected(k)
+    return _verdict(
+        {"isometric": (forms.isometric(q, expected), True)},
+        {"descended": forms.form_literal(q), "expected": forms.form_literal(expected)},
+    )
 
 
 def rostcalc_verdict(k: int | Fraction, a: int | Fraction) -> tuple[str, dict]:
     """The special-cocycle computation at (k, a) judged: q_z matches the
     table, q_z - q has the Witt class <2><<a,k,-1>>, and its Arason class
-    is trivial exactly when the real symbol (a)(k)(-1) is, which over Q is
-    nontrivial exactly when a < 0 and k < 0 (Serre, III.1.2).  An input
-    that the computation rejects raises ValueError."""
+    is trivial, q_z - q in I^4, exactly when the real symbol (a)(k)(-1)
+    is, which over Q is nontrivial exactly when a < 0 and k < 0 (Serre,
+    III.1.2); outside I^3, q_z - q fails both claims, raising nothing.
+    An input that the computation rejects raises ValueError."""
     q_z, q = descent.rostcalc_qz(k, a), descent.twist_a_expected(k)
     diff, arason = forms.direct_sum(q_z, -q), forms.scale(2, forms.pfister(a, k, -1))
     real_symbol = a < 0 and k < 0
     return _verdict({
         "qz_matches_table": (forms.isometric(q_z, descent.rostcalc_expected_qz(k, a)), True),
         "difference_witt_class_ok": (forms.witt_equivalent(diff, arason), True),
-        "arason_class_trivial": (forms.arason_trivial(diff), not real_symbol),
+        "arason_class_trivial": (forms.in_power_I(diff, 4), not real_symbol),
         "real_symbol_nontrivial": (hilbert_symbol(a, k, REAL) == -1, real_symbol),
     }, {"k": str(k), "a": str(a), "q_z": forms.form_literal(q_z), "q": forms.form_literal(q)})
 
@@ -600,7 +602,7 @@ def _check_p30():
     # (-2,-3), and at v = 5 for (5,7); at (3,-2), -2 = 1 - 3*1^2 is a norm.
     norms = (False, False, True, False, False)
     return _bundle({
-        "twistA": _check_twista_descent(),
+        "twistA": _bundle({f"k={k}": twista_verdict(k) for k in (2, 3, -5)}),
         "rostcalc": _bundle({f"(k,a)=({k},{a})": rostcalc_verdict(k, a) for k, a in pairs}),
         "norm_condition": _verdict(
             {f"(k,a)=({k},{a})": (is_norm_from_K(a, k), norm) for (k, a), norm in zip(pairs, norms)}

@@ -397,6 +397,19 @@ def test_descend_twista(capsys):
     assert json.loads(out)["isometric"]
 
 
+def test_descend_twista_prints_p30s_verdict_and_exits_1_when_it_fails(capsys, monkeypatch):
+    """`descend --k` prints the verdict P30's twistA parts compute: with
+    the descended Gram negated, the form is not 4H + <-2, 2k>, and the
+    command exits 1."""
+    from quadalg import descent
+    from quadalg.exactmat import scal_mul
+
+    span_form = descent.span_form
+    monkeypatch.setattr(descent, "span_form", lambda form, vs: span_form(scal_mul(-1, form), vs))
+    code, out, _ = run(capsys, "descend", "--k", "3")
+    assert code == 1 and json.loads(out)["isometric"] is False
+
+
 def test_descend_rostcalc(capsys):
     code, out, _ = run(capsys, "descend", "--k", "2", "--a", "3")
     assert code == 0

@@ -163,7 +163,7 @@ MUTANTS = {
     # K = Q(sqrt k) is a field only for a nonsquare k: P30 states that the
     # descent rejects k = 4 (P07 builds K only at k = 2)
     "scalars.is_square returns False": (
-        (scalars, forms, descent),
+        scalars,
         "is_square",
         always(False),
         ("P30",),
@@ -212,11 +212,11 @@ MUTANTS = {
         ("P18", "P22", "P24", "P25", "P29"),
     ),
     # every descended Gram changes sign: P30's twistA and rostcalc forms
-    # turn negative
-    "exactmat.gram negated": (
-        (exactmat, descent),
-        "gram",
-        lambda g, vectors, real=exactmat.gram: exactmat.scal_mul(-1, real(g, vectors)),
+    # turn negative, and so do the table's spans
+    "descent.span_form with the form negated": (
+        descent,
+        "span_form",
+        lambda form, vectors, real=descent.span_form: real(exactmat.scal_mul(-1, form), vectors),
         ("P30",),
     ),
     # every identity on generic coordinates is a product of Laurent polynomials
@@ -269,8 +269,14 @@ PASSING = {c["id"]: c["witness"] for c in GOLDEN["checks"]}
 
 
 # The Cayley-table rows: no judge runs when the table is built, so each
-# check they list fails by naming the claims that broke, not by an error.
-NAMED_ONLY = {"cayley._conj_coords with u4 and u5 unswapped", "exactmat.pairing negated"}
+# check they list fails by naming the claims that broke, not by an error;
+# and a descended form that is wrong fails P30's claims, the Arason one
+# included, without raising.
+NAMED_ONLY = {
+    "cayley._conj_coords with u4 and u5 unswapped",
+    "exactmat.pairing negated",
+    "descent.span_form with the form negated",
+}
 
 
 @pytest.mark.parametrize("mutant", [name for name in sorted(MUTANTS) if name not in BLIND], indirect=True)

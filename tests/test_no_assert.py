@@ -47,6 +47,22 @@ def test_library_imports_no_random():
     assert imports == []
 
 
+def test_only_scalars_asks_whether_a_rational_is_a_square():
+    """Whether K = Q(sqrt k) is a field is decided once, by
+    `scalars.field_parameter`: no other module calls `is_square`."""
+    sources = sorted(Path(quadalg.__file__).parent.glob("*.py"))
+    assert "scalars.py" in {path.name for path in sources}
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "scalars.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "is_square"
+    ]
+    assert calls == []
+
+
 # the classes that define `_key()`, and why their key is not their fields
 OWN_KEYS = {
     "_Frozen": "the default: the fields",
