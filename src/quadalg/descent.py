@@ -30,8 +30,7 @@ from .exactmat import (
     pullback,
     transpose,
 )
-from .scalars import QuadExtScalar, _Frozen, as_rat, as_rational, div, field_parameter, iota, sqrt_k
-from .scalars import square_class
+from .scalars import _Frozen, as_rat, as_rational, div, field_parameter, iota, sqrt_k, square_class
 
 
 def _iota_mat(m: Matrix) -> Matrix:
@@ -167,13 +166,10 @@ def rostcalc_table_rows(k: int | Fraction, a: int | Fraction) -> list[dict]:
     k, a = as_rat(k), as_rat(a)
     rt = sqrt_k(k)
 
-    zero = QuadExtScalar(0, 0, k)
-    one = QuadExtScalar(1, 0, k)
-
     def avec(*pairs):
-        v = [zero] * 10
+        v = [0] * 10
         for pos, val in pairs:
-            v[pos] = zero + val  # a rational val becomes an element of K
+            v[pos] = val
         return tuple(v)
 
     # A-coordinate order: u1,u2,u3,u4,e1,e2,u5..u8 -> indices 0..9
@@ -182,9 +178,9 @@ def rostcalc_table_rows(k: int | Fraction, a: int | Fraction) -> list[dict]:
             "subspace": "(u1,u2) with (u7,u8)",
             "contribution": forms.hyperbolic(2),
             "vectors": [
-                avec((0, one), (1, one)),
+                avec((0, 1), (1, 1)),
                 avec((0, rt), (1, -rt)),
-                avec((8, one), (9, one)),
+                avec((8, 1), (9, 1)),
                 avec((8, rt), (9, -rt)),
             ],
             "values": [0, 0, 0, 0],
@@ -192,19 +188,19 @@ def rostcalc_table_rows(k: int | Fraction, a: int | Fraction) -> list[dict]:
         {
             "subspace": "(u3,u6)",
             "contribution": forms.form([2, -2 * k]),
-            "vectors": [avec((2, one), (7, -one)), avec((2, rt), (7, rt))],
+            "vectors": [avec((2, 1), (7, -1)), avec((2, rt), (7, rt))],
             "values": [2, -2 * k],
         },
         {
             "subspace": "(u4,u5)",
             "contribution": forms.form([-2 * a, 2 * a * k]),
-            "vectors": [avec((3, a), (6, one)), avec((3, -a * rt), (6, rt))],
+            "vectors": [avec((3, a), (6, 1)), avec((3, -a * rt), (6, rt))],
             "values": [-2 * a, 2 * a * k],
         },
         {
             "subspace": "(e1,e2)",
             "contribution": forms.form([-2 * a, 2 * a * k]),
-            "vectors": [avec((4, -one), (5, a)), avec((4, rt), (5, a * rt))],
+            "vectors": [avec((4, -1), (5, a)), avec((4, rt), (5, a * rt))],
             "values": [-2 * a, 2 * a * k],
         },
     ]

@@ -12,7 +12,9 @@ ratio is a nonzero rational square.  Serre's local formulas are stated
 once, on valuations and units: `_local_class` (a class of Q_v*/Q_v*^2)
 and `_hasse` (the Hasse symbol of a diagonal form), of which
 `is_local_square` and `hilbert_symbol` are the one- and two-entry cases.
-Only `square_class` and `relevant_places` factor.
+Only `square_class` and `relevant_places` factor.  A Laurent polynomial
+keys its terms by their monomials, sorted (variable, nonzero exponent)
+tuples, with exponents of any size.
 """
 
 from __future__ import annotations
@@ -545,63 +547,46 @@ def _quad(x: int | Fraction, y: int | Fraction, k: int | Fraction) -> QuadExtSca
     return out
 
 
-# Packed monomials (Johnson, SIGSAM Bull. 8(3), 1974; Monagan & Pearce,
-# CASC 2007): the key of x_1^e_1 ... x_n^e_n is sum_i e_i 2^(W s_i), with
-# W = _FIELD_BITS and s_i the slot of x_i, given in first-use order.  While
-# no |e_i| passes the bound the fields never carry into each other, so a
-# product of monomials is a sum of keys, an inverse a negated key and an
-# n-th power n times a key.
-_FIELD_BITS = 24
-EXPONENT_BOUND = (1 << (_FIELD_BITS - 1)) - 1  # the largest |exponent| a field holds
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-_SHIFTS: dict[str, int] = {}  # variable -> the offset of its field
-_NAMES: list[str] = []  # the variables in first-use order
-
-
-def _pack(monomial) -> tuple[int, int]:
-    """The key of a monomial given as (variable, exponent) pairs, the
-    exponents of a repeated variable summed, and its largest |exponent|.
-    An exponent past `EXPONENT_BOUND` raises OverflowError."""
-    exps: dict = {}
-    for v, e in monomial:
-        exps[v] = exps.get(v, 0) + e
-    key = bound = 0
-    for v, e in exps.items():
-        if abs(e) > EXPONENT_BOUND:
-            raise OverflowError(f"exponent {e} of {v} exceeds the packed bound {EXPONENT_BOUND}")
-        shift = _SHIFTS.get(v)
-        if shift is None:
-            shift = _SHIFTS[v] = _FIELD_BITS * len(_NAMES)
-            _NAMES.append(v)
-        key += e << shift
-        bound = max(bound, abs(e))
-    return key, bound
-
-
-def _unpack(key: int) -> tuple:
-    """The monomial of a key: its sorted (variable, nonzero exponent) pairs,
-    one field at a time from the lowest, each read as a signed digit."""
-    pairs, slot = [], 0
-    while key:
-        e = key & _FIELD_MASK
-        if e > EXPONENT_BOUND:
-            e -= _FIELD_MASK + 1
-        if e:
-            pairs.append((_NAMES[slot], e))
-        key = (key - e) >> _FIELD_BITS
-        slot += 1
-    return tuple(sorted(pairs))
-
-
 _SCALARS = (int, Fraction, QuadExtScalar)  # the coefficients' types
 
 
-def _laurent(terms: dict, bound: int) -> "Laurent":
-    """The Laurent polynomial of packed terms that are nonzero and canonical
-    already, with `bound` at least its largest |exponent|."""
+def _monomial(pairs) -> tuple:
+    """The monomial of (variable, exponent) pairs: its sorted (variable,
+    nonzero exponent) pairs, the exponents of a repeated variable summed."""
+    exps: dict = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def _monomial_product(m: tuple, n: tuple) -> tuple:
+    """The product of two monomials: one merge of their sorted pairs, an
+    exponent that cancels dropped."""
+    if not m or not n:
+        return m or n
+    out = []
+    i = j = 0
+    while i < len(m) and j < len(n):
+        (v, e), (w, f) = m[i], n[j]
+        if v < w:
+            out.append(m[i])
+            i += 1
+        elif w < v:
+            out.append(n[j])
+            j += 1
+        else:
+            if e + f:
+                out.append((v, e + f))
+            i += 1
+            j += 1
+    return (*out, *m[i:], *n[j:])
+
+
+def _laurent(terms: dict) -> "Laurent":
+    """The Laurent polynomial of terms that are nonzero and canonical
+    already."""
     out = object.__new__(Laurent)
     _set_terms(out, terms)
-    _set_bound(out, bound)
     return out
 
 
@@ -609,23 +594,21 @@ def _sum_terms(values) -> "Laurent":
     """The sum of Laurent polynomials, gathered into one term dict."""
     terms: dict = {}
     get = terms.get
-    bound = 0
     for p in values:
-        bound = max(bound, p._bound)
-        for m, c in p._terms.items():
+        for m, c in p.terms.items():
             v = get(m)
             terms[m] = c if v is None else v + c
-    return _laurent({m: rat(c) for m, c in terms.items() if c}, bound)
+    return _laurent({m: rat(c) for m, c in terms.items() if c})
 
 
 def _product_terms(a: dict, b: dict) -> dict:
-    """The packed terms of the product of two Laurent polynomials' packed
-    terms, gathered into one dict: each monomial product is a key sum."""
+    """The terms of the product of two Laurent polynomials' terms,
+    gathered into one dict."""
     terms: dict = {}
     get = terms.get
     for m, c in a.items():
         for n, d in b.items():
-            key = m + n
+            key = _monomial_product(m, n)
             v = get(key)
             terms[key] = c * d if v is None else v + c * d
     return {m: rat(c) for m, c in terms.items() if c}
@@ -651,43 +634,31 @@ class Laurent(_Frozen):
     evaluation on generic coordinates proves an identity for every value.
     Only a monomial is invertible.
 
-    The terms are held as {key: c}, the key of a monomial its packed
-    exponent vector: one int with a signed field of `_FIELD_BITS` bits per
-    variable, so that multiplying monomials adds keys.  Every exponent
-    stays within +-`EXPONENT_BOUND` (2^23 - 1): each polynomial carries a
-    bound on its exponents, a product or power whose bound could pass it
-    is formed on the unpacked monomials, and one that does pass it raises
-    OverflowError instead of carrying into the next field.  `terms` is the
-    unpacked view, {monomial: c} with each monomial a sorted tuple of
-    (variable, nonzero exponent) pairs, and `Laurent(pairs)` takes the
-    (monomial, c) pairs of that view; a copy or a pickle goes through
-    them, as the keys depend on the order in which the process met its
-    variables."""
+    The terms are held as {monomial: c}, each monomial a sorted tuple of
+    (variable, nonzero exponent) pairs, so the constant monomial is ().
+    Exponents are ints of any size.  `Laurent(pairs)` takes (monomial, c)
+    pairs, a monomial given as (variable, exponent) pairs in any order;
+    a copy or a pickle goes through the pairs of `terms`.  `terms` is the
+    value's own dict: read it, never change it."""
 
-    __slots__ = ("_terms", "_bound")
+    __slots__ = ("terms",)
 
     def __init__(self, pairs=()):
         terms: dict = {}
-        bound = 0
         for m, c in pairs:
-            key, b = _pack(m)
-            bound = max(bound, b)
+            key = _monomial(m)
             terms[key] = terms[key] + c if key in terms else c
-        super().__init__({m: rat(c) for m, c in terms.items() if c}, bound)
+        super().__init__({m: rat(c) for m, c in terms.items() if c})
 
-    def _key(self) -> tuple:  # the unpacked pairs: keys depend on the process
+    def _key(self) -> tuple:  # the pairs Laurent(pairs) takes, not the dict
         return (tuple(self.terms.items()),)
-
-    @property
-    def terms(self) -> dict:
-        return {_unpack(m): c for m, c in self._terms.items()}
 
     @staticmethod
     def _coerce(v):
         if type(v) is Laurent or isinstance(v, Laurent):
             return v
         if type(v) in _SCALARS:
-            return _laurent({0: rat(v)} if v else {}, 0)
+            return _laurent({(): rat(v)} if v else {})
         if isinstance(v, _SCALARS):
             return Laurent([((), as_scalar(v))])
         return None
@@ -702,21 +673,14 @@ class Laurent(_Frozen):
         if type(other) is not Laurent and not isinstance(other, Laurent):
             if not (type(other) in _SCALARS or isinstance(other, _SCALARS)):
                 return NotImplemented
-            terms = {m: rat(cd) for m, c in self._terms.items() if (cd := c * other)}
-            return _laurent(terms, self._bound)  # the coefficients scaled
-        bound = self._bound + other._bound
-        if bound > EXPONENT_BOUND:  # a field might overflow: add the exponents unpacked
-            return Laurent(
-                (_unpack(m) + _unpack(n), c * d)
-                for m, c in self._terms.items()
-                for n, d in other._terms.items()
-            )
-        return _laurent(_product_terms(self._terms, other._terms), bound)
+            # the coefficients scaled
+            return _laurent({m: rat(cd) for m, c in self.terms.items() if (cd := c * other)})
+        return _laurent(_product_terms(self.terms, other.terms))
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __neg__(self):
-        return _laurent({m: -c for m, c in self._terms.items()}, self._bound)
+        return _laurent({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + -other
@@ -728,44 +692,40 @@ class Laurent(_Frozen):
         return self * div(1, other)
 
     def __rtruediv__(self, other):
-        if len(self._terms) != 1:
-            error = ValueError if self._terms else ZeroDivisionError
+        if len(self.terms) != 1:
+            error = ValueError if self.terms else ZeroDivisionError
             raise error(f"{self} is not an invertible monomial")
-        ((m, c),) = self._terms.items()
-        return other * _laurent({-m: div(1, c)}, self._bound)
+        ((m, c),) = self.terms.items()
+        return other * _laurent({tuple((v, -e) for v, e in m): div(1, c)})
 
     def __pow__(self, n: int):
-        """A monomial in one step, its key times n; anything else by
+        """A monomial in one step, each exponent times n; anything else by
         repeated squaring; a negative power of a monomial only."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return div(1, self) ** -n
-        if len(self._terms) != 1:
+        if len(self.terms) != 1 or not n:
             return _power(self, n, Laurent([((), 1)]))
-        ((m, c),) = self._terms.items()
-        if self._bound * n > EXPONENT_BOUND:  # unpacked: an exponent past the bound raises
-            key, bound = _pack((v, e * n) for v, e in _unpack(m))
-        else:
-            key, bound = m * n, self._bound * n
-        return _laurent({key: rat(_power(c, n, 1))}, bound)
+        ((m, c),) = self.terms.items()
+        return _laurent({tuple((v, e * n) for v, e in m): rat(_power(c, n, 1))})
 
     def conj(self) -> "Laurent":
         """iota on the coefficients."""
-        return _laurent({m: iota(c) for m, c in self._terms.items()}, self._bound)
+        return _laurent({m: iota(c) for m, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
-        return NotImplemented if o is None else self._terms == o._terms
+        return NotImplemented if o is None else self.terms == o.terms
 
     def __hash__(self):
         # a constant equals, so must hash like, its coefficient
-        if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, 0))
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.terms)
 
     def __repr__(self) -> str:
         return " + ".join(
@@ -774,7 +734,7 @@ class Laurent(_Frozen):
         ) or "0"
 
 
-_set_terms, _set_bound = Laurent._setters
+(_set_terms,) = Laurent._setters
 
 
 def exact_sum(values: list):

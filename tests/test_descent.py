@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from quadalg import albert, descent, forms
+from quadalg import albert, descent, exactmat, forms
 from quadalg.descent import (
     SemilinearCocycle,
     dagger_cocycle_matrix,
@@ -151,6 +151,20 @@ def test_the_span_claim_rejects_a_wrong_contribution(monkeypatch):
     status, rows = rostcalc_table_verdict(2, 3)
     assert status == "fail" and rows["failed"] == ["(u3,u6)"]
     assert rows["(u3,u6)"]["failed"] == ["span"]
+
+
+def test_the_table_sees_a_negated_span_form_only_where_minus_one_is_no_norm(monkeypatch):
+    """A sign flip of every descended Gram is invisible at k = 2, where each
+    row's form is isometric to its negative (-1 = 1 - 2*1^2 is a norm from
+    Q(sqrt 2)); at k = 3 and k = -5 the three rows of nonzero values fail
+    their span claims."""
+    real = descent.span_form
+    monkeypatch.setattr(descent, "span_form", lambda form, vs: real(exactmat.scal_mul(-1, form), vs))
+    assert rostcalc_table_verdict(2, 3)[0] == "pass"
+    for k, a in ((3, -2), (-5, 7)):
+        status, rows = rostcalc_table_verdict(k, a)
+        assert status == "fail" and rows["failed"] == ["(u3,u6)", "(u4,u5)", "(e1,e2)"]
+        assert all(rows[name]["failed"] == ["span"] for name in rows["failed"])
 
 
 def test_dagger_cocycle_is_an_involution():

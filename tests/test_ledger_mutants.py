@@ -65,9 +65,9 @@ def b_and_c_swapped(real=rootsys._read_type):
 
 
 def key_difference(real=scalars._product_terms):
-    """The packed product with m - n for m + n: each monomial of the second
-    factor enters inverted."""
-    return lambda a, b: real(a, {-n: d for n, d in b.items()})
+    """The product with m / n for m * n: each monomial of the second factor
+    enters inverted."""
+    return lambda a, b: real(a, {tuple((v, -e) for v, e in n): d for n, d in b.items()})
 
 
 def barless_swap():

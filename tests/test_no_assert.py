@@ -69,7 +69,7 @@ OWN_KEYS = {
     "Similitude": "mu is derived from the matrix",
     "CayleyTable": "constants are derived from the products",
     "WittInvariants": "a mappingproxy does not pickle or copy",
-    "Laurent": "packed keys depend on the process",
+    "Laurent": "its constructor takes (monomial, c) pairs, not the term dict",
     "DiagonalForm": "no slots: its __dict__ also holds per-form caches",
 }
 

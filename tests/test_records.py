@@ -128,7 +128,7 @@ RECORDS = {
         ),
         "status",
     ),
-    "Laurent": (_laurents, "_terms"),
+    "Laurent": (_laurents, "terms"),
     "Matrix": (_matrices, "rows"),
 }
 
