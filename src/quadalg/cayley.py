@@ -2,15 +2,17 @@
 involution, star product, similitudes, related triples and the special
 cocycle matrices.
 
-The basis is realized inside the Zorn vector-matrix algebra and pinned by
-a calibration search (`tests/reference.py` runs it).  The constraints are:
-the anti-diagonal Gram matrix S8 for the bilinearized norm (n(x,x)=n(x)),
-the involution table (conj u4 = u5, conj u5 = u4, conj u_i = -u_i else),
-and genuine relatedness of the special triples z_j = m_j(a) d P.  Over Q
-these cannot all hold: conj u4 = u5 forces trace(u4)^2 = n(u4+u5), so an
-S8 value of 1 at the (4,5) pair would need trace(u4) = sqrt(2), and
-relatedness of the z-triples pins the (3,6) pair the same way.  The
-calibrated basis
+The basis is realized inside the Zorn vector-matrix algebra by one
+monomial map, u_i = c_i times the unit of one Zorn slot, and both the
+structure constants and the Gram are read through that map.  The scales
+are pinned by a calibration search (`tests/reference.py` runs it).  The
+constraints are: the anti-diagonal Gram matrix S8 for the bilinearized
+norm (n(x,x)=n(x)), the involution table (conj u4 = u5, conj u5 = u4,
+conj u_i = -u_i else), and genuine relatedness of the special triples
+z_j = m_j(a) d P.  Over Q these cannot all hold: conj u4 = u5 forces
+trace(u4)^2 = n(u4+u5), so an S8 value of 1 at the (4,5) pair would need
+trace(u4) = sqrt(2), and relatedness of the z-triples pins the (3,6)
+pair the same way.  The calibrated basis
 
     u1 = 2e1, u2 = 2f3, u3 = f2, u4 = h1, u5 = h2,
     u6 = -e2, u7 = -e3, u8 = -f1
@@ -39,7 +41,6 @@ from .exactmat import (
     entry,
     entrywise,
     from_nonzeros,
-    identity,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -83,8 +84,9 @@ def _zorn_mul(x, y):
     )
 
 
-_CAL_SCALES = (2, -1, 2, -1, 1, -1)
-# the Zorn slot of each u-basis vector, with e_i = slot 1+i, f_i = slot 4+i
+# u_i is _CAL_SCALES[i] times the unit of Zorn slot _SLOTS[i], with h1 =
+# slot 0, e_i = slot i, f_i = slot 3+i and h2 = slot 7
+_CAL_SCALES = (2, 2, 1, 1, 1, -1, -1, -1)
 _SLOTS = (1, 6, 5, 0, 7, 2, 3, 4)
 
 S8 = from_nonzeros(DIM, DIM, [(i, DIM - 1 - i, 1) for i in range(DIM)])
@@ -104,19 +106,6 @@ def deviation_records(deviations: dict) -> list[dict]:
 
 
 @lru_cache(maxsize=1)
-def _zorn_slot_products():
-    """Sparse single-slot products: slot a x slot b -> [(slot, coeff)].
-    Built on integer unit vectors: the Zorn product has integer structure
-    constants, and each stored coefficient is an int."""
-    units = dense(identity(8))
-    return {
-        (a, b): tuple((m, c) for m, c in enumerate(_zorn_mul(units[a], units[b])) if c)
-        for a in range(8)
-        for b in range(8)
-    }
-
-
-@lru_cache(maxsize=1)
 def _zorn_slot_gram() -> Matrix:
     """Half-polarized Gram of the Zorn norm in slot coordinates: the
     nonzero entries are +-1/2 and stay Fractions, the zeros are ints.
@@ -126,42 +115,31 @@ def _zorn_slot_gram() -> Matrix:
     return from_nonzeros(8, 8, pairs + [(b, a, x) for a, b, x in pairs])
 
 
-def _build_tables(scales):
-    c1, c8, c2, c7, c3, c6 = scales
-    coeff = (c1, c2, c3, 1, 1, c6, c7, c8)
-    slot_to_u = {s: i for i, s in enumerate(_SLOTS)}
-    slot_products = _zorn_slot_products()
-    prod = [[None] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            coords = [0] * DIM
-            for m, c in slot_products[_SLOTS[i], _SLOTS[j]]:
-                t = slot_to_u[m]
-                coords[t] = div(coeff[i] * coeff[j] * c, coeff[t])
-            prod[i][j] = tuple(coords)
-    # u_i is coeff[i] times the unit of slot i: the Gram is the slot Gram
-    # pulled back along that monomial map
-    to_slots = from_nonzeros(DIM, DIM, [(s, i, coeff[i]) for i, s in enumerate(_SLOTS)])
-    return tuple(map(tuple, prod)), pullback(to_slots, _zorn_slot_gram())
+def _build_tables(scales) -> tuple:
+    """The structure constants and Gram of the basis u_i = scales[i] times
+    the unit of Zorn slot `_SLOTS[i]`.  With `to_slots` that monomial map,
+    u_i u_j = to_slots^-1 zorn(to_slots e_i, to_slots e_j), kept as its
+    nonzero coordinates ((m, g), ...), and the Gram is the slot Gram
+    pulled back along `to_slots`."""
+    to_slots = from_nonzeros(DIM, DIM, [(s, i, c) for i, (s, c) in enumerate(zip(_SLOTS, scales))])
+    from_slots = mat_inv(to_slots)
+    units = dense(transpose(to_slots))
+    constants = tuple(
+        tuple(
+            tuple((m, g) for m, g in enumerate(mat_vec(from_slots, _zorn_mul(x, y))) if g)
+            for y in units
+        )
+        for x in units
+    )
+    return constants, pullback(to_slots, _zorn_slot_gram())
 
 
 class CayleyTable(_Frozen):
-    """Structure constants, norm Gram (with n(x,x) = n(x)) and involution
-    signs of the calibrated basis.  Two tables are equal when their
-    products and Grams are; `constants` is derived from the products."""
+    """The structure constants and the norm Gram (with n(x,x) = n(x)) of a
+    basis u1..u8: constants[i][j] = ((m, g), ...), the nonzero
+    coordinates g of u_{i+1} u_{j+1} at u_{m+1}."""
 
-    __slots__ = ("products", "gram", "constants")
-
-    def __init__(self, products: tuple, gram: Matrix):
-        # products[i][j] = coords of u_{i+1} u_{j+1}; constants[i][j] =
-        # ((m, g), ...), the nonzero coordinates of products[i][j]
-        constants = tuple(
-            tuple(tuple((m, g) for m, g in enumerate(p) if g) for p in row) for row in products
-        )
-        super().__init__(products, gram, constants)
-
-    def _key(self) -> tuple:  # constants are derived from the products
-        return (self.products, self.gram)
+    __slots__ = ("constants", "gram")
 
     def gram_deviations(self) -> dict[tuple[int, int], int | Fraction]:
         """{(i, j): entry} for every Gram entry off S8, 1-based, i <= j."""

@@ -150,6 +150,8 @@ def _cmd_cayley(args) -> int:
     from . import cayley
     from .exactmat import freeze
 
+    if args.triple and args.cocycle:
+        raise ValueError("--triple and --cocycle exclude each other")
     code = 0
     if args.triple:
         mats = _read_json(args.triple)
@@ -184,7 +186,7 @@ def _cmd_cayley(args) -> int:
             "gram_deviations": cayley.deviation_records(table.gram_deviations()),
             "involution": verify.table_verdict(table)[1]["bar(u1..u8)"],
             "products": {
-                f"u{i}u{j}": [str(x) for x in table.products[i - 1][j - 1]]
+                f"u{i}u{j}": [str(x) for x in (cayley.u(i) * cayley.u(j)).coords]
                 for i, j in [(1, 8), (4, 4), (4, 5), (1, 2)]
             },
         }

@@ -115,8 +115,8 @@ def calibration_search() -> dict:
     for (c1, c8), (c2, c7), (c3, c6) in itertools.product(
         full_pairs, full_pairs, full_pairs + half_pairs
     ):
-        prod, gram = _build_tables((c1, c8, c2, c7, c3, c6))
-        table = CayleyTable(prod, gram)
+        scales = (c1, c2, c3, 1, 1, c6, c7, c8)
+        table = CayleyTable(*_build_tables(scales))
         involution_ok = verify.table_verdict(table)[0] == "pass"
         deviations = table.gram_deviations()
         if list(deviations) == [(4, 5)]:
@@ -128,7 +128,7 @@ def calibration_search() -> dict:
             continue
         deviations_ok = all(GRAM_DEVIATIONS.get(pair) == got for pair, got in deviations.items())
         if deviations_ok and _relates(table, z):
-            calibrated = {"scales": (c1, c8, c2, c7, c3, c6), "gram_deviations": deviations}
+            calibrated = {"scales": scales, "gram_deviations": deviations}
     return {
         "s8_except_45": near_s8,
         "s8_except_45_with_involution": near_s8_involution,

@@ -44,33 +44,32 @@ def test_gram_and_involution_tables():
     assert all(u(i).norm() == 0 for i in range(1, 9))
 
 
-def reference_slot_products():
-    """Reference: the Zorn slot products built on Fraction unit vectors,
-    so every coefficient is a Fraction by construction."""
+CANDIDATE_SCALES = (Q(-2), Q(1), Q(1), Q(1), Q(1), Q(-1), Q(-2), Q(1))
+
+
+def reference_products(scales):
+    """Reference: the dense coordinates of u_i u_j, from the Zorn product of
+    Fraction unit vectors, scaled and relabelled by hand.  u_i is
+    scales[i] times the unit of slot `_SLOTS[i]`, so a coefficient c at
+    slot `_SLOTS[t]` of slot(i) slot(j) is scales[i] scales[j] c /
+    scales[t] at u_t."""
     f0, f1 = Q(0), Q(1)
-    table = {}
-    for a in range(8):
-        ea = tuple(f1 if m == a else f0 for m in range(8))
-        for b in range(8):
-            eb = tuple(f1 if m == b else f0 for m in range(8))
-            z = cayley._zorn_mul(ea, eb)
-            table[a, b] = tuple((m, c) for m, c in enumerate(z) if c)
-    return table
+    unit = lambda a: tuple(f1 if m == a else f0 for m in range(8))
+    u_at = {slot: t for t, slot in enumerate(cayley._SLOTS)}
+    products = [[None] * 8 for _ in range(8)]
+    for i, a in enumerate(cayley._SLOTS):
+        for j, b in enumerate(cayley._SLOTS):
+            coords = [f0] * 8
+            for m, c in enumerate(cayley._zorn_mul(unit(a), unit(b))):
+                t = u_at[m]
+                coords[t] = Q(scales[i]) * scales[j] * c / scales[t]
+            products[i][j] = tuple(coords)
+    return products
 
 
-def test_integer_slot_products_match_the_fraction_build():
-    table = cayley._zorn_slot_products()
-    reference = reference_slot_products()
-    assert len(table) == len(reference) == 64
-    for key, entries in reference.items():
-        assert table[key] == entries, key
-        # integral structure constants are held in canonical form, as ints
-        assert all(type(c) is int for _, c in table[key]), key
-
-
-def reference_mul_coords(table, x, y):
-    """Reference: the dense product, every entry of every table row, one
-    running sum per output coordinate."""
+def reference_mul_coords(products, x, y):
+    """Reference: the dense product, every entry of every reference row,
+    one running sum per output coordinate."""
     out = [0] * 8
     for i, xi in enumerate(x):
         if not xi:
@@ -78,9 +77,8 @@ def reference_mul_coords(table, x, y):
         for j, yj in enumerate(y):
             if not yj:
                 continue
-            row = table.products[i][j]
             c = xi * yj
-            for m, g in enumerate(row):
+            for m, g in enumerate(products[i][j]):
                 if g:
                     out[m] = out[m] + c * g
     return tuple(Q(0) + v for v in out)
@@ -88,8 +86,13 @@ def reference_mul_coords(table, x, y):
 
 def candidate_table():
     """A calibration_search candidate that is not the calibrated table."""
-    scales = (Q(-2), Q(1), Q(1), Q(-2), Q(1), Q(-1))
-    return cayley.CayleyTable(*cayley._build_tables(scales))
+    return cayley.CayleyTable(*cayley._build_tables(CANDIDATE_SCALES))
+
+
+TABLES = {
+    "calibrated": (build_cayley_table, cayley._CAL_SCALES),
+    "candidate": (candidate_table, CANDIDATE_SCALES),
+}
 
 
 def coordinate_pairs():
@@ -111,24 +114,47 @@ def coordinate_pairs():
     }
 
 
-@pytest.mark.parametrize("table", [build_cayley_table(), candidate_table()], ids=["calibrated", "candidate"])
-def test_sparse_product_matches_the_dense_reference(table):
-    for name, (x, y) in coordinate_pairs().items():
-        got, want = cayley._mul_coords(table, x, y), reference_mul_coords(table, x, y)
-        assert got == want, name
-        assert [type(v) for v in got] == [type(v) for v in want], name
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_sparse_product_matches_the_dense_reference(name):
+    build, scales = TABLES[name]
+    table, products = build(), reference_products(scales)
+    for pair, (x, y) in coordinate_pairs().items():
+        got, want = cayley._mul_coords(table, x, y), reference_mul_coords(products, x, y)
+        assert got == want, pair
+        assert [type(v) for v in got] == [type(v) for v in want], pair
 
 
 def test_structure_constants_are_the_nonzero_products():
-    assert candidate_table().products != build_cayley_table().products
-    for table in (build_cayley_table(), candidate_table()):
+    assert candidate_table().constants != build_cayley_table().constants
+    for build, scales in TABLES.values():
+        table, products = build(), reference_products(scales)
         for i in range(8):
             for j in range(8):
                 dense = [Q(0)] * 8
                 for m, g in table.constants[i][j]:
                     assert g != 0
                     dense[m] = g
-                assert tuple(dense) == table.products[i][j]
+                assert tuple(dense) == products[i][j]
+
+
+def test_integral_structure_constants_are_ints():
+    """Each constant is held in canonical form: an int when integral, else
+    a Fraction, whatever the type of the scales it was built from."""
+    for build, _ in TABLES.values():
+        for row in build().constants:
+            for entries in row:
+                for _, g in entries:
+                    assert type(g) is (int if g.denominator == 1 else Q), g
+
+
+def test_the_one_map_gives_s8_and_related_z_triples_over_q_sqrt_2():
+    """Over K = Q(sqrt 2), with u3, u4, u5 scaled by s = sqrt 2 and u6 by
+    -s, the one monomial map gives the Gram S8 exactly, and the generic
+    z-triple is related on that table."""
+    s = QuadExtScalar(0, 1, 2)
+    table = cayley.CayleyTable(*cayley._build_tables((2, 2, s, s, s, -s, -1, -1)))
+    assert table.gram == S8
+    assert cayley._relates(table, special_cocycle(generic_a()))
 
 
 def test_unit_and_algebra_basics():
@@ -322,7 +348,7 @@ def test_calibration_search_documents_the_obstruction():
     assert res["s8_except_45"] == 64
     assert res["s8_except_45_with_involution"] == 64
     assert res["s8_except_45_with_relatedness"] == 0
-    assert res["calibrated"] is not None
+    assert res["calibrated"]["scales"] == cayley._CAL_SCALES
     devs = res["calibrated"]["gram_deviations"]
     assert set(devs) == {(3, 6), (4, 5)}
     # (4,5): the involution makes u4 + u5 = trace(u4) 1, so

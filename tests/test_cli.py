@@ -164,6 +164,8 @@ BIG = int(
         ("descend", "--k", "2", "--cocycle", "{exponent}"),
         ("cayley", "--cocycle", "1", "1e200000", "1e-200000"),
         ("verify-paper", "--only", ""),
+        ("cayley", "--triple", "{triple}", "--cocycle", "2", "3", "1/6"),
+        ("cayley", "--triple", "{object}"),
     ],
     ids=[
         "triple_missing",
@@ -211,6 +213,8 @@ BIG = int(
         "cocycle_exponent_oversized",
         "cayley_cocycle_exponent_oversized",
         "verify_empty_only",
+        "triple_with_cocycle",
+        "triple_not_a_list",
     ],
 )
 def test_file_input_errors(tmp_path, capsys, argv):
@@ -232,6 +236,8 @@ def test_file_input_errors(tmp_path, capsys, argv):
         "eye2": tmp_path / "eye2.json",
         "symmetric": tmp_path / "symmetric.json",
         "exponent": tmp_path / "exponent.json",
+        "triple": tmp_path / "triple.json",
+        "object": tmp_path / "object.json",
     }
     files["bad"].write_text("[[1], [0")
     files["emb"].write_text(json.dumps([[1], [0], [1]]))
@@ -249,6 +255,8 @@ def test_file_input_errors(tmp_path, capsys, argv):
     files["eye2"].write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
     files["symmetric"].write_text(json.dumps([[1, 2], [2, 3]]))
     files["exponent"].write_text("[[[1e200000, 0]]]")
+    files["triple"].write_text(json.dumps([eye8] * 3))
+    files["object"].write_text(json.dumps({"a": 1}))
     code, out, err = run(capsys, *(a.format(element=ELEMENT, **files) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

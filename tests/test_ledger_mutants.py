@@ -176,6 +176,15 @@ MUTANTS = {
         lambda k, a, real=descent.twist_a_expected: real(k),
         ("P30",),
     ),
+    # u3 = 2 f2: the (3, 6) Gram entry becomes 1, off the documented
+    # deviation (P17), and the z-triples are no longer related (P22); P26-P28
+    # and P30 fail too, by the error g_map raises on an unrelated z
+    "cayley._CAL_SCALES with c3 = 2": (
+        cayley,
+        "_CAL_SCALES",
+        (2, 2, 2, 1, 1, -1, -1, -1),
+        ("P17", "P22", "P26", "P27", "P28", "P30"),
+    ),
     # P21 expects the triple (-1, 1, 1) to be unrelated
     "cayley._relates returns True": (cayley, "_relates", always(True), ("P21",)),
     # u4 and u5 keep their places: each z_j keeps its multiplier, but the

@@ -19,8 +19,8 @@ from quadalg.scalars import REAL, Laurent, Place, QuadExtScalar, _Frozen
 
 def _cayley_tables():
     table = cayley.build_cayley_table()
-    candidate = cayley._build_tables((-2, 1, 1, -2, 1, -1))
-    return table, cayley.CayleyTable(table.products, table.gram), cayley.CayleyTable(*candidate)
+    candidate = cayley._build_tables((-2, 1, 1, 1, 1, -1, -2, 1))
+    return table, cayley.CayleyTable(table.constants, table.gram), cayley.CayleyTable(*candidate)
 
 
 def _root_data():
@@ -111,7 +111,7 @@ RECORDS = {
         "matrix",
     ),
     "FoldResult": (_folds, "orbits"),
-    "CayleyTable": (_cayley_tables, "products"),
+    "CayleyTable": (_cayley_tables, "constants"),
     "SimilitudeTriple": (_triples, "t"),
     "SemilinearCocycle": (_cocycles, "matrix"),
     "AlbertMap": (_albert_maps, "matrix"),
