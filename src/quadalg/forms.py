@@ -2,14 +2,14 @@
 
 A form is a diagonal <a1,...,an> with nonzero exact entries.  Over Q the
 complete invariant fingerprint is (dimension, signed discriminant, Hasse
-symbols, real signature); over R only the signature matters.  Isotropy is
-decided place by place (Hasse-Minkowski), and the yes/no Witt questions
-(Witt triviality, I^n, the Arason invariant) are read off
+symbols, real signature); over R only the signature matters.  The yes/no
+Witt questions (Witt triviality, I^n, the Arason invariant) are read off
 the invariants.  Over Q, entries of opposite square classes cancel in
-pairs first (q = pH + <r>); the invariants and the isotropy test read the
-residue r.  So does the Witt decomposition, with no isotropic vector: the
-anisotropic dimension is the least at which Serre's existence conditions
-admit a form with q's invariants less those of the hyperbolic part.  The
+pairs first (q = pH + <r>); the invariants read the residue r.  So does
+the Witt decomposition, with no isotropic vector: the anisotropic
+dimension is the least at which Serre's existence conditions admit a form
+with q's invariants less those of the hyperbolic part, and q is isotropic
+exactly when that is less than dim q (Hasse-Minkowski).  The
 anisotropic part is the residue when that is as short; otherwise it is
 built by the induction of Serre's existence proof (entries peeled off one
 at a time, then a binary form solved for by elimination over F2) and
@@ -23,8 +23,8 @@ Entries are exact rationals in the canonical form of `scalars`: an int
 when integral, else a Fraction.  The layer is linear in the dimension: a
 Hasse symbol is one pass over the entries per place, with at most one
 Legendre symbol (Serre's explicit formulas summed over all pairs), and the
-entries' square classes, their cancellation and `invariants` are computed
-once per form and kept on it.
+entries' square classes, their cancellation, `invariants` and the
+anisotropic dimension are computed once per form and kept on it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class DiagonalForm(_Frozen):
     and its tuple of `entries`, each a canonical rational (an int when
     integral, else a Fraction; `scalars.as_rat`).  It is immutable; its
     __dict__ also keeps what is computed once per form (`_classes`,
-    `_cancelled`, `_invariants`)."""
+    `_cancelled`, `_invariants`, `_anisotropic_dim`)."""
 
     def __init__(self, field: str, entries: tuple[int | Fraction, ...]):
         if field not in ("Q", "R"):
@@ -244,46 +244,39 @@ def _hasse_defects(inv: WittInvariants) -> set[Place]:
 # isotropy and Witt decomposition
 
 
-def _isotropic_at(entries, v: Place) -> bool:
-    """Whether the diagonal form q with these nonzero entries (integers when
-    v is finite) is isotropic over Q_v (Serre, Cours d'arithmetique IV.2.2
-    Thm. 6): over R when it has both signs; at a prime when q = H + g for
-    some g that exists at v (`_exists_at`), of dimension n - 2, det -det q
-    and Hasse symbol s_v(q) (-1, -det q)_v, as s(H + g) = s(g) (-1, det g)_v."""
-    n = len(entries)
-    if n <= 1:
-        return False
-    if v.is_real:
-        return any(a > 0 for a in entries) and any(a < 0 for a in entries)
-    if n >= 5:  # g has dimension >= 3, so it exists whatever d and s_v(q)
-        return True
-    d = reduce(_class_product, entries, 1)
-    return _exists_at(n - 2, -d, _hasse(entries, v) * hilbert_symbol(-1, -d, v), v)
+def _anisotropic_dim(q: DiagonalForm) -> int:
+    """The dimension of q's anisotropic part, computed once and kept on the
+    (frozen) form: over R the |signature|; over Q the least k, of q's
+    parity and at least |signature|, at which a form with the invariants of
+    q_an for q = mH + q_an exists (`_target`, `_exists`; Serre, A Course in
+    Arithmetic, IV.3.3 Prop. 7).  Such a form is anisotropic, or a shorter
+    one would exist, and it is q_an by Hasse-Minkowski.  Past dimension 2
+    the signature alone bounds k, and a definite residue (`_cancelled`) is
+    anisotropic over R already, so then k = |signature| reads no place."""
+    if "_anisotropic_dim" in q.__dict__:
+        return q.__dict__["_anisotropic_dim"]
+    k = abs(signature(q))
+    if q.field == "Q" and k < 3 and k < len(_cancelled(q)[1]):
+        inv, places = invariants(q), relevant_places(*_cancelled(q)[1])
+        while k < 3 and not _exists(k, *_target(inv, (q.dim - k) // 2, places)):
+            k += 2
+    q.__dict__["_anisotropic_dim"] = k
+    return k
 
 
 def is_isotropic(q: DiagonalForm) -> bool:
-    """Hasse-Minkowski: over R a sign test, over Q isotropy at every place
-    (Serre, Cours d'arithmetique IV.3.2).  Over Q a form with two opposite
-    square classes is isotropic at once (`_cancelled`); otherwise the test
-    runs on the squarefree residue.  The places outside `relevant_places`
-    need no test: every entry is a unit there, so a form of dimension >= 3
-    is isotropic, and a binary form passes the relevant places only when
-    -d is a rational square."""
-    if q.field == "R":
-        return _isotropic_at(q.entries, REAL)
-    pairs, ds = _cancelled(q)
-    return pairs > 0 or all(_isotropic_at(ds, v) for v in relevant_places(-1, *ds))
+    """Hasse-Minkowski: q is isotropic when its anisotropic part is shorter
+    (Serre, A Course in Arithmetic, IV.3.2)."""
+    return _anisotropic_dim(q) < q.dim
 
 
 def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
     """q = index*H + anisotropic, read off the invariants.
 
-    Over R the signs decide.  Over Q, q = mH + q_an where q_an has det
-    (-1)^m det q, Hasse symbols s_v(q) s_v(mH) ((-1)^m, det q_an)_v and q's
-    signature (`_target`).  Its dimension k is the least one, of q's parity
-    and at least |signature|, at which a form with those invariants exists
-    (`_exists`); such a form is anisotropic, or a shorter one would exist,
-    and it is q_an by Hasse-Minkowski.
+    The anisotropic part q_an has dimension k = `_anisotropic_dim(q)`;
+    over R it is k copies of the signature's sign.  Over Q, q = mH + q_an
+    where q_an has det (-1)^m det q, Hasse symbols s_v(q) s_v(mH)
+    ((-1)^m, det q_an)_v and q's signature (`_target`).
 
     When k is the dimension of the cancelled residue (`_cancelled`), the
     residue is returned, or q itself when nothing cancelled, so an
@@ -294,24 +287,15 @@ def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
     has q's invariants, or a RuntimeError is raised.  No isotropic vector is
     searched for, and nothing is factored past q's own square classes.
     """
+    k = _anisotropic_dim(q)
+    m = (q.dim - k) // 2
     if q.field == "R":
-        pos = sum(1 for a in q.entries if a > 0)
-        neg = q.dim - pos
-        index = min(pos, neg)
-        rest = (1,) * (pos - index) + (-1,) * (neg - index)
-        return index, DiagonalForm("R", rest)
+        return m, DiagonalForm("R", (1 if signature(q) > 0 else -1,) * k)
     pairs, residue = _cancelled(q)
-    inv = invariants(q)
-    n, k = q.dim, abs(inv.signature)
-    det = (-1) ** (n * (n - 1) // 2) * inv.disc
-    # past dimension 2 the signature alone bounds k, and k = dim r needs no place
-    places = None if 3 <= k == len(residue) else relevant_places(*residue)
-    while k < 3 and not _exists(k, *_target(inv, det, (n - k) // 2, places)):
-        k += 2
     if k == len(residue):
         return pairs, DiagonalForm("Q", residue) if pairs else q
-    m = (n - k) // 2
-    d, eps = _target(inv, det, m, places)
+    inv, places = invariants(q), relevant_places(*residue)
+    d, eps = _target(inv, m, places)
     if k <= 1:
         return m, DiagonalForm("Q", (d,) * k)
     entries, sig = [], inv.signature
@@ -325,11 +309,11 @@ def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
     return m, DiagonalForm("Q", tuple(entries))
 
 
-def _target(inv: WittInvariants, det: int, m: int, places) -> tuple[int, set[Place]]:
-    """(det, Hasse places) of q_an for q = mH + q_an, q with invariants inv
-    and squarefree det: s(A + B) = s(A) s(B) (det A, det B)_v and
-    det mH = (-1)^m.  The symbols are -1 only within `places`."""
-    d = -det if m % 2 else det
+def _target(inv: WittInvariants, m: int, places) -> tuple[int, set[Place]]:
+    """(det, Hasse places) of q_an for q = mH + q_an, q with invariants inv:
+    det q = (-1)^(n(n-1)/2) disc q, s(A + B) = s(A) s(B) (det A, det B)_v
+    and det mH = (-1)^m.  The symbols are -1 only within `places`."""
+    d = (-1) ** (inv.dim * (inv.dim - 1) // 2 + m) * inv.disc
     eps = set(inv.hasse) ^ _hyperbolic_hasse(m)
     if m % 2:
         eps ^= {v for v in places if hilbert_symbol(-1, d, v) == -1}

@@ -1,5 +1,6 @@
 """Constructions and references that only the tests use: the tensor product,
-forms over K = Q(sqrt k), the octonion unit, Albert maps built from their
+forms over K = Q(sqrt k), the Hasse symbol over all pairs, Serre's local
+isotropy test case by case, the octonion unit, Albert maps built from their
 action on the basis, the calibration search behind P17's open question,
 the dense-tuple kernels that `exactmat` had before a matrix stored only
 its nonzeros, and the Gram diagonalization that `forms` had before
@@ -9,13 +10,15 @@ import itertools
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from quadalg.albert import ADIM, A_COORD_INDICES, AlbertElement, AlbertMap
 from quadalg.cayley import GRAM_DEVIATIONS, CayleyTable, _build_tables, _relates
 from quadalg.cayley import generic_a, special_cocycle, u
 from quadalg import exactmat, verify
 from quadalg.forms import DiagonalForm, _hasse_defects, direct_sum, invariants
-from quadalg.scalars import QuadExtScalar, as_rat, div, exact_sum, is_local_square, is_square, rat, square_class
+from quadalg.scalars import QuadExtScalar, as_rat, div, exact_sum, hilbert_symbol, is_local_square, is_square, rat
+from quadalg.scalars import square_class
 
 
 def tensor(q1: DiagonalForm, q2: DiagonalForm) -> DiagonalForm:
@@ -56,6 +59,34 @@ def in_k_witt_ideal(q: DiagonalForm, k: int | Fraction) -> bool:
 def isometric_over_K(q1: DiagonalForm, q2: DiagonalForm, k: int | Fraction) -> bool:
     """Isometry of q1 x K and q2 x K for forms defined over Q."""
     return q1.dim == q2.dim and in_k_witt_ideal(direct_sum(q1, -q2), k)
+
+
+def pairwise_hasse(entries, v):
+    """prod_{i<j} (a_i, a_j)_v over all n(n-1)/2 pairs."""
+    eps = 1
+    for a, b in itertools.combinations(entries, 2):
+        eps *= hilbert_symbol(a, b, v)
+    return eps
+
+
+def reference_isotropic_at(entries, v):
+    """Serre's Thm. 6 (Cours d'arithmetique IV.2.2) case by case: a binary
+    form is isotropic iff -d is a square, a ternary one iff its Hasse
+    symbol is (-1, -d)_v, a quaternary one iff d is not a square or its
+    symbol is (-1, -1)_v, and every form of dimension >= 5 is."""
+    n = len(entries)
+    if n <= 1:
+        return False
+    if v.is_real:
+        return any(a > 0 for a in entries) and any(a < 0 for a in entries)
+    if n >= 5:
+        return True
+    d = prod(entries)
+    if n == 2:
+        return is_local_square(-d, v)
+    if n == 3:
+        return hilbert_symbol(-1, -d, v) == pairwise_hasse(entries, v)
+    return not is_local_square(d, v) or pairwise_hasse(entries, v) == hilbert_symbol(-1, -1, v)
 
 
 ONE = u(4) + u(5)

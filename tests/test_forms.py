@@ -33,11 +33,11 @@ from quadalg.forms import (
     witt_equivalent,
 )
 from quadalg.exactmat import diagonal, diagonalize, freeze, pairing
-from quadalg.scalars import Place, REAL, div, hilbert_symbol, is_local_square, relevant_places, square_class
+from quadalg.scalars import Place, REAL, div, hilbert_symbol, relevant_places, square_class
 
 import witness_chain  # the isotropic-vector chain, kept as a reference
 from witness_chain import isotropic_vector
-from reference import in_k_witt_ideal, isometric_over_K, tensor
+from reference import in_k_witt_ideal, isometric_over_K, pairwise_hasse, reference_isotropic_at, tensor
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
 
@@ -172,7 +172,7 @@ def test_isotropic_vector_solves_for_the_split_class_without_a_prime_walk(monkey
 
 def has_isotropic_ternary_subform(ds):
     return any(
-        all(forms._isotropic_at(sub, v) for v in relevant_places(-1, *sub))
+        all(reference_isotropic_at(sub, v) for v in relevant_places(-1, *sub))
         for sub in itertools.combinations(ds, 3)
     )
 
@@ -604,15 +604,7 @@ def test_hasse_symbols_product_formula():
 
 
 # ------------------------------------------- the O(n) Witt layer, checked
-# against the quadratic-time routes it replaced, kept here as references
-
-
-def pairwise_hasse(entries, v):
-    """prod_{i<j} (a_i, a_j)_v over all n(n-1)/2 pairs."""
-    eps = 1
-    for a, b in itertools.combinations(entries, 2):
-        eps *= hilbert_symbol(a, b, v)
-    return eps
+# against the quadratic-time routes it replaced, kept as references
 
 
 def shared_prime_entry(rng, rational):
@@ -665,26 +657,6 @@ def test_hasse_prefix_products_match_pairwise():
             assert inv.hasse.get(v, 1) == expected
 
 
-def reference_isotropic_at(entries, v):
-    """Serre's Thm. 6 (Cours d'arithmetique IV.2.2) case by case: a binary
-    form is isotropic iff -d is a square, a ternary one iff its Hasse
-    symbol is (-1, -d)_v, a quaternary one iff d is not a square or its
-    symbol is (-1, -1)_v, and every form of dimension >= 5 is."""
-    n = len(entries)
-    if n <= 1:
-        return False
-    if v.is_real:
-        return any(a > 0 for a in entries) and any(a < 0 for a in entries)
-    if n >= 5:
-        return True
-    d = prod(entries)
-    if n == 2:
-        return is_local_square(-d, v)
-    if n == 3:
-        return hilbert_symbol(-1, -d, v) == pairwise_hasse(entries, v)
-    return not is_local_square(d, v) or pairwise_hasse(entries, v) == hilbert_symbol(-1, -1, v)
-
-
 def test_isotropic_at_matches_the_case_analysis():
     rng = random.Random(19)
     for _ in range(300):
@@ -692,16 +664,40 @@ def test_isotropic_at_matches_the_case_analysis():
             rng.choice((1, -1)) * prod(rng.sample(PRIMES_TO_31[:6], rng.randint(0, 3)))
             for _ in range(rng.randint(1, 7))
         ]
-        for v in relevant_places(-1, *entries):
-            assert forms._isotropic_at(entries, v) == reference_isotropic_at(entries, v), (entries, v)
+        local = all(reference_isotropic_at(entries, v) for v in relevant_places(-1, *entries))
+        assert is_isotropic(form(entries)) == local, entries
 
 
 def test_isotropy_at_a_prime_from_dimension_five_reads_no_symbol(monkeypatch):
+    """With |signature| >= 3, or a definite residue, the anisotropic
+    dimension is |signature| and no place is read; over R it always is."""
     for name in ("_hasse", "hilbert_symbol", "_exists_at"):
         monkeypatch.setattr(forms, name, lambda *args: pytest.fail("a symbol was read"))
-    for entries in ([1, 2, 3, 5, 7], [-3, 6, -10, 15, 2, 7], [2] * 7):
-        primes = [v for v in relevant_places(-1, *entries) if not v.is_real]
-        assert primes and all(forms._isotropic_at(entries, v) for v in primes)
+    cases = {
+        ("Q", (1, 2, 3, 5, 7)): False,
+        ("Q", (1, 2, 3, 5, -7)): True,
+        ("Q", (2,) * 7): False,
+        ("Q", (2, -8, 3, -3, 5)): True,  # 2H + <5>
+        ("Q", (1, 1)): False,
+        ("R", (1, 2, 3, 5, 7)): False,
+        ("R", (1, -2)): True,
+        ("R", (2, -3, 5)): True,
+        ("R", (-3, -5)): False,
+    }
+    for (field, entries), isotropic in cases.items():
+        assert is_isotropic(form(entries, field)) == isotropic, (field, entries)
+
+
+def test_the_anisotropic_dimension_is_read_once_per_form(monkeypatch):
+    """`witt_decompose` runs the existence loop and `is_isotropic` then
+    reads its result off the form: |signature| < 3 and an indefinite
+    residue, so the loop must run."""
+    calls, real = [], forms._exists
+    monkeypatch.setattr(forms, "_exists", lambda *args: calls.append(args) or real(*args))
+    q = form([1, 2, -3, 5, -6, -7])  # 2H + <5,-7>, with no two classes opposite
+    assert witt_decompose(q)[0] == 2 and calls
+    calls.clear()
+    assert is_isotropic(q) and calls == []
 
 
 def test_hyperbolic_hasse_defects_closed_form():
@@ -973,7 +969,7 @@ def reference_witt_decompose(q):
     index, cur = 0, q
     while True:
         ds = [square_class(a) for a in cur.entries]
-        if not all(forms._isotropic_at(ds, v) for v in relevant_places(-1, *ds)):
+        if not all(reference_isotropic_at(ds, v) for v in relevant_places(-1, *ds)):
             return index, cur
         cur = split_hyperbolic(cur, witness_chain._witness(cur))
         index += 1

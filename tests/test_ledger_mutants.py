@@ -146,7 +146,22 @@ MUTANTS = {
     # at the real place, and q_z - q at (2, 3) is isotropic of Witt index 10
     "forms.is_isotropic returns True": (forms, "is_isotropic", always(True), ("P10",)),
     "forms.is_isotropic returns False": (forms, "is_isotropic", always(False), ("P10",)),
-    "forms._isotropic_at returns True": (forms, "_isotropic_at", always(True), ("P10",)),
+    # one hyperbolic plane too few or too many: the Witt index of q_z - q
+    # reads 9, or <<3,2>> reads isotropic; two fewer also lets P05's rank
+    # bound pass a q whose d + d_an is not < 16, and its Hauptsatz check
+    # then raises
+    "forms._anisotropic_dim two more": (
+        forms,
+        "_anisotropic_dim",
+        lambda q, real=forms._anisotropic_dim: min(real(q) + 2, q.dim),
+        ("P10",),
+    ),
+    "forms._anisotropic_dim two fewer": (
+        forms,
+        "_anisotropic_dim",
+        lambda q, real=forms._anisotropic_dim: max(real(q) - 2, 0),
+        ("P05", "P10"),
+    ),
     "forms.witt_decompose returns (0, q)": (forms, "witt_decompose", lambda q: (0, q), ("P10",)),
     # forms imports both from scalars, so each is patched in both modules
     "_hasse returns 1": ((scalars, forms), "_hasse", always(1), ("P10",)),

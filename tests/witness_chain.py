@@ -12,9 +12,11 @@ A witness is a hyperbolic pair, a ternary zero, or two ternary zeros joined
 through a class that both halves of the form represent.  Ternary zeros come
 from Legendre's equation: Lagrange's descent (with `sqrt_mod`, Tonelli-Shanks
 per prime joined by the Chinese remainder theorem) and Mordell's reduction
-to Holzer's bound (Cremona and Rusin, Math. Comp. 72 (2003)).  The chain
-reads the library's own local tests and its F2 class solver, so a patch of
-`_f2_solve` or `_isotropic_vector_squarefree` must target this module.
+to Holzer's bound (Cremona and Rusin, Math. Comp. 72 (2003)).  Local
+isotropy is Serre's case analysis in the tests' own reference
+(`reference.reference_isotropic_at`), not the library's verdict; the chain
+reads the library's F2 class solver, so a patch of `_f2_solve` or
+`_isotropic_vector_squarefree` must target this module.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from quadalg.forms import DiagonalForm, _bits, _classes, _f2_solve, _isotropic_at, form, is_isotropic
+from quadalg.forms import DiagonalForm, _bits, _classes, _f2_solve, form, is_isotropic
 from quadalg.scalars import (
     _legendre,
     div,
@@ -33,6 +35,8 @@ from quadalg.scalars import (
     relevant_places,
     square_class,
 )
+
+from reference import reference_isotropic_at
 
 
 def _fraction_sqrt(a: int | Fraction) -> int | Fraction:
@@ -91,7 +95,7 @@ def _isotropic_vector_squarefree(ds):
     # opposite entries, so it is isotropic iff it is so at each of its places
     for idx in itertools.combinations(range(n), 3):
         sub = [ds[i] for i in idx]
-        if n == 3 or all(_isotropic_at(sub, v) for v in relevant_places(-1, *sub)):
+        if n == 3 or all(reference_isotropic_at(sub, v) for v in relevant_places(-1, *sub)):
             return _placed(n, idx, _ternary_witness(*sub))
     if n == 2:
         raise RuntimeError("a certified binary form has no opposite entries")
@@ -113,7 +117,7 @@ def _isotropic_vector_squarefree(ds):
         for y1, y2 in heights:
             t = a * y1 * y1 + b * y2 * y2
             c = square_class(t)
-            if all(_isotropic_at(rest + [c], v) for v in relevant_places(-1, *rest, c)):
+            if all(reference_isotropic_at(rest + [c], v) for v in relevant_places(-1, *rest, c)):
                 break
         else:
             raise RuntimeError("no small value of the head makes the rest isotropic")
