@@ -564,6 +564,57 @@ def test_verify_report_without_timings_is_the_golden_output_under_python_O(tmp_p
     assert p.read_bytes() == (GOLDEN / "verify_paper_report.json").read_bytes()
 
 
+RANK_ONE = {"eps": [0, 0, 0], "c": [["0", "1/2", 0, 0, 0, 0, 0, "1/2"], [0] * 8, [0] * 8]}
+GENERAL = {
+    "eps": ["1/2", -3, "5/4"],
+    "c": [[1, 0, "-1/3", 0, 2, 0, 0, 1], [0, "3/2", 0, 1, 0, -1, 0, 0], ["1/5", 0, 0, 0, 0, 0, 4, -1]],
+}
+# golden file -> argv of `quadalg albert --element`
+ALBERT_GOLDENS = {
+    "albert_element_rank_one.txt": ["albert", "--element", json.dumps(RANK_ONE)],
+    "albert_element.txt": ["albert", "--element", json.dumps(GENERAL)],
+    "albert_element_map.txt": [
+        "albert", "--element", json.dumps(GENERAL), "--map", str(GOLDEN / "cli" / "albert_map.json")
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALBERT_GOLDENS))
+def test_albert_element_matches_the_golden_output(name, capsys):
+    """The whole `albert --element` output, byte for byte, as the files in
+    tests/data/cli record it.  Regenerate one only for a change that means
+    to alter that output: run `quadalg` on its argv in `ALBERT_GOLDENS` and
+    write stdout to the file."""
+    code, out, err = run(capsys, *ALBERT_GOLDENS[name])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "cli" / name).read_text()
+
+
+def test_albert_element_is_the_golden_output_under_python_O():
+    """The same outputs with the asserts stripped, all in one interpreter."""
+    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from quadalg.cli import main\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(argv)\n"
+        "    outs.append([code, buf.getvalue()])\n"
+        "print(json.dumps(outs))\n"
+    )
+    names = sorted(ALBERT_GOLDENS)
+    argvs = json.dumps([ALBERT_GOLDENS[name] for name in names])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, argvs], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    want = [[0, (GOLDEN / "cli" / name).read_text()] for name in names]
+    assert json.loads(proc.stdout) == want
+
+
 def test_verify_report_determinism(tmp_path, capsys):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     code1, out1, _ = run(capsys, "verify-paper", "--only", "P15", "--json", str(p1))
