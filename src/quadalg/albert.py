@@ -5,7 +5,10 @@ sharp map, the action of related triples, the trace-form adjoint
 10-dimensional quadratic form.
 
 Elements are (eps0, eps1, eps2; c0, c1, c2) for the hermitian matrix with
-c_i in the (i+1, i+2) slot.  The cubic norm has the closed form
+c_i in the (i+1, i+2) slot, stored as one flat tuple of 27 coordinates:
+the three eps_i, then the eight of each c_i.  `eps` and `c` are views of
+it, and every linear map is one matrix on it.  The cubic norm has the
+closed form
 
     N(x) = eps0 eps1 eps2 - sum_i eps_i n(c_i) + t((c0 c1) c2)
 
@@ -32,7 +35,6 @@ from functools import lru_cache
 
 from .cayley import (
     BASIS,
-    DIM as ODIM,
     Octonion,
     SimilitudeTriple,
     build_cayley_table,
@@ -40,6 +42,7 @@ from .cayley import (
 )
 from .exactmat import (
     Matrix,
+    _Coords,
     column,
     det,
     from_nonzeros,
@@ -55,85 +58,49 @@ from .exactmat import (
     submatrix,
     transpose,
 )
-from .scalars import QuadExtScalar, _Frozen, as_scalar, div, iota, rat, variable
+from .scalars import QuadExtScalar, _Frozen, div, rat, variable
 
 ADIM = 27
 
-ZERO_OCT = Octonion([0] * ODIM)
 
+class AlbertElement(_Coords):
+    """(eps0, eps1, eps2; c0, c1, c2) as its 27 exact coordinates: the
+    three diagonal scalars, then the eight of each octonion c_i."""
 
-class AlbertElement(_Frozen):
-    """(eps0, eps1, eps2; c0, c1, c2) with exact scalar entries."""
+    __slots__ = ()
+    DIM = ADIM
 
-    __slots__ = ("eps", "c")
+    @property
+    def eps(self) -> tuple:
+        return self.coords[:3]
 
-    def __init__(self, eps: Sequence[int | Fraction | QuadExtScalar], c: Sequence[Octonion]):
-        if len(eps) != 3 or len(c) != 3:
-            raise ValueError("need three diagonal scalars and three octonions")
-        super().__init__(tuple(as_scalar(e) for e in eps), tuple(c))
-
-    # -- linear structure -------------------------------------------------
-    def __add__(self, other: "AlbertElement") -> "AlbertElement":
-        return AlbertElement(
-            [a + b for a, b in zip(self.eps, other.eps)],
-            [a + b for a, b in zip(self.c, other.c)],
-        )
-
-    def __sub__(self, other: "AlbertElement") -> "AlbertElement":
-        return AlbertElement(
-            [a - b for a, b in zip(self.eps, other.eps)],
-            [a - b for a, b in zip(self.c, other.c)],
-        )
-
-    def __neg__(self) -> "AlbertElement":
-        return AlbertElement([-a for a in self.eps], [-a for a in self.c])
-
-    def __rmul__(self, scalar) -> "AlbertElement":
-        return AlbertElement(
-            [scalar * a for a in self.eps], [scalar * x for x in self.c]
-        )
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __bool__(self) -> bool:
-        return any(bool(e) for e in self.eps) or any(bool(x) for x in self.c)
-
-    def iota(self) -> "AlbertElement":
-        """Entrywise Galois conjugation of all 27 coordinates."""
-        return AlbertElement([iota(e) for e in self.eps], [x.iota() for x in self.c])
-
-    def coords(self) -> tuple:
-        out = list(self.eps)
-        for x in self.c:
-            out.extend(x.coords)
-        return tuple(out)
-
-    @staticmethod
-    def from_coords(v: Sequence[int | Fraction | QuadExtScalar]) -> "AlbertElement":
-        if len(v) != ADIM:
-            raise ValueError("need 27 coordinates")
-        return AlbertElement(
-            v[:3],
-            [Octonion(v[3 + 8 * i : 11 + 8 * i]) for i in range(3)],
-        )
+    @property
+    def c(self) -> tuple[Octonion, Octonion, Octonion]:
+        return tuple(Octonion(self.coords[_slot(i) : _slot(i + 1)]) for i in range(3))
 
     def __repr__(self) -> str:
         return f"albert(eps={self.eps}, c={self.c})"
 
 
-ZERO = AlbertElement((0, 0, 0), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
-IDENTITY = AlbertElement((1, 1, 1), (ZERO_OCT, ZERO_OCT, ZERO_OCT))
+def element(eps: Sequence[int | Fraction | QuadExtScalar], c: Sequence[Octonion]) -> AlbertElement:
+    """The element of three diagonal scalars eps and three octonions c."""
+    if len(eps) != 3 or len(c) != 3:
+        raise ValueError("need three diagonal scalars and three octonions")
+    return AlbertElement([*eps, *(t for x in c for t in x.coords)])
+
+
+ZERO = AlbertElement([0] * ADIM)
+IDENTITY = AlbertElement([1, 1, 1] + [0] * (ADIM - 3))
 
 
 def e_idem(i: int) -> AlbertElement:
     """The diagonal idempotent e_i (1 in the (i+1,i+1) slot), i = 0,1,2."""
-    return AlbertElement([int(j == i) for j in range(3)], (ZERO_OCT, ZERO_OCT, ZERO_OCT))
+    return AlbertElement([int(m == i) for m in range(ADIM)])
 
 
 def generic_element(prefix: str) -> AlbertElement:
     """The element with independent coordinates prefix0..prefix26."""
-    return AlbertElement.from_coords([variable(f"{prefix}{m}") for m in range(ADIM)])
+    return AlbertElement([variable(f"{prefix}{m}") for m in range(ADIM)])
 
 
 @lru_cache(maxsize=1)
@@ -145,9 +112,9 @@ def generic_norm():
 
 def c_only(i: int, x: Octonion) -> AlbertElement:
     """Element supported on the c_i slot."""
-    c = [ZERO_OCT, ZERO_OCT, ZERO_OCT]
-    c[i] = x
-    return AlbertElement((0, 0, 0), c)
+    v = [0] * ADIM
+    v[_slot(i) : _slot(i + 1)] = x.coords
+    return AlbertElement(v)
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +123,7 @@ def c_only(i: int, x: Octonion) -> AlbertElement:
 
 def trace_form_T(x: AlbertElement, y: AlbertElement):
     """T(x,y) = trace(x . y), evaluated on its Gram `_t_gram`."""
-    return pairing(_t_gram(), x.coords(), y.coords())
+    return pairing(_t_gram(), x.coords, y.coords)
 
 
 def norm_N(x: AlbertElement):
@@ -204,7 +171,7 @@ def cross(x: AlbertElement, y: AlbertElement) -> AlbertElement:
         s1, s2 = (s + 1) % 3, (s + 2) % 3
         eps.append(e[s1] * f[s2] + f[s1] * e[s2] - 2 * c[s].norm_pairing(d[s]))
         octs.append(cb[s2] * db[s1] + db[s2] * cb[s1] - e[s] * d[s] - f[s] * c[s])
-    return AlbertElement(eps, octs)
+    return element(eps, octs)
 
 
 def _slot(i: int) -> int:
@@ -254,7 +221,7 @@ class AlbertMap(_Frozen):
         super().__init__(matrix)
 
     def __call__(self, x: AlbertElement) -> AlbertElement:
-        return AlbertElement.from_coords(mat_vec(self.matrix, x.coords()))
+        return AlbertElement(mat_vec(self.matrix, x.coords))
 
     def dagger(self) -> "AlbertMap":
         """The unique map with T(f(j), dagger(f)(j')) = T(j, j');
@@ -348,7 +315,7 @@ A_GRAM = from_nonzeros(10, 10, [(r, 9 - r, 1 if r in (4, 5) else -1) for r in ra
 
 def a_project(x: AlbertElement) -> tuple:
     """Albert element -> A-coordinates; rejects elements outside A."""
-    coords = x.coords()
+    coords = x.coords
     for m in range(ADIM):
         if m not in A_COORD_INDICES and bool(coords[m]):
             raise ValueError("element does not lie in the subspace A")

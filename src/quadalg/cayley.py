@@ -35,6 +35,7 @@ from functools import lru_cache
 
 from .exactmat import (
     Matrix,
+    _Coords,
     dense,
     det,
     diagonal,
@@ -52,7 +53,6 @@ from .exactmat import (
 from .scalars import (
     QuadExtScalar,
     _Frozen,
-    as_scalar,
     div,
     exact_sum,
     iota,
@@ -179,48 +179,22 @@ def _mul_coords(table: CayleyTable, x, y):
 # octonions
 
 
-class Octonion(_Frozen):
+class Octonion(_Coords):
     """An element of the split Cayley algebra in the u1..u8 basis; the
     coordinates are exact rationals (int or Fraction, canonical), Laurent
     polynomials or QuadExtScalar over one extension."""
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[int | Fraction | QuadExtScalar]):
-        if len(coords) != DIM:
-            raise ValueError("octonions have 8 coordinates")
-        super().__init__(tuple(as_scalar(c) for c in coords))
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion([a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion([a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "Octonion":
-        return Octonion([-a for a in self.coords])
+    __slots__ = ()
+    DIM = DIM
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
             return Octonion(_mul_coords(build_cayley_table(), self.coords, other.coords))
         return Octonion([a * other for a in self.coords])
 
-    def __rmul__(self, scalar):
-        return Octonion([scalar * a for a in self.coords])
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __bool__(self) -> bool:
-        return any(bool(c) for c in self.coords)
-
     def conj(self) -> "Octonion":
         """Canonical involution: u4 <-> u5, the rest negated."""
         return Octonion(_conj_coords(self.coords))
-
-    def iota(self) -> "Octonion":
-        """Entrywise Galois conjugation of the coordinates."""
-        return Octonion([iota(c) for c in self.coords])
 
     def norm(self):
         return self.norm_pairing(self)
@@ -389,7 +363,7 @@ def diag_d() -> Matrix:
 
 def m_matrix(j: int, a: Sequence[int | Fraction | QuadExtScalar]) -> Matrix:
     """diag(1, a_j, a_j, a_{j+2}^{-1}, a_{j+1}^{-1}, 1, 1, a_j)."""
-    aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
+    aj, aj1, aj2 = a[j], a[(j + 1) % 3], a[(j + 2) % 3]
     return diagonal([1, aj, aj, div(1, aj2), div(1, aj1), 1, 1, aj])
 
 
@@ -410,7 +384,7 @@ def special_cocycle(a: Sequence[int | Fraction | QuadExtScalar]) -> SimilitudeTr
 def special_cocycle_iota_closed_form(j: int, a: Sequence[int | Fraction | QuadExtScalar]) -> Matrix:
     """diag(a_j^{-1},1,1,a_{j+1},a_{j+2},a_j^{-1},a_j^{-1},1) d P, the
     stated closed form of the iota-twist of z_j."""
-    aj, aj1, aj2 = a[j % 3], a[(j + 1) % 3], a[(j + 2) % 3]
+    aj, aj1, aj2 = a[j], a[(j + 1) % 3], a[(j + 2) % 3]
     inv = div(1, aj)
     return mat_mul(diagonal([inv, 1, 1, aj1, aj2, inv, inv, 1]), _d_times_P())
 

@@ -205,19 +205,18 @@ def _cmd_albert(args) -> int:
         if not (isinstance(data, dict) and "eps" in data and "c" in data):
             raise ValueError('--element needs a JSON object {"eps": .., "c": ..}')
         (eps,) = _matrix([data["eps"]])
-        x = albert.AlbertElement(eps, [cayley.Octonion(c) for c in _matrix(data["c"])])
+        x = albert.element(eps, [cayley.Octonion(c) for c in _matrix(data["c"])])
         if args.map:
             x = albert.AlbertMap(freeze(_matrix(_read_json(args.map))))(x)
         sharp = albert.sharp(x)
+        parts = lambda y: {
+            "eps": [str(e) for e in y.eps], "c": [[str(t) for t in c.coords] for c in y.c]
+        }
         payload = {
-            "eps": [str(e) for e in x.eps],
-            "c": [[str(t) for t in c.coords] for c in x.c],
+            **parts(x),
             "norm": str(albert.norm_N(x)),
             "trace_T(x,x)": str(albert.trace_form_T(x, x)),
-            "sharp": {
-                "eps": [str(e) for e in sharp.eps],
-                "c": [[str(t) for t in c.coords] for c in sharp.c],
-            },
+            "sharp": parts(sharp),
             "rank_one": sharp == albert.ZERO,
         }
     else:

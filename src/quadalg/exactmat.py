@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 
-from .scalars import _Frozen, div, exact_sum, rat
+from .scalars import _Frozen, as_scalar, div, exact_sum, iota, rat
 
 Vector = tuple
 
@@ -55,6 +55,42 @@ class Matrix(_Frozen):
 
     def __repr__(self) -> str:
         return f"Matrix({self.shape}, {self.rows})"
+
+
+class _Coords(_Frozen):
+    """A vector of `DIM` exact coordinates (`scalars.as_scalar` applied to
+    each) with its linear structure, the base of the octonions and the
+    Albert elements, which add their own products."""
+
+    __slots__ = ("coords",)
+    DIM = 0
+
+    def __init__(self, coords: Sequence):
+        if len(coords) != self.DIM:
+            raise ValueError(f"{type(self).__name__} needs {self.DIM} coordinates")
+        super().__init__(tuple(as_scalar(c) for c in coords))
+
+    def __add__(self, other):
+        return type(self)([a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        return type(self)([a - b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return type(self)([-a for a in self.coords])
+
+    def __rmul__(self, scalar):
+        return type(self)([scalar * a for a in self.coords])
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __bool__(self) -> bool:
+        return any(bool(c) for c in self.coords)
+
+    def iota(self):
+        """Entrywise Galois conjugation of the coordinates."""
+        return type(self)([iota(c) for c in self.coords])
 
 
 def _size(a: Matrix) -> str:

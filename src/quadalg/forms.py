@@ -323,22 +323,14 @@ def _target(inv: WittInvariants, m: int, places) -> tuple[int, set[Place]]:
 def _exists(k: int, d: int, eps: set[Place]) -> bool:
     """Whether a form over Q of dimension k, squarefree det d and Hasse
     symbol -1 exactly at eps exists, given a signature that fits k (Serre,
-    A Course in Arithmetic, IV.3.3 Prop. 7): d = 1 when k = 0, and a form
-    with symbol -1 exists at each place of eps (`_exists_at`)."""
-    return (k > 0 or d == 1) and all(_exists_at(k, d, -1, v) for v in eps)
-
-
-def _exists_at(k: int, d: int, eps: int, v: Place) -> bool:
-    """Whether a form over Q_v of dimension k, det d and Hasse symbol eps
-    exists (Serre IV.2.3 Prop. 6, at a prime; at the real place the same
-    holds given a signature that fits k): from dimension 3 on always; in
-    dimension 2 unless eps = -1 and -d is a square at v; in dimension 1
-    when eps = 1; in dimension 0 when, besides, d is a square at v."""
-    if k >= 3:
-        return True
-    if k == 2:
-        return eps == 1 or not is_local_square(-d, v)
-    return eps == 1 and (k == 1 or is_local_square(d, v))
+    A Course in Arithmetic, IV.3.3 Prop. 7): d = 1 when k = 0, and at each
+    place v of eps a form over Q_v with symbol -1 exists (IV.2.3 Prop. 6,
+    at a prime; at the real place the same holds given the signature):
+    from dimension 3 on always, in dimension 2 unless -d is a square at v,
+    and in dimension 0 or 1 never."""
+    return (k > 0 or d == 1) and all(
+        k >= 3 or k == 2 and not is_local_square(-d, v) for v in eps
+    )
 
 
 def _peel(residue, d, eps, sig, k, places) -> tuple[int, int, set[Place]]:

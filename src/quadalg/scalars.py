@@ -233,8 +233,9 @@ def is_local_square(a: int | Fraction, place: "Place") -> bool:
 
 class _Frozen:
     """The base of the immutable values.  A subclass names its fields once,
-    in `__slots__`; the base records them (`_fields`) with the slots' own
-    setters (`_setters`), which write past `__setattr__`, which raises.
+    in `__slots__`; the base records them (`_fields`, after those of the
+    class it derives from) with the slots' own setters (`_setters`), which
+    write past `__setattr__`, which raises.
     `__init__` fills the fields by position, so a class that checks its
     arguments calls it once they pass.  Two values are equal when they are
     of one type with equal `_key()`s, and a copy or a pickle calls the
@@ -242,10 +243,12 @@ class _Frozen:
     constructor's arguments are not its fields."""
 
     __slots__ = ()
+    _fields, _setters = (), ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__slots__", ()))
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
+        own = tuple(cls.__dict__.get("__slots__", ()))
+        cls._fields += own
+        cls._setters += tuple(cls.__dict__[name].__set__ for name in own)
 
     def __init__(self, *args):
         if len(args) != len(self._fields):

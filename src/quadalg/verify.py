@@ -417,7 +417,7 @@ def _check_albert_basics():
         "6N(X) = T(X, X x X)": (6 * albert.generic_norm() == t_x, True),
         # the trace pairing on the c0 slot is the full norm polarization
         "T(c0(x), c0(y)) = 2n(x, y)": (t_c0 == 2 * x8.norm_pairing(y8), True),
-        "generic_coordinates": (len(set(x.coords())), 27),
+        "generic_coordinates": (len(set(x.coords)), 27),
     })
 
 

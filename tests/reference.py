@@ -93,14 +93,14 @@ ONE = u(4) + u(5)
 
 
 def basis_element(m: int) -> AlbertElement:
-    return AlbertElement.from_coords(exactmat.dense(exactmat.identity(ADIM))[m])
+    return AlbertElement(exactmat.dense(exactmat.identity(ADIM))[m])
 
 
 ALBERT_BASIS = tuple(basis_element(m) for m in range(ADIM))
 
 
 def linear_map_from_action(action: Callable[[AlbertElement], AlbertElement]) -> AlbertMap:
-    columns = exactmat.freeze([action(b).coords() for b in ALBERT_BASIS])
+    columns = exactmat.freeze([action(b).coords for b in ALBERT_BASIS])
     return AlbertMap(exactmat.transpose(columns))
 
 
@@ -111,7 +111,7 @@ def a_embed(v: Sequence[int | Fraction | QuadExtScalar]) -> AlbertElement:
     coords = [0] * ADIM
     for val, pos in zip(v, A_COORD_INDICES):
         coords[pos] = val
-    return AlbertElement.from_coords(coords)
+    return AlbertElement(coords)
 
 
 def calibration_search() -> dict:

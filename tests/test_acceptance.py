@@ -59,7 +59,7 @@ def test_acceptance_5_albert_identity_suite():
     e0 = albert.e_idem(0)
     ok = True
     for _ in range(50):
-        y = albert.AlbertElement.from_coords([Q(rng.randint(-3, 3)) for _ in range(27)])
+        y = albert.AlbertElement([Q(rng.randint(-3, 3)) for _ in range(27)])
         ok &= albert.cross(e0, albert.cross(e0, albert.cross(e0, y))) == albert.cross(e0, y)
     _ledger_criterion(5, ok)
 

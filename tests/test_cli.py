@@ -45,8 +45,9 @@ def test_form_over_R_reads_only_signs(capsys):
 
 
 def test_form_parse_error(capsys):
-    code, _, err = run(capsys, "form", "<1,>")
-    assert code == 2 and "parse error" in err
+    for literal in ("<1,>", "0*<1>"):
+        code, _, err = run(capsys, "form", literal)
+        assert code == 2 and "parse error" in err
 
 
 def test_form_json(capsys):

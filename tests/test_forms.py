@@ -567,7 +567,9 @@ def test_parse_and_print():
     assert parse_form("<1/2,-3>").entries == (Q(1, 2), -3)
     assert form_literal(form([Q(1, 2), -3])) == "<1/2,-3>"
     assert parse_form(form_literal(q)) == q
-    for bad in ("", "<1,>", "<1> + ", "3x", "<1> <2>", "1*"):
+    assert parse_form("H") == parse_form("1H") and parse_form("H").dim == 2
+    assert parse_form("1*<1>").entries == (1,)
+    for bad in ("", "<1,>", "<1> + ", "3x", "<1> <2>", "1*", "0*<1>"):
         with pytest.raises(ValueError):
             parse_form(bad)
 
@@ -671,7 +673,7 @@ def test_isotropic_at_matches_the_case_analysis():
 def test_isotropy_at_a_prime_from_dimension_five_reads_no_symbol(monkeypatch):
     """With |signature| >= 3, or a definite residue, the anisotropic
     dimension is |signature| and no place is read; over R it always is."""
-    for name in ("_hasse", "hilbert_symbol", "_exists_at"):
+    for name in ("_hasse", "hilbert_symbol", "is_local_square"):
         monkeypatch.setattr(forms, name, lambda *args: pytest.fail("a symbol was read"))
     cases = {
         ("Q", (1, 2, 3, 5, 7)): False,

@@ -74,7 +74,7 @@ def barless_swap():
     """The slot swap as displayed, without the entry conjugations: its
     determinant on A is the stated -1, but it is no norm isometry."""
     return linear_map_from_action(
-        lambda x: albert.AlbertElement((x.eps[0], x.eps[2], x.eps[1]), (x.c[0], x.c[2], x.c[1]))
+        lambda x: albert.element((x.eps[0], x.eps[2], x.eps[1]), (x.c[0], x.c[2], x.c[1]))
     )
 
 

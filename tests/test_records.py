@@ -60,7 +60,7 @@ def _similitudes():
 
 def _albert_elements():
     c = [cayley.Octonion([0, 1, 0, 0, 0, 0, 0, 0])] * 3
-    return tuple(albert.AlbertElement([1, x, 0], c) for x in (Q(1, 2), Q(1, 2), 3))
+    return tuple(albert.element([1, x, 0], c) for x in (Q(1, 2), Q(1, 2), 3))
 
 
 def _cocycles():
@@ -117,7 +117,7 @@ RECORDS = {
     "AlbertMap": (_albert_maps, "matrix"),
     "Octonion": (_octonions, "coords"),
     "Similitude": (_similitudes, "matrix"),
-    "AlbertElement": (_albert_elements, "eps"),
+    "AlbertElement": (_albert_elements, "coords"),
     "QuadExtScalar": (
         lambda: tuple(QuadExtScalar(2, y, 3) for y in (1, 1, -1)),
         "x",
@@ -134,8 +134,10 @@ RECORDS = {
 
 
 def _frozen_types(cls=_Frozen):
+    """The public records; a private base such as `exactmat._Coords` has
+    no value of its own."""
     for sub in cls.__subclasses__():
-        if sub.__module__.startswith("quadalg."):
+        if sub.__module__.startswith("quadalg.") and not sub.__name__.startswith("_"):
             yield sub
         yield from _frozen_types(sub)
 

@@ -36,6 +36,25 @@ def test_build_examples():
         build_root_datum("E9")
 
 
+# each series' first and last catalogued rank, and the ranks just outside
+CATALOGUE_ENDS = {
+    "A": (1, 8), "B": (2, 8), "C": (2, 8), "D": (3, 8), "E": (6, 8), "F": (4, 4), "G": (2, 2)
+}
+
+
+@pytest.mark.parametrize(
+    "label, admitted",
+    [(f"{s}{n}", True) for s, (lo, hi) in CATALOGUE_ENDS.items() for n in dict.fromkeys((lo, hi))]
+    + [(f"{s}{n}", False) for s, (lo, hi) in CATALOGUE_ENDS.items() for n in (lo - 1, hi + 1)],
+)
+def test_the_catalogue_builds_its_ranks_and_refuses_the_next(label, admitted):
+    if admitted:
+        assert build_root_datum(label).label == label
+    else:
+        with pytest.raises(ValueError, match=f"unsupported type {label}"):
+            build_root_datum(label)
+
+
 def test_known_cartans():
     assert dense(build_root_datum("B3").cartan) == ((2, -1, 0), (-1, 2, -1), (0, -2, 2))
     assert dense(build_root_datum("C3").cartan) == ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
