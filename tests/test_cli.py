@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -613,6 +617,64 @@ def test_albert_element_is_the_golden_output_under_python_O():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     want = [[0, (GOLDEN / "cli" / name).read_text()] for name in names]
+    assert json.loads(proc.stdout) == want
+
+
+# golden file cold_<name>.txt -> argv of the benchmark's `cli_cold` invocation
+# <name>; <tmp> stands for the directory that holds embedding.json and the
+# files a command writes
+COLD = {
+    "form_Q": ["form", "7H + <1>", "--json"],
+    "form_R": ["form", "<<-1,-1,-1,-1>>", "--field", "R", "--json"],
+    "hermitian": ["hermitian", "<1,-1,2>", "--k", "3", "--json"],
+    "fold_E6": ["rootsys", "--type", "E6", "--fold", "--json"],
+    "fold_D4": ["rootsys", "--type", "D4", "--fold", "triality", "--json"],
+    "cocycle": ["cayley", "--cocycle", "1", "3", "1/3", "--json"],
+    "descend_k": ["descend", "--k", "2"],
+    "descend_ka": ["descend", "--k", "2", "--a", "3"],
+    "verify_only": ["verify-paper", "--only", "P14", "--json", "<tmp>/verify_P14.json"],
+    "bad_triple": ["cayley", "--triple", "<tmp>/missing.json"],
+    "bad_embedding": ["rootsys", "--type", "A3", "--embedding", "<tmp>/missing.json", "--source", "A1"],
+    "no_source": ["rootsys", "--type", "A3", "--embedding", "<tmp>/embedding.json"],
+}
+EMBEDDING = "[[1], [0], [1]]"  # A1 in A3 as the block-diagonal SL2
+
+
+def cold_output(name):
+    """The argv, exit code, stdout, stderr and written files of the
+    invocation `name`, run through `main` in a fresh directory, with <tmp>
+    in place of that directory's path."""
+    with tempfile.TemporaryDirectory() as workdir:
+        (Path(workdir) / "embedding.json").write_text(EMBEDDING)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.replace("<tmp>", workdir) for arg in COLD[name]])
+        text = f"$ quadalg {shlex.join(COLD[name])}\nexit {code}\n"
+        text += f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        for p in sorted(Path(workdir).iterdir()):
+            if p.name != "embedding.json":
+                text += f"--- <tmp>/{p.name}\n{p.read_text()}"
+        return text.replace(workdir, "<tmp>")
+
+
+@pytest.mark.parametrize("name", COLD)
+def test_cli_cold_matches_the_golden_output(name):
+    """Each `cli_cold` invocation of the benchmark, byte for byte, as the
+    files tests/data/cli/cold_*.txt record it.  Regenerate them only for a
+    change that means to alter that output:
+    `PYTHONPATH=src:tests python -c 'import test_cli as t; [(t.GOLDEN / "cli"
+    / f"cold_{n}.txt").write_text(t.cold_output(n)) for n in t.COLD]'`."""
+    assert cold_output(name) == (GOLDEN / "cli" / f"cold_{name}.txt").read_text()
+
+
+def test_cli_cold_is_the_golden_output_under_python_O():
+    """The same outputs with the asserts stripped, all in one interpreter."""
+    paths = [str(Path(quadalg.__file__).parent.parent), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")])))
+    script = "import json, test_cli as t\nprint(json.dumps({n: t.cold_output(n) for n in t.COLD}))\n"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    want = {name: (GOLDEN / "cli" / f"cold_{name}.txt").read_text() for name in COLD}
     assert json.loads(proc.stdout) == want
 
 
