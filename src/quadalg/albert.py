@@ -211,7 +211,9 @@ def _t_gram_inv() -> Matrix:
 
 
 class AlbertMap(_Frozen):
-    """An invertible linear map in the 27 coordinates."""
+    """A linear map in the 27 coordinates.  The constructor checks only
+    the shape: `dagger` and `in_subgroup_H` need an invertible map and
+    raise ValueError on a singular one."""
 
     __slots__ = ("matrix",)
 

@@ -239,9 +239,6 @@ class Similitude(_Frozen):
     def _key(self) -> tuple:  # mu is derived from the matrix
         return (self.matrix,)
 
-    def __call__(self, x: Octonion) -> Octonion:
-        return Octonion(mat_vec(self.matrix, x.coords))
-
     def det(self):
         return det(self.matrix)
 

@@ -19,9 +19,8 @@ product a[i][j] b[j][c]: a product of two monomial n x n maps makes n.
 A Gram form v^T g w is evaluated by `pairing`, and the Gram matrix of a
 list of vectors, a^T g a for the matrix a whose columns they are, by
 `pullback`.  `det`, `mat_inv`, `rank` and `independent` share one
-elimination that keeps, for each column, the rows that hold it (Davis,
-Direct Methods for Sparse Linear Systems, SIAM 2006), so a pivot visits
-only those rows: the determinant of a monomial n x n map makes n
+elimination with row interchanges, which updates only the rows that hold
+a pivot's column: the determinant of a monomial n x n map makes n
 multiplications and its inverse 2n.  `diagonalize`, the symmetric
 elimination of a Gram matrix, clears each pivot from the rows that hold
 it by the same row update, `_eliminate`.  Every division is
@@ -213,21 +212,10 @@ def transpose(a: Matrix) -> Matrix:
     return Matrix((m, n), tuple(map(tuple, cols)))
 
 
-def _dot(pairs, v: Sequence):
-    """The sum of x * v[c] over the (c, x) in `pairs` with v[c] nonzero, in
-    canonical form; the int 0 when there is no such term."""
-    out = None
-    for c, x in pairs:
-        y = v[c]
-        if y:
-            out = x * y if out is None else out + x * y
-    return 0 if out is None else rat(out)
-
-
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
     if len(v) != a.shape[1]:
         raise ValueError(f"cannot apply a {_size(a)} matrix to {len(v)} coordinates")
-    return tuple(_dot(pairs, v) for pairs in a.rows)
+    return tuple(exact_sum([x * y for c, x in pairs if (y := v[c])]) for pairs in a.rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -309,63 +297,43 @@ def _eliminate(other: dict, col: int, p, pivot_row: dict) -> None:
 
 
 def _reduce(rows: list[dict], ncols: int, back: bool = False) -> tuple[list[int], object]:
-    """Gaussian elimination, in place, of `rows`, each a dict {column:
-    value} of a row's nonzero entries, over the columns 0..ncols-1.  The
-    pivot of a column is the first row not yet a pivot row that holds it,
-    and the column is cleared in the rows that are not pivot rows yet;
-    with `back` (Gauss-Jordan) it is cleared in every other row, and each
-    pivot row is scaled to 1 at the end.  The rows end in pivot order:
-    each pivot column's row in turn, then the rest.  Returns the pivot
-    columns and, once every row is a pivot row, the determinant (0 as
-    soon as a column has no pivot).
+    """Gaussian elimination with row interchanges (Golub and Van Loan,
+    Matrix Computations, 3.4), in place, of `rows`, each a dict {column:
+    value} of a row's nonzero entries, over the columns 0..ncols-1.  Step
+    t swaps the first row from t on that holds the next column into place
+    t, negating the determinant, and clears the column from the rows after
+    t; with `back` (Gauss-Jordan) from every other row, and each pivot row
+    is scaled to 1 at the end.  So the rows end in pivot order.  Returns
+    the pivot columns and, once every row is a pivot row, the determinant
+    (0 as soon as a column has no pivot).
 
-    `holders` maps each column to the rows that may hold it, a superset
-    that grows with each fill-in, so a pivot is looked for and its column
-    cleared only in the rows that hold it: on a monomial matrix a column
-    costs one multiplication for the determinant, with `back` one more
-    per other nonzero of the pivot row, and no visit to any other row."""
-    holders: dict[int, set] = {}
-    for i, held in enumerate(rows):
-        for c in held:
-            holders.setdefault(c, set()).add(i)
-    pivots, order, used = [], [], set()
-    d = 1
+    Only a row that holds the pivot's column is updated: on a monomial
+    matrix a column costs one multiplication for the determinant, with
+    `back` one more per other nonzero of the pivot row."""
+    pivots, d = [], 1
     for col in range(ncols):
-        if len(order) == len(rows):
+        t = len(pivots)
+        if t == len(rows):
             break
-        hold = [i for i in holders.get(col, ()) if col in rows[i] and (back or i not in used)]
-        free = [i for i in hold if i not in used]
-        if not free:
+        piv = next((i for i in range(t, len(rows)) if col in rows[i]), None)
+        if piv is None:
             d = d * 0
             continue
-        piv = min(free)
-        pivot_row = rows[piv]
+        if piv != t:
+            rows[t], rows[piv] = rows[piv], rows[t]
+            d = -d
+        pivot_row = rows[t]
         p = pivot_row.pop(col)
         d = rat(d * p)
-        for i in hold:
-            if i != piv:
-                _eliminate(rows[i], col, p, pivot_row)
-                for c in pivot_row:
-                    holders.setdefault(c, set()).add(i)
+        for other in rows if back else rows[t + 1 :]:
+            if col in other:  # never the pivot row, which p has left
+                _eliminate(other, col, p, pivot_row)
         pivot_row[col] = p
         pivots.append(col)
-        order.append(piv)
-        used.add(piv)
-    if len(order) == len(rows):  # d takes the sign of the permutation k -> order[k]
-        cycles, seen = 0, set()
-        for start in range(len(order)):
-            cycles += start not in seen
-            j = start
-            while j not in seen:
-                seen.add(j)
-                j = order[j]
-        if (len(order) - cycles) % 2:
-            d = -d
     if back:
-        for i, col in zip(order, pivots):
+        for i, col in enumerate(pivots):
             inv = div(1, rows[i][col])
             rows[i] = {c: 1 if c == col else rat(x * inv) for c, x in rows[i].items()}
-    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if i not in used]
     return pivots, d
 
 

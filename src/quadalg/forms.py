@@ -67,8 +67,8 @@ class DiagonalForm(_Frozen):
     """A nondegenerate diagonal quadratic form over Q or R: its `field`
     and its tuple of `entries`, each a canonical rational (an int when
     integral, else a Fraction; `scalars.as_rat`).  It is immutable; its
-    __dict__ also keeps what is computed once per form (`_classes`,
-    `_cancelled`, `_invariants`, `_anisotropic_dim`)."""
+    __dict__ also keeps what is computed once per form (`_cancelled`,
+    `_invariants`, `_anisotropic_dim`)."""
 
     def __init__(self, field: str, entries: tuple[int | Fraction, ...]):
         if field not in ("Q", "R"):
@@ -194,11 +194,8 @@ def invariants(q: DiagonalForm) -> WittInvariants:
 
 
 def _classes(q: DiagonalForm) -> tuple[int, ...]:
-    """The square classes of q's entries over Q, computed once and kept on
-    the (frozen) form."""
-    if "_classes" not in q.__dict__:
-        q.__dict__["_classes"] = tuple(square_class(a) for a in q.entries)
-    return q.__dict__["_classes"]
+    """The square classes of q's entries over Q."""
+    return tuple(square_class(a) for a in q.entries)
 
 
 def _cancelled(q: DiagonalForm) -> tuple[int, tuple[int, ...]]:

@@ -247,8 +247,13 @@ def test_related_triples():
 def basis_related(T):
     """The pointwise reference: the relatedness identity on all 64 basis
     pairs, which span every pair by bilinearity."""
+
+    def image(s, x):
+        return Octonion(mat_vec(s.matrix, x.coords))
+
     return all(
-        T[i](x.conj() * y.conj()) == T[i].mu * (T[i + 2](x).conj() * T[i + 1](y).conj())
+        image(T[i], x.conj() * y.conj())
+        == T[i].mu * (image(T[i + 2], x).conj() * image(T[i + 1], y).conj())
         for i in range(3)
         for x in BASIS
         for y in BASIS

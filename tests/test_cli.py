@@ -634,7 +634,9 @@ COLD = {
     "descend_ka": ["descend", "--k", "2", "--a", "3"],
     "verify_only": ["verify-paper", "--only", "P14", "--json", "<tmp>/verify_P14.json"],
     "bad_triple": ["cayley", "--triple", "<tmp>/missing.json"],
-    "bad_embedding": ["rootsys", "--type", "A3", "--embedding", "<tmp>/missing.json", "--source", "A1"],
+    "bad_embedding": [
+        "rootsys", "--type", "A3", "--embedding", "<tmp>/missing.json", "--source", "A1"
+    ],
     "no_source": ["rootsys", "--type", "A3", "--embedding", "<tmp>/embedding.json"],
 }
 EMBEDDING = "[[1], [0], [1]]"  # A1 in A3 as the block-diagonal SL2
@@ -669,10 +671,12 @@ def test_cli_cold_matches_the_golden_output(name):
 
 def test_cli_cold_is_the_golden_output_under_python_O():
     """The same outputs with the asserts stripped, all in one interpreter."""
-    paths = [str(Path(quadalg.__file__).parent.parent), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")])))
-    script = "import json, test_cli as t\nprint(json.dumps({n: t.cold_output(n) for n in t.COLD}))\n"
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    paths = [Path(quadalg.__file__).parent.parent, Path(__file__).parent, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths if p))
+    script = "import json, test_cli as t\nprint(json.dumps({n: t.cold_output(n) for n in t.COLD}))"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
     assert (proc.returncode, proc.stderr) == (0, "")
     want = {name: (GOLDEN / "cli" / f"cold_{name}.txt").read_text() for name in COLD}
     assert json.loads(proc.stdout) == want

@@ -72,17 +72,39 @@ def test_dense_det_inv_rank(quad):
 
 
 @pytest.mark.parametrize(
-    "scalars", [(Q(2), Q(-1, 3), Q(5)), (K(2), K(0, 1), K(1, 1))], ids=["Q", "Q(sqrt2)"]
+    "scalars",
+    [(Q(2), Q(-1, 3), Q(5), Q(-7, 2)), (K(2), K(0, 1), K(1, 1), K(-3, 2))],
+    ids=["Q", "Q(sqrt2)"],
 )
 def test_monomial_det_inv_rank(scalars):
-    # row i has its one entry in column perm[i]; (0 1 2) is an even permutation
-    perm = (1, 2, 0)
-    a = freeze([[scalars[i] if c == perm[i] else Q(0) for c in range(3)] for i in range(3)])
-    assert det(a) == scalars[0] * scalars[1] * scalars[2]
-    assert rank(a) == 3
+    # row i has its one entry in column perm[i], so the elimination swaps
+    # rows as the permutation says, and each swap flips the sign
+    for perm in itertools.permutations(range(4)):
+        a = freeze([[scalars[i] if c == perm[i] else Q(0) for c in range(4)] for i in range(4)])
+        assert det(a) == leibniz_det(dense(a))
+        assert rank(a) == 4
+        inv = mat_inv(a)
+        assert mat_mul(a, inv) == identity(4) == mat_mul(inv, a)
+        assert all(dense(inv)[perm[i]][i] == 1 / scalars[i] for i in range(4))
+
+
+def test_the_pivot_search_passes_over_rows_without_the_column():
+    """Rows 0 and 1 lack column 0, row 3 gains column 1 only as fill-in
+    from the pivot row 2, and row 0 lacks column 2: three pivots are
+    swapped into place past rows that do not hold their column, an odd
+    permutation."""
+    a = freeze(
+        [
+            [K(0), K(0), K(0), K(2)],
+            [K(0), K(0), K(3), K(0, -1)],
+            [K(2, 1), K(1), K(-1), K(1, 2)],
+            [K(0, 1), K(0), K(5), K(-2, 1)],
+        ]
+    )
+    assert det(a) == leibniz_det(dense(a)) != 0
+    assert rank(a) == 4
     inv = mat_inv(a)
-    assert mat_mul(a, inv) == identity(3)
-    assert all(dense(inv)[perm[i]][i] == 1 / scalars[i] for i in range(3))
+    assert mat_mul(a, inv) == identity(4) == mat_mul(inv, a)
 
 
 @pytest.mark.parametrize(
