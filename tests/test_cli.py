@@ -642,21 +642,29 @@ COLD = {
 EMBEDDING = "[[1], [0], [1]]"  # A1 in A3 as the block-diagonal SL2
 
 
+def golden_text(argv, workdir, inputs):
+    """The argv, exit code, stdout, stderr and written files of one run of
+    `main` on argv, whose files are in `workdir` next to `inputs`
+    ({file name: text}, written first), with <tmp> in place of the
+    directory's path."""
+    workdir = str(workdir)
+    for file_name, text in inputs.items():
+        (Path(workdir) / file_name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.replace("<tmp>", workdir) for arg in argv])
+    text = f"$ quadalg {shlex.join(argv)}\nexit {code}\n"
+    text += f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    for p in sorted(Path(workdir).iterdir()):
+        if p.name not in inputs:
+            text += f"--- <tmp>/{p.name}\n{p.read_text()}"
+    return text.replace(workdir, "<tmp>")
+
+
 def cold_output(name):
-    """The argv, exit code, stdout, stderr and written files of the
-    invocation `name`, run through `main` in a fresh directory, with <tmp>
-    in place of that directory's path."""
+    """The invocation `name` (`golden_text`), run in a fresh directory."""
     with tempfile.TemporaryDirectory() as workdir:
-        (Path(workdir) / "embedding.json").write_text(EMBEDDING)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([arg.replace("<tmp>", workdir) for arg in COLD[name]])
-        text = f"$ quadalg {shlex.join(COLD[name])}\nexit {code}\n"
-        text += f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
-        for p in sorted(Path(workdir).iterdir()):
-            if p.name != "embedding.json":
-                text += f"--- <tmp>/{p.name}\n{p.read_text()}"
-        return text.replace(workdir, "<tmp>")
+        return golden_text(COLD[name], workdir, {"embedding.json": EMBEDDING})
 
 
 @pytest.mark.parametrize("name", COLD)
@@ -680,6 +688,97 @@ def test_cli_cold_is_the_golden_output_under_python_O():
     assert (proc.returncode, proc.stderr) == (0, "")
     want = {name: (GOLDEN / "cli" / f"cold_{name}.txt").read_text() for name in COLD}
     assert json.loads(proc.stdout) == want
+
+
+# golden file readme_<name>.txt -> argv of one `quadalg` line of README's
+# example block; the lines run in a directory that holds `README_INPUTS`
+README_RUNS = {
+    "form_Q": ["form", "7H + <1>"],
+    "form_R": ["form", "<<-1,-1,-1,-1>>", "--field", "R"],
+    "hermitian": ["hermitian", "<1,-1,2>", "--k", "3"],
+    "fold_E6": ["rootsys", "--type", "E6", "--fold"],
+    "fold_D4": ["rootsys", "--type", "D4", "--fold", "triality"],
+    "embedding": ["rootsys", "--type", "A3", "--embedding", "emb.json", "--source", "A1"],
+    "cayley": ["cayley"],
+    "cocycle": ["cayley", "--cocycle", "1", "3", "1/3"],
+    "albert_element": ["albert", "--element", json.dumps(RANK_ONE, separators=(",", ":"))],
+    "descend_k": ["descend", "--k", "2"],
+    "descend_ka": ["descend", "--k", "5", "--a", "-11"],
+    "descend_report": ["descend", "--k", "2", "--a", "3", "--report", "out.json"],
+    "descend_cocycle": ["descend", "--k", "2", "--cocycle", "z.json", "--gram", "g.json"],
+    "verify": ["verify-paper"],
+    "verify_json": ["verify-paper", "--json", "report.json"],
+    "verify_timings": ["verify-paper", "--timings"],
+}
+
+
+def readme_inputs():
+    """emb.json (A1 in A3), z.json (the dagger cocycle M of `descent`, as
+    [x, y] pairs x + y sqrt k) and g.json (the A-form's Gram matrix)."""
+    from quadalg import albert, descent
+    from quadalg.exactmat import dense
+
+    z = [[[x, 0] for x in row] for row in dense(descent.dagger_cocycle_matrix())]
+    return {"emb.json": EMBEDDING, "z.json": json.dumps(z), "g.json": json.dumps(dense(albert.A_GRAM))}
+
+
+def readme_output(name, workdir):
+    """The README line `name` (`golden_text`), run in `workdir`; a check's
+    wall time under `--timings` reads `<t> s`."""
+    with contextlib.chdir(workdir):
+        text = golden_text(README_RUNS[name], workdir, readme_inputs())
+    return re.sub(r"\d+\.\d{6} s$", "<t> s", text, flags=re.M)
+
+
+def readme_lines():
+    """The argv of each `quadalg` line in README's fenced blocks."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", text, flags=re.M | re.S)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("quadalg ")
+    ]
+
+
+@pytest.mark.parametrize("name", README_RUNS)
+def test_readme_line_matches_the_golden_output(name, tmp_path):
+    """Each `quadalg` line of README's example block, byte for byte, as the
+    files tests/data/cli/readme_*.txt record it.  Regenerate them only for
+    a change that means to alter that output:
+    `PYTHONPATH=src:tests python -c 'import tempfile, test_cli as t; [(t.GOLDEN
+    / "cli" / f"readme_{n}.txt").write_text(t.readme_output(n,
+    tempfile.mkdtemp())) for n in t.README_RUNS]'`."""
+    assert readme_output(name, tmp_path) == (GOLDEN / "cli" / f"readme_{name}.txt").read_text()
+
+
+def test_readme_lines_are_the_golden_output_under_python_O():
+    """The same outputs with the asserts stripped, all in one interpreter."""
+    paths = [Path(quadalg.__file__).parent.parent, Path(__file__).parent, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths if p))
+    script = (
+        "import json, tempfile, test_cli as t\n"
+        "outs = {}\n"
+        "for n in t.README_RUNS:\n"
+        "    with tempfile.TemporaryDirectory() as workdir:\n"
+        "        outs[n] = t.readme_output(n, workdir)\n"
+        "print(json.dumps(outs))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    want = {name: (GOLDEN / "cli" / f"readme_{name}.txt").read_text() for name in README_RUNS}
+    assert json.loads(proc.stdout) == want
+
+
+def test_every_readme_line_has_a_golden():
+    """README's `quadalg` lines are exactly the argv of `README_RUNS`, and
+    the readme_*.txt goldens exactly its names."""
+    assert sorted(readme_lines()) == sorted(README_RUNS.values())
+    goldens = {p.name for p in (GOLDEN / "cli").glob("readme_*.txt")}
+    assert goldens == {f"readme_{name}.txt" for name in README_RUNS}
 
 
 def test_verify_report_determinism(tmp_path, capsys):
