@@ -55,9 +55,10 @@ def _matrix(rows, entry=_scalar) -> tuple:
 
 
 def _write_json(payload: dict, path: str | None) -> None:
+    """The payload as indented JSON and a newline, to `path` or stdout."""
     if path:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False)
+            print(json.dumps(payload, indent=2), file=fh)
     else:
         print(json.dumps(payload, indent=2))
 

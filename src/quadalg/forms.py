@@ -2,21 +2,21 @@
 
 A form is a diagonal <a1,...,an> with nonzero exact entries.  Over Q the
 complete invariant fingerprint is (dimension, signed discriminant, Hasse
-symbols, real signature); over R only the signature matters.  The yes/no
-Witt questions (Witt triviality, I^n, the Arason invariant) are read off
-the invariants.  Over Q, entries of opposite square classes cancel in
-pairs first (q = pH + <r>); the invariants read the residue r.  So does
-the Witt decomposition, with no isotropic vector: the anisotropic
-dimension is the least at which Serre's existence conditions admit a form
-with q's invariants less those of the hyperbolic part, and q is isotropic
-exactly when that is less than dim q (Hasse-Minkowski).  The
-anisotropic part is the residue when that is as short; otherwise it is
-built by the induction of Serre's existence proof (entries peeled off one
-at a time, then a binary form solved for by elimination over F2) and
-certified against q's invariants.  Nothing here builds an isotropic
-vector: explicit witnesses live in the tests (`tests/witness_chain.py`),
-as an independent reference for these verdicts.  The one elimination
-here is that over F2; a Gram matrix over Q is diagonalized by
+places, real signature); over R only the signature matters.  Over Q,
+entries of opposite square classes cancel in pairs first (q = pH + <r>);
+the invariants read the residue r.  So does the Witt decomposition, with
+no isotropic vector: the anisotropic dimension is the least at which
+Serre's existence conditions admit a form with q's invariants less those
+of the hyperbolic part.  q is Witt-trivial when that dimension is 0, and
+isotropic when it is less than dim q (Hasse-Minkowski); I^n and the
+Arason invariant are read off the invariants.  The anisotropic part is
+the residue when that is as short; otherwise it is built by the
+induction of Serre's existence proof (entries peeled off one at a time,
+then a binary form solved for by elimination over F2) and certified
+against q's invariants.  Nothing here builds an isotropic vector:
+explicit witnesses live in the tests (`tests/witness_chain.py`), as an
+independent reference for these verdicts.  The one elimination here is
+that over F2; a Gram matrix over Q is diagonalized by
 `exactmat.diagonalize`.
 
 Entries are exact rationals in the canonical form of `scalars`: an int
@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
-from types import MappingProxyType
 
 from .scalars import (
     Place,
@@ -142,17 +140,14 @@ def _pfister_entries(slots) -> list:
 
 class WittInvariants(_Frozen):
     """dim, disc (the signed squarefree discriminant class), hasse (the
-    places with symbol -1 only, read-only) and the signature."""
+    frozenset of places where the Hasse symbol is -1) and the signature."""
 
     __slots__ = ("dim", "disc", "hasse", "signature")
 
-    def __init__(self, dim: int, disc: int, hasse: Mapping[Place, int], signature: int):
+    def __init__(self, dim: int, disc: int, hasse: frozenset[Place], signature: int):
         if (signature - dim) % 2 or abs(signature) > dim:
             raise ValueError("signature incompatible with dimension")
-        super().__init__(dim, disc, MappingProxyType(dict(hasse)), signature)
-
-    def _key(self) -> tuple:  # a mappingproxy does not pickle or copy
-        return (self.dim, self.disc, dict(self.hasse), self.signature)
+        super().__init__(dim, disc, frozenset(hasse), signature)
 
 
 def signature(q: DiagonalForm) -> int:
@@ -164,10 +159,9 @@ def invariants(q: DiagonalForm) -> WittInvariants:
 
     Over R the discriminant is a sign (R*/R*^2 = {+1, -1}); over Q it is
     the signed squarefree class (-1)^(n(n-1)/2) det(q) (B7.eg convention).
-    Over Q they are read off q = pH + r (`_cancelled`): the Hasse symbols
-    are s_v(q) = s_v(pH) s_v(r) ((-1)^p, det r)_v, with s_v(pH) in closed
-    form (`_hyperbolic_hasse`), so each place costs one `_hasse` pass over
-    the residue and, for odd p, one Hilbert symbol.
+    Over Q they are read off q = pH + r (`_cancelled`): the Hasse places
+    of r, with pH added (`_add_hyperbolic`), so each place costs one
+    `_hasse` pass over the residue and, for odd p, one Hilbert symbol.
     """
     if "_invariants" in q.__dict__:
         return q.__dict__["_invariants"]
@@ -180,14 +174,7 @@ def invariants(q: DiagonalForm) -> WittInvariants:
         pairs, ds = _cancelled(q)
         places = relevant_places(*ds)
     det = reduce(_class_product, ds, 1)
-    split = _hyperbolic_hasse(pairs)
-    hasse = {}
-    for v in places:
-        eps = -_hasse(ds, v) if v in split else _hasse(ds, v)
-        if pairs % 2:
-            eps *= hilbert_symbol(-1, det, v)
-        if eps == -1:
-            hasse[v] = -1
+    hasse = _add_hyperbolic(pairs, det, {v for v in places if _hasse(ds, v) == -1}, places)
     disc = (-1) ** (n * (n - 1) // 2 + pairs) * det
     inv = q.__dict__["_invariants"] = WittInvariants(n, disc, hasse, signature(q))
     return inv
@@ -231,10 +218,20 @@ def _hyperbolic_hasse(m: int) -> set[Place]:
     return {REAL, Place(2)} if m * (m - 1) // 2 % 2 else set()
 
 
-def _hasse_defects(inv: WittInvariants) -> set[Place]:
+def _add_hyperbolic(m: int, det: int, hasse, places):
+    """The Hasse places of mH + A from A's det and Hasse places, all within
+    `places`: s_v(mH + A) = s_v(mH) s_v(A) ((-1)^m, det A)_v.  For fixed m
+    and det A the rule is its own inverse, so it also takes mH back off."""
+    hasse = hasse ^ _hyperbolic_hasse(m)
+    if m % 2:
+        hasse ^= {v for v in places if hilbert_symbol(-1, det, v) == -1}
+    return hasse
+
+
+def _hasse_defects(inv: WittInvariants) -> frozenset[Place]:
     """The places where the Hasse symbol differs from that of the
     hyperbolic form of the same (even) dimension."""
-    return set(inv.hasse) ^ _hyperbolic_hasse(inv.dim // 2)
+    return inv.hasse ^ _hyperbolic_hasse(inv.dim // 2)
 
 
 # --------------------------------------------------------------------------
@@ -306,15 +303,12 @@ def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
     return m, DiagonalForm("Q", tuple(entries))
 
 
-def _target(inv: WittInvariants, m: int, places) -> tuple[int, set[Place]]:
+def _target(inv: WittInvariants, m: int, places) -> tuple[int, frozenset[Place]]:
     """(det, Hasse places) of q_an for q = mH + q_an, q with invariants inv:
-    det q = (-1)^(n(n-1)/2) disc q, s(A + B) = s(A) s(B) (det A, det B)_v
-    and det mH = (-1)^m.  The symbols are -1 only within `places`."""
+    det q = (-1)^(n(n-1)/2) disc q and det mH = (-1)^m, and mH comes off the
+    Hasse places by the rule that adds it, all within `places`."""
     d = (-1) ** (inv.dim * (inv.dim - 1) // 2 + m) * inv.disc
-    eps = set(inv.hasse) ^ _hyperbolic_hasse(m)
-    if m % 2:
-        eps ^= {v for v in places if hilbert_symbol(-1, d, v) == -1}
-    return d, eps
+    return d, _add_hyperbolic(m, d, inv.hasse, places)
 
 
 def _exists(k: int, d: int, eps: set[Place]) -> bool:
@@ -436,7 +430,7 @@ def _certify(inv: WittInvariants, m: int, entries, places) -> None:
         {v for v in places if _hasse(full, v) == -1},
         sum(1 if a > 0 else -1 for a in full),
     )
-    want = (inv.dim, inv.disc, set(inv.hasse), inv.signature)
+    want = (inv.dim, inv.disc, inv.hasse, inv.signature)
     if not all(map(known, entries)) or got != want:
         raise RuntimeError("the anisotropic part fails its certificate")
 
@@ -446,18 +440,12 @@ def _certify(inv: WittInvariants, m: int, entries, places) -> None:
 
 
 def witt_trivial(q: DiagonalForm) -> bool:
-    """Whether q is Witt-equivalent to a hyperbolic form (possibly 0H)."""
-    if q.dim % 2:
-        return False
-    if q.field == "R":
-        return signature(q) == 0
-    inv = invariants(q)
-    return inv.disc == 1 and inv.signature == 0 and not _hasse_defects(inv)
+    """Whether q is Witt-equivalent to a hyperbolic form (possibly 0H):
+    whether its anisotropic part is 0 (`_anisotropic_dim`)."""
+    return _anisotropic_dim(q) == 0
 
 
 def witt_equivalent(q1: DiagonalForm, q2: DiagonalForm) -> bool:
-    if q1.field != q2.field:
-        raise ValueError("mixed base fields")
     return witt_trivial(direct_sum(q1, -q2))
 
 
@@ -468,16 +456,15 @@ def isometric(q1: DiagonalForm, q2: DiagonalForm) -> bool:
 def in_power_I(q: DiagonalForm, n: int) -> bool:
     """Membership in I^n, for every n >= 1.
 
-    Over R: even dimension and signature = 0 mod 2^n.  Over Q: I is even
-    dimension; I^2 adds trivial signed discriminant; I^3 adds finite Hasse
-    symbols matching the equal-dimensional hyperbolic form; and from n = 3
-    on, I^n is the part of I^3 with signature = 0 mod 2^n, since the
-    signature embeds I^3 Q into I^3 R (Arason-Elman-Jacob).
+    I is even dimension; I^2 adds trivial signed discriminant; over Q, I^3
+    adds finite Hasse symbols matching the equal-dimensional hyperbolic
+    form; and from n = 3 on, I^n is the part of I^3 with signature = 0 mod
+    2^n, since the signature embeds I^3 Q into I^3 R (Arason-Elman-Jacob).
+    Over R (I^n: signature = 0 mod 2^n) the same ladder holds, since in
+    even dimension disc = 1 exactly when the signature is 0 mod 4.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if q.field == "R":
-        return q.dim % 2 == 0 and signature(q) % (1 << n) == 0
     if q.dim % 2:
         return False
     if n == 1:
@@ -487,7 +474,7 @@ def in_power_I(q: DiagonalForm, n: int) -> bool:
         return False
     if n == 2:
         return True
-    if _hasse_defects(inv) - {REAL}:
+    if q.field == "Q" and _hasse_defects(inv) - {REAL}:
         return False
     return inv.signature % (1 << n) == 0
 
@@ -495,9 +482,9 @@ def in_power_I(q: DiagonalForm, n: int) -> bool:
 def arason_trivial(q: DiagonalForm) -> bool:
     """e3(q) = 0 for q in I^3, via the kernel-of-e3 theorem: e3 vanishes
     exactly on I^4."""
-    if q.dim and not in_power_I(q, 3):
+    if not in_power_I(q, 3):
         raise HypothesisViolation("not-in-I3", "Arason invariant needs q in I^3")
-    return True if q.dim == 0 else in_power_I(q, 4)
+    return in_power_I(q, 4)
 
 
 def low_rank_kernel_check(q: DiagonalForm, q_cand: DiagonalForm) -> bool:
@@ -519,7 +506,7 @@ def low_rank_kernel_check(q: DiagonalForm, q_cand: DiagonalForm) -> bool:
     diff = direct_sum(q_cand, -q)
     if not in_power_I(diff, 3):
         raise HypothesisViolation("not-in-I3", "q_cand - q must lie in I^3")
-    d_an = witt_decompose(q)[1].dim
+    d_an = _anisotropic_dim(q)
     if q.dim + d_an >= 16:
         raise HypothesisViolation(
             "rank-bound", f"d + d_an = {q.dim + d_an} is not < 16"
@@ -674,6 +661,6 @@ def invariants_json(q: DiagonalForm) -> dict:
     return {
         "dim": inv.dim,
         "disc": inv.disc,
-        "hasse": {repr(v): s for v, s in sorted(inv.hasse.items(), key=lambda t: t[0].p)},
+        "hasse": {repr(v): -1 for v in sorted(inv.hasse, key=lambda v: v.p)},
         "signature": inv.signature,
     }

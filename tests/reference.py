@@ -3,8 +3,10 @@ forms over K = Q(sqrt k), the Hasse symbol over all pairs, Serre's local
 isotropy test case by case, the octonion unit, Albert maps built from their
 action on the basis, the calibration search behind P17's open question,
 the dense-tuple kernels that `exactmat` had before a matrix stored only
-its nonzeros, and the Gram diagonalization that `forms` had before
-`exactmat.diagonalize`."""
+its nonzeros, the Gram diagonalization that `forms` had before
+`exactmat.diagonalize`, and the criteria for Witt triviality and for I^n
+over R that `forms` had before it read them off the anisotropic dimension
+and the invariants' ladder."""
 
 import itertools
 from collections.abc import Callable, Sequence
@@ -16,7 +18,7 @@ from quadalg.albert import ADIM, A_COORD_INDICES, AlbertElement, AlbertMap
 from quadalg.cayley import GRAM_DEVIATIONS, CayleyTable, _build_tables, _relates
 from quadalg.cayley import generic_a, special_cocycle, u
 from quadalg import exactmat, verify
-from quadalg.forms import DiagonalForm, _hasse_defects, direct_sum, invariants
+from quadalg.forms import DiagonalForm, _hasse_defects, direct_sum, invariants, signature
 from quadalg.scalars import QuadExtScalar, as_rat, div, exact_sum, hilbert_symbol, is_local_square, is_square, rat
 from quadalg.scalars import square_class
 
@@ -59,6 +61,25 @@ def in_k_witt_ideal(q: DiagonalForm, k: int | Fraction) -> bool:
 def isometric_over_K(q1: DiagonalForm, q2: DiagonalForm, k: int | Fraction) -> bool:
     """Isometry of q1 x K and q2 x K for forms defined over Q."""
     return q1.dim == q2.dim and in_k_witt_ideal(direct_sum(q1, -q2), k)
+
+
+def reference_witt_trivial(q: DiagonalForm) -> bool:
+    """Whether q is Witt-trivial, from its invariants: never in odd
+    dimension; over R when the signature is 0; over Q when the disc is 1,
+    the signature 0 and the Hasse symbols those of the hyperbolic form of
+    the same dimension."""
+    if q.dim % 2:
+        return False
+    if q.field == "R":
+        return signature(q) == 0
+    inv = invariants(q)
+    return inv.disc == 1 and inv.signature == 0 and not _hasse_defects(inv)
+
+
+def reference_in_power_I_over_R(q: DiagonalForm, n: int) -> bool:
+    """Membership of a form over R in I^n: even dimension and signature
+    = 0 mod 2^n."""
+    return q.dim % 2 == 0 and signature(q) % (1 << n) == 0
 
 
 def pairwise_hasse(entries, v):

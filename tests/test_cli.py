@@ -725,8 +725,12 @@ def readme_inputs():
 def readme_output(name, workdir):
     """The README line `name` (`golden_text`), run in `workdir`; a check's
     wall time under `--timings` reads `<t> s`."""
-    with contextlib.chdir(workdir):
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
         text = golden_text(README_RUNS[name], workdir, readme_inputs())
+    finally:
+        os.chdir(cwd)
     return re.sub(r"\d+\.\d{6} s$", "<t> s", text, flags=re.M)
 
 

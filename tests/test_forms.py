@@ -31,6 +31,7 @@ from quadalg.forms import (
     trace_form,
     witt_decompose,
     witt_equivalent,
+    witt_trivial,
 )
 from quadalg.exactmat import diagonal, diagonalize, freeze, pairing
 from quadalg.scalars import Place, REAL, div, hilbert_symbol, relevant_places, square_class
@@ -38,6 +39,7 @@ from quadalg.scalars import Place, REAL, div, hilbert_symbol, relevant_places, s
 import witness_chain  # the isotropic-vector chain, kept as a reference
 from witness_chain import isotropic_vector
 from reference import in_k_witt_ideal, isometric_over_K, pairwise_hasse, reference_isotropic_at, tensor
+from reference import reference_in_power_I_over_R, reference_witt_trivial
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
 
@@ -85,10 +87,10 @@ def test_pfister_examples():
 
 def test_invariants_examples():
     hyp = invariants(parse_form("<1,-1>"))
-    assert (hyp.dim, hyp.disc, hyp.hasse, hyp.signature) == (2, 1, {}, 0)
+    assert (hyp.dim, hyp.disc, hyp.hasse, hyp.signature) == (2, 1, set(), 0)
     q23 = invariants(form([2, 3]))
     assert q23.disc == -6
-    assert q23.hasse.get(Place(3), 1) == -1
+    assert Place(3) in q23.hasse
     phi = pfister(-1, -1, -1, -1, field="R")
     q_alpha = scale(-1, DiagonalForm("R", phi.entries[1:]))
     assert invariants(q_alpha).disc == 1
@@ -591,18 +593,13 @@ def test_invariants_json_shape():
 
 
 def test_hasse_symbols_product_formula():
-    """The stored Hasse symbols multiply to +1 over all places (the real
-    place included): only places with symbol -1 are stored, so the count
-    of stored places is even."""
+    """The Hasse symbols multiply to +1 over all places (the real place
+    included): the stored places, those with symbol -1, are even in
+    number."""
     rng = random.Random(7)
     for _ in range(40):
         q = rnd_form(rng, rng.randint(1, 8))
-        inv = invariants(q)
-        assert len(inv.hasse) % 2 == 0
-        prod = 1
-        for v in inv.hasse.values():
-            prod *= v
-        assert prod == 1
+        assert len(invariants(q).hasse) % 2 == 0
 
 
 # ------------------------------------------- the O(n) Witt layer, checked
@@ -642,7 +639,7 @@ def test_hasse_prefix_products_match_pairwise():
         for v in relevant_places(*q.entries) + [Place(11)]:
             expected = pairwise_hasse(q.entries, v)
             assert forms._hasse(classes, v) == expected
-            assert inv.hasse.get(v, 1) == expected
+            assert (-1 if v in inv.hasse else 1) == expected
             if trial % 2 == 0:  # integers that are not squarefree
                 assert forms._hasse([int(a) for a in q.entries], v) == expected
     # units of every residue mod 8 times primes up to 31, at 2, 3, ..., 31
@@ -656,7 +653,7 @@ def test_hasse_prefix_products_match_pairwise():
             expected = pairwise_hasse(entries, v)
             assert forms._hasse(entries, v) == expected
             assert forms._hasse(classes, v) == expected
-            assert inv.hasse.get(v, 1) == expected
+            assert (-1 if v in inv.hasse else 1) == expected
 
 
 def test_isotropic_at_matches_the_case_analysis():
@@ -704,7 +701,7 @@ def test_the_anisotropic_dimension_is_read_once_per_form(monkeypatch):
 
 def test_hyperbolic_hasse_defects_closed_form():
     for m in range(13):
-        assert forms._hyperbolic_hasse(m) == set(invariants(hyperbolic(m)).hasse)
+        assert forms._hyperbolic_hasse(m) == invariants(hyperbolic(m)).hasse
         assert forms._hasse_defects(invariants(hyperbolic(m))) == set()
 
 
@@ -790,7 +787,7 @@ def test_invariants_make_no_hilbert_symbol_and_one_legendre_per_odd_place(monkey
     assert symbols == []
     assert len(legendres) == len(set(legendres)) and set(legendres) <= odd
     for v in relevant_places(*q.entries):
-        assert inv.hasse.get(v, 1) == pairwise_hasse(q.entries, v)
+        assert (-1 if v in inv.hasse else 1) == pairwise_hasse(q.entries, v)
 
 
 def test_split_hyperbolic_makes_no_bilinear_call(monkeypatch):
@@ -883,7 +880,7 @@ def test_invariants_take_one_hilbert_symbol_per_place_off_the_residue(monkeypatc
     monkeypatch.setattr(forms, "hilbert_symbol", lambda a, b, v: calls.append(v) or real(a, b, v))
     q = parse_form("7H + <1>")
     inv = invariants(q)
-    assert (inv.disc, dict(inv.hasse)) == reference_invariants(q)
+    assert (inv.disc, inv.hasse) == reference_invariants(q)
     # `reference_invariants`, over all 15 classes, takes 7 symbols per place
     assert calls and len(calls) == len(set(calls)) <= len(relevant_places(1))
 
@@ -892,8 +889,8 @@ def test_invariants_are_computed_once_and_read_only():
     q = form([2, 3, -5])
     inv = invariants(q)
     assert invariants(q) is inv
-    with pytest.raises(TypeError):
-        inv.hasse[REAL] = -1
+    with pytest.raises(AttributeError):
+        inv.hasse.add(REAL)
     assert invariants(form([2, 3, -5])) == inv  # an equal form, its own copy
     for clone in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
         assert clone == q and invariants(clone) == inv
@@ -905,10 +902,11 @@ def test_invariants_are_computed_once_and_read_only():
 
 
 def reference_invariants(q):
-    """(disc, hasse) over all of q's square classes: the prefix-product
-    Hasse symbol prod_j (d_1...d_{j-1}, d_j)_v, n - 1 symbols per place."""
+    """(disc, Hasse places) over all of q's square classes: the
+    prefix-product Hasse symbol prod_j (d_1...d_{j-1}, d_j)_v, n - 1
+    symbols per place."""
     ds = [square_class(a) for a in q.entries]
-    det, hasse = 1, {}
+    det, hasse = 1, set()
     for d in ds:
         det = square_class(det * d)
     for v in relevant_places(*ds):
@@ -917,7 +915,7 @@ def reference_invariants(q):
             eps *= hilbert_symbol(prefix, d, v)
             prefix = square_class(prefix * d)
         if eps == -1:
-            hasse[v] = -1
+            hasse.add(v)
     n = len(ds)
     return (-1) ** (n * (n - 1) // 2) * det, hasse
 
@@ -1006,7 +1004,43 @@ def test_mixed_forms_cancel_often_and_not_always():
 def test_invariants_match_the_reference_without_cancellation():
     for q in MIXED:
         inv = invariants(q)
-        assert (inv.disc, dict(inv.hasse)) == reference_invariants(q), q
+        assert (inv.disc, inv.hasse) == reference_invariants(q), q
+
+
+def witt_forms(seed, count):
+    """Seeded forms over Q and R of dimension 0..10, entries +-1..210, 1/2
+    and -3/4; every third is a form and its negative up to squares,
+    shuffled, with one more entry in odd dimension."""
+    rng = random.Random(seed)
+    pool = list(range(1, 211)) + [Q(1, 2), Q(-3, 4)]
+    out = []
+    for i in range(count):
+        dim = rng.randint(0, 10)
+        entries = [rng.choice(pool) * rng.choice((1, -1)) for _ in range(dim)]
+        if i % 3 == 2:
+            half = entries[: dim // 2]
+            entries = half + [-a * rng.choice((1, 4, 9, Q(1, 4))) for a in half]
+            rng.shuffle(entries)
+            entries += [rng.choice(pool) for _ in range(dim % 2)]
+        out.append(form(entries, "QR"[i % 2]))
+    return out
+
+
+def test_witt_verdicts_match_the_invariant_criteria():
+    """`witt_trivial` (the anisotropic dimension is 0) agrees with the
+    criterion read off the invariants, and over R `in_power_I`, on the
+    ladder of Q, with signature = 0 mod 2^n; over Q a Witt-trivial form
+    lies in every I^n."""
+    qs = witt_forms(43, 2400)
+    for q in qs:
+        trivial = witt_trivial(q)
+        assert trivial == reference_witt_trivial(q), q
+        for n in range(1, 6):
+            if q.field == "R":
+                assert in_power_I(q, n) == reference_in_power_I_over_R(q, n), (q, n)
+            elif trivial:
+                assert in_power_I(q, n), (q, n)
+    assert 600 < sum(map(witt_trivial, qs)) < 900
 
 
 def peeled_forms(seed, count):

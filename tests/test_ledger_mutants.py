@@ -163,6 +163,17 @@ MUTANTS = {
         ("P05", "P10"),
     ),
     "forms.witt_decompose returns (0, q)": (forms, "witt_decompose", lambda q: (0, q), ("P10",)),
+    # s(mH + A) without the factor s(mH): wherever m = 2, 3 mod 4 the Hasse
+    # places of mH + A miss (-1,-1) at the real place and at 2, and P30's
+    # Arason claim on q_z - q fails at (k, a) = (2, 3), (3, -2) and (5, 7)
+    "forms._add_hyperbolic without s(mH)": (
+        forms,
+        "_add_hyperbolic",
+        lambda m, det, hasse, places, real=forms._add_hyperbolic: (
+            real(m, det, hasse, places) ^ forms._hyperbolic_hasse(m)
+        ),
+        ("P30",),
+    ),
     # forms imports both from scalars, so each is patched in both modules
     "_hasse returns 1": ((scalars, forms), "_hasse", always(1), ("P10",)),
     # P30 states the real symbol (a)(k)(-1) at each pair, nontrivial at

@@ -67,7 +67,6 @@ def test_only_scalars_asks_whether_a_rational_is_a_square():
 OWN_KEYS = {
     "_Frozen": "the default: the fields",
     "Similitude": "mu is derived from the matrix",
-    "WittInvariants": "a mappingproxy does not pickle or copy",
     "Laurent": "its constructor takes (monomial, c) pairs, not the term dict",
     "DiagonalForm": "no slots: its __dict__ also holds per-form caches",
 }
