@@ -4,15 +4,18 @@ isotropy test case by case, the octonion unit, Albert maps built from their
 action on the basis, the calibration search behind P17's open question,
 the dense-tuple kernels that `exactmat` had before a matrix stored only
 its nonzeros, the Gram diagonalization that `forms` had before
-`exactmat.diagonalize`, and the criteria for Witt triviality and for I^n
+`exactmat.diagonalize`, the criteria for Witt triviality and for I^n
 over R that `forms` had before it read them off the anisotropic dimension
-and the invariants' ladder."""
+and the invariants' ladder, the entries a form-literal tree spells, and
+the one set of Hypothesis settings the property tests share."""
 
 import itertools
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+
+from hypothesis import settings
 
 from quadalg.albert import ADIM, A_COORD_INDICES, AlbertElement, AlbertMap
 from quadalg.cayley import GRAM_DEVIATIONS, CayleyTable, _build_tables, _relates
@@ -21,6 +24,9 @@ from quadalg import exactmat, verify
 from quadalg.forms import DiagonalForm, _hasse_defects, direct_sum, invariants, signature
 from quadalg.scalars import QuadExtScalar, as_rat, div, exact_sum, hilbert_symbol, is_local_square, is_square, rat
 from quadalg.scalars import square_class
+
+# derandomized and without a database, so every run draws the same cases
+FIXED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 
 def tensor(q1: DiagonalForm, q2: DiagonalForm) -> DiagonalForm:
@@ -80,6 +86,30 @@ def reference_in_power_I_over_R(q: DiagonalForm, n: int) -> bool:
     """Membership of a form over R in I^n: even dimension and signature
     = 0 mod 2^n."""
     return q.dim % 2 == 0 and signature(q) % (1 << n) == 0
+
+
+def literal_entries(tree) -> list | None:
+    """The entries a form-literal tree spells, or None where the literal
+    must be refused (a zero entry or a zero scale).  A tree is a sum
+    ("+", terms) of terms: ("<>", scalars), ("<<>>", slots), ("H", n,
+    word) or ("*", c, term), each scalar the text it is written as.  The
+    Pfister form <<a1,...,an>> is the product of the <1,-ai>, its last
+    slot varying fastest, so 2*<<2>> spells <2,-4>."""
+    kind, *args = tree
+    if kind == "+":
+        parts = [literal_entries(term) for term in args[0]]
+        return None if None in parts else [x for part in parts for x in part]
+    if kind == "H":
+        return [1, -1] * args[0]
+    if kind == "*":
+        c, inner = Fraction(args[0]), literal_entries(args[1])
+        return None if c == 0 or inner is None else [c * x for x in inner]
+    values = [Fraction(s) for s in args[0]]
+    if 0 in values:
+        return None
+    if kind == "<>":
+        return values
+    return [prod(p) for p in itertools.product(*((1, -a) for a in values))]
 
 
 def pairwise_hasse(entries, v):

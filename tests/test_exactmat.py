@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 import quadalg
 from quadalg import albert, cayley, descent, exactmat, forms
@@ -30,6 +30,7 @@ from quadalg.exactmat import (
 from quadalg.scalars import QuadExtScalar, as_rational, div, exact_sum, iota, rat, square_class
 
 import reference  # the dense-tuple kernels and the dict-row diagonalization
+from reference import FIXED
 from test_forms import form_value, split_hyperbolic  # the chain's split, kept as a reference
 
 
@@ -379,8 +380,6 @@ def test_monomial_elimination_makes_one_multiplication_per_nonzero():
 
 # --------------------------------------------------------------------------
 # the row-combination product against a triple loop, on drawn matrices
-
-FIXED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 
 def triple_loop_mul(a, b):

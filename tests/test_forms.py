@@ -561,18 +561,43 @@ def test_isometric_over_K():
 
 
 def test_parse_and_print():
+    """Whitespace may sit between tokens, never inside a scalar; a `+`
+    glued to a scalar where one is due is its sign, and elsewhere a sum;
+    `<>` is the zero form, a bare `H` is 1H, and a zero entry, a zero
+    scale and a negative multiplicity are refused."""
     q = parse_form("7H + <1>")
     assert q.dim == 15 and signature(q) == 1
-    assert parse_form("<<-1,-1>>").entries == (1, 1, 1, 1)
-    assert parse_form("2*<3,5>").entries == (6, 10)
-    assert parse_form("2*<<2>>").entries == (2, -4)
-    assert parse_form("<1/2,-3>").entries == (Q(1, 2), -3)
     assert form_literal(form([Q(1, 2), -3])) == "<1/2,-3>"
     assert parse_form(form_literal(q)) == q
     assert parse_form("H") == parse_form("1H") and parse_form("H").dim == 2
-    assert parse_form("1*<1>").entries == (1,)
-    for bad in ("", "<1,>", "<1> + ", "3x", "<1> <2>", "1*", "0*<1>"):
-        with pytest.raises(ValueError):
+    reads = {
+        "<<-1,-1>>": (1, 1, 1, 1),
+        "2*<3,5>": (6, 10),
+        "2*<<2>>": (2, -4),
+        "2*3*<<2>>": (6, -12),
+        "<1/2,-3>": (Q(1, 2), -3),
+        "1*<1>": (1,),
+        "<1e5>": (100000,),
+        " < 1 , -2 > ": (1, -2),
+        "<1>\n": (1,),
+        "<>": (),
+        "< >": (),
+        "h": (1, -1),
+        "0H": (),
+        "+2*<1>": (2,),
+        "<1>+2*<3>": (1, 6),
+        "<1> + +2*<3>": (1, 6),
+        "<1>++2*<3>": (1, 6),
+    }
+    for text, entries in reads.items():
+        assert parse_form(text).entries == entries, text
+    refused = (
+        "", "<1,>", "<1> + ", "3x", "<1> <2>", "1*", "0*<1>", "0*<>", "< + 5>", "<1e+5>", "<1 2>",
+        "<1/ 2>", "1 H", "<<>>", "< <1>>", "<<1> >", "<1>>", "-1H", "+H", "<0>", "<<1,0>>",
+        "<1>+\n", "<1> + + <2>", "+<1>", "2*H*<1>",
+    )
+    for bad in refused:
+        with pytest.raises(ValueError, match="parse error"):
             parse_form(bad)
 
 

@@ -6,7 +6,7 @@ certificates in the other test files stay."""
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quadalg.forms import (
     DiagonalForm,
@@ -33,7 +33,7 @@ from quadalg.scalars import (
     square_class,
 )
 
-FIXED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+from reference import FIXED
 
 PLACES = [REAL] + [Place(p) for p in (2, 3, 5, 7, 11, 13)]
 

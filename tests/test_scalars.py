@@ -405,7 +405,8 @@ def test_next_prime():
 def test_factor_matches_trial_division():
     """Seeded products of primes below 10^12, some squared or cubed, against
     the primes they were built from; each of those is proved prime by trial
-    division up to its square root."""
+    division up to its square root.  The square of a 16-digit prime, past
+    rho's reach, is split by `_root` alone."""
     flags = sieve(10**6)
     small = [p for p in range(10**6) if flags[p]]
 
@@ -415,6 +416,8 @@ def test_factor_matches_trial_division():
 
     rng = random.Random(12)
     assert factor(1) == {}
+    p = next_prime(10**15)
+    assert factor(p**2) == {p: 2}
     for _ in range(80):
         n, want = 1, {}
         for _ in range(rng.randint(1, 4)):
@@ -425,6 +428,20 @@ def test_factor_matches_trial_division():
             n *= p**e
             want[p] = want.get(p, 0) + e
         assert factor(n) == want
+
+
+def test_root_is_the_floor_kth_root():
+    """_root(m, k) is the r with r^k <= m < (r + 1)^k, on seeded m up to
+    10^40, exact k-th powers and their neighbours included."""
+    rng = random.Random(161)
+    for _ in range(200):
+        m = rng.randint(1, 10 ** rng.randint(1, 40))
+        for k in range(2, 9):
+            power = scalars._root(m, k) ** k
+            for n in (m, power, power - 1, power + 1):
+                if n >= 1:
+                    r = scalars._root(n, k)
+                    assert r**k <= n < (r + 1) ** k, (n, k)
 
 
 def test_sqrt_mod_squarefree():
