@@ -170,7 +170,7 @@ def _cmd_cayley(args) -> int:
 
         a = tuple(map(parse_scalar, args.cocycle))
         trip = cayley.special_cocycle(a)
-        status, verdict = verify.cocycle_verdict(a)
+        status, verdict = verify.cocycle_verdict(trip)
         payload = {
             "a": [str(x) for x in a],
             "multipliers": [str(m) for m in trip.multipliers],

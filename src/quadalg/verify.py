@@ -364,12 +364,11 @@ def _check_z_related():
     })
 
 
-def cocycle_verdict(a) -> tuple[str, dict]:
-    """The special cocycle z = m_j(a) d P judged for K/F: the iota-twist of
-    each z_j has its stated closed form, and z_j iota(z_j) = 1, the
-    1-cocycle condition.  A triple a whose product is not 1 raises
-    ValueError."""
-    z = cayley.special_cocycle(a)
+def cocycle_verdict(z: cayley.SimilitudeTriple) -> tuple[str, dict]:
+    """The special cocycle z = m_j(a) d P judged for K/F, a being its
+    multipliers (P22): the iota-twist of each z_j has its stated closed
+    form, and z_j iota(z_j) = 1, the 1-cocycle condition."""
+    a = z.multipliers
     twists = [s.iota_twisted().matrix for s in z.t]
     eye = identity(cayley.DIM)
     return _verdict({
@@ -639,7 +638,7 @@ CHECKS: list[tuple[str, str, Callable[[], tuple[str, dict]]]] = [
     ("P21", "triples: (1,1,1), (1,-1,-1) related and (-1,1,1) not", _check_small_triples_related),
     ("P22", "triples: the z-triples are related", _check_z_related),
     ("P23", "cocycles: iota-twist closed form and condition",
-     lambda: cocycle_verdict((Fraction(2), Fraction(3), Fraction(1, 6)))),
+     lambda: cocycle_verdict(cayley.special_cocycle((Fraction(2), Fraction(3), Fraction(1, 6))))),
     ("P24", "cocycles: cohomologous special cocycles", _check_freedom_identity),
     ("P25", "Albert algebra: trace/cross/norm basics", _check_albert_basics),
     ("P26", "Albert algebra: the rank-one element in general position", _check_specialcor),

@@ -296,7 +296,7 @@ def test_special_cocycle():
     assert z.multipliers == a
     assert is_related_triple(z)
     assert all(s.det() == s.mu**4 for s in z.t)
-    assert verify.cocycle_verdict(a)[1]["cocycle_condition"] is True
+    assert verify.cocycle_verdict(z)[1]["cocycle_condition"] is True
     for j in range(3):
         assert z.t[j].iota_twisted().matrix == special_cocycle_iota_closed_form(j, a)
     # a = (1,1,1): z_j = dP
