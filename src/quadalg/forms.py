@@ -25,6 +25,10 @@ Hasse symbol is one pass over the entries per place, with at most one
 Legendre symbol (Serre's explicit formulas summed over all pairs), and the
 entries' square classes, their cancellation, `invariants` and the
 anisotropic dimension are computed once per form and kept on it.
+
+A form literal (`parse_form`) is read one summand per step, each by one
+pattern: its scales `c*`, then `<...>`, `<<...>>` or `nH`, then `+` or
+the end of the text.
 """
 
 from __future__ import annotations
@@ -555,16 +559,22 @@ def trace_form(h: HermitianDiagonal) -> DiagonalForm:
 # literals
 
 
-_TOKEN = re.compile(r"\s*(<<|>>|<|>|\+?[^\s<>+*,]+|\+|\*|,)")
+_WORD = r"\+?[^\s<>+*,]+"  # a scalar or `nH`; a glued `+` is its sign
+_LIST = rf"{_WORD}(?:\s*,\s*{_WORD})*"
+# one summand: its scales `c*`, then `<<list>>`, `<list>`, `<>` or `nH`,
+# then `+` or the end of the text (`\Z`); compiled on first use, from
+# re's cache after that, so that importing forms compiles nothing
+_SUMMAND = rf"\s*((?:{_WORD}\s*\*\s*)*)(?:<<\s*({_LIST})\s*>>|<\s*({_LIST})?\s*>|({_WORD}))\s*(\+|\Z)"
 MAX_LITERAL_DIM = 1 << 16  # the most entries a literal may spell, `nH` and `<<...>>` included
 
 
 def parse_form(text: str, field: str = "Q") -> DiagonalForm:
     """Parse the form grammar: `<a,b,...>`, `<<a,...>>` (Pfister), `nH`,
-    `c*<...>`, joined by `+`; a `+` glued to a scalar where one is due is
-    its sign (`<+5>`, `+2*<1>`; `<1>+2*<3>` is a sum).  A literal of more
-    than `MAX_LITERAL_DIM` entries is refused before they are built.  Every
-    failure is one ValueError that says "parse error"."""
+    `c*<...>`, joined by `+`, read one summand per step; whitespace may sit
+    between tokens, never inside a scalar.  A `+` glued to a scalar where
+    one is due is its sign (`<+5>`, `+2*<1>`; `<1>+2*<3>` is a sum).  A
+    literal of more than `MAX_LITERAL_DIM` entries is refused before they
+    are built.  Every failure is one ValueError that says "parse error"."""
     try:
         return _parse_form(text, field)
     except ValueError as exc:
@@ -572,81 +582,30 @@ def parse_form(text: str, field: str = "Q") -> DiagonalForm:
 
 
 def _parse_form(text: str, field: str) -> DiagonalForm:
-    tokens = _TOKEN.findall(text)
-    if not tokens or "".join(tokens) != "".join(text.split()):
-        raise ValueError(f"cannot tokenize form literal {text!r}")
-    pos = dim = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"unexpected end of form literal {text!r}")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ValueError(
-                f"expected {expected!r} at token {pos} of {text!r}, got {tok!r}"
-            )
-        pos += 1
-        return tok
-
-    def scalar_list(closer):
-        vals = [parse_scalar(take())]
-        while peek() == ",":
-            take(",")
-            vals.append(parse_scalar(take()))
-        take(closer)
-        if 0 in vals:  # the first bad term is the one reported
-            raise ValueError("diagonal entries must be nonzero")
-        return vals
-
-    def sized(n):  # n more entries, counted before they are built
-        nonlocal dim
-        dim += n
-        if dim > MAX_LITERAL_DIM:
-            raise ValueError(f"form literal has more than {MAX_LITERAL_DIM} entries")
-
-    def term():
-        """The entries of one term, in the order the form lists them."""
-        tok = peek()
-        if tok == "<<":
-            take("<<")
-            slots = scalar_list(">>")
-            sized(1 << len(slots))
-            return _pfister_entries(slots)
-        if tok == "<":
-            take("<")
-            if peek() == ">":  # the zero form, as `form_literal` writes it
-                take(">")
-                return []
-            vals = scalar_list(">")
-            sized(len(vals))
-            return vals
-        # `nH` or `c*<...>` / `c*<<...>>`
-        word = take()
-        if word.endswith("H") or word.endswith("h"):
+    entries, pos, sep = [], 0, "+"
+    while sep:  # one summand per step, until one ends the text
+        m = re.compile(_SUMMAND).match(text, pos)
+        if not m:
+            raise ValueError(f"no summand at character {pos} of {text!r}")
+        scales, pfister, diagonal, word, sep = m.groups()
+        pos = m.end()
+        c = prod(parse_scalar(s) for s in scales.replace("*", " ").split())
+        if c == 0:
+            raise ValueError("scaling by zero")
+        if word is None:
+            vals = [parse_scalar(s) for s in (pfister or diagonal or "").replace(",", " ").split()]
+            size = 1 << len(vals) if pfister else len(vals)
+        elif word[-1] in "Hh":
             n = int(word[:-1]) if word[:-1] else 1
             if n < 0:
                 raise ValueError("negative hyperbolic multiplicity")
-            sized(2 * n)
-            return [1, -1] * n
-        c = parse_scalar(word)
-        take("*")
-        entries = term()
-        if c == 0:
-            raise ValueError("scaling by zero")
-        return [c * a for a in entries]
-
-    entries = term()
-    while (peek() or "").startswith("+"):  # a sum; a `+2` splits into `+`, `2`
-        tokens[pos] = tokens[pos][1:]
-        if not tokens[pos]:
-            pos += 1
-        entries += term()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in form literal {text!r}")
+            size = 2 * n
+        else:
+            raise ValueError(f"{word!r} is neither nH nor a scale c*")
+        if len(entries) + size > MAX_LITERAL_DIM:
+            raise ValueError(f"form literal has more than {MAX_LITERAL_DIM} entries")
+        term = [1, -1] * n if word else _pfister_entries(vals) if pfister else vals
+        entries += [c * a for a in term]
     return DiagonalForm(field, tuple(entries))
 
 

@@ -6,10 +6,13 @@ the dense-tuple kernels that `exactmat` had before a matrix stored only
 its nonzeros, the Gram diagonalization that `forms` had before
 `exactmat.diagonalize`, the criteria for Witt triviality and for I^n
 over R that `forms` had before it read them off the anisotropic dimension
-and the invariants' ladder, the entries a form-literal tree spells, and
-the one set of Hypothesis settings the property tests share."""
+and the invariants' ladder, the entries a form-literal tree spells, the
+token-list reader of form literals that `forms` had before it read one
+summand per step, and the one set of Hypothesis settings the property
+tests share."""
 
 import itertools
+import re
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -21,9 +24,10 @@ from quadalg.albert import ADIM, A_COORD_INDICES, AlbertElement, AlbertMap
 from quadalg.cayley import GRAM_DEVIATIONS, CayleyTable, _build_tables, _relates
 from quadalg.cayley import generic_a, special_cocycle, u
 from quadalg import exactmat, verify
-from quadalg.forms import DiagonalForm, _hasse_defects, direct_sum, invariants, signature
-from quadalg.scalars import QuadExtScalar, as_rat, div, exact_sum, hilbert_symbol, is_local_square, is_square, rat
-from quadalg.scalars import square_class
+from quadalg.forms import MAX_LITERAL_DIM, DiagonalForm, _hasse_defects, _pfister_entries, direct_sum, invariants
+from quadalg.forms import signature
+from quadalg.scalars import QuadExtScalar, as_rat, div, exact_sum, hilbert_symbol, is_local_square, is_square
+from quadalg.scalars import parse_scalar, rat, square_class
 
 # derandomized and without a database, so every run draws the same cases
 FIXED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -110,6 +114,92 @@ def literal_entries(tree) -> list | None:
     if kind == "<>":
         return values
     return [prod(p) for p in itertools.product(*((1, -a) for a in values))]
+
+
+_TOKEN = re.compile(r"\s*(<<|>>|<|>|\+?[^\s<>+*,]+|\+|\*|,)")
+
+
+def reference_parse_form(text: str, field: str = "Q") -> DiagonalForm:
+    """The form-literal reader `forms` had before it read one summand per
+    step: a token list and a recursive descent over it, a `+` token glued
+    to a scalar split off where a sum goes on.  Every failure is a
+    ValueError."""
+    tokens = _TOKEN.findall(text)
+    if not tokens or "".join(tokens) != "".join(text.split()):
+        raise ValueError(f"cannot tokenize form literal {text!r}")
+    pos = dim = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(expected=None):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError(f"unexpected end of form literal {text!r}")
+        tok = tokens[pos]
+        if expected is not None and tok != expected:
+            raise ValueError(
+                f"expected {expected!r} at token {pos} of {text!r}, got {tok!r}"
+            )
+        pos += 1
+        return tok
+
+    def scalar_list(closer):
+        vals = [parse_scalar(take())]
+        while peek() == ",":
+            take(",")
+            vals.append(parse_scalar(take()))
+        take(closer)
+        if 0 in vals:  # the first bad term is the one reported
+            raise ValueError("diagonal entries must be nonzero")
+        return vals
+
+    def sized(n):  # n more entries, counted before they are built
+        nonlocal dim
+        dim += n
+        if dim > MAX_LITERAL_DIM:
+            raise ValueError(f"form literal has more than {MAX_LITERAL_DIM} entries")
+
+    def term():
+        """The entries of one term, in the order the form lists them."""
+        tok = peek()
+        if tok == "<<":
+            take("<<")
+            slots = scalar_list(">>")
+            sized(1 << len(slots))
+            return _pfister_entries(slots)
+        if tok == "<":
+            take("<")
+            if peek() == ">":  # the zero form, as `form_literal` writes it
+                take(">")
+                return []
+            vals = scalar_list(">")
+            sized(len(vals))
+            return vals
+        # `nH` or `c*<...>` / `c*<<...>>`
+        word = take()
+        if word.endswith("H") or word.endswith("h"):
+            n = int(word[:-1]) if word[:-1] else 1
+            if n < 0:
+                raise ValueError("negative hyperbolic multiplicity")
+            sized(2 * n)
+            return [1, -1] * n
+        c = parse_scalar(word)
+        take("*")
+        entries = term()
+        if c == 0:
+            raise ValueError("scaling by zero")
+        return [c * a for a in entries]
+
+    entries = term()
+    while (peek() or "").startswith("+"):  # a sum; a `+2` splits into `+`, `2`
+        tokens[pos] = tokens[pos][1:]
+        if not tokens[pos]:
+            pos += 1
+        entries += term()
+    if pos != len(tokens):
+        raise ValueError(f"trailing tokens in form literal {text!r}")
+    return DiagonalForm(field, tuple(entries))
 
 
 def pairwise_hasse(entries, v):

@@ -591,6 +591,8 @@ def test_parse_and_print():
     }
     for text, entries in reads.items():
         assert parse_form(text).entries == entries, text
+    # scales read in a loop: 2,000 of them meet no recursion limit
+    assert parse_form("1*" * 2000 + "<1>").entries == (1,)
     refused = (
         "", "<1,>", "<1> + ", "3x", "<1> <2>", "1*", "0*<1>", "0*<>", "< + 5>", "<1e+5>", "<1 2>",
         "<1/ 2>", "1 H", "<<>>", "< <1>>", "<<1> >", "<1>>", "-1H", "+H", "<0>", "<<1,0>>",

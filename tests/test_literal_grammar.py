@@ -3,13 +3,16 @@ literal trees (`<...>`, `<<...>>`, `nH`, a bare `H`, `c*term` and sums),
 renders them with varied spacing and glued signs, and the tree's own
 evaluator (`reference.literal_entries`, which never calls `forms`) says
 what the literal spells.  A render with one structural token dropped or
-doubled must be refused, by `parse_form` and by `quadalg form`.
+doubled must be refused, by `parse_form` and by `quadalg form`.  Seeded
+renders, some with characters edited, read as the token-list reader
+`forms` had before (`reference.reference_parse_form`) reads them.
 
 Grammar-based testing after Godefroid, Kiezun and Levin, "Grammar-based
 whitebox fuzzing", PLDI 2008."""
 
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -17,7 +20,7 @@ from hypothesis import example, given, strategies as st
 from quadalg.cli import main
 from quadalg.forms import parse_form
 
-from reference import FIXED, literal_entries
+from reference import FIXED, literal_entries, reference_parse_form
 
 STRUCTURAL = ("<", ">", "<<", ">>", ",", "*", "+")
 
@@ -27,10 +30,11 @@ scalars = st.sampled_from(
     [f"{sign}{n}{tail}" for sign in ("", "-", "+") for n in (1, 2, 3, 5, 12, 49)
      for tail in ("", "/2", "/3", "/12", ".5", "e1")] + ["0", "+0", "-0/2"]
 )
+HYPERBOLIC = [("H", n, f"{n}{h}") for n in range(4) for h in "Hh"] + [("H", 1, "H"), ("H", 1, "h")]
 leaves = st.one_of(
     st.lists(scalars, max_size=4).map(lambda xs: ("<>", tuple(xs))),
     st.lists(scalars, min_size=1, max_size=3).map(lambda xs: ("<<>>", tuple(xs))),
-    st.sampled_from([("H", n, f"{n}{h}") for n in range(4) for h in "Hh"] + [("H", 1, "H"), ("H", 1, "h")]),
+    st.sampled_from(HYPERBOLIC),
 )
 
 
@@ -106,3 +110,61 @@ def test_a_generated_literal_reads_as_its_tree_and_one_broken_token_is_refused(
         code = main(["form", broken])
     assert code == 2 and err.getvalue().count("\n") == 1, (broken, err.getvalue())
     assert err.getvalue().startswith("error: parse error")
+
+
+EDITS = " <>+*,-/0123456789Hh.e_"
+SEEDED_SCALARS = [f"{sign}{n}{tail}" for sign in ("", "-", "+") for n in range(13) for tail in ("", "", "/7")]
+
+
+def random_tree(rng: random.Random):
+    """A literal tree of `literal_trees`' shape, drawn from rng."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("<>", "<<>>", "H"))
+        if kind == "H":
+            leaf = rng.choice(HYPERBOLIC)
+        else:
+            leaf = (kind, tuple(rng.choices(SEEDED_SCALARS, k=rng.randint(kind == "<<>>", 4))))
+        terms.append(scaled(rng.choices(SEEDED_SCALARS, k=rng.choice((0, 0, 1, 2))), leaf))
+    return ("+", tuple(terms))
+
+
+def edited(text: str, rng: random.Random) -> str:
+    """text with 1-3 characters inserted, deleted or replaced from EDITS."""
+    for _ in range(rng.randint(1, 3)):
+        i, c = rng.randint(0, len(text)), rng.choice(EDITS)
+        text = rng.choice((text[:i] + c + text[i:], text[:i] + text[i + 1 :], text[:i] + c + text[i + 1 :]))
+    return text
+
+
+def reading(read, text: str):
+    """The entries read from text, or None where it is refused."""
+    try:
+        return read(text).entries
+    except ValueError as exc:
+        assert read is reference_parse_form or str(exc).startswith("parse error"), exc
+        return None
+
+
+PFISTER_16 = "<<" + ",".join(["-1"] * 16) + ">>"
+EDGE_ROWS = (
+    "32768H + <1>", "2*16384H + 0H + <1>", PFISTER_16 + " + <1>", "9999999999H", "-0*<1>",
+    "+1H", "+H", "<1>+H", "<1>+-1H", "+-2*<1>", "<1>\n", "<1>+\n", "\n", "",
+)
+
+
+def test_the_reader_agrees_with_the_token_list_reader():
+    """10,000 seeded renders, half with 1-3 characters edited, and the
+    bound and sign rows: the same entries, or a refusal by both."""
+    rng = random.Random(44)
+    texts = list(EDGE_ROWS)
+    for n in range(10_000):
+        spacing = [rng.choice(("", " ", "  ", "\t", "\n")) for _ in range(rng.randint(1, 4))]
+        text = render(tokens(random_tree(rng)), spacing)
+        texts.append(edited(text, rng) if n % 2 else text)
+    accepted = 0
+    for text in texts:
+        got = reading(parse_form, text)
+        assert got == reading(reference_parse_form, text), text
+        accepted += got is not None
+    assert accepted > 4000
