@@ -20,6 +20,7 @@ so a call pays at start-up for its own subcommand and no other.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -300,6 +301,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\d")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quadalg",

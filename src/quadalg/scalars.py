@@ -29,6 +29,7 @@ SquareClass = int
 
 # int() reads and str() writes at most this many digits (CPython's default)
 _MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
 
 
 def parse_scalar(text: str) -> int | Fraction:
@@ -49,7 +50,7 @@ def parse_scalar(text: str) -> int | Fraction:
         if e and abs(int(exponent)) > 2 * _MAX_DIGITS:
             raise ValueError("exponent out of range")
         q = Fraction(text.strip())
-        if max(abs(q.numerator), q.denominator) >= 10**_MAX_DIGITS:
+        if max(abs(q.numerator), q.denominator) >= _DIGITS_BOUND:
             raise ValueError("too many digits")
         return rat(q)
     except (ValueError, ZeroDivisionError) as exc:

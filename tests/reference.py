@@ -8,18 +8,23 @@ its nonzeros, the Gram diagonalization that `forms` had before
 over R that `forms` had before it read them off the anisotropic dimension
 and the invariants' ladder, the entries a form-literal tree spells, the
 token-list reader of form literals that `forms` had before it read one
-summand per step, and the one set of Hypothesis settings the property
-tests share."""
+summand per step, the one set of Hypothesis settings the property tests
+share, and the one way the tests start a fresh interpreter."""
 
 import itertools
+import os
 import re
+import subprocess
+import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from pathlib import Path
 
 from hypothesis import settings
 
+import quadalg
 from quadalg.albert import ADIM, A_COORD_INDICES, AlbertElement, AlbertMap
 from quadalg.cayley import GRAM_DEVIATIONS, CayleyTable, _build_tables, _relates
 from quadalg.cayley import generic_a, special_cocycle, u
@@ -31,6 +36,15 @@ from quadalg.scalars import parse_scalar, rat, square_class
 
 # derandomized and without a database, so every run draws the same cases
 FIXED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+def fresh_python(*args: str, tests: bool = False, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` that imports quadalg from where
+    this one does, and with `tests` the test modules too.  Its output is
+    captured as text unless `kwargs` say otherwise."""
+    paths = [Path(quadalg.__file__).parent.parent, tests and Path(__file__).parent, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths if p))
+    return subprocess.run([sys.executable, *args], env=env, **{"capture_output": True, "text": True, **kwargs})
 
 
 def tensor(q1: DiagonalForm, q2: DiagonalForm) -> DiagonalForm:

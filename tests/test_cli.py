@@ -5,15 +5,14 @@ import os
 import re
 import shlex
 import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-import quadalg
 from quadalg import cayley, forms
 from quadalg.cli import main
+from reference import fresh_python
 
 
 def run(capsys, *argv):
@@ -331,20 +330,16 @@ def test_bare_output_flag_prints_what_no_flag_prints(capsys, argv, flag):
 def test_closed_stdout_exits_141_quietly():
     """A reader that has gone, as in `quadalg form ... | head -c 1`, is not
     an input error: the CLI exits 128 + SIGPIPE and writes no stderr."""
-    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadalg.cli", "form", "7H + <1>", "--json"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
+        proc = fresh_python(
+            "-m", "quadalg.cli", "form", "7H + <1>", "--json",
+            capture_output=False, stdout=write_end, stderr=subprocess.PIPE,
         )
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_json_entries_read_as_exact_decimals(tmp_path, capsys):
@@ -517,20 +512,17 @@ def test_verify_report_proves_on_generic_elements(tmp_path, capsys):
     assert witness["P25"]["generic_coordinates"] == 27
 
 
-GOLDEN = Path(__file__).parent / "data"
+CLI = Path(__file__).parent / "data" / "cli"
 
 
-def test_verify_report_matches_the_golden_output(tmp_path, capsys):
-    """The full report and the default table, byte for byte, as the
-    committed files in tests/data record them.  Regenerate them only for a
-    change that means to alter the ledger's output:
-    `quadalg verify-paper --json tests/data/verify_paper_report.json
-    > tests/data/verify_paper_table.txt`."""
-    p = tmp_path / "r.json"
-    code, out, err = run(capsys, "verify-paper", "--json", str(p))
-    assert code == 0 and err == ""
-    assert out == (GOLDEN / "verify_paper_table.txt").read_text()
-    assert p.read_bytes() == (GOLDEN / "verify_paper_report.json").read_bytes()
+def golden(name):
+    """The committed golden tests/data/cli/<name>.txt."""
+    return (CLI / f"{name}.txt").read_text()
+
+
+def golden_part(name, part):
+    """One part of the golden `name`: "stdout", "stderr" or "<tmp>/<file>"."""
+    return re.search(rf"^--- {re.escape(part)}\n(.*?)(?=^--- |\Z)", golden(name), flags=re.M | re.S)[1]
 
 
 def test_verify_timings_add_each_check_time_to_the_table_and_the_report(tmp_path, capsys):
@@ -540,33 +532,16 @@ def test_verify_timings_add_each_check_time_to_the_table_and_the_report(tmp_path
     p = tmp_path / "r.json"
     code, out, err = run(capsys, "verify-paper", "--timings", "--json", str(p))
     assert code == 0 and err == ""
-    golden = (GOLDEN / "verify_paper_table.txt").read_text().splitlines()
+    golden_table = golden_part("readme_verify_json", "stdout").splitlines()
     lines = out.splitlines()
-    assert len(lines) == len(golden) and lines[-1] == golden[-1]
-    for line, want in zip(lines[:-1], golden[:-1]):
+    assert len(lines) == len(golden_table) and lines[-1] == golden_table[-1]
+    for line, want in zip(lines[:-1], golden_table[:-1]):
         head, seconds = re.fullmatch(r"(.*?) +(\d+\.\d{6}) s", line).groups()
         assert head == want and float(seconds) >= 0
     report = json.loads(p.read_text())
     elapsed = [check.pop("elapsed_s") for check in report["checks"]]
     assert len(elapsed) == 30 and all(type(t) is float and t >= 0 for t in elapsed)
-    assert report == json.loads((GOLDEN / "verify_paper_report.json").read_text())
-
-
-def test_verify_report_without_timings_is_the_golden_output_under_python_O(tmp_path):
-    """Without `--timings` the table and the report carry no time, also
-    when `python -O` strips the asserts."""
-    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    p = tmp_path / "r.json"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "quadalg.cli", "verify-paper", "--json", str(p)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == (GOLDEN / "verify_paper_table.txt").read_text()
-    assert p.read_bytes() == (GOLDEN / "verify_paper_report.json").read_bytes()
+    assert report == json.loads(golden_part("readme_verify_json", "<tmp>/report.json"))
 
 
 RANK_ONE = {"eps": [0, 0, 0], "c": [["0", "1/2", 0, 0, 0, 0, 0, "1/2"], [0] * 8, [0] * 8]}
@@ -574,164 +549,120 @@ GENERAL = {
     "eps": ["1/2", -3, "5/4"],
     "c": [[1, 0, "-1/3", 0, 2, 0, 0, 1], [0, "3/2", 0, 1, 0, -1, 0, 0], ["1/5", 0, 0, 0, 0, 0, 4, -1]],
 }
-# golden file -> argv of `quadalg albert --element`
-ALBERT_GOLDENS = {
-    "albert_element_rank_one.txt": ["albert", "--element", json.dumps(RANK_ONE)],
-    "albert_element.txt": ["albert", "--element", json.dumps(GENERAL)],
-    "albert_element_map.txt": [
-        "albert", "--element", json.dumps(GENERAL), "--map", str(GOLDEN / "cli" / "albert_map.json")
-    ],
-}
-
-
-@pytest.mark.parametrize("name", sorted(ALBERT_GOLDENS))
-def test_albert_element_matches_the_golden_output(name, capsys):
-    """The whole `albert --element` output, byte for byte, as the files in
-    tests/data/cli record it.  Regenerate one only for a change that means
-    to alter that output: run `quadalg` on its argv in `ALBERT_GOLDENS` and
-    write stdout to the file."""
-    code, out, err = run(capsys, *ALBERT_GOLDENS[name])
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / "cli" / name).read_text()
-
-
-def test_albert_element_is_the_golden_output_under_python_O():
-    """The same outputs with the asserts stripped, all in one interpreter."""
-    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from quadalg.cli import main\n"
-        "outs = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    buf = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(buf):\n"
-        "        code = main(argv)\n"
-        "    outs.append([code, buf.getvalue()])\n"
-        "print(json.dumps(outs))\n"
-    )
-    names = sorted(ALBERT_GOLDENS)
-    argvs = json.dumps([ALBERT_GOLDENS[name] for name in names])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, argvs], capture_output=True, text=True, env=env
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    want = [[0, (GOLDEN / "cli" / name).read_text()] for name in names]
-    assert json.loads(proc.stdout) == want
-
-
-# golden file cold_<name>.txt -> argv of the benchmark's `cli_cold` invocation
-# <name>; <tmp> stands for the directory that holds embedding.json and the
-# files a command writes
-COLD = {
-    "form_Q": ["form", "7H + <1>", "--json"],
-    "form_R": ["form", "<<-1,-1,-1,-1>>", "--field", "R", "--json"],
-    "hermitian": ["hermitian", "<1,-1,2>", "--k", "3", "--json"],
-    "fold_E6": ["rootsys", "--type", "E6", "--fold", "--json"],
-    "fold_D4": ["rootsys", "--type", "D4", "--fold", "triality", "--json"],
-    "cocycle": ["cayley", "--cocycle", "1", "3", "1/3", "--json"],
-    "descend_k": ["descend", "--k", "2"],
-    "descend_ka": ["descend", "--k", "2", "--a", "3"],
-    "verify_only": ["verify-paper", "--only", "P14", "--json", "<tmp>/verify_P14.json"],
-    "bad_triple": ["cayley", "--triple", "<tmp>/missing.json"],
-    "bad_embedding": [
-        "rootsys", "--type", "A3", "--embedding", "<tmp>/missing.json", "--source", "A1"
-    ],
-    "no_source": ["rootsys", "--type", "A3", "--embedding", "<tmp>/embedding.json"],
-}
 EMBEDDING = "[[1], [0], [1]]"  # A1 in A3 as the block-diagonal SL2
 
-
-def golden_text(argv, workdir, inputs):
-    """The argv, exit code, stdout, stderr and written files of one run of
-    `main` on argv, whose files are in `workdir` next to `inputs`
-    ({file name: text}, written first), with <tmp> in place of the
-    directory's path."""
-    workdir = str(workdir)
-    for file_name, text in inputs.items():
-        (Path(workdir) / file_name).write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([arg.replace("<tmp>", workdir) for arg in argv])
-    text = f"$ quadalg {shlex.join(argv)}\nexit {code}\n"
-    text += f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
-    for p in sorted(Path(workdir).iterdir()):
-        if p.name not in inputs:
-            text += f"--- <tmp>/{p.name}\n{p.read_text()}"
-    return text.replace(workdir, "<tmp>")
-
-
-def cold_output(name):
-    """The invocation `name` (`golden_text`), run in a fresh directory."""
-    with tempfile.TemporaryDirectory() as workdir:
-        return golden_text(COLD[name], workdir, {"embedding.json": EMBEDDING})
-
-
-@pytest.mark.parametrize("name", COLD)
-def test_cli_cold_matches_the_golden_output(name):
-    """Each `cli_cold` invocation of the benchmark, byte for byte, as the
-    files tests/data/cli/cold_*.txt record it.  Regenerate them only for a
-    change that means to alter that output:
-    `PYTHONPATH=src:tests python -c 'import test_cli as t; [(t.GOLDEN / "cli"
-    / f"cold_{n}.txt").write_text(t.cold_output(n)) for n in t.COLD]'`."""
-    assert cold_output(name) == (GOLDEN / "cli" / f"cold_{name}.txt").read_text()
-
-
-def test_cli_cold_is_the_golden_output_under_python_O():
-    """The same outputs with the asserts stripped, all in one interpreter."""
-    paths = [Path(quadalg.__file__).parent.parent, Path(__file__).parent, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths if p))
-    script = "import json, test_cli as t\nprint(json.dumps({n: t.cold_output(n) for n in t.COLD}))"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    want = {name: (GOLDEN / "cli" / f"cold_{name}.txt").read_text() for name in COLD}
-    assert json.loads(proc.stdout) == want
-
-
-# golden file readme_<name>.txt -> argv of one `quadalg` line of README's
-# example block; the lines run in a directory that holds `README_INPUTS`
-README_RUNS = {
-    "form_Q": ["form", "7H + <1>"],
-    "form_R": ["form", "<<-1,-1,-1,-1>>", "--field", "R"],
-    "hermitian": ["hermitian", "<1,-1,2>", "--k", "3"],
-    "fold_E6": ["rootsys", "--type", "E6", "--fold"],
-    "fold_D4": ["rootsys", "--type", "D4", "--fold", "triality"],
-    "embedding": ["rootsys", "--type", "A3", "--embedding", "emb.json", "--source", "A1"],
-    "cayley": ["cayley"],
-    "cocycle": ["cayley", "--cocycle", "1", "3", "1/3"],
-    "albert_element": ["albert", "--element", json.dumps(RANK_ONE, separators=(",", ":"))],
-    "descend_k": ["descend", "--k", "2"],
-    "descend_ka": ["descend", "--k", "5", "--a", "-11"],
-    "descend_report": ["descend", "--k", "2", "--a", "3", "--report", "out.json"],
-    "descend_cocycle": ["descend", "--k", "2", "--cocycle", "z.json", "--gram", "g.json"],
-    "verify": ["verify-paper"],
-    "verify_json": ["verify-paper", "--json", "report.json"],
-    "verify_timings": ["verify-paper", "--timings"],
+# golden tests/data/cli/<name>.txt -> argv of `quadalg`, run in a directory
+# that holds `golden_inputs()`; <tmp> stands for that directory.  cold_* and
+# readme_descend_k are the benchmark's `cli_cold` invocations, readme_* the
+# `quadalg` lines of README's example blocks
+GOLDENS = {
+    "cold_form_Q": ["form", "7H + <1>", "--json"],
+    "cold_form_R": ["form", "<<-1,-1,-1,-1>>", "--field", "R", "--json"],
+    "cold_hermitian": ["hermitian", "<1,-1,2>", "--k", "3", "--json"],
+    "cold_fold_E6": ["rootsys", "--type", "E6", "--fold", "--json"],
+    "cold_fold_D4": ["rootsys", "--type", "D4", "--fold", "triality", "--json"],
+    "cold_cocycle": ["cayley", "--cocycle", "1", "3", "1/3", "--json"],
+    "cold_descend_ka": ["descend", "--k", "2", "--a", "3"],
+    "cold_verify_only": ["verify-paper", "--only", "P14", "--json", "<tmp>/verify_P14.json"],
+    "cold_bad_triple": ["cayley", "--triple", "<tmp>/missing.json"],
+    "cold_bad_embedding": ["rootsys", "--type", "A3", "--embedding", "<tmp>/missing.json", "--source", "A1"],
+    "cold_no_source": ["rootsys", "--type", "A3", "--embedding", "<tmp>/embedding.json"],
+    "readme_form_Q": ["form", "7H + <1>"],
+    "readme_form_R": ["form", "<<-1,-1,-1,-1>>", "--field", "R"],
+    "readme_hermitian": ["hermitian", "<1,-1,2>", "--k", "3"],
+    "readme_fold_E6": ["rootsys", "--type", "E6", "--fold"],
+    "readme_fold_D4": ["rootsys", "--type", "D4", "--fold", "triality"],
+    "readme_embedding": ["rootsys", "--type", "A3", "--embedding", "emb.json", "--source", "A1"],
+    "readme_cayley": ["cayley"],
+    "readme_cocycle": ["cayley", "--cocycle", "1", "3", "1/3"],
+    "readme_albert_element": ["albert", "--element", json.dumps(RANK_ONE, separators=(",", ":"))],
+    "readme_descend_k": ["descend", "--k", "2"],
+    "readme_descend_ka": ["descend", "--k", "5", "--a", "-11"],
+    "readme_descend_report": ["descend", "--k", "2", "--a", "3", "--report", "out.json"],
+    "readme_descend_cocycle": ["descend", "--k", "2", "--cocycle", "z.json", "--gram", "g.json"],
+    "readme_verify": ["verify-paper"],
+    "readme_verify_json": ["verify-paper", "--json", "report.json"],
+    "readme_verify_timings": ["verify-paper", "--timings"],
+    "albert_element": ["albert", "--element", json.dumps(GENERAL)],
+    "albert_element_map": ["albert", "--element", json.dumps(GENERAL), "--map", "map.json"],
+    "form_fractions": ["form", "<-17/9,12650/4,-425/9,7/4>", "--json"],
 }
 
 
-def readme_inputs():
-    """emb.json (A1 in A3), z.json (the dagger cocycle M of `descent`, as
-    [x, y] pairs x + y sqrt k) and g.json (the A-form's Gram matrix)."""
+def golden_inputs():
+    """emb.json and embedding.json (A1 in A3), z.json (the dagger cocycle M
+    of `descent`, as [x, y] pairs x + y sqrt k), g.json (the A-form's Gram
+    matrix) and map.json (a 27x27 map for `albert --map`)."""
     from quadalg import albert, descent
     from quadalg.exactmat import dense
 
     z = [[[x, 0] for x in row] for row in dense(descent.dagger_cocycle_matrix())]
-    return {"emb.json": EMBEDDING, "z.json": json.dumps(z), "g.json": json.dumps(dense(albert.A_GRAM))}
+    return {
+        "emb.json": EMBEDDING,
+        "embedding.json": EMBEDDING,
+        "z.json": json.dumps(z),
+        "g.json": json.dumps(dense(albert.A_GRAM)),
+        "map.json": (CLI.parent / "map.json").read_text(),
+    }
 
 
-def readme_output(name, workdir):
-    """The README line `name` (`golden_text`), run in `workdir`; a check's
-    wall time under `--timings` reads `<t> s`."""
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        text = golden_text(README_RUNS[name], workdir, readme_inputs())
-    finally:
-        os.chdir(cwd)
-    return re.sub(r"\d+\.\d{6} s$", "<t> s", text, flags=re.M)
+def golden_text(name):
+    """The argv, exit code, stdout, stderr and written files of one run of
+    `main` on GOLDENS[name] in a fresh directory that holds `golden_inputs()`,
+    with <tmp> in place of the directory's path and <t> s in place of a
+    check's wall time under `--timings`."""
+    argv, inputs, cwd = GOLDENS[name], golden_inputs(), os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        for file_name, text in inputs.items():
+            (Path(workdir) / file_name).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([arg.replace("<tmp>", workdir) for arg in argv])
+        finally:
+            os.chdir(cwd)
+        text = f"$ quadalg {shlex.join(argv)}\nexit {code}\n"
+        text += f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        for p in sorted(Path(workdir).iterdir()):
+            if p.name not in inputs:
+                text += f"--- <tmp>/{p.name}\n{p.read_text()}"
+    return re.sub(r"\d+\.\d{6} s$", "<t> s", text.replace(workdir, "<tmp>"), flags=re.M)
+
+
+def family(prefix):
+    """The names of GOLDENS that start with `prefix`, each with the rest of
+    the name as its test id."""
+    return [pytest.param(n, id=n.removeprefix(prefix)) for n in GOLDENS if n.startswith(prefix)]
+
+
+# Every entry of GOLDENS, byte for byte, as tests/data/cli/<name>.txt records
+# it; the three tests differ only in name, which keeps the ids of the cold_*
+# and readme_* checks stable.  Regenerate the goldens only for a change that
+# means to alter that output: `PYTHONPATH=src:tests python -c 'import test_cli
+# as t; [(t.CLI / f"{n}.txt").write_text(t.golden_text(n)) for n in
+# t.GOLDENS]'`.
+@pytest.mark.parametrize("name", family("cold_"))
+def test_cli_cold_matches_the_golden_output(name):
+    assert golden_text(name) == golden(name)
+
+
+@pytest.mark.parametrize("name", family("readme_"))
+def test_readme_line_matches_the_golden_output(name):
+    assert golden_text(name) == golden(name)
+
+
+@pytest.mark.parametrize("name", [n for n in GOLDENS if not n.startswith(("cold_", "readme_"))])
+def test_cli_output_matches_the_golden_output(name):
+    assert golden_text(name) == golden(name)
+
+
+def test_every_golden_is_the_output_under_python_O():
+    """The same outputs with the asserts stripped, all in one interpreter."""
+    script = "import json, test_cli as t\nprint(json.dumps({n: t.golden_text(n) for n in t.GOLDENS}))"
+    proc = fresh_python("-O", "-c", script, tests=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {name: golden(name) for name in GOLDENS}
 
 
 def readme_lines():
@@ -746,43 +677,11 @@ def readme_lines():
     ]
 
 
-@pytest.mark.parametrize("name", README_RUNS)
-def test_readme_line_matches_the_golden_output(name, tmp_path):
-    """Each `quadalg` line of README's example block, byte for byte, as the
-    files tests/data/cli/readme_*.txt record it.  Regenerate them only for
-    a change that means to alter that output:
-    `PYTHONPATH=src:tests python -c 'import tempfile, test_cli as t; [(t.GOLDEN
-    / "cli" / f"readme_{n}.txt").write_text(t.readme_output(n,
-    tempfile.mkdtemp())) for n in t.README_RUNS]'`."""
-    assert readme_output(name, tmp_path) == (GOLDEN / "cli" / f"readme_{name}.txt").read_text()
-
-
-def test_readme_lines_are_the_golden_output_under_python_O():
-    """The same outputs with the asserts stripped, all in one interpreter."""
-    paths = [Path(quadalg.__file__).parent.parent, Path(__file__).parent, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths if p))
-    script = (
-        "import json, tempfile, test_cli as t\n"
-        "outs = {}\n"
-        "for n in t.README_RUNS:\n"
-        "    with tempfile.TemporaryDirectory() as workdir:\n"
-        "        outs[n] = t.readme_output(n, workdir)\n"
-        "print(json.dumps(outs))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    want = {name: (GOLDEN / "cli" / f"readme_{name}.txt").read_text() for name in README_RUNS}
-    assert json.loads(proc.stdout) == want
-
-
 def test_every_readme_line_has_a_golden():
-    """README's `quadalg` lines are exactly the argv of `README_RUNS`, and
-    the readme_*.txt goldens exactly its names."""
-    assert sorted(readme_lines()) == sorted(README_RUNS.values())
-    goldens = {p.name for p in (GOLDEN / "cli").glob("readme_*.txt")}
-    assert goldens == {f"readme_{name}.txt" for name in README_RUNS}
+    """README's `quadalg` lines are exactly the argv of the readme_* entries
+    of GOLDENS, and tests/data/cli holds exactly one file per entry."""
+    assert sorted(readme_lines()) == sorted(argv for n, argv in GOLDENS.items() if n.startswith("readme_"))
+    assert sorted(p.name for p in CLI.iterdir()) == sorted(f"{name}.txt" for name in GOLDENS)
 
 
 def test_verify_report_determinism(tmp_path, capsys):

@@ -1,14 +1,13 @@
 """quadalg runs on the standard library alone."""
 
 import ast
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import quadalg
+from reference import fresh_python
 
 PACKAGE = Path(quadalg.__file__).parent
 
@@ -39,25 +38,15 @@ def test_no_runtime_dependency_is_declared():
     assert project["dependencies"] == []
 
 
-def _python(code: str, *flags: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter, with these interpreter flags, that
-    imports quadalg from here."""
-    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
 def test_cli_import_loads_no_sympy():
-    run = _python("import sys, quadalg.cli; print('sympy' in sys.modules)")
+    run = fresh_python("-c", "import sys, quadalg.cli; print('sympy' in sys.modules)")
     assert run.returncode == 0 and run.stdout == "False\n"
 
 
 def test_no_module_loads_dataclasses_or_inspect():
     """`quadalg.verify` imports every module of the package but the CLI;
     none of them pays for `dataclasses`, which imports `inspect`."""
-    run = _python("import sys, quadalg.verify; print({'dataclasses', 'inspect'} & set(sys.modules))")
+    run = fresh_python("-c", "import sys, quadalg.verify; print({'dataclasses', 'inspect'} & set(sys.modules))")
     assert run.returncode == 0, run.stderr
     assert run.stdout == "set()\n"
 
@@ -67,7 +56,7 @@ def test_no_module_loads_typing():
     The interpreter runs with -S because a `.pth` file of an installed
     package may import `typing` while `site` runs."""
     code = "import sys, quadalg.cli, quadalg.forms, quadalg.verify; print('typing' in sys.modules)"
-    run = _python(code, "-S")
+    run = fresh_python("-S", "-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"
 
@@ -75,7 +64,8 @@ def test_no_module_loads_typing():
 def _loaded_after(code: str) -> set[str]:
     """The quadalg modules in sys.modules once `code` has run in a fresh
     interpreter without error."""
-    run = _python(
+    run = fresh_python(
+        "-c",
         f"import sys\n{code}\n"
         "print(*(m for m in sys.modules if m.split('.')[0] == 'quadalg'))"
     )

@@ -1,13 +1,8 @@
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction as Q
-from pathlib import Path
 
 import pytest
 
-import quadalg
 from quadalg.exactmat import dense, det, freeze, mat_mul, pairing, pullback, transpose
 from quadalg.rootsys import (
     _SERIES_RANKS,
@@ -23,6 +18,7 @@ from quadalg.rootsys import (
     sl_block_diagonal_embedding,
     sl_corner_embedding,
 )
+from reference import fresh_python
 
 
 def test_build_examples():
@@ -339,11 +335,7 @@ def test_one_ledger_pass_builds_each_structure_once():
     """In a fresh interpreter, one run of the ledger builds each root datum
     and each canonical form once, and folds at most 14 times: the ten
     catalogued foldings, shared by P11-P13, and P15's two rejections."""
-    paths = [str(Path(quadalg.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    run = subprocess.run(
-        [sys.executable, "-c", BUILT_ONCE], capture_output=True, text=True, env=env
-    )
+    run = fresh_python("-c", BUILT_ONCE)
     assert run.returncode == 0, run.stderr
     built, labels, formed, cached, folds = map(int, run.stdout.split())
     assert 0 < built == labels
