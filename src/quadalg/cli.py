@@ -171,22 +171,22 @@ def _cmd_cayley(args) -> int:
 
         a = tuple(map(parse_scalar, args.cocycle))
         trip = cayley.special_cocycle(a)
-        status, verdict = verify.cocycle_verdict(trip)
+        claims = verify.cocycle_claims(trip)
         payload = {
             "a": [str(x) for x in a],
             "multipliers": [str(m) for m in trip.multipliers],
             "determinants": [str(t.det()) for t in trip.t],
             "related": cayley.is_related_triple(trip),
-            "cocycle_condition": verdict["cocycle_condition"],
+            "cocycle_condition": claims["cocycle_condition"][0],
         }
-        code = 1 if status == "fail" else 0
+        code = 1 if verify.judge(claims)[0] == "fail" else 0
     else:
         from . import verify
 
         table = cayley.build_cayley_table()
         payload = {
             "gram_deviations": cayley.deviation_records(table.gram_deviations()),
-            "involution": verify.table_verdict(table)[1]["bar(u1..u8)"],
+            "involution": verify.table_claims(table)["bar(u1..u8)"][0],
             "products": {
                 f"u{i}u{j}": [str(x) for x in (cayley.u(i) * cayley.u(j)).coords]
                 for i, j in [(1, 8), (4, 4), (4, 5), (1, 2)]
@@ -260,13 +260,13 @@ def _cmd_descend(args) -> int:
         from . import verify
 
         a = parse_scalar(args.a)
-        status, payload = verify.rostcalc_verdict(k, a)
-        table_status, payload["table"] = verify.rostcalc_table_verdict(k, a)
+        status, payload = verify.judge(verify.rostcalc_claims(k, a))
+        table_status, payload["table"] = verify.judge(verify.rostcalc_table_claims(k, a))
         code = 1 if "fail" in (status, table_status) else 0
     else:
         from . import verify
 
-        status, payload = verify.twista_verdict(k)
+        status, payload = verify.judge(verify.twista_claims(k))
         code = 1 if status == "fail" else 0
     _write_json(payload, args.report or None)
     return code

@@ -272,8 +272,8 @@ def a_embed(v: Sequence[int | Fraction | QuadExtScalar]) -> AlbertElement:
 def calibration_search() -> dict:
     """Search signed scaled bases of the Zorn model for one satisfying all
     of: Gram S8, involution table, relatedness of the z-triples.  A
-    candidate keeps the involution table when P18's judge
-    (`verify.table_verdict`) passes it: u4 + u5 is its two-sided unit and
+    candidate keeps the involution table when `verify.judge` passes P18's
+    claims on it (`verify.table_claims`): u4 + u5 is its two-sided unit and
     conj x = T(x) 1 - x.
 
     Slots are forced by the weight pattern of the m_j matrices (u1,u6,u7
@@ -303,7 +303,7 @@ def calibration_search() -> dict:
     ):
         scales = (c1, c2, c3, 1, 1, c6, c7, c8)
         table = CayleyTable(*_build_tables(scales))
-        involution_ok = verify.table_verdict(table)[0] == "pass"
+        involution_ok = verify.judge(verify.table_claims(table))[0] == "pass"
         deviations = table.gram_deviations()
         if list(deviations) == [(4, 5)]:
             near_s8 += 1

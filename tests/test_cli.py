@@ -1,3 +1,13 @@
+"""The `quadalg` command line: its subcommands, its exit-code contract
+(0 for success, 1 for a verification failure, 2 for a usage or input
+error) and its golden outputs.  Each entry of GOLDENS is pinned byte for
+byte in tests/data/cli/<name>.txt, in-process and under `python -O`.
+Regenerate the goldens only for a change that means to alter that output,
+after checking the change against the unchanged ones:
+
+    PYTHONPATH=src:tests python -c 'import test_cli as t; [(t.CLI / f"{n}.txt").write_text(t.golden_text(n)) for n in t.GOLDENS]'
+"""
+
 import contextlib
 import io
 import json
@@ -638,10 +648,8 @@ def family(prefix):
 
 # Every entry of GOLDENS, byte for byte, as tests/data/cli/<name>.txt records
 # it; the three tests differ only in name, which keeps the ids of the cold_*
-# and readme_* checks stable.  Regenerate the goldens only for a change that
-# means to alter that output: `PYTHONPATH=src:tests python -c 'import test_cli
-# as t; [(t.CLI / f"{n}.txt").write_text(t.golden_text(n)) for n in
-# t.GOLDENS]'`.
+# and readme_* checks stable.  The module docstring gives the regeneration
+# command.
 @pytest.mark.parametrize("name", family("cold_"))
 def test_cli_cold_matches_the_golden_output(name):
     assert golden_text(name) == golden(name)

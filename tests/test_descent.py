@@ -17,7 +17,7 @@ from quadalg.descent import (
 )
 from quadalg.exactmat import dense, diagonalize, freeze, identity
 from quadalg.scalars import QuadExtScalar, sqrt_k, square_class
-from quadalg.verify import rostcalc_table_verdict, rostcalc_verdict
+from quadalg.verify import judge, rostcalc_claims, rostcalc_table_claims
 
 from reference import isometric_over_K
 
@@ -105,21 +105,21 @@ def test_descents_are_K_forms_of_the_A_form():
 
 def test_rostcalc_reports():
     for (k, a) in [(2, 3), (-1, -1), (3, -2)]:
-        status, rep = rostcalc_verdict(k, a)
+        status, rep = judge(rostcalc_claims(k, a))
         assert status == "pass"
         assert rep["qz_matches_table"]
         assert rep["difference_witt_class_ok"]
         assert rep["arason_class_trivial"] == (not (k < 0 and a < 0))
     with pytest.raises(ValueError):
-        rostcalc_verdict(2, 0)
+        rostcalc_claims(2, 0)
     with pytest.raises(ValueError):
-        rostcalc_verdict(4, 3)  # k a square
+        rostcalc_claims(4, 3)  # k a square
     with pytest.raises(ValueError):
         special_cocycle_on_A(4, 3)
 
 
 def test_rostcalc_table_rows():
-    status, rows = rostcalc_table_verdict(2, 3)
+    status, rows = judge(rostcalc_table_claims(2, 3))
     assert status == "pass" and len(rows) == 4
     assert all(row["fixed"] for row in rows.values())
     assert all(row["span"] for row in rows.values())
@@ -131,7 +131,7 @@ def test_rostcalc_table_rows():
 @pytest.mark.parametrize("k, a", [(-1, -1), (3, -2), (5, 7), (-2, -3), (2, Q(-1, 3)), (Q(5, 2), Q(7, 3))])
 def test_the_descent_table_holds_at_every_pair(k, a):
     """The table is stated for every (k, a), not only at P30's (2, 3)."""
-    status, rows = rostcalc_table_verdict(k, a)
+    status, rows = judge(rostcalc_table_claims(k, a))
     assert status == "pass"
     assert rows["(u3,u6)"]["values"] == [str(v) for v in (2, -2 * k)]
     assert rows["(e1,e2)"]["values"] == [str(v) for v in (-2 * a, 2 * a * k)]
@@ -148,7 +148,7 @@ def test_the_span_claim_rejects_a_wrong_contribution(monkeypatch):
         return rows
 
     monkeypatch.setattr(descent, "rostcalc_table_rows", wrong)
-    status, rows = rostcalc_table_verdict(2, 3)
+    status, rows = judge(rostcalc_table_claims(2, 3))
     assert status == "fail" and rows["failed"] == ["(u3,u6)"]
     assert rows["(u3,u6)"]["failed"] == ["span"]
 
@@ -160,9 +160,9 @@ def test_the_table_sees_a_negated_span_form_only_where_minus_one_is_no_norm(monk
     their span claims."""
     real = descent.span_form
     monkeypatch.setattr(descent, "span_form", lambda form, vs: real(exactmat.scal_mul(-1, form), vs))
-    assert rostcalc_table_verdict(2, 3)[0] == "pass"
+    assert judge(rostcalc_table_claims(2, 3))[0] == "pass"
     for k, a in ((3, -2), (-5, 7)):
-        status, rows = rostcalc_table_verdict(k, a)
+        status, rows = judge(rostcalc_table_claims(k, a))
         assert status == "fail" and rows["failed"] == ["(u3,u6)", "(u4,u5)", "(e1,e2)"]
         assert all(rows[name]["failed"] == ["span"] for name in rows["failed"])
 
@@ -174,7 +174,7 @@ def test_dagger_cocycle_is_an_involution():
 
 
 def test_report_shape():
-    _, d = rostcalc_verdict(2, 3)
+    _, d = judge(rostcalc_claims(2, 3))
     assert list(d) == [
         "k",
         "a",

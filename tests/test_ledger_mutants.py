@@ -4,8 +4,8 @@ cleared before and after a mutant, so no value built by the correct code
 survives into the mutant's run, or the other way round.  A row that no
 check fails yet is a strict expected failure, and a mutant that no input
 can tell apart is listed with the reason instead of run.  Two gates keep the
-witnesses honest: a failing check names what broke, and no witness value in
-`verify.py` is a literal."""
+witnesses honest: a failing check names what broke, and no computed or
+shown value of a claim tree in `verify.py` is a literal."""
 
 import ast
 import json
@@ -330,52 +330,57 @@ def _called(node) -> str:
     return node.func.id if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) else ""
 
 
-def _computed(claims) -> list:
-    """The computed value of each claim in a dict literal or comprehension,
-    those of its ** entries included."""
-    if isinstance(claims, ast.DictComp):
-        return [claims.value.elts[0]]
-    pairs = zip(claims.keys, claims.values) if isinstance(claims, ast.Dict) else ()
-    return [slot for key, value in pairs for slot in (_computed(value) if key is None else [value.elts[0]])]
+def _builds_claims(name: str) -> bool:
+    return name.startswith("_check_") or name.endswith("_claims")
 
 
-def _shown(call) -> list:
-    """The shown values of a `_verdict` call: its second argument, by
-    position or as `shown=`, when that is a dict literal."""
-    shown = call.args[1:2] + [k.value for k in call.keywords if k.arg == "shown"]
-    return [v for d in shown if isinstance(d, ast.Dict) for v in d.values]
+def _entries(tree, f) -> list | None:
+    """The entries of a claim tree that f writes out: a dict display, a
+    dict comprehension, or a name f binds to a dict display and fills by
+    item assignment; None for any other expression."""
+    if isinstance(tree, ast.Dict):
+        return tree.values
+    if isinstance(tree, ast.DictComp):
+        return [tree.value]
+    assigns = [a for a in ast.walk(f) if isinstance(a, ast.Assign)]
+    if isinstance(tree, ast.Name) and any(
+        ast.unparse(a.targets[0]) == tree.id and isinstance(a.value, ast.Dict) for a in assigns
+    ):
+        return [a.value for a in assigns if ast.unparse(a.targets[0]).startswith(f"{tree.id}[")]
+    return None
 
 
-def _judges(f) -> bool:
-    """A function of verify.py that gives a verdict: a check, one that
-    calls `_verdict` or `_bundle`, or one annotated to return a verdict."""
-    verdict = ast.unparse(f.returns) == "tuple[str, dict]" if f.returns else False
-    calls = any(_called(n) in ("_verdict", "_bundle") for n in ast.walk(f))
-    return f.name not in ("_verdict", "_bundle") and (f.name.startswith("_check_") or calls or verdict)
+def _slots(tree, f) -> list:
+    """The computed slot (first element) of each claim, and each shown
+    value, of a tree that f writes out, those of its subtrees included.  A
+    subtree that another claim builder returns is that builder's own."""
+    slots = []
+    for entry in _entries(tree, f):
+        if isinstance(entry, ast.Tuple):
+            slots.append(entry.elts[0])
+        elif _entries(entry, f) is not None:
+            slots += _slots(entry, f)
+        elif not _builds_claims(_called(entry)):
+            slots.append(entry)
+    return slots
 
 
 def test_no_literal_in_a_computed_slot():
-    """A witness reports what its check computed: every function that
-    gives a verdict, the ledger's checks and those the CLI prints alike,
-    returns through `_verdict` or `_bundle`, and no computed or shown value
-    of a `_verdict` call is a literal.  A claim's stated value and its
-    `documented` value are stated, so they may be literals."""
+    """A witness reports what its check computed: every function of
+    verify.py that builds claims, the ledger's checks and the builders the
+    CLI judges alike, returns a claim tree that it writes out, every check
+    of the ledger is one of them, and no computed slot or shown value of a
+    tree is a literal.  A claim's stated and documented values are stated,
+    so they may be literals."""
     tree = ast.parse(Path(verify.__file__).read_text())
-    judges = [f for f in tree.body if isinstance(f, ast.FunctionDef) and _judges(f)]
-    by_hand = [
-        f"{f.name}:{r.lineno}"
-        for f in judges
-        for r in ast.walk(f)
-        if isinstance(r, ast.Return) and _called(r.value) not in ("_verdict", "_bundle")
-    ]
-    assert len(judges) > 30 and {"rostcalc_verdict", "rostcalc_table_verdict"} <= {f.name for f in judges}
-    assert by_hand == []
-    slots = [
-        slot
-        for call in ast.walk(tree)
-        if _called(call) == "_verdict"
-        for slot in _computed(call.args[0]) + _shown(call)
-    ]
+    builders = [f for f in tree.body if isinstance(f, ast.FunctionDef) and _builds_claims(f.name)]
+    returns = [(f, r.value) for f in builders for r in ast.walk(f) if isinstance(r, ast.Return)]
+    assert len(builders) > 30 and {"rostcalc_claims", "rostcalc_table_claims"} <= {f.name for f in builders}
+    assert [f"{f.name}:{r.lineno}" for f, r in returns if _entries(r, f) is None] == []
+    (checks,) = [n.value for n in tree.body if isinstance(n, ast.AnnAssign) and n.target.id == "CHECKS"]
+    runs = [_called(c.elts[2].body) if isinstance(c.elts[2], ast.Lambda) else c.elts[2].id for c in checks.elts]
+    assert [name for name in runs if not _builds_claims(name)] == []
+    slots = [slot for f, r in returns for slot in _slots(r, f)]
     assert [s.lineno for s in slots if not any(isinstance(n, ast.Name) for n in ast.walk(s))] == []
 
 
