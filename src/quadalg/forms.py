@@ -2,7 +2,8 @@
 
 A form is a diagonal <a1,...,an> with nonzero exact entries.  Over Q the
 complete invariant fingerprint is (dimension, signed discriminant, Hasse
-places, real signature); over R only the signature matters.  Over Q,
+places, real signature); over R only the signature matters.  A place is
+an int, as in `scalars`: 0 for the real place, p for a prime.  Over Q,
 entries of opposite square classes cancel in pairs first (q = pH + <r>);
 the invariants read the residue r.  So does the Witt decomposition, with
 no isotropic vector: the anisotropic dimension is the least at which
@@ -40,7 +41,6 @@ from functools import reduce
 from math import gcd, prod
 
 from .scalars import (
-    Place,
     REAL,
     _Frozen,
     _hasse,
@@ -52,6 +52,7 @@ from .scalars import (
     is_local_square,
     next_prime,
     parse_scalar,
+    place_name,
     relevant_places,
     square_class,
 )
@@ -148,7 +149,7 @@ class WittInvariants(_Frozen):
 
     __slots__ = ("dim", "disc", "hasse", "signature")
 
-    def __init__(self, dim: int, disc: int, hasse: frozenset[Place], signature: int):
+    def __init__(self, dim: int, disc: int, hasse: frozenset[int], signature: int):
         if (signature - dim) % 2 or abs(signature) > dim:
             raise ValueError("signature incompatible with dimension")
         super().__init__(dim, disc, frozenset(hasse), signature)
@@ -216,10 +217,10 @@ def _class_product(x: int, y: int) -> int:
     return x * y // (g * g)
 
 
-def _hyperbolic_hasse(m: int) -> set[Place]:
+def _hyperbolic_hasse(m: int) -> set[int]:
     """The places where mH has Hasse symbol -1: the pairs of its m entries
     -1 give (-1,-1)_v^(m(m-1)/2), which is -1 at the real place and at 2."""
-    return {REAL, Place(2)} if m * (m - 1) // 2 % 2 else set()
+    return {REAL, 2} if m * (m - 1) // 2 % 2 else set()
 
 
 def _add_hyperbolic(m: int, det: int, hasse, places):
@@ -232,7 +233,7 @@ def _add_hyperbolic(m: int, det: int, hasse, places):
     return hasse
 
 
-def _hasse_defects(inv: WittInvariants) -> frozenset[Place]:
+def _hasse_defects(inv: WittInvariants) -> frozenset[int]:
     """The places where the Hasse symbol differs from that of the
     hyperbolic form of the same (even) dimension."""
     return inv.hasse ^ _hyperbolic_hasse(inv.dim // 2)
@@ -307,7 +308,7 @@ def witt_decompose(q: DiagonalForm) -> tuple[int, DiagonalForm]:
     return m, DiagonalForm("Q", tuple(entries))
 
 
-def _target(inv: WittInvariants, m: int, places) -> tuple[int, frozenset[Place]]:
+def _target(inv: WittInvariants, m: int, places) -> tuple[int, frozenset[int]]:
     """(det, Hasse places) of q_an for q = mH + q_an, q with invariants inv:
     det q = (-1)^(n(n-1)/2) disc q and det mH = (-1)^m, and mH comes off the
     Hasse places by the rule that adds it, all within `places`."""
@@ -315,7 +316,7 @@ def _target(inv: WittInvariants, m: int, places) -> tuple[int, frozenset[Place]]
     return d, _add_hyperbolic(m, d, inv.hasse, places)
 
 
-def _exists(k: int, d: int, eps: set[Place]) -> bool:
+def _exists(k: int, d: int, eps: set[int]) -> bool:
     """Whether a form over Q of dimension k, squarefree det d and Hasse
     symbol -1 exactly at eps exists, given a signature that fits k (Serre,
     A Course in Arithmetic, IV.3.3 Prop. 7): d = 1 when k = 0, and at each
@@ -328,7 +329,7 @@ def _exists(k: int, d: int, eps: set[Place]) -> bool:
     )
 
 
-def _peel(residue, d, eps, sig, k, places) -> tuple[int, int, set[Place]]:
+def _peel(residue, d, eps, sig, k, places) -> tuple[int, int, set[int]]:
     """One step of Serre's induction: an entry c with q_an = q' + <c> for a
     form q' of dimension k - 1 that exists, and q''s det and Hasse places
     (d c and eps twisted by (-d, c)_v, as s(q' + <c>) = s(q') (d c, c)_v).
@@ -350,10 +351,10 @@ def _serre_entry(d, eps, places):
     (-1, -d)_v: there c is not in the class of -d, and elsewhere either
     class serves."""
     bad = [v for v in places if (v in eps) != (hilbert_symbol(-1, -d, v) == -1)]
-    yield _class_product(-d, prod(-1 if v.is_real else v.p for v in bad))
+    yield _class_product(-d, prod(v or -1 for v in bad))
 
 
-def _binary(d, eps, places) -> tuple[tuple[int, int], list[Place]]:
+def _binary(d, eps, places) -> tuple[tuple[int, int], list[int]]:
     """A binary <a, a d> with det d and Hasse symbol (a, -d)_v = -1 exactly
     at eps (Serre, III.2.2 Thm. 4), and the auxiliary places it used.
 
@@ -362,7 +363,7 @@ def _binary(d, eps, places) -> tuple[tuple[int, int], list[Place]]:
     with auxiliary primes l outside S where (-d|l) = 1.  Outside S every
     symbol of a is 1: all is a unit, or -d is a square at l.
     """
-    s = [v for v in places if v.p <= 2 or d % v.p == 0 or v in eps]
+    s = [v for v in places if v <= 2 or d % v == 0 or v in eps]
     a, aux = _f2_solve(
         s,
         lambda g: _bits(hilbert_symbol(g, -d, v) == -1 for v in s),
@@ -372,7 +373,7 @@ def _binary(d, eps, places) -> tuple[tuple[int, int], list[Place]]:
     return (a, _class_product(a, d)), aux
 
 
-def _f2_solve(places, mask_of, target, admit) -> tuple[int, list[Place]]:
+def _f2_solve(places, mask_of, target, admit) -> tuple[int, list[int]]:
     """A squarefree t with mask_of(t) = target, and the auxiliary places
     it used: Serre's class with prescribed local symbols (A Course in
     Arithmetic, III.2.2 Thm. 4), by elimination over F2.  mask_of(g), the
@@ -381,7 +382,6 @@ def _f2_solve(places, mask_of, target, admit) -> tuple[int, list[Place]]:
     l outside them that `admit` accepts; t is the product of those whose
     masks sum to the target.
     """
-    primes = {v.p for v in places}
     basis = {}  # leading bit -> (mask, product of the generators summed)
 
     def reduce(mask, t):
@@ -391,14 +391,14 @@ def _f2_solve(places, mask_of, target, admit) -> tuple[int, list[Place]]:
         return mask, t
 
     aux, ell = [], 2
-    gens = itertools.chain([-1], (v.p for v in places if not v.is_real))
+    gens = itertools.chain([-1], (v for v in places if v))
     while len(aux) <= len(places) + 64:
         g = next(gens, None)
         if g is None:  # an auxiliary prime
             ell = next_prime(ell)
-            if ell in primes or not admit(ell):
+            if ell in places or not admit(ell):
                 continue
-            aux.append(Place(ell))
+            aux.append(ell)
             g = ell
         mask, g = reduce(mask_of(g), g)
         if mask:
@@ -419,7 +419,7 @@ def _certify(inv: WittInvariants, m: int, entries, places) -> None:
     entry is +-1 times primes of `places`, so no other place can carry a
     Hasse symbol -1, and the dimension, the disc, the Hasse symbol at each
     of the places and the signature agree (Hasse-Minkowski)."""
-    primes = [v.p for v in places if not v.is_real]
+    primes = [v for v in places if v]
 
     def known(a):
         for p in primes:
@@ -620,6 +620,6 @@ def invariants_json(q: DiagonalForm) -> dict:
     return {
         "dim": inv.dim,
         "disc": inv.disc,
-        "hasse": {repr(v): -1 for v in sorted(inv.hasse, key=lambda v: v.p)},
+        "hasse": {place_name(v): -1 for v in sorted(inv.hasse)},
         "signature": inv.signature,
     }

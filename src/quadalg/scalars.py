@@ -8,10 +8,13 @@ integral and a ``fractions.Fraction`` otherwise (`rat`).  `div` is the
 only true division: an int divided by an int never becomes a float, and
 an integral quotient comes back as an int.  A square class is the signed
 squarefree integer representing a*Q*^2; two scalars share it iff their
-ratio is a nonzero rational square.  Serre's local formulas are stated
-once, on valuations and units: `_local_class` (a class of Q_v*/Q_v*^2)
-and `_hasse` (the Hasse symbol of a diagonal form), of which
-`is_local_square` and `hilbert_symbol` are the one- and two-entry cases.
+ratio is a nonzero rational square.  A place of Q is an int: 0 (`REAL`)
+for the real place and p itself for a prime, proved prime where it was
+found (`factor`, `next_prime`); `place_name` names it in reports.
+Serre's local formulas are stated once, on valuations and units:
+`_local_class` (a class of Q_v*/Q_v*^2) and `_hasse` (the Hasse symbol
+of a diagonal form), of which `is_local_square` and `hilbert_symbol` are
+the one- and two-entry cases.
 Only `square_class` and `relevant_places` factor.  A Laurent polynomial
 keys its terms by their monomials, sorted (variable, nonzero exponent)
 tuples, with exponents of any size.
@@ -224,7 +227,7 @@ def is_square(a: int | Fraction) -> bool:
     return a >= 0 and all(isqrt(n) ** 2 == n for n in (a.numerator, a.denominator))
 
 
-def is_local_square(a: int | Fraction, place: "Place") -> bool:
+def is_local_square(a: int | Fraction, place: int) -> bool:
     """Whether a is a square in the completion at the place: num*den, in
     the square class of a, has the local class of 1 (`_local_class`)."""
     if not a:
@@ -270,41 +273,15 @@ class _Frozen:
         return type(self), self._key()
 
 
-_PLACES: dict[int, "Place"] = {}
+REAL = 0  # the real place; a prime place is its prime
 
 
-class Place(_Frozen):
-    """A place of Q carrying a local invariant: the real place or a prime.
-    Places are interned, so a prime is proved prime once, and two places
-    are equal only when they are the same object."""
-
-    __slots__ = ("p",)  # p = 0 encodes the real place
-    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
-
-    def __new__(cls, p: int) -> "Place":
-        place = _PLACES.get(p)
-        if place is None:
-            if p != 0 and not is_prime(p):
-                raise ValueError(f"not a place: {p}")
-            place = _PLACES[p] = object.__new__(cls)
-            _Frozen.__init__(place, p)
-        return place
-
-    def __init__(self, p: int):  # p was set once, by `__new__`; a lookup leaves it
-        pass
-
-    @property
-    def is_real(self) -> bool:
-        return self.p == 0
-
-    def __repr__(self) -> str:
-        return "real" if self.is_real else f"p={self.p}"
+def place_name(v: int) -> str:
+    """The name of a place in reports: "real", or "p=3" at the prime 3."""
+    return f"p={v}" if v else "real"
 
 
-REAL = Place(0)
-
-
-def relevant_places(*scalars: int | Fraction) -> list[Place]:
+def relevant_places(*scalars: int | Fraction) -> list[int]:
     """The real place, 2, and every odd prime dividing a square-class
     representative of one of the inputs.  Hilbert symbols built from the
     inputs are +1 away from this set."""
@@ -312,7 +289,7 @@ def relevant_places(*scalars: int | Fraction) -> list[Place]:
     for a in scalars:
         if a:
             primes.update(_odd_primes(abs(square_class(a))))
-    return [REAL] + [Place(p) for p in sorted(primes)]
+    return [REAL, *sorted(primes)]
 
 
 def _val_unit(n: int, p: int) -> tuple[int, int]:
@@ -330,31 +307,31 @@ def _legendre(u: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _local_class(t: int, v: Place):
+def _local_class(t: int, v: int):
     """The class of the nonzero integer t in Q_v*/Q_v*^2: its sign at the
     real place; at a prime p, the parity of its valuation and its unit's
     residue (mod 8 at 2, the Legendre symbol at an odd p)."""
-    if v.is_real:
+    if not v:
         return t > 0
-    e, u = _val_unit(t, v.p)
-    return e % 2, u % 8 if v.p == 2 else _legendre(u, v.p)
+    e, u = _val_unit(t, v)
+    return e % 2, u % 8 if v == 2 else _legendre(u, v)
 
 
-def _hasse(ds, v: Place) -> int:
-    """The Hasse symbol prod_{i<j} (d_i, d_j)_v of <d_1,...,d_n> for
-    nonzero integers d_i, squarefree or not, in one pass over the entries:
-    Serre's explicit formulas (Cours d'arithmetique III.1.2 Thm. 1) summed
-    over all pairs.  Write d_i = p^e_i u_i and let k count the odd e_i.  At
+def _hasse(ds, p: int) -> int:
+    """The Hasse symbol prod_{i<j} (d_i, d_j)_p of <d_1,...,d_n> at the
+    place p (0 the real one) for nonzero integers d_i, squarefree or not,
+    in one pass over the entries: Serre's explicit formulas (Cours
+    d'arithmetique III.1.2 Thm. 1) summed over all pairs.  Write d_i = p^e_i u_i and let k count the odd e_i.  At
     an odd p the symbol is (-1)^(C(k,2)(p-1)/2) (U_out|p)^k (U_in|p)^(k-1),
     with U_in and U_out the products mod p of the u_i with odd and with even
     e_i, so at most one Legendre symbol.  At 2 the exponents e(u) = (u-1)/2
     and w(u) = (u^2-1)/8 sum the same way, to C(n_e,2) + k n_w + n_w_in
     mod 2, for n_e entries with e(u_i) odd, n_w with w(u_i) odd and n_w_in
     of those with odd e_i.  At the real place it is (-1)^C(neg,2)."""
-    if v.is_real:
+    if not p:
         neg = sum(1 for d in ds if d < 0)
         return -1 if neg * (neg - 1) // 2 % 2 else 1
-    p, k = v.p, 0
+    k = 0
     if p == 2:
         n_e = n_w = n_w_in = 0
         for d in ds:
@@ -379,7 +356,7 @@ def _hasse(ds, v: Place) -> int:
     return sign * _legendre(u_in, p) if k else sign
 
 
-def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Place) -> int:
+def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: int) -> int:
     """Hilbert symbol (a,b) at a place of Q: +1 iff z^2 = a x^2 + b y^2
     has a nonzero solution over the completion.  It is the Hasse symbol of
     the binary <a, b> (`_hasse`), read off num*den of each argument, which

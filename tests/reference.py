@@ -232,7 +232,7 @@ def reference_isotropic_at(entries, v):
     n = len(entries)
     if n <= 1:
         return False
-    if v.is_real:
+    if not v:
         return any(a > 0 for a in entries) and any(a < 0 for a in entries)
     if n >= 5:
         return True

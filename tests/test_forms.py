@@ -34,12 +34,12 @@ from quadalg.forms import (
     witt_trivial,
 )
 from quadalg.exactmat import diagonal, diagonalize, freeze, pairing
-from quadalg.scalars import Place, REAL, div, hilbert_symbol, relevant_places, square_class
+from quadalg.scalars import REAL, div, hilbert_symbol, relevant_places, square_class
 
 import witness_chain  # the isotropic-vector chain, kept as a reference
 from witness_chain import isotropic_vector
 from reference import in_k_witt_ideal, isometric_over_K, pairwise_hasse, reference_isotropic_at, tensor
-from reference import reference_in_power_I_over_R, reference_witt_trivial
+from reference import fresh_python, reference_in_power_I_over_R, reference_witt_trivial
 
 SMALL = [1, -1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 10, -15, 30]
 
@@ -90,7 +90,7 @@ def test_invariants_examples():
     assert (hyp.dim, hyp.disc, hyp.hasse, hyp.signature) == (2, 1, set(), 0)
     q23 = invariants(form([2, 3]))
     assert q23.disc == -6
-    assert Place(3) in q23.hasse
+    assert 3 in q23.hasse
     phi = pfister(-1, -1, -1, -1, field="R")
     q_alpha = scale(-1, DiagonalForm("R", phi.entries[1:]))
     assert invariants(q_alpha).disc == 1
@@ -663,7 +663,7 @@ def test_hasse_prefix_products_match_pairwise():
         q = form([shared_prime_entry(rng, trial % 2) for _ in range(rng.randint(0, 16))])
         classes = [square_class(a) for a in q.entries]
         inv = invariants(q)
-        for v in relevant_places(*q.entries) + [Place(11)]:
+        for v in relevant_places(*q.entries) + [11]:
             expected = pairwise_hasse(q.entries, v)
             assert forms._hasse(classes, v) == expected
             assert (-1 if v in inv.hasse else 1) == expected
@@ -671,7 +671,7 @@ def test_hasse_prefix_products_match_pairwise():
                 assert forms._hasse([int(a) for a in q.entries], v) == expected
     # units of every residue mod 8 times primes up to 31, at 2, 3, ..., 31
     # and the real place
-    places = [REAL] + [Place(p) for p in PRIMES_TO_31]
+    places = [REAL, *PRIMES_TO_31]
     for _ in range(60):
         entries = [unit_times_powers(rng) for _ in range(rng.randint(0, 12))]
         classes = [square_class(a) for a in entries]
@@ -808,13 +808,42 @@ def test_invariants_make_no_hilbert_symbol_and_one_legendre_per_odd_place(monkey
     # `_hasse` lives in scalars and looks `_legendre` up there
     monkeypatch.setattr(scalars, "_legendre", lambda u, p: legendres.append(p) or real_legendre(u, p))
     q = form([2, -3, 5, 7, -6, 10, 14, -15, 21, 35, -2, 3])
-    odd = {v.p for v in relevant_places(*q.entries) if v.p > 2}
+    odd = {v for v in relevant_places(*q.entries) if v > 2}
     inv = invariants(q)
     # pairwise: 66 symbols per place; prefix products: 11
     assert symbols == []
     assert len(legendres) == len(set(legendres)) and set(legendres) <= odd
     for v in relevant_places(*q.entries):
         assert (-1 if v in inv.hasse else 1) == pairwise_hasse(q.entries, v)
+
+
+LEGENDRE_PRIMES = """
+import gc, sys
+if sys.argv[1:] == ["shifted"]:  # no cyclic collector, and a heap laid out otherwise
+    gc.disable()
+    held = [bytearray(32) for _ in range(50)]
+from quadalg import forms, scalars, verify
+primes, real = [], scalars._legendre
+scalars._legendre = forms._legendre = lambda u, p: primes.append(p) or real(u, p)
+verify.run_checks("P10")
+verify.run_checks("P30")
+print(primes)
+"""
+
+
+def test_ledger_legendre_calls_do_not_depend_on_the_interpreter(monkeypatch):
+    """P10 and P30 make the same Legendre calls, prime by prime, under two
+    hash seeds, with the cyclic collector on and off and with the heap
+    shifted: no verdict visits places in an order that a hash or an
+    address sets.  A set of objects hashed by address iterates in heap
+    order, and on CPython 3.11 the 50 held buffers change that order."""
+    runs = []
+    for seed, layout in (("0", "plain"), ("1", "shifted")):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        run = fresh_python("-c", LEGENDRE_PRIMES, layout)
+        assert run.returncode == 0, run.stderr
+        runs.append(run.stdout)
+    assert runs[0] == runs[1] and runs[0].startswith("[3, ")
 
 
 def test_split_hyperbolic_makes_no_bilinear_call(monkeypatch):

@@ -50,7 +50,7 @@ def perm_P_images_swapped(a, b, real=cayley.perm_P):
 
 
 def negated_at_2(real):
-    return lambda a, b, place: -real(a, b, place) if place.p == 2 else real(a, b, place)
+    return lambda a, b, place: -real(a, b, place) if place == 2 else real(a, b, place)
 
 
 def b_and_c_swapped(real=rootsys._read_type):

@@ -1,15 +1,14 @@
-import copy
+import functools
 import itertools
-import pickle
 import random
 from fractions import Fraction as Q
+from math import prod
 
 import pytest
 
 from quadalg import scalars
 from quadalg.scalars import (
     Laurent,
-    Place,
     QuadExtScalar,
     REAL,
     factor,
@@ -75,32 +74,6 @@ def test_parse_scalar_refuses_more_digits_than_int_reads():
             parse_scalar(text)
 
 
-def test_place_validation():
-    assert Place(7).p == 7
-    assert REAL.is_real
-    with pytest.raises(ValueError):
-        Place(6)
-
-
-def test_place_proves_a_prime_once(monkeypatch):
-    calls = []
-
-    def counting(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(scalars, "is_prime", counting)
-    assert len({id(Place(1009)) for _ in range(3)}) == 1
-    assert calls.count(1009) <= 1
-    assert all(v is Place(v.p) for v in relevant_places(1009, Q(-2018, 9)))
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            Place(1007)  # 19 * 53: never interned
-    assert calls.count(1007) == 2
-    for clone in (copy.deepcopy(Place(1009)), pickle.loads(pickle.dumps(Place(1009)))):
-        assert clone is Place(1009)
-
-
 def hilbert_oracle(a, b, p):
     """Brute-force solubility of z^2 = a x^2 + b y^2 over Q_p: search for
     primitive solutions modulo p^K, with K large enough for Hensel lifting
@@ -127,19 +100,28 @@ def hilbert_oracle(a, b, p):
     "a,b,place,expected",
     [
         (-1, -1, REAL, -1),
-        (-1, -1, Place(2), -1),
-        (2, 3, Place(3), -1),
-        (1, 7, Place(7), 1),
-        (5, Q(-1, 5), Place(5), None),
-        (Q(3, 2), Q(-6), Place(2), None),
+        (-1, -1, 2, -1),
+        (2, 3, 3, -1),
+        (1, 7, 7, 1),
+        (5, Q(-1, 5), 5, None),
+        (Q(3, 2), Q(-6), 2, None),
+    ],
+    # each case keeps the id that names its place by position, not by number
+    ids=[
+        "-1--1-place0--1",
+        "-1--1-place1--1",
+        "2-3-place2--1",
+        "1-7-place3-1",
+        "5-b4-place4-None",
+        "a5-b5-place5-None",
     ],
 )
 def test_hilbert_symbol_against_oracle(a, b, place, expected):
     got = hilbert_symbol(a, b, place)
     if expected is not None:
         assert got == expected
-    if not place.is_real:
-        assert got == hilbert_oracle(a, b, place.p)
+    if place:
+        assert got == hilbert_oracle(a, b, place)
 
 
 def class_representatives(p):
@@ -154,20 +136,97 @@ def class_representatives(p):
     return [1, n, p, n * p]
 
 
+@functools.cache
+def oracle_symbols(p):
+    """{(a, b): (a, b)_p} on every pair of class representatives at p, not
+    read off `_hasse`: the brute-force `hilbert_oracle` at a prime, and at
+    the real place -1 exactly when both are negative."""
+    return {
+        (a, b): hilbert_oracle(a, b, p) if p else -1 if a < 0 and b < 0 else 1
+        for a, b in itertools.product(class_representatives(p), repeat=2)
+    }
+
+
 def test_hilbert_symbol_oracle_on_every_class_pair():
     """Every pair of square classes at p = 2, 3, 5 and 7, 112 in all,
-    against the brute-force solubility of z^2 = a x^2 + b y^2."""
-    for p in (2, 3, 5, 7):
-        for a, b in itertools.product(class_representatives(p), repeat=2):
-            assert hilbert_symbol(a, b, Place(p)) == hilbert_oracle(a, b, p), (p, a, b)
+    against the brute-force solubility of z^2 = a x^2 + b y^2, and the
+    4 pairs at the real place against the sign rule."""
+    for p in (0, 2, 3, 5, 7):
+        for (a, b), symbol in oracle_symbols(p).items():
+            assert hilbert_symbol(a, b, p) == symbol, (p, a, b)
+
+
+def test_hasse_on_every_multiset_of_representatives():
+    """`_hasse` on every multiset of at most five class representatives at
+    each place, and on it again with its first entry times p^2 (times 4 at
+    the real place), 3,372 forms in all, against the product over its pairs
+    of the symbols of `oracle_symbols`."""
+    for p in (0, 2, 3, 5, 7):
+        symbols = oracle_symbols(p)
+        for n in range(6):
+            for ds in itertools.combinations_with_replacement(class_representatives(p), n):
+                expected = prod(symbols[pair] for pair in itertools.combinations(ds, 2))
+                scaled = (ds[0] * (p * p or 4), *ds[1:]) if ds else ds
+                for entries in (ds, scaled):
+                    assert scalars._hasse(entries, p) == expected, (p, entries)
+
+
+def local_square_oracle(t, p):
+    """Whether the nonzero integer t is a square at the place p, by search:
+    at the real place its sign; at a prime an even valuation and a unit that
+    is a square mod 8 at 2 and mod p at an odd p (Hensel)."""
+    if not p:
+        return t > 0
+    e = 0
+    while t % p == 0:
+        t, e = t // p, e + 1
+    mod = 8 if p == 2 else p
+    return e % 2 == 0 and any(x * x % mod == t % mod for x in range(mod))
+
+
+def local_class_faults(p):
+    """Where `is_local_square` or `_local_class` disagrees with the oracle
+    at p, on each class representative times p^0 and p^1 (times 1 and 4 at
+    the real place) and on one more unit of each class (u + 8 at 2, u + p at
+    an odd p, 3u at the real place): a number the oracle calls a square or
+    not, and a pair in one class or not (their product a square)."""
+    reps = class_representatives(p)
+    units = [u for u in reps if not p or u % p]
+    more = [3 * u if not p else u + 8 if p == 2 else u + p for u in units]
+    table = reps + [r * (p or 4) for r in reps] + more
+    faults = [t for t in table if scalars.is_local_square(t, p) != local_square_oracle(t, p)]
+    return faults + [
+        (s, t)
+        for s, t in itertools.product(table, repeat=2)
+        if (scalars._local_class(s, p) == scalars._local_class(t, p)) != local_square_oracle(s * t, p)
+    ]
+
+
+def test_local_square_and_class_on_every_class():
+    for p in (0, 2, 3, 5, 7):
+        assert local_class_faults(p) == [], p
+
+
+def test_local_class_table_catches_a_unit_read_mod_4(monkeypatch):
+    """A `_local_class` that reads a unit mod 4 at 2 merges 1 with 5 and 3
+    with 7, and the table sees it."""
+    real = scalars._local_class
+
+    def mod_4(t, v):
+        if v != 2:
+            return real(t, v)
+        e, u = scalars._val_unit(t, 2)
+        return e % 2, u % 4
+
+    monkeypatch.setattr(scalars, "_local_class", mod_4)
+    assert local_class_faults(2)
 
 
 def test_hilbert_symbol_properties():
     """Bimultiplicativity, symmetry and (a, -a) = 1 on every triple of
     class representatives at each place, the real one included."""
-    for p in (0, 2, 3, 5, 7):
-        v = Place(p)
-        for a, b, c in itertools.product(class_representatives(p), repeat=3):
+    for v in (0, 2, 3, 5, 7):
+        for a, b, c in itertools.product(class_representatives(v), repeat=3):
             assert hilbert_symbol(a, b * c, v) == hilbert_symbol(a, b, v) * hilbert_symbol(a, c, v)
             assert hilbert_symbol(a * b, c, v) == hilbert_symbol(a, c, v) * hilbert_symbol(b, c, v)
             assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
@@ -197,8 +256,8 @@ def test_local_facts_factor_nothing(monkeypatch):
 
     monkeypatch.setattr(scalars, "factor", refuse)
     assert not is_square(n) and is_square(n * n) and is_square(Q(n * n, 4))
-    for v in (REAL, Place(2), Place(3), Place(5)):
-        expected = n % 8 == 1 if v.p == 2 else v.is_real or pow(n, (v.p - 1) // 2, v.p) == 1
+    for v in (REAL, 2, 3, 5):
+        expected = n % 8 == 1 if v == 2 else not v or pow(n, (v - 1) // 2, v) == 1
         assert scalars.is_local_square(n, v) == expected
         assert scalars.is_local_square(n * n, v)
         assert hilbert_symbol(n, -3, v) == hilbert_symbol(p, -3, v) * hilbert_symbol(q, -3, v)
@@ -269,9 +328,7 @@ def test_quadext_conjugation_is_ring_involution():
 
 
 def test_relevant_places_cover():
-    places = relevant_places(Q(5, 6), 7)
-    ps = {v.p for v in places}
-    assert ps == {0, 2, 3, 5, 7}
+    assert relevant_places(Q(5, 6), 7) == [REAL, 2, 3, 5, 7]
 
 
 def test_rational_element_hashes_like_its_fraction():
