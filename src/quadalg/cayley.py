@@ -118,15 +118,15 @@ def _zorn_slot_gram() -> Matrix:
 def _build_tables(scales) -> tuple:
     """The structure constants and Gram of the basis u_i = scales[i] times
     the unit of Zorn slot `_SLOTS[i]`.  With `to_slots` that monomial map,
-    u_i u_j = to_slots^-1 zorn(to_slots e_i, to_slots e_j), kept as its
-    nonzero coordinates ((m, g), ...), and the Gram is the slot Gram
+    u_i u_j = to_slots^-1 zorn(to_slots e_i, to_slots e_j), kept as the
+    dict {m: g} of its nonzero coordinates, and the Gram is the slot Gram
     pulled back along `to_slots`."""
     to_slots = from_nonzeros(DIM, DIM, [(s, i, c) for i, (s, c) in enumerate(zip(_SLOTS, scales))])
     from_slots = mat_inv(to_slots)
     units = dense(transpose(to_slots))
     constants = tuple(
         tuple(
-            tuple((m, g) for m, g in enumerate(mat_vec(from_slots, _zorn_mul(x, y))) if g)
+            {m: g for m, g in enumerate(mat_vec(from_slots, _zorn_mul(x, y))) if g}
             for y in units
         )
         for x in units
@@ -136,8 +136,8 @@ def _build_tables(scales) -> tuple:
 
 class CayleyTable(_Frozen):
     """The structure constants and the norm Gram (with n(x,x) = n(x)) of a
-    basis u1..u8: constants[i][j] = ((m, g), ...), the nonzero
-    coordinates g of u_{i+1} u_{j+1} at u_{m+1}."""
+    basis u1..u8: constants[i][j] = {m: g}, the nonzero coordinates g of
+    u_{i+1} u_{j+1} at u_{m+1}."""
 
     __slots__ = ("constants", "gram")
 
@@ -170,7 +170,7 @@ def _mul_coords(table: CayleyTable, x, y):
         for j, yj in ys:
             if row[j]:
                 c = xi * yj
-                for m, g in row[j]:
+                for m, g in row[j].items():
                     parts[m].append(c * g)
     return tuple(map(exact_sum, parts))
 

@@ -1,16 +1,17 @@
 """Small exact linear algebra over Q or Q(sqrt k), on matrices stored as
 their nonzeros.
 
-A `Matrix` holds its shape and, for each row, the ascending (column,
-value) pairs of its nonzero entries, each in the canonical form of
-`scalars` (an int when integral, else a Fraction; or an element of K, or
-a Laurent polynomial).  No zero is stored, neither the int 0 nor
+A `Matrix` holds its shape and, for each row, the dict {column: value}
+of its nonzero entries, each in the canonical form of `scalars` (an int
+when integral, else a Fraction; or an element of K, or a Laurent
+polynomial).  No zero is stored, neither the int 0 nor
 QuadExtScalar(0, 0, k), so two matrices are equal, and hash alike, when
-their shapes and nonzeros are.  `freeze` is the one way in from dense
-rows and `dense` the one way out.  Every other module builds a matrix
-from its nonzeros (`from_nonzeros`, `diagonal`, `identity`) and reads one
-through `entry`, `row`, `column`, `submatrix`, `nonzeros`, `entrywise`
-and `dense`.  Vectors are dense tuples.
+their shapes and nonzeros are, whatever the order of a row's columns.
+`freeze` is the one way in from dense rows and `dense` the one way out.
+Every other module builds a matrix from its nonzeros (`from_nonzeros`,
+`diagonal`, `identity`) and reads one through `entry`, `row`, `column`,
+`submatrix`, `nonzeros`, `entrywise` and `dense`.  Vectors are dense
+tuples.
 
 Every kernel reads only stored entries, and raises ValueError when the
 shapes of its arguments do not fit.  `mat_mul` combines rows (Gustavson,
@@ -38,15 +39,15 @@ Vector = tuple
 
 
 class Matrix(_Frozen):
-    """An n x m matrix: its shape (n, m) and `rows`, one tuple per row of
-    the ascending (column, value) pairs of its nonzero entries.  The
-    constructor stores what it is given; the functions of this module
-    build every matrix, and they alone read `rows`."""
+    """An n x m matrix: its shape (n, m) and `rows`, one dict {column:
+    value} per row of its nonzero entries.  The constructor stores what it
+    is given; only this module builds a matrix or reads `rows`, and no row
+    is shared between matrices or changed once its matrix is built."""
 
     __slots__ = ("shape", "rows")
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.shape, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __bool__(self) -> bool:
         """Whether some entry is nonzero."""
@@ -96,32 +97,19 @@ def _size(a: Matrix) -> str:
     return "x".join(map(str, a.shape))
 
 
-def _pairs(row: dict) -> tuple:
-    """The ascending (column, value) pairs of a row held as a dict
-    {column: value}, canonical, with the zeros left out."""
-    return tuple(sorted([(c, rat(x)) for c, x in row.items() if x]))
-
-
 def freeze(rows: Sequence[Sequence]) -> Matrix:
     """The matrix with the given dense rows, which must have one length."""
     rows = [tuple(row) for row in rows]
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise ValueError("the rows of a matrix must have one length")
-    stored = tuple(tuple([(c, rat(x)) for c, x in enumerate(row) if x]) for row in rows)
+    stored = tuple({c: rat(x) for c, x in enumerate(row) if x} for row in rows)
     return Matrix((len(rows), width), stored)
-
-
-def _written_out(pairs, m: int) -> Vector:
-    full = [0] * m
-    for c, x in pairs:
-        full[c] = x
-    return tuple(full)
 
 
 def dense(a: Matrix) -> tuple[tuple, ...]:
     """The rows of a written out, with the int 0 where a stores nothing."""
-    return tuple(_written_out(pairs, a.shape[1]) for pairs in a.rows)
+    return tuple(tuple([row.get(c, 0) for c in range(a.shape[1])]) for row in a.rows)
 
 
 def from_nonzeros(n: int, m: int, entries) -> Matrix:
@@ -132,11 +120,11 @@ def from_nonzeros(n: int, m: int, entries) -> Matrix:
         if not (0 <= r < n and 0 <= c < m):
             raise IndexError(f"({r}, {c}) lies outside the {n}x{m} matrix")
         placed[r, c] = x
-    rows = [[] for _ in range(n)]
+    rows = tuple({} for _ in range(n))
     for r, c in sorted(placed):
         if x := placed[r, c]:
-            rows[r].append((c, rat(x)))
-    return Matrix((n, m), tuple(map(tuple, rows)))
+            rows[r][c] = rat(x)
+    return Matrix((n, m), rows)
 
 
 def diagonal(entries: Sequence) -> Matrix:
@@ -155,8 +143,8 @@ def identity(n: int) -> Matrix:
 
 
 def nonzeros(a: Matrix) -> Iterator[tuple]:
-    """The (r, c, x) of the nonzero entries, row by row, columns ascending."""
-    return ((r, c, x) for r, pairs in enumerate(a.rows) for c, x in pairs)
+    """The (r, c, x) of the nonzero entries, row by row."""
+    return ((r, c, x) for r, row in enumerate(a.rows) for c, x in row.items())
 
 
 def _check_place(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> None:
@@ -168,17 +156,17 @@ def _check_place(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> None:
 def entry(a: Matrix, r: int, c: int):
     """a[r][c]: the int 0 where a stores nothing."""
     _check_place(a, (r,), (c,))
-    return next((x for j, x in a.rows[r] if j == c), 0)
+    return a.rows[r].get(c, 0)
 
 
 def row(a: Matrix, r: int) -> Vector:
     _check_place(a, (r,), ())
-    return _written_out(a.rows[r], a.shape[1])
+    return tuple([a.rows[r].get(c, 0) for c in range(a.shape[1])])
 
 
 def column(a: Matrix, c: int) -> Vector:
     _check_place(a, (), (c,))
-    return tuple(next((x for j, x in pairs if j == c), 0) for pairs in a.rows)
+    return tuple([row.get(c, 0) for row in a.rows])
 
 
 def submatrix(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
@@ -188,14 +176,14 @@ def submatrix(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     place = {c: j for j, c in enumerate(cols)}
     if len(place) != len(cols):
         raise ValueError("the columns of a submatrix must be distinct")
-    picked = tuple(tuple(sorted((place[c], x) for c, x in a.rows[r] if c in place)) for r in rows)
+    picked = tuple({place[c]: x for c, x in a.rows[r].items() if c in place} for r in rows)
     return Matrix((len(picked), len(place)), picked)
 
 
 def entrywise(f: Callable, a: Matrix) -> Matrix:
     """The matrix f(a[r][c]), for an f that sends zero to zero: f is
     applied to the stored entries only."""
-    stored = tuple(tuple([(c, y) for c, x in pairs if (y := rat(f(x)))]) for pairs in a.rows)
+    stored = tuple({c: y for c, x in row.items() if (y := rat(f(x)))} for row in a.rows)
     return Matrix(a.shape, stored)
 
 
@@ -205,39 +193,38 @@ def entrywise(f: Callable, a: Matrix) -> Matrix:
 
 def transpose(a: Matrix) -> Matrix:
     n, m = a.shape
-    cols = [[] for _ in range(m)]
-    for r, pairs in enumerate(a.rows):
-        for c, x in pairs:
-            cols[c].append((r, x))
-    return Matrix((m, n), tuple(map(tuple, cols)))
+    cols = tuple({} for _ in range(m))
+    for r, row in enumerate(a.rows):
+        for c, x in row.items():
+            cols[c][r] = x
+    return Matrix((m, n), cols)
 
 
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
     if len(v) != a.shape[1]:
         raise ValueError(f"cannot apply a {_size(a)} matrix to {len(v)} coordinates")
-    return tuple(exact_sum([x * y for c, x in pairs if (y := v[c])]) for pairs in a.rows)
+    return tuple(exact_sum([x * y for c, x in row.items() if (y := v[c])]) for row in a.rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b by rows: each nonzero a[i][j], j ascending, adds b[j][c] * a[i][j]
-    for the nonzero b[j][c] to row i, and the sums that cancel are left
-    out."""
+    """a b by rows: each nonzero a[i][j] adds b[j][c] * a[i][j] for the
+    nonzero b[j][c] to row i, and the sums that cancel are left out."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply {_size(a)} by {_size(b)}")
     b_rows = b.rows
     out = []
-    for pairs in a.rows:
-        if len(pairs) == 1:
+    for row in a.rows:
+        if len(row) == 1:
             # row j of b times a[i][j]: no product is zero, as the scalars form a domain
-            ((j, x),) = pairs
-            out.append(tuple([(c, rat(y * x)) for c, y in b_rows[j]]))
+            ((j, x),) = row.items()
+            out.append({c: rat(y * x) for c, y in b_rows[j].items()})
             continue
         acc = {}
-        for j, x in pairs:
-            for c, y in b_rows[j]:
+        for j, x in row.items():
+            for c, y in b_rows[j].items():
                 v = acc.get(c)
                 acc[c] = y * x if v is None else v + y * x
-        out.append(_pairs(acc))
+        out.append({c: rat(v) for c, v in acc.items() if v})
     return Matrix((a.shape[0], b.shape[1]), tuple(out))
 
 
@@ -256,9 +243,9 @@ def pairing(g: Matrix, v: Sequence, w: Sequence):
     if (len(v), len(w)) != g.shape:
         raise ValueError(f"cannot pair {len(v)} and {len(w)} coordinates by a {_size(g)} form")
     terms = []
-    for x, pairs in zip(v, g.rows):
+    for x, row in zip(v, g.rows):
         if x:
-            terms += [y * (x * z) for c, y in pairs if (z := w[c])]
+            terms += [y * (x * z) for c, y in row.items() if (z := w[c])]
     return exact_sum(terms)
 
 
@@ -267,14 +254,14 @@ def ratio(a: Matrix, b: Matrix):
     if a.shape != b.shape:
         raise ValueError(f"cannot compare {_size(a)} with {_size(b)}")
     c = None
-    for pa, pb in zip(a.rows, b.rows):
-        if pb and c is None:
-            col, y = pb[0]
-            c = div(next((x for j, x in pa if j == col), 0), y)
+    for ra, rb in zip(a.rows, b.rows):
+        if rb and c is None:
+            col = next(iter(rb))
+            c = div(ra.get(col, 0), rb[col])
         if not c:  # a must be zero: c is 0, or no entry of b is seen yet
-            if pa:
+            if ra:
                 return None
-        elif len(pa) != len(pb) or any(i != j or x != c * y for (i, x), (j, y) in zip(pa, pb)):
+        elif ra.keys() != rb.keys() or any(x != c * rb[j] for j, x in ra.items()):
             return None
     return c
 
@@ -344,29 +331,28 @@ def _square(a: Matrix) -> int:
 
 
 def det(a: Matrix):
-    return _reduce([dict(pairs) for pairs in a.rows], _square(a))[1]
+    return _reduce([row.copy() for row in a.rows], _square(a))[1]
 
 
 def mat_inv(a: Matrix) -> Matrix:
     """The inverse: each row i of a, with 1 at column n + i, reduced, and
     the inverse read off the columns past n."""
     n = _square(a)
-    rows = [dict((*pairs, (n + i, 1))) for i, pairs in enumerate(a.rows)]
+    rows = [{**row, n + i: 1} for i, row in enumerate(a.rows)]
     if len(_reduce(rows, n, back=True)[0]) < n:
         raise ZeroDivisionError("singular matrix")
-    inverse = tuple(tuple(sorted((c - n, x) for c, x in r.items() if c >= n)) for r in rows)
-    return Matrix((n, n), inverse)
+    return Matrix((n, n), tuple({c - n: x for c, x in row.items() if c >= n} for row in rows))
 
 
 def rank(a: Matrix) -> int:
-    return len(_reduce([dict(pairs) for pairs in a.rows], a.shape[1])[0])
+    return len(_reduce([row.copy() for row in a.rows], a.shape[1])[0])
 
 
 def independent(vecs: Sequence[Vector]) -> list[Vector]:
     """The vectors not in the span of the ones before them: the pivot
     columns of the matrix whose columns are `vecs`."""
     columns = transpose(freeze(vecs))
-    pivots, _ = _reduce([dict(pairs) for pairs in columns.rows], len(vecs))
+    pivots, _ = _reduce([row.copy() for row in columns.rows], len(vecs))
     return [vecs[c] for c in pivots]
 
 
@@ -381,7 +367,7 @@ def diagonalize(g: Matrix) -> list:
     zero block left is a degenerate g, a ValueError.  `order` lists the
     rows by place."""
     n = _square(g)
-    rows = [dict(pairs) for pairs in g.rows]
+    rows = [row.copy() for row in g.rows]
     order = list(range(n))
     out = []
     for t in range(n):

@@ -131,7 +131,7 @@ def test_structure_constants_are_the_nonzero_products():
         for i in range(8):
             for j in range(8):
                 dense = [Q(0)] * 8
-                for m, g in table.constants[i][j]:
+                for m, g in table.constants[i][j].items():
                     assert g != 0
                     dense[m] = g
                 assert tuple(dense) == products[i][j]
@@ -143,7 +143,7 @@ def test_integral_structure_constants_are_ints():
     for build, _ in TABLES.values():
         for row in build().constants:
             for entries in row:
-                for _, g in entries:
+                for g in entries.values():
                     assert type(g) is (int if g.denominator == 1 else Q), g
 
 

@@ -688,6 +688,37 @@ def test_the_readers_agree_with_the_dense_rows():
         freeze([[1, 2], [3]])
 
 
+def test_a_row_filled_out_of_column_order_is_the_same_matrix():
+    """Equality, hash and every reader ignore the order in which a row's
+    columns were filled: a product whose accumulator reaches column 2
+    before column 0, a submatrix with its columns reversed and the double
+    transpose of that product, each against the `from_nonzeros` build of
+    the same entries."""
+    a = freeze([[1, 1], [Q(1, 2), K(1, 1)]])
+    b = freeze([[0, 0, 5], [7, 0, 0]])
+    c = freeze([[1, 2, 3], [0, Q(1, 3), K(0, 1)]])
+    product = mat_mul(a, b)
+    reversed_columns = exactmat.submatrix(c, (1, 0), (2, 1, 0))
+    assert [col for _, col, _ in nonzeros(product)] == [2, 0, 2, 0]
+    assert [col for _, col, _ in nonzeros(reversed_columns)] == [1, 0, 2, 1, 0]
+    product_entries = [(0, 0, 7), (0, 2, 5), (1, 0, K(7, 7)), (1, 2, Q(5, 2))]
+    cases = [
+        (product, product_entries),
+        (reversed_columns, [(0, 0, K(0, 1)), (0, 1, Q(1, 3)), (1, 0, 3), (1, 1, 2), (1, 2, 1)]),
+        (transpose(transpose(product)), product_entries),
+    ]
+    for built, entries in cases:
+        n, m = built.shape
+        ascending = from_nonzeros(n, m, entries)
+        assert built == ascending and hash(built) == hash(ascending)
+        assert set(nonzeros(built)) == set(nonzeros(ascending)) == set(entries)
+        assert dense(built) == dense(ascending)
+        for r, col in itertools.product(range(n), range(m)):
+            assert exactmat.entry(built, r, col) == exactmat.entry(ascending, r, col)
+        for col in range(m):
+            assert exactmat.column(built, col) == exactmat.column(ascending, col)
+
+
 def test_a_gram_matrix_is_its_pairings():
     """The Gram matrix of vectors under a symmetric form, as
     `descent.span_form` forms it: the form pulled back along the matrix

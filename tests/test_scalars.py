@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from quadalg import scalars
+from quadalg import forms, scalars
 from quadalg.scalars import (
     Laurent,
     QuadExtScalar,
@@ -220,6 +220,32 @@ def test_local_class_table_catches_a_unit_read_mod_4(monkeypatch):
 
     monkeypatch.setattr(scalars, "_local_class", mod_4)
     assert local_class_faults(2)
+
+
+def existence_faults(p):
+    """The (k, d, eps) at the place p where `forms._exists` disagrees with
+    the local forms that occur (Serre IV.2.3 Prop. 6): every diagonal form
+    of dimension 0-4 over the class representatives, read as its dimension,
+    det class (`_local_class`) and Hasse symbol (`_hasse`), both proven on
+    the tables above.  A triple occurs exactly when `_exists(k, d, {p})`
+    admits it for eps = -1 and `_exists(k, d, set())` for eps = +1."""
+    reps = class_representatives(p)
+    occur = {
+        (k, scalars._local_class(prod(ds), p), scalars._hasse(ds, p))
+        for k in range(5)
+        for ds in itertools.combinations_with_replacement(reps, k)
+    }
+    return [
+        (k, d, eps)
+        for k, d, eps in itertools.product(range(5), reps, (1, -1))
+        if ((k, scalars._local_class(d, p), eps) in occur)
+        != forms._exists(k, d, {p} if eps == -1 else set())
+    ]
+
+
+def test_local_existence_on_every_form_of_dimension_at_most_4():
+    faults = {p: found for p in (0, 2, 3, 5, 7) if (found := existence_faults(p))}
+    assert faults == {}
 
 
 def test_hilbert_symbol_properties():
